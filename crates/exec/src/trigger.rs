@@ -213,6 +213,15 @@ impl TriggerState {
         }
     }
 
+    /// The clock value at which [`TriggerState::on_tick`] next changes
+    /// state: the timer's next fire, `u64::MAX` for every other trigger.
+    pub(crate) fn next_tick(&self) -> u64 {
+        match self {
+            TriggerState::Timer { next_fire, .. } => *next_fire,
+            _ => u64::MAX,
+        }
+    }
+
     /// Evaluates the sample condition at a check executed by `thread`.
     #[inline]
     pub(crate) fn on_check(&mut self, thread: usize) -> bool {

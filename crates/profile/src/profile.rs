@@ -56,6 +56,26 @@ impl ProfileData {
         }
     }
 
+    /// Adds `accesses` field accesses (reads + writes), `writes` of them
+    /// writes, to the counters of `(class, field)` at once: the same
+    /// counters as that many [`ProfileData::record_field_access`] calls.
+    /// A zero count creates no entry.
+    pub fn add_field_counts(
+        &mut self,
+        class: ClassId,
+        field: FieldSym,
+        accesses: u64,
+        writes: u64,
+    ) {
+        debug_assert!(writes <= accesses, "writes are a subset of accesses");
+        if accesses > 0 {
+            *self.field_accesses.entry((class, field)).or_insert(0) += accesses;
+        }
+        if writes > 0 {
+            *self.field_writes.entry((class, field)).or_insert(0) += writes;
+        }
+    }
+
     /// Records one execution of a basic block.
     pub fn record_block(&mut self, func: FuncId, block: BlockId) {
         *self.blocks.entry((func, block)).or_insert(0) += 1;
@@ -180,6 +200,22 @@ mod tests {
         p.record_field_access(k.0, k.1, true);
         assert_eq!(p.field_accesses()[&k], 2);
         assert_eq!(p.field_writes()[&k], 1);
+    }
+
+    #[test]
+    fn bulk_field_counts_equal_per_event_recording() {
+        let k = (ClassId::new(2), FieldSym::new(1));
+        let mut per_event = ProfileData::new();
+        for write in [false, true, false, true, true] {
+            per_event.record_field_access(k.0, k.1, write);
+        }
+        let mut bulk = ProfileData::new();
+        bulk.add_field_counts(k.0, k.1, 5, 3);
+        bulk.add_field_counts(ClassId::new(0), FieldSym::new(0), 0, 0);
+        assert_eq!(bulk, per_event);
+        let mut reads_only = ProfileData::new();
+        reads_only.add_field_counts(k.0, k.1, 2, 0);
+        assert!(reads_only.field_writes().is_empty());
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! the differential test suites (engine equivalence, trace equivalence).
 //!
 //! Statement fragments are rendered into a `main` alongside a fixed class
-//! and helper function. Every operation is total (no division, bounded
-//! loops), so generated programs terminate without trapping.
+//! `P`, its subclass `Q`, and a helper function. Every operation is total
+//! (no division, bounded loops), so generated programs terminate without
+//! trapping. `P`'s field `f` is read and written through receivers of both
+//! classes, so one field symbol is profiled under two runtime classes.
 
 use proptest::prelude::*;
 
@@ -14,6 +16,9 @@ pub enum Stmt {
     Assign(u8, Expr),
     /// `p.f = <expr>;`
     SetF(Expr),
+    /// `q.f = <expr>;` — a store to the inherited field through the
+    /// subclass receiver.
+    SetQ(Expr),
     /// `print(<expr>);`
     Print(Expr),
     /// `if ((<expr>) % 2 == 0) { ... } else { ... }`
@@ -43,6 +48,8 @@ pub enum Expr {
     Var(u8),
     /// The object field `p.f`.
     FieldF,
+    /// The inherited field `q.f`, read through the subclass receiver.
+    FieldQ,
     /// Addition.
     Add(Box<Expr>, Box<Expr>),
     /// Multiplication.
@@ -53,6 +60,9 @@ pub enum Expr {
     Helper(Box<Expr>),
     /// A method call on `p`.
     Bump(Box<Expr>),
+    /// The inherited method called on `q`: `P::bump`'s field accesses
+    /// with a `Q` receiver.
+    BumpQ(Box<Expr>),
 }
 
 /// Strategy for arbitrary [`Expr`] trees.
@@ -61,6 +71,7 @@ pub fn expr_strategy() -> impl proptest::strategy::Strategy<Value = Expr> {
         any::<i8>().prop_map(Expr::Lit),
         (0u8..4).prop_map(Expr::Var),
         Just(Expr::FieldF),
+        Just(Expr::FieldQ),
     ];
     leaf.prop_recursive(3, 20, 3, |inner| {
         prop_oneof![
@@ -68,7 +79,8 @@ pub fn expr_strategy() -> impl proptest::strategy::Strategy<Value = Expr> {
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Mul(a.into(), b.into())),
             (inner.clone(), 1u8..17).prop_map(|(a, k)| Expr::Mod(a.into(), k)),
             inner.clone().prop_map(|a| Expr::Helper(a.into())),
-            inner.prop_map(|a| Expr::Bump(a.into())),
+            inner.clone().prop_map(|a| Expr::Bump(a.into())),
+            inner.prop_map(|a| Expr::BumpQ(a.into())),
         ]
     })
 }
@@ -79,6 +91,7 @@ pub fn stmt_strategy() -> impl proptest::strategy::Strategy<Value = Stmt> {
     let simple = prop_oneof![
         ((0u8..4), expr_strategy()).prop_map(|(v, e)| Stmt::Assign(v, e)),
         expr_strategy().prop_map(Stmt::SetF),
+        expr_strategy().prop_map(Stmt::SetQ),
         expr_strategy().prop_map(Stmt::Print),
         ((0u8..4), (0u8..4), (0u8..4)).prop_map(|(a, b, c)| Stmt::MoveChain(a, b, c)),
         ((0u8..8), (0u8..4)).prop_map(|(k, v)| Stmt::ArrPut(k, v)),
@@ -109,6 +122,7 @@ fn render_expr(e: &Expr, out: &mut String) {
         Expr::Lit(v) => out.push_str(&format!("({v})")),
         Expr::Var(v) => out.push_str(&format!("v{v}")),
         Expr::FieldF => out.push_str("p.f"),
+        Expr::FieldQ => out.push_str("q.f"),
         Expr::Add(a, b) | Expr::Mul(a, b) => {
             let op = if matches!(e, Expr::Add(..)) { "+" } else { "*" };
             out.push('(');
@@ -127,8 +141,13 @@ fn render_expr(e: &Expr, out: &mut String) {
             render_expr(a, out);
             out.push(')');
         }
-        Expr::Bump(a) => {
-            out.push_str("p.bump(");
+        Expr::Bump(a) | Expr::BumpQ(a) => {
+            let recv = if matches!(e, Expr::Bump(..)) {
+                "p"
+            } else {
+                "q"
+            };
+            out.push_str(&format!("{recv}.bump("));
             render_expr(a, out);
             out.push(')');
         }
@@ -144,8 +163,13 @@ fn render_stmts(stmts: &[Stmt], out: &mut String, indent: usize, loop_id: &mut u
                 render_expr(e, out);
                 out.push_str(";\n");
             }
-            Stmt::SetF(e) => {
-                out.push_str(&format!("{pad}p.f = "));
+            Stmt::SetF(e) | Stmt::SetQ(e) => {
+                let recv = if matches!(s, Stmt::SetF(..)) {
+                    "p"
+                } else {
+                    "q"
+                };
+                out.push_str(&format!("{pad}{recv}.f = "));
                 render_expr(e, out);
                 out.push_str(";\n");
             }
@@ -345,13 +369,15 @@ pub fn render_program(stmts: &[Stmt]) -> String {
     field f; field g;
     method bump(x) {{ self.f = self.f + x; return self.f; }}
 }}
+class Q : P {{ field h; }}
 fn helper(x) {{ return (x * 7 + 3) % 1000003; }}
 fn main() {{
     var v0 = 1; var v1 = 2; var v2 = 3; var v3 = 5;
     var p = new P;
+    var q = new Q;
     var arr = array(8);
 {body}    print(v0); print(v1); print(v2); print(v3);
-    print(p.f);
+    print(p.f); print(q.f);
     print(arr[0]); print(arr[3]); print(arr[7]);
 }}"
     )

@@ -18,7 +18,9 @@ use isf_exec::{
 };
 use isf_instr::{BlockCountInstrumentation, ModulePlan};
 use isf_integration_tests::compile;
-use isf_integration_tests::program_gen::{render_program, stmt_strategy};
+use isf_integration_tests::program_gen::{
+    render_conc_program, render_program, stmt_strategy, ConcProgram, ConcShape,
+};
 
 type RunResult = Result<isf_exec::Outcome, VmError>;
 
@@ -153,6 +155,63 @@ fn per_thread_spill_counters_cancel_like_fuel() {
             run_prepared(&fused, &VmConfig { trigger, ..*cfg })
         })
         .unwrap();
+    }
+}
+
+/// Concurrent programs under tiny timeslices and a cancellation point:
+/// threadswitch catch-ups, yields that find the switch bit set, blocked
+/// joins and the cancellation budget all land within a few cycles of each
+/// other, which is where the prepared engine's single cycle horizon and
+/// its timeslice-long dispatch loop could drift from the per-op naive
+/// engine. Naive, unfused and fused must agree on the whole result —
+/// output, cycles, counters, `thread_switches`, trap kind and function —
+/// and each must still stop exactly where a fuel budget of the same value
+/// does.
+#[test]
+fn concurrent_programs_cancel_identically_under_small_timeslices() {
+    let cost = VmConfig::default().cost;
+    for shape in [
+        ConcShape::FanOut,
+        ConcShape::JoinChain,
+        ConcShape::Contention,
+    ] {
+        for (workers, iters) in [(2, 1), (3, 4), (5, 6)] {
+            let module = compile(&render_conc_program(&ConcProgram {
+                workers,
+                iters,
+                shape,
+            }));
+            let unfused = PreparedModule::prepare_with(&module, &cost, FuseMode::Off);
+            let fused = PreparedModule::prepare_with(&module, &cost, FuseMode::Fuse);
+            let prepared = [("prepared/unfused", &unfused), ("prepared/fused", &fused)];
+            for timeslice in [1, 2, 3, 5, 8, 13, 31, 101] {
+                let with_timeslice = |cfg: &VmConfig| VmConfig { timeslice, ..*cfg };
+                let naive = |cfg: &VmConfig| run_naive(&module, &with_timeslice(cfg));
+                let c = naive(&VmConfig::default())
+                    .expect("concurrent program completes")
+                    .cycles;
+                for k in [1, c / 7, c / 3, c / 2, c * 9 / 10, c - 1, c] {
+                    let label = format!("{shape:?} w={workers} n={iters} ts={timeslice} k={k}");
+                    let cancelled_at_k = |run: &dyn Fn(&VmConfig) -> RunResult| {
+                        let _scope = cancel::arm(None, Some(k));
+                        run(&VmConfig::default())
+                    };
+                    let want = cancelled_at_k(&naive);
+                    cancel_matches_fuel("naive", k, naive)
+                        .unwrap_or_else(|e| panic!("{label}: {e:?}"));
+                    for (engine, p) in prepared {
+                        let run = |cfg: &VmConfig| run_prepared(p, &with_timeslice(cfg));
+                        assert_eq!(
+                            cancelled_at_k(&run),
+                            want,
+                            "{engine} diverged from naive: {label}"
+                        );
+                        cancel_matches_fuel(engine, k, run)
+                            .unwrap_or_else(|e| panic!("{label}: {e:?}"));
+                    }
+                }
+            }
+        }
     }
 }
 
