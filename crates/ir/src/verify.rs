@@ -8,7 +8,7 @@ use std::fmt;
 
 use crate::function::Function;
 use crate::ids::FuncId;
-use crate::inst::Inst;
+use crate::inst::{Inst, InstrOp};
 use crate::module::Module;
 
 /// A structural verification failure.
@@ -175,7 +175,11 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
                 Inst::New { class, .. } if class.0 >= nc => {
                     return Err(err(Some(id), format!("missing class {class}")));
                 }
-                Inst::GetField { field, .. } | Inst::SetField { field, .. } if field.0 >= nfs => {
+                Inst::GetField { field, .. }
+                | Inst::SetField { field, .. }
+                | Inst::Instr(InstrOp::FieldAccess { field, .. })
+                    if field.0 >= nfs =>
+                {
                     return Err(err(Some(id), format!("missing field symbol {field}")));
                 }
                 _ => {}
@@ -256,6 +260,22 @@ mod tests {
         let m = mb.finish(main);
         let e = verify_module(&m).unwrap_err();
         assert!(e.message.contains("expects 2"));
+    }
+
+    #[test]
+    fn rejects_out_of_range_field_access_op() {
+        let mut mb = ModuleBuilder::new();
+        let mut fb = FunctionBuilder::new("main", 0);
+        let obj = fb.new_local();
+        fb.push(Inst::Instr(InstrOp::FieldAccess {
+            obj,
+            field: crate::ids::FieldSym::new(0),
+            write: false,
+        }));
+        fb.terminate(Term::Ret(None));
+        let main = mb.add_function(fb.finish());
+        let e = verify_module(&mb.finish(main)).unwrap_err();
+        assert!(e.message.contains("missing field symbol"));
     }
 
     #[test]
