@@ -8,10 +8,13 @@
 //! fetch of `ops[ip]`, one charge against a single cycle horizon, and a
 //! straight `match` on the decoded [`OpKind`] — no block lookup, no cost
 //! re-derivation, no backedge-set probe, and no return to the scheduler
-//! until the thread switches, finishes, blocks or traps. The semantic
-//! reference for this engine is the tree-walking interpreter in
-//! [`crate::naive`], which stays per-op; the two are differentially
-//! tested to produce identical [`Outcome`]s.
+//! until the thread switches, finishes, blocks or traps. The running
+//! thread's innermost frame is a field of the machine, so neither the
+//! fetch nor an arm looks it up in the thread table; its stack moves
+//! back there only when another thread is scheduled and once after the
+//! run. The semantic reference for this engine is the tree-walking
+//! interpreter in [`crate::naive`], which stays per-op; the two are
+//! differentially tested to produce identical [`Outcome`]s.
 //!
 //! [`run`] keeps the classic entry point (it prepares internally);
 //! [`run_prepared`] lets callers amortize one preparation over many runs
@@ -245,6 +248,9 @@ pub fn run_prepared_sched<S: TraceSink, P: ProfileSink>(
     );
     let mut machine = Machine::new(prepared, config, sink, profile, sched);
     let result = machine.run_to_completion();
+    // Both readers below walk the thread table, stacks and trap frame
+    // included, so the running thread's stack goes back there first.
+    machine.park();
     if P::ENABLED {
         machine.fold_profile(result.as_ref().err());
     }
@@ -257,6 +263,9 @@ pub fn run_prepared_sched<S: TraceSink, P: ProfileSink>(
     }
 }
 
+/// One activation. The running thread's innermost frame is
+/// [`Machine::top`] and its callers are [`Machine::below`]; every other
+/// thread keeps its whole stack in [`Thread::frames`].
 struct Frame<'p> {
     func: FuncId,
     /// The function's decoded op arena, cached at call time so the fetch
@@ -287,6 +296,9 @@ enum ThreadState {
 }
 
 struct Thread<'p> {
+    /// The thread's stack, outermost frame first, while it is parked.
+    /// Empty while the thread runs (its frames are in [`Machine::top`]
+    /// and [`Machine::below`]) and once it has finished.
     frames: Vec<Frame<'p>>,
     state: ThreadState,
 }
@@ -332,6 +344,12 @@ struct Machine<'p, 's, S: TraceSink, P: ProfileSink> {
     /// `max_cycles` fuel budget of the same value would trap.
     cancel_after: Option<u64>,
     heap: Heap,
+    /// The running thread's innermost frame, held here rather than in
+    /// the thread table so a dispatch reaches it with no lookup. Stale
+    /// (the returned frame) once the running thread has finished.
+    top: Frame<'p>,
+    /// The running thread's suspended callers, outermost first.
+    below: Vec<Frame<'p>>,
     threads: Vec<Thread<'p>>,
     current: usize,
     // Clock and scheduler bit.
@@ -360,10 +378,6 @@ struct Machine<'p, 's, S: TraceSink, P: ProfileSink> {
     /// check, like it: `verify_module` keeps every field symbol in range.
     field_counts: Vec<[u64; 2]>,
     num_field_syms: usize,
-    /// Reused buffer for call/spawn argument marshalling, so the hot call
-    /// path doesn't allocate a fresh `Vec` per call. Taken at the start of
-    /// a call arm and restored (cleared) after the frame push.
-    arg_scratch: Vec<Value>,
     /// Scheduling seam: picks the next thread at every reschedule point.
     /// The default control is the historical round-robin scan with
     /// recording off, which costs nothing over the old hard-coded loop.
@@ -419,8 +433,10 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
             cancel: cancel::armed_token(),
             cancel_after: cancel::armed_after(),
             heap: Heap::with_limit(config.limits.max_heap_words),
+            top: main_frame,
+            below: Vec::new(),
             threads: vec![Thread {
-                frames: vec![main_frame],
+                frames: Vec::new(),
                 state: ThreadState::Runnable,
             }],
             current: 0,
@@ -439,7 +455,6 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
             profile: ProfileData::new(),
             field_counts: vec![[0; 2]; prepared.module().num_classes() * num_field_syms],
             num_field_syms,
-            arg_scratch: Vec::new(),
             sched,
         };
         machine.reset_horizon();
@@ -549,7 +564,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
     fn fold_profile(&mut self, trap: Option<&TrapKind>) {
         // A deadlock is declared between dispatches; every other trap
         // unwinds from a partially-executed op the current frame still
-        // points at (the call arms re-point `ip` on a failed frame push).
+        // points at (a failed frame push leaves `ip` on the call).
         let mid_op = matches!(trap, Some(k) if !matches!(k, TrapKind::Deadlock));
         for (ti, t) in self.threads.iter().enumerate() {
             for (fi, fr) in t.frames.iter().enumerate() {
@@ -721,6 +736,10 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
     /// until the scan next reaches it. (The current thread can never be
     /// blocked on a finished target here: a `Join` only blocks on a
     /// not-yet-done thread and nothing else runs before the reschedule.)
+    ///
+    /// Frames move only when the pick is another thread: the old one's
+    /// stack is parked into its table entry ([`Machine::park`]) and the
+    /// new one's is moved into `top`/`below`.
     fn reschedule(&mut self, require_other: bool) -> bool {
         let n = self.threads.len();
         for i in 0..n {
@@ -738,11 +757,30 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
             Some(idx) => {
                 if idx != self.current {
                     self.thread_switches += 1;
+                    self.park();
+                    self.current = idx;
+                    let mut frames = std::mem::take(&mut self.threads[idx].frames);
+                    self.top = frames.pop().expect("a runnable thread has a frame");
+                    self.below = frames;
                 }
-                self.current = idx;
                 true
             }
             None => false,
+        }
+    }
+
+    /// Moves the running thread's stack, `below` then `top`, back into
+    /// its thread-table entry, leaving a frameless copy of `top` behind.
+    /// A finished thread has nothing to park: its last frame returned.
+    fn park(&mut self) {
+        if self.threads[self.current].state != ThreadState::Done {
+            let parked = Frame {
+                locals: Vec::new(),
+                ..self.top
+            };
+            let mut frames = std::mem::take(&mut self.below);
+            frames.push(std::mem::replace(&mut self.top, parked));
+            self.threads[self.current].frames = frames;
         }
     }
 
@@ -824,37 +862,6 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
             .min(self.trigger.next_tick());
     }
 
-    #[inline]
-    fn frame(&self) -> &Frame<'p> {
-        self.threads[self.current]
-            .frames
-            .last()
-            .expect("runnable thread has a frame")
-    }
-
-    #[inline]
-    fn frame_mut(&mut self) -> &mut Frame<'p> {
-        self.threads[self.current]
-            .frames
-            .last_mut()
-            .expect("runnable thread has a frame")
-    }
-
-    #[inline]
-    fn get(&self, l: LocalId) -> Value {
-        self.frame().locals[l.index()]
-    }
-
-    #[inline]
-    fn set(&mut self, l: LocalId, v: Value) {
-        self.frame_mut().locals[l.index()] = v;
-    }
-
-    #[inline]
-    fn advance(&mut self) {
-        self.frame_mut().ip += 1;
-    }
-
     /// Records a burst boundary at a firing check. Only reachable from
     /// `if S::ENABLED` guards: the whole function compiles away when the
     /// sink is [`NoTrace`].
@@ -911,10 +918,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                 return Err(TrapKind::Cancelled);
             }
         }
-        let f = self.threads[self.current]
-            .frames
-            .last_mut()
-            .expect("runnable thread has a frame");
+        let f = &mut self.top;
         if P::ENABLED {
             if let Some(d) = self.entry_deltas.get_mut(f.base as usize + target as usize) {
                 *d += 1;
@@ -924,29 +928,46 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
         Ok(())
     }
 
+    /// Enters `callee` on `thread` with the optional `receiver` and then
+    /// `args`, read from the running frame's locals, as its parameters.
+    ///
+    /// On the running thread this is a call: the caller resumes past the
+    /// calling op, moves to `below`, and the callee becomes `top`. On any
+    /// other thread (a spawn target) the frame goes onto its parked
+    /// stack. A push that would exceed `max_stack` traps before touching
+    /// either frame, so the caller's `ip` stays on the attempted call.
     fn push_frame(
         &mut self,
         callee: FuncId,
-        args: &[Value],
+        receiver: Option<Value>,
+        args: &[LocalId],
         ret_dst: Option<LocalId>,
         caller: Option<(FuncId, CallSiteId)>,
         thread: usize,
     ) -> Result<(), TrapKind> {
-        if self.threads[thread].frames.len() >= self.max_stack {
+        let running = thread == self.current;
+        let depth = if running {
+            self.below.len() + 1
+        } else {
+            self.threads[thread].frames.len()
+        };
+        if depth >= self.max_stack {
             return Err(TrapKind::StackOverflow(self.max_stack));
         }
         let prepared: &'p PreparedModule = self.prepared;
         let f = prepared.func(callee);
-        debug_assert_eq!(f.arity, args.len());
+        debug_assert_eq!(f.arity, usize::from(receiver.is_some()) + args.len());
         if P::ENABLED {
             // The new frame enters the callee's arena at slot 0.
             if let Some(d) = self.entry_deltas.get_mut(f.slot_base as usize) {
                 *d += 1;
             }
         }
-        let mut locals = vec![Value::Unit; f.num_locals];
-        locals[..args.len()].copy_from_slice(args);
-        self.threads[thread].frames.push(Frame {
+        let mut locals = Vec::with_capacity(f.num_locals);
+        locals.extend(receiver);
+        locals.extend(args.iter().map(|a| self.top.locals[a.index()]));
+        locals.resize(f.num_locals, Value::Unit);
+        let frame = Frame {
             func: callee,
             ops: &f.ops,
             base: f.slot_base,
@@ -955,7 +976,14 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
             ret_dst,
             caller,
             path_reg: None,
-        });
+        };
+        if running {
+            self.top.ip += self.top.ops[self.top.ip].width as usize;
+            let caller_frame = std::mem::replace(&mut self.top, frame);
+            self.below.push(caller_frame);
+        } else {
+            self.threads[thread].frames.push(frame);
+        }
         self.entries_executed += 1;
         Ok(())
     }
@@ -969,40 +997,35 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
     fn run_slice(&mut self) -> Result<(), TrapKind> {
         let cur = self.current;
         'dispatch: loop {
-            let frame = self.threads[cur]
-                .frames
-                .last()
-                .expect("runnable thread has a frame");
-            let func_id = frame.func;
+            let func_id = self.top.func;
             // The op borrow comes through the frame's cached `&'p [Op]`
             // slice, leaving `self` free for mutation during execution.
-            let ops = frame.ops;
-            let op = &ops[frame.ip];
+            let ops = self.top.ops;
+            let op = &ops[self.top.ip];
             let w = op.width as usize;
             self.charge(op.cost, op.width)?;
-            // Hot arms take one `last_mut` borrow of the current frame,
-            // index locals directly and advance `ip` inline; the heap, the
-            // dispatch tables and the counters live in disjoint fields of
-            // `self`, so they stay reachable while the frame borrow is
-            // live.
+            // Hot arms borrow the running frame, `self.top`, index locals
+            // directly and advance `ip` inline; the heap, the dispatch
+            // tables and the counters live in disjoint fields of `self`,
+            // so they stay reachable while the frame borrow is live.
             match &op.kind {
                 OpKind::Const { dst, value } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     f.locals[dst.index()] = *value;
                     f.ip += 1;
                 }
                 OpKind::Move { dst, src } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     f.locals[dst.index()] = f.locals[src.index()];
                     f.ip += 1;
                 }
                 OpKind::Un { op, dst, src } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     f.locals[dst.index()] = Value::unary(*op, f.locals[src.index()])?;
                     f.ip += 1;
                 }
                 OpKind::Bin { op, dst, lhs, rhs } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     f.locals[dst.index()] =
                         Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
                     f.ip += 1;
@@ -1013,12 +1036,12 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     num_fields,
                 } => {
                     let v = self.heap.alloc_object(*class, *num_fields)?;
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     f.locals[dst.index()] = v;
                     f.ip += 1;
                 }
                 OpKind::GetField { dst, obj, field } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let object = self.heap.object(f.locals[obj.index()])?;
                     let offset = self
                         .prepared
@@ -1032,7 +1055,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     f.ip += 1;
                 }
                 OpKind::SetField { obj, field, src } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let o = f.locals[obj.index()];
                     let v = f.locals[src.index()];
                     let class = self.heap.object(o)?.class;
@@ -1043,33 +1066,33 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     f.ip += 1;
                 }
                 OpKind::GetFieldStatic { dst, obj, offset } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let object = self.heap.object(f.locals[obj.index()])?;
                     f.locals[dst.index()] = object.fields[*offset as usize];
                     f.ip += 1;
                 }
                 OpKind::SetFieldStatic { obj, offset, src } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let o = f.locals[obj.index()];
                     let v = f.locals[src.index()];
                     self.heap.object_mut(o)?.fields[*offset as usize] = v;
                     f.ip += 1;
                 }
                 OpKind::NewArray { dst, len } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let n = f.locals[len.index()].as_i64()?;
                     f.locals[dst.index()] = self.heap.alloc_array(n)?;
                     f.ip += 1;
                 }
                 OpKind::ArrayGet { dst, arr, idx } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let i = f.locals[idx.index()].as_i64()?;
                     let v = self.heap.array_get(f.locals[arr.index()], i)?;
                     f.locals[dst.index()] = Value::I64(v);
                     f.ip += 1;
                 }
                 OpKind::ArraySet { arr, idx, src } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let a = f.locals[arr.index()];
                     let i = f.locals[idx.index()].as_i64()?;
                     let v = f.locals[src.index()].as_i64()?;
@@ -1077,7 +1100,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     f.ip += 1;
                 }
                 OpKind::ArrayLen { dst, arr } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let n = self.heap.array_len(f.locals[arr.index()])?;
                     f.locals[dst.index()] = Value::I64(n);
                     f.ip += 1;
@@ -1088,19 +1111,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     args,
                     site,
                 } => {
-                    let mut vals = std::mem::take(&mut self.arg_scratch);
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
-                    vals.extend(args.iter().map(|a| f.locals[a.index()]));
-                    f.ip += 1;
-                    let r = self.push_frame(*callee, &vals, *dst, Some((func_id, *site)), cur);
-                    vals.clear();
-                    self.arg_scratch = vals;
-                    if r.is_err() {
-                        // The call never entered: point `ip` back at the call
-                        // op so the trap is attributed to the op attempted.
-                        self.frame_mut().ip -= 1;
-                    }
-                    r?;
+                    self.push_frame(*callee, None, args, *dst, Some((func_id, *site)), cur)?;
                 }
                 OpKind::CallMethod {
                     dst,
@@ -1109,8 +1120,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     args,
                     site,
                 } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
-                    let o = f.locals[obj.index()];
+                    let o = self.top.locals[obj.index()];
                     let class = self.heap.object(o)?.class;
                     let callee = self.prepared.method_impl(class, *method).ok_or_else(|| {
                         TrapKind::NoSuchMethod(
@@ -1125,20 +1135,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                             expected,
                         });
                     }
-                    let mut vals = std::mem::take(&mut self.arg_scratch);
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
-                    vals.push(o);
-                    vals.extend(args.iter().map(|a| f.locals[a.index()]));
-                    f.ip += 1;
-                    let r = self.push_frame(callee, &vals, *dst, Some((func_id, *site)), cur);
-                    vals.clear();
-                    self.arg_scratch = vals;
-                    if r.is_err() {
-                        // See `OpKind::Call`: re-point `ip` at the attempted
-                        // call.
-                        self.frame_mut().ip -= 1;
-                    }
-                    r?;
+                    self.push_frame(callee, Some(o), args, *dst, Some((func_id, *site)), cur)?;
                 }
                 OpKind::CallMethodStatic {
                     dst,
@@ -1147,29 +1144,15 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     args,
                     site,
                 } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
-                    let o = f.locals[obj.index()];
+                    let o = self.top.locals[obj.index()];
                     // The method target and arity were verified at prepare
                     // time; the receiver must still be a live object so null
                     // and type traps match the dynamic path.
                     self.heap.object(o)?;
-                    let mut vals = std::mem::take(&mut self.arg_scratch);
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
-                    vals.push(o);
-                    vals.extend(args.iter().map(|a| f.locals[a.index()]));
-                    f.ip += 1;
-                    let r = self.push_frame(*callee, &vals, *dst, Some((func_id, *site)), cur);
-                    vals.clear();
-                    self.arg_scratch = vals;
-                    if r.is_err() {
-                        // See `OpKind::Call`: re-point `ip` at the attempted
-                        // call.
-                        self.frame_mut().ip -= 1;
-                    }
-                    r?;
+                    self.push_frame(*callee, Some(o), args, *dst, Some((func_id, *site)), cur)?;
                 }
                 OpKind::Print { src } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let n = match f.locals[src.index()] {
                         Value::I64(n) => n,
                         Value::Bool(b) => i64::from(b),
@@ -1184,25 +1167,17 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     f.ip += 1;
                 }
                 OpKind::Spawn { dst, callee, args } => {
-                    let mut vals = std::mem::take(&mut self.arg_scratch);
-                    {
-                        let f = self.threads[cur].frames.last().expect("frame");
-                        vals.extend(args.iter().map(|a| f.locals[a.index()]));
-                    }
                     let tid = self.threads.len();
                     self.threads.push(Thread {
                         frames: Vec::new(),
                         state: ThreadState::Runnable,
                     });
-                    let r = self.push_frame(*callee, &vals, None, None, tid);
-                    vals.clear();
-                    self.arg_scratch = vals;
-                    r?;
-                    self.set(*dst, Value::Thread(tid as u32));
-                    self.advance();
+                    self.push_frame(*callee, None, args, None, None, tid)?;
+                    self.top.locals[dst.index()] = Value::Thread(tid as u32);
+                    self.top.ip += 1;
                 }
                 OpKind::Join { thread } => {
-                    let t = match self.get(*thread) {
+                    let t = match self.top.locals[thread.index()] {
                         Value::Thread(t) => t as usize,
                         other => {
                             return Err(TrapKind::TypeError {
@@ -1220,8 +1195,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                             // execution per entry). If the wake never comes,
                             // the end-of-run cut at this frame's `ip` cancels
                             // the prediction.
-                            let fr = self.threads[cur].frames.last().expect("frame");
-                            let slot = fr.base as usize + fr.ip;
+                            let slot = self.top.base as usize + self.top.ip;
                             if let Some(d) = self.entry_deltas.get_mut(slot) {
                                 *d += 1;
                             }
@@ -1232,11 +1206,11 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                         // Do not advance: the join re-executes when unblocked.
                         return Ok(());
                     }
-                    self.advance();
+                    self.top.ip += 1;
                 }
                 OpKind::Yield => {
                     self.yields_executed += 1;
-                    self.advance();
+                    self.top.ip += 1;
                     if self.switch_bit {
                         self.switch_bit = false;
                         return Ok(());
@@ -1244,19 +1218,19 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                 }
                 OpKind::Busy => {
                     // The cost was already charged; nothing else happens.
-                    self.advance();
+                    self.top.ip += 1;
                 }
                 OpKind::CallEdge => {
                     // Examine the call stack (paper §4.2): the caller and the
                     // call site were stashed in the frame at call time.
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     if let Some((caller, site)) = f.caller {
                         self.profile.record_call_edge(caller, site, func_id);
                     }
                     f.ip += 1;
                 }
                 OpKind::FieldAccessProf { obj, field, write } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let class = self.heap.object(f.locals[obj.index()])?.class;
                     self.field_counts[class.index() * self.num_field_syms + field.index()]
                         [usize::from(*write)] += 1;
@@ -1264,35 +1238,35 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                 }
                 OpKind::BlockCount { block } => {
                     self.profile.record_block(func_id, *block);
-                    self.advance();
+                    self.top.ip += 1;
                 }
                 OpKind::EdgeCount { from, to } => {
                     self.profile.record_edge(func_id, *from, *to);
-                    self.advance();
+                    self.top.ip += 1;
                 }
                 OpKind::PathStart { value } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     f.path_reg = Some(*value);
                     f.ip += 1;
                 }
                 OpKind::PathIncr { delta } => {
                     // `delta` may be the pre-folded sum of a fused run; the
                     // width then advances past the whole run's slots.
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     if let Some(r) = f.path_reg.as_mut() {
                         *r += *delta;
                     }
                     f.ip += w;
                 }
                 OpKind::PathEnd { site } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     if let Some(id) = f.path_reg.take() {
                         self.profile.record_path(func_id, *site, id);
                     }
                     f.ip += 1;
                 }
                 OpKind::ValueProfile { local, site } => {
-                    let v = match self.get(*local) {
+                    let v = match self.top.locals[local.index()] {
                         Value::I64(n) => n,
                         Value::Bool(b) => i64::from(b),
                         // Reference values are profiled by identity.
@@ -1301,7 +1275,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                         Value::Unit => 0,
                     };
                     self.profile.record_value(func_id, *site, v);
-                    self.advance();
+                    self.top.ip += 1;
                 }
                 // Fused superinstructions: each arm replays its group's
                 // original effects in order under one dispatch. The group cost
@@ -1316,21 +1290,21 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     tmp,
                     imm,
                 } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     f.locals[tmp.index()] = *imm;
                     f.locals[dst.index()] =
                         Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
                     f.ip += w;
                 }
                 OpKind::ArrayGetImm { dst, arr, tmp, idx } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     f.locals[tmp.index()] = Value::I64(*idx);
                     let v = self.heap.array_get(f.locals[arr.index()], *idx)?;
                     f.locals[dst.index()] = Value::I64(v);
                     f.ip += w;
                 }
                 OpKind::ArraySetImm { arr, tmp, idx, src } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     f.locals[tmp.index()] = Value::I64(*idx);
                     let a = f.locals[arr.index()];
                     let v = f.locals[src.index()].as_i64()?;
@@ -1344,7 +1318,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     src_tmp,
                     src,
                 } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     f.locals[tmp.index()] = Value::I64(*idx);
                     f.locals[src_tmp.index()] = *src;
                     let a = f.locals[arr.index()];
@@ -1362,11 +1336,11 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     rhs,
                     extra,
                 } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let v = self.heap.object(f.locals[obj.index()])?.fields[*offset as usize];
                     f.locals[tmp.index()] = v;
                     self.charge_cycles(*extra)?;
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     f.locals[dst.index()] =
                         Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
                     f.ip += w;
@@ -1380,11 +1354,11 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     offset,
                     extra,
                 } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let v = Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
                     f.locals[dst.index()] = v;
                     self.charge_cycles(*extra)?;
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let o = f.locals[obj.index()];
                     self.heap.object_mut(o)?.fields[*offset as usize] = v;
                     f.ip += w;
@@ -1400,12 +1374,12 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     offset,
                     extra,
                 } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     f.locals[tmp.index()] = *imm;
                     let v = Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
                     f.locals[dst.index()] = v;
                     self.charge_cycles(*extra)?;
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let o = f.locals[obj.index()];
                     self.heap.object_mut(o)?.fields[*offset as usize] = v;
                     f.ip += w;
@@ -1422,11 +1396,11 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     rhs,
                     extra,
                 } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let v = self.heap.object(f.locals[obj.index()])?.fields[*offset as usize];
                     f.locals[tmp.index()] = v;
                     self.charge_cycles(*extra)?;
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     f.locals[ctmp.index()] = *imm;
                     f.locals[dst.index()] =
                         Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
@@ -1447,16 +1421,16 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     extra,
                     extra2,
                 } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let v = self.heap.object(f.locals[obj.index()])?.fields[*offset as usize];
                     f.locals[tmp.index()] = v;
                     self.charge_cycles(*extra)?;
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     f.locals[ctmp.index()] = *imm;
                     let v = Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
                     f.locals[dst.index()] = v;
                     self.charge_cycles(*extra2)?;
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let o = f.locals[sobj.index()];
                     self.heap.object_mut(o)?.fields[*soffset as usize] = v;
                     f.ip += w;
@@ -1467,7 +1441,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     obj,
                     offset,
                 } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     f.locals[tmp.index()] = *imm;
                     let o = f.locals[obj.index()];
                     self.heap.object_mut(o)?.fields[*offset as usize] = *imm;
@@ -1486,11 +1460,11 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     t,
                     f: f_target,
                 } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let v = self.heap.object(f.locals[obj.index()])?.fields[*offset as usize];
                     f.locals[tmp.index()] = v;
                     self.charge_cycles(*extra)?;
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let v = Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
                     f.locals[dst.index()] = v;
                     self.charge_cycles(*branch)?;
@@ -1507,11 +1481,11 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     arr,
                     extra,
                 } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let v = self.heap.object(f.locals[obj.index()])?.fields[*offset as usize];
                     f.locals[tmp.index()] = v;
                     self.charge_cycles(*extra)?;
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let i = f.locals[tmp.index()].as_i64()?;
                     let v = self.heap.array_get(f.locals[arr.index()], i)?;
                     f.locals[dst.index()] = Value::I64(v);
@@ -1525,11 +1499,11 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     src,
                     extra,
                 } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let v = self.heap.object(f.locals[obj.index()])?.fields[*offset as usize];
                     f.locals[tmp.index()] = v;
                     self.charge_cycles(*extra)?;
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let a = f.locals[arr.index()];
                     let i = f.locals[tmp.index()].as_i64()?;
                     let v = f.locals[src.index()].as_i64()?;
@@ -1537,7 +1511,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     f.ip += w;
                 }
                 OpKind::MoveRun { moves } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     for (dst, src) in moves.iter() {
                         f.locals[dst.index()] = f.locals[src.index()];
                     }
@@ -1552,7 +1526,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     t,
                     f: f_target,
                 } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let v = Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
                     f.locals[dst.index()] = v;
                     self.charge_cycles(*extra)?;
@@ -1572,7 +1546,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     t,
                     f: f_target,
                 } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     f.locals[tmp.index()] = *imm;
                     let v = Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
                     f.locals[dst.index()] = v;
@@ -1581,7 +1555,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     self.enter(if taken { *t } else { *f_target })?;
                 }
                 OpKind::JumpInstr { target, effects } => {
-                    let caller = self.frame().caller;
+                    let caller = self.top.caller;
                     self.enter(*target)?;
                     for e in effects.iter() {
                         match e {
@@ -1602,29 +1576,28 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     // per component (the main-loop charge covered `steps[0]`),
                     // so budget traps, timer ticks and threadswitch catch-ups
                     // land at exactly the unfused positions for any component
-                    // mix. Only the final step may be a call; it advances `ip`
-                    // past the whole group before pushing the callee frame
-                    // (and re-points it on a failed push), exactly as the
-                    // plain call arms do.
+                    // mix. Only the final step may be a call; the caller
+                    // resumes past the whole group, the `Guided` op's width,
+                    // exactly as after the plain call arms.
                     for (k, (cost, step)) in steps.iter().enumerate() {
                         if k > 0 {
                             self.charge_cycles(*cost)?;
                         }
                         match step {
                             OpKind::Const { dst, value } => {
-                                let f = self.threads[cur].frames.last_mut().expect("frame");
+                                let f = &mut self.top;
                                 f.locals[dst.index()] = *value;
                             }
                             OpKind::Move { dst, src } => {
-                                let f = self.threads[cur].frames.last_mut().expect("frame");
+                                let f = &mut self.top;
                                 f.locals[dst.index()] = f.locals[src.index()];
                             }
                             OpKind::Un { op, dst, src } => {
-                                let f = self.threads[cur].frames.last_mut().expect("frame");
+                                let f = &mut self.top;
                                 f.locals[dst.index()] = Value::unary(*op, f.locals[src.index()])?;
                             }
                             OpKind::Bin { op, dst, lhs, rhs } => {
-                                let f = self.threads[cur].frames.last_mut().expect("frame");
+                                let f = &mut self.top;
                                 f.locals[dst.index()] = Value::binary(
                                     *op,
                                     f.locals[lhs.index()],
@@ -1632,31 +1605,31 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                                 )?;
                             }
                             OpKind::GetFieldStatic { dst, obj, offset } => {
-                                let f = self.threads[cur].frames.last_mut().expect("frame");
+                                let f = &mut self.top;
                                 let object = self.heap.object(f.locals[obj.index()])?;
                                 f.locals[dst.index()] = object.fields[*offset as usize];
                             }
                             OpKind::SetFieldStatic { obj, offset, src } => {
-                                let f = self.threads[cur].frames.last_mut().expect("frame");
+                                let f = &mut self.top;
                                 let o = f.locals[obj.index()];
                                 let v = f.locals[src.index()];
                                 self.heap.object_mut(o)?.fields[*offset as usize] = v;
                             }
                             OpKind::ArrayGet { dst, arr, idx } => {
-                                let f = self.threads[cur].frames.last_mut().expect("frame");
+                                let f = &mut self.top;
                                 let i = f.locals[idx.index()].as_i64()?;
                                 let v = self.heap.array_get(f.locals[arr.index()], i)?;
                                 f.locals[dst.index()] = Value::I64(v);
                             }
                             OpKind::ArraySet { arr, idx, src } => {
-                                let f = self.threads[cur].frames.last_mut().expect("frame");
+                                let f = &mut self.top;
                                 let a = f.locals[arr.index()];
                                 let i = f.locals[idx.index()].as_i64()?;
                                 let v = f.locals[src.index()].as_i64()?;
                                 self.heap.array_set(a, i, v)?;
                             }
                             OpKind::ArrayLen { dst, arr } => {
-                                let f = self.threads[cur].frames.last_mut().expect("frame");
+                                let f = &mut self.top;
                                 let n = self.heap.array_len(f.locals[arr.index()])?;
                                 f.locals[dst.index()] = Value::I64(n);
                             }
@@ -1666,25 +1639,8 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                                 args,
                                 site,
                             } => {
-                                let mut vals = std::mem::take(&mut self.arg_scratch);
-                                let f = self.threads[cur].frames.last_mut().expect("frame");
-                                vals.extend(args.iter().map(|a| f.locals[a.index()]));
-                                f.ip += w;
-                                let r = self.push_frame(
-                                    *callee,
-                                    &vals,
-                                    *dst,
-                                    Some((func_id, *site)),
-                                    cur,
-                                );
-                                vals.clear();
-                                self.arg_scratch = vals;
-                                if r.is_err() {
-                                    // See `OpKind::Call`: re-point `ip` at the
-                                    // group whose call was attempted.
-                                    self.frame_mut().ip -= w;
-                                }
-                                r?;
+                                let caller = Some((func_id, *site));
+                                self.push_frame(*callee, None, args, *dst, caller, cur)?;
                                 continue 'dispatch;
                             }
                             OpKind::CallMethodStatic {
@@ -1694,29 +1650,12 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                                 args,
                                 site,
                             } => {
-                                let f = self.threads[cur].frames.last_mut().expect("frame");
-                                let o = f.locals[obj.index()];
+                                let o = self.top.locals[obj.index()];
                                 // Target and arity verified at prepare time;
                                 // the receiver still null/type-checks.
                                 self.heap.object(o)?;
-                                let mut vals = std::mem::take(&mut self.arg_scratch);
-                                let f = self.threads[cur].frames.last_mut().expect("frame");
-                                vals.push(o);
-                                vals.extend(args.iter().map(|a| f.locals[a.index()]));
-                                f.ip += w;
-                                let r = self.push_frame(
-                                    *callee,
-                                    &vals,
-                                    *dst,
-                                    Some((func_id, *site)),
-                                    cur,
-                                );
-                                vals.clear();
-                                self.arg_scratch = vals;
-                                if r.is_err() {
-                                    self.frame_mut().ip -= w;
-                                }
-                                r?;
+                                let caller = Some((func_id, *site));
+                                self.push_frame(*callee, Some(o), args, *dst, caller, cur)?;
                                 continue 'dispatch;
                             }
                             other => {
@@ -1726,7 +1665,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                             }
                         }
                     }
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     f.ip += w;
                 }
                 OpKind::Gap => unreachable!("fusion gap slots are never executed"),
@@ -1744,7 +1683,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     t_backedge,
                     f_backedge,
                 } => {
-                    let f = self.threads[cur].frames.last_mut().expect("frame");
+                    let f = &mut self.top;
                     let c = f.locals[cond.index()].as_bool()?;
                     let (target, backedge) = if c {
                         (*t, *t_backedge)
@@ -1757,17 +1696,16 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     self.enter(target)?;
                 }
                 OpKind::Ret { val } => {
-                    let value = val.map(|l| self.get(l)).unwrap_or(Value::Unit);
-                    let frame = self.threads[cur]
-                        .frames
-                        .pop()
-                        .expect("ret pops the current frame");
-                    if self.threads[cur].frames.is_empty() {
+                    let value = val.map_or(Value::Unit, |l| self.top.locals[l.index()]);
+                    let Some(caller) = self.below.pop() else {
+                        // The thread's last frame: it stays in `top`, and the
+                        // next reschedule parks nothing for a finished thread.
                         self.threads[cur].state = ThreadState::Done;
                         return Ok(());
-                    }
+                    };
+                    let frame = std::mem::replace(&mut self.top, caller);
                     if let Some(dst) = frame.ret_dst {
-                        self.set(dst, value);
+                        self.top.locals[dst.index()] = value;
                     }
                 }
                 OpKind::Check {
@@ -1780,11 +1718,10 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     if self.trigger.on_check(cur) {
                         self.samples_taken += 1;
                         if S::ENABLED {
-                            let ip = self.threads[cur].frames.last().expect("frame").ip;
                             self.record_sample(
                                 cur,
                                 func_id,
-                                ip as u32,
+                                self.top.ip as u32,
                                 *sample_backedge || *cont_backedge,
                             );
                         }
@@ -1793,8 +1730,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                             // The surcharge below is the one data-dependent
                             // cycle charge; count the firing so `fold_profile`
                             // can attribute it to this check.
-                            let f = self.threads[cur].frames.last().expect("frame");
-                            let slot = f.base as usize + f.ip;
+                            let slot = self.top.base as usize + self.top.ip;
                             if let Some(n) = self.fire_counts.get_mut(slot) {
                                 *n += 1;
                             }

@@ -88,38 +88,67 @@ impl Value {
     /// Applies a binary operator. Arithmetic wraps; division and remainder
     /// by zero trap; `==`/`!=` compare any two values of the same kind;
     /// the orderings require integers.
+    ///
+    /// Two integers — nearly every binary op a program runs — take one
+    /// match over the operator; every other pair goes to the cold
+    /// `binary_mixed`.
+    #[inline]
     pub fn binary(op: BinOp, a: Value, b: Value) -> Result<Value, TrapKind> {
+        match (a, b) {
+            (Value::I64(x), Value::I64(y)) => Self::binary_i64(op, x, y),
+            _ => Self::binary_mixed(op, a, b),
+        }
+    }
+
+    /// The integer semantics of every operator: the one copy of the
+    /// operator table.
+    #[inline]
+    fn binary_i64(op: BinOp, x: i64, y: i64) -> Result<Value, TrapKind> {
         use BinOp::*;
         Ok(match op {
-            Add => Value::I64(a.as_i64()?.wrapping_add(b.as_i64()?)),
-            Sub => Value::I64(a.as_i64()?.wrapping_sub(b.as_i64()?)),
-            Mul => Value::I64(a.as_i64()?.wrapping_mul(b.as_i64()?)),
-            Div => {
-                let d = b.as_i64()?;
-                if d == 0 {
-                    return Err(TrapKind::DivisionByZero);
-                }
-                Value::I64(a.as_i64()?.wrapping_div(d))
-            }
-            Rem => {
-                let d = b.as_i64()?;
-                if d == 0 {
-                    return Err(TrapKind::DivisionByZero);
-                }
-                Value::I64(a.as_i64()?.wrapping_rem(d))
-            }
-            And => Value::I64(a.as_i64()? & b.as_i64()?),
-            Or => Value::I64(a.as_i64()? | b.as_i64()?),
-            Xor => Value::I64(a.as_i64()? ^ b.as_i64()?),
-            Shl => Value::I64(a.as_i64()?.wrapping_shl(b.as_i64()? as u32)),
-            Shr => Value::I64(a.as_i64()?.wrapping_shr(b.as_i64()? as u32)),
-            Eq => Value::Bool(a == b),
-            Ne => Value::Bool(a != b),
-            Lt => Value::Bool(a.as_i64()? < b.as_i64()?),
-            Le => Value::Bool(a.as_i64()? <= b.as_i64()?),
-            Gt => Value::Bool(a.as_i64()? > b.as_i64()?),
-            Ge => Value::Bool(a.as_i64()? >= b.as_i64()?),
+            Add => Value::I64(x.wrapping_add(y)),
+            Sub => Value::I64(x.wrapping_sub(y)),
+            Mul => Value::I64(x.wrapping_mul(y)),
+            Div | Rem if y == 0 => return Err(TrapKind::DivisionByZero),
+            Div => Value::I64(x.wrapping_div(y)),
+            Rem => Value::I64(x.wrapping_rem(y)),
+            And => Value::I64(x & y),
+            Or => Value::I64(x | y),
+            Xor => Value::I64(x ^ y),
+            Shl => Value::I64(x.wrapping_shl(y as u32)),
+            Shr => Value::I64(x.wrapping_shr(y as u32)),
+            Eq => Value::Bool(x == y),
+            Ne => Value::Bool(x != y),
+            Lt => Value::Bool(x < y),
+            Le => Value::Bool(x <= y),
+            Gt => Value::Bool(x > y),
+            Ge => Value::Bool(x >= y),
         })
+    }
+
+    /// [`Value::binary`] on a pair that is not two integers. `==`/`!=`
+    /// compare; every other operator type-checks its operands in a fixed
+    /// order and traps on the first non-integer. `/` and `%` check the
+    /// divisor first, so a zero divisor traps as a division by zero
+    /// whatever the dividend is.
+    #[cold]
+    #[inline(never)]
+    fn binary_mixed(op: BinOp, a: Value, b: Value) -> Result<Value, TrapKind> {
+        match op {
+            BinOp::Eq => Ok(Value::Bool(a == b)),
+            BinOp::Ne => Ok(Value::Bool(a != b)),
+            BinOp::Div | BinOp::Rem => {
+                let y = b.as_i64()?;
+                if y == 0 {
+                    return Err(TrapKind::DivisionByZero);
+                }
+                Self::binary_i64(op, a.as_i64()?, y)
+            }
+            _ => {
+                let x = a.as_i64()?;
+                Self::binary_i64(op, x, b.as_i64()?)
+            }
+        }
     }
 }
 
@@ -165,6 +194,77 @@ mod tests {
     fn ordering_requires_integers() {
         let e = Value::binary(BinOp::Lt, Value::Bool(true), Value::I64(0)).unwrap_err();
         assert!(matches!(e, TrapKind::TypeError { .. }));
+    }
+
+    /// The per-operand formulation `binary` had before its integer-first
+    /// rewrite, kept as the oracle for it: both engines call `binary`, so
+    /// the differential suites cannot catch a mistake in it.
+    fn binary_oracle(op: BinOp, a: Value, b: Value) -> Result<Value, TrapKind> {
+        use BinOp::*;
+        Ok(match op {
+            Add => Value::I64(a.as_i64()?.wrapping_add(b.as_i64()?)),
+            Sub => Value::I64(a.as_i64()?.wrapping_sub(b.as_i64()?)),
+            Mul => Value::I64(a.as_i64()?.wrapping_mul(b.as_i64()?)),
+            Div => {
+                let d = b.as_i64()?;
+                if d == 0 {
+                    return Err(TrapKind::DivisionByZero);
+                }
+                Value::I64(a.as_i64()?.wrapping_div(d))
+            }
+            Rem => {
+                let d = b.as_i64()?;
+                if d == 0 {
+                    return Err(TrapKind::DivisionByZero);
+                }
+                Value::I64(a.as_i64()?.wrapping_rem(d))
+            }
+            And => Value::I64(a.as_i64()? & b.as_i64()?),
+            Or => Value::I64(a.as_i64()? | b.as_i64()?),
+            Xor => Value::I64(a.as_i64()? ^ b.as_i64()?),
+            Shl => Value::I64(a.as_i64()?.wrapping_shl(b.as_i64()? as u32)),
+            Shr => Value::I64(a.as_i64()?.wrapping_shr(b.as_i64()? as u32)),
+            Eq => Value::Bool(a == b),
+            Ne => Value::Bool(a != b),
+            Lt => Value::Bool(a.as_i64()? < b.as_i64()?),
+            Le => Value::Bool(a.as_i64()? <= b.as_i64()?),
+            Gt => Value::Bool(a.as_i64()? > b.as_i64()?),
+            Ge => Value::Bool(a.as_i64()? >= b.as_i64()?),
+        })
+    }
+
+    #[test]
+    fn binary_matches_the_per_operand_oracle_exhaustively() {
+        use BinOp::*;
+        let ops = [
+            Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Eq, Ne, Lt, Le, Gt, Ge,
+        ];
+        let mut values = vec![
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Null,
+            Value::Obj(0),
+            Value::Obj(1),
+            Value::Arr(0),
+            Value::Arr(1),
+            Value::Thread(0),
+            Value::Thread(1),
+            Value::Unit,
+        ];
+        values.extend([0, 1, -1, i64::MIN, i64::MAX, 63, 64, 65, -63, -64, -65].map(Value::I64));
+        for op in ops {
+            for &a in &values {
+                for &b in &values {
+                    let want = binary_oracle(op, a, b);
+                    assert_eq!(Value::binary(op, a, b), want, "{a:?} {op:?} {b:?}");
+                }
+            }
+        }
+        // The divisor is checked before the dividend's type.
+        assert_eq!(
+            Value::binary(Div, Value::Bool(true), Value::I64(0)),
+            Err(TrapKind::DivisionByZero)
+        );
     }
 
     #[test]

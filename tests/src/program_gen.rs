@@ -238,6 +238,10 @@ pub enum ConcShape {
     /// Every worker hammers the one shared cell inside its loop —
     /// maximum contention on the commutative update.
     Contention,
+    /// The worker's loop body calls a function that calls a method, so
+    /// yieldpoints — and thread switches — fire two and three frames
+    /// deep, and a switched-out thread is parked with its callers.
+    Nested,
 }
 
 /// A generated concurrent program: `workers` green threads of `iters`
@@ -252,7 +256,7 @@ pub struct ConcProgram {
     pub shape: ConcShape,
 }
 
-/// Strategy over [`ConcProgram`]s: 2–5 workers, 1–6 iterations, all three
+/// Strategy over [`ConcProgram`]s: 2–5 workers, 1–6 iterations, all four
 /// shapes.
 pub fn conc_program_strategy() -> impl proptest::strategy::Strategy<Value = ConcProgram> {
     (
@@ -262,6 +266,7 @@ pub fn conc_program_strategy() -> impl proptest::strategy::Strategy<Value = Conc
             Just(ConcShape::FanOut),
             Just(ConcShape::JoinChain),
             Just(ConcShape::Contention),
+            Just(ConcShape::Nested),
         ],
     )
         .prop_map(|(workers, iters, shape)| ConcProgram {
@@ -277,7 +282,12 @@ pub fn conc_program_strategy() -> impl proptest::strategy::Strategy<Value = Conc
 pub fn render_conc_program(p: &ConcProgram) -> String {
     let workers = p.workers.max(2);
     let iters = p.iters.max(1);
-    let mut src = String::from("class Cell { field v; field g; }\n");
+    let mut src = String::from(match p.shape {
+        ConcShape::Nested => {
+            "class Cell { field v; field g; method add(k) { self.v = self.v + k; } }\n"
+        }
+        _ => "class Cell { field v; field g; }\n",
+    });
     match p.shape {
         ConcShape::FanOut => {
             src.push_str(
@@ -293,6 +303,12 @@ pub fn render_conc_program(p: &ConcProgram) -> String {
         ConcShape::Contention => {
             src.push_str(
                 "fn work(c, n, k) {\n    var i = 0;\n    while (i < n) { c.v = c.v + k; c.g = c.g + 1; i = i + 1; }\n}\n",
+            );
+        }
+        ConcShape::Nested => {
+            src.push_str(
+                "fn bump(c, k) {\n    c.add(k);\n    c.g = c.g + 1;\n}\n\
+                 fn work(c, n, k) {\n    var i = 0;\n    while (i < n) { bump(c, k); i = i + 1; }\n}\n",
             );
         }
     }

@@ -174,6 +174,7 @@ fn concurrent_programs_cancel_identically_under_small_timeslices() {
         ConcShape::FanOut,
         ConcShape::JoinChain,
         ConcShape::Contention,
+        ConcShape::Nested,
     ] {
         for (workers, iters) in [(2, 1), (3, 4), (5, 6)] {
             let module = compile(&render_conc_program(&ConcProgram {
@@ -210,6 +211,51 @@ fn concurrent_programs_cancel_identically_under_small_timeslices() {
                             .unwrap_or_else(|e| panic!("{label}: {e:?}"));
                     }
                 }
+            }
+        }
+    }
+}
+
+/// A stack limit that the nested workers (`work` → `bump` → `add`)
+/// overrun while other threads are parked mid-call: the `StackOverflow`
+/// must fire inside a spawned thread, at the same dispatch, in every
+/// engine, under every timeslice. `main` never calls, so with
+/// `max_stack = 2` only a worker can trap; from 3 up the run completes.
+#[test]
+fn stack_overflow_fires_identically_inside_a_spawned_thread() {
+    let cost = VmConfig::default().cost;
+    let module = compile(&render_conc_program(&ConcProgram {
+        workers: 3,
+        iters: 4,
+        shape: ConcShape::Nested,
+    }));
+    let unfused = PreparedModule::prepare_with(&module, &cost, FuseMode::Off);
+    let fused = PreparedModule::prepare_with(&module, &cost, FuseMode::Fuse);
+    for max_stack in 2..8 {
+        for timeslice in [1, 2, 3, 5, 8, 13, 31, 101] {
+            let cfg = VmConfig {
+                timeslice,
+                limits: ExecLimits {
+                    max_stack,
+                    ..ExecLimits::default()
+                },
+                ..VmConfig::default()
+            };
+            let want = run_naive(&module, &cfg);
+            match &want {
+                Err(e) if max_stack == 2 => {
+                    assert_eq!(e.kind, TrapKind::StackOverflow(2));
+                    assert_eq!(e.function, "bump", "the worker's call to `add` overflows");
+                }
+                Ok(o) if max_stack > 2 => assert!(o.thread_switches > 0),
+                other => panic!("max_stack={max_stack} ts={timeslice}: {other:?}"),
+            }
+            for (engine, p) in [("prepared/unfused", &unfused), ("prepared/fused", &fused)] {
+                assert_eq!(
+                    run_prepared(p, &cfg),
+                    want,
+                    "{engine} diverged from naive: max_stack={max_stack} ts={timeslice}"
+                );
             }
         }
     }
