@@ -69,8 +69,8 @@ pub use naive::{
 };
 pub use outcome::{Outcome, ZeroCycleBaseline};
 pub use prepared::{
-    fuse_mode, mine_hot_sequences, preparations, set_fuse_mode, thread_preparations, FuseMode,
-    HotSequence, PreparedModule,
+    fuse_mode, mine_hot_sequences, preparations, thread_preparations, FuseMode, HotSequence,
+    PreparedModule,
 };
 pub use profile::{FuseGuidance, NoMetrics, OpProfile, ProfileSink, NUM_OPCODES, OPCODE_NAMES};
 pub use sched::{SchedChoice, SchedControl, SchedPolicy, ScheduleTrace};

@@ -29,7 +29,7 @@
 //! module exactly once, however many times it re-runs it.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use isf_ir::{
@@ -92,37 +92,11 @@ pub enum FuseMode {
     Guided(Box<FuseGuidance>),
 }
 
-/// Process-wide fuse-mode override: 0 = unset (consult `ISF_FUSE`),
-/// 1 = off, 2 = fuse.
-static FUSE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Overrides the fuse mode for subsequent [`PreparedModule::prepare`]
-/// calls; `None` restores the default (the `ISF_FUSE` environment
-/// variable, on unless set to `0`/`off`/`false`). The process-wide
-/// override cannot carry a guidance payload, so [`FuseMode::Guided`] maps
-/// to [`FuseMode::Fuse`] here; guided preparation is requested per call
-/// via [`PreparedModule::prepare_with`].
-pub fn set_fuse_mode(mode: Option<FuseMode>) {
-    let v = match mode {
-        None => 0,
-        Some(FuseMode::Off) => 1,
-        Some(FuseMode::Fuse) | Some(FuseMode::Guided(_)) => 2,
-    };
-    FUSE_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// The fuse mode [`PreparedModule::prepare`] currently resolves to: the
-/// [`set_fuse_mode`] override if one is set, else the `ISF_FUSE`
-/// environment variable (read once per process), else [`FuseMode::Fuse`].
+/// The fuse mode [`PreparedModule::prepare`] uses: [`FuseMode::Off`] when
+/// the `ISF_FUSE` environment variable (read once per process) is
+/// `0`/`off`/`false`, else [`FuseMode::Fuse`]. Callers that must pin the
+/// pipeline pass their mode to [`PreparedModule::prepare_with`].
 pub fn fuse_mode() -> FuseMode {
-    match FUSE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => FuseMode::Off,
-        2 => FuseMode::Fuse,
-        _ => env_fuse_mode(),
-    }
-}
-
-fn env_fuse_mode() -> FuseMode {
     static ENV: OnceLock<FuseMode> = OnceLock::new();
     ENV.get_or_init(|| match std::env::var("ISF_FUSE").ok().as_deref() {
         Some("0") | Some("off") | Some("false") => FuseMode::Off,
@@ -803,7 +777,7 @@ impl Statics {
 }
 
 impl PreparedModule {
-    /// Flattens `module` under `cost` with the process-wide [`fuse_mode`].
+    /// Flattens `module` under `cost` with the default [`fuse_mode`].
     /// This is the only place the per-function backedge analysis runs.
     pub fn prepare(module: &Module, cost: &CostModel) -> Self {
         Self::prepare_with(module, cost, fuse_mode())
@@ -811,7 +785,7 @@ impl PreparedModule {
 
     /// [`PreparedModule::prepare`] with an explicit fuse mode, for callers
     /// (differential tests, the dispatch-ablation bench) that must pin the
-    /// pipeline regardless of environment or process-wide override.
+    /// pipeline regardless of environment.
     pub fn prepare_with(module: &Module, cost: &CostModel, mode: FuseMode) -> Self {
         PREPARATIONS.fetch_add(1, Ordering::Relaxed);
         THREAD_PREPARATIONS.with(|c| c.set(c.get() + 1));

@@ -1,18 +1,27 @@
 //! Command-line parsing for `isf-harness`, as a pure function from
-//! argument list to [`Command`] so every flag's validation is unit-testable
-//! without spawning the binary.
+//! argument list and environment to [`Command`] so every flag's
+//! validation is unit-testable without spawning the binary.
+//!
+//! The harness settings resolve here, once, into a [`HarnessConfig`]:
+//! each is its flag if given, else its `ISF_*` environment variable, else
+//! the built-in default. The variables are applied to the defaults
+//! first, each parsed by its flag's own parser, so a malformed value is
+//! rejected (even when the flag is also given) with the flag's
+//! diagnostic, prefixed with the variable's name; an empty variable
+//! counts as unset. The flags are applied on top. The environment
+//! arrives as a lookup closure ([`Env`]), so tests can pass a fake one.
 //!
 //! Error policy: a *structurally* wrong invocation (no experiments, an
 //! unknown flag, a misshapen subcommand) gets the full usage text; a flag
-//! with a *bad value* (`--jobs 0`, an overflowing `--retries`, a garbage
-//! `--fault-inject` spec) gets a one-line diagnostic naming the flag, the
-//! offending value, and what would be accepted — never a panic, never a
-//! silent fallback.
+//! or variable with a *bad value* (`--jobs 0`, an overflowing
+//! `--retries`, `ISF_CELL_BUDGET=1e6`, a garbage `--fault-inject` spec)
+//! gets a one-line diagnostic naming it, the offending value, and what
+//! would be accepted — never a panic, never a silent fallback.
 
 use std::path::PathBuf;
 
 use crate::explore::{self, ExploreSpec};
-use crate::runner;
+use crate::runner::{self, HarnessConfig};
 use crate::Scale;
 
 /// The canonical experiment list `all` expands to, in run order.
@@ -20,10 +29,27 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "table1", "table2", "table3", "table4", "table5", "fig7", "fig8",
 ];
 
-/// Every name accepted as an experiment argument.
+/// Every name accepted as an experiment argument, besides `all`.
 const KNOWN_EXPERIMENTS: &[&str] = &[
     "table1", "table2", "table3", "table4", "table5", "fig7", "fig8", "fig8a", "fig8b", "extras",
-    "spin", "all",
+    "spin",
+];
+
+/// Flags that only make sense for an experiment run; `--explore` rejects
+/// them rather than silently ignoring them.
+const RUN_ONLY_FLAGS: &[&str] = &[
+    "--retries",
+    "--cell-budget",
+    "--cell-deadline",
+    "--run-deadline",
+    "--cancel-after-cycles",
+    "--fault-inject",
+    "--journal",
+    "--resume",
+    "--no-fuse",
+    "--pgo",
+    "--profile",
+    "--trace-out",
 ];
 
 /// The full usage text (structural errors and `--help`).
@@ -40,7 +66,8 @@ pub const USAGE: &str = "usage: isf-harness [--scale smoke|default|paper] [--job
      \x20      isf-harness bench-snapshot [--scale smoke|default|paper] [--jobs N] [--out DIR]\n\
      \x20      isf-harness validate-jsonl <FILE>\n\
      experiments: table1 table2 table3 table4 table5 fig7 fig8 extras all\n\
-     N defaults to $ISF_JOBS, then the machine's available parallelism;\n\
+     a flag beats its environment variable, which beats the default; a malformed\n\
+     variable is an error. N defaults to $ISF_JOBS, then the machine's available parallelism;\n\
      --retries defaults to $ISF_RETRIES (0), --cell-budget to $ISF_CELL_BUDGET (uncapped);\n\
      --cell-deadline cancels any cell attempt running longer than MS wall-clock\n\
      milliseconds (also $ISF_CELL_DEADLINE; 0 = off) — the cell is annotated and the\n\
@@ -61,57 +88,36 @@ pub const USAGE: &str = "usage: isf-harness [--scale smoke|default|paper] [--job
      schedule-independent observables intact — a failure prints the seed that\n\
      reproduces the schedule deterministically";
 
+/// The environment as the parser sees it: variable name to value.
+/// `main` passes `|k| std::env::var(k).ok()`.
+pub type Env<'a> = &'a dyn Fn(&str) -> Option<String>;
+
 /// A fully parsed experiment run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunConfig {
     /// Workload scale.
     pub scale: Scale,
-    /// `--jobs` worker-thread override.
-    pub jobs: Option<usize>,
+    /// The resolved harness settings (`--jobs`, `--retries`,
+    /// `--cell-budget`, `--cell-deadline`, `--cancel-after-cycles`,
+    /// `--fault-inject`, `--no-fuse`, `--pgo` and their variables).
+    pub harness: HarnessConfig,
     /// `--emit json` (`Some(true)`) / `--emit off` (`Some(false)`).
     pub emit_json: Option<bool>,
     /// `--emit-path`: write the JSONL stream here, tables stay on stdout.
     pub emit_path: Option<PathBuf>,
-    /// `--retries` override.
-    pub retries: Option<usize>,
-    /// `--cell-budget` override.
-    pub cell_budget: Option<u64>,
-    /// `--cell-deadline`: per-cell wall-clock deadline in milliseconds
-    /// (`0` = off). A cell attempt that runs longer is cooperatively
-    /// cancelled by the watchdog and annotated; the run exits 75.
-    pub cell_deadline: Option<u64>,
     /// `--run-deadline`: whole-run wall-clock deadline in milliseconds
     /// (`0` = off). When it elapses, the harness stops claiming new
     /// cells, drains in-flight ones, and exits 75 — journaled runs pick
     /// up where they left off with `--resume`.
     pub run_deadline: Option<u64>,
-    /// `--cancel-after-cycles`: cancel every cell run at a fixed
-    /// simulated cycle (`0` = off) — the deterministic, byte-reproducible
-    /// stand-in for `--cell-deadline` used by tests and CI.
-    pub cancel_after: Option<u64>,
-    /// `--fault-inject` probability and seed.
-    pub fault: Option<(f64, u64)>,
     /// `--journal`: the crash-safe cell journal path.
     pub journal: Option<PathBuf>,
     /// `--resume`: replay the journal's finished cells.
     pub resume: bool,
-    /// `--no-fuse`: run the prepared engine without superinstruction
-    /// fusion (the `ISF_FUSE=0` escape hatch as a flag). Observable
-    /// results are identical either way; this exists for ablation and for
-    /// the CI equivalence diff.
-    pub no_fuse: bool,
-    /// `--pgo`: profile-guided fusion (also `ISF_PGO=1`). Every module
-    /// served by the preparation cache first runs a short warmup cell
-    /// under the profiled engine and is then re-prepared with guided
-    /// superinstructions mined from that profile. Observable results —
-    /// stdout, cycle counts, traps, the JSONL stream — are identical to a
-    /// statically-fused run; only coverage (and dispatch counts under
-    /// `--profile`) move.
-    pub pgo: bool,
-    /// `--profile`: enable VM self-profiling (the metrics registry,
-    /// per-opcode dispatch profiles, fusion coverage, and the
-    /// `metrics`/`span-summary` JSONL records). Also `ISF_PROFILE=1`.
-    /// Cycle counts and traps are identical either way; tables and the
+    /// `--profile` or `ISF_PROFILE`: enable VM self-profiling (the
+    /// metrics registry, per-opcode dispatch profiles, fusion coverage,
+    /// and the `metrics`/`span-summary` JSONL records). Cycle counts and
+    /// traps are identical either way; tables and the
     /// profiling-independent JSONL records stay byte-identical.
     pub profile: bool,
     /// `--trace-out`: write the run's hierarchical span trace here as
@@ -128,8 +134,8 @@ pub struct RunConfig {
 pub struct ExploreConfig {
     /// Workload scale.
     pub scale: Scale,
-    /// `--jobs` worker-thread override.
-    pub jobs: Option<usize>,
+    /// The resolved harness settings (only `--jobs` is a flag here).
+    pub harness: HarnessConfig,
     /// `--emit json` / `--emit off`.
     pub emit_json: Option<bool>,
     /// `--emit-path`: write the JSONL stream here, the report stays on
@@ -146,8 +152,8 @@ pub struct ExploreConfig {
 pub struct SnapshotConfig {
     /// Workload scale.
     pub scale: Scale,
-    /// `--jobs` worker-thread override.
-    pub jobs: Option<usize>,
+    /// The resolved harness settings (only `--jobs` is a flag here).
+    pub harness: HarnessConfig,
     /// Output directory.
     pub out: PathBuf,
 }
@@ -173,7 +179,8 @@ pub enum Command {
 /// Why parsing failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CliError {
-    /// A flag got a bad value: a one-line diagnostic, nonzero exit.
+    /// A flag or variable got a bad value: a one-line diagnostic, nonzero
+    /// exit.
     Bad(String),
     /// The invocation is structurally wrong: show the full usage text.
     Usage,
@@ -210,21 +217,80 @@ fn parse_jobs(v: &str) -> Result<usize, CliError> {
         .ok_or_else(|| bad(format!("--jobs must be a positive integer, got `{v}`")))
 }
 
+/// Parses a non-negative count for `flag`; `what` names its unit.
+fn parse_count<T: std::str::FromStr>(flag: &str, what: &str, v: &str) -> Result<T, CliError> {
+    v.parse::<T>().map_err(|_| {
+        let ty = std::any::type_name::<T>();
+        bad(format!(
+            "{flag} must be a non-negative {what} (fitting {ty}), got `{v}`"
+        ))
+    })
+}
+
+/// The one boolean parser of the `ISF_PGO` / `ISF_PROFILE` switches.
+fn parse_switch(v: &str) -> Result<bool, CliError> {
+    match v {
+        "1" | "on" | "true" => Ok(true),
+        "0" | "off" | "false" => Ok(false),
+        _ => Err(bad(format!(
+            "must be `1`, `on` or `true` (or `0`, `off`, `false`), got `{v}`"
+        ))),
+    }
+}
+
 fn next_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, CliError> {
     it.next()
         .map(String::as_str)
         .ok_or_else(|| bad(format!("{flag} needs a value")))
 }
 
-/// Parses the argument list (without the program name).
+/// Applies the variable `var`, parsed by its flag's parser, to `slot`;
+/// a malformed value is an error that names the variable. An unset or
+/// empty variable leaves the default.
+fn from_env<T>(
+    env: Env,
+    var: &str,
+    slot: &mut T,
+    parse: impl Fn(&str) -> Result<T, CliError>,
+) -> Result<(), CliError> {
+    if let Some(v) = env(var).filter(|v| !v.trim().is_empty()) {
+        *slot = parse(v.trim()).map_err(|e| bad(format!("{var}: {e}")))?;
+    }
+    Ok(())
+}
+
+/// The built-in defaults with the `ISF_*` variables applied. Callers
+/// apply the flags on top, so a flag beats its variable.
+fn env_config(env: Env) -> Result<HarnessConfig, CliError> {
+    let mut c = HarnessConfig::default();
+    from_env(env, "ISF_JOBS", &mut c.jobs, parse_jobs)?;
+    from_env(env, "ISF_RETRIES", &mut c.retries, |v| {
+        parse_count("--retries", "integer", v)
+    })?;
+    from_env(env, "ISF_CELL_BUDGET", &mut c.cell_budget, |v| {
+        parse_count("--cell-budget", "cycle count", v)
+    })?;
+    from_env(env, "ISF_CELL_DEADLINE", &mut c.cell_deadline_ms, |v| {
+        parse_count("--cell-deadline", "millisecond count", v)
+    })?;
+    from_env(env, "ISF_CANCEL_AFTER", &mut c.cancel_after, |v| {
+        parse_count("--cancel-after-cycles", "cycle count", v)
+    })?;
+    from_env(env, "ISF_PGO", &mut c.pgo, parse_switch)?;
+    Ok(c)
+}
+
+/// Parses the argument list (without the program name), resolving the
+/// harness settings against `env`.
 ///
 /// # Errors
 ///
-/// [`CliError::Bad`] for a flag with an invalid value (one-line
-/// diagnostic); [`CliError::Usage`] for a structurally wrong invocation.
-pub fn parse(args: &[String]) -> Result<Command, CliError> {
+/// [`CliError::Bad`] for a flag or variable with an invalid value
+/// (one-line diagnostic); [`CliError::Usage`] for a structurally wrong
+/// invocation.
+pub fn parse(args: &[String], env: Env) -> Result<Command, CliError> {
     match args.first().map(String::as_str) {
-        Some("bench-snapshot") => return parse_snapshot(&args[1..]),
+        Some("bench-snapshot") => return parse_snapshot(&args[1..], env),
         Some("validate-jsonl") => {
             let [path] = &args[1..] else {
                 return Err(CliError::Usage);
@@ -234,95 +300,66 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         _ => {}
     }
 
-    let mut cfg = RunConfig {
-        scale: Scale::Default,
-        jobs: None,
-        emit_json: None,
-        emit_path: None,
-        retries: None,
-        cell_budget: None,
-        cell_deadline: None,
-        run_deadline: None,
-        cancel_after: None,
-        fault: None,
-        journal: None,
-        resume: false,
-        no_fuse: false,
-        pgo: false,
-        profile: false,
-        trace_out: None,
-        experiments: Vec::new(),
-    };
+    let mut scale = Scale::Default;
+    let mut harness = env_config(env)?;
+    let mut profile = false;
+    from_env(env, "ISF_PROFILE", &mut profile, parse_switch)?;
+    let mut emit_json = None;
+    let mut emit_path = None;
+    let mut run_deadline = None;
+    let mut journal = None;
+    let mut resume = false;
+    let mut trace_out = None;
+    let mut run_only: Option<&str> = None;
     let mut explore_spec: Option<ExploreSpec> = None;
     let mut positionals: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        if RUN_ONLY_FLAGS.contains(&arg.as_str()) {
+            run_only.get_or_insert(arg.as_str());
+        }
         match arg.as_str() {
-            "--scale" => cfg.scale = parse_scale(next_value(&mut it, "--scale")?)?,
-            "--jobs" => cfg.jobs = Some(parse_jobs(next_value(&mut it, "--jobs")?)?),
+            "--scale" => scale = parse_scale(next_value(&mut it, "--scale")?)?,
+            "--jobs" => harness.jobs = parse_jobs(next_value(&mut it, arg)?)?,
             "--emit" => {
-                cfg.emit_json = Some(match next_value(&mut it, "--emit")? {
+                emit_json = Some(match next_value(&mut it, "--emit")? {
                     "json" => true,
                     "off" => false,
                     v => return Err(bad(format!("--emit must be `json` or `off`, got `{v}`"))),
                 });
             }
             "--emit-path" => {
-                cfg.emit_path = Some(PathBuf::from(next_value(&mut it, "--emit-path")?));
+                emit_path = Some(PathBuf::from(next_value(&mut it, "--emit-path")?));
             }
             "--retries" => {
-                let v = next_value(&mut it, "--retries")?;
-                cfg.retries = Some(v.parse::<usize>().map_err(|_| {
-                    bad(format!(
-                        "--retries must be a non-negative integer (fitting usize), got `{v}`"
-                    ))
-                })?);
+                harness.retries = parse_count(arg, "integer", next_value(&mut it, arg)?)?
             }
             "--cell-budget" => {
-                let v = next_value(&mut it, "--cell-budget")?;
-                cfg.cell_budget = Some(v.parse::<u64>().map_err(|_| {
-                    bad(format!(
-                        "--cell-budget must be a non-negative cycle count (fitting u64), got `{v}`"
-                    ))
-                })?);
+                harness.cell_budget = parse_count(arg, "cycle count", next_value(&mut it, arg)?)?;
             }
             "--cell-deadline" => {
-                let v = next_value(&mut it, "--cell-deadline")?;
-                cfg.cell_deadline = Some(v.parse::<u64>().map_err(|_| {
-                    bad(format!(
-                        "--cell-deadline must be a non-negative millisecond count (fitting u64), got `{v}`"
-                    ))
-                })?);
+                let v = next_value(&mut it, arg)?;
+                harness.cell_deadline_ms = parse_count(arg, "millisecond count", v)?;
             }
             "--run-deadline" => {
-                let v = next_value(&mut it, "--run-deadline")?;
-                cfg.run_deadline = Some(v.parse::<u64>().map_err(|_| {
-                    bad(format!(
-                        "--run-deadline must be a non-negative millisecond count (fitting u64), got `{v}`"
-                    ))
-                })?);
+                let v = next_value(&mut it, arg)?;
+                run_deadline = Some(parse_count(arg, "millisecond count", v)?);
             }
             "--cancel-after-cycles" => {
-                let v = next_value(&mut it, "--cancel-after-cycles")?;
-                cfg.cancel_after = Some(v.parse::<u64>().map_err(|_| {
-                    bad(format!(
-                        "--cancel-after-cycles must be a non-negative cycle count (fitting u64), got `{v}`"
-                    ))
-                })?);
+                harness.cancel_after = parse_count(arg, "cycle count", next_value(&mut it, arg)?)?;
             }
             "--fault-inject" => {
                 let v = next_value(&mut it, "--fault-inject")?;
-                cfg.fault = Some(
-                    runner::parse_fault_spec(v).map_err(|e| bad(format!("--fault-inject: {e}")))?,
-                );
+                harness.fault =
+                    runner::parse_fault_spec(v).map_err(|e| bad(format!("--fault-inject: {e}")))?;
             }
-            "--journal" => cfg.journal = Some(PathBuf::from(next_value(&mut it, "--journal")?)),
-            "--resume" => cfg.resume = true,
-            "--no-fuse" => cfg.no_fuse = true,
-            "--pgo" => cfg.pgo = true,
-            "--profile" => cfg.profile = true,
+            "--journal" => journal = Some(PathBuf::from(next_value(&mut it, "--journal")?)),
+            "--resume" => resume = true,
+            "--no-fuse" => harness.fuse = false,
+            "--pgo" => harness.pgo = true,
+            "--profile" => profile = true,
             "--trace-out" => {
-                cfg.trace_out = Some(PathBuf::from(next_value(&mut it, "--trace-out")?));
+                trace_out = Some(PathBuf::from(next_value(&mut it, "--trace-out")?));
             }
             "--explore" => {
                 let v = next_value(&mut it, "--explore")?;
@@ -339,113 +376,114 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     }
 
     if let Some(spec) = explore_spec {
-        return finish_explore(cfg, spec, positionals);
-    }
-
-    for name in &positionals {
-        if !KNOWN_EXPERIMENTS.contains(&name.as_str()) {
-            return Err(bad(format!(
-                "unknown experiment `{name}` (expected one of: {})",
-                KNOWN_EXPERIMENTS.join(" ")
-            )));
-        }
-    }
-    cfg.experiments = positionals;
-    if cfg.experiments.iter().any(|e| e == "all") {
-        cfg.experiments = ALL_EXPERIMENTS.iter().map(|s| (*s).to_owned()).collect();
-    }
-    Ok(Command::Run(cfg))
-}
-
-/// Validates an `--explore` invocation: the positional arguments must be
-/// benchmark names (`all` expands to the whole suite), and the run-mode
-/// flags that have no meaning under exploration are rejected rather than
-/// silently ignored.
-fn finish_explore(
-    cfg: RunConfig,
-    spec: ExploreSpec,
-    positionals: Vec<String>,
-) -> Result<Command, CliError> {
-    let incompatible: &[(&str, bool)] = &[
-        ("--retries", cfg.retries.is_some()),
-        ("--cell-budget", cfg.cell_budget.is_some()),
-        ("--cell-deadline", cfg.cell_deadline.is_some()),
-        ("--run-deadline", cfg.run_deadline.is_some()),
-        ("--cancel-after-cycles", cfg.cancel_after.is_some()),
-        ("--fault-inject", cfg.fault.is_some()),
-        ("--journal", cfg.journal.is_some()),
-        ("--resume", cfg.resume),
-        ("--no-fuse", cfg.no_fuse),
-        ("--pgo", cfg.pgo),
-        ("--profile", cfg.profile),
-        ("--trace-out", cfg.trace_out.is_some()),
-    ];
-    for &(flag, set) in incompatible {
-        if set {
+        if let Some(flag) = run_only {
             return Err(bad(format!(
                 "--explore cannot be combined with {flag} (exploration runs all four engine configurations itself)"
             )));
         }
+        let names = isf_workloads::names();
+        return Ok(Command::Explore(ExploreConfig {
+            scale,
+            harness,
+            emit_json,
+            emit_path,
+            spec,
+            benches: expand_names(positionals, "benchmark", &names, &names)?,
+        }));
     }
-    let names = isf_workloads::names();
-    for name in &positionals {
-        if name != "all" && !names.contains(&name.as_str()) {
-            return Err(bad(format!(
-                "unknown benchmark `{name}` (expected one of: {} all)",
-                names.join(" ")
-            )));
-        }
-    }
-    let benches = if positionals.iter().any(|n| n == "all") {
-        names.iter().map(|s| (*s).to_owned()).collect()
-    } else {
-        positionals
-    };
-    Ok(Command::Explore(ExploreConfig {
-        scale: cfg.scale,
-        jobs: cfg.jobs,
-        emit_json: cfg.emit_json,
-        emit_path: cfg.emit_path,
-        spec,
-        benches,
+
+    let experiments = expand_names(
+        positionals,
+        "experiment",
+        KNOWN_EXPERIMENTS,
+        ALL_EXPERIMENTS,
+    )?;
+    Ok(Command::Run(RunConfig {
+        scale,
+        harness,
+        emit_json,
+        emit_path,
+        run_deadline,
+        journal,
+        resume,
+        profile,
+        trace_out,
+        experiments,
     }))
 }
 
-fn parse_snapshot(args: &[String]) -> Result<Command, CliError> {
-    let mut cfg = SnapshotConfig {
-        scale: Scale::Smoke,
-        jobs: None,
-        out: PathBuf::from("."),
-    };
+/// Validates positional `what` names against `known`, expanding `all`
+/// to `all_names`.
+fn expand_names(
+    names: Vec<String>,
+    what: &str,
+    known: &[&str],
+    all_names: &[&str],
+) -> Result<Vec<String>, CliError> {
+    if let Some(name) = names
+        .iter()
+        .find(|n| *n != "all" && !known.contains(&n.as_str()))
+    {
+        return Err(bad(format!(
+            "unknown {what} `{name}` (expected one of: {} all)",
+            known.join(" ")
+        )));
+    }
+    Ok(if names.iter().any(|n| n == "all") {
+        all_names.iter().map(|s| (*s).to_owned()).collect()
+    } else {
+        names
+    })
+}
+
+fn parse_snapshot(args: &[String], env: Env) -> Result<Command, CliError> {
+    let mut scale = Scale::Smoke;
+    let mut harness = env_config(env)?;
+    let mut out = PathBuf::from(".");
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--scale" => cfg.scale = parse_scale(next_value(&mut it, "--scale")?)?,
-            "--jobs" => cfg.jobs = Some(parse_jobs(next_value(&mut it, "--jobs")?)?),
-            "--out" => cfg.out = PathBuf::from(next_value(&mut it, "--out")?),
+            "--scale" => scale = parse_scale(next_value(&mut it, "--scale")?)?,
+            "--jobs" => harness.jobs = parse_jobs(next_value(&mut it, arg)?)?,
+            "--out" => out = PathBuf::from(next_value(&mut it, "--out")?),
             _ => return Err(CliError::Usage),
         }
     }
-    Ok(Command::BenchSnapshot(cfg))
+    Ok(Command::BenchSnapshot(SnapshotConfig {
+        scale,
+        harness,
+        out,
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn argv(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| (*s).to_owned()).collect()
+    /// Parses `args` against the environment `vars`.
+    fn parse_in(vars: &[(&str, &str)], args: &[&str]) -> Result<Command, CliError> {
+        let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
+        let env = |k: &str| {
+            vars.iter()
+                .find(|(name, _)| *name == k)
+                .map(|(_, v)| (*v).to_owned())
+        };
+        parse(&args, &env)
+    }
+
+    fn parse_args(args: &[&str]) -> Result<Command, CliError> {
+        parse_in(&[], args)
     }
 
     fn run_cfg(args: &[&str]) -> RunConfig {
-        match parse(&argv(args)) {
+        match parse_args(args) {
             Ok(Command::Run(cfg)) => cfg,
             other => panic!("expected a run, got {other:?}"),
         }
     }
 
     fn err(args: &[&str]) -> CliError {
-        parse(&argv(args)).expect_err("parse should fail")
+        parse_args(args).expect_err("parse should fail")
     }
 
     #[test]
@@ -483,19 +521,24 @@ mod tests {
             "table1",
         ]);
         assert_eq!(cfg.scale, Scale::Smoke);
-        assert_eq!(cfg.jobs, Some(4));
+        assert_eq!(
+            cfg.harness,
+            HarnessConfig {
+                jobs: 4,
+                retries: 2,
+                cell_budget: 1000,
+                cell_deadline_ms: 250,
+                cancel_after: 5000,
+                fault: (0.25, 7),
+                fuse: false,
+                pgo: true,
+            }
+        );
         assert_eq!(cfg.emit_json, Some(true));
         assert_eq!(cfg.emit_path, Some(PathBuf::from("out.jsonl")));
-        assert_eq!(cfg.retries, Some(2));
-        assert_eq!(cfg.cell_budget, Some(1000));
-        assert_eq!(cfg.cell_deadline, Some(250));
         assert_eq!(cfg.run_deadline, Some(60000));
-        assert_eq!(cfg.cancel_after, Some(5000));
-        assert_eq!(cfg.fault, Some((0.25, 7)));
         assert_eq!(cfg.journal, Some(PathBuf::from("j.jsonl")));
         assert!(cfg.resume);
-        assert!(cfg.no_fuse);
-        assert!(cfg.pgo);
         assert!(cfg.profile);
         assert_eq!(cfg.trace_out, Some(PathBuf::from("trace.json")));
         assert_eq!(cfg.experiments, vec!["table4", "table1"]);
@@ -516,10 +559,76 @@ mod tests {
         );
         assert_eq!(cfg.scale, Scale::Default);
         assert!(!cfg.resume);
-        assert!(!cfg.no_fuse, "fusion is on by default");
-        assert!(!cfg.pgo, "profile-guided fusion is opt-in");
+        assert_eq!(
+            cfg.harness,
+            HarnessConfig::default(),
+            "no flags and no variables: the built-in defaults"
+        );
+        assert!(!cfg.harness.pgo, "profile-guided fusion is opt-in");
         assert!(!cfg.profile, "self-profiling is off by default");
         assert_eq!(cfg.trace_out, None);
+    }
+
+    #[test]
+    fn variables_fill_in_below_their_flags() {
+        let vars = [
+            ("ISF_JOBS", "3"),
+            ("ISF_RETRIES", " 2 "),
+            ("ISF_CELL_BUDGET", "1000"),
+            ("ISF_CELL_DEADLINE", "250"),
+            ("ISF_CANCEL_AFTER", "5000"),
+            ("ISF_PGO", "on"),
+            ("ISF_PROFILE", "true"),
+        ];
+        let Ok(Command::Run(cfg)) = parse_in(&vars, &["table1"]) else {
+            panic!("valid variables must parse");
+        };
+        assert_eq!(
+            cfg.harness,
+            HarnessConfig {
+                jobs: 3,
+                retries: 2,
+                cell_budget: 1000,
+                cell_deadline_ms: 250,
+                cancel_after: 5000,
+                pgo: true,
+                ..HarnessConfig::default()
+            }
+        );
+        assert!(cfg.profile);
+        let Ok(Command::BenchSnapshot(snap)) = parse_in(&vars, &["bench-snapshot"]) else {
+            panic!("bench-snapshot reads the variables too");
+        };
+        assert_eq!(snap.harness, cfg.harness);
+        // A flag beats its variable; an empty variable counts as unset.
+        let Ok(Command::Run(cfg)) = parse_in(
+            &[("ISF_JOBS", "3"), ("ISF_RETRIES", ""), ("ISF_PGO", "0")],
+            &["--jobs", "5", "table1"],
+        ) else {
+            panic!("flags over variables must parse");
+        };
+        assert_eq!((cfg.harness.jobs, cfg.harness.retries), (5, 0));
+        assert!(!cfg.harness.pgo);
+    }
+
+    #[test]
+    fn malformed_variables_are_one_line_errors_naming_the_variable() {
+        for (var, value, flag) in [
+            ("ISF_JOBS", "0", "--jobs"),
+            ("ISF_RETRIES", "x", "--retries"),
+            ("ISF_CELL_BUDGET", "1e6", "--cell-budget"),
+            ("ISF_CELL_DEADLINE", "soon", "--cell-deadline"),
+            ("ISF_CANCEL_AFTER", "-1", "--cancel-after-cycles"),
+            ("ISF_PGO", "yes", ""),
+            ("ISF_PROFILE", "2", ""),
+        ] {
+            let Err(CliError::Bad(msg)) = parse_in(&[(var, value)], &["table1"]) else {
+                panic!("{var}={value}: expected a one-line error");
+            };
+            assert!(msg.starts_with(&format!("{var}: {flag}")), "{msg}");
+            assert!(msg.contains(&format!("`{value}`")), "{msg}");
+            assert!(!msg.contains('\n'), "must be one line: {msg}");
+        }
     }
 
     #[test]
@@ -610,7 +719,7 @@ mod tests {
 
     #[test]
     fn explore_parses_benchmarks_and_expands_all() {
-        let Ok(Command::Explore(cfg)) = parse(&argv(&[
+        let Ok(Command::Explore(cfg)) = parse_args(&[
             "--explore",
             "schedules=32,seed=7",
             "--scale",
@@ -623,18 +732,18 @@ mod tests {
             "x.jsonl",
             "pbob",
             "volano",
-        ])) else {
+        ]) else {
             panic!("explore invocation should parse");
         };
         assert_eq!(cfg.scale, Scale::Smoke);
-        assert_eq!(cfg.jobs, Some(2));
+        assert_eq!(cfg.harness.jobs, 2);
         assert_eq!(cfg.emit_json, Some(true));
         assert_eq!(cfg.emit_path, Some(PathBuf::from("x.jsonl")));
         assert_eq!(cfg.spec.schedules, 32);
         assert_eq!(cfg.spec.seed, 7);
         assert_eq!(cfg.benches, vec!["pbob", "volano"]);
 
-        let Ok(Command::Explore(all)) = parse(&argv(&["--explore", "schedules=1", "all"])) else {
+        let Ok(Command::Explore(all)) = parse_args(&["--explore", "schedules=1", "all"]) else {
             panic!("explore all should parse");
         };
         assert_eq!(all.benches, isf_workloads::names());
@@ -706,23 +815,23 @@ mod tests {
     #[test]
     fn subcommands_parse() {
         assert_eq!(
-            parse(&argv(&["validate-jsonl", "s.jsonl"])),
+            parse_args(&["validate-jsonl", "s.jsonl"]),
             Ok(Command::ValidateJsonl {
                 path: "s.jsonl".to_owned()
             })
         );
-        assert_eq!(parse(&argv(&["validate-jsonl"])), Err(CliError::Usage));
+        assert_eq!(parse_args(&["validate-jsonl"]), Err(CliError::Usage));
         let Ok(Command::BenchSnapshot(cfg)) =
-            parse(&argv(&["bench-snapshot", "--scale", "smoke", "--out", "d"]))
+            parse_args(&["bench-snapshot", "--scale", "smoke", "--out", "d"])
         else {
             panic!("bench-snapshot should parse");
         };
         assert_eq!(cfg.scale, Scale::Smoke);
         assert_eq!(cfg.out, PathBuf::from("d"));
         assert!(matches!(
-            parse(&argv(&["bench-snapshot", "--jobs", "0"])),
+            parse_args(&["bench-snapshot", "--jobs", "0"]),
             Err(CliError::Bad(_))
         ));
-        assert_eq!(parse(&argv(&["--help"])), Ok(Command::Help));
+        assert_eq!(parse_args(&["--help"]), Ok(Command::Help));
     }
 }

@@ -41,7 +41,7 @@ use isf_ir::Module;
 use isf_obs::Json;
 use isf_workloads::Workload;
 
-use crate::runner::{cell, par_cells_isolated, plan_for, split_results, CellError, Kinds};
+use crate::runner::{cell, plan_for, split_results, CellError, Harness, Kinds};
 use crate::{write_errors, Scale};
 
 /// Programs whose round-robin run has at most this many decision points
@@ -162,7 +162,7 @@ pub struct Explore {
 
 /// Runs schedule exploration over `benches`, one isolated cell per
 /// benchmark.
-pub fn run(scale: Scale, spec: ExploreSpec, benches: &[String]) -> Explore {
+pub fn run(h: &Harness, scale: Scale, spec: ExploreSpec, benches: &[String]) -> Explore {
     let workloads: Vec<Workload> = benches
         .iter()
         .map(|name| {
@@ -170,7 +170,7 @@ pub fn run(scale: Scale, spec: ExploreSpec, benches: &[String]) -> Explore {
                 .unwrap_or_else(|| panic!("benchmark `{name}` was validated by the CLI"))
         })
         .collect();
-    let results = par_cells_isolated(
+    let results = h.par_cells_isolated(
         workloads
             .iter()
             .map(|w| {
@@ -569,7 +569,8 @@ mod tests {
             schedules: 2,
             seed: 0xA5,
         };
-        let report = run(Scale::Smoke, spec, &["volano".to_owned(), "db".to_owned()]);
+        let benches = ["volano".to_owned(), "db".to_owned()];
+        let report = run(&Harness::default(), Scale::Smoke, spec, &benches);
         assert!(
             report.errors.is_empty(),
             "exploration failed: {:?}",

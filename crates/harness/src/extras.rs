@@ -14,8 +14,7 @@ use isf_profile::overlap::path_overlap;
 use isf_obs::Json;
 
 use crate::runner::{
-    cell, instrument, overhead_pct, par_cells_journaled, plan_for, prepare_for_runs, prepare_suite,
-    run_module, run_prepared_module, split_results, CellError, JournalPayload, Kinds,
+    cell, instrument, plan_for, split_results, CellError, Harness, JournalPayload, Kinds,
 };
 use crate::{mean, pct, write_errors, Scale};
 
@@ -127,10 +126,10 @@ pub struct Extras {
 /// Runs both extra experiments, one cell per benchmark: the benchmark's
 /// path-profiling interval series (averaged across the suite afterwards)
 /// plus its selective-instrumentation row.
-pub fn run(scale: Scale) -> Extras {
-    let suite = prepare_suite(scale);
+pub fn run(h: &Harness, scale: Scale) -> Extras {
+    let suite = h.prepare_suite(scale);
 
-    let results = par_cells_journaled(
+    let results = h.par_cells_journaled(
         suite
             .benches
             .iter()
@@ -141,19 +140,19 @@ pub fn run(scale: Scale) -> Extras {
                     let (exh, _) =
                         instrument_module(&b.module, &plan, &Options::new(Strategy::Exhaustive))
                             .expect("valid options");
-                    let perfect = run_module(&exh, Trigger::Never).profile;
+                    let perfect = h.run_module(&exh, Trigger::Never).profile;
                     let (full, _) = instrument_module(
                         &b.module,
                         &plan,
                         &Options::new(Strategy::FullDuplication),
                     )
                     .expect("valid options");
-                    let prepared = prepare_for_runs(&full);
+                    let prepared = h.prepare_for_runs(&full);
                     let baseline_cycles = b.baseline.cycles as f64;
                     let path: Vec<PathMeas> = PATH_INTERVALS
                         .iter()
                         .map(|&interval| {
-                            let o = run_prepared_module(&prepared, Trigger::Counter { interval });
+                            let o = h.run_prepared_module(&prepared, Trigger::Counter { interval });
                             PathMeas {
                                 total: (o.cycles as f64 - baseline_cycles) / baseline_cycles
                                     * 100.0,
@@ -170,9 +169,9 @@ pub fn run(scale: Scale) -> Extras {
                         &Options::new(Strategy::FullDuplication),
                     );
                     // One decode serves the scout and measurement runs.
-                    let prepared_all = prepare_for_runs(&all);
+                    let prepared_all = h.prepare_for_runs(&all);
                     let scout =
-                        run_prepared_module(&prepared_all, Trigger::Counter { interval: 13 });
+                        h.run_prepared_module(&prepared_all, Trigger::Counter { interval: 13 });
                     let mut hot: HashSet<_> = hotness::functions_covering(&scout.profile, 0.9)
                         .into_iter()
                         .collect();
@@ -191,12 +190,12 @@ pub fn run(scale: Scale) -> Extras {
                     )
                     .expect("valid options");
                     let o_all =
-                        run_prepared_module(&prepared_all, Trigger::Counter { interval: 499 });
-                    let o_sel = run_module(&sel, Trigger::Counter { interval: 499 });
+                        h.run_prepared_module(&prepared_all, Trigger::Counter { interval: 499 });
+                    let o_sel = h.run_module(&sel, Trigger::Counter { interval: 499 });
                     let selective = SelectiveRow {
                         bench: b.name,
-                        all_methods: overhead_pct(&o_all, &b.baseline),
-                        hot_only: overhead_pct(&o_sel, &b.baseline),
+                        all_methods: o_all.overhead_vs(&b.baseline),
+                        hot_only: o_sel.overhead_vs(&b.baseline),
                         all_space: all_stats.space_increase_bytes(),
                         hot_space: sel_stats.space_increase_bytes(),
                         hot_count: hot.len(),
@@ -316,7 +315,7 @@ mod tests {
 
     #[test]
     fn extras_shapes_hold() {
-        let e = run(Scale::Smoke);
+        let e = run(&Harness::default(), Scale::Smoke);
         // Path profiling: interval 1 is perfect; accuracy decays with the
         // interval; overhead decreases.
         assert!(e.path_rows[0].accuracy > 99.9);

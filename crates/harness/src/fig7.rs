@@ -10,7 +10,7 @@ use isf_exec::Trigger;
 use isf_profile::overlap::call_edge_overlap;
 use isf_profile::CallEdgeKey;
 
-use crate::runner::{instrument, perfect_profile, prepare, Kinds};
+use crate::runner::{instrument, Harness, Kinds};
 use crate::Scale;
 
 /// One bar of the figure: a call edge with both sample-percentages.
@@ -36,7 +36,7 @@ pub struct Fig7 {
 }
 
 /// Runs the experiment on the `javac` benchmark.
-pub fn run(scale: Scale) -> Fig7 {
+pub fn run(h: &Harness, scale: Scale) -> Fig7 {
     // Prime intervals sized to each scale's check count, so the sample
     // budget stays proportional to the paper's (interval 1,000 against
     // ~1.1e7 checks) and the deterministic counter cannot alias with the
@@ -47,14 +47,14 @@ pub fn run(scale: Scale) -> Fig7 {
         Scale::Paper => 1_009,
     };
     let w = isf_workloads::by_name("javac", scale).expect("javac exists");
-    let b = prepare(&w);
-    let perfect = perfect_profile(&b, Kinds::CallEdge);
+    let b = h.prepare(&w);
+    let perfect = h.perfect_profile(&b, Kinds::CallEdge);
     let (module, _, _) = instrument(
         &b.module,
         Kinds::CallEdge,
         &Options::new(Strategy::FullDuplication),
     );
-    let sampled = crate::runner::run_module(&module, Trigger::Counter { interval });
+    let sampled = h.run_module(&module, Trigger::Counter { interval });
     let overlap = call_edge_overlap(&perfect, &sampled.profile);
 
     let total_p: u64 = perfect.call_edges().values().sum();
@@ -156,7 +156,7 @@ mod tests {
 
     #[test]
     fn shape_matches_paper() {
-        let fig = run(Scale::Smoke);
+        let fig = run(&Harness::default(), Scale::Smoke);
         // javac has the rich edge population the figure relies on.
         assert!(
             fig.bars.len() >= 25,

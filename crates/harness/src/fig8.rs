@@ -13,10 +13,7 @@ use isf_exec::Trigger;
 
 use isf_obs::Json;
 
-use crate::runner::{
-    cell, instrument, overhead_pct, par_cells_journaled, prepare_for_runs, prepare_suite,
-    run_module, run_prepared_module, split_results, CellError, JournalPayload, Kinds,
-};
+use crate::runner::{cell, instrument, split_results, CellError, Harness, JournalPayload, Kinds};
 use crate::{mean, pct, write_errors, Scale};
 
 /// One row of part (A).
@@ -90,24 +87,25 @@ fn yieldpoint_options() -> Options {
 /// Runs both parts, one cell per benchmark: part (A)'s two framework
 /// measurements plus the benchmark's part (B) interval series, which is
 /// averaged across benchmarks afterwards.
-pub fn run(scale: Scale) -> Fig8 {
-    let suite = prepare_suite(scale);
+pub fn run(h: &Harness, scale: Scale) -> Fig8 {
+    let suite = h.prepare_suite(scale);
 
-    let results = par_cells_journaled(
+    let results = h.par_cells_journaled(
         suite
             .benches
             .iter()
             .map(|b| {
                 cell(format!("fig8/{}", b.name), move || {
                     let (opt, _, _) = instrument(&b.module, Kinds::None, &yieldpoint_options());
-                    let framework = overhead_pct(&run_module(&opt, Trigger::Never), &b.baseline);
+                    let framework = h.run_module(&opt, Trigger::Never).overhead_vs(&b.baseline);
                     let (plain, _, _) = instrument(
                         &b.module,
                         Kinds::None,
                         &Options::new(Strategy::FullDuplication),
                     );
-                    let unoptimized =
-                        overhead_pct(&run_module(&plain, Trigger::Never), &b.baseline);
+                    let unoptimized = h
+                        .run_module(&plain, Trigger::Never)
+                        .overhead_vs(&b.baseline);
                     let row_a = RowA {
                         bench: b.name,
                         framework,
@@ -115,12 +113,12 @@ pub fn run(scale: Scale) -> Fig8 {
                     };
 
                     let (m, _, _) = instrument(&b.module, Kinds::Both, &yieldpoint_options());
-                    let prepared = prepare_for_runs(&m);
+                    let prepared = h.prepare_for_runs(&m);
                     let baseline = b.baseline.cycles as f64;
                     let totals: Vec<f64> = crate::table4::INTERVALS
                         .iter()
                         .map(|&interval| {
-                            let o = run_prepared_module(&prepared, Trigger::Counter { interval });
+                            let o = h.run_prepared_module(&prepared, Trigger::Counter { interval });
                             (o.cycles as f64 - baseline) / baseline * 100.0
                         })
                         .collect();
@@ -231,7 +229,7 @@ mod tests {
 
     #[test]
     fn shape_matches_paper() {
-        let fig = run(Scale::Smoke);
+        let fig = run(&Harness::default(), Scale::Smoke);
         assert_eq!(fig.rows_a.len(), 10);
         // The optimization pays: optimized average well below unoptimized.
         assert!(

@@ -601,6 +601,13 @@ pub fn append(
 mod tests {
     use super::*;
 
+    /// Serializes the tests that attach the process-wide journal,
+    /// poison-tolerantly, so one failure reports once.
+    fn journal_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     fn inputs() -> RunInputs {
         RunInputs {
             version: "1.2.3".to_owned(),
@@ -671,7 +678,7 @@ mod tests {
 
     #[test]
     fn round_trip_through_a_real_file() {
-        let _guard = crate::runner::jobs_test_lock();
+        let _guard = journal_lock();
         let path = temp_path("roundtrip");
         start_fresh(&path, &inputs()).expect("start fresh");
         assert!(is_active());
@@ -703,7 +710,7 @@ mod tests {
 
     #[test]
     fn truncated_tail_is_dropped_and_the_prefix_survives() {
-        let _guard = crate::runner::jobs_test_lock();
+        let _guard = journal_lock();
         let path = temp_path("truncate");
         start_fresh(&path, &inputs()).expect("start fresh");
         let cell = Json::obj([("type", "cell".into())]);
@@ -731,7 +738,7 @@ mod tests {
 
     #[test]
     fn stale_journal_is_refused_with_named_fields() {
-        let _guard = crate::runner::jobs_test_lock();
+        let _guard = journal_lock();
         let path = temp_path("stale");
         start_fresh(&path, &inputs()).expect("start fresh");
         deactivate();

@@ -18,6 +18,16 @@
 //! experiments: table1 table2 table3 table4 table5 fig7 fig8 extras all
 //! ```
 //!
+//! The harness settings (`--jobs`, `--retries`, `--cell-budget`,
+//! `--cell-deadline`, `--cancel-after-cycles`, `--fault-inject`,
+//! `--no-fuse`, `--pgo`) are resolved once by `cli::parse` into a
+//! `HarnessConfig` — flag, else `ISF_*` variable, else default; a
+//! malformed variable exits 1 with the flag's diagnostic — and `main`
+//! passes it down inside a `Harness`, which also owns the preparation
+//! cache and the deadline-hit flag read at exit. Only the observation
+//! sinks (emit mode, span and metrics gates, log level) and the attached
+//! journal stay process-wide.
+//!
 //! Experiment cells run on `N` worker threads (default: `ISF_JOBS` or the
 //! machine's available parallelism). The VM is deterministic, so the
 //! tables on stdout are byte-identical for every job count; per-cell
@@ -90,9 +100,10 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use isf_harness::cli::{self, CliError, Command, ExploreConfig, RunConfig, SnapshotConfig};
+use isf_harness::runner::Harness;
 use isf_harness::{
-    explore, extras, fig7, fig8, journal, jsonl, runner, snapshot, spin, table1, table2, table3,
-    table4, table5,
+    explore, extras, fig7, fig8, journal, jsonl, snapshot, spin, table1, table2, table3, table4,
+    table5,
 };
 use isf_obs::{emit, log, metrics, span, Json};
 
@@ -148,10 +159,10 @@ fn emit_phases(experiment: &str) {
 /// through fused superinstructions. Goes to stderr (never stdout, which
 /// must stay byte-identical to a profiling-disabled run) and into the
 /// metrics registry as `fusion.<bench>.*` counters.
-fn report_fusion_coverage(scale: isf_harness::Scale) {
+fn report_fusion_coverage(harness: &Harness, scale: isf_harness::Scale) {
     log::cells("[profile] fusion coverage (dynamic instructions executed fused):");
-    for c in runner::fusion_coverage(scale) {
-        if runner::pgo() {
+    for c in harness.fusion_coverage(scale) {
+        if harness.config.pgo {
             log::cells(&format!(
                 "[profile]   {:<10} {:>5.1}%  ({} / {} instructions, {} guided = {:.1}%)",
                 c.name,
@@ -175,8 +186,8 @@ fn report_fusion_coverage(scale: isf_harness::Scale) {
 /// and `span-summary` records to the JSONL stream when profiling is
 /// enabled. Entirely a no-op when neither profiling nor tracing was
 /// requested, so default runs stay byte-identical.
-fn finish_observability(cfg: &RunConfig, profiling: bool) -> Result<(), ExitCode> {
-    if !profiling && cfg.trace_out.is_none() {
+fn finish_observability(cfg: &RunConfig) -> Result<(), ExitCode> {
+    if !cfg.profile && cfg.trace_out.is_none() {
         return Ok(());
     }
     let events = span::take_events();
@@ -192,7 +203,7 @@ fn finish_observability(cfg: &RunConfig, profiling: bool) -> Result<(), ExitCode
             path.display()
         ));
     }
-    if profiling && emit::enabled() {
+    if cfg.profile && emit::enabled() {
         emit::record(&metrics::snapshot().to_json());
         emit::record(&span::summary_record(&span::summarize(&events)));
     }
@@ -200,10 +211,7 @@ fn finish_observability(cfg: &RunConfig, profiling: bool) -> Result<(), ExitCode
 }
 
 fn bench_snapshot(cfg: &SnapshotConfig) -> ExitCode {
-    if let Some(n) = cfg.jobs {
-        runner::set_jobs(n);
-    }
-    match snapshot::write(cfg.scale, &cfg.out) {
+    match snapshot::write(&Harness::new(cfg.harness.clone()), cfg.scale, &cfg.out) {
         Ok(path) => {
             log::cells(&format!("wrote {}", path.display()));
             ExitCode::SUCCESS
@@ -252,7 +260,7 @@ fn attach_journal(cfg: &RunConfig) -> Result<(), String> {
         }
         return Ok(());
     };
-    let inputs = runner::run_inputs(cfg.scale, &cfg.experiments);
+    let inputs = cfg.harness.run_inputs(cfg.scale, &cfg.experiments);
     if cfg.resume {
         let replayable = journal::open_resume(&path, &inputs)
             .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
@@ -274,9 +282,6 @@ fn attach_journal(cfg: &RunConfig) -> Result<(), String> {
 /// `!!` annotation and `error` record carry the seed and trace that
 /// reproduce the failing schedule.
 fn run_explore(cfg: &ExploreConfig) -> ExitCode {
-    if let Some(n) = cfg.jobs {
-        runner::set_jobs(n);
-    }
     if let Some(json) = cfg.emit_json {
         emit::set_mode(if json {
             emit::EmitMode::Json
@@ -298,7 +303,8 @@ fn run_explore(cfg: &ExploreConfig) -> ExitCode {
             ),
         ]));
     }
-    let report = explore::run(cfg.scale, cfg.spec, &cfg.benches);
+    let harness = Harness::new(cfg.harness.clone());
+    let report = explore::run(&harness, cfg.scale, cfg.spec, &cfg.benches);
     if report_to_stdout {
         println!("{report}");
     }
@@ -328,38 +334,11 @@ fn run_explore(cfg: &ExploreConfig) -> ExitCode {
 }
 
 fn run(cfg: &RunConfig) -> ExitCode {
-    if let Some(n) = cfg.jobs {
-        runner::set_jobs(n);
+    let harness = Harness::new(cfg.harness.clone());
+    if cfg.profile {
+        metrics::set_enabled(true);
     }
-    if let Some(n) = cfg.retries {
-        runner::set_retries(n);
-    }
-    if let Some(n) = cfg.cell_budget {
-        runner::set_cell_budget(n);
-    }
-    if let Some(ms) = cfg.cell_deadline {
-        runner::set_cell_deadline(ms);
-    }
-    if let Some(n) = cfg.cancel_after {
-        runner::set_cancel_after(n);
-    }
-    if let Some((p, seed)) = cfg.fault {
-        runner::set_fault_injection(p, seed);
-    }
-    if cfg.no_fuse {
-        isf_exec::set_fuse_mode(Some(isf_exec::FuseMode::Off));
-    }
-    if cfg.pgo {
-        runner::set_pgo(true);
-    }
-    let profiling = cfg.profile
-        || std::env::var("ISF_PROFILE")
-            .map(|v| v.trim() == "1")
-            .unwrap_or(false);
-    if profiling {
-        runner::set_profiling(true);
-    }
-    if profiling || cfg.trace_out.is_some() {
+    if cfg.profile || cfg.trace_out.is_some() {
         span::set_enabled(true);
     }
     if let Some(json) = cfg.emit_json {
@@ -418,7 +397,7 @@ fn run(cfg: &RunConfig) -> ExitCode {
         let _experiment_span = span::begin("experiment", e.as_str());
         macro_rules! experiment {
             ($module:ident) => {{
-                let t = $module::run(cfg.scale);
+                let t = $module::run(&harness, cfg.scale);
                 if tables_to_stdout {
                     println!("{t}");
                 }
@@ -444,10 +423,10 @@ fn run(cfg: &RunConfig) -> ExitCode {
     }
     drop(run_span);
 
-    if profiling {
-        report_fusion_coverage(cfg.scale);
+    if cfg.profile {
+        report_fusion_coverage(&harness, cfg.scale);
     }
-    if let Err(code) = finish_observability(cfg, profiling) {
+    if let Err(code) = finish_observability(cfg) {
         return code;
     }
 
@@ -464,7 +443,7 @@ fn run(cfg: &RunConfig) -> ExitCode {
         }
     }
     journal::deactivate();
-    if runner::deadline_hit() {
+    if harness.deadline_hit() {
         // The run *completed* — every cell ran or was cancelled, tables
         // and JSONL were written — but at least one fresh cell was lost
         // to the deadline, so signal resumable like an interrupted run.
@@ -476,7 +455,7 @@ fn run(cfg: &RunConfig) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match cli::parse(&args) {
+    match cli::parse(&args, &|k| std::env::var(k).ok()) {
         Ok(Command::Run(cfg)) => run(&cfg),
         Ok(Command::Explore(cfg)) => run_explore(&cfg),
         Ok(Command::BenchSnapshot(cfg)) => bench_snapshot(&cfg),

@@ -2,26 +2,36 @@
 //! running it, and expressing results relative to the uninstrumented
 //! baseline — the paper's methodology of §4.1.
 //!
+//! The harness's policy is a value: a [`HarnessConfig`] that
+//! [`crate::cli`] resolves once (flag, else `ISF_*` variable, else
+//! built-in default) and a [`Harness`] that carries it together with the
+//! preparation cache its runs share and the deadline-hit flag `main`
+//! reads at exit. No setting lives in a mutable global, so two harnesses
+//! with different configurations can run side by side in one process;
+//! only the observation sinks (emit mode, span and metrics gates, log
+//! level) and the attached journal are process-wide.
+//!
 //! Experiments decompose into independent *cells*, one (benchmark ×
-//! configuration) unit of work each, executed by [`par_cells`] on a scoped
-//! worker pool of [`jobs`] threads. The VM is deterministic and every cell
-//! is a pure function of its inputs, so a parallel run produces the same
-//! rows, bit for bit, as a serial one; results come back in submission
-//! order, so table output never depends on the schedule. Per-cell
-//! statistics (simulated cycles, wall time, effective simulated MIPS) go
-//! to stderr through the leveled [`isf_obs::log`] emitter
-//! (`ISF_LOG=off|cells|debug`), keeping stdout byte-identical across job
-//! counts; with `ISF_EMIT=json` the same metrics are also captured as
-//! machine-readable JSONL records, emitted in submission order.
+//! configuration) unit of work each, executed by [`Harness::par_cells`]
+//! on a scoped worker pool of [`HarnessConfig::jobs`] threads. The VM is
+//! deterministic and every cell is a pure function of its inputs, so a
+//! parallel run produces the same rows, bit for bit, as a serial one;
+//! results come back in submission order, so table output never depends
+//! on the schedule. Per-cell statistics (simulated cycles, wall time,
+//! effective simulated MIPS) go to stderr through the leveled
+//! [`isf_obs::log`] emitter (`ISF_LOG=off|cells|debug`), keeping stdout
+//! byte-identical across job counts; with `ISF_EMIT=json` the same
+//! metrics are also captured as machine-readable JSONL records, emitted
+//! in submission order.
 //!
 //! Cells that run one module several times (interval sweeps, trigger
-//! comparisons) pre-decode it once with [`prepare_for_runs`] and replay
-//! the decoded form with [`run_prepared_module`], amortizing preparation
-//! over the whole sweep.
+//! comparisons) pre-decode it once with [`Harness::prepare_for_runs`] and
+//! replay the decoded form with [`Harness::run_prepared_module`],
+//! amortizing preparation over the whole sweep.
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -38,256 +48,124 @@ use isf_workloads::{suite, Scale, Workload};
 use crate::journal;
 
 // ---------------------------------------------------------------------
-// Worker-pool control.
+// Configuration.
 // ---------------------------------------------------------------------
 
-static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the number of worker threads experiment cells run on (`0` clears
-/// the override and restores the default resolution).
-pub fn set_jobs(n: usize) {
-    JOBS_OVERRIDE.store(n, Ordering::Relaxed);
+/// Every setting that shapes a harness run, resolved once. Each field has
+/// a flag and (except `fault`) an `ISF_*` variable; [`crate::cli`] applies
+/// the precedence flag > variable > [`HarnessConfig::default`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct HarnessConfig {
+    /// Worker threads cells run on (`--jobs`, `ISF_JOBS`; default: the
+    /// machine's available parallelism).
+    pub jobs: usize,
+    /// How many times a panicked or deadlined cell is re-run before its
+    /// failure is recorded (`--retries`, `ISF_RETRIES`; default 0). Traps
+    /// and budget exhaustion are deterministic and never retried.
+    pub retries: usize,
+    /// Simulated-cycle cap on every harness run (`--cell-budget`,
+    /// `ISF_CELL_BUDGET`; `0` = uncapped); a run over it is a
+    /// [`CellResult::Budget`].
+    pub cell_budget: u64,
+    /// Per-cell wall-clock deadline in milliseconds (`--cell-deadline`,
+    /// `ISF_CELL_DEADLINE`; `0` = off); an attempt over it is cancelled
+    /// by the watchdog and recorded as a [`CellResult::Deadline`].
+    pub cell_deadline_ms: u64,
+    /// Deterministic cancellation point (`--cancel-after-cycles`,
+    /// `ISF_CANCEL_AFTER`; `0` = off): every cell run is cancelled at the
+    /// charge that takes the simulated clock past this cycle count.
+    pub cancel_after: u64,
+    /// Fault injection `(p, seed)` (`--fault-inject`; `p = 0` = off): an
+    /// attempt whose `(seed, label, attempt)` hash falls below `p` panics
+    /// or traps before its work runs.
+    pub fault: (f64, u64),
+    /// Superinstruction fusion (`--no-fuse` turns it off; default:
+    /// [`isf_exec::fuse_mode`], on unless `ISF_FUSE=0`).
+    pub fuse: bool,
+    /// Profile-guided fusion (`--pgo`, `ISF_PGO`; default off; see
+    /// [`Harness::cached_prepare`]).
+    pub pgo: bool,
 }
 
-/// The number of worker threads experiment cells run on: the [`set_jobs`]
-/// override if one is set, else the `ISF_JOBS` environment variable, else
-/// the machine's available parallelism.
-pub fn jobs() -> usize {
-    let n = JOBS_OVERRIDE.load(Ordering::Relaxed);
-    if n > 0 {
-        return n;
-    }
-    if let Some(n) = std::env::var("ISF_JOBS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Serializes tests that mutate the global jobs override.
-#[cfg(test)]
-static JOBS_TEST_LOCK: Mutex<()> = Mutex::new(());
-
-/// Takes [`JOBS_TEST_LOCK`], poison-tolerantly: a test that panics while
-/// holding it fails once instead of failing every later holder too.
-#[cfg(test)]
-pub(crate) fn jobs_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    JOBS_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-// ---------------------------------------------------------------------
-// Self-profiling control.
-// ---------------------------------------------------------------------
-
-/// Turns VM self-profiling on or off (`--profile` / `ISF_PROFILE=1`).
-///
-/// The metrics registry's gate is the single source of truth: enabling it
-/// switches [`run_prepared_module`] onto the profiled engine entry point,
-/// makes [`cached_prepare`]'s hit/miss counters record, and unlocks the
-/// `metrics` JSONL record and summary cache fields. Disabled (the
-/// default), every output byte is identical to a run without the
-/// subsystem.
-pub fn set_profiling(on: bool) {
-    metrics::set_enabled(on);
-}
-
-/// Whether VM self-profiling is enabled.
-pub fn profiling() -> bool {
-    metrics::enabled()
-}
-
-// ---------------------------------------------------------------------
-// Profile-guided preparation control.
-// ---------------------------------------------------------------------
-
-static PGO_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-static PGO_EPOCH: AtomicU64 = AtomicU64::new(0);
-
-/// Turns the warmup-then-reprepare flow on or off (`--pgo` / `ISF_PGO=1`).
-///
-/// With PGO on, [`cached_prepare`] serves each fused module through a
-/// profile-guided preparation: a short warmup cell runs the statically
-/// fused form under the profiled engine, the folded [`OpProfile`] is
-/// distilled into a [`FuseGuidance`], and the module is re-prepared under
-/// [`FuseMode::Guided`]. Guided entries live under their own cache keys
-/// (the fingerprint grows a profile epoch), so PGO and non-PGO cells
-/// coexist in the shared cache without evicting each other. Enabling PGO
-/// bumps the epoch: a new `--pgo` invocation re-warms rather than
-/// trusting guided forms from an earlier configuration.
-pub fn set_pgo(on: bool) {
-    if on {
-        PGO_EPOCH.fetch_add(1, Ordering::Relaxed);
-    }
-    PGO_OVERRIDE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// Whether profile-guided preparation is enabled: the [`set_pgo`] override
-/// if one was set, else the `ISF_PGO` environment variable.
-pub fn pgo() -> bool {
-    match PGO_OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            static ENV: OnceLock<bool> = OnceLock::new();
-            *ENV.get_or_init(|| {
-                matches!(
-                    std::env::var("ISF_PGO").ok().as_deref(),
-                    Some("1") | Some("on") | Some("true")
-                )
-            })
+impl Default for HarnessConfig {
+    fn default() -> Self {
+        HarnessConfig {
+            jobs: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            retries: 0,
+            cell_budget: 0,
+            cell_deadline_ms: 0,
+            cancel_after: 0,
+            fault: (0.0, 0),
+            fuse: matches!(fuse_mode(), FuseMode::Fuse),
+            pgo: false,
         }
     }
 }
 
-fn pgo_epoch() -> u64 {
-    PGO_EPOCH.load(Ordering::Relaxed)
-}
-
-// ---------------------------------------------------------------------
-// Fault-tolerance configuration (retries, cell budget, fault injection).
-// ---------------------------------------------------------------------
-
-/// `usize::MAX` means "no override; consult `ISF_RETRIES`".
-static RETRIES_OVERRIDE: AtomicUsize = AtomicUsize::new(usize::MAX);
-
-/// Sets how many times a panicked cell is re-run before its failure is
-/// recorded (`--retries`). Pass `usize::MAX` to clear the override.
-pub fn set_retries(n: usize) {
-    RETRIES_OVERRIDE.store(n, Ordering::Relaxed);
-}
-
-/// Bounded retry count for panicked cells: the [`set_retries`] override if
-/// set, else `ISF_RETRIES`, else `0`. Traps and budget exhaustion are
-/// deterministic properties of the program and are never retried.
-pub fn retries() -> usize {
-    let n = RETRIES_OVERRIDE.load(Ordering::Relaxed);
-    if n != usize::MAX {
-        return n;
+impl HarnessConfig {
+    /// The VM configuration every harness run gets: `trigger`, plus the
+    /// cell budget as execution fuel when one is configured.
+    fn vm_config(&self, trigger: Trigger) -> VmConfig {
+        let limits = match self.cell_budget {
+            0 => ExecLimits::default(),
+            cycles => ExecLimits::cycles(cycles),
+        };
+        VmConfig {
+            trigger,
+            limits,
+            ..VmConfig::default()
+        }
     }
-    std::env::var("ISF_RETRIES")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(0)
-}
 
-/// `u64::MAX` means "no override; consult `ISF_CELL_BUDGET`".
-static CELL_BUDGET_OVERRIDE: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Sets the per-cell simulated-cycle cap applied to every harness run
-/// (`--cell-budget`; `0` disables the cap). Pass `u64::MAX` to clear the
-/// override.
-pub fn set_cell_budget(cycles: u64) {
-    CELL_BUDGET_OVERRIDE.store(cycles, Ordering::Relaxed);
-}
-
-/// The per-cell simulated-cycle cap: the [`set_cell_budget`] override if
-/// set, else `ISF_CELL_BUDGET`, else `0` (uncapped). A run that exceeds it
-/// traps with fuel exhaustion and the cell is recorded as
-/// [`CellResult::Budget`].
-pub fn cell_budget() -> u64 {
-    let n = CELL_BUDGET_OVERRIDE.load(Ordering::Relaxed);
-    if n != u64::MAX {
-        return n;
+    /// The deterministic detail string for a cancelled cell. Wall-clock
+    /// deadlines fire at a nondeterministic point, so the message reports
+    /// the configured limit — the only thing every firing has in common.
+    fn deadline_detail(&self) -> String {
+        if self.cell_deadline_ms > 0 {
+            format!("cell deadline of {} ms exceeded", self.cell_deadline_ms)
+        } else if self.cancel_after > 0 {
+            format!("cancelled after {} simulated cycles", self.cancel_after)
+        } else {
+            "cancelled".to_owned()
+        }
     }
-    std::env::var("ISF_CELL_BUDGET")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .unwrap_or(0)
-}
 
-/// The execution limits every harness run gets: the cell budget as
-/// execution fuel when one is configured, unlimited otherwise.
-fn harness_limits() -> ExecLimits {
-    match cell_budget() {
-        0 => ExecLimits::default(),
-        cycles => ExecLimits::cycles(cycles),
+    /// Every input that determines cell results under this configuration
+    /// — what the cell journal fingerprints. The destructuring is
+    /// exhaustive, so a new field must be hashed or excluded here.
+    pub fn run_inputs(&self, scale: Scale, experiments: &[String]) -> journal::RunInputs {
+        let HarnessConfig {
+            // Cells are schedule-independent: a journal resumes under any job count.
+            jobs: _,
+            retries,
+            cell_budget,
+            // The wall-clock deadline bounds waiting, not what a cell computes.
+            cell_deadline_ms: _,
+            cancel_after,
+            fault: (fault_prob, fault_seed),
+            // Fusion is observably equivalent: CI diffs fused against unfused runs.
+            fuse: _,
+            // Guided fusion is observably equivalent too (the CI PGO diff).
+            pgo: _,
+        } = self;
+        let base_config = self.vm_config(Trigger::Never);
+        // The deterministic cancellation point changes what cells compute,
+        // so it rides in the `vm_config` component of the fingerprint.
+        let vm_config = match cancel_after {
+            0 => format!("{base_config:?}"),
+            k => format!("{base_config:?} cancel_after={k}"),
+        };
+        journal::RunInputs {
+            version: env!("CARGO_PKG_VERSION").to_owned(),
+            scale: crate::snapshot::scale_name(scale).to_owned(),
+            experiments: experiments.to_vec(),
+            cell_budget: *cell_budget,
+            retries: u64::try_from(*retries).unwrap_or(u64::MAX),
+            fault_prob_bits: fault_prob.to_bits(),
+            fault_seed: *fault_seed,
+            vm_config,
+        }
     }
-}
-
-/// `u64::MAX` means "no override; consult `ISF_CELL_DEADLINE`".
-static CELL_DEADLINE_OVERRIDE: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Sets the per-cell wall-clock deadline in milliseconds
-/// (`--cell-deadline`; `0` disables it). Pass `u64::MAX` to clear the
-/// override.
-pub fn set_cell_deadline(ms: u64) {
-    CELL_DEADLINE_OVERRIDE.store(ms, Ordering::Relaxed);
-}
-
-/// The per-cell wall-clock deadline in milliseconds: the
-/// [`set_cell_deadline`] override if set, else `ISF_CELL_DEADLINE`, else
-/// `0` (off). Each cell attempt that exceeds it is cooperatively
-/// cancelled by the watchdog and recorded as [`CellResult::Deadline`].
-/// Unlike the cycle budget, the deadline is *not* part of the journal
-/// fingerprint: it bounds how long a run waits, not what a cell computes.
-pub fn cell_deadline() -> u64 {
-    let n = CELL_DEADLINE_OVERRIDE.load(Ordering::Relaxed);
-    if n != u64::MAX {
-        return n;
-    }
-    std::env::var("ISF_CELL_DEADLINE")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .unwrap_or(0)
-}
-
-/// `u64::MAX` means "no override; consult `ISF_CANCEL_AFTER`".
-static CANCEL_AFTER_OVERRIDE: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Sets the deterministic cancellation point (`--cancel-after-cycles`;
-/// `0` disables it): every cell run is cancelled at exactly the charge
-/// that takes the simulated clock past this cycle count. Pass `u64::MAX`
-/// to clear the override.
-pub fn set_cancel_after(cycles: u64) {
-    CANCEL_AFTER_OVERRIDE.store(cycles, Ordering::Relaxed);
-}
-
-/// The deterministic cancellation point, if one is configured: the
-/// [`set_cancel_after`] override if set, else `ISF_CANCEL_AFTER`, else
-/// none. This is the testable stand-in for the wall-clock deadline —
-/// cancellation lands at the same simulated cycle on every run and every
-/// job count, so deadline plumbing can be exercised byte-reproducibly.
-/// Because it changes what cells compute, it *is* folded into the
-/// journal fingerprint (via the `vm_config` component of
-/// [`run_inputs`]), unlike the wall-clock deadline.
-pub fn cancel_after() -> Option<u64> {
-    let n = CANCEL_AFTER_OVERRIDE.load(Ordering::Relaxed);
-    let n = if n != u64::MAX {
-        n
-    } else {
-        std::env::var("ISF_CANCEL_AFTER")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or(0)
-    };
-    (n > 0).then_some(n)
-}
-
-/// Whether any *fresh* (non-replayed) cell run hit the wall-clock
-/// deadline this process. The harness consults this at exit: a run that
-/// deadlined somewhere finishes its remaining cells and its output, then
-/// exits with [`journal::RESUMABLE_EXIT`] so callers can tell a
-/// truncated-by-deadline run from a clean one.
-static DEADLINE_HIT: AtomicBool = AtomicBool::new(false);
-
-/// Whether a fresh cell result was a deadline cancellation.
-pub fn deadline_hit() -> bool {
-    DEADLINE_HIT.load(Ordering::Relaxed)
-}
-
-/// Fault-injection probability as `f64` bits (`0.0` = off) and seed.
-static FAULT_PROB_BITS: AtomicU64 = AtomicU64::new(0);
-static FAULT_SEED: AtomicU64 = AtomicU64::new(0);
-
-/// Configures deterministic fault injection (`--fault-inject`): each cell
-/// attempt is hashed with `seed`, and a hash below `p` makes the cell
-/// panic or trap before its work runs. `p = 0.0` disables injection.
-pub fn set_fault_injection(p: f64, seed: u64) {
-    FAULT_PROB_BITS.store(p.clamp(0.0, 1.0).to_bits(), Ordering::Relaxed);
-    FAULT_SEED.store(seed, Ordering::Relaxed);
 }
 
 /// Parses a `--fault-inject` spec of the form `p=<prob>,seed=<s>` (the
@@ -321,59 +199,11 @@ pub fn parse_fault_spec(spec: &str) -> Result<(f64, u64), String> {
     Ok((p, seed))
 }
 
-/// The configured fault injection as raw state: probability as `f64` bits
-/// and the seed. Part of the journal fingerprint — injected failures are
-/// deterministic in these, so a journal is only reusable when they match.
-pub fn fault_injection() -> (u64, u64) {
-    (
-        FAULT_PROB_BITS.load(Ordering::Relaxed),
-        FAULT_SEED.load(Ordering::Relaxed),
-    )
-}
-
-/// Snapshot of every input that determines cell results under the current
-/// configuration — what the cell journal fingerprints. The job count is
-/// deliberately excluded: cells are schedule-independent, so a journal
-/// written with `--jobs 4` resumes correctly under `--jobs 1` and vice
-/// versa.
-pub fn run_inputs(scale: Scale, experiments: &[String]) -> journal::RunInputs {
-    let (fault_prob_bits, fault_seed) = fault_injection();
-    let base_config = VmConfig {
-        trigger: Trigger::Never,
-        limits: harness_limits(),
-        ..VmConfig::default()
-    };
-    // The deterministic cancellation point changes what cells compute,
-    // so it rides in the `vm_config` component of the fingerprint; the
-    // wall-clock deadline does not (it bounds waiting, not results), so
-    // a journal written under one deadline resumes under any other.
-    let vm_config = match cancel_after() {
-        Some(k) => format!("{base_config:?} cancel_after={k}"),
-        None => format!("{base_config:?}"),
-    };
-    journal::RunInputs {
-        version: env!("CARGO_PKG_VERSION").to_owned(),
-        scale: crate::snapshot::scale_name(scale).to_owned(),
-        experiments: experiments.to_vec(),
-        cell_budget: cell_budget(),
-        retries: u64::try_from(retries()).unwrap_or(u64::MAX),
-        fault_prob_bits,
-        fault_seed,
-        vm_config,
-    }
-}
-
 /// Deterministically decides whether to inject a fault into this attempt
 /// of the labelled cell, and which kind: `Some(true)` injects a trap,
-/// `Some(false)` a panic. The decision hashes (seed, label, attempt), so
-/// it is identical across job counts and schedules, and a retried attempt
-/// rolls fresh.
-fn fault_roll(label: &str, attempt: u32) -> Option<bool> {
-    let p = f64::from_bits(FAULT_PROB_BITS.load(Ordering::Relaxed));
-    roll(p, FAULT_SEED.load(Ordering::Relaxed), label, attempt)
-}
-
-/// The pure fault-roll: a function of `(p, seed, label, attempt)` only.
+/// `Some(false)` a panic. A pure function of `(p, seed, label, attempt)`,
+/// so it is identical across job counts and schedules, and a retried
+/// attempt rolls fresh.
 fn roll(p: f64, seed: u64, label: &str, attempt: u32) -> Option<bool> {
     if p <= 0.0 {
         return None;
@@ -390,6 +220,66 @@ fn roll(p: f64, seed: u64, label: &str, attempt: u32) -> Option<bool> {
     x ^= x << 17;
     let unit = (x >> 11) as f64 / (1u64 << 53) as f64;
     (unit < p).then_some(x & (1 << 7) != 0)
+}
+
+// ---------------------------------------------------------------------
+// The harness value.
+// ---------------------------------------------------------------------
+
+/// Decoded modules keyed by a fingerprint of the module text, the cost
+/// model, and the fusion mode (see [`Harness::cached_prepare`]). One
+/// lazily-initialized slot per fingerprint: the map lock is released
+/// before decoding, so requests for *different* modules prepare in
+/// parallel while concurrent requests for the *same* module block on the
+/// slot and share a single preparation.
+type PrepSlot = Arc<OnceLock<Arc<PreparedModule>>>;
+type PrepCache = Mutex<HashMap<u64, PrepSlot>>;
+
+/// A configured harness: the resolved [`HarnessConfig`], the preparation
+/// cache its runs share, and whether any fresh cell hit the wall-clock
+/// deadline. Experiments take it by reference and their cells capture it.
+pub struct Harness {
+    /// The resolved configuration.
+    pub config: HarnessConfig,
+    cache: Arc<PrepCache>,
+    deadline_hit: AtomicBool,
+}
+
+impl Default for Harness {
+    fn default() -> Self {
+        Harness::new(HarnessConfig::default())
+    }
+}
+
+impl Harness {
+    /// A harness with a fresh preparation cache.
+    #[must_use]
+    pub fn new(config: HarnessConfig) -> Harness {
+        Harness {
+            config,
+            cache: Arc::default(),
+            deadline_hit: AtomicBool::new(false),
+        }
+    }
+
+    /// A harness under `config` that shares this one's preparation cache.
+    /// Cache keys carry the fusion mode and PGO, so entries of different
+    /// configurations coexist without aliasing.
+    #[must_use]
+    pub fn with_config(&self, config: HarnessConfig) -> Harness {
+        Harness {
+            cache: Arc::clone(&self.cache),
+            ..Harness::new(config)
+        }
+    }
+
+    /// Whether any *fresh* (non-replayed) cell run hit the wall-clock
+    /// deadline (or the deterministic cancellation point). `main` checks
+    /// this at exit: such a run finishes its remaining cells and output,
+    /// then exits with [`journal::RESUMABLE_EXIT`].
+    pub fn deadline_hit(&self) -> bool {
+        self.deadline_hit.load(Ordering::Relaxed)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -429,8 +319,8 @@ pub enum CellResult<R> {
     Panicked(CellError),
     /// A configured resource budget ran out (fuel, heap, stack).
     Budget(CellError),
-    /// The cell exceeded the wall-clock [`cell_deadline`] (or the
-    /// deterministic [`cancel_after`] point) and was cooperatively
+    /// The cell exceeded the wall-clock [`HarnessConfig::cell_deadline_ms`]
+    /// (or the deterministic [`HarnessConfig::cancel_after`] point) and was cooperatively
     /// cancelled. Retried like a panic — the deadline measures host
     /// conditions, not the deterministic VM — never like a budget trap.
     Deadline(CellError),
@@ -466,8 +356,8 @@ pub fn split_results<R>(results: Vec<CellResult<R>>) -> (Vec<R>, Vec<CellError>)
     (oks, errors)
 }
 
-/// The typed panic payload [`run_module`] / [`run_prepared_module`] throw
-/// when a program traps, so the isolation layer can classify the failure
+/// The typed panic payload [`Harness::run_prepared_module`] throws when a
+/// program traps, so the isolation layer can classify the failure
 /// precisely instead of parsing a message.
 struct CellTrap(VmError);
 
@@ -484,7 +374,7 @@ pub struct Cell<'scope, R> {
     work: Box<dyn Fn() -> R + Send + Sync + 'scope>,
 }
 
-/// Builds a [`Cell`] for [`par_cells`] / [`par_cells_isolated`].
+/// Builds a [`Cell`] for [`Harness::par_cells`] / [`Harness::par_cells_isolated`].
 pub fn cell<'scope, R>(
     label: impl Into<String>,
     work: impl Fn() -> R + Send + Sync + 'scope,
@@ -515,149 +405,297 @@ struct Codec<R> {
     decode: fn(&Json) -> Option<R>,
 }
 
-/// Runs the cells on [`jobs`] worker threads with per-cell fault
-/// isolation, returning one [`CellResult`] per cell in submission order.
-///
-/// Workers claim cells from an atomic cursor, so the schedule is dynamic,
-/// but each cell computes the same result wherever it runs (the VM is
-/// deterministic), and the slot a result lands in is fixed by submission
-/// order — a table built from the returned vector is identical however
-/// many workers ran it. With one worker (or one cell) everything runs on
-/// the calling thread.
-///
-/// Each attempt runs under `catch_unwind`: a trapping or panicking cell
-/// becomes a classified [`CellResult`] while its siblings keep running —
-/// workers never unwind, so no queue or slot mutex is ever poisoned.
-/// Panicked cells are retried up to [`retries`] times with a short
-/// deterministic backoff.
-pub fn par_cells_isolated<R: Send>(cells: Vec<Cell<'_, R>>) -> Vec<CellResult<R>> {
-    run_cells(cells, None)
-}
-
-/// [`par_cells_isolated`] plus durability: when a journal is attached
-/// (`--journal`), every finished cell is appended to it, and journaled
-/// results from a previous interrupted run are *replayed* instead of
-/// recomputed (`--resume`) — emitted through exactly the same
-/// submission-order path as fresh results, so the JSONL stream and the
-/// returned vector are byte-for-byte what an uninterrupted run produces.
-/// Without an attached journal this is [`par_cells_isolated`].
-pub fn par_cells_journaled<R: Send + JournalPayload>(
-    cells: Vec<Cell<'_, R>>,
-) -> Vec<CellResult<R>> {
-    run_cells(
-        cells,
-        Some(Codec {
-            encode: <R as JournalPayload>::encode,
-            decode: <R as JournalPayload>::decode,
-        }),
-    )
-}
-
 /// One finished slot: the cell's result and metrics, and whether they
 /// were replayed from the journal (replayed cells re-inject their phase
 /// sections at emission time; fresh cells contributed them while running).
 type Finished<R> = (CellResult<R>, CellMetrics, bool);
 
-/// The shared cell engine behind [`par_cells_isolated`] and
-/// [`par_cells_journaled`]: replay journaled cells, run the rest on the
-/// worker pool (stopping at a requested drain), then emit everything on
-/// the calling thread in submission order.
-fn run_cells<R: Send>(cells: Vec<Cell<'_, R>>, codec: Option<Codec<R>>) -> Vec<CellResult<R>> {
-    let _hook = CellHookGuard::install();
-    let n = cells.len();
-    let mut entries: Vec<Option<Finished<R>>> = Vec::with_capacity(n);
-    let mut pending: Vec<usize> = Vec::new();
-    for (i, c) in cells.iter().enumerate() {
-        let replayed = codec.as_ref().and_then(|codec| replay_cell(c, codec));
-        if replayed.is_none() {
-            pending.push(i);
-        }
-        entries.push(replayed);
+impl Harness {
+    /// Runs the cells on [`HarnessConfig::jobs`] worker threads with per-cell fault
+    /// isolation, returning one [`CellResult`] per cell in submission order.
+    ///
+    /// Workers claim cells from an atomic cursor, so the schedule is dynamic,
+    /// but each cell computes the same result wherever it runs (the VM is
+    /// deterministic), and the slot a result lands in is fixed by submission
+    /// order — a table built from the returned vector is identical however
+    /// many workers ran it. With one worker (or one cell) everything runs on
+    /// the calling thread.
+    ///
+    /// Each attempt runs under `catch_unwind`: a trapping or panicking cell
+    /// becomes a classified [`CellResult`] while its siblings keep running —
+    /// workers never unwind, so no queue or slot mutex is ever poisoned.
+    /// Panicked cells are retried up to [`HarnessConfig::retries`] times with a short
+    /// deterministic backoff.
+    pub fn par_cells_isolated<R: Send>(&self, cells: Vec<Cell<'_, R>>) -> Vec<CellResult<R>> {
+        self.run_cells(cells, None)
     }
-    let workers = jobs().min(pending.len());
-    if workers <= 1 {
-        for &i in &pending {
-            if journal::drain_requested() {
-                break;
-            }
-            let (r, m) = run_cell(&cells[i]);
-            journal_append(&cells[i].label, &r, &m, codec.as_ref());
-            entries[i] = Some((r, m, false));
-        }
-    } else {
-        let slots: Vec<Mutex<Option<Finished<R>>>> =
-            pending.iter().map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    // The drain flag (SIGINT/SIGTERM) stops workers from
-                    // *claiming*; the in-flight cell below always finishes
-                    // and is journaled before the process exits.
-                    if journal::drain_requested() {
-                        break;
-                    }
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    if k >= pending.len() {
-                        break;
-                    }
-                    let i = pending[k];
-                    let (r, m) = run_cell(&cells[i]);
-                    journal_append(&cells[i].label, &r, &m, codec.as_ref());
-                    *slots[k].lock().unwrap_or_else(|p| p.into_inner()) = Some((r, m, false));
-                });
-            }
-        });
-        for (k, slot) in slots.into_iter().enumerate() {
-            if let Some(e) = slot.into_inner().unwrap_or_else(|p| p.into_inner()) {
-                entries[pending[k]] = Some(e);
-            }
-        }
+
+    /// [`Harness::par_cells_isolated`] plus durability: when a journal is attached
+    /// (`--journal`), every finished cell is appended to it, and journaled
+    /// results from a previous interrupted run are *replayed* instead of
+    /// recomputed (`--resume`) — emitted through exactly the same
+    /// submission-order path as fresh results, so the JSONL stream and the
+    /// returned vector are byte-for-byte what an uninterrupted run produces.
+    /// Without an attached journal this is [`Harness::par_cells_isolated`].
+    pub fn par_cells_journaled<R: Send + JournalPayload>(
+        &self,
+        cells: Vec<Cell<'_, R>>,
+    ) -> Vec<CellResult<R>> {
+        self.run_cells(
+            cells,
+            Some(Codec {
+                encode: <R as JournalPayload>::encode,
+                decode: <R as JournalPayload>::decode,
+            }),
+        )
     }
-    let done = entries.iter().filter(|e| e.is_some()).count();
-    if done < n {
-        assert!(
-            journal::drain_requested(),
-            "every claimed cell stores a result"
-        );
-        // A graceful drain left this group incomplete: nothing of it is
-        // emitted (a resumed run regenerates the whole stream), finished
-        // cells are already journaled, and the distinct exit code tells
-        // the caller the run is resumable.
-        log::error(&format!(
-            "interrupted: drained after {done}/{n} cell(s) in this group; \
-             journaled results are preserved — rerun with --resume to complete"
-        ));
-        std::process::exit(journal::RESUMABLE_EXIT);
+
+    /// Runs the cells like [`Harness::par_cells_isolated`] but unwraps every result,
+    /// for call sites where a failure is a bug (unit tests, the bench
+    /// snapshot).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first failed cell — on the calling thread, after all
+    /// cells have finished, so no worker state is poisoned.
+    pub fn par_cells<R: Send>(&self, cells: Vec<Cell<'_, R>>) -> Vec<R> {
+        self.par_cells_isolated(cells)
+            .into_iter()
+            .map(|r| r.into_result().unwrap_or_else(|e| panic!("cell {e}")))
+            .collect()
     }
-    // JSONL cell and error records are emitted here, on the calling thread
-    // and in submission order, so the stream is byte-stable however many
-    // workers ran the cells (wall-clock fields are separately subject to
-    // redaction — see `isf_obs::emit`). Replayed cells take the identical
-    // path: raw journaled values, redacted at this emission point exactly
-    // as fresh values are.
-    entries
-        .into_iter()
-        .map(|e| {
-            let (r, metrics, replayed) = e.expect("incomplete groups exited above");
-            if replayed {
-                for p in &metrics.phases {
-                    emit::add_phase_total(&p.name, p.count, p.wall_ns);
+
+    /// The shared cell engine behind [`Harness::par_cells_isolated`] and
+    /// [`Harness::par_cells_journaled`]: replay journaled cells, run the rest on the
+    /// worker pool (stopping at a requested drain), then emit everything on
+    /// the calling thread in submission order.
+    fn run_cells<R: Send>(
+        &self,
+        cells: Vec<Cell<'_, R>>,
+        codec: Option<Codec<R>>,
+    ) -> Vec<CellResult<R>> {
+        let _hook = CellHookGuard::install();
+        let n = cells.len();
+        let mut entries: Vec<Option<Finished<R>>> = Vec::with_capacity(n);
+        let mut pending: Vec<usize> = Vec::new();
+        for (i, c) in cells.iter().enumerate() {
+            let replayed = codec.as_ref().and_then(|codec| replay_cell(c, codec));
+            if replayed.is_none() {
+                pending.push(i);
+            }
+            entries.push(replayed);
+        }
+        let workers = self.config.jobs.min(pending.len());
+        if workers <= 1 {
+            for &i in &pending {
+                if journal::drain_requested() {
+                    break;
+                }
+                let (r, m) = self.run_cell(&cells[i]);
+                journal_append(&cells[i].label, &r, &m, codec.as_ref());
+                entries[i] = Some((r, m, false));
+            }
+        } else {
+            let slots: Vec<Mutex<Option<Finished<R>>>> =
+                pending.iter().map(|_| Mutex::new(None)).collect();
+            let cursor = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                for _ in 0..workers {
+                    s.spawn(|| loop {
+                        // The drain flag (SIGINT/SIGTERM) stops workers from
+                        // *claiming*; the in-flight cell below always finishes
+                        // and is journaled before the process exits.
+                        if journal::drain_requested() {
+                            break;
+                        }
+                        let k = cursor.fetch_add(1, Ordering::Relaxed);
+                        if k >= pending.len() {
+                            break;
+                        }
+                        let i = pending[k];
+                        let (r, m) = self.run_cell(&cells[i]);
+                        journal_append(&cells[i].label, &r, &m, codec.as_ref());
+                        *slots[k].lock().unwrap_or_else(|p| p.into_inner()) = Some((r, m, false));
+                    });
+                }
+            });
+            for (k, slot) in slots.into_iter().enumerate() {
+                if let Some(e) = slot.into_inner().unwrap_or_else(|p| p.into_inner()) {
+                    entries[pending[k]] = Some(e);
                 }
             }
-            if emit::enabled() {
-                emit::record(&metrics.to_json());
-                if let CellResult::Trapped(e)
-                | CellResult::Panicked(e)
-                | CellResult::Budget(e)
-                | CellResult::Deadline(e) = &r
-                {
-                    emit::error(&e.label, e.kind, &e.detail, u64::from(e.attempts));
+        }
+        let done = entries.iter().filter(|e| e.is_some()).count();
+        if done < n {
+            assert!(
+                journal::drain_requested(),
+                "every claimed cell stores a result"
+            );
+            // A graceful drain left this group incomplete: nothing of it is
+            // emitted (a resumed run regenerates the whole stream), finished
+            // cells are already journaled, and the distinct exit code tells
+            // the caller the run is resumable.
+            log::error(&format!(
+                "interrupted: drained after {done}/{n} cell(s) in this group; \
+                 journaled results are preserved — rerun with --resume to complete"
+            ));
+            std::process::exit(journal::RESUMABLE_EXIT);
+        }
+        // JSONL cell and error records are emitted here, on the calling thread
+        // and in submission order, so the stream is byte-stable however many
+        // workers ran the cells (wall-clock fields are separately subject to
+        // redaction — see `isf_obs::emit`). Replayed cells take the identical
+        // path: raw journaled values, redacted at this emission point exactly
+        // as fresh values are.
+        entries
+            .into_iter()
+            .map(|e| {
+                let (r, metrics, replayed) = e.expect("incomplete groups exited above");
+                if replayed {
+                    for p in &metrics.phases {
+                        emit::add_phase_total(&p.name, p.count, p.wall_ns);
+                    }
+                }
+                if emit::enabled() {
+                    emit::record(&metrics.to_json());
+                    if let CellResult::Trapped(e)
+                    | CellResult::Panicked(e)
+                    | CellResult::Budget(e)
+                    | CellResult::Deadline(e) = &r
+                    {
+                        emit::error(&e.label, e.kind, &e.detail, u64::from(e.attempts));
+                    }
+                }
+                r
+            })
+            .collect()
+    }
+
+    /// Runs one cell on the current thread under `catch_unwind`, logging its
+    /// statistics line — simulated cycles, wall time, and effective simulated
+    /// MIPS (interpreted instructions per wall-clock microsecond) — at the
+    /// `cells` level (`ISF_LOG=off` silences it) and returning the
+    /// measurements alongside the result. Panicked attempts are retried up to
+    /// [`HarnessConfig::retries`] times with a short deterministic backoff; traps and budget
+    /// exhaustion are deterministic, so they fail immediately.
+    fn run_cell<R>(&self, c: &Cell<'_, R>) -> (CellResult<R>, CellMetrics) {
+        let _cell_span = span::begin("cell", c.label.clone());
+        // Capture the phase sections this cell contributes (across every
+        // attempt) so they can be journaled with it and re-injected on replay.
+        emit::begin_phase_capture();
+        let deadline_ms = self.config.cell_deadline_ms;
+        let (fault_p, fault_seed) = self.config.fault;
+        let inject_cancel = (self.config.cancel_after > 0).then_some(self.config.cancel_after);
+        let max_attempts = u32::try_from(self.config.retries)
+            .unwrap_or(u32::MAX)
+            .saturating_add(1);
+        let mut attempt = 1u32;
+        loop {
+            let _attempt_span = span::begin("attempt", c.label.clone());
+            CELL_STATS.with(|s| s.set((0, 0, 0)));
+            // Each attempt gets a fresh token: the watchdog fires against the
+            // epoch snapshotted here, so a stale fire from a previous attempt
+            // (or a previous cell on this worker) can never land on this one.
+            let token = (deadline_ms > 0).then(CancelToken::new);
+            let _watch = token
+                .as_ref()
+                .map(|t| crate::watchdog::watch(t, Duration::from_millis(deadline_ms)));
+            if token.is_some() {
+                metrics::counter_add("watchdog.armed", 1);
+            }
+            let _scope = isf_exec::cancel::arm(token.as_ref(), inject_cancel);
+            let start = Instant::now();
+            IN_CELL.with(|f| f.set(true));
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                if let Some(inject_trap) = roll(fault_p, fault_seed, &c.label, attempt) {
+                    if inject_trap {
+                        std::panic::panic_any(CellTrap(VmError {
+                            kind: isf_exec::TrapKind::DivisionByZero,
+                            function: "<fault-injection>".to_owned(),
+                        }));
+                    }
+                    panic!("injected fault");
+                }
+                (c.work)()
+            }));
+            IN_CELL.with(|f| f.set(false));
+            let wall = start.elapsed();
+            let (cycles, instructions, prepares) = CELL_STATS.with(|s| s.get());
+            let secs = wall.as_secs_f64();
+            let mips = if secs > 0.0 {
+                instructions as f64 / 1e6 / secs
+            } else {
+                0.0
+            };
+            if log::enabled(log::Level::Cells) {
+                log::cells(&format!(
+                    "[cell] {}: {} simulated cycles, {:.1} ms, {:.1} MIPS",
+                    c.label,
+                    cycles,
+                    secs * 1e3,
+                    mips
+                ));
+            }
+            if prepares > 0 {
+                log::debug(&format!(
+                    "[cell] {}: {prepares} preparation request(s)",
+                    c.label
+                ));
+            }
+            let metrics = CellMetrics {
+                label: c.label.clone(),
+                cycles,
+                instructions,
+                prepares,
+                wall_ns: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
+                mips,
+                phases: Vec::new(),
+            };
+            let result = match outcome {
+                Ok(r) => CellResult::Ok(r),
+                Err(payload) => classify_failure(&self.config, payload, &c.label, attempt),
+            };
+            if matches!(&result, CellResult::Deadline(_)) {
+                self.deadline_hit.store(true, Ordering::Relaxed);
+                if deadline_ms > 0 {
+                    metrics::counter_add("watchdog.fired", 1);
                 }
             }
-            r
-        })
-        .collect()
+            // Deadlines retry like panics — a hang may be a transient host
+            // stall, and the bounded-retry policy already exists for exactly
+            // that class of failure — and never like a budget trap, which is
+            // deterministic and would only fail identically again.
+            if let CellResult::Panicked(e) | CellResult::Deadline(e) = &result {
+                if attempt < max_attempts {
+                    log::debug(&format!(
+                        "[cell] {}: attempt {attempt} failed ({}), retrying",
+                        c.label, e.detail
+                    ));
+                    // Deterministic linear backoff: transient host conditions
+                    // (not the deterministic VM) are what retries are for.
+                    std::thread::sleep(Duration::from_millis(5 * u64::from(attempt)));
+                    attempt += 1;
+                    continue;
+                }
+            }
+            if let CellResult::Trapped(e)
+            | CellResult::Panicked(e)
+            | CellResult::Budget(e)
+            | CellResult::Deadline(e) = &result
+            {
+                log::error(&format!("[cell] {e} ({} attempt(s))", e.attempts));
+            }
+            let mut metrics = metrics;
+            metrics.phases = emit::take_phase_capture();
+            // Flush this worker's metrics shard now, not at thread exit: an
+            // experiment summary snapshots the registry as soon as its cells
+            // complete, and every count a cell made must be visible by then
+            // whatever worker ran it — per-experiment `prep_cache_*` fields
+            // stay byte-identical across `--jobs`.
+            metrics::flush_thread();
+            return (result, metrics);
+        }
+    }
 }
 
 /// Reconstructs a journaled cell for replay: metrics, phases, and either
@@ -764,25 +802,10 @@ fn journal_append<R>(label: &str, r: &CellResult<R>, m: &CellMetrics, codec: Opt
     );
 }
 
-/// Runs the cells like [`par_cells_isolated`] but unwraps every result,
-/// for call sites where a failure is a bug (unit tests, the bench
-/// snapshot).
-///
-/// # Panics
-///
-/// Panics on the first failed cell — on the calling thread, after all
-/// cells have finished, so no worker state is poisoned.
-pub fn par_cells<R: Send>(cells: Vec<Cell<'_, R>>) -> Vec<R> {
-    par_cells_isolated(cells)
-        .into_iter()
-        .map(|r| r.into_result().unwrap_or_else(|e| panic!("cell {e}")))
-        .collect()
-}
-
 thread_local! {
     /// (simulated cycles, instructions, preparation requests) of the
-    /// current cell, fed by [`run_module`], [`run_prepared_module`] and
-    /// [`cached_prepare`].
+    /// current cell, fed by [`Harness::run_prepared_module`] and
+    /// [`Harness::cached_prepare`].
     static CELL_STATS: std::cell::Cell<(u64, u64, u64)> =
         const { std::cell::Cell::new((0, 0, 0)) };
 }
@@ -805,7 +828,7 @@ fn note_prepare_request() {
     });
 }
 
-/// Everything [`run_cell`] measures about one cell: the deterministic
+/// Everything [`Harness::run_cell`] measures about one cell: the deterministic
 /// counters (simulated cycles, instructions, preparation requests) plus
 /// the wall-clock figures, which are redactable in JSONL output.
 struct CellMetrics {
@@ -854,6 +877,7 @@ impl CellMetrics {
 
 /// Classifies a caught panic payload into a [`CellResult`] failure.
 fn classify_failure<R>(
+    config: &HarnessConfig,
     payload: Box<dyn std::any::Any + Send>,
     label: &str,
     attempts: u32,
@@ -872,7 +896,7 @@ fn classify_failure<R>(
                 // deterministic `--cancel-after-cycles` injection hook),
                 // not by its own doing: the detail is derived from the
                 // configuration, never from wall-clock progress.
-                CellResult::Deadline(err("deadline", deadline_detail()))
+                CellResult::Deadline(err("deadline", config.deadline_detail()))
             } else if e.kind.is_budget() {
                 CellResult::Budget(err("budget", e.to_string()))
             } else {
@@ -887,20 +911,6 @@ fn classify_failure<R>(
                 .unwrap_or_else(|| "panic with non-string payload".to_owned());
             CellResult::Panicked(err("panic", detail))
         }
-    }
-}
-
-/// The deterministic detail string for a cancelled cell. Wall-clock
-/// deadlines fire at a nondeterministic point, so the message reports the
-/// configured limit — the only thing every firing has in common.
-fn deadline_detail() -> String {
-    let ms = cell_deadline();
-    if ms > 0 {
-        format!("cell deadline of {ms} ms exceeded")
-    } else if let Some(k) = cancel_after() {
-        format!("cancelled after {k} simulated cycles")
-    } else {
-        "cancelled".to_owned()
     }
 }
 
@@ -974,131 +984,6 @@ impl Drop for CellHookGuard {
     }
 }
 
-/// Runs one cell on the current thread under `catch_unwind`, logging its
-/// statistics line — simulated cycles, wall time, and effective simulated
-/// MIPS (interpreted instructions per wall-clock microsecond) — at the
-/// `cells` level (`ISF_LOG=off` silences it) and returning the
-/// measurements alongside the result. Panicked attempts are retried up to
-/// [`retries`] times with a short deterministic backoff; traps and budget
-/// exhaustion are deterministic, so they fail immediately.
-fn run_cell<R>(c: &Cell<'_, R>) -> (CellResult<R>, CellMetrics) {
-    let _cell_span = span::begin("cell", c.label.clone());
-    // Capture the phase sections this cell contributes (across every
-    // attempt) so they can be journaled with it and re-injected on replay.
-    emit::begin_phase_capture();
-    let deadline_ms = cell_deadline();
-    let inject_cancel = cancel_after();
-    let max_attempts = u32::try_from(retries())
-        .unwrap_or(u32::MAX)
-        .saturating_add(1);
-    let mut attempt = 1u32;
-    loop {
-        let _attempt_span = span::begin("attempt", c.label.clone());
-        CELL_STATS.with(|s| s.set((0, 0, 0)));
-        // Each attempt gets a fresh token: the watchdog fires against the
-        // epoch snapshotted here, so a stale fire from a previous attempt
-        // (or a previous cell on this worker) can never land on this one.
-        let token = (deadline_ms > 0).then(CancelToken::new);
-        let _watch = token
-            .as_ref()
-            .map(|t| crate::watchdog::watch(t, Duration::from_millis(deadline_ms)));
-        if token.is_some() {
-            metrics::counter_add("watchdog.armed", 1);
-        }
-        let _scope = isf_exec::cancel::arm(token.as_ref(), inject_cancel);
-        let start = Instant::now();
-        IN_CELL.with(|f| f.set(true));
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            if let Some(inject_trap) = fault_roll(&c.label, attempt) {
-                if inject_trap {
-                    std::panic::panic_any(CellTrap(VmError {
-                        kind: isf_exec::TrapKind::DivisionByZero,
-                        function: "<fault-injection>".to_owned(),
-                    }));
-                }
-                panic!("injected fault");
-            }
-            (c.work)()
-        }));
-        IN_CELL.with(|f| f.set(false));
-        let wall = start.elapsed();
-        let (cycles, instructions, prepares) = CELL_STATS.with(|s| s.get());
-        let secs = wall.as_secs_f64();
-        let mips = if secs > 0.0 {
-            instructions as f64 / 1e6 / secs
-        } else {
-            0.0
-        };
-        if log::enabled(log::Level::Cells) {
-            log::cells(&format!(
-                "[cell] {}: {} simulated cycles, {:.1} ms, {:.1} MIPS",
-                c.label,
-                cycles,
-                secs * 1e3,
-                mips
-            ));
-        }
-        if prepares > 0 {
-            log::debug(&format!(
-                "[cell] {}: {prepares} preparation request(s)",
-                c.label
-            ));
-        }
-        let metrics = CellMetrics {
-            label: c.label.clone(),
-            cycles,
-            instructions,
-            prepares,
-            wall_ns: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
-            mips,
-            phases: Vec::new(),
-        };
-        let result = match outcome {
-            Ok(r) => CellResult::Ok(r),
-            Err(payload) => classify_failure(payload, &c.label, attempt),
-        };
-        if matches!(&result, CellResult::Deadline(_)) {
-            DEADLINE_HIT.store(true, Ordering::Relaxed);
-            if deadline_ms > 0 {
-                metrics::counter_add("watchdog.fired", 1);
-            }
-        }
-        // Deadlines retry like panics — a hang may be a transient host
-        // stall, and the bounded-retry policy already exists for exactly
-        // that class of failure — and never like a budget trap, which is
-        // deterministic and would only fail identically again.
-        if let CellResult::Panicked(e) | CellResult::Deadline(e) = &result {
-            if attempt < max_attempts {
-                log::debug(&format!(
-                    "[cell] {}: attempt {attempt} failed ({}), retrying",
-                    c.label, e.detail
-                ));
-                // Deterministic linear backoff: transient host conditions
-                // (not the deterministic VM) are what retries are for.
-                std::thread::sleep(Duration::from_millis(5 * u64::from(attempt)));
-                attempt += 1;
-                continue;
-            }
-        }
-        if let CellResult::Trapped(e)
-        | CellResult::Panicked(e)
-        | CellResult::Budget(e)
-        | CellResult::Deadline(e) = &result
-        {
-            log::error(&format!("[cell] {e} ({} attempt(s))", e.attempts));
-        }
-        let mut metrics = metrics;
-        metrics.phases = emit::take_phase_capture();
-        // Flush this worker's metrics shard now, not at thread exit: an
-        // experiment summary snapshots the registry as soon as its cells
-        // complete, and every count a cell made must be visible by then
-        // whatever worker ran it — per-experiment `prep_cache_*` fields
-        // stay byte-identical across `--jobs`.
-        metrics::flush_thread();
-        return (result, metrics);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Suite preparation.
 // ---------------------------------------------------------------------
@@ -1125,42 +1010,6 @@ pub struct PreparedSuite {
     pub benches: Vec<PreparedBench>,
     /// Failures, suite order.
     pub errors: Vec<CellError>,
-}
-
-/// Compiles and baselines the whole suite at `scale`, one isolated cell
-/// per benchmark.
-pub fn prepare_suite(scale: Scale) -> PreparedSuite {
-    let workloads = suite(scale);
-    let results = par_cells_isolated(
-        workloads
-            .iter()
-            .map(|w| cell(format!("prepare/{}", w.name()), move || prepare(w)))
-            .collect(),
-    );
-    let mut benches = Vec::new();
-    let mut errors = Vec::new();
-    for r in results {
-        match r.into_result() {
-            Ok(b) => benches.push(b),
-            Err(e) => errors.push(e),
-        }
-    }
-    PreparedSuite { benches, errors }
-}
-
-/// Compiles and baselines one workload.
-pub fn prepare(w: &Workload) -> PreparedBench {
-    let start = Instant::now();
-    let module = w.compile();
-    let frontend_time = start.elapsed();
-    emit::phase("compile", frontend_time);
-    let baseline = run_module(&module, Trigger::Never);
-    PreparedBench {
-        name: w.name(),
-        module,
-        baseline,
-        frontend_time,
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1215,85 +1064,12 @@ pub fn instrument(
     (out, stats, elapsed)
 }
 
-// ---------------------------------------------------------------------
-// Shared preparation cache.
-// ---------------------------------------------------------------------
-
-/// Process-wide cache of decoded modules, keyed by a fingerprint of the
-/// module text, the cost model, and the fusion mode. Experiments sweep
-/// the same program across many configurations — Table 4 alone runs one
-/// instrumented module at six sampling intervals, and every strategy
-/// re-compiles and re-baselines the whole suite — so sharing one
-/// [`PreparedModule`] across cells (and across the `par_cells` workers
-/// that run them) removes most preparation work from a harness run.
-///
-/// The map holds one lazily-initialized slot per fingerprint: the map
-/// lock is released before decoding, so requests for *different* modules
-/// prepare in parallel while concurrent requests for the *same* module
-/// block on the slot and share a single preparation.
-type PrepSlot = Arc<OnceLock<Arc<PreparedModule>>>;
-static PREP_CACHE: OnceLock<Mutex<HashMap<u64, PrepSlot>>> = OnceLock::new();
-
 /// Fingerprints everything that determines the decoded form: the module's
-/// canonical text plus the cost model and the fusion mode it would be
-/// prepared under.
-fn prep_fingerprint(module: &Module, cost: &CostModel) -> u64 {
+/// canonical text plus the cost model and the fusion mode it is prepared
+/// under.
+fn prep_fingerprint(module: &Module, cost: &CostModel, mode: &FuseMode) -> u64 {
     let h = journal::fnv1a(journal::FNV_OFFSET, module.to_string().as_bytes());
-    journal::fnv1a(h, format!("{cost:?}/{:?}", fuse_mode()).as_bytes())
-}
-
-/// Decodes `module` under the harness cost model through the shared
-/// preparation cache, returning the (possibly shared) decoded form.
-///
-/// Counts one preparation *request* toward the current cell's `prepares`
-/// metric whether or not the cache already held the module: requests are
-/// a pure function of the cell's own work, so the JSONL `cell` records
-/// stay byte-identical however cells are scheduled. Hits and misses feed
-/// the metrics registry (`prep.cache.hits` / `prep.cache.misses`) when
-/// self-profiling is enabled: the miss total is the number of *distinct*
-/// fingerprints decoded and the hit total is requests minus misses, so
-/// both are themselves deterministic across job counts even though which
-/// worker pays each decode is not (that only surfaces in `ISF_LOG=debug`).
-pub fn cached_prepare(module: &Module) -> Arc<PreparedModule> {
-    note_prepare_request();
-    let cost = CostModel::default();
-    // Guided preparation only refines the statically-fused form: with
-    // fusion off there is nothing for a warmup profile to steer.
-    let guided = pgo() && matches!(fuse_mode(), FuseMode::Fuse);
-    let key = if guided {
-        journal::fnv1a(
-            prep_fingerprint(module, &cost),
-            format!("/pgo{}", pgo_epoch()).as_bytes(),
-        )
-    } else {
-        prep_fingerprint(module, &cost)
-    };
-    let slot = {
-        let mut map = PREP_CACHE
-            .get_or_init(Mutex::default)
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        map.entry(key).or_default().clone()
-    };
-    let mut fresh = false;
-    let prepared = slot
-        .get_or_init(|| {
-            fresh = true;
-            if guided {
-                Arc::new(pgo_prepare(module, &cost))
-            } else {
-                Arc::new(PreparedModule::prepare(module, &cost))
-            }
-        })
-        .clone();
-    if fresh {
-        metrics::counter_add("prep.cache.misses", 1);
-        log::debug(&format!("[prep-cache] miss, decoded {key:016x}"));
-    } else {
-        metrics::counter_add("prep.cache.hits", 1);
-        log::debug(&format!("[prep-cache] hit {key:016x}"));
-    }
-    prepared
+    journal::fnv1a(h, format!("{cost:?}/{mode:?}").as_bytes())
 }
 
 /// Cycle budget of the PGO warmup cell. Long enough to get past
@@ -1332,62 +1108,6 @@ fn pgo_prepare(module: &Module, cost: &CostModel) -> PreparedModule {
         start.elapsed()
     ));
     prepared
-}
-
-/// Runs a module under the harness VM configuration (including the
-/// [`cell_budget`] cycle cap, when one is set), decoding it through the
-/// shared preparation cache first. For a cell that runs the same module
-/// repeatedly, [`prepare_for_runs`] + [`run_prepared_module`] keeps the
-/// decoded form in hand across the sweep.
-///
-/// # Panics
-///
-/// Unwinds with a typed [`CellTrap`] payload if the program traps, which
-/// the cell isolation layer classifies into [`CellResult::Trapped`] or
-/// [`CellResult::Budget`] without taking sibling cells down.
-pub fn run_module(module: &Module, trigger: Trigger) -> Outcome {
-    let prepared = cached_prepare(module);
-    run_prepared_module(&prepared, trigger)
-}
-
-/// Pre-decodes a module once, under the harness cost model, for repeated
-/// [`run_prepared_module`] runs. Served from the shared preparation cache,
-/// so identical (program, cost, fusion) requests across cells — Table 4's
-/// per-strategy suites, for instance — share one decode.
-pub fn prepare_for_runs(module: &Module) -> Arc<PreparedModule> {
-    let start = Instant::now();
-    let prepared = cached_prepare(module);
-    emit::phase("prepare", start.elapsed());
-    prepared
-}
-
-/// Runs an already-decoded module under the harness VM configuration
-/// (including the [`cell_budget`] cycle cap, when one is set).
-///
-/// # Panics
-///
-/// Unwinds with a typed [`CellTrap`] payload if the program traps, which
-/// the cell isolation layer classifies into [`CellResult::Trapped`] or
-/// [`CellResult::Budget`] without taking sibling cells down.
-pub fn run_prepared_module(prepared: &PreparedModule, trigger: Trigger) -> Outcome {
-    let cfg = VmConfig {
-        trigger,
-        limits: harness_limits(),
-        ..VmConfig::default()
-    };
-    let start = Instant::now();
-    let result = if profiling() {
-        let mut profile = OpProfile::new();
-        let result = run_prepared_profiled(prepared, &cfg, &mut profile);
-        record_profile(&profile, trigger);
-        result
-    } else {
-        run_prepared(prepared, &cfg)
-    };
-    let outcome = result.unwrap_or_else(|e| std::panic::panic_any(CellTrap(e)));
-    emit::phase("run", start.elapsed());
-    note_run(&outcome);
-    outcome
 }
 
 /// Folds one run's finished [`OpProfile`] into the metrics registry:
@@ -1444,54 +1164,227 @@ impl FusionCoverage {
     }
 }
 
-/// Measures fusion coverage for every suite benchmark at `scale` by
-/// running each one uninstrumented under the profiled prepared engine
-/// (decodes come from the shared preparation cache). Coverage totals also
-/// land in the registry as `fusion.<bench>.fused_instructions` /
-/// `.total_instructions` counters when profiling is enabled. Runs on the
-/// calling thread and emits no JSONL, so the stream's cell records are
-/// untouched.
-pub fn fusion_coverage(scale: Scale) -> Vec<FusionCoverage> {
-    suite(scale)
-        .iter()
-        .map(|w| {
-            let module = w.compile();
-            let prepared = cached_prepare(&module);
-            let cfg = VmConfig {
-                trigger: Trigger::Never,
-                ..VmConfig::default()
-            };
+impl Harness {
+    /// Decodes `module` under the harness cost model and fusion mode
+    /// through the preparation cache, returning the (possibly shared)
+    /// decoded form. Experiments sweep the same program across many
+    /// configurations — Table 4 alone runs one instrumented module at six
+    /// sampling intervals, and every strategy re-compiles and
+    /// re-baselines the whole suite — so sharing one [`PreparedModule`]
+    /// across cells (and across the workers that run them) removes most
+    /// preparation work from a harness run.
+    ///
+    /// With [`HarnessConfig::pgo`] on, each fused module is served
+    /// through [`pgo_prepare`] under a key of its own, so guided and
+    /// static entries coexist in a shared cache; guided preparation only
+    /// refines static fusion, so with fusion off PGO changes nothing.
+    ///
+    /// Counts one preparation *request* toward the current cell's
+    /// `prepares` metric whether or not the cache already held the
+    /// module: requests are a pure function of the cell's own work, so
+    /// the JSONL `cell` records stay byte-identical however cells are
+    /// scheduled. Hits and misses feed the metrics registry
+    /// (`prep.cache.hits` / `prep.cache.misses`) when self-profiling is
+    /// enabled: the miss total is the number of *distinct* fingerprints
+    /// decoded and the hit total is requests minus misses, so both are
+    /// themselves deterministic across job counts even though which
+    /// worker pays each decode is not (that only surfaces in
+    /// `ISF_LOG=debug`).
+    pub fn cached_prepare(&self, module: &Module) -> Arc<PreparedModule> {
+        note_prepare_request();
+        let cost = CostModel::default();
+        let mode = if self.config.fuse {
+            FuseMode::Fuse
+        } else {
+            FuseMode::Off
+        };
+        let guided = self.config.pgo && self.config.fuse;
+        let mut key = prep_fingerprint(module, &cost, &mode);
+        if guided {
+            key = journal::fnv1a(key, b"/pgo");
+        }
+        let slot = {
+            let mut map = self.cache.lock().unwrap_or_else(|p| p.into_inner());
+            map.entry(key).or_default().clone()
+        };
+        let mut fresh = false;
+        let prepared = slot
+            .get_or_init(|| {
+                fresh = true;
+                if guided {
+                    Arc::new(pgo_prepare(module, &cost))
+                } else {
+                    Arc::new(PreparedModule::prepare_with(module, &cost, mode))
+                }
+            })
+            .clone();
+        if fresh {
+            metrics::counter_add("prep.cache.misses", 1);
+            log::debug(&format!("[prep-cache] miss, decoded {key:016x}"));
+        } else {
+            metrics::counter_add("prep.cache.hits", 1);
+            log::debug(&format!("[prep-cache] hit {key:016x}"));
+        }
+        prepared
+    }
+
+    /// Runs a module under the harness VM configuration (including the
+    /// [`HarnessConfig::cell_budget`] cycle cap, when one is set),
+    /// decoding it through the preparation cache first. For a cell that
+    /// runs the same module repeatedly, [`Harness::prepare_for_runs`] +
+    /// [`Harness::run_prepared_module`] keeps the decoded form in hand
+    /// across the sweep.
+    ///
+    /// # Panics
+    ///
+    /// Unwinds with a typed [`CellTrap`] payload if the program traps,
+    /// which the cell isolation layer classifies into
+    /// [`CellResult::Trapped`] or [`CellResult::Budget`] without taking
+    /// sibling cells down.
+    pub fn run_module(&self, module: &Module, trigger: Trigger) -> Outcome {
+        let prepared = self.cached_prepare(module);
+        self.run_prepared_module(&prepared, trigger)
+    }
+
+    /// Pre-decodes a module once, through the preparation cache, for
+    /// repeated [`Harness::run_prepared_module`] runs: identical
+    /// (program, cost, fusion) requests across cells — Table 4's
+    /// per-strategy suites, for instance — share one decode.
+    pub fn prepare_for_runs(&self, module: &Module) -> Arc<PreparedModule> {
+        let start = Instant::now();
+        let prepared = self.cached_prepare(module);
+        emit::phase("prepare", start.elapsed());
+        prepared
+    }
+
+    /// Runs an already-decoded module under the harness VM configuration
+    /// (including the [`HarnessConfig::cell_budget`] cycle cap, when one
+    /// is set). With self-profiling enabled the run goes through the
+    /// profiled engine and its profile is folded into the registry.
+    ///
+    /// # Panics
+    ///
+    /// Unwinds with a typed [`CellTrap`] payload if the program traps,
+    /// which the cell isolation layer classifies into
+    /// [`CellResult::Trapped`] or [`CellResult::Budget`] without taking
+    /// sibling cells down.
+    pub fn run_prepared_module(&self, prepared: &PreparedModule, trigger: Trigger) -> Outcome {
+        let cfg = self.config.vm_config(trigger);
+        let start = Instant::now();
+        let result = if metrics::enabled() {
             let mut profile = OpProfile::new();
-            let _ = run_prepared_profiled(&prepared, &cfg, &mut profile);
-            let c = FusionCoverage {
-                name: w.name(),
-                fused_instructions: profile.fused_instructions(),
-                guided_instructions: profile.guided_instructions(),
-                total_instructions: profile.total_instructions(),
-                coverage_pct: profile.fusion_coverage_pct(),
-            };
-            metrics::counter_add(
-                &format!("fusion.{}.fused_instructions", c.name),
-                c.fused_instructions,
-            );
-            metrics::counter_add(
-                &format!("fusion.{}.guided_instructions", c.name),
-                c.guided_instructions,
-            );
-            metrics::counter_add(
-                &format!("fusion.{}.total_instructions", c.name),
-                c.total_instructions,
-            );
-            c
-        })
-        .collect()
+            let result = run_prepared_profiled(prepared, &cfg, &mut profile);
+            record_profile(&profile, trigger);
+            result
+        } else {
+            run_prepared(prepared, &cfg)
+        };
+        let outcome = result.unwrap_or_else(|e| std::panic::panic_any(CellTrap(e)));
+        emit::phase("run", start.elapsed());
+        note_run(&outcome);
+        outcome
+    }
+
+    /// Measures fusion coverage for every suite benchmark at `scale` by
+    /// running each one uninstrumented under the profiled prepared engine
+    /// (decodes come from the preparation cache). Coverage totals also
+    /// land in the registry as `fusion.<bench>.fused_instructions` /
+    /// `.total_instructions` counters when profiling is enabled. Runs on
+    /// the calling thread and emits no JSONL, so the stream's cell records
+    /// are untouched.
+    pub fn fusion_coverage(&self, scale: Scale) -> Vec<FusionCoverage> {
+        suite(scale)
+            .iter()
+            .map(|w| {
+                let module = w.compile();
+                let prepared = self.cached_prepare(&module);
+                let cfg = VmConfig {
+                    trigger: Trigger::Never,
+                    ..VmConfig::default()
+                };
+                let mut profile = OpProfile::new();
+                let _ = run_prepared_profiled(&prepared, &cfg, &mut profile);
+                let c = FusionCoverage {
+                    name: w.name(),
+                    fused_instructions: profile.fused_instructions(),
+                    guided_instructions: profile.guided_instructions(),
+                    total_instructions: profile.total_instructions(),
+                    coverage_pct: profile.fusion_coverage_pct(),
+                };
+                metrics::counter_add(
+                    &format!("fusion.{}.fused_instructions", c.name),
+                    c.fused_instructions,
+                );
+                metrics::counter_add(
+                    &format!("fusion.{}.guided_instructions", c.name),
+                    c.guided_instructions,
+                );
+                metrics::counter_add(
+                    &format!("fusion.{}.total_instructions", c.name),
+                    c.total_instructions,
+                );
+                c
+            })
+            .collect()
+    }
+
+    /// Convenience: instrument with `strategy`, run with `trigger`, return
+    /// the overhead relative to the prepared baseline along with the
+    /// outcome.
+    pub fn overhead_of(
+        &self,
+        bench: &PreparedBench,
+        kinds: Kinds,
+        strategy: Strategy,
+        trigger: Trigger,
+    ) -> (f64, Outcome) {
+        let (module, _, _) = instrument(&bench.module, kinds, &Options::new(strategy));
+        let outcome = self.run_module(&module, trigger);
+        let pct = outcome.overhead_vs(&bench.baseline);
+        (pct, outcome)
+    }
+
+    /// The perfect (exhaustive) profile of a benchmark for the given kinds.
+    pub fn perfect_profile(&self, bench: &PreparedBench, kinds: Kinds) -> isf_profile::ProfileData {
+        let (module, _, _) = instrument(&bench.module, kinds, &Options::new(Strategy::Exhaustive));
+        self.run_module(&module, Trigger::Never).profile
+    }
+
+    /// Compiles and baselines the whole suite at `scale`, one isolated
+    /// cell per benchmark.
+    pub fn prepare_suite(&self, scale: Scale) -> PreparedSuite {
+        let workloads = suite(scale);
+        let results = self.par_cells_isolated(
+            workloads
+                .iter()
+                .map(|w| cell(format!("prepare/{}", w.name()), move || self.prepare(w)))
+                .collect(),
+        );
+        let (benches, errors) = split_results(results);
+        PreparedSuite { benches, errors }
+    }
+
+    /// Compiles and baselines one workload.
+    pub fn prepare(&self, w: &Workload) -> PreparedBench {
+        let start = Instant::now();
+        let module = w.compile();
+        let frontend_time = start.elapsed();
+        emit::phase("compile", frontend_time);
+        let baseline = self.run_module(&module, Trigger::Never);
+        PreparedBench {
+            name: w.name(),
+            module,
+            baseline,
+            frontend_time,
+        }
+    }
 }
 
 /// The registry-backed preparation-cache fields a `summary` record
 /// carries when self-profiling is enabled — empty otherwise, so
 /// profiling-off streams stay byte-identical to pre-registry ones.
 pub fn summary_profile_fields() -> Vec<(&'static str, Json)> {
-    if !profiling() {
+    if !metrics::enabled() {
         return Vec::new();
     }
     let snap = metrics::snapshot();
@@ -1504,57 +1397,52 @@ pub fn summary_profile_fields() -> Vec<(&'static str, Json)> {
     ]
 }
 
-/// Overhead of `outcome` relative to `baseline`, in percent.
-pub fn overhead_pct(outcome: &Outcome, baseline: &Outcome) -> f64 {
-    outcome.overhead_vs(baseline)
-}
-
-/// Convenience: instrument with `strategy`, run with `trigger`, return the
-/// overhead relative to the prepared baseline along with the outcome.
-pub fn overhead_of(
-    bench: &PreparedBench,
-    kinds: Kinds,
-    strategy: Strategy,
-    trigger: Trigger,
-) -> (f64, Outcome) {
-    let (module, _, _) = instrument(&bench.module, kinds, &Options::new(strategy));
-    let outcome = run_module(&module, trigger);
-    let pct = overhead_pct(&outcome, &bench.baseline);
-    (pct, outcome)
-}
-
-/// The perfect (exhaustive) profile of a benchmark for the given kinds.
-pub fn perfect_profile(bench: &PreparedBench, kinds: Kinds) -> isf_profile::ProfileData {
-    let (module, _, _) = instrument(&bench.module, kinds, &Options::new(Strategy::Exhaustive));
-    run_module(&module, Trigger::Never).profile
+#[cfg(test)]
+/// Serializes tests that flip the process-wide metrics gate
+/// (`isf_obs::metrics::set_enabled`), poison-tolerantly: a test that
+/// panics while holding it fails once instead of failing every later
+/// holder too.
+pub(crate) fn metrics_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A default harness with `jobs` workers.
+    fn with_jobs(jobs: usize) -> Harness {
+        Harness::new(HarnessConfig {
+            jobs,
+            ..HarnessConfig::default()
+        })
+    }
+
     #[test]
     fn prepare_runs_baselines() {
         let w = isf_workloads::by_name("db", Scale::Smoke).unwrap();
-        let b = prepare(&w);
+        let b = Harness::default().prepare(&w);
         assert!(b.baseline.cycles > 0);
         assert_eq!(b.baseline.checks_executed, 0);
     }
 
     #[test]
     fn exhaustive_overhead_positive() {
+        let h = Harness::default();
         let w = isf_workloads::by_name("jess", Scale::Smoke).unwrap();
-        let b = prepare(&w);
-        let (pct, o) = overhead_of(&b, Kinds::Both, Strategy::Exhaustive, Trigger::Never);
+        let b = h.prepare(&w);
+        let (pct, o) = h.overhead_of(&b, Kinds::Both, Strategy::Exhaustive, Trigger::Never);
         assert!(pct > 0.0);
         assert!(o.profile.total_call_edge_events() > 0);
     }
 
     #[test]
     fn perfect_profile_nonempty() {
+        let h = Harness::default();
         let w = isf_workloads::by_name("compress", Scale::Smoke).unwrap();
-        let b = prepare(&w);
-        let p = perfect_profile(&b, Kinds::Both);
+        let b = h.prepare(&w);
+        let p = h.perfect_profile(&b, Kinds::Both);
         assert!(p.total_field_access_events() > 0);
         assert!(p.total_call_edge_events() > 0);
     }
@@ -1564,7 +1452,7 @@ mod tests {
         let cells = (0..37)
             .map(|i| cell(format!("order/{i}"), move || i * 3))
             .collect();
-        let results = par_cells(cells);
+        let results = with_jobs(4).par_cells(cells);
         assert_eq!(results, (0..37).map(|i| i * 3).collect::<Vec<_>>());
     }
 
@@ -1575,16 +1463,43 @@ mod tests {
             .iter()
             .map(|x| cell(format!("borrow/{x}"), move || x + 1))
             .collect();
-        assert_eq!(par_cells(cells), (1..=8).collect::<Vec<u64>>());
+        assert_eq!(
+            Harness::default().par_cells(cells),
+            (1..=8).collect::<Vec<u64>>()
+        );
     }
 
     #[test]
-    fn jobs_override_takes_precedence() {
-        let _guard = jobs_test_lock();
-        set_jobs(3);
-        assert_eq!(jobs(), 3);
-        set_jobs(0);
-        assert!(jobs() >= 1);
+    fn run_inputs_fingerprint_is_derived_from_the_config() {
+        // Pinned hex values: journals written before the configuration
+        // became a value must still resume, so a default and a fully
+        // result-shaping configuration keep their fingerprints — while
+        // settings that do not shape results leave them alone.
+        let experiments = ["table1".to_owned(), "table4".to_owned()];
+        let fingerprint = |c: &HarnessConfig| {
+            format!(
+                "{:016x}",
+                c.run_inputs(Scale::Smoke, &experiments).fingerprint()
+            )
+        };
+        let default = HarnessConfig::default();
+        assert_eq!(fingerprint(&default), "7b6ec393474ca120");
+        let shaped = HarnessConfig {
+            retries: 2,
+            cell_budget: 50_000_000,
+            cancel_after: 2_000_000,
+            fault: (0.25, 7),
+            ..HarnessConfig::default()
+        };
+        assert_eq!(fingerprint(&shaped), "9b40d8f5fc3838c2");
+        let unshaped = HarnessConfig {
+            jobs: default.jobs + 3,
+            cell_deadline_ms: 500,
+            fuse: !default.fuse,
+            pgo: true,
+            ..shaped.clone()
+        };
+        assert_eq!(fingerprint(&unshaped), fingerprint(&shaped));
     }
 
     #[test]
@@ -1592,19 +1507,17 @@ mod tests {
         // The machine-readable counterpart of table4's determinism test:
         // with wall-clock fields redacted, the JSONL cell stream — labels,
         // simulated cycles, instruction and preparation counts, order —
-        // must not depend on the worker count.
-        let _guard = jobs_test_lock();
+        // must not depend on the worker count. The emitter is per thread,
+        // so this stream is the test's own.
         emit::set_mode(emit::EmitMode::Json);
         emit::set_redact(true);
         let run_once = |jobs: usize| {
-            set_jobs(jobs);
-            let t = crate::table1::run(Scale::Smoke);
+            let t = crate::table1::run(&with_jobs(jobs), Scale::Smoke);
             t.emit_jsonl();
             emit::drain()
         };
         let serial = run_once(1);
         let parallel = run_once(8);
-        set_jobs(0);
         emit::set_mode(emit::EmitMode::Off);
         emit::set_redact(false);
         assert!(!serial.is_empty());
@@ -1618,30 +1531,30 @@ mod tests {
 
     #[test]
     fn preparation_cache_shares_decodes() {
-        // A module text unique to this test keys a fresh cache slot, so
-        // the thread-local preparation counter isolates exactly what this
+        // The thread-local preparation counter isolates exactly what this
         // thread decoded regardless of concurrently running tests. The
         // hit/miss counters live in the metrics registry, so the test
         // profiles while holding the lock that serializes registry users.
-        let _guard = jobs_test_lock();
-        set_profiling(true);
+        let _guard = metrics_test_lock();
+        let h = Harness::default();
+        metrics::set_enabled(true);
         let before = metrics::snapshot();
         let m = isf_frontend::compile("fn main() { print(424242); }").unwrap();
         let preps_before = isf_exec::thread_preparations();
-        let first = cached_prepare(&m);
+        let first = h.cached_prepare(&m);
         assert_eq!(
             isf_exec::thread_preparations(),
             preps_before + 1,
             "first request pays the decode"
         );
-        let second = cached_prepare(&m);
+        let second = h.cached_prepare(&m);
         assert_eq!(
             isf_exec::thread_preparations(),
             preps_before + 1,
             "second request is served from the cache"
         );
         let after = metrics::snapshot();
-        set_profiling(false);
+        metrics::set_enabled(false);
         assert!(
             Arc::ptr_eq(&first, &second),
             "both requests share one PreparedModule"
@@ -1661,12 +1574,13 @@ mod tests {
         // `prepares` in the cell record is the number of preparation
         // *requests* — a deterministic property of the cell's work — so a
         // cache hit must count exactly like the decode it avoided.
-        let _guard = jobs_test_lock();
-        set_profiling(true);
+        let _guard = metrics_test_lock();
+        let h = Harness::default();
+        metrics::set_enabled(true);
         let m = isf_frontend::compile("fn main() { print(777001); }").unwrap();
         let run_once = || {
-            let results = par_cells_isolated(vec![cell("prep-req/unique", || {
-                run_module(&m, Trigger::Never).cycles
+            let results = h.par_cells_isolated(vec![cell("prep-req/unique", || {
+                h.run_module(&m, Trigger::Never).cycles
             })]);
             assert!(matches!(results[0], CellResult::Ok(_)));
         };
@@ -1674,7 +1588,7 @@ mod tests {
         let hits_before = metrics::snapshot().counter("prep.cache.hits");
         run_once(); // hits
         let hits_after = metrics::snapshot().counter("prep.cache.hits");
-        set_profiling(false);
+        metrics::set_enabled(false);
         assert!(hits_after > hits_before, "second run hits the cache");
     }
 
@@ -1687,27 +1601,30 @@ mod tests {
         // could not reach. Guided preparation only refines static fusion
         // (see `cached_prepare`), so with fusion off PGO must change
         // nothing: no warmup, no guided group, the same outcome.
-        let _guard = jobs_test_lock();
+        let _guard = metrics_test_lock();
+        let plain = Harness::default();
+        let pgo = plain.with_config(HarnessConfig {
+            pgo: true,
+            ..plain.config.clone()
+        });
         let w = isf_workloads::by_name("jess", Scale::Smoke).unwrap();
         let m = w.compile();
-        let baseline = run_module(&m, Trigger::Never);
-        set_profiling(true);
+        let baseline = plain.run_module(&m, Trigger::Never);
+        metrics::set_enabled(true);
         let warmups_before = metrics::snapshot().counter("pgo.warmups");
-        set_pgo(true);
-        let prepared = cached_prepare(&m);
-        let outcome = run_prepared_module(&prepared, Trigger::Never);
+        let prepared = pgo.cached_prepare(&m);
+        let outcome = pgo.run_prepared_module(&prepared, Trigger::Never);
         let warmups_after = metrics::snapshot().counter("pgo.warmups");
         // Coverage with profiling off: the returned values are what this
         // test needs, and recording nothing keeps the cumulative
         // `fusion.*` registry counters exactly as other tests expect.
-        set_profiling(false);
-        let coverage = fusion_coverage(Scale::Smoke);
-        set_pgo(false);
+        metrics::set_enabled(false);
+        let coverage = pgo.fusion_coverage(Scale::Smoke);
         assert_eq!(
             outcome, baseline,
             "guided preparation must not change the outcome"
         );
-        if matches!(fuse_mode(), FuseMode::Off) {
+        if !pgo.config.fuse {
             assert_eq!(prepared.num_guided(), 0, "fusion off: no guided groups");
             assert_eq!(warmups_after, warmups_before, "fusion off: no warmup");
             return;
@@ -1728,7 +1645,8 @@ mod tests {
 
     #[test]
     fn profiled_runs_fold_into_the_registry_and_match_unprofiled() {
-        let _guard = jobs_test_lock();
+        let _guard = metrics_test_lock();
+        let h = Harness::default();
         let w = isf_workloads::by_name("compress", Scale::Smoke).unwrap();
         // Instrumented module: sampling checks are what feed the trigger
         // gap histograms (an uninstrumented program never samples).
@@ -1737,13 +1655,13 @@ mod tests {
             Kinds::Both,
             &Options::new(Strategy::FullDuplication),
         );
-        let plain = run_module(&m, Trigger::Counter { interval: 50 });
-        set_profiling(true);
+        let plain = h.run_module(&m, Trigger::Counter { interval: 50 });
+        metrics::set_enabled(true);
         let before = metrics::snapshot();
-        let profiled = run_module(&m, Trigger::Counter { interval: 50 });
-        let coverage = fusion_coverage(Scale::Smoke);
+        let profiled = h.run_module(&m, Trigger::Counter { interval: 50 });
+        let coverage = h.fusion_coverage(Scale::Smoke);
         let snap = metrics::snapshot();
-        set_profiling(false);
+        metrics::set_enabled(false);
         assert_eq!(plain, profiled, "profiling must not change the outcome");
         // The registry is process-global and other tests may record while
         // profiling is on, so registry assertions are delta-based.
@@ -1771,14 +1689,14 @@ mod tests {
         assert_eq!(coverage.len(), suite(Scale::Smoke).len());
         let compress = coverage.iter().find(|c| c.name == "compress").unwrap();
         assert!(compress.total_instructions > 0);
-        if matches!(fuse_mode(), FuseMode::Off) {
-            assert_eq!(compress.fused_instructions, 0, "fusion off fused ops");
-        } else {
+        if h.config.fuse {
             assert!(
                 compress.coverage_pct > 10.0,
                 "compress fusion coverage {:.1}% unexpectedly low",
                 compress.coverage_pct
             );
+        } else {
+            assert_eq!(compress.fused_instructions, 0, "fusion off fused ops");
         }
         assert_eq!(
             snap.counter("fusion.compress.total_instructions"),
@@ -1788,11 +1706,12 @@ mod tests {
 
     #[test]
     fn prepared_run_matches_unprepared() {
+        let h = Harness::default();
         let w = isf_workloads::by_name("db", Scale::Smoke).unwrap();
         let m = w.compile();
-        let p = prepare_for_runs(&m);
-        let direct = run_module(&m, Trigger::Counter { interval: 7 });
-        let replay = run_prepared_module(&p, Trigger::Counter { interval: 7 });
+        let p = h.prepare_for_runs(&m);
+        let direct = h.run_module(&m, Trigger::Counter { interval: 7 });
+        let replay = h.run_prepared_module(&p, Trigger::Counter { interval: 7 });
         assert_eq!(direct, replay);
     }
 
@@ -1878,12 +1797,9 @@ mod tests {
             }
             assert!(matches!(results[4], CellResult::Ok(2)));
         };
-        let _guard = jobs_test_lock();
         for jobs in [1, 4] {
-            set_jobs(jobs);
-            check(par_cells_isolated(mk_cells()));
+            check(with_jobs(jobs).par_cells_isolated(mk_cells()));
         }
-        set_jobs(0);
     }
 
     #[test]
@@ -1891,11 +1807,9 @@ mod tests {
         // Failure records obey the same determinism contract as cell
         // records: emitted on the calling thread in submission order,
         // byte-identical however many workers ran the cells.
-        let _guard = jobs_test_lock();
         emit::set_mode(emit::EmitMode::Json);
         emit::set_redact(true);
         let run_once = |jobs: usize| {
-            set_jobs(jobs);
             let cells = (0..12)
                 .map(|i| {
                     cell(format!("mix/{i}"), move || -> u64 {
@@ -1909,7 +1823,7 @@ mod tests {
                     })
                 })
                 .collect();
-            let results = par_cells_isolated(cells);
+            let results = with_jobs(jobs).par_cells_isolated(cells);
             let (oks, errors) = split_results(results);
             assert_eq!(oks.len(), 8);
             assert_eq!(errors.len(), 4);
@@ -1917,7 +1831,6 @@ mod tests {
         };
         let serial = run_once(1);
         let parallel = run_once(4);
-        set_jobs(0);
         emit::set_mode(emit::EmitMode::Off);
         emit::set_redact(false);
         assert_eq!(serial, parallel, "error stream depends on the job count");
@@ -1933,14 +1846,18 @@ mod tests {
 
     #[test]
     fn panicked_cells_retry_up_to_the_bound() {
-        let _guard = jobs_test_lock();
-        set_retries(2);
+        let retrying = |retries| {
+            Harness::new(HarnessConfig {
+                retries,
+                ..HarnessConfig::default()
+            })
+        };
         let attempts = std::sync::atomic::AtomicU32::new(0);
-        let results = par_cells_isolated(vec![cell("retry/always-fails", || -> u64 {
-            attempts.fetch_add(1, Ordering::Relaxed);
-            panic!("flaky")
-        })]);
-        set_retries(usize::MAX);
+        let results =
+            retrying(2).par_cells_isolated(vec![cell("retry/always-fails", || -> u64 {
+                attempts.fetch_add(1, Ordering::Relaxed);
+                panic!("flaky")
+            })]);
         assert_eq!(attempts.load(Ordering::Relaxed), 3);
         match &results[0] {
             CellResult::Panicked(e) => {
@@ -1950,34 +1867,32 @@ mod tests {
             other => panic!("expected panic, got {other:?}"),
         }
         // Traps are deterministic: never retried even with retries set.
-        set_retries(5);
         let trap_attempts = std::sync::atomic::AtomicU32::new(0);
-        let results = par_cells_isolated(vec![cell("retry/trap", || -> u64 {
+        let results = retrying(5).par_cells_isolated(vec![cell("retry/trap", || -> u64 {
             trap_attempts.fetch_add(1, Ordering::Relaxed);
             std::panic::panic_any(CellTrap(VmError {
                 kind: isf_exec::TrapKind::DivisionByZero,
                 function: "f".to_owned(),
             }))
         })]);
-        set_retries(usize::MAX);
         assert_eq!(trap_attempts.load(Ordering::Relaxed), 1);
         assert!(matches!(&results[0], CellResult::Trapped(e) if e.attempts == 1));
     }
 
     #[test]
     fn cancel_after_turns_cells_into_deadline_failures_that_retry_like_panics() {
-        let _guard = jobs_test_lock();
-        set_retries(1);
-        set_cancel_after(500);
+        let h = Harness::new(HarnessConfig {
+            retries: 1,
+            cancel_after: 500,
+            ..HarnessConfig::default()
+        });
         let attempts = std::sync::atomic::AtomicU32::new(0);
         let w = isf_workloads::by_name("db", Scale::Smoke).unwrap();
         let m = w.compile();
-        let results = par_cells_isolated(vec![cell("deadline/db", || {
+        let results = h.par_cells_isolated(vec![cell("deadline/db", || {
             attempts.fetch_add(1, Ordering::Relaxed);
-            run_module(&m, Trigger::Never).cycles
+            h.run_module(&m, Trigger::Never).cycles
         })]);
-        set_cancel_after(u64::MAX);
-        set_retries(usize::MAX);
         // Cancelled attempts are retried like panics (and unlike budget
         // traps): 1 + the configured retry.
         assert_eq!(attempts.load(Ordering::Relaxed), 2);
@@ -1990,7 +1905,7 @@ mod tests {
             other => panic!("expected deadline failure, got {other:?}"),
         }
         // A fresh deadline marks the run resumable.
-        assert!(deadline_hit());
+        assert!(h.deadline_hit());
     }
 
     #[test]
@@ -2028,14 +1943,15 @@ mod tests {
 
     #[test]
     fn cell_budget_turns_runaway_cells_into_budget_failures() {
-        let _guard = jobs_test_lock();
-        set_cell_budget(1_000);
+        let h = Harness::new(HarnessConfig {
+            cell_budget: 1_000,
+            ..HarnessConfig::default()
+        });
         let w = isf_workloads::by_name("db", Scale::Smoke).unwrap();
         let m = w.compile();
-        let results = par_cells_isolated(vec![cell("budget/db", || {
-            run_module(&m, Trigger::Never).cycles
+        let results = h.par_cells_isolated(vec![cell("budget/db", || {
+            h.run_module(&m, Trigger::Never).cycles
         })]);
-        set_cell_budget(u64::MAX);
         match &results[0] {
             CellResult::Budget(e) => {
                 assert_eq!(e.kind, "budget");

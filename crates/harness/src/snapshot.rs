@@ -24,10 +24,8 @@ use isf_exec::{
 };
 use isf_obs::{emit, Json};
 
-use crate::runner::{
-    cell, fusion_coverage, instrument, par_cells, prepare_suite, run_module, FusionCoverage, Kinds,
-};
-use crate::{runner, Scale};
+use crate::runner::{cell, instrument, FusionCoverage, Harness, HarnessConfig, Kinds};
+use crate::Scale;
 
 /// The sample interval every snapshot run uses, so snapshots taken on
 /// different days measure the same work.
@@ -60,12 +58,12 @@ pub struct BenchSample {
 ///
 /// Panics if any benchmark fails to prepare or run — a snapshot of a
 /// partially failed suite would silently skew the recorded baselines.
-pub fn collect(scale: Scale) -> Vec<BenchSample> {
-    let suite = prepare_suite(scale);
+pub fn collect(h: &Harness, scale: Scale) -> Vec<BenchSample> {
+    let suite = h.prepare_suite(scale);
     if let Some(e) = suite.errors.first() {
         panic!("bench-snapshot: cell {e}");
     }
-    par_cells(
+    h.par_cells(
         suite
             .benches
             .iter()
@@ -77,7 +75,7 @@ pub fn collect(scale: Scale) -> Vec<BenchSample> {
                         &Options::new(Strategy::FullDuplication),
                     );
                     let start = Instant::now();
-                    let o = run_module(
+                    let o = h.run_module(
                         &module,
                         Trigger::Counter {
                             interval: SNAPSHOT_INTERVAL,
@@ -132,8 +130,8 @@ pub struct DispatchSample {
 ///
 /// Panics if a benchmark is missing from the suite or a run traps — the
 /// dispatch baselines would otherwise silently vanish from the snapshot.
-pub fn dispatch_samples(scale: Scale) -> Vec<DispatchSample> {
-    let suite = prepare_suite(scale);
+pub fn dispatch_samples(h: &Harness, scale: Scale) -> Vec<DispatchSample> {
+    let suite = h.prepare_suite(scale);
     let cfg = VmConfig::default();
     DISPATCH_BENCHES
         .iter()
@@ -189,8 +187,8 @@ pub struct ProfileSample {
 ///
 /// Panics if a benchmark is missing from the suite or a run traps, for
 /// the same reason [`dispatch_samples`] does.
-pub fn profile_samples(scale: Scale) -> Vec<ProfileSample> {
-    let suite = prepare_suite(scale);
+pub fn profile_samples(h: &Harness, scale: Scale) -> Vec<ProfileSample> {
+    let suite = h.prepare_suite(scale);
     let cfg = VmConfig::default();
     DISPATCH_BENCHES
         .iter()
@@ -215,15 +213,15 @@ pub fn profile_samples(scale: Scale) -> Vec<ProfileSample> {
 
 /// Measures fusion coverage for the whole suite with profile-guided
 /// preparation enabled: the `profile_guided` section of the snapshot.
-/// Runs through the same [`fusion_coverage`] machinery — the PGO override
-/// is flipped on for the measurement (bumping the profile epoch, so the
-/// guided decodes get their own cache entries) and restored afterwards.
-pub fn guided_coverage(scale: Scale) -> Vec<FusionCoverage> {
-    let was = runner::pgo();
-    runner::set_pgo(true);
-    let coverage = fusion_coverage(scale);
-    runner::set_pgo(was);
-    coverage
+/// Runs through the same [`Harness::fusion_coverage`] machinery under a
+/// `pgo: true` copy of `h`'s configuration that shares its preparation
+/// cache (guided decodes have cache keys of their own).
+pub fn guided_coverage(h: &Harness, scale: Scale) -> Vec<FusionCoverage> {
+    let pgo = HarnessConfig {
+        pgo: true,
+        ..h.config.clone()
+    };
+    h.with_config(pgo).fusion_coverage(scale)
 }
 
 /// Renders a snapshot as its JSON document.
@@ -384,13 +382,13 @@ pub fn today() -> String {
 /// # Errors
 ///
 /// Propagates filesystem errors from writing the file.
-pub fn write(scale: Scale, dir: &Path) -> io::Result<PathBuf> {
+pub fn write(h: &Harness, scale: Scale, dir: &Path) -> io::Result<PathBuf> {
     let date = today();
-    let samples = collect(scale);
-    let dispatch = dispatch_samples(scale);
-    let coverage = fusion_coverage(scale);
-    let profiled = profile_samples(scale);
-    let guided = guided_coverage(scale);
+    let samples = collect(h, scale);
+    let dispatch = dispatch_samples(h, scale);
+    let coverage = h.fusion_coverage(scale);
+    let profiled = profile_samples(h, scale);
+    let guided = guided_coverage(h, scale);
     let doc = to_json(
         scale, &date, &samples, &dispatch, &coverage, &profiled, &guided,
     );
@@ -504,7 +502,7 @@ mod tests {
 
     #[test]
     fn profile_samples_share_the_dispatch_workload() {
-        let samples = profile_samples(Scale::Smoke);
+        let samples = profile_samples(&Harness::default(), Scale::Smoke);
         assert_eq!(samples.len(), DISPATCH_BENCHES.len());
         for s in &samples {
             assert!(DISPATCH_BENCHES.contains(&s.name));
@@ -520,7 +518,7 @@ mod tests {
 
     #[test]
     fn dispatch_samples_cover_both_engines() {
-        let samples = dispatch_samples(Scale::Smoke);
+        let samples = dispatch_samples(&Harness::default(), Scale::Smoke);
         assert_eq!(samples.len(), DISPATCH_BENCHES.len());
         for s in &samples {
             assert!(DISPATCH_BENCHES.contains(&s.name));
@@ -532,7 +530,8 @@ mod tests {
 
     #[test]
     fn snapshot_collects_and_writes() {
-        let samples = collect(Scale::Smoke);
+        let h = Harness::default();
+        let samples = collect(&h, Scale::Smoke);
         assert_eq!(samples.len(), 10);
         for s in &samples {
             assert!(s.instrumented_cycles > s.baseline_cycles, "{}", s.name);
@@ -541,7 +540,7 @@ mod tests {
         }
         let dir = std::env::temp_dir().join("isf-snapshot-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = write(Scale::Smoke, &dir).unwrap();
+        let path = write(&h, Scale::Smoke, &dir).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         isf_obs::json::parse(text.trim()).expect("written snapshot parses");
         std::fs::remove_file(&path).ok();

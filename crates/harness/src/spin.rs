@@ -15,9 +15,7 @@ use std::fmt;
 use isf_exec::Trigger;
 use isf_obs::Json;
 
-use crate::runner::{
-    cell, par_cells_journaled, run_module, split_results, CellError, JournalPayload,
-};
+use crate::runner::{cell, split_results, CellError, Harness, JournalPayload};
 use crate::{write_errors, Scale};
 
 /// The hot loop never makes progress: `i` stays `0`, the condition stays
@@ -102,15 +100,15 @@ fn cells(scale: Scale) -> Vec<(&'static str, String)> {
 }
 
 /// Runs the diagnostic, one isolated cell per program.
-pub fn run(scale: Scale) -> Spin {
-    let results = par_cells_journaled(
+pub fn run(h: &Harness, scale: Scale) -> Spin {
+    let results = h.par_cells_journaled(
         cells(scale)
             .into_iter()
             .map(|(name, source)| {
                 cell(format!("spin/{name}"), move || {
                     let module = isf_frontend::compile(&source)
                         .unwrap_or_else(|e| panic!("spin program `{name}` failed to compile: {e}"));
-                    let outcome = run_module(&module, Trigger::Never);
+                    let outcome = h.run_module(&module, Trigger::Never);
                     Row {
                         label: name.to_owned(),
                         cycles: outcome.cycles,
@@ -174,7 +172,7 @@ mod tests {
     use isf_exec::{run_prepared, CostModel, ExecLimits, PreparedModule, TrapKind, VmConfig};
 
     /// Runs one of the diagnostic's programs under an explicit fuel cap,
-    /// bypassing the harness globals so parallel tests cannot interfere.
+    /// straight on the engine rather than through a harness.
     fn run_capped(source: &str, cycles: u64) -> Result<isf_exec::Outcome, isf_exec::VmError> {
         let module = isf_frontend::compile(source).expect("spin sources compile");
         let prepared = PreparedModule::prepare(&module, &CostModel::default());

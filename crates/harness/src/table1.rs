@@ -9,10 +9,7 @@ use isf_exec::Trigger;
 
 use isf_obs::Json;
 
-use crate::runner::{
-    cell, overhead_of, par_cells_journaled, prepare_suite, split_results, CellError,
-    JournalPayload, Kinds,
-};
+use crate::runner::{cell, split_results, CellError, Harness, JournalPayload, Kinds};
 use crate::{mean, pct, write_errors, Scale};
 
 /// One benchmark row.
@@ -60,18 +57,18 @@ pub struct Table1 {
 
 /// Runs the experiment, one isolated cell per benchmark; failed cells
 /// become error annotations while the rest of the table completes.
-pub fn run(scale: Scale) -> Table1 {
-    let suite = prepare_suite(scale);
-    let results = par_cells_journaled(
+pub fn run(h: &Harness, scale: Scale) -> Table1 {
+    let suite = h.prepare_suite(scale);
+    let results = h.par_cells_journaled(
         suite
             .benches
             .iter()
             .map(|b| {
                 cell(format!("table1/{}", b.name), move || {
                     let (call_edge, _) =
-                        overhead_of(b, Kinds::CallEdge, Strategy::Exhaustive, Trigger::Never);
+                        h.overhead_of(b, Kinds::CallEdge, Strategy::Exhaustive, Trigger::Never);
                     let (field_access, _) =
-                        overhead_of(b, Kinds::FieldAccess, Strategy::Exhaustive, Trigger::Never);
+                        h.overhead_of(b, Kinds::FieldAccess, Strategy::Exhaustive, Trigger::Never);
                     Row {
                         bench: b.name,
                         call_edge,
@@ -159,7 +156,7 @@ mod tests {
 
     #[test]
     fn shape_matches_paper() {
-        let t = run(Scale::Smoke);
+        let t = run(&Harness::default(), Scale::Smoke);
         assert_eq!(t.rows.len(), 10);
         // Exhaustive instrumentation is expensive on average — the paper's
         // motivation (tens of percent, not single digits).

@@ -10,10 +10,7 @@ use isf_exec::Trigger;
 
 use isf_obs::Json;
 
-use crate::runner::{
-    cell, instrument, overhead_pct, par_cells_journaled, prepare_suite, run_module, split_results,
-    CellError, JournalPayload, Kinds,
-};
+use crate::runner::{cell, instrument, split_results, CellError, Harness, JournalPayload, Kinds};
 use crate::{mean, pct, write_errors, Scale};
 
 /// One benchmark row.
@@ -81,9 +78,9 @@ pub struct Table2 {
 }
 
 /// Runs the experiment, one isolated cell per benchmark.
-pub fn run(scale: Scale) -> Table2 {
-    let suite = prepare_suite(scale);
-    let results = par_cells_journaled(
+pub fn run(h: &Harness, scale: Scale) -> Table2 {
+    let suite = h.prepare_suite(scale);
+    let results = h.par_cells_journaled(
         suite
             .benches
             .iter()
@@ -96,7 +93,7 @@ pub fn run(scale: Scale) -> Table2 {
                         Kinds::None,
                         &Options::new(Strategy::FullDuplication),
                     );
-                    let total = overhead_pct(&run_module(&full, Trigger::Never), &b.baseline);
+                    let total = h.run_module(&full, Trigger::Never).overhead_vs(&b.baseline);
 
                     let (be_only, _, _) = instrument(
                         &b.module,
@@ -106,8 +103,9 @@ pub fn run(scale: Scale) -> Table2 {
                             backedges: true,
                         }),
                     );
-                    let backedges =
-                        overhead_pct(&run_module(&be_only, Trigger::Never), &b.baseline);
+                    let backedges = h
+                        .run_module(&be_only, Trigger::Never)
+                        .overhead_vs(&b.baseline);
 
                     let (en_only, _, _) = instrument(
                         &b.module,
@@ -117,7 +115,9 @@ pub fn run(scale: Scale) -> Table2 {
                             backedges: false,
                         }),
                     );
-                    let entries = overhead_pct(&run_module(&en_only, Trigger::Never), &b.baseline);
+                    let entries = h
+                        .run_module(&en_only, Trigger::Never)
+                        .overhead_vs(&b.baseline);
 
                     let space_kb = stats.space_increase_bytes() as f64 / 1024.0;
                     let compile_time = stats.space_increase_percent();
@@ -229,7 +229,7 @@ mod tests {
 
     #[test]
     fn shape_matches_paper() {
-        let t = run(Scale::Smoke);
+        let t = run(&Harness::default(), Scale::Smoke);
         assert_eq!(t.rows.len(), 10);
         // Framework overhead is an order of magnitude below exhaustive
         // instrumentation (Table 1): single digits on average.

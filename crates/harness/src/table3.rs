@@ -10,10 +10,7 @@ use isf_exec::Trigger;
 
 use isf_obs::Json;
 
-use crate::runner::{
-    cell, overhead_of, par_cells_journaled, prepare_suite, split_results, CellError,
-    JournalPayload, Kinds,
-};
+use crate::runner::{cell, split_results, CellError, Harness, JournalPayload, Kinds};
 use crate::{mean, pct, write_errors, Scale};
 
 /// One benchmark row.
@@ -60,18 +57,18 @@ pub struct Table3 {
 }
 
 /// Runs the experiment, one isolated cell per benchmark.
-pub fn run(scale: Scale) -> Table3 {
-    let suite = prepare_suite(scale);
-    let results = par_cells_journaled(
+pub fn run(h: &Harness, scale: Scale) -> Table3 {
+    let suite = h.prepare_suite(scale);
+    let results = h.par_cells_journaled(
         suite
             .benches
             .iter()
             .map(|b| {
                 cell(format!("table3/{}", b.name), move || {
                     let (call_edge, o) =
-                        overhead_of(b, Kinds::CallEdge, Strategy::NoDuplication, Trigger::Never);
+                        h.overhead_of(b, Kinds::CallEdge, Strategy::NoDuplication, Trigger::Never);
                     debug_assert!(o.profile.is_empty());
-                    let (field_access, _) = overhead_of(
+                    let (field_access, _) = h.overhead_of(
                         b,
                         Kinds::FieldAccess,
                         Strategy::NoDuplication,
@@ -159,7 +156,7 @@ mod tests {
 
     #[test]
     fn shape_matches_paper() {
-        let t = run(Scale::Smoke);
+        let t = run(&Harness::default(), Scale::Smoke);
         assert_eq!(t.rows.len(), 10);
         // The headline asymmetry: call-edge guards are cheap, field-access
         // guards cost a large fraction of the instrumentation itself.
@@ -184,8 +181,9 @@ mod tests {
         // Paper: "column 2 of Table 3 is identical to column 4 of Table 2"
         // (checks on method entries only). Same configuration here, modulo
         // the hoisting shim; allow a small tolerance.
-        let t3 = run(Scale::Smoke);
-        let t2 = crate::table2::run(Scale::Smoke);
+        let h = Harness::default();
+        let t3 = run(&h, Scale::Smoke);
+        let t2 = crate::table2::run(&h, Scale::Smoke);
         for (a, b) in t3.rows.iter().zip(&t2.rows) {
             assert!(
                 (a.call_edge - b.entries).abs() < 2.0,

@@ -16,10 +16,7 @@ use isf_profile::overlap::{call_edge_overlap, field_access_overlap};
 
 use isf_obs::Json;
 
-use crate::runner::{
-    cell, instrument, par_cells_journaled, perfect_profile, prepare_for_runs, prepare_suite,
-    run_prepared_module, split_results, CellError, JournalPayload, Kinds,
-};
+use crate::runner::{cell, instrument, split_results, CellError, Harness, JournalPayload, Kinds};
 use crate::{mean, pct, write_errors, Scale};
 
 /// The sample intervals of the paper's sweep.
@@ -55,9 +52,9 @@ pub struct Table4 {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Table4 {
-    let (full_duplication, mut errors) = sweep(scale, Strategy::FullDuplication);
-    let (no_duplication, nd_errors) = sweep(scale, Strategy::NoDuplication);
+pub fn run(h: &Harness, scale: Scale) -> Table4 {
+    let (full_duplication, mut errors) = sweep(h, scale, Strategy::FullDuplication);
+    let (no_duplication, nd_errors) = sweep(h, scale, Strategy::NoDuplication);
     errors.extend(nd_errors);
     Table4 {
         full_duplication,
@@ -110,20 +107,20 @@ impl JournalPayload for Vec<Meas> {
     }
 }
 
-fn sweep(scale: Scale, strategy: Strategy) -> (Vec<Row>, Vec<CellError>) {
-    let suite = prepare_suite(scale);
+fn sweep(h: &Harness, scale: Scale, strategy: Strategy) -> (Vec<Row>, Vec<CellError>) {
+    let suite = h.prepare_suite(scale);
     let benches = &suite.benches;
     // One cell per benchmark: instrument and pre-decode once, then run
     // the whole interval sweep against the decoded form.
-    let results = par_cells_journaled(
+    let results = h.par_cells_journaled(
         benches
             .iter()
             .map(|b| {
                 cell(format!("table4/{strategy:?}/{}", b.name), move || {
                     let (module, _, _) =
                         instrument(&b.module, Kinds::Both, &Options::new(strategy));
-                    let perfect = perfect_profile(b, Kinds::Both);
-                    let prepared = prepare_for_runs(&module);
+                    let perfect = h.perfect_profile(b, Kinds::Both);
+                    let prepared = h.prepare_for_runs(&module);
                     // The decoded form is fetched once per cell (shared
                     // through the preparation cache when another cell
                     // already decoded the same module); every run of the
@@ -133,12 +130,12 @@ fn sweep(scale: Scale, strategy: Strategy) -> (Vec<Row>, Vec<CellError>) {
                     // prepare concurrently.
                     let preparations_before = thread_preparations();
                     let framework_cycles =
-                        run_prepared_module(&prepared, Trigger::Never).cycles as f64;
+                        h.run_prepared_module(&prepared, Trigger::Never).cycles as f64;
                     let baseline_cycles = b.baseline.cycles as f64;
                     let meas: Vec<Meas> = INTERVALS
                         .iter()
                         .map(|&interval| {
-                            let o = run_prepared_module(&prepared, Trigger::Counter { interval });
+                            let o = h.run_prepared_module(&prepared, Trigger::Counter { interval });
                             Meas {
                                 samples: o.samples_taken as f64,
                                 sampled_instr: (o.cycles as f64 - framework_cycles)
@@ -252,10 +249,11 @@ impl fmt::Display for Table4 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::HarnessConfig;
 
     #[test]
     fn shape_matches_paper() {
-        let t = run(Scale::Smoke);
+        let t = run(&Harness::default(), Scale::Smoke);
         let fd = &t.full_duplication;
         assert_eq!(fd.len(), INTERVALS.len());
 
@@ -299,21 +297,30 @@ mod tests {
     fn rows_are_byte_identical_serial_and_parallel() {
         // The determinism contract of the parallel harness: the rendered
         // table — every formatted digit — must not depend on the worker
-        // count.
-        let _guard = crate::runner::jobs_test_lock();
-        crate::runner::set_jobs(1);
-        let serial = run(Scale::Smoke).to_string();
-        crate::runner::set_jobs(4);
-        crate::runner::set_profiling(true);
+        // count. A `jobs: 1` and a `jobs: 4` harness sharing one
+        // preparation cache run the sweep at the same time.
+        let _guard = crate::runner::metrics_test_lock();
+        let serial = Harness::new(HarnessConfig {
+            jobs: 1,
+            ..HarnessConfig::default()
+        });
+        let parallel = serial.with_config(HarnessConfig {
+            jobs: 4,
+            ..serial.config.clone()
+        });
+        isf_obs::metrics::set_enabled(true);
         let hits_before = isf_obs::metrics::snapshot().counter("prep.cache.hits");
-        let parallel = run(Scale::Smoke).to_string();
+        let (serial, parallel) = std::thread::scope(|s| {
+            let serial = s.spawn(|| run(&serial, Scale::Smoke).to_string());
+            let parallel = s.spawn(|| run(&parallel, Scale::Smoke).to_string());
+            (serial.join().unwrap(), parallel.join().unwrap())
+        });
         let hits_after = isf_obs::metrics::snapshot().counter("prep.cache.hits");
-        crate::runner::set_profiling(false);
-        crate::runner::set_jobs(0);
+        isf_obs::metrics::set_enabled(false);
         assert_eq!(serial, parallel, "table 4 output depends on the job count");
-        // The serial sweep populated the preparation cache, so the repeat
-        // sweep serves its identical (program, plan) decodes from it — and
-        // the registry, enabled around the repeat sweep, counted the hits.
+        // Both sweeps request the same (program, plan) decodes from the
+        // shared cache, so whichever asks second is served from it — and
+        // the registry, enabled around the sweeps, counted the hits.
         assert!(
             hits_after > hits_before,
             "repeat sweep should hit the shared preparation cache"

@@ -15,10 +15,7 @@ use isf_profile::overlap::field_access_overlap;
 
 use isf_obs::Json;
 
-use crate::runner::{
-    cell, instrument, par_cells_journaled, perfect_profile, prepare_for_runs, prepare_suite,
-    run_prepared_module, split_results, CellError, JournalPayload, Kinds,
-};
+use crate::runner::{cell, instrument, split_results, CellError, Harness, JournalPayload, Kinds};
 use crate::{mean, write_errors, Scale};
 
 /// One benchmark row.
@@ -75,39 +72,39 @@ pub struct Table5 {
 /// roughly a hundred samples are taken (the paper's 30,000 at its
 /// benchmark sizes); the timer period is then matched to produce a similar
 /// sample count, mirroring the paper's fair-comparison setup.
-pub fn run(scale: Scale) -> Table5 {
-    let suite = prepare_suite(scale);
-    let results = par_cells_journaled(
+pub fn run(h: &Harness, scale: Scale) -> Table5 {
+    let suite = h.prepare_suite(scale);
+    let results = h.par_cells_journaled(
         suite
             .benches
             .iter()
             .map(|b| {
                 cell(format!("table5/{}", b.name), move || {
-                    let perfect = perfect_profile(b, Kinds::FieldAccess);
+                    let perfect = h.perfect_profile(b, Kinds::FieldAccess);
                     let (module, _, _) = instrument(
                         &b.module,
                         Kinds::FieldAccess,
                         &Options::new(Strategy::FullDuplication),
                     );
                     // One decode serves the probe, counter and timer runs.
-                    let prepared = prepare_for_runs(&module);
+                    let prepared = h.prepare_for_runs(&module);
                     // Aim for ~120 samples per run. Nudge the interval away
                     // from multiples of small primes so it does not alias
                     // with loop periods — the paper's §4.4 caveat about
                     // deterministic sampling of periodic programs (their
                     // 30,000 is likewise coprime to the benchmarks' loop
                     // lengths).
-                    let probe = run_prepared_module(&prepared, Trigger::Never);
+                    let probe = h.run_prepared_module(&prepared, Trigger::Never);
                     let mut interval = (probe.checks_executed / 120).max(3);
                     while [2, 3, 5, 7].iter().any(|p| interval.is_multiple_of(*p)) {
                         interval += 1;
                     }
-                    let counter = run_prepared_module(&prepared, Trigger::Counter { interval });
+                    let counter = h.run_prepared_module(&prepared, Trigger::Counter { interval });
                     let counter_acc = field_access_overlap(&perfect, &counter.profile);
 
                     // Match the timer's sample count to the counter's.
                     let period = (counter.cycles / counter.samples_taken.max(1)).max(1);
-                    let timer = run_prepared_module(&prepared, Trigger::TimerBit { period });
+                    let timer = h.run_prepared_module(&prepared, Trigger::TimerBit { period });
                     let timer_acc = field_access_overlap(&perfect, &timer.profile);
 
                     Row {
@@ -195,7 +192,7 @@ mod tests {
 
     #[test]
     fn shape_matches_paper() {
-        let t = run(Scale::Smoke);
+        let t = run(&Harness::default(), Scale::Smoke);
         assert_eq!(t.rows.len(), 10);
         // The headline: counter-based sampling is more accurate on
         // average when sample counts are matched.

@@ -16,7 +16,7 @@
 use std::panic;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use isf_harness::runner::{cell, par_cells_isolated, CellResult};
+use isf_harness::runner::{cell, CellResult, Harness};
 
 static HOOK_A: AtomicU32 = AtomicU32::new(0);
 static HOOK_B: AtomicU32 = AtomicU32::new(0);
@@ -34,7 +34,8 @@ fn the_cell_hook_is_restored_and_reinstalled_per_group() {
 
     // Group 1: an in-cell panic is silenced — caught, classified, and
     // never delegated to the installed hook.
-    let results = par_cells_isolated(vec![
+    let h = Harness::default();
+    let results = h.par_cells_isolated(vec![
         cell("hook/panics", || -> u64 { panic!("in-cell") }),
         cell("hook/ok", || 7u64),
     ]);
@@ -62,7 +63,7 @@ fn the_cell_hook_is_restored_and_reinstalled_per_group() {
     panic::set_hook(Box::new(|_| {
         HOOK_B.fetch_add(1, Ordering::SeqCst);
     }));
-    let results = par_cells_isolated(vec![cell("hook/panics-again", || -> u64 {
+    let results = h.par_cells_isolated(vec![cell("hook/panics-again", || -> u64 {
         panic!("in-cell, second group")
     })]);
     assert!(matches!(results[0], CellResult::Panicked(_)));

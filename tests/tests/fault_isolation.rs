@@ -5,19 +5,13 @@
 //! becomes an `error` JSONL record while its siblings complete, with a
 //! stream that is byte-identical across job counts.
 
-use std::sync::Mutex;
-
 use proptest::prelude::*;
 
 use isf_exec::{run, run_naive, run_prepared, ExecLimits, PreparedModule, Trigger, VmConfig};
-use isf_harness::runner::{self, cell, par_cells_isolated, split_results};
+use isf_harness::runner::{cell, split_results, Harness, HarnessConfig};
 use isf_integration_tests::compile;
 use isf_integration_tests::program_gen::{render_program, stmt_strategy};
 use isf_obs::emit;
-
-/// Serializes tests that mutate process-global harness state (the jobs
-/// override, the emit mode).
-static GLOBALS: Mutex<()> = Mutex::new(());
 
 fn trigger_strategy() -> impl Strategy<Value = Trigger> {
     prop_oneof![
@@ -73,25 +67,26 @@ proptest! {
 
 #[test]
 fn trapping_cell_yields_error_record_while_siblings_complete() {
-    let _guard = GLOBALS.lock().unwrap();
     let good = compile("fn main() { var i = 0; while (i < 100) { i = i + 1; } }");
     let bad = compile("fn main() { var x = 1 / 0; }");
+    // The emitter is per thread: this test's stream is its own.
     emit::set_mode(emit::EmitMode::Json);
     emit::set_redact(true);
     let run_once = |jobs: usize| {
-        runner::set_jobs(jobs);
+        let h = Harness::new(HarnessConfig {
+            jobs,
+            ..HarnessConfig::default()
+        });
         let cells = vec![
             cell("fault/ok-before", || {
-                runner::run_module(&good, Trigger::Never).cycles
+                h.run_module(&good, Trigger::Never).cycles
             }),
-            cell("fault/traps", || {
-                runner::run_module(&bad, Trigger::Never).cycles
-            }),
+            cell("fault/traps", || h.run_module(&bad, Trigger::Never).cycles),
             cell("fault/ok-after", || {
-                runner::run_module(&good, Trigger::Never).cycles
+                h.run_module(&good, Trigger::Never).cycles
             }),
         ];
-        let (oks, errors) = split_results(par_cells_isolated(cells));
+        let (oks, errors) = split_results(h.par_cells_isolated(cells));
         assert_eq!(oks.len(), 2, "sibling cells must complete");
         assert_eq!(errors.len(), 1);
         assert_eq!(errors[0].label, "fault/traps");
@@ -106,7 +101,6 @@ fn trapping_cell_yields_error_record_while_siblings_complete() {
     };
     let serial = run_once(1);
     let parallel = run_once(4);
-    runner::set_jobs(0);
     emit::set_mode(emit::EmitMode::Off);
     emit::set_redact(false);
     assert_eq!(
@@ -125,13 +119,31 @@ fn trapping_cell_yields_error_record_while_siblings_complete() {
 
 #[test]
 fn budget_capped_cell_is_classified_as_budget_not_trap() {
-    let _guard = GLOBALS.lock().unwrap();
+    // A capped and an uncapped harness, sharing one preparation cache,
+    // run the same program side by side: the cap is a property of the
+    // value, not of the process.
     let spin = compile("fn main() { var i = 0; while (i < 1000000) { i = i + 1; } }");
-    runner::set_cell_budget(500);
-    let results = par_cells_isolated(vec![cell("fault/budget", || {
-        runner::run_module(&spin, Trigger::Never).cycles
-    })]);
-    runner::set_cell_budget(u64::MAX);
+    let uncapped = Harness::default();
+    let capped = uncapped.with_config(HarnessConfig {
+        cell_budget: 500,
+        ..uncapped.config.clone()
+    });
+    let run = |h: &Harness| {
+        h.par_cells_isolated(vec![cell("fault/budget", || {
+            h.run_module(&spin, Trigger::Never).cycles
+        })])
+    };
+    let (results, free) = std::thread::scope(|s| {
+        let capped_run = s.spawn(|| run(&capped));
+        let uncapped_run = s.spawn(|| run(&uncapped));
+        (capped_run.join().unwrap(), uncapped_run.join().unwrap())
+    });
+    let (free_oks, free_errors) = split_results(free);
+    assert!(
+        free_errors.is_empty(),
+        "uncapped run failed: {free_errors:?}"
+    );
+    assert!(free_oks[0] > 500, "the uncapped run outlives the cap");
     let (oks, errors) = split_results(results);
     assert!(oks.is_empty());
     assert_eq!(errors.len(), 1);
