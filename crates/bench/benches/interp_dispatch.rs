@@ -1,74 +1,59 @@
-//! Ablation: superinstruction-fused dispatch vs the plain pre-decoded
-//! engine vs the naive tree-walking reference.
+//! Ablation: the four engines of [`Engine::ALL`] on the same
+//! uninstrumented runs.
 //!
-//! `run_prepared` executes a flattened, pre-resolved instruction arena
-//! (costs folded, branch targets as indices, backedges pre-classified);
-//! with fusion the hot multi-op sequences of that arena collapse into
-//! single superinstructions with pre-summed costs, so the dispatch loop
-//! turns fewer times per simulated instruction. `run_naive` re-reads the
-//! structured IR and re-derives all of that on the fly, per run and per
-//! instruction. All three produce identical outcomes — this bench
-//! measures dispatch cost alone and asserts the two headline claims: the
-//! unfused prepared engine is at least 1.5× the naive one, and fusion is
-//! at least 1.25× on top of it, both on `compress`. The self-profiling
-//! variant (`profiled`, the per-opcode `OpProfile` sink) must stay
-//! within 5% of the untraced fused run. The fusion and profiling ratios
-//! are measured interleaved in one process ([`interleaved_min_ratio`]),
-//! not read off two criterion rows timed minutes apart.
+//! The unfused prepared engine executes a flattened, pre-resolved
+//! instruction arena (costs folded, branch targets as indices, backedges
+//! pre-classified); with fusion the hot multi-op sequences of that arena
+//! collapse into single superinstructions with pre-summed costs, so the
+//! dispatch loop turns fewer times per simulated instruction. The naive
+//! engine re-reads the structured IR and re-derives all of that on the
+//! fly, per run and per instruction. All engines produce identical
+//! outcomes — this bench measures dispatch cost alone and asserts the two
+//! headline claims: the unfused prepared engine is at least 1.5× the
+//! naive one, and fusion is at least 1.25× on top of it, both on
+//! `compress`. The self-profiling variant (`profiled`, the per-opcode
+//! `OpProfile` sink) must stay within 5% of the untraced fused run. The
+//! fusion and profiling ratios are measured interleaved in one process
+//! ([`interleaved_min_ratio`]), not read off two criterion rows timed
+//! minutes apart.
 
 use criterion::Criterion;
 use isf_bench::{criterion, module};
-use isf_exec::{
-    run_naive, run_prepared, run_prepared_profiled, run_prepared_traced, FuseGuidance, FuseMode,
-    OpProfile, PreparedModule, TraceBuffer, VmConfig,
-};
+use isf_exec::{Engine, OpProfile, Request, TraceBuffer, VmConfig};
 
 fn dispatch(c: &mut Criterion) {
     let cfg = VmConfig::default();
     for name in ["compress", "mtrt", "db", "jess"] {
         let m = module(name);
-        let fused = PreparedModule::prepare_with(&m, &cfg.cost, FuseMode::Fuse);
-        let unfused = PreparedModule::prepare_with(&m, &cfg.cost, FuseMode::Off);
-        c.bench_function(format!("interp_dispatch/fused/{name}"), |b| {
-            b.iter(|| run_prepared(&fused, &cfg).unwrap())
-        });
-        // Profile-guided fusion (the harness's `--pgo` flow): warm the
-        // statically-fused form under the profiled engine, distill the
-        // profile into guidance, and re-prepare. Guided groups only ever
-        // add coverage on top of the catalogue — catalogue matches win
-        // ties in the block partitioner — so this row should sit at or
-        // below the `fused` row, most visibly on call-dense benchmarks.
-        let mut warmup = OpProfile::new();
-        run_prepared_profiled(&fused, &cfg, &mut warmup).unwrap();
-        let guidance = Box::new(FuseGuidance::from_profile(&warmup));
-        let guided = PreparedModule::prepare_with(&m, &cfg.cost, FuseMode::Guided(guidance));
-        c.bench_function(format!("interp_dispatch/guided/{name}"), |b| {
-            b.iter(|| run_prepared(&guided, &cfg).unwrap())
-        });
-        // `prepared` is the pre-fusion engine (FuseMode::Off), keeping the
-        // bench ID comparable with historical runs.
-        c.bench_function(format!("interp_dispatch/prepared/{name}"), |b| {
-            b.iter(|| run_prepared(&unfused, &cfg).unwrap())
-        });
-        c.bench_function(format!("interp_dispatch/naive/{name}"), |b| {
-            b.iter(|| run_naive(&m, &cfg).unwrap())
-        });
-        // Re-preparing on every run (what `run` does, fusion included)
-        // must still beat the naive engine; the decode-and-fuse pass is a
-        // small fraction of a run.
+        // One row per engine, `interp_dispatch/<label>/<bench>`. Guided
+        // groups only ever add coverage on top of the catalogue —
+        // catalogue matches win ties in the block partitioner — so the
+        // guided row should sit at or below the fused row, most visibly
+        // on call-dense benchmarks.
+        for engine in Engine::ALL {
+            let code = engine.load(&m, &cfg.cost);
+            c.bench_function(format!("interp_dispatch/{}/{name}", engine.label()), |b| {
+                b.iter(|| code.execute(Request::new(&cfg)).unwrap())
+            });
+        }
+        // Loading on every run (fusion included) must still beat the naive
+        // engine; the decode-and-fuse pass is a small fraction of a run.
         c.bench_function(format!("interp_dispatch/prepare_each_run/{name}"), |b| {
             b.iter(|| {
-                let p = PreparedModule::prepare(&m, &cfg.cost);
-                run_prepared(&p, &cfg).unwrap()
+                Engine::default()
+                    .load(&m, &cfg.cost)
+                    .execute(Request::new(&cfg))
+                    .unwrap()
             })
         });
+        let fused = Engine::Fused.load(&m, &cfg.cost);
         // Live burst tracing: the generic-sink variant with a real buffer.
         // Uninstrumented modules take no samples, so this measures the
         // plumbing (the `S::ENABLED` branches), not record volume.
         c.bench_function(format!("interp_dispatch/traced/{name}"), |b| {
             b.iter(|| {
                 let mut sink = TraceBuffer::new();
-                run_prepared_traced(&fused, &cfg, &mut sink).unwrap()
+                fused.execute(Request::new(&cfg).trace(&mut sink)).unwrap()
             })
         });
         // Self-profiling: the per-opcode dispatch profile adds two array
@@ -77,7 +62,9 @@ fn dispatch(c: &mut Criterion) {
         c.bench_function(format!("interp_dispatch/profiled/{name}"), |b| {
             b.iter(|| {
                 let mut profile = OpProfile::new();
-                run_prepared_profiled(&fused, &cfg, &mut profile).unwrap()
+                fused
+                    .execute(Request::new(&cfg).profile(&mut profile))
+                    .unwrap()
             })
         });
     }
@@ -88,11 +75,11 @@ fn main() {
     dispatch(&mut c);
 
     let fused = c
-        .result_ns("interp_dispatch/fused/compress")
-        .expect("fused/compress was measured");
+        .result_ns("interp_dispatch/prepared/fused/compress")
+        .expect("prepared/fused/compress was measured");
     let fast = c
-        .result_ns("interp_dispatch/prepared/compress")
-        .expect("prepared/compress was measured");
+        .result_ns("interp_dispatch/prepared/unfused/compress")
+        .expect("prepared/unfused/compress was measured");
     let slow = c
         .result_ns("interp_dispatch/naive/compress")
         .expect("naive/compress was measured");
@@ -104,11 +91,11 @@ fn main() {
     );
     let cfg = VmConfig::default();
     let m = module("compress");
-    let fused_module = PreparedModule::prepare_with(&m, &cfg.cost, FuseMode::Fuse);
-    let unfused = PreparedModule::prepare_with(&m, &cfg.cost, FuseMode::Off);
+    let fused_code = Engine::Fused.load(&m, &cfg.cost);
+    let unfused_code = Engine::Unfused.load(&m, &cfg.cost);
     let fusion_speedup = interleaved_min_ratio(
-        || run_prepared(&unfused, &cfg).unwrap(),
-        || run_prepared(&fused_module, &cfg).unwrap(),
+        || unfused_code.execute(Request::new(&cfg)).unwrap(),
+        || fused_code.execute(Request::new(&cfg)).unwrap(),
     );
     println!(
         "interp_dispatch: fusion is {fusion_speedup:.2}x the unfused prepared engine on compress"
@@ -127,8 +114,12 @@ fn main() {
     // on compress — the OpProfile sink is meant to be cheap enough to
     // enable on real experiment runs, not just microbenchmarks.
     let overhead = interleaved_min_ratio(
-        || run_prepared_profiled(&fused_module, &cfg, &mut OpProfile::new()).unwrap(),
-        || run_prepared(&fused_module, &cfg).unwrap(),
+        || {
+            fused_code
+                .execute(Request::new(&cfg).profile(&mut OpProfile::new()))
+                .unwrap()
+        },
+        || fused_code.execute(Request::new(&cfg)).unwrap(),
     );
     println!("interp_dispatch: per-opcode profiling is {overhead:.3}x the fused run on compress");
     // Both ratios are printed before either is checked, so a failing

@@ -11,7 +11,7 @@ use std::time::Duration;
 use criterion::Criterion;
 
 use isf_core::{instrument_module, Options, Strategy};
-use isf_exec::{run, Outcome, Trigger, VmConfig};
+use isf_exec::{Engine, Outcome, Request, Trigger, VmConfig};
 use isf_instr::{CallEdgeInstrumentation, FieldAccessInstrumentation, Instrumentation, ModulePlan};
 use isf_ir::Module;
 use isf_workloads::Scale;
@@ -60,14 +60,14 @@ pub fn both_kinds() -> Vec<&'static dyn Instrumentation> {
 ///
 /// Panics if the program traps.
 pub fn run_with(module: &Module, trigger: Trigger) -> Outcome {
-    run(
-        module,
-        &VmConfig {
-            trigger,
-            ..VmConfig::default()
-        },
-    )
-    .expect("benchmarks do not trap")
+    let cfg = VmConfig {
+        trigger,
+        ..VmConfig::default()
+    };
+    Engine::default()
+        .load(module, &cfg.cost)
+        .execute(Request::new(&cfg))
+        .expect("benchmarks do not trap")
 }
 
 /// Shorthand for [`Options::new`].

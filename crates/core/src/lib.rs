@@ -41,7 +41,7 @@
 //! ```
 //! use isf_core::{instrument_module, Options, Strategy};
 //! use isf_instr::{CallEdgeInstrumentation, ModulePlan};
-//! use isf_exec::{run, Trigger, VmConfig};
+//! use isf_exec::{Engine, Request, Trigger, VmConfig};
 //!
 //! let module = isf_frontend::compile(
 //!     "fn hot() { } fn main() { var i = 0; while (i < 500) { hot(); i = i + 1; } }",
@@ -52,10 +52,14 @@
 //! ).unwrap();
 //! assert!(stats.total_checks() > 0);
 //!
-//! let outcome = run(&sampled, &VmConfig {
+//! let config = VmConfig {
 //!     trigger: Trigger::Counter { interval: 10 },
 //!     ..VmConfig::default()
-//! }).unwrap();
+//! };
+//! let outcome = Engine::Fused
+//!     .load(&sampled, &config.cost)
+//!     .execute(Request::new(&config))
+//!     .unwrap();
 //! assert!(outcome.samples_taken > 0);
 //! assert!(outcome.satisfies_property1());
 //! # assert!(outcome.profile.total_call_edge_events() > 0);

@@ -135,7 +135,7 @@ pub fn instrumentation_confined_to_dup_code(
 mod tests {
     use super::*;
     use crate::{instrument_module, Options, Strategy};
-    use isf_exec::{run, Trigger, VmConfig};
+    use isf_exec::{Engine, Outcome, Request, Trigger, VmConfig, VmError};
     use isf_instr::{
         BlockCountInstrumentation, CallEdgeInstrumentation, EdgeCountInstrumentation,
         FieldAccessInstrumentation, Instrumentation, ModulePlan,
@@ -180,24 +180,29 @@ mod tests {
         (base, out, stats)
     }
 
-    fn cfg(trigger: Trigger) -> VmConfig {
-        VmConfig {
+    /// Loads `module` on the default engine and runs it once under
+    /// `trigger`.
+    fn execute(module: &Module, trigger: Trigger) -> Result<Outcome, VmError> {
+        let cfg = VmConfig {
             trigger,
             ..VmConfig::default()
-        }
+        };
+        Engine::default()
+            .load(module, &cfg.cost)
+            .execute(Request::new(&cfg))
     }
 
     #[test]
     fn full_duplication_preserves_semantics_at_every_interval() {
         let (base, out, _) = build(Strategy::FullDuplication);
-        let expected = run(&base, &cfg(Trigger::Never)).unwrap().output;
+        let expected = execute(&base, Trigger::Never).unwrap().output;
         for trigger in [
             Trigger::Never,
             Trigger::Always,
             Trigger::Counter { interval: 7 },
             Trigger::Counter { interval: 100 },
         ] {
-            let o = run(&out, &cfg(trigger)).unwrap();
+            let o = execute(&out, trigger).unwrap();
             assert_eq!(o.output, expected, "wrong output under {trigger:?}");
         }
     }
@@ -211,8 +216,8 @@ mod tests {
         let plan = ModulePlan::build(&base, &both_kinds());
         let (exh, _) =
             instrument_module(&base, &plan, &Options::new(Strategy::Exhaustive)).unwrap();
-        let perfect = run(&exh, &cfg(Trigger::Never)).unwrap().profile;
-        let sampled = run(&full, &cfg(Trigger::Always)).unwrap().profile;
+        let perfect = execute(&exh, Trigger::Never).unwrap().profile;
+        let sampled = execute(&full, Trigger::Always).unwrap().profile;
         assert_eq!(perfect.call_edges(), sampled.call_edges());
         assert_eq!(perfect.field_accesses(), sampled.field_accesses());
     }
@@ -247,7 +252,7 @@ mod tests {
     fn full_duplication_satisfies_property1_dynamically() {
         let (_, out, _) = build(Strategy::FullDuplication);
         for interval in [1, 10, 1000] {
-            let o = run(&out, &cfg(Trigger::Counter { interval })).unwrap();
+            let o = execute(&out, Trigger::Counter { interval }).unwrap();
             assert!(
                 o.satisfies_property1(),
                 "interval {interval}: {} checks vs {} entries + {} backedges",
@@ -262,10 +267,10 @@ mod tests {
     #[test]
     fn sampling_reduces_overhead_monotonically() {
         let (base, out, _) = build(Strategy::FullDuplication);
-        let baseline = run(&base, &cfg(Trigger::Never)).unwrap();
+        let baseline = execute(&base, Trigger::Never).unwrap();
         let mut last = u64::MAX;
         for interval in [1, 10, 100, 1000] {
-            let o = run(&out, &cfg(Trigger::Counter { interval })).unwrap();
+            let o = execute(&out, Trigger::Counter { interval }).unwrap();
             assert!(o.cycles >= baseline.cycles);
             assert!(
                 o.cycles <= last,
@@ -281,8 +286,8 @@ mod tests {
         let plan = ModulePlan::build(&base, &both_kinds());
         let (exh, _) =
             instrument_module(&base, &plan, &Options::new(Strategy::Exhaustive)).unwrap();
-        let perfect = run(&exh, &cfg(Trigger::Never)).unwrap().profile;
-        let sampled = run(&out, &cfg(Trigger::Counter { interval: 10 }))
+        let perfect = execute(&exh, Trigger::Never).unwrap().profile;
+        let sampled = execute(&out, Trigger::Counter { interval: 10 })
             .unwrap()
             .profile;
         let overlap = isf_profile::overlap::field_access_overlap(&perfect, &sampled);
@@ -301,16 +306,16 @@ mod tests {
         );
         assert!(partial_stats.bytes_after < full_stats.bytes_after);
 
-        let expected = run(&base, &cfg(Trigger::Never)).unwrap().output;
+        let expected = execute(&base, Trigger::Never).unwrap().output;
         for trigger in [Trigger::Always, Trigger::Counter { interval: 13 }] {
-            let o = run(&partial, &cfg(trigger)).unwrap();
+            let o = execute(&partial, trigger).unwrap();
             assert_eq!(o.output, expected);
             assert!(o.satisfies_property1(), "partial keeps Property 1");
         }
         // Instrumentation performed "identically to Full-Duplication"
         // (paper §3.1): perfect profiles agree.
-        let p_full = run(&full, &cfg(Trigger::Always)).unwrap().profile;
-        let p_part = run(&partial, &cfg(Trigger::Always)).unwrap().profile;
+        let p_full = execute(&full, Trigger::Always).unwrap().profile;
+        let p_part = execute(&partial, Trigger::Always).unwrap().profile;
         assert_eq!(p_full.call_edges(), p_part.call_edges());
         assert_eq!(p_full.field_accesses(), p_part.field_accesses());
         for (id, f) in partial.functions() {
@@ -328,15 +333,15 @@ mod tests {
             instrument_module(&base, &plan, &Options::new(Strategy::PartialDuplication)).unwrap();
         assert_eq!(stats.total_duplicated_blocks(), 0);
         assert_eq!(stats.total_checks(), 0);
-        let o = run(&out, &cfg(Trigger::Always)).unwrap();
+        let o = execute(&out, Trigger::Always).unwrap();
         assert_eq!(o.checks_executed, 0);
     }
 
     #[test]
     fn no_duplication_samples_single_operations() {
         let (base, out, stats) = build(Strategy::NoDuplication);
-        let expected = run(&base, &cfg(Trigger::Never)).unwrap().output;
-        let o = run(&out, &cfg(Trigger::Counter { interval: 5 })).unwrap();
+        let expected = execute(&base, Trigger::Never).unwrap().output;
+        let o = execute(&out, Trigger::Counter { interval: 5 }).unwrap();
         assert_eq!(o.output, expected);
         assert!(o.profile.total_field_access_events() > 0);
         // A sample triggers exactly one instrumentation point's ops.
@@ -353,7 +358,7 @@ mod tests {
         // Field-access-dense code has more instrumentation points than
         // entries + backedges, so No-Duplication executes more checks.
         let (_, out, _) = build(Strategy::NoDuplication);
-        let o = run(&out, &cfg(Trigger::Never)).unwrap();
+        let o = execute(&out, Trigger::Never).unwrap();
         assert!(
             !o.satisfies_property1(),
             "{} checks vs {} entries + {} backedges",
@@ -369,8 +374,8 @@ mod tests {
         let plan = ModulePlan::build(&base, &both_kinds());
         let (exh, _) =
             instrument_module(&base, &plan, &Options::new(Strategy::Exhaustive)).unwrap();
-        let perfect = run(&exh, &cfg(Trigger::Never)).unwrap().profile;
-        let sampled = run(&out, &cfg(Trigger::Always)).unwrap().profile;
+        let perfect = execute(&exh, Trigger::Never).unwrap().profile;
+        let sampled = execute(&out, Trigger::Always).unwrap().profile;
         assert_eq!(perfect.call_edges(), sampled.call_edges());
         assert_eq!(perfect.field_accesses(), sampled.field_accesses());
     }
@@ -379,7 +384,7 @@ mod tests {
     fn checks_only_cannot_sample_but_costs_cycles() {
         let base = isf_frontend::compile(PROGRAM).unwrap();
         let plan = ModulePlan::build(&base, &[]);
-        let baseline = run(&base, &cfg(Trigger::Never)).unwrap();
+        let baseline = execute(&base, Trigger::Never).unwrap();
         for (entries, backedges) in [(true, false), (false, true), (true, true)] {
             let (out, stats) = instrument_module(
                 &base,
@@ -388,7 +393,7 @@ mod tests {
             )
             .unwrap();
             assert!(stats.total_checks() > 0);
-            let o = run(&out, &cfg(Trigger::Always)).unwrap();
+            let o = execute(&out, Trigger::Always).unwrap();
             assert_eq!(o.output, baseline.output);
             assert!(o.cycles > baseline.cycles);
             assert!(o.profile.is_empty(), "checks-only never samples anything");
@@ -407,16 +412,16 @@ mod tests {
             &Options::new(Strategy::FullDuplication).with_yieldpoint_optimization(),
         )
         .unwrap();
-        let baseline = run(&base, &cfg(Trigger::Never)).unwrap();
-        let o_full = run(&full, &cfg(Trigger::Never)).unwrap();
-        let o_opt = run(&opt, &cfg(Trigger::Never)).unwrap();
+        let baseline = execute(&base, Trigger::Never).unwrap();
+        let o_full = execute(&full, Trigger::Never).unwrap();
+        let o_opt = execute(&opt, Trigger::Never).unwrap();
         assert!(o_opt.cycles < o_full.cycles);
         assert!(o_opt.cycles > baseline.cycles);
         // Checking code sheds its yieldpoints entirely when never sampling.
         assert_eq!(o_opt.yields_executed, 0);
         // Accuracy is untouched: perfect profiles agree (paper §4.5).
-        let p_full = run(&full, &cfg(Trigger::Always)).unwrap().profile;
-        let p_opt = run(&opt, &cfg(Trigger::Always)).unwrap().profile;
+        let p_full = execute(&full, Trigger::Always).unwrap().profile;
+        let p_opt = execute(&opt, Trigger::Always).unwrap().profile;
         assert_eq!(p_full.field_accesses(), p_opt.field_accesses());
     }
 
@@ -449,7 +454,7 @@ mod tests {
         );
         let (exh, _) =
             instrument_module(&base, &plan, &Options::new(Strategy::Exhaustive)).unwrap();
-        let perfect = run(&exh, &cfg(Trigger::Never)).unwrap().profile;
+        let perfect = execute(&exh, Trigger::Never).unwrap().profile;
         for strategy in [
             Strategy::FullDuplication,
             Strategy::PartialDuplication,
@@ -457,7 +462,7 @@ mod tests {
         ] {
             let (out, _) = instrument_module(&base, &plan, &Options::new(strategy)).unwrap();
             isf_ir::verify::verify_module(&out).unwrap();
-            let sampled = run(&out, &cfg(Trigger::Always)).unwrap().profile;
+            let sampled = execute(&out, Trigger::Always).unwrap().profile;
             assert_eq!(
                 perfect.edges(),
                 sampled.edges(),
@@ -470,7 +475,7 @@ mod tests {
     #[test]
     fn trigger_off_keeps_all_execution_in_checking_code() {
         let (_, out, _) = build(Strategy::FullDuplication);
-        let o = run(&out, &cfg(Trigger::Never)).unwrap();
+        let o = execute(&out, Trigger::Never).unwrap();
         assert_eq!(o.samples_taken, 0);
         assert!(o.profile.is_empty(), "no instrumentation may run unsampled");
     }

@@ -61,7 +61,7 @@ pub fn instrument_module_selective(
 mod tests {
     use super::*;
     use crate::{instrument_module, Strategy};
-    use isf_exec::{run, Trigger, VmConfig};
+    use isf_exec::{Engine, Outcome, Request, Trigger, VmConfig, VmError};
     use isf_instr::{CallEdgeInstrumentation, FieldAccessInstrumentation, Instrumentation};
 
     const PROGRAM: &str = "
@@ -80,11 +80,16 @@ mod tests {
         vec![&CallEdgeInstrumentation, &FieldAccessInstrumentation]
     }
 
-    fn cfg(trigger: Trigger) -> VmConfig {
-        VmConfig {
+    /// Loads `module` on the default engine and runs it once under
+    /// `trigger`.
+    fn execute(module: &Module, trigger: Trigger) -> Result<Outcome, VmError> {
+        let cfg = VmConfig {
             trigger,
             ..VmConfig::default()
-        }
+        };
+        Engine::default()
+            .load(module, &cfg.cost)
+            .execute(Request::new(&cfg))
     }
 
     #[test]
@@ -112,8 +117,8 @@ mod tests {
         assert!(stats.functions[hot.index()].checks_inserted > 0);
 
         // Semantics preserved; only the hot method's events collected.
-        let baseline = run(&module, &cfg(Trigger::Never)).unwrap();
-        let o = run(&out, &cfg(Trigger::Always)).unwrap();
+        let baseline = execute(&module, Trigger::Never).unwrap();
+        let o = execute(&out, Trigger::Always).unwrap();
         assert_eq!(o.output, baseline.output);
         assert!(o
             .profile
@@ -139,8 +144,8 @@ mod tests {
             sel_stats.space_increase_bytes(),
             all_stats.space_increase_bytes()
         );
-        let o_all = run(&all, &cfg(Trigger::Never)).unwrap();
-        let o_sel = run(&sel, &cfg(Trigger::Never)).unwrap();
+        let o_all = execute(&all, Trigger::Never).unwrap();
+        let o_sel = execute(&sel, Trigger::Never).unwrap();
         assert!(o_sel.cycles < o_all.cycles, "fewer checks, fewer cycles");
     }
 
@@ -157,8 +162,8 @@ mod tests {
         .unwrap();
         assert_eq!(stats.total_checks(), 0);
         assert_eq!(stats.bytes_before, stats.bytes_after);
-        let baseline = run(&module, &cfg(Trigger::Never)).unwrap();
-        let o = run(&out, &cfg(Trigger::Never)).unwrap();
+        let baseline = execute(&module, Trigger::Never).unwrap();
+        let o = execute(&out, Trigger::Never).unwrap();
         assert_eq!(o.cycles, baseline.cycles);
     }
 }

@@ -16,12 +16,13 @@
 //! interpreter in [`crate::naive`], which stays per-op; the two are
 //! differentially tested to produce identical [`Outcome`]s.
 //!
-//! [`run`] keeps the classic entry point (it prepares internally);
-//! [`run_prepared`] lets callers amortize one preparation over many runs
+//! Callers reach this engine through [`Code::execute`](crate::Code::execute)
+//! on code that [`Engine::load`](crate::Engine::load) prepared, or on a
+//! borrowed `Code::from(&prepared)`: one preparation then serves many runs
 //! of the same (module, cost) cell, which is how the harness executes its
 //! interval sweeps.
 
-use isf_ir::{CallSiteId, ClassId, FieldSym, FuncId, LocalId, Module};
+use isf_ir::{CallSiteId, ClassId, FieldSym, FuncId, LocalId};
 use isf_profile::ProfileData;
 
 use crate::cancel::{self, ArmedToken};
@@ -30,9 +31,9 @@ use crate::error::{TrapKind, VmError};
 use crate::heap::Heap;
 use crate::outcome::Outcome;
 use crate::prepared::{InstrEffect, Op, OpKind, PreparedModule};
-use crate::profile::{NoMetrics, ProfileSink};
+use crate::profile::ProfileSink;
 use crate::sched::SchedControl;
-use crate::trace::{BurstRecord, NoTrace, TraceSink};
+use crate::trace::{BurstRecord, TraceSink};
 use crate::trigger::{Trigger, TriggerState};
 use crate::value::Value;
 
@@ -108,133 +109,10 @@ impl Default for VmConfig {
     }
 }
 
-/// Runs `module` to completion under `config`, preparing it internally.
-///
-/// For repeated runs of the same module under the same cost model, build a
-/// [`PreparedModule`] once and call [`run_prepared`] instead.
-///
-/// # Errors
-///
-/// Returns a [`VmError`] on any runtime trap (type errors, null
-/// dereference, out-of-bounds access, deadlock, exceeded budgets).
-pub fn run(module: &Module, config: &VmConfig) -> Result<Outcome, VmError> {
-    let prepared = PreparedModule::prepare(module, &config.cost);
-    run_prepared(&prepared, config)
-}
-
-/// Runs an already-prepared module to completion under `config`,
-/// amortizing the preparation cost across repeated runs.
-///
-/// `config.trigger`, `config.timeslice` and `config.limits` may vary
-/// freely between runs of one preparation;
-/// `config.cost` must equal the cost model the module was prepared with,
-/// because per-op costs were folded in at prepare time.
-///
-/// # Panics
-///
-/// Panics if `config.cost` differs from the preparation cost model.
-///
-/// # Errors
-///
-/// Returns a [`VmError`] on any runtime trap, exactly as [`run`] does.
-pub fn run_prepared(prepared: &PreparedModule, config: &VmConfig) -> Result<Outcome, VmError> {
-    run_prepared_traced(prepared, config, &mut NoTrace)
-}
-
-/// [`run`] with a burst-trace sink: prepares internally, then records every
-/// sampling burst into `sink`. See [`crate::trace`] for the recording
-/// contract.
-///
-/// # Errors
-///
-/// Returns a [`VmError`] on any runtime trap, exactly as [`run`] does.
-pub fn run_traced<S: TraceSink>(
-    module: &Module,
-    config: &VmConfig,
-    sink: &mut S,
-) -> Result<Outcome, VmError> {
-    let prepared = PreparedModule::prepare(module, &config.cost);
-    run_prepared_traced(&prepared, config, sink)
-}
-
-/// [`run_prepared`] with a burst-trace sink.
-///
-/// The sink is a compile-time parameter: with [`NoTrace`] (what
-/// [`run_prepared`] passes) every recording site compiles away and this
-/// *is* the untraced hot loop.
-///
-/// # Panics
-///
-/// Panics if `config.cost` differs from the preparation cost model.
-///
-/// # Errors
-///
-/// Returns a [`VmError`] on any runtime trap, exactly as [`run`] does.
-pub fn run_prepared_traced<S: TraceSink>(
-    prepared: &PreparedModule,
-    config: &VmConfig,
-    sink: &mut S,
-) -> Result<Outcome, VmError> {
-    run_prepared_observed(prepared, config, sink, &mut NoMetrics)
-}
-
-/// [`run_prepared`] with a per-opcode dispatch-profile sink. See
-/// [`crate::profile`] for the recording contract.
-///
-/// # Panics
-///
-/// Panics if `config.cost` differs from the preparation cost model.
-///
-/// # Errors
-///
-/// Returns a [`VmError`] on any runtime trap, exactly as [`run`] does.
-pub fn run_prepared_profiled<P: ProfileSink>(
-    prepared: &PreparedModule,
-    config: &VmConfig,
-    profile: &mut P,
-) -> Result<Outcome, VmError> {
-    run_prepared_observed(prepared, config, &mut NoTrace, profile)
-}
-
-/// [`run_prepared`] with both observers: a burst-trace sink and a
-/// dispatch-profile sink, each independently monomorphized ([`NoTrace`] /
-/// [`NoMetrics`] compile their recording sites away).
-///
-/// # Panics
-///
-/// Panics if `config.cost` differs from the preparation cost model.
-///
-/// # Errors
-///
-/// Returns a [`VmError`] on any runtime trap, exactly as [`run`] does.
-pub fn run_prepared_observed<S: TraceSink, P: ProfileSink>(
-    prepared: &PreparedModule,
-    config: &VmConfig,
-    sink: &mut S,
-    profile: &mut P,
-) -> Result<Outcome, VmError> {
-    // The default control is the recording-free round-robin fast path —
-    // this call adds nothing to the plain hot loop.
-    let mut sched = SchedControl::default();
-    run_prepared_sched(prepared, config, sink, profile, &mut sched)
-}
-
-/// [`run_prepared_observed`] with an explicit scheduling control: a
-/// [`SchedControl`] selecting the policy (round-robin, seeded-random or
-/// PCT), replaying a recorded [`crate::ScheduleTrace`], or following a DFS
-/// choice prefix. See [`crate::sched`] for the scheduling contract; the
-/// recorded trace stays in `sched` after the run.
-///
-/// # Panics
-///
-/// Panics if `config.cost` differs from the preparation cost model, or if
-/// a replaying control diverges from its trace (impossible when replaying
-/// a trace recorded from the same program and config).
-///
-/// # Errors
-///
-/// Returns a [`VmError`] on any runtime trap, exactly as [`run`] does.
-pub fn run_prepared_sched<S: TraceSink, P: ProfileSink>(
+/// The prepared engine's half of [`Code::execute`](crate::Code::execute):
+/// runs `prepared` to completion under `config`, recording into `sink` and
+/// `profile` and scheduling through `sched`.
+pub(crate) fn execute<S: TraceSink, P: ProfileSink>(
     prepared: &PreparedModule,
     config: &VmConfig,
     sink: &mut S,
@@ -244,7 +122,7 @@ pub fn run_prepared_sched<S: TraceSink, P: ProfileSink>(
     assert_eq!(
         &config.cost,
         prepared.cost(),
-        "run_prepared: config cost model differs from the preparation cost model"
+        "execute: config cost model differs from the preparation cost model"
     );
     let mut machine = Machine::new(prepared, config, sink, profile, sched);
     let result = machine.run_to_completion();
@@ -307,7 +185,8 @@ struct Machine<'p, 's, S: TraceSink, P: ProfileSink> {
     prepared: &'p PreparedModule,
     sink: &'s mut S,
     /// Per-opcode dispatch-profile sink; every recording site is guarded
-    /// by `if P::ENABLED`, so [`NoMetrics`] compiles them away.
+    /// by `if P::ENABLED`, so [`NoMetrics`](crate::NoMetrics) compiles
+    /// them away.
     psink: &'s mut P,
     /// Flow-entry deltas per module-wide arena slot, the profiled
     /// engine's entire hot-path cost: one `+1` per control transfer
@@ -864,7 +743,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
 
     /// Records a burst boundary at a firing check. Only reachable from
     /// `if S::ENABLED` guards: the whole function compiles away when the
-    /// sink is [`NoTrace`].
+    /// sink is [`NoTrace`](crate::NoTrace).
     #[cold]
     fn record_sample(&mut self, thread: usize, func: FuncId, check_ip: u32, backedge: bool) {
         self.sink.record(BurstRecord {
@@ -1751,15 +1630,21 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive::run_naive;
+    use crate::engine::{Code, Engine, Request};
     use crate::prepared::thread_preparations;
+    use isf_ir::Module;
 
     fn compile(src: &str) -> Module {
         isf_frontend::compile(src).expect("test program compiles")
     }
 
+    /// Loads `m` on `engine` and runs it once under `cfg`.
+    fn on(engine: Engine, m: &Module, cfg: &VmConfig) -> Result<Outcome, VmError> {
+        engine.load(m, &cfg.cost).execute(Request::new(cfg))
+    }
+
     fn run_src(src: &str) -> Outcome {
-        run(&compile(src), &VmConfig::default()).expect("test program runs")
+        on(Engine::default(), &compile(src), &VmConfig::default()).expect("test program runs")
     }
 
     #[test]
@@ -1818,16 +1703,16 @@ mod tests {
     #[test]
     fn traps_surface_as_errors() {
         let m = compile("fn main() { var x = 0; print(1 / x); }");
-        let e = run(&m, &VmConfig::default()).unwrap_err();
+        let e = on(Engine::default(), &m, &VmConfig::default()).unwrap_err();
         assert_eq!(e.kind, TrapKind::DivisionByZero);
         assert_eq!(e.function, "main");
 
         let m = compile("fn main() { var a = array(2); print(a[5]); }");
-        let e = run(&m, &VmConfig::default()).unwrap_err();
+        let e = on(Engine::default(), &m, &VmConfig::default()).unwrap_err();
         assert!(matches!(e.kind, TrapKind::IndexOutOfBounds { .. }));
 
         let m = compile("class A { field x; } fn main() { var a = null; print(a.x); }");
-        let e = run(&m, &VmConfig::default()).unwrap_err();
+        let e = on(Engine::default(), &m, &VmConfig::default()).unwrap_err();
         assert_eq!(e.kind, TrapKind::NullDereference);
     }
 
@@ -1838,7 +1723,7 @@ mod tests {
             limits: ExecLimits::cycles(10_000),
             ..VmConfig::default()
         };
-        let e = run(&m, &cfg).unwrap_err();
+        let e = on(Engine::default(), &m, &cfg).unwrap_err();
         assert_eq!(e.kind, TrapKind::FuelExhausted(10_000));
     }
 
@@ -1852,7 +1737,7 @@ mod tests {
             },
             ..VmConfig::default()
         };
-        let e = run(&m, &cfg).unwrap_err();
+        let e = on(Engine::default(), &m, &cfg).unwrap_err();
         assert_eq!(e.kind, TrapKind::HeapExhausted { limit_words: 1_000 });
         assert_eq!(e.function, "main");
     }
@@ -1867,7 +1752,7 @@ mod tests {
             },
             ..VmConfig::default()
         };
-        let e = run(&m, &cfg).unwrap_err();
+        let e = on(Engine::default(), &m, &cfg).unwrap_err();
         assert_eq!(e.kind, TrapKind::StackOverflow(64));
     }
 
@@ -1903,7 +1788,7 @@ mod tests {
             limits: ExecLimits::cycles(500_000),
             ..VmConfig::default()
         };
-        let e = run(&m, &cfg).unwrap_err();
+        let e = on(Engine::default(), &m, &cfg).unwrap_err();
         assert_eq!(e.kind, TrapKind::FuelExhausted(500_000));
     }
 
@@ -1947,31 +1832,31 @@ mod tests {
         let src = "fn mix(a, b) { return a * 31 + b; }
              fn main() { var h = 7; var i = 0; while (i < 500) { h = mix(h, i); i = i + 1; } print(h); }";
         let m = compile(src);
-        for k in [100u64, 1_000, 10_000] {
-            let fuel_cfg = VmConfig {
+        for (engine, k) in Engine::ALL
+            .into_iter()
+            .flat_map(|e| [(e, 100), (e, 1_000), (e, 10_000)])
+        {
+            let code = engine.load(&m, &CostModel::default());
+            let fuel = code.execute(Request::new(&VmConfig {
                 limits: ExecLimits::cycles(k),
                 ..VmConfig::default()
-            };
-            let fuel = run(&m, &fuel_cfg);
-            let naive_fuel = run_naive(&m, &fuel_cfg);
+            }));
             let cancelled = {
                 let _scope = crate::cancel::arm(None, Some(k));
-                run(&m, &VmConfig::default())
+                code.execute(Request::new(&VmConfig::default()))
             };
-            let naive_cancelled = {
-                let _scope = crate::cancel::arm(None, Some(k));
-                run_naive(&m, &VmConfig::default())
-            };
-            for (got, want) in [(cancelled, fuel), (naive_cancelled, naive_fuel)] {
-                match (got, want) {
-                    (Err(c), Err(f)) => {
-                        assert_eq!(c.kind, TrapKind::Cancelled);
-                        assert_eq!(f.kind, TrapKind::FuelExhausted(k));
-                        assert_eq!(c.function, f.function, "stop point diverged at k={k}");
-                    }
-                    (Ok(c), Ok(f)) => assert_eq!(c, f),
-                    (got, want) => panic!("divergence at k={k}: {got:?} vs {want:?}"),
+            let label = engine.label();
+            match (cancelled, fuel) {
+                (Err(c), Err(f)) => {
+                    assert_eq!(c.kind, TrapKind::Cancelled);
+                    assert_eq!(f.kind, TrapKind::FuelExhausted(k));
+                    assert_eq!(
+                        c.function, f.function,
+                        "{label}: stop point diverged at k={k}"
+                    );
                 }
+                (Ok(c), Ok(f)) => assert_eq!(c, f),
+                (got, want) => panic!("{label}: divergence at k={k}: {got:?} vs {want:?}"),
             }
         }
     }
@@ -1984,33 +1869,36 @@ mod tests {
             ..VmConfig::default()
         };
         let _scope = crate::cancel::arm(None, Some(5_000));
-        let e = run(&m, &cfg).unwrap_err();
+        let e = on(Engine::default(), &m, &cfg).unwrap_err();
         assert_eq!(e.kind, TrapKind::FuelExhausted(5_000));
     }
 
     #[test]
     fn fired_token_cancels_an_unbudgeted_loop_in_both_engines() {
         let m = compile("fn main() { while (true) { } }");
-        let token = crate::cancel::CancelToken::new();
-        let _scope = crate::cancel::arm(Some(&token), None);
-        token.cancel(); // fired before the run: traps at the first poll
-        let e = run(&m, &VmConfig::default()).unwrap_err();
-        assert_eq!(e.kind, TrapKind::Cancelled);
-        assert_eq!(e.function, "main");
-        let e = run_naive(&m, &VmConfig::default()).unwrap_err();
-        assert_eq!(e.kind, TrapKind::Cancelled);
-        assert_eq!(e.function, "main");
+        for engine in Engine::ALL {
+            // Loaded unarmed, so guided fusion's warmup runs to its budget.
+            let code = engine.load(&m, &CostModel::default());
+            let token = crate::cancel::CancelToken::new();
+            let _scope = crate::cancel::arm(Some(&token), None);
+            token.cancel(); // fired before the run: traps at the first poll
+            let e = code
+                .execute(Request::new(&VmConfig::default()))
+                .unwrap_err();
+            assert_eq!(e.kind, TrapKind::Cancelled, "{}", engine.label());
+            assert_eq!(e.function, "main");
+        }
     }
 
     #[test]
     fn unfired_token_leaves_outcomes_untouched() {
         let src = "fn main() { var i = 0; while (i < 200) { i = i + 1; } print(i); }";
         let m = compile(src);
-        let clean = run(&m, &VmConfig::default()).unwrap();
+        let clean = on(Engine::default(), &m, &VmConfig::default()).unwrap();
         let token = crate::cancel::CancelToken::new();
         let armed = {
             let _scope = crate::cancel::arm(Some(&token), None);
-            run(&m, &VmConfig::default()).unwrap()
+            on(Engine::default(), &m, &VmConfig::default()).unwrap()
         };
         assert_eq!(clean, armed, "an armed-but-silent token must be invisible");
     }
@@ -2024,11 +1912,13 @@ mod tests {
              fn main() { var h = 7; var i = 0; while (i < 500) { h = mix(h, i); i = i + 1; } print(h); }";
         let m = compile(src);
         let cfg = VmConfig::default();
-        let prepared = PreparedModule::prepare(&m, &cfg.cost);
+        let prepared = PreparedModule::prepare_with(&m, &cfg.cost, crate::fuse_mode());
         let mut profile = crate::profile::OpProfile::new();
         let err = {
             let _scope = crate::cancel::arm(None, Some(4_000));
-            run_prepared_profiled(&prepared, &cfg, &mut profile).unwrap_err()
+            Code::from(&prepared)
+                .execute(Request::new(&cfg).profile(&mut profile))
+                .unwrap_err()
         };
         assert_eq!(err.kind, TrapKind::Cancelled);
         // The partial profile must equal a fuel trap's at the same point.
@@ -2037,7 +1927,9 @@ mod tests {
             ..cfg
         };
         let mut fuel_profile = crate::profile::OpProfile::new();
-        let err = run_prepared_profiled(&prepared, &fuel_cfg, &mut fuel_profile).unwrap_err();
+        let err = Code::from(&prepared)
+            .execute(Request::new(&fuel_cfg).profile(&mut fuel_profile))
+            .unwrap_err();
         assert_eq!(err.kind, TrapKind::FuelExhausted(4_000));
         assert_eq!(profile.total_cycles(), fuel_profile.total_cycles());
         assert_eq!(
@@ -2072,9 +1964,11 @@ mod tests {
         for src in srcs {
             let m = compile(src);
             let cfg = VmConfig::default();
-            let fast = run(&m, &cfg).expect("prepared engine runs");
-            let slow = run_naive(&m, &cfg).expect("naive engine runs");
-            assert_eq!(fast, slow, "engines diverged on: {src}");
+            let slow = on(Engine::Naive, &m, &cfg).expect("naive engine runs");
+            for engine in Engine::ALL {
+                let fast = on(engine, &m, &cfg).expect("engine runs");
+                assert_eq!(fast, slow, "{} diverged on: {src}", engine.label());
+            }
         }
     }
 
@@ -2082,16 +1976,16 @@ mod tests {
     fn run_prepared_amortizes_one_preparation() {
         let m = compile("fn main() { var i = 0; while (i < 100) { i = i + 1; } print(i); }");
         let cfg = VmConfig::default();
-        let prepared = PreparedModule::prepare(&m, &cfg.cost);
+        let code = Engine::default().load(&m, &cfg.cost);
         // Thread-local count: immune to concurrent test threads preparing.
         let before = thread_preparations();
-        let a = run_prepared(&prepared, &cfg).unwrap();
-        let b = run_prepared(&prepared, &cfg).unwrap();
+        let a = code.execute(Request::new(&cfg)).unwrap();
+        let b = code.execute(Request::new(&cfg)).unwrap();
         assert_eq!(a, b);
         assert_eq!(
             thread_preparations(),
             before,
-            "run_prepared must not re-prepare"
+            "running loaded code must not re-prepare"
         );
     }
 
@@ -2099,7 +1993,7 @@ mod tests {
     #[should_panic(expected = "cost model differs")]
     fn run_prepared_rejects_mismatched_cost_model() {
         let m = compile("fn main() { }");
-        let prepared = PreparedModule::prepare(&m, &CostModel::default());
+        let prepared = PreparedModule::prepare_with(&m, &CostModel::default(), crate::fuse_mode());
         let cfg = VmConfig {
             cost: CostModel {
                 alu: 99,
@@ -2107,6 +2001,6 @@ mod tests {
             },
             ..VmConfig::default()
         };
-        let _ = run_prepared(&prepared, &cfg);
+        let _ = Code::from(&prepared).execute(Request::new(&cfg));
     }
 }

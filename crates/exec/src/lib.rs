@@ -27,15 +27,33 @@
 //!
 //! # Example
 //!
+//! Pick an [`Engine`], [`load`](Engine::load) the module into the
+//! [`Code`] that engine executes, then [`execute`](Code::execute) it under
+//! a [`Request`]. Every engine produces the same [`Outcome`]; the loaded
+//! code can run any number of times.
+//!
 //! ```
-//! use isf_exec::{run, VmConfig};
+//! use isf_exec::{Engine, OpProfile, Request, VmConfig};
 //!
 //! let module = isf_frontend::compile(
 //!     "fn main() { var i = 0; while (i < 5) { print(i); i = i + 1; } }",
 //! ).unwrap();
-//! let outcome = run(&module, &VmConfig::default())?;
+//! let config = VmConfig::default();
+//! let code = Engine::Fused.load(&module, &config.cost);
+//! let outcome = code.execute(Request::new(&config))?;
 //! assert_eq!(outcome.output, vec![0, 1, 2, 3, 4]);
 //! assert!(outcome.cycles > 0);
+//!
+//! // Observers ride along in the request; the outcome is unchanged.
+//! let mut profile = OpProfile::new();
+//! let profiled = code.execute(Request::new(&config).profile(&mut profile))?;
+//! assert_eq!(profiled, outcome);
+//! assert_eq!(profile.total_cycles(), outcome.cycles);
+//!
+//! for engine in Engine::ALL {
+//!     let code = engine.load(&module, &config.cost);
+//!     assert_eq!(code.execute(Request::new(&config))?, outcome, "{}", engine.label());
+//! }
 //! # Ok::<(), isf_exec::VmError>(())
 //! ```
 
@@ -44,6 +62,7 @@
 
 pub mod cancel;
 mod cost;
+mod engine;
 mod error;
 mod heap;
 mod interp;
@@ -58,19 +77,13 @@ mod value;
 
 pub use cancel::{CancelScope, CancelToken};
 pub use cost::CostModel;
+pub use engine::{run_naive, run_prepared, run_prepared_profiled, Code, Engine, Request};
 pub use error::{TrapKind, VmError};
 pub use heap::Heap;
-pub use interp::{
-    run, run_prepared, run_prepared_observed, run_prepared_profiled, run_prepared_sched,
-    run_prepared_traced, run_traced, ExecLimits, VmConfig,
-};
-pub use naive::{
-    run_naive, run_naive_observed, run_naive_profiled, run_naive_sched, run_naive_traced,
-};
+pub use interp::{ExecLimits, VmConfig};
 pub use outcome::{Outcome, ZeroCycleBaseline};
 pub use prepared::{
-    fuse_mode, mine_hot_sequences, preparations, thread_preparations, FuseMode, HotSequence,
-    PreparedModule,
+    fuse_mode, mine_hot_sequences, thread_preparations, FuseMode, HotSequence, PreparedModule,
 };
 pub use profile::{FuseGuidance, NoMetrics, OpProfile, ProfileSink, NUM_OPCODES, OPCODE_NAMES};
 pub use sched::{SchedChoice, SchedControl, SchedPolicy, ScheduleTrace};

@@ -5,14 +5,16 @@
 //! step, resolving block targets through the function on every transfer,
 //! and probing a per-run `HashSet<(BlockId, BlockId)>` on every control
 //! transfer for the Property 1 backedge accounting (the set itself is
-//! recomputed by `loops::backedges` on every [`run_naive`] call).
+//! recomputed by `loops::backedges` on every run).
 //!
-//! Production code goes through the pre-decoded engine in `interp` /
-//! `prepared`; this module exists as the *semantic reference* the fast
-//! engine is differentially tested against (the `tests` crate asserts
-//! identical [`Outcome`]s on generated programs) and as the naive side of
-//! the `interp_dispatch` ablation bench. Keep its behaviour frozen: any
-//! observable divergence from `run` is a bug in one of the two engines.
+//! It is [`Engine::Naive`](crate::Engine::Naive). Production code runs
+//! the pre-decoded engines in `interp` / `prepared`; this module exists
+//! as the *semantic reference* they are differentially tested against
+//! (the `tests` crate loops over [`Engine::ALL`](crate::Engine::ALL) and
+//! asserts identical [`Outcome`]s on generated programs) and as the naive
+//! side of the `interp_dispatch` ablation bench. It stays a separate
+//! implementation on purpose. Keep its behaviour frozen: any observable
+//! divergence from the prepared engine is a bug in one of the two.
 
 use std::collections::HashSet;
 
@@ -24,99 +26,24 @@ use crate::error::{TrapKind, VmError};
 use crate::heap::Heap;
 use crate::interp::VmConfig;
 use crate::outcome::Outcome;
-use crate::profile::{opcode_of_inst, opcode_of_term, NoMetrics, ProfileSink};
+use crate::profile::{opcode_of_inst, opcode_of_term, ProfileSink};
 use crate::sched::SchedControl;
-use crate::trace::{BurstRecord, NoTrace, TraceSink};
+use crate::trace::{BurstRecord, TraceSink};
 use crate::trigger::TriggerState;
 use crate::value::Value;
 
-/// Runs `module` to completion on the reference tree-walking interpreter.
+/// The reference engine's half of [`Code::execute`](crate::Code::execute):
+/// runs `module` to completion under `config`, recording into `sink` and
+/// `profile` and scheduling through `sched`.
 ///
-/// Semantically identical to [`crate::run`] (which uses the pre-decoded
-/// engine); kept for differential testing and dispatch-cost ablation.
-///
-/// # Errors
-///
-/// Returns a [`VmError`] on any runtime trap, exactly as [`crate::run`]
-/// does.
-pub fn run_naive(module: &Module, config: &VmConfig) -> Result<Outcome, VmError> {
-    run_naive_traced(module, config, &mut NoTrace)
-}
-
-/// [`run_naive`] with a burst-trace sink.
-///
-/// Sample points are identified by the same `(func, check_ip)` arena
-/// coordinates the pre-decoded engine reports, so a naive trace is
-/// comparable — and, by the differential tests, identical — to a prepared
-/// trace of the same run.
-///
-/// # Errors
-///
-/// Returns a [`VmError`] on any runtime trap, exactly as [`crate::run`]
-/// does.
-pub fn run_naive_traced<S: TraceSink>(
-    module: &Module,
-    config: &VmConfig,
-    sink: &mut S,
-) -> Result<Outcome, VmError> {
-    run_naive_observed(module, config, sink, &mut NoMetrics)
-}
-
-/// [`run_naive`] with a per-opcode dispatch-profile sink.
-///
-/// Dispatches are classified into the same opcode indices the unfused
-/// prepared decode assigns the corresponding instructions (see
-/// [`crate::profile`]), so a naive profile is comparable — and, by the
-/// differential tests, identical — to an unfused prepared profile of the
-/// same run.
-///
-/// # Errors
-///
-/// Returns a [`VmError`] on any runtime trap, exactly as [`crate::run`]
-/// does.
-pub fn run_naive_profiled<P: ProfileSink>(
-    module: &Module,
-    config: &VmConfig,
-    profile: &mut P,
-) -> Result<Outcome, VmError> {
-    run_naive_observed(module, config, &mut NoTrace, profile)
-}
-
-/// [`run_naive`] with both observers: a burst-trace sink and a
-/// dispatch-profile sink, each independently monomorphized.
-///
-/// # Errors
-///
-/// Returns a [`VmError`] on any runtime trap, exactly as [`crate::run`]
-/// does.
-pub fn run_naive_observed<S: TraceSink, P: ProfileSink>(
-    module: &Module,
-    config: &VmConfig,
-    sink: &mut S,
-    profile: &mut P,
-) -> Result<Outcome, VmError> {
-    // The default control is the recording-free round-robin fast path —
-    // this call adds nothing to the plain engine.
-    let mut sched = SchedControl::default();
-    run_naive_sched(module, config, sink, profile, &mut sched)
-}
-
-/// [`run_naive_observed`] with an explicit scheduling control, the naive
-/// counterpart of [`crate::run_prepared_sched`]. Reschedule points are
-/// driven by the same deterministic simulated clock on both engines, so a
-/// [`crate::ScheduleTrace`] recorded on one engine replays byte-identically
-/// on the other.
-///
-/// # Panics
-///
-/// Panics if a replaying control diverges from its trace (impossible when
-/// replaying a trace recorded from the same program and config).
-///
-/// # Errors
-///
-/// Returns a [`VmError`] on any runtime trap, exactly as [`crate::run`]
-/// does.
-pub fn run_naive_sched<S: TraceSink, P: ProfileSink>(
+/// Sample points are named by the same `(func, check_ip)` arena
+/// coordinates the pre-decoded engine reports, and dispatches are
+/// classified into the opcode indices the unfused prepared decode assigns
+/// (see [`crate::profile`]); reschedule points follow the same simulated
+/// clock. So a naive trace, profile or [`crate::ScheduleTrace`] is
+/// comparable with, and by the differential tests identical to, an
+/// unfused prepared one of the same run.
+pub(crate) fn execute<S: TraceSink, P: ProfileSink>(
     module: &Module,
     config: &VmConfig,
     sink: &mut S,
@@ -169,7 +96,8 @@ struct Machine<'m, 's, S: TraceSink, P: ProfileSink> {
     module: &'m Module,
     sink: &'s mut S,
     /// Per-opcode dispatch-profile sink; recording sites are guarded by
-    /// `if P::ENABLED`, so [`NoMetrics`] compiles them away.
+    /// `if P::ENABLED`, so [`NoMetrics`](crate::NoMetrics) compiles them
+    /// away.
     psink: &'s mut P,
     /// Per-function arena offset of each block (instructions plus the
     /// inlined terminator, as the prepared engine lays them out), so burst
@@ -527,7 +455,7 @@ impl<'m, 's, S: TraceSink, P: ProfileSink> Machine<'m, 's, S, P> {
     /// reference, so it affords the straightforward per-dispatch recording
     /// that the pre-decoded engine replaces with post-run slot-count
     /// folding — the differential tests hold the two to identical
-    /// profiles. With [`NoMetrics`] this *is* `step()`.
+    /// profiles. With [`NoMetrics`](crate::NoMetrics) this *is* `step()`.
     #[inline]
     fn profiled_step(&mut self) -> Result<Step, TrapKind> {
         if !P::ENABLED {

@@ -24,12 +24,11 @@
 //!   field access or a virtual call in the hot loop is one indexed load
 //!   instead of a per-access hash-map probe through the class table.
 //!
-//! The pass is observable through [`preparations`], a process-wide counter
-//! the harness asserts against to prove each experiment cell prepares its
-//! module exactly once, however many times it re-runs it.
+//! The pass is observable through [`thread_preparations`], a per-thread
+//! counter the harness asserts against to prove each experiment cell
+//! prepares its module exactly once, however many times it re-runs it.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use isf_ir::{
@@ -41,10 +40,6 @@ use crate::cost::CostModel;
 use crate::profile::{FuseGuidance, OPCODE_NAMES};
 use crate::value::Value;
 
-/// Process-wide count of [`PreparedModule::prepare`] calls, used by the
-/// harness to assert preparation happens once per experiment cell.
-static PREPARATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     /// Per-thread preparation count. An experiment cell runs entirely on
     /// one thread, so this gives a race-free once-per-cell assertion even
@@ -52,13 +47,8 @@ thread_local! {
     static THREAD_PREPARATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Number of `prepare` passes executed by this process so far.
-pub fn preparations() -> u64 {
-    PREPARATIONS.load(Ordering::Relaxed)
-}
-
-/// Number of `prepare` passes executed by the *calling thread*. Immune to
-/// concurrent preparations on other threads, unlike [`preparations`].
+/// Number of `prepare` passes executed by the *calling thread*, immune to
+/// concurrent preparations on other threads.
 pub fn thread_preparations() -> u64 {
     THREAD_PREPARATIONS.with(|c| c.get())
 }
@@ -84,7 +74,7 @@ pub enum FuseMode {
     /// lesser match, and (b) hot sequences the fixed catalogue cannot
     /// express (call-adjacent moves, getfield chains feeding calls,
     /// arg-marshalling runs) fuse into the generalized
-    /// [`OpKind::Guided`] template. Observably identical to `Off`/`Fuse`:
+    /// `OpKind::Guided` template. Observably identical to `Off`/`Fuse`:
     /// guided groups charge per component, so cycles, traps and profiles
     /// stay on the unfused schedule. Boxed: the weight table is ~264
     /// bytes, and the common `Off`/`Fuse` values should stay
@@ -92,10 +82,9 @@ pub enum FuseMode {
     Guided(Box<FuseGuidance>),
 }
 
-/// The fuse mode [`PreparedModule::prepare`] uses: [`FuseMode::Off`] when
-/// the `ISF_FUSE` environment variable (read once per process) is
-/// `0`/`off`/`false`, else [`FuseMode::Fuse`]. Callers that must pin the
-/// pipeline pass their mode to [`PreparedModule::prepare_with`].
+/// The process's default fuse mode, behind `Engine::default()`:
+/// [`FuseMode::Off`] when the `ISF_FUSE` environment variable (read once
+/// per process) is `0`/`off`/`false`, else [`FuseMode::Fuse`].
 pub fn fuse_mode() -> FuseMode {
     static ENV: OnceLock<FuseMode> = OnceLock::new();
     ENV.get_or_init(|| match std::env::var("ISF_FUSE").ok().as_deref() {
@@ -711,13 +700,16 @@ pub(crate) struct PreparedFunction {
 /// source [`Module`] (still needed for runtime name/class resolution) and
 /// the [`CostModel`] the costs were folded from.
 ///
-/// Build once with [`PreparedModule::prepare`], then execute any number of
-/// times with [`crate::run_prepared`] — Table 4, for example, runs the same
-/// instrumented program at six sampling intervals, amortizing one
-/// preparation over all of them.
+/// Build once with [`Engine::load`](crate::Engine::load) (or
+/// [`PreparedModule::prepare_with`]), then execute any number of times
+/// through [`Code::execute`](crate::Code::execute) — Table 4, for
+/// example, runs the same instrumented program at six sampling intervals,
+/// amortizing one preparation over all of them.
 #[derive(Clone, Debug)]
 pub struct PreparedModule {
-    module: Module,
+    /// Boxed: only traps and set-up read it, and a small
+    /// `PreparedModule` keeps [`Code`](crate::Code) values small.
+    module: Box<Module>,
     cost: CostModel,
     funcs: Vec<PreparedFunction>,
     /// Field slot per (class, field symbol), row-major by class.
@@ -727,6 +719,8 @@ pub struct PreparedModule {
     /// class.
     method_impls: Box<[Option<FuncId>]>,
     num_method_syms: usize,
+    /// The warmup guidance of a [`FuseMode::Guided`] preparation.
+    guidance: Option<Box<FuseGuidance>>,
 }
 
 /// Module-wide static resolution tables: per-symbol slots and targets that
@@ -777,17 +771,9 @@ impl Statics {
 }
 
 impl PreparedModule {
-    /// Flattens `module` under `cost` with the default [`fuse_mode`].
-    /// This is the only place the per-function backedge analysis runs.
-    pub fn prepare(module: &Module, cost: &CostModel) -> Self {
-        Self::prepare_with(module, cost, fuse_mode())
-    }
-
-    /// [`PreparedModule::prepare`] with an explicit fuse mode, for callers
-    /// (differential tests, the dispatch-ablation bench) that must pin the
-    /// pipeline regardless of environment.
+    /// Flattens `module` under `cost` in fuse mode `mode`. This is the
+    /// only place the per-function backedge analysis runs.
     pub fn prepare_with(module: &Module, cost: &CostModel, mode: FuseMode) -> Self {
-        PREPARATIONS.fetch_add(1, Ordering::Relaxed);
         THREAD_PREPARATIONS.with(|c| c.set(c.get() + 1));
         let statics = Statics::resolve(module, &mode);
         let mut slot_base = 0u32;
@@ -817,13 +803,17 @@ impl PreparedModule {
             }
         }
         PreparedModule {
-            module: module.clone(),
+            module: Box::new(module.clone()),
             cost: *cost,
             funcs,
             field_offsets: field_offsets.into_boxed_slice(),
             num_field_syms,
             method_impls: method_impls.into_boxed_slice(),
             num_method_syms,
+            guidance: match mode {
+                FuseMode::Guided(guidance) => Some(guidance),
+                FuseMode::Off | FuseMode::Fuse => None,
+            },
         }
     }
 
@@ -837,6 +827,12 @@ impl PreparedModule {
         &self.cost
     }
 
+    /// The warmup guidance this module was fused under ([`FuseMode::Guided`]
+    /// only).
+    pub fn guidance(&self) -> Option<&FuseGuidance> {
+        self.guidance.as_deref()
+    }
+
     /// Total decoded ops across all functions.
     pub fn num_ops(&self) -> usize {
         self.funcs.iter().map(|f| f.ops.len()).sum()
@@ -848,7 +844,7 @@ impl PreparedModule {
         self.funcs.iter().map(|f| f.fused).sum()
     }
 
-    /// Fused groups using the generalized [`OpKind::Guided`] template (a
+    /// Fused groups using the generalized `OpKind::Guided` template (a
     /// subset of [`PreparedModule::num_fused`]; 0 unless prepared under
     /// [`FuseMode::Guided`]).
     pub fn num_guided(&self) -> usize {
@@ -1789,7 +1785,7 @@ mod tests {
     #[test]
     fn arena_layout_matches_source() {
         let m = compile("fn main() { var i = 0; while (i < 3) { i = i + 1; } print(i); }");
-        let p = PreparedModule::prepare(&m, &CostModel::default());
+        let p = PreparedModule::prepare_with(&m, &CostModel::default(), fuse_mode());
         let f = m.function(m.main());
         // One op per instruction plus one inlined terminator per block.
         let expected: usize = f.blocks().map(|(_, b)| b.insts().len() + 1).sum();
@@ -1800,7 +1796,7 @@ mod tests {
     #[test]
     fn loop_backedge_is_preclassified() {
         let m = compile("fn main() { var i = 0; while (i < 3) { i = i + 1; } }");
-        let p = PreparedModule::prepare(&m, &CostModel::default());
+        let p = PreparedModule::prepare_with(&m, &CostModel::default(), fuse_mode());
         let flagged = p
             .func(m.main())
             .ops
@@ -2017,7 +2013,7 @@ mod tests {
              class Square : Shape { field side; method area() { return self.side * self.side; } }
              fn main() { var s = new Square; s.side = 2; print(s.area()); }",
         );
-        let p = PreparedModule::prepare(&m, &CostModel::default());
+        let p = PreparedModule::prepare_with(&m, &CostModel::default(), fuse_mode());
         for (id, class) in m.classes() {
             for s in 0..m.num_field_syms() {
                 let sym = FieldSym::new(s as u32);
@@ -2036,8 +2032,8 @@ mod tests {
     #[test]
     fn preparation_counter_increments() {
         let m = compile("fn main() { }");
-        let before = preparations();
-        let _p = PreparedModule::prepare(&m, &CostModel::default());
-        assert_eq!(preparations(), before + 1);
+        let before = thread_preparations();
+        let _p = PreparedModule::prepare_with(&m, &CostModel::default(), fuse_mode());
+        assert_eq!(thread_preparations(), before + 1);
     }
 }

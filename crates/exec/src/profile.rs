@@ -1,21 +1,20 @@
 //! Per-opcode dispatch profiling.
 //!
-//! Where [`crate::trace`] observes *sampling* (one record per firing
-//! check), this module observes *dispatch*: every executed op, classified
-//! by a stable opcode index, with its source-instruction width and the
-//! simulated cycles it consumed. A [`ProfileSink`] receives
-//! `record_dispatches` calls covering every dispatch and one
-//! `record_sample` per taken sample, from both the pre-decoded engine
-//! ([`crate::run_prepared_profiled`]) and the tree-walking reference
-//! ([`crate::run_naive_profiled`]).
+//! Where a [`TraceSink`](crate::TraceSink) observes *sampling* (one
+//! record per firing check), this module observes *dispatch*: every
+//! executed op, classified by a stable opcode index, with its
+//! source-instruction width and the simulated cycles it consumed. A
+//! [`ProfileSink`] receives `record_dispatches` calls covering every
+//! dispatch and one `record_sample` per taken sample, from every
+//! [`crate::Engine`], given to a run with [`crate::Request::profile`].
 //!
 //! # Zero cost when off
 //!
 //! The sink follows the [`crate::TraceSink`] pattern exactly: a
 //! compile-time parameter of the interpreter loop, with [`NoMetrics`]
 //! setting [`ProfileSink::ENABLED`] to `false` so every recording site is
-//! compiled away from the monomorphized unprofiled loop — the one
-//! [`crate::run`] and [`crate::run_prepared`] execute. The
+//! compiled away from the monomorphized unprofiled loop — the one a
+//! request without a profile sink runs. The
 //! `interp_dispatch/profiled` bench pins the *enabled* cost at ≤5% over
 //! the unprofiled prepared engine.
 //!
@@ -27,10 +26,10 @@
 //! comparable — and, by the differential tests, identical — to an
 //! unfused prepared profile of the same run. Indices
 //! [`FIRST_STATIC`]`..`[`FIRST_FUSED`] are the statically-resolved forms
-//! and [`FIRST_FUSED`]`..`[`OPC_GAP`] the fused superinstructions, both
+//! and [`FIRST_FUSED`]`..OPC_GAP` the fused superinstructions, both
 //! produced only by fusing preparation (`FuseMode::Fuse`, or
 //! `FuseMode::Guided` which additionally emits the generalized
-//! [`OPC_GUIDED`] template from a warmup profile's [`FuseGuidance`]).
+//! `OPC_GUIDED` template from a warmup profile's [`FuseGuidance`]).
 //!
 //! # Exactness, cheaply
 //!
@@ -229,8 +228,8 @@ pub(crate) fn opcode_of_term(term: &Term) -> usize {
     }
 }
 
-/// Observer of per-dispatch execution, chosen at compile time by the
-/// `*_profiled` / `*_observed` entry points.
+/// Observer of per-dispatch execution, a compile-time parameter of the
+/// engines set by [`crate::Request::profile`].
 pub trait ProfileSink {
     /// Whether this sink records anything. When `false` (see
     /// [`NoMetrics`]), the interpreter's recording sites compile away
@@ -257,9 +256,9 @@ pub trait ProfileSink {
     fn record_sample(&mut self, cycles: u64, checks: u64);
 }
 
-/// The disabled sink: records nothing, costs nothing. [`crate::run`],
-/// [`crate::run_prepared`] and the `*_traced` entry points execute the
-/// loop monomorphized over this type.
+/// The disabled sink: records nothing, costs nothing. A
+/// [`crate::Request`] without a profile sink runs the loop monomorphized
+/// over this type.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct NoMetrics;
 
@@ -377,7 +376,7 @@ impl OpProfile {
     }
 
     /// Source instructions executed through the generalized profile-guided
-    /// template ([`OPC_GUIDED`]) — a subset of
+    /// template (`OPC_GUIDED`) — a subset of
     /// [`OpProfile::fused_instructions`], nonzero only for modules
     /// prepared under `FuseMode::Guided`.
     #[must_use]
@@ -450,12 +449,14 @@ impl OpProfile {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FuseGuidance {
     weights: [u64; FIRST_FUSED],
+    warmup_instructions: u64,
 }
 
 impl Default for FuseGuidance {
     fn default() -> Self {
         FuseGuidance {
             weights: [0; FIRST_FUSED],
+            warmup_instructions: 0,
         }
     }
 }
@@ -469,7 +470,16 @@ impl FuseGuidance {
         for (op, w) in weights.iter_mut().enumerate() {
             *w = profile.count(op);
         }
-        FuseGuidance { weights }
+        FuseGuidance {
+            weights,
+            warmup_instructions: profile.total_instructions(),
+        }
+    }
+
+    /// Source instructions the warmup profile covered, fused or not.
+    #[must_use]
+    pub fn warmup_instructions(&self) -> u64 {
+        self.warmup_instructions
     }
 
     /// The warmup dispatch count of plain opcode `op` (0 for fused or

@@ -237,11 +237,10 @@ enum Mode {
 /// (or replay/prefix script) plus the recorded trace.
 ///
 /// The default control is round-robin with recording off — the zero-cost
-/// configuration every plain `run_*` entry point uses. Construct with
-/// [`SchedControl::recording`], [`SchedControl::replay`] or
+/// configuration a [`crate::Request`] without a control uses. Construct
+/// with [`SchedControl::recording`], [`SchedControl::replay`] or
 /// [`SchedControl::prefix`] for exploration, and pass to
-/// [`run_prepared_sched`](crate::run_prepared_sched) /
-/// [`run_naive_sched`](crate::run_naive_sched).
+/// [`Request::sched`](crate::Request::sched).
 #[derive(Clone, Debug)]
 pub struct SchedControl {
     mode: Mode,

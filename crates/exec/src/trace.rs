@@ -4,9 +4,8 @@
 //! execution separated by firing sample points. A [`TraceSink`] observes
 //! the boundary of every burst — which check fired, on which thread, how
 //! long the burst ran in instructions and simulated cycles, and whether
-//! the firing check guards a backedge — for both the pre-decoded engine
-//! ([`crate::run_prepared_traced`]) and the tree-walking reference
-//! ([`crate::run_naive_traced`]). The two engines produce identical
+//! the firing check guards a backedge — for every [`crate::Engine`], given
+//! to a run with [`crate::Request::trace`]. The engines produce identical
 //! traces; the differential tests pin that.
 //!
 //! # Zero cost when off
@@ -14,8 +13,8 @@
 //! The sink is a *compile-time* parameter of the interpreter loop, not a
 //! runtime flag: [`NoTrace`] sets [`TraceSink::ENABLED`] to `false`, and
 //! every recording site is guarded by `if S::ENABLED`, so the
-//! monomorphized untraced loop — the one [`crate::run`] and
-//! [`crate::run_prepared`] execute — contains no trace code at all. The
+//! monomorphized untraced loop — the one a request without a trace sink
+//! runs — contains no trace code at all. The
 //! `interp_dispatch` bench guards this: the untraced hot loop must not
 //! regress against the pre-trace engine.
 //!
@@ -63,8 +62,9 @@ pub trait TraceSink {
     fn record(&mut self, record: BurstRecord);
 }
 
-/// The disabled sink: records nothing, costs nothing. [`crate::run`] and
-/// [`crate::run_prepared`] execute the loop monomorphized over this type.
+/// The disabled sink: records nothing, costs nothing. A
+/// [`crate::Request`] without a trace sink runs the loop monomorphized
+/// over this type.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct NoTrace;
 

@@ -5,7 +5,7 @@
 //! compiled again by Jalapeño's optimizing compiler into an IR that the
 //! sampling transforms rewrite. This crate is our analogue of the front
 //! half of that pipeline: Jive source → AST → checked AST → `isf-ir`
-//! [`Module`](isf_ir::Module), with yieldpoints placed on method entries and
+//! [`isf_ir::Module`], with yieldpoints placed on method entries and
 //! loop backedges exactly where Jalapeño places them.
 //!
 //! # Language summary

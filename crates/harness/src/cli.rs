@@ -227,7 +227,8 @@ fn parse_count<T: std::str::FromStr>(flag: &str, what: &str, v: &str) -> Result<
     })
 }
 
-/// The one boolean parser of the `ISF_PGO` / `ISF_PROFILE` switches.
+/// The one boolean parser of the `ISF_FUSE` / `ISF_PGO` / `ISF_PROFILE`
+/// switches.
 fn parse_switch(v: &str) -> Result<bool, CliError> {
     match v {
         "1" | "on" | "true" => Ok(true),
@@ -276,6 +277,7 @@ fn env_config(env: Env) -> Result<HarnessConfig, CliError> {
     from_env(env, "ISF_CANCEL_AFTER", &mut c.cancel_after, |v| {
         parse_count("--cancel-after-cycles", "cycle count", v)
     })?;
+    from_env(env, "ISF_FUSE", &mut c.fuse, parse_switch)?;
     from_env(env, "ISF_PGO", &mut c.pgo, parse_switch)?;
     Ok(c)
 }
@@ -577,6 +579,7 @@ mod tests {
             ("ISF_CELL_BUDGET", "1000"),
             ("ISF_CELL_DEADLINE", "250"),
             ("ISF_CANCEL_AFTER", "5000"),
+            ("ISF_FUSE", "off"),
             ("ISF_PGO", "on"),
             ("ISF_PROFILE", "true"),
         ];
@@ -591,6 +594,7 @@ mod tests {
                 cell_budget: 1000,
                 cell_deadline_ms: 250,
                 cancel_after: 5000,
+                fuse: false,
                 pgo: true,
                 ..HarnessConfig::default()
             }
@@ -602,13 +606,23 @@ mod tests {
         assert_eq!(snap.harness, cfg.harness);
         // A flag beats its variable; an empty variable counts as unset.
         let Ok(Command::Run(cfg)) = parse_in(
-            &[("ISF_JOBS", "3"), ("ISF_RETRIES", ""), ("ISF_PGO", "0")],
-            &["--jobs", "5", "table1"],
+            &[
+                ("ISF_JOBS", "3"),
+                ("ISF_RETRIES", ""),
+                ("ISF_FUSE", "1"),
+                ("ISF_PGO", "0"),
+            ],
+            &["--jobs", "5", "--no-fuse", "table1"],
         ) else {
             panic!("flags over variables must parse");
         };
         assert_eq!((cfg.harness.jobs, cfg.harness.retries), (5, 0));
+        assert!(!cfg.harness.fuse, "--no-fuse beats ISF_FUSE=1");
         assert!(!cfg.harness.pgo);
+        let Ok(Command::Run(cfg)) = parse_in(&[("ISF_FUSE", "on")], &["table1"]) else {
+            panic!("ISF_FUSE=on must parse");
+        };
+        assert!(cfg.harness.fuse);
     }
 
     #[test]
@@ -619,6 +633,7 @@ mod tests {
             ("ISF_CELL_BUDGET", "1e6", "--cell-budget"),
             ("ISF_CELL_DEADLINE", "soon", "--cell-deadline"),
             ("ISF_CANCEL_AFTER", "-1", "--cancel-after-cycles"),
+            ("ISF_FUSE", "no", ""),
             ("ISF_PGO", "yes", ""),
             ("ISF_PROFILE", "2", ""),
         ] {

@@ -8,12 +8,12 @@
 //! points, a bounded exhaustive DFS over the schedule tree), asserting on
 //! each one:
 //!
-//! * the recorded [`ScheduleTrace`] replays **byte-identically** on all
-//!   four engine configurations — naive, prepared-unfused, prepared-fused,
-//!   prepared-fused-profiled — and every configuration reports the same
-//!   result;
-//! * naive and unfused-prepared per-opcode profiles are equal, and
-//!   profiled totals reconcile with the outcome's `cycles` /
+//! * the recorded [`ScheduleTrace`] replays **byte-identically** on every
+//!   [`Engine`] — naive, prepared-unfused, prepared-fused and
+//!   prepared-guided, each with and without a dispatch profile — and
+//!   every replay reports the same result;
+//! * naive and unfused-prepared per-opcode profiles are equal, and every
+//!   engine's profiled totals reconcile with the outcome's `cycles` /
 //!   `instructions` counters;
 //! * the schedule-independent observables ([`Outcome::schedule_invariant_eq`]:
 //!   stdout, the aggregated profile, check/sample/yield/entry/backedge
@@ -33,9 +33,8 @@ use std::fmt;
 
 use isf_core::{instrument_module, Options, Strategy};
 use isf_exec::{
-    run_naive_sched, run_prepared_sched, ExecLimits, FuseMode, NoMetrics, NoTrace, OpProfile,
-    Outcome, PreparedModule, SchedControl, SchedPolicy, ScheduleTrace, TraceBuffer, Trigger,
-    VmConfig, VmError,
+    Code, Engine, ExecLimits, OpProfile, Outcome, Request, SchedControl, SchedPolicy,
+    ScheduleTrace, TraceBuffer, Trigger, VmConfig, VmError,
 };
 use isf_ir::Module;
 use isf_obs::Json;
@@ -184,10 +183,11 @@ pub fn run(h: &Harness, scale: Scale, spec: ExploreSpec, benches: &[String]) -> 
     Explore { spec, rows, errors }
 }
 
-/// Instruments a workload with call-edge profiling under Full-Duplication,
+/// Instruments a program with call-edge profiling under Full-Duplication,
 /// so runs execute checks and the per-thread trigger has something to fire
 /// on (an uninstrumented module never samples).
-fn instrumented(module: &Module) -> Module {
+#[must_use]
+pub fn instrumented(module: &Module) -> Module {
     let plan = plan_for(module, Kinds::CallEdge);
     let (out, _) = instrument_module(module, &plan, &Options::new(Strategy::FullDuplication))
         .expect("call-edge Full-Duplication is a valid configuration");
@@ -202,11 +202,15 @@ struct Recorded {
     samples_by_thread: Vec<u64>,
 }
 
+/// Every engine's code for one benchmark, loaded once and replayed under
+/// every schedule.
+type Engines = Vec<(Engine, Code<'static>)>;
+
 /// Records one schedule on the fused prepared engine under `ctl`,
 /// collecting burst records for the per-thread sample multiset.
-fn record(bench: &str, fused: &PreparedModule, cfg: &VmConfig, mut ctl: SchedControl) -> Recorded {
+fn record(bench: &str, fused: &Code, cfg: &VmConfig, mut ctl: SchedControl) -> Recorded {
     let mut buf = TraceBuffer::new();
-    let result = run_prepared_sched(fused, cfg, &mut buf, &mut NoMetrics, &mut ctl);
+    let result = fused.execute(Request::new(cfg).trace(&mut buf).sched(&mut ctl));
     let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
     for r in buf.records() {
         *counts.entry(r.thread).or_insert(0) += 1;
@@ -227,88 +231,138 @@ fn record(bench: &str, fused: &PreparedModule, cfg: &VmConfig, mut ctl: SchedCon
     }
 }
 
-/// Replays `rec`'s trace on all four engine configurations and asserts the
-/// full cross-configuration contract. `what` names the schedule (policy +
-/// seed) for failure messages.
-fn verify_replays(bench: &str, module: &Module, cfg: &VmConfig, rec: &Recorded, what: &str) {
-    let compact = rec.trace.to_compact_string();
-    let mut replays: Vec<(
-        &'static str,
-        Result<Outcome, VmError>,
-        ScheduleTrace,
-        OpProfile,
-    )> = Vec::new();
+/// One replay of a recorded schedule on one engine.
+pub struct Replay {
+    /// The engine replayed on.
+    pub engine: Engine,
+    /// The replayed run's result.
+    pub result: Result<Outcome, VmError>,
+    /// The schedule the replay consumed.
+    pub trace: ScheduleTrace,
+    /// The dispatch profile, for the profiled replay of each engine.
+    pub profile: Option<OpProfile>,
+}
 
-    let mut profile = OpProfile::new();
-    let mut ctl = SchedControl::replay(rec.trace.clone());
-    let result = run_naive_sched(module, cfg, &mut NoTrace, &mut profile, &mut ctl);
-    replays.push(("naive", result, ctl.take_trace(), profile));
-
-    let unfused = PreparedModule::prepare_with(module, &cfg.cost, FuseMode::Off);
-    let mut profile = OpProfile::new();
-    let mut ctl = SchedControl::replay(rec.trace.clone());
-    let result = run_prepared_sched(&unfused, cfg, &mut NoTrace, &mut profile, &mut ctl);
-    replays.push(("prepared/unfused", result, ctl.take_trace(), profile));
-
-    let fused = PreparedModule::prepare_with(module, &cfg.cost, FuseMode::Fuse);
-    let mut ctl = SchedControl::replay(rec.trace.clone());
-    let result = run_prepared_sched(&fused, cfg, &mut NoTrace, &mut NoMetrics, &mut ctl);
-    replays.push(("prepared/fused", result, ctl.take_trace(), OpProfile::new()));
-
-    let mut profile = OpProfile::new();
-    let mut ctl = SchedControl::replay(rec.trace.clone());
-    let result = run_prepared_sched(&fused, cfg, &mut NoTrace, &mut profile, &mut ctl);
-    replays.push(("prepared/fused+profiled", result, ctl.take_trace(), profile));
-
-    for (label, result, trace, _) in &replays {
-        assert_eq!(
-            trace, &rec.trace,
-            "{bench}: {what}: {label}: replayed trace diverged from recording (trace {compact})"
-        );
-        assert_eq!(
-            result, &rec.result,
-            "{bench}: {what}: {label}: replayed result diverged (trace {compact})"
-        );
-    }
-    assert_eq!(
-        &replays[0].3, &replays[1].3,
-        "{bench}: {what}: naive vs unfused per-opcode profiles diverged (trace {compact})"
-    );
-    if let Ok(outcome) = &rec.result {
-        for (label, _, _, profile) in [&replays[0], &replays[1], &replays[3]] {
-            assert_eq!(
-                profile.total_cycles(),
-                outcome.cycles,
-                "{bench}: {what}: {label}: profile cycles don't reconcile (trace {compact})"
-            );
-            assert_eq!(
-                profile.total_instructions(),
-                outcome.instructions,
-                "{bench}: {what}: {label}: profile instructions don't reconcile (trace {compact})"
-            );
+impl Replay {
+    /// The engine's label, suffixed `+profiled` for a profiled replay.
+    #[must_use]
+    pub fn label(&self) -> String {
+        match self.profile {
+            Some(_) => format!("{}+profiled", self.engine.label()),
+            None => self.engine.label().to_owned(),
         }
     }
 }
 
+/// Replays `trace` on every engine in `engines`, once without and once
+/// with a dispatch profile.
+#[must_use]
+pub fn replay_all(
+    engines: &[(Engine, Code)],
+    cfg: &VmConfig,
+    trace: &ScheduleTrace,
+) -> Vec<Replay> {
+    let mut replays = Vec::new();
+    for (engine, code) in engines {
+        for profiled in [false, true] {
+            let mut profile = OpProfile::new();
+            let mut ctl = SchedControl::replay(trace.clone());
+            let request = Request::new(cfg).sched(&mut ctl);
+            let result = if profiled {
+                code.execute(request.profile(&mut profile))
+            } else {
+                code.execute(request)
+            };
+            replays.push(Replay {
+                engine: *engine,
+                result,
+                trace: ctl.take_trace(),
+                profile: profiled.then_some(profile),
+            });
+        }
+    }
+    replays
+}
+
+/// Replays `trace`, recorded with `result`, on every engine and asserts
+/// the cross-engine contract: each replay consumes the trace byte for byte
+/// and reports `result`, naive and unfused per-opcode profiles are equal,
+/// and every profile reconciles with the outcome's counters. `what` names
+/// the program and schedule for failure messages.
+///
+/// # Panics
+///
+/// Panics, naming `what` and the trace, if the contract is violated.
+pub fn verify_replays(
+    engines: &[(Engine, Code)],
+    cfg: &VmConfig,
+    result: &Result<Outcome, VmError>,
+    trace: &ScheduleTrace,
+    what: &str,
+) {
+    let compact = trace.to_compact_string();
+    let replays = replay_all(engines, cfg, trace);
+    for r in &replays {
+        let label = r.label();
+        assert_eq!(
+            &r.trace, trace,
+            "{what}: {label}: replayed trace diverged from recording (trace {compact})"
+        );
+        assert_eq!(
+            &r.result, result,
+            "{what}: {label}: replayed result diverged (trace {compact})"
+        );
+        if let (Ok(outcome), Some(profile)) = (result, &r.profile) {
+            assert_eq!(
+                profile.total_cycles(),
+                outcome.cycles,
+                "{what}: {label}: profile cycles don't reconcile (trace {compact})"
+            );
+            assert_eq!(
+                profile.total_instructions(),
+                outcome.instructions,
+                "{what}: {label}: profile instructions don't reconcile (trace {compact})"
+            );
+        }
+    }
+    let profile_of = |engine| {
+        replays
+            .iter()
+            .find_map(|r| r.profile.as_ref().filter(|_| r.engine == engine))
+    };
+    assert_eq!(
+        profile_of(Engine::Naive),
+        profile_of(Engine::Unfused),
+        "{what}: naive vs unfused per-opcode profiles diverged (trace {compact})"
+    );
+}
+
 /// Asserts the cross-schedule invariants of `rec` against the round-robin
-/// baseline.
-fn verify_invariants(bench: &str, baseline: &Recorded, rec: &Recorded, what: &str) {
+/// baseline, then the cross-engine replay contract.
+fn verify_schedule(
+    engines: &Engines,
+    cfg: &VmConfig,
+    baseline: &Recorded,
+    rec: &Recorded,
+    what: &str,
+) {
     let compact = rec.trace.to_compact_string();
     let base = baseline
         .result
         .as_ref()
         .expect("the baseline completed (checked before exploring)");
     let outcome = rec.result.as_ref().unwrap_or_else(|e| {
-        panic!("{bench}: {what}: run failed under this schedule: {e} (trace {compact})")
+        panic!("{what}: run failed under this schedule: {e} (trace {compact})")
     });
     assert!(
         base.schedule_invariant_eq(outcome),
-        "{bench}: {what}: a schedule-independent observable changed (trace {compact})"
+        "{what}: a schedule-independent observable changed (trace {compact})"
     );
     assert_eq!(
         rec.samples_by_thread, baseline.samples_by_thread,
-        "{bench}: {what}: per-thread sample counts are not permutation-equivalent (trace {compact})"
+        "{what}: per-thread sample counts are not permutation-equivalent (trace {compact})"
     );
+    verify_replays(engines, cfg, &rec.result, &rec.trace, what);
 }
 
 /// Bounded exhaustive DFS over the schedule tree: enumerates schedules in
@@ -318,9 +372,9 @@ fn verify_invariants(bench: &str, baseline: &Recorded, rec: &Recorded, what: &st
 /// fully enumerated.
 fn dfs_explore(
     bench: &str,
-    module: &Module,
+    engines: &Engines,
     cfg: &VmConfig,
-    fused: &PreparedModule,
+    fused: &Code,
     baseline: &Recorded,
 ) -> (usize, bool) {
     let mut prefix: Vec<u32> = Vec::new();
@@ -331,9 +385,8 @@ fn dfs_explore(
         }
         let rec = record(bench, fused, cfg, SchedControl::prefix(prefix.clone()));
         runs += 1;
-        let what = format!("dfs schedule #{runs}");
-        verify_invariants(bench, baseline, &rec, &what);
-        verify_replays(bench, module, cfg, &rec, &what);
+        let what = format!("{bench}: dfs schedule #{runs}");
+        verify_schedule(engines, cfg, baseline, &rec, &what);
         // Backtrack: bump the deepest choice that still has an untried
         // sibling; the tree is exhausted when none does.
         let choices = &rec.trace.choices;
@@ -357,18 +410,23 @@ fn explore_bench(w: &Workload, spec: ExploreSpec) -> Row {
         limits: ExecLimits::cycles(EXPLORE_FUEL),
         ..VmConfig::default()
     };
-    let fused = PreparedModule::prepare_with(&module, &cfg.cost, FuseMode::Fuse);
+    let engines: Engines = Engine::ALL
+        .iter()
+        .map(|&engine| (engine, engine.load(&module, &cfg.cost)))
+        .collect();
+    let fused = &Engine::Fused.load(&module, &cfg.cost);
 
     let baseline = record(
         bench,
-        &fused,
+        fused,
         &cfg,
         SchedControl::recording(SchedPolicy::RoundRobin),
     );
     if let Err(e) = &baseline.result {
         panic!("{bench}: round-robin baseline failed: {e}");
     }
-    verify_replays(bench, &module, &cfg, &baseline, "round-robin baseline");
+    let what = format!("{bench}: round-robin baseline");
+    verify_replays(&engines, &cfg, &baseline.result, &baseline.trace, &what);
     let decisions = baseline.trace.len();
 
     // A run with no decision points is the same execution under every
@@ -377,21 +435,20 @@ fn explore_bench(w: &Workload, spec: ExploreSpec) -> Row {
     let random_schedules = if decisions == 0 { 1 } else { spec.schedules };
     for i in 0..random_schedules {
         let seed = derive_seed(spec.seed, u64::from(i));
-        let what = format!("seeded-random schedule seed={seed:#x}");
+        let what = format!("{bench}: seeded-random schedule seed={seed:#x}");
         let rec = record(
             bench,
-            &fused,
+            fused,
             &cfg,
             SchedControl::recording(SchedPolicy::SeededRandom { seed }),
         );
         if decisions == 0 {
             assert!(
                 rec.trace.is_empty(),
-                "{bench}: {what}: recorded a decision the round-robin baseline never hit"
+                "{what}: recorded a decision the round-robin baseline never hit"
             );
         }
-        verify_invariants(bench, &baseline, &rec, &what);
-        verify_replays(bench, &module, &cfg, &rec, &what);
+        verify_schedule(&engines, &cfg, &baseline, &rec, &what);
     }
 
     let pct_schedules = if decisions == 0 {
@@ -402,19 +459,18 @@ fn explore_bench(w: &Workload, spec: ExploreSpec) -> Row {
     for i in 0..pct_schedules {
         let seed = derive_seed(spec.seed ^ 0x9C7_9C7, u64::from(i));
         let depth = 1 + i % 3;
-        let what = format!("pct schedule seed={seed:#x} depth={depth}");
+        let what = format!("{bench}: pct schedule seed={seed:#x} depth={depth}");
         let rec = record(
             bench,
-            &fused,
+            fused,
             &cfg,
             SchedControl::recording(SchedPolicy::PctPriority { seed, depth }),
         );
-        verify_invariants(bench, &baseline, &rec, &what);
-        verify_replays(bench, &module, &cfg, &rec, &what);
+        verify_schedule(&engines, &cfg, &baseline, &rec, &what);
     }
 
     let (dfs, dfs_exhausted) = if decisions <= DFS_DECISION_CEILING {
-        dfs_explore(bench, &module, &cfg, &fused, &baseline)
+        dfs_explore(bench, &engines, &cfg, fused, &baseline)
     } else {
         (0, false)
     };
@@ -487,9 +543,10 @@ impl fmt::Display for Explore {
         }
         writeln!(
             f,
-            "{} of {} benchmark(s) verified on all 4 engine configurations",
+            "{} of {} benchmark(s) verified on all {} engine configurations",
             self.rows.len(),
-            self.rows.len() + self.errors.len()
+            self.rows.len() + self.errors.len(),
+            Engine::ALL.len()
         )?;
         write_errors(f, &self.errors)
     }

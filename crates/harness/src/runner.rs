@@ -37,8 +37,8 @@ use std::time::{Duration, Instant};
 
 use isf_core::{instrument_module, Options, Strategy, TransformStats};
 use isf_exec::{
-    fuse_mode, run_prepared, run_prepared_profiled, CancelToken, CostModel, ExecLimits,
-    FuseGuidance, FuseMode, OpProfile, Outcome, PreparedModule, Trigger, VmConfig, VmError,
+    fuse_mode, CancelToken, Code, CostModel, Engine, ExecLimits, FuseGuidance, FuseMode, OpProfile,
+    Outcome, PreparedModule, Request, Trigger, VmConfig, VmError,
 };
 use isf_instr::{CallEdgeInstrumentation, FieldAccessInstrumentation, Instrumentation, ModulePlan};
 use isf_ir::Module;
@@ -79,8 +79,8 @@ pub struct HarnessConfig {
     /// attempt whose `(seed, label, attempt)` hash falls below `p` panics
     /// or traps before its work runs.
     pub fault: (f64, u64),
-    /// Superinstruction fusion (`--no-fuse` turns it off; default:
-    /// [`isf_exec::fuse_mode`], on unless `ISF_FUSE=0`).
+    /// Superinstruction fusion (`--no-fuse` turns it off, `ISF_FUSE`
+    /// sets it; default: [`isf_exec::fuse_mode`], on unless `ISF_FUSE=0`).
     pub fuse: bool,
     /// Profile-guided fusion (`--pgo`, `ISF_PGO`; default off; see
     /// [`Harness::cached_prepare`]).
@@ -103,6 +103,18 @@ impl Default for HarnessConfig {
 }
 
 impl HarnessConfig {
+    /// The engine harness runs execute on: fused, or unfused with
+    /// [`HarnessConfig::fuse`] off, or guided with [`HarnessConfig::pgo`]
+    /// on as well. Guided preparation only refines static fusion, so with
+    /// fusion off PGO changes nothing.
+    fn engine(&self) -> Engine {
+        match (self.fuse, self.pgo) {
+            (false, _) => Engine::Unfused,
+            (true, false) => Engine::Fused,
+            (true, true) => Engine::Guided,
+        }
+    }
+
     /// The VM configuration every harness run gets: `trigger`, plus the
     /// cell budget as execution fuel when one is configured.
     fn vm_config(&self, trigger: Trigger) -> VmConfig {
@@ -226,13 +238,13 @@ fn roll(p: f64, seed: u64, label: &str, attempt: u32) -> Option<bool> {
 // The harness value.
 // ---------------------------------------------------------------------
 
-/// Decoded modules keyed by a fingerprint of the module text, the cost
-/// model, and the fusion mode (see [`Harness::cached_prepare`]). One
+/// Loaded code keyed by a fingerprint of the module text, the cost model,
+/// and the engine (see [`Harness::cached_prepare`]). One
 /// lazily-initialized slot per fingerprint: the map lock is released
 /// before decoding, so requests for *different* modules prepare in
 /// parallel while concurrent requests for the *same* module block on the
 /// slot and share a single preparation.
-type PrepSlot = Arc<OnceLock<Arc<PreparedModule>>>;
+type PrepSlot = Arc<OnceLock<Arc<Code<'static>>>>;
 type PrepCache = Mutex<HashMap<u64, PrepSlot>>;
 
 /// A configured harness: the resolved [`HarnessConfig`], the preparation
@@ -1064,50 +1076,34 @@ pub fn instrument(
     (out, stats, elapsed)
 }
 
-/// Fingerprints everything that determines the decoded form: the module's
-/// canonical text plus the cost model and the fusion mode it is prepared
-/// under.
-fn prep_fingerprint(module: &Module, cost: &CostModel, mode: &FuseMode) -> u64 {
+/// Fingerprints everything that determines the loaded code: the module's
+/// canonical text plus the cost model and the engine it is loaded for.
+fn prep_fingerprint(module: &Module, cost: &CostModel, engine: Engine) -> u64 {
     let h = journal::fnv1a(journal::FNV_OFFSET, module.to_string().as_bytes());
-    journal::fnv1a(h, format!("{cost:?}/{mode:?}").as_bytes())
+    journal::fnv1a(h, format!("{cost:?}/{}", engine.label()).as_bytes())
 }
 
-/// Cycle budget of the PGO warmup cell. Long enough to get past
-/// initialization and into the steady-state loops whose opcode mix the
-/// guidance wants, short enough that re-preparation stays a small
-/// fraction of a harness run.
-const PGO_WARMUP_CYCLES: u64 = 250_000;
-
-/// The warmup-then-reprepare flow behind `--pgo`: prepares the
-/// statically-fused form, runs it for [`PGO_WARMUP_CYCLES`] as a
-/// profiling cell (`Trigger::Never`, so the warmup observes the program
-/// and not the instrumentation), folds the resulting [`OpProfile`] into a
-/// [`FuseGuidance`], and re-prepares under [`FuseMode::Guided`]. The
-/// warmup usually ends in a fuel trap — that is its exit, not a failure,
-/// and the profile is folded either way. Outcome-affecting state is
-/// untouched: the warmup runs on a private module instance, emits no
-/// JSONL, and registers no phase section (which cell pays the warmup is
+/// The load behind `--pgo`: [`Engine::Guided`]'s warmup and guided
+/// re-preparation, counted into the metrics registry (`pgo.warmups`,
+/// `pgo.warmup_instructions`). Outcome-affecting state is untouched: the
+/// warmup runs on a private module instance, emits no JSONL, and
+/// registers no phase section (which cell pays the warmup is
 /// scheduling-dependent, like any cache miss), so stdout and the record
 /// stream stay byte-identical to a non-PGO run of the same cells.
-fn pgo_prepare(module: &Module, cost: &CostModel) -> PreparedModule {
+fn pgo_prepare(module: &Module, cost: &CostModel) -> Code<'static> {
     let start = Instant::now();
-    let base = PreparedModule::prepare_with(module, cost, FuseMode::Fuse);
-    let cfg = VmConfig {
-        trigger: Trigger::Never,
-        limits: ExecLimits::cycles(PGO_WARMUP_CYCLES),
-        ..VmConfig::default()
-    };
-    let mut profile = OpProfile::new();
-    let _ = run_prepared_profiled(&base, &cfg, &mut profile);
-    let guidance = FuseGuidance::from_profile(&profile);
+    let code = Engine::Guided.load(module, cost);
+    let warmup_instructions = code
+        .prepared()
+        .and_then(PreparedModule::guidance)
+        .map_or(0, FuseGuidance::warmup_instructions);
     metrics::counter_add("pgo.warmups", 1);
-    metrics::counter_add("pgo.warmup_instructions", profile.total_instructions());
-    let prepared = PreparedModule::prepare_with(module, cost, FuseMode::Guided(Box::new(guidance)));
+    metrics::counter_add("pgo.warmup_instructions", warmup_instructions);
     log::debug(&format!(
         "[pgo] warmup + guided re-preparation in {:?}",
         start.elapsed()
     ));
-    prepared
+    code
 }
 
 /// Folds one run's finished [`OpProfile`] into the metrics registry:
@@ -1165,19 +1161,16 @@ impl FusionCoverage {
 }
 
 impl Harness {
-    /// Decodes `module` under the harness cost model and fusion mode
-    /// through the preparation cache, returning the (possibly shared)
-    /// decoded form. Experiments sweep the same program across many
-    /// configurations — Table 4 alone runs one instrumented module at six
-    /// sampling intervals, and every strategy re-compiles and
-    /// re-baselines the whole suite — so sharing one [`PreparedModule`]
-    /// across cells (and across the workers that run them) removes most
-    /// preparation work from a harness run.
-    ///
-    /// With [`HarnessConfig::pgo`] on, each fused module is served
-    /// through [`pgo_prepare`] under a key of its own, so guided and
-    /// static entries coexist in a shared cache; guided preparation only
-    /// refines static fusion, so with fusion off PGO changes nothing.
+    /// Loads `module` for the harness engine ([`HarnessConfig::fuse`] and
+    /// [`HarnessConfig::pgo`]) under the harness cost model through the
+    /// preparation cache, returning the (possibly shared) code.
+    /// Experiments sweep the same program across many configurations —
+    /// Table 4 alone runs one instrumented module at six sampling
+    /// intervals, and every strategy re-compiles and re-baselines the
+    /// whole suite — so sharing one preparation across cells (and across
+    /// the workers that run them) removes most preparation work from a
+    /// harness run. Each engine has cache keys of its own, so guided and
+    /// static entries coexist in a shared cache.
     ///
     /// Counts one preparation *request* toward the current cell's
     /// `prepares` metric whether or not the cache already held the
@@ -1190,32 +1183,23 @@ impl Harness {
     /// themselves deterministic across job counts even though which
     /// worker pays each decode is not (that only surfaces in
     /// `ISF_LOG=debug`).
-    pub fn cached_prepare(&self, module: &Module) -> Arc<PreparedModule> {
+    pub fn cached_prepare(&self, module: &Module) -> Arc<Code<'static>> {
         note_prepare_request();
         let cost = CostModel::default();
-        let mode = if self.config.fuse {
-            FuseMode::Fuse
-        } else {
-            FuseMode::Off
-        };
-        let guided = self.config.pgo && self.config.fuse;
-        let mut key = prep_fingerprint(module, &cost, &mode);
-        if guided {
-            key = journal::fnv1a(key, b"/pgo");
-        }
+        let engine = self.config.engine();
+        let key = prep_fingerprint(module, &cost, engine);
         let slot = {
             let mut map = self.cache.lock().unwrap_or_else(|p| p.into_inner());
             map.entry(key).or_default().clone()
         };
         let mut fresh = false;
-        let prepared = slot
+        let code = slot
             .get_or_init(|| {
                 fresh = true;
-                if guided {
-                    Arc::new(pgo_prepare(module, &cost))
-                } else {
-                    Arc::new(PreparedModule::prepare_with(module, &cost, mode))
-                }
+                Arc::new(match engine {
+                    Engine::Guided => pgo_prepare(module, &cost),
+                    _ => engine.load(module, &cost),
+                })
             })
             .clone();
         if fresh {
@@ -1225,59 +1209,60 @@ impl Harness {
             metrics::counter_add("prep.cache.hits", 1);
             log::debug(&format!("[prep-cache] hit {key:016x}"));
         }
-        prepared
+        code
     }
 
     /// Runs a module under the harness VM configuration (including the
     /// [`HarnessConfig::cell_budget`] cycle cap, when one is set),
-    /// decoding it through the preparation cache first. For a cell that
+    /// loading it through the preparation cache first. For a cell that
     /// runs the same module repeatedly, [`Harness::prepare_for_runs`] +
-    /// [`Harness::run_prepared_module`] keeps the decoded form in hand
+    /// [`Harness::run_prepared_module`] keeps the loaded code in hand
     /// across the sweep.
     ///
     /// # Panics
     ///
-    /// Unwinds with a typed [`CellTrap`] payload if the program traps,
+    /// Unwinds with a typed `CellTrap` payload if the program traps,
     /// which the cell isolation layer classifies into
     /// [`CellResult::Trapped`] or [`CellResult::Budget`] without taking
     /// sibling cells down.
     pub fn run_module(&self, module: &Module, trigger: Trigger) -> Outcome {
-        let prepared = self.cached_prepare(module);
-        self.run_prepared_module(&prepared, trigger)
+        let code = self.cached_prepare(module);
+        self.run_prepared_module(&code, trigger)
     }
 
-    /// Pre-decodes a module once, through the preparation cache, for
-    /// repeated [`Harness::run_prepared_module`] runs: identical
-    /// (program, cost, fusion) requests across cells — Table 4's
-    /// per-strategy suites, for instance — share one decode.
-    pub fn prepare_for_runs(&self, module: &Module) -> Arc<PreparedModule> {
+    /// Loads a module once, through the preparation cache, for repeated
+    /// [`Harness::run_prepared_module`] runs: identical (program, cost,
+    /// engine) requests across cells — Table 4's per-strategy suites, for
+    /// instance — share one decode.
+    pub fn prepare_for_runs(&self, module: &Module) -> Arc<Code<'static>> {
         let start = Instant::now();
-        let prepared = self.cached_prepare(module);
+        let code = self.cached_prepare(module);
         emit::phase("prepare", start.elapsed());
-        prepared
+        code
     }
 
-    /// Runs an already-decoded module under the harness VM configuration
+    /// Runs already-loaded code under the harness VM configuration
     /// (including the [`HarnessConfig::cell_budget`] cycle cap, when one
-    /// is set). With self-profiling enabled the run goes through the
-    /// profiled engine and its profile is folded into the registry.
+    /// is set). With self-profiling enabled the run records a dispatch
+    /// profile, which is folded into the registry.
     ///
     /// # Panics
     ///
-    /// Unwinds with a typed [`CellTrap`] payload if the program traps,
+    /// Unwinds with a typed `CellTrap` payload if the program traps,
     /// which the cell isolation layer classifies into
     /// [`CellResult::Trapped`] or [`CellResult::Budget`] without taking
     /// sibling cells down.
-    pub fn run_prepared_module(&self, prepared: &PreparedModule, trigger: Trigger) -> Outcome {
+    pub fn run_prepared_module(&self, code: &Code, trigger: Trigger) -> Outcome {
         let cfg = self.config.vm_config(trigger);
         let start = Instant::now();
+        let request = Request::new(&cfg);
         let result = if metrics::enabled() {
             let mut profile = OpProfile::new();
-            let result = run_prepared_profiled(prepared, &cfg, &mut profile);
+            let result = code.execute(request.profile(&mut profile));
             record_profile(&profile, trigger);
             result
         } else {
-            run_prepared(prepared, &cfg)
+            code.execute(request)
         };
         let outcome = result.unwrap_or_else(|e| std::panic::panic_any(CellTrap(e)));
         emit::phase("run", start.elapsed());
@@ -1297,13 +1282,13 @@ impl Harness {
             .iter()
             .map(|w| {
                 let module = w.compile();
-                let prepared = self.cached_prepare(&module);
+                let code = self.cached_prepare(&module);
                 let cfg = VmConfig {
                     trigger: Trigger::Never,
                     ..VmConfig::default()
                 };
                 let mut profile = OpProfile::new();
-                let _ = run_prepared_profiled(&prepared, &cfg, &mut profile);
+                let _ = code.execute(Request::new(&cfg).profile(&mut profile));
                 let c = FusionCoverage {
                     name: w.name(),
                     fused_instructions: profile.fused_instructions(),
@@ -1612,8 +1597,9 @@ mod tests {
         let baseline = plain.run_module(&m, Trigger::Never);
         metrics::set_enabled(true);
         let warmups_before = metrics::snapshot().counter("pgo.warmups");
-        let prepared = pgo.cached_prepare(&m);
-        let outcome = pgo.run_prepared_module(&prepared, Trigger::Never);
+        let code = pgo.cached_prepare(&m);
+        let outcome = pgo.run_prepared_module(&code, Trigger::Never);
+        let prepared = code.prepared().expect("harness code is prepared");
         let warmups_after = metrics::snapshot().counter("pgo.warmups");
         // Coverage with profiling off: the returned values are what this
         // test needs, and recording nothing keeps the cumulative

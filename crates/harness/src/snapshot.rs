@@ -18,10 +18,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use isf_core::{Options, Strategy};
-use isf_exec::{
-    run_naive, run_prepared, run_prepared_profiled, FuseMode, OpProfile, PreparedModule, Trigger,
-    VmConfig,
-};
+use isf_exec::{Engine, OpProfile, Request, Trigger, VmConfig};
 use isf_obs::{emit, Json};
 
 use crate::runner::{cell, instrument, FusionCoverage, Harness, HarnessConfig, Kinds};
@@ -107,24 +104,30 @@ pub fn collect(h: &Harness, scale: Scale) -> Vec<BenchSample> {
 /// paper's headline workload, `mtrt` the call-dense counterweight.
 pub const DISPATCH_BENCHES: [&str; 2] = ["compress", "mtrt"];
 
-/// One benchmark's engine-ablation sample: the same uninstrumented run
-/// under the fused prepared engine, the unfused prepared engine, and the
-/// naive tree-walking reference.
+/// One benchmark's engine-ablation sample: the wall time of the same
+/// uninstrumented run on every [`Engine`].
 #[derive(Clone, Debug)]
 pub struct DispatchSample {
     /// Benchmark name.
     pub name: &'static str,
-    /// Wall time of the superinstruction-fused prepared run, nanoseconds.
-    pub fused_ns: u64,
-    /// Wall time of the unfused prepared run, nanoseconds.
-    pub unfused_ns: u64,
-    /// Wall time of the naive reference run, nanoseconds.
-    pub naive_ns: u64,
+    /// Wall time per engine, nanoseconds, in [`Engine::ALL`] order.
+    pub wall_ns: Vec<(Engine, u64)>,
+}
+
+impl DispatchSample {
+    /// The wall time of `engine`'s run, nanoseconds (0 if not measured).
+    #[must_use]
+    pub fn ns(&self, engine: Engine) -> u64 {
+        self.wall_ns
+            .iter()
+            .find(|(e, _)| *e == engine)
+            .map_or(0, |&(_, ns)| ns)
+    }
 }
 
 /// Measures the engine ablation on [`DISPATCH_BENCHES`] at `scale`: one
-/// timed run per engine per benchmark. All three engines produce the
-/// identical outcome; only the wall clock differs.
+/// timed run per engine per benchmark, loads untimed. All engines produce
+/// the identical outcome; only the wall clock differs.
 ///
 /// # Panics
 ///
@@ -141,24 +144,20 @@ pub fn dispatch_samples(h: &Harness, scale: Scale) -> Vec<DispatchSample> {
                 .iter()
                 .find(|b| b.name == name)
                 .unwrap_or_else(|| panic!("bench-snapshot: `{name}` missing from the suite"));
-            let fused = PreparedModule::prepare_with(&b.module, &cfg.cost, FuseMode::Fuse);
-            let unfused = PreparedModule::prepare_with(&b.module, &cfg.cost, FuseMode::Off);
-            let clock = |r: &mut dyn FnMut()| {
-                let start = Instant::now();
-                r();
-                u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-            };
+            let wall_ns = Engine::ALL
+                .iter()
+                .map(|&engine| {
+                    let code = engine.load(&b.module, &cfg.cost);
+                    let start = Instant::now();
+                    code.execute(Request::new(&cfg))
+                        .expect("benchmarks do not trap");
+                    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    (engine, ns)
+                })
+                .collect();
             DispatchSample {
                 name: b.name,
-                fused_ns: clock(&mut || {
-                    run_prepared(&fused, &cfg).expect("benchmarks do not trap");
-                }),
-                unfused_ns: clock(&mut || {
-                    run_prepared(&unfused, &cfg).expect("benchmarks do not trap");
-                }),
-                naive_ns: clock(&mut || {
-                    run_naive(&b.module, &cfg).expect("benchmarks do not trap");
-                }),
+                wall_ns,
             }
         })
         .collect()
@@ -198,10 +197,12 @@ pub fn profile_samples(h: &Harness, scale: Scale) -> Vec<ProfileSample> {
                 .iter()
                 .find(|b| b.name == name)
                 .unwrap_or_else(|| panic!("bench-snapshot: `{name}` missing from the suite"));
-            let fused = PreparedModule::prepare_with(&b.module, &cfg.cost, FuseMode::Fuse);
+            let fused = Engine::Fused.load(&b.module, &cfg.cost);
             let mut profile = OpProfile::new();
             let start = Instant::now();
-            run_prepared_profiled(&fused, &cfg, &mut profile).expect("benchmarks do not trap");
+            fused
+                .execute(Request::new(&cfg).profile(&mut profile))
+                .expect("benchmarks do not trap");
             ProfileSample {
                 name: b.name,
                 profiled_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
@@ -265,20 +266,21 @@ pub fn to_json(
                 dispatch
                     .iter()
                     .map(|s| {
-                        Json::obj([
-                            ("name", s.name.into()),
-                            ("fused_wall_ns", emit::wall_ns(s.fused_ns)),
-                            ("unfused_wall_ns", emit::wall_ns(s.unfused_ns)),
-                            ("naive_wall_ns", emit::wall_ns(s.naive_ns)),
-                            (
-                                "fused_speedup",
-                                emit::wall_rate(if s.fused_ns > 0 {
-                                    s.unfused_ns as f64 / s.fused_ns as f64
-                                } else {
-                                    0.0
-                                }),
-                            ),
-                        ])
+                        // `<engine>_wall_ns`, keyed by the label's last
+                        // segment: naive, unfused, fused, guided.
+                        let mut fields = vec![("name".to_owned(), s.name.into())];
+                        for &(engine, ns) in &s.wall_ns {
+                            let short = engine.label().rsplit('/').next().unwrap_or_default();
+                            fields.push((format!("{short}_wall_ns"), emit::wall_ns(ns)));
+                        }
+                        let fused = s.ns(Engine::Fused);
+                        let speedup = if fused > 0 {
+                            s.ns(Engine::Unfused) as f64 / fused as f64
+                        } else {
+                            0.0
+                        };
+                        fields.push(("fused_speedup".to_owned(), emit::wall_rate(speedup)));
+                        Json::Obj(fields)
                     })
                     .collect(),
             ),
@@ -439,9 +441,12 @@ mod tests {
         }];
         let dispatch = vec![DispatchSample {
             name: "compress",
-            fused_ns: 800,
-            unfused_ns: 1000,
-            naive_ns: 2000,
+            wall_ns: vec![
+                (Engine::Naive, 2000),
+                (Engine::Unfused, 1000),
+                (Engine::Fused, 800),
+                (Engine::Guided, 780),
+            ],
         }];
         let coverage = vec![FusionCoverage {
             name: "compress",
@@ -480,6 +485,7 @@ mod tests {
         isf_obs::json::parse(&text).expect("snapshot JSON parses");
         assert!(text.contains("\"name\":\"db\""));
         assert!(text.contains("\"fused_wall_ns\""));
+        assert!(text.contains("\"guided_wall_ns\""));
         assert!(text.contains("\"fused_speedup\""));
         let profile = doc.get("profile").expect("profile section present");
         assert!(text.contains("\"fused_instructions\":75"));
@@ -522,9 +528,14 @@ mod tests {
         assert_eq!(samples.len(), DISPATCH_BENCHES.len());
         for s in &samples {
             assert!(DISPATCH_BENCHES.contains(&s.name));
-            assert!(s.fused_ns > 0, "{}: fused run not timed", s.name);
-            assert!(s.unfused_ns > 0, "{}: unfused run not timed", s.name);
-            assert!(s.naive_ns > 0, "{}: naive run not timed", s.name);
+            for engine in Engine::ALL {
+                assert!(
+                    s.ns(engine) > 0,
+                    "{}: {} run not timed",
+                    s.name,
+                    engine.label()
+                );
+            }
         }
     }
 

@@ -169,18 +169,19 @@ impl fmt::Display for Spin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isf_exec::{run_prepared, CostModel, ExecLimits, PreparedModule, TrapKind, VmConfig};
+    use isf_exec::{Engine, ExecLimits, Request, TrapKind, VmConfig};
 
     /// Runs one of the diagnostic's programs under an explicit fuel cap,
     /// straight on the engine rather than through a harness.
     fn run_capped(source: &str, cycles: u64) -> Result<isf_exec::Outcome, isf_exec::VmError> {
         let module = isf_frontend::compile(source).expect("spin sources compile");
-        let prepared = PreparedModule::prepare(&module, &CostModel::default());
         let cfg = VmConfig {
             limits: ExecLimits::cycles(cycles),
             ..VmConfig::default()
         };
-        run_prepared(&prepared, &cfg)
+        Engine::default()
+            .load(&module, &cfg.cost)
+            .execute(Request::new(&cfg))
     }
 
     #[test]

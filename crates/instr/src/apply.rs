@@ -73,7 +73,14 @@ mod tests {
         FieldAccessInstrumentation,
     };
     use crate::plan::Instrumentation;
-    use isf_exec::{run, VmConfig};
+    use isf_exec::{Engine, Outcome, Request, VmConfig, VmError};
+
+    /// Loads `module` on the default engine and runs it once under `cfg`.
+    fn execute(module: &Module, cfg: &VmConfig) -> Result<Outcome, VmError> {
+        Engine::default()
+            .load(module, &cfg.cost)
+            .execute(Request::new(cfg))
+    }
 
     const PROGRAM: &str = "
         class P { field x; }
@@ -103,8 +110,8 @@ mod tests {
             &EdgeCountInstrumentation,
         ]);
         let cfg = VmConfig::default();
-        let a = run(&base, &cfg).unwrap();
-        let b = run(&inst, &cfg).unwrap();
+        let a = execute(&base, &cfg).unwrap();
+        let b = execute(&inst, &cfg).unwrap();
         assert_eq!(a.output, b.output);
         assert_eq!(a.output, vec![10]);
     }
@@ -112,7 +119,7 @@ mod tests {
     #[test]
     fn exhaustive_call_edge_counts_are_exact() {
         let m = instrumented(&[&CallEdgeInstrumentation]);
-        let o = run(&m, &VmConfig::default()).unwrap();
+        let o = execute(&m, &VmConfig::default()).unwrap();
         // 10 calls to bump from main; main itself has no caller.
         assert_eq!(o.profile.total_call_edge_events(), 10);
         assert_eq!(o.profile.call_edges().len(), 1);
@@ -121,7 +128,7 @@ mod tests {
     #[test]
     fn exhaustive_field_access_counts_are_exact() {
         let m = instrumented(&[&FieldAccessInstrumentation]);
-        let o = run(&m, &VmConfig::default()).unwrap();
+        let o = execute(&m, &VmConfig::default()).unwrap();
         // bump: read + write + read-for-return per call (3 * 10), plus
         // main's initial write and the final read for `print`.
         assert_eq!(o.profile.total_field_access_events(), 32);
@@ -134,8 +141,8 @@ mod tests {
         let base = isf_frontend::compile(PROGRAM).unwrap();
         let inst = instrumented(&[&CallEdgeInstrumentation, &FieldAccessInstrumentation]);
         let cfg = VmConfig::default();
-        let a = run(&base, &cfg).unwrap();
-        let b = run(&inst, &cfg).unwrap();
+        let a = execute(&base, &cfg).unwrap();
+        let b = execute(&inst, &cfg).unwrap();
         assert!(
             b.cycles > a.cycles,
             "instrumented code must be slower: {} vs {}",
@@ -147,7 +154,7 @@ mod tests {
     #[test]
     fn edge_ops_count_traversals() {
         let m = instrumented(&[&EdgeCountInstrumentation]);
-        let o = run(&m, &VmConfig::default()).unwrap();
+        let o = execute(&m, &VmConfig::default()).unwrap();
         let f = m.function_by_name("main").unwrap();
         // The loop body edge executes once per iteration; find a 10-count.
         assert!(o
@@ -160,7 +167,7 @@ mod tests {
     #[test]
     fn block_counts_match_entries() {
         let m = instrumented(&[&BlockCountInstrumentation]);
-        let o = run(&m, &VmConfig::default()).unwrap();
+        let o = execute(&m, &VmConfig::default()).unwrap();
         let bump = m.function_by_name("bump").unwrap();
         let entry_count = o.profile.blocks()[&(bump, isf_ir::BlockId::new(0))];
         assert_eq!(entry_count, 10);

@@ -225,14 +225,21 @@ enum ExitEdge {
 mod tests {
     use super::*;
     use crate::plan::ModulePlan;
-    use isf_exec::{run, VmConfig};
+    use isf_exec::{Engine, Outcome, Request, VmConfig, VmError};
+
+    /// Loads `module` on the default engine and runs it once under `cfg`.
+    fn execute(module: &Module, cfg: &VmConfig) -> Result<Outcome, VmError> {
+        Engine::default()
+            .load(module, &cfg.cost)
+            .execute(Request::new(cfg))
+    }
 
     fn profile_of(src: &str) -> (isf_ir::Module, isf_exec::Outcome) {
         let mut m = isf_frontend::compile(src).unwrap();
         let plan = ModulePlan::build(&m, &[&PathProfileInstrumentation]);
         crate::apply::apply_exhaustive(&mut m, &plan);
         isf_ir::verify::verify_module(&m).unwrap();
-        let o = run(&m, &VmConfig::default()).unwrap();
+        let o = execute(&m, &VmConfig::default()).unwrap();
         (m, o)
     }
 

@@ -23,7 +23,7 @@
 //! * [`Term::Check`] — a *counter-based check* (paper §2.2, Figure 3), a
 //!   conditional branch on the trigger's sample condition.
 //!
-//! Analyses needed by the transforms live in [`cfg`], [`dom`] and [`loops`]
+//! Analyses needed by the transforms live in [`cfg`](mod@cfg), [`dom`] and [`loops`]
 //! (reverse postorder, dominator tree, backedge detection). [`verify`]
 //! provides a structural verifier run by tests after every transform.
 //!

@@ -4,7 +4,7 @@
 //! # Design
 //!
 //! Recording takes **no locks**: each thread accumulates into its own
-//! thread-local [`Shard`], and a shard merges into the process-global
+//! thread-local `Shard`, and a shard merges into the process-global
 //! accumulator only at coarse drain points — an explicit [`flush_thread`]
 //! (the harness flushes after each cell), thread exit (worker threads of
 //! a parallel section), and when the main thread takes a [`snapshot`].

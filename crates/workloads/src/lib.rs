@@ -183,7 +183,14 @@ pub fn canonical_name(name: &str) -> Option<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isf_exec::{run, ExecLimits, VmConfig};
+    use isf_exec::{Engine, ExecLimits, Outcome, Request, VmConfig, VmError};
+
+    /// Loads `module` on the default engine and runs it once under `cfg`.
+    fn execute(module: &Module, cfg: &VmConfig) -> Result<Outcome, VmError> {
+        Engine::default()
+            .load(module, &cfg.cost)
+            .execute(Request::new(cfg))
+    }
 
     #[test]
     fn all_workloads_compile_and_run_deterministically() {
@@ -193,8 +200,8 @@ mod tests {
                 limits: ExecLimits::cycles(200_000_000),
                 ..VmConfig::default()
             };
-            let a = run(&m, &cfg).unwrap_or_else(|e| panic!("{} trapped: {e}", w.name()));
-            let b = run(&m, &cfg).unwrap();
+            let a = execute(&m, &cfg).unwrap_or_else(|e| panic!("{} trapped: {e}", w.name()));
+            let b = execute(&m, &cfg).unwrap();
             assert_eq!(a.output, b.output, "{} must be deterministic", w.name());
             assert!(!a.output.is_empty(), "{} must print a checksum", w.name());
             assert!(
@@ -209,10 +216,10 @@ mod tests {
     #[test]
     fn scale_grows_run_length() {
         let cfg = VmConfig::default();
-        let smoke = run(&by_name("db", Scale::Smoke).unwrap().compile(), &cfg)
+        let smoke = execute(&by_name("db", Scale::Smoke).unwrap().compile(), &cfg)
             .unwrap()
             .cycles;
-        let default = run(&by_name("db", Scale::Default).unwrap().compile(), &cfg)
+        let default = execute(&by_name("db", Scale::Default).unwrap().compile(), &cfg)
             .unwrap()
             .cycles;
         assert!(default > 4 * smoke);
@@ -223,7 +230,7 @@ mod tests {
         for name in ["pbob", "volano"] {
             let w = by_name(name, Scale::Smoke).unwrap();
             assert!(w.is_multithreaded());
-            let o = run(&w.compile(), &VmConfig::default()).unwrap();
+            let o = execute(&w.compile(), &VmConfig::default()).unwrap();
             assert!(o.thread_switches > 0, "{name} never interleaved");
         }
     }

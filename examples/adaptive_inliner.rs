@@ -14,7 +14,8 @@
 use std::collections::BTreeSet;
 
 use isf_core::{instrument_module, Options, Strategy};
-use isf_exec::{run, Outcome, Trigger, VmConfig};
+use isf_examples::execute;
+use isf_exec::{Outcome, Trigger};
 use isf_instr::{CallEdgeInstrumentation, ModulePlan};
 use isf_profile::ProfileData;
 use isf_workloads::{by_name, Scale};
@@ -34,23 +35,19 @@ fn inline_set(profile: &ProfileData, threshold_pct: f64) -> BTreeSet<String> {
 fn main() {
     let workload = by_name("javac", Scale::Default).expect("javac is in the suite");
     let module = workload.compile();
-    let baseline = run(&module, &VmConfig::default()).expect("baseline runs");
+    let baseline = execute(&module, Trigger::Never).expect("baseline runs");
 
     let plan = ModulePlan::build(&module, &[&CallEdgeInstrumentation]);
 
     // The offline way: exhaustive profile.
     let (exhaustive, _) =
         instrument_module(&module, &plan, &Options::new(Strategy::Exhaustive)).unwrap();
-    let perfect: Outcome = run(&exhaustive, &VmConfig::default()).unwrap();
+    let perfect: Outcome = execute(&exhaustive, Trigger::Never).unwrap();
 
     // The online way: Full-Duplication sampling.
     let (sampled_module, _) =
         instrument_module(&module, &plan, &Options::new(Strategy::FullDuplication)).unwrap();
-    let cfg = VmConfig {
-        trigger: Trigger::Counter { interval: 151 },
-        ..VmConfig::default()
-    };
-    let sampled = run(&sampled_module, &cfg).unwrap();
+    let sampled = execute(&sampled_module, Trigger::Counter { interval: 151 }).unwrap();
 
     println!(
         "javac: baseline {} cycles; exhaustive {:+.1}%; sampled {:+.1}% ({} samples)",

@@ -17,7 +17,8 @@
 use std::collections::HashSet;
 
 use isf_core::{instrument_module, instrument_module_selective, Options, Strategy};
-use isf_exec::{run, Trigger, VmConfig};
+use isf_examples::execute;
+use isf_exec::Trigger;
 use isf_instr::{CallEdgeInstrumentation, FieldAccessInstrumentation, ModulePlan};
 use isf_profile::{convergence::ConvergenceTracker, hotness};
 use isf_workloads::{by_name, Scale};
@@ -25,22 +26,19 @@ use isf_workloads::{by_name, Scale};
 fn main() {
     let workload = by_name("jess", Scale::Default).expect("jess is in the suite");
     let module = workload.compile();
-    let baseline = run(&module, &VmConfig::default()).expect("baseline runs");
+    let baseline = execute(&module, Trigger::Never).expect("baseline runs");
     println!("jess baseline: {} cycles", baseline.cycles);
 
     let plan = ModulePlan::build(
         &module,
         &[&CallEdgeInstrumentation, &FieldAccessInstrumentation],
     );
-    let sampled_cfg = |interval| VmConfig {
-        trigger: Trigger::Counter { interval },
-        ..VmConfig::default()
-    };
+    let sampled = |interval| Trigger::Counter { interval };
 
     // --- Epoch 0: instrument everything, find the hot methods. --------
     let (all_instrumented, _) =
         instrument_module(&module, &plan, &Options::new(Strategy::FullDuplication)).unwrap();
-    let scout = run(&all_instrumented, &sampled_cfg(251)).unwrap();
+    let scout = execute(&all_instrumented, sampled(251)).unwrap();
     println!(
         "epoch 0 (all methods): {:+.1}% overhead, {} samples",
         scout.overhead_vs(&baseline),
@@ -78,7 +76,7 @@ fn main() {
     loop {
         // Each epoch is one deterministic sampled run; a prime-ish
         // interval avoids aliasing with the rule-matching loops.
-        let o = run(&selective, &sampled_cfg(97 + epoch as u64 * 2)).unwrap();
+        let o = execute(&selective, sampled(97 + epoch as u64 * 2)).unwrap();
         let converged = tracker.observe(&o.profile);
         println!(
             "epoch {epoch}: {:+.1}% overhead, {} call-edge events, converged: {converged}",
@@ -92,7 +90,7 @@ fn main() {
     }
 
     // --- Shutdown: sample condition permanently false (§2). -----------
-    let off = run(&selective, &VmConfig::default()).unwrap();
+    let off = execute(&selective, Trigger::Never).unwrap();
     println!(
         "profiling off: {:+.1}% residual checking overhead, 0 samples",
         off.overhead_vs(&baseline)

@@ -7,7 +7,8 @@
 //! ```
 
 use isf_core::{instrument_module, Options, Strategy};
-use isf_exec::{run, Trigger, VmConfig};
+use isf_examples::execute;
+use isf_exec::Trigger;
 use isf_instr::{FieldAccessInstrumentation, ModulePlan};
 use isf_ir::{ClassId, Module};
 use isf_profile::ProfileData;
@@ -35,24 +36,17 @@ fn layout_for(profile: &ProfileData, module: &Module, class: ClassId) -> Vec<(St
 fn main() {
     let workload = by_name("compress", Scale::Default).expect("compress is in the suite");
     let module = workload.compile();
-    let baseline = run(&module, &VmConfig::default()).expect("baseline runs");
+    let baseline = execute(&module, Trigger::Never).expect("baseline runs");
 
     let plan = ModulePlan::build(&module, &[&FieldAccessInstrumentation]);
 
     let (exhaustive, _) =
         instrument_module(&module, &plan, &Options::new(Strategy::Exhaustive)).unwrap();
-    let perfect = run(&exhaustive, &VmConfig::default()).unwrap();
+    let perfect = execute(&exhaustive, Trigger::Never).unwrap();
 
     let (sampled_module, _) =
         instrument_module(&module, &plan, &Options::new(Strategy::FullDuplication)).unwrap();
-    let sampled = run(
-        &sampled_module,
-        &VmConfig {
-            trigger: Trigger::Counter { interval: 997 },
-            ..VmConfig::default()
-        },
-    )
-    .unwrap();
+    let sampled = execute(&sampled_module, Trigger::Counter { interval: 997 }).unwrap();
 
     println!(
         "compress: exhaustive field profile costs {:+.1}%, sampled costs {:+.1}%",

@@ -8,7 +8,8 @@
 //! ```
 
 use isf_core::{instrument_module, Options, Strategy};
-use isf_exec::{run, Trigger, VmConfig};
+use isf_examples::execute;
+use isf_exec::Trigger;
 use isf_instr::{
     BlockCountInstrumentation, CallEdgeInstrumentation, EdgeCountInstrumentation,
     FieldAccessInstrumentation, Instrumentation, ModulePlan, ValueProfileInstrumentation,
@@ -18,7 +19,7 @@ use isf_workloads::{by_name, Scale};
 fn main() {
     let workload = by_name("mtrt", Scale::Default).expect("mtrt is in the suite");
     let module = workload.compile();
-    let baseline = run(&module, &VmConfig::default()).expect("baseline runs");
+    let baseline = execute(&module, Trigger::Never).expect("baseline runs");
 
     let all: Vec<&dyn Instrumentation> = vec![
         &CallEdgeInstrumentation,
@@ -35,7 +36,7 @@ fn main() {
         let plan = ModulePlan::build(&module, std::slice::from_ref(kind));
         let (m, _) =
             instrument_module(&module, &plan, &Options::new(Strategy::Exhaustive)).unwrap();
-        let o = run(&m, &VmConfig::default()).unwrap();
+        let o = execute(&m, Trigger::Never).unwrap();
         let pct = o.overhead_vs(&baseline);
         exhaustive_sum += pct;
         println!("  {:<14} {:+.1}%", kind.name(), pct);
@@ -46,14 +47,7 @@ fn main() {
     let plan = ModulePlan::build(&module, &all);
     let (sampled_module, stats) =
         instrument_module(&module, &plan, &Options::new(Strategy::FullDuplication)).unwrap();
-    let sampled = run(
-        &sampled_module,
-        &VmConfig {
-            trigger: Trigger::Counter { interval: 499 },
-            ..VmConfig::default()
-        },
-    )
-    .unwrap();
+    let sampled = execute(&sampled_module, Trigger::Counter { interval: 499 }).unwrap();
     assert_eq!(sampled.output, baseline.output);
 
     println!(

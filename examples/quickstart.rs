@@ -9,7 +9,7 @@
 //! and accuracy of sampling against exhaustive instrumentation.
 
 use isf_core::{instrument_module, Options, Strategy};
-use isf_exec::{run, Trigger, VmConfig};
+use isf_exec::{Engine, Request, Trigger, VmConfig};
 use isf_instr::{CallEdgeInstrumentation, ModulePlan};
 use isf_profile::{overlap, report};
 
@@ -32,7 +32,13 @@ const PROGRAM: &str = "
 fn main() {
     // 1. Compile.
     let module = isf_frontend::compile(PROGRAM).expect("program compiles");
-    let baseline = run(&module, &VmConfig::default()).expect("baseline runs");
+    // Load the module for the fused engine once, then execute the code
+    // under a request: here the plain configuration, no observers.
+    let config = VmConfig::default();
+    let baseline = Engine::Fused
+        .load(&module, &config.cost)
+        .execute(Request::new(&config))
+        .expect("baseline runs");
     println!("baseline: {} simulated cycles", baseline.cycles);
 
     // 2. Plan call-edge instrumentation over every method.
@@ -45,7 +51,10 @@ fn main() {
     // 3. Exhaustive instrumentation: the expensive way (paper Table 1).
     let (exhaustive, _) =
         instrument_module(&module, &plan, &Options::new(Strategy::Exhaustive)).unwrap();
-    let perfect = run(&exhaustive, &VmConfig::default()).unwrap();
+    let perfect = Engine::Fused
+        .load(&exhaustive, &config.cost)
+        .execute(Request::new(&config))
+        .unwrap();
     println!(
         "exhaustive: {:+.1}% overhead, {} call-edge events",
         perfect.overhead_vs(&baseline),
@@ -64,7 +73,10 @@ fn main() {
         trigger: Trigger::Counter { interval: 101 },
         ..VmConfig::default()
     };
-    let sampled = run(&sampled_module, &cfg).unwrap();
+    let sampled = Engine::Fused
+        .load(&sampled_module, &cfg.cost)
+        .execute(Request::new(&cfg))
+        .unwrap();
     assert_eq!(sampled.output, baseline.output, "semantics preserved");
     println!(
         "sampled (interval 101): {:+.1}% overhead, {} samples",

@@ -3,24 +3,22 @@
 //! `--cancel-after-cycles` hook behind the harness watchdog) must stop at
 //! exactly the point where a fuel budget of `K` cycles exhausts — same
 //! function, same completion-vs-trap decision, same outcome when the
-//! program fits — in *every* engine: the naive tree-walker and the
-//! prepared engine unfused, statically fused, and profile-guided. If the
-//! stop points diverged between engines, the fault-tolerant harness would
-//! classify the same cell differently depending on which engine ran it.
+//! program fits — in *every* engine of [`Engine::ALL`]: the naive
+//! tree-walker and the prepared engine unfused, statically fused, and
+//! profile-guided. If the stop points diverged between engines, the
+//! fault-tolerant harness would classify the same cell differently
+//! depending on which engine ran it.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use isf_core::{instrument_module, Options, Strategy};
-use isf_exec::{
-    cancel, run_naive, run_prepared, run_prepared_profiled, ExecLimits, FuseGuidance, FuseMode,
-    OpProfile, PreparedModule, TrapKind, Trigger, VmConfig, VmError,
-};
+use isf_exec::{cancel, Code, Engine, ExecLimits, Request, TrapKind, Trigger, VmConfig, VmError};
 use isf_instr::{BlockCountInstrumentation, ModulePlan};
-use isf_integration_tests::compile;
 use isf_integration_tests::program_gen::{
     render_conc_program, render_program, stmt_strategy, ConcProgram, ConcShape,
 };
+use isf_integration_tests::{compile, load_all};
 
 type RunResult = Result<isf_exec::Outcome, VmError>;
 
@@ -40,19 +38,19 @@ fn cancelled_as_fuel(result: RunResult, k: u64) -> RunResult {
     })
 }
 
-/// Runs `run` twice — once armed to cancel after `k` simulated cycles
+/// Runs `attempt` twice — once armed to cancel after `k` simulated cycles
 /// with no fuel limit, once under a fuel budget of `k` — and asserts the
 /// mapped results are identical.
 fn cancel_matches_fuel(
     engine: &str,
     k: u64,
-    run: impl Fn(&VmConfig) -> RunResult,
+    attempt: impl Fn(&VmConfig) -> RunResult,
 ) -> Result<(), TestCaseError> {
     let cancelled = {
         let _scope = cancel::arm(None, Some(k));
-        run(&VmConfig::default())
+        attempt(&VmConfig::default())
     };
-    let fuel = run(&VmConfig {
+    let fuel = attempt(&VmConfig {
         limits: ExecLimits::cycles(k),
         ..VmConfig::default()
     });
@@ -66,31 +64,16 @@ fn cancel_matches_fuel(
     Ok(())
 }
 
-/// Asserts cancellation-at-`k` ≡ fuel-budget-`k` on all four engine
-/// configurations for `module`.
+/// Runs `code` once under `cfg` with no observers.
+fn exec(code: &Code, cfg: &VmConfig) -> RunResult {
+    code.execute(Request::new(cfg))
+}
+
+/// Asserts cancellation-at-`k` ≡ fuel-budget-`k` on every engine for
+/// `module`, guided fusion loaded as the harness's `--pgo` loads it.
 fn all_engines_cancel_like_fuel(module: &isf_ir::Module, k: u64) -> Result<(), TestCaseError> {
-    cancel_matches_fuel("naive", k, |cfg| run_naive(module, cfg))?;
-
-    let unfused = PreparedModule::prepare_with(module, &VmConfig::default().cost, FuseMode::Off);
-    cancel_matches_fuel("prepared/unfused", k, |cfg| run_prepared(&unfused, cfg))?;
-
-    let fused = PreparedModule::prepare_with(module, &VmConfig::default().cost, FuseMode::Fuse);
-    cancel_matches_fuel("prepared/fused", k, |cfg| run_prepared(&fused, cfg))?;
-
-    // Guided fusion as the harness produces it: a generous-budget warmup
-    // run of the fused form collects the profile the guidance distills.
-    let mut warmup = OpProfile::new();
-    let warmup_cfg = VmConfig {
-        limits: ExecLimits::cycles(500_000_000),
-        ..VmConfig::default()
-    };
-    if run_prepared_profiled(&fused, &warmup_cfg, &mut warmup).is_ok() {
-        let guided = PreparedModule::prepare_with(
-            module,
-            &VmConfig::default().cost,
-            FuseMode::Guided(Box::new(FuseGuidance::from_profile(&warmup))),
-        );
-        cancel_matches_fuel("prepared/guided", k, |cfg| run_prepared(&guided, cfg))?;
+    for (engine, code) in load_all(module, &VmConfig::default().cost) {
+        cancel_matches_fuel(engine.label(), k, |cfg| exec(&code, cfg))?;
     }
     Ok(())
 }
@@ -136,7 +119,8 @@ fn per_thread_spill_counters_cancel_like_fuel() {
         limits: ExecLimits::cycles(500_000_000),
         ..VmConfig::default()
     };
-    let full = run_naive(&instrumented, &full_cfg).expect("spawn-heavy program completes");
+    let naive = Engine::Naive.load(&instrumented, &full_cfg.cost);
+    let full = exec(&naive, &full_cfg).expect("spawn-heavy program completes");
     assert!(full.entries_executed > 1100, "every spawned thread ran");
     assert!(full.samples_taken > 0, "per-thread counters fired");
 
@@ -145,14 +129,14 @@ fn per_thread_spill_counters_cancel_like_fuel() {
     // serialized, so cycle fraction ~ thread-id fraction; 1024/1100 of
     // the way through is ~93%).
     let c = full.cycles;
-    let fused = PreparedModule::prepare_with(&instrumented, &full_cfg.cost, FuseMode::Fuse);
+    let fused = Engine::Fused.load(&instrumented, &full_cfg.cost);
     for k in [c / 2, c * 95 / 100, c * 99 / 100] {
         cancel_matches_fuel("naive+per-thread-spill", k, |cfg| {
-            run_naive(&instrumented, &VmConfig { trigger, ..*cfg })
+            exec(&naive, &VmConfig { trigger, ..*cfg })
         })
         .unwrap();
         cancel_matches_fuel("fused+per-thread-spill", k, |cfg| {
-            run_prepared(&fused, &VmConfig { trigger, ..*cfg })
+            exec(&fused, &VmConfig { trigger, ..*cfg })
         })
         .unwrap();
     }
@@ -163,7 +147,7 @@ fn per_thread_spill_counters_cancel_like_fuel() {
 /// joins and the cancellation budget all land within a few cycles of each
 /// other, which is where the prepared engine's single cycle horizon and
 /// its timeslice-long dispatch loop could drift from the per-op naive
-/// engine. Naive, unfused and fused must agree on the whole result —
+/// engine. Every engine must agree on the whole result —
 /// output, cycles, counters, `thread_switches`, trap kind and function —
 /// and each must still stop exactly where a fuel budget of the same value
 /// does.
@@ -182,32 +166,37 @@ fn concurrent_programs_cancel_identically_under_small_timeslices() {
                 iters,
                 shape,
             }));
-            let unfused = PreparedModule::prepare_with(&module, &cost, FuseMode::Off);
-            let fused = PreparedModule::prepare_with(&module, &cost, FuseMode::Fuse);
-            let prepared = [("prepared/unfused", &unfused), ("prepared/fused", &fused)];
+            let engines = load_all(&module, &cost);
+            let (naive_code, prepared) = engines.split_first().expect("Engine::ALL is not empty");
+            assert_eq!(
+                naive_code.0,
+                Engine::Naive,
+                "Engine::ALL lists the reference first"
+            );
             for timeslice in [1, 2, 3, 5, 8, 13, 31, 101] {
                 let with_timeslice = |cfg: &VmConfig| VmConfig { timeslice, ..*cfg };
-                let naive = |cfg: &VmConfig| run_naive(&module, &with_timeslice(cfg));
+                let naive = |cfg: &VmConfig| exec(&naive_code.1, &with_timeslice(cfg));
                 let c = naive(&VmConfig::default())
                     .expect("concurrent program completes")
                     .cycles;
                 for k in [1, c / 7, c / 3, c / 2, c * 9 / 10, c - 1, c] {
                     let label = format!("{shape:?} w={workers} n={iters} ts={timeslice} k={k}");
-                    let cancelled_at_k = |run: &dyn Fn(&VmConfig) -> RunResult| {
+                    let cancelled_at_k = |attempt: &dyn Fn(&VmConfig) -> RunResult| {
                         let _scope = cancel::arm(None, Some(k));
-                        run(&VmConfig::default())
+                        attempt(&VmConfig::default())
                     };
                     let want = cancelled_at_k(&naive);
                     cancel_matches_fuel("naive", k, naive)
                         .unwrap_or_else(|e| panic!("{label}: {e:?}"));
-                    for (engine, p) in prepared {
-                        let run = |cfg: &VmConfig| run_prepared(p, &with_timeslice(cfg));
+                    for (engine, code) in prepared {
+                        let engine = engine.label();
+                        let prepared_exec = |cfg: &VmConfig| exec(code, &with_timeslice(cfg));
                         assert_eq!(
-                            cancelled_at_k(&run),
+                            cancelled_at_k(&prepared_exec),
                             want,
                             "{engine} diverged from naive: {label}"
                         );
-                        cancel_matches_fuel(engine, k, run)
+                        cancel_matches_fuel(engine, k, prepared_exec)
                             .unwrap_or_else(|e| panic!("{label}: {e:?}"));
                     }
                 }
@@ -229,8 +218,13 @@ fn stack_overflow_fires_identically_inside_a_spawned_thread() {
         iters: 4,
         shape: ConcShape::Nested,
     }));
-    let unfused = PreparedModule::prepare_with(&module, &cost, FuseMode::Off);
-    let fused = PreparedModule::prepare_with(&module, &cost, FuseMode::Fuse);
+    let engines = load_all(&module, &cost);
+    let (naive, prepared) = engines.split_first().expect("Engine::ALL is not empty");
+    assert_eq!(
+        naive.0,
+        Engine::Naive,
+        "Engine::ALL lists the reference first"
+    );
     for max_stack in 2..8 {
         for timeslice in [1, 2, 3, 5, 8, 13, 31, 101] {
             let cfg = VmConfig {
@@ -241,7 +235,7 @@ fn stack_overflow_fires_identically_inside_a_spawned_thread() {
                 },
                 ..VmConfig::default()
             };
-            let want = run_naive(&module, &cfg);
+            let want = exec(&naive.1, &cfg);
             match &want {
                 Err(e) if max_stack == 2 => {
                     assert_eq!(e.kind, TrapKind::StackOverflow(2));
@@ -250,11 +244,12 @@ fn stack_overflow_fires_identically_inside_a_spawned_thread() {
                 Ok(o) if max_stack > 2 => assert!(o.thread_switches > 0),
                 other => panic!("max_stack={max_stack} ts={timeslice}: {other:?}"),
             }
-            for (engine, p) in [("prepared/unfused", &unfused), ("prepared/fused", &fused)] {
+            for (engine, code) in prepared {
                 assert_eq!(
-                    run_prepared(p, &cfg),
+                    exec(code, &cfg),
                     want,
-                    "{engine} diverged from naive: max_stack={max_stack} ts={timeslice}"
+                    "{} diverged from naive: max_stack={max_stack} ts={timeslice}",
+                    engine.label()
                 );
             }
         }
@@ -285,13 +280,14 @@ proptest! {
         // cancel point must still equal the fuel point under it.
         let module = compile(&render_program(&stmts));
         let trigger = Trigger::Counter { interval: 3 };
+        let cost = VmConfig::default().cost;
+        let naive = Engine::Naive.load(&module, &cost);
         cancel_matches_fuel("naive+counter", k, |cfg| {
-            run_naive(&module, &VmConfig { trigger, ..*cfg })
+            exec(&naive, &VmConfig { trigger, ..*cfg })
         })?;
-        let fused =
-            PreparedModule::prepare_with(&module, &VmConfig::default().cost, FuseMode::Fuse);
+        let fused = Engine::Fused.load(&module, &cost);
         cancel_matches_fuel("fused+counter", k, |cfg| {
-            run_prepared(&fused, &VmConfig { trigger, ..*cfg })
+            exec(&fused, &VmConfig { trigger, ..*cfg })
         })?;
     }
 }

@@ -7,10 +7,10 @@
 
 use proptest::prelude::*;
 
-use isf_exec::{run, run_naive, run_prepared, ExecLimits, PreparedModule, Trigger, VmConfig};
+use isf_exec::{ExecLimits, Trigger, VmConfig};
 use isf_harness::runner::{cell, split_results, Harness, HarnessConfig};
-use isf_integration_tests::compile;
 use isf_integration_tests::program_gen::{render_program, stmt_strategy};
+use isf_integration_tests::{compile, engines_agree};
 use isf_obs::emit;
 
 fn trigger_strategy() -> impl Strategy<Value = Trigger> {
@@ -56,12 +56,7 @@ proptest! {
         // trigger or limits — and all of them return the same one.
         let module = compile(&render_program(&stmts));
         let cfg = VmConfig { trigger, limits, ..VmConfig::default() };
-        let reference = run_naive(&module, &cfg);
-        let fast = run(&module, &cfg);
-        prop_assert_eq!(&fast, &reference, "run() diverged from run_naive()");
-        let prepared = PreparedModule::prepare(&module, &cfg.cost);
-        let replay = run_prepared(&prepared, &cfg);
-        prop_assert_eq!(&replay, &reference, "run_prepared() diverged from run_naive()");
+        engines_agree(&module, &cfg)?;
     }
 }
 
@@ -128,14 +123,14 @@ fn budget_capped_cell_is_classified_as_budget_not_trap() {
         cell_budget: 500,
         ..uncapped.config.clone()
     });
-    let run = |h: &Harness| {
+    let spin_cell = |h: &Harness| {
         h.par_cells_isolated(vec![cell("fault/budget", || {
             h.run_module(&spin, Trigger::Never).cycles
         })])
     };
     let (results, free) = std::thread::scope(|s| {
-        let capped_run = s.spawn(|| run(&capped));
-        let uncapped_run = s.spawn(|| run(&uncapped));
+        let capped_run = s.spawn(|| spin_cell(&capped));
+        let uncapped_run = s.spawn(|| spin_cell(&uncapped));
         (capped_run.join().unwrap(), uncapped_run.join().unwrap())
     });
     let (free_oks, free_errors) = split_results(free);

@@ -1,7 +1,8 @@
 //! Differential property testing of superinstruction fusion: a module
-//! prepared with [`FuseMode::Fuse`] must be observationally identical to
-//! the same module prepared with [`FuseMode::Off`] and to the
-//! tree-walking reference — same output, same simulated cycles, same
+//! loaded for [`Engine::Fused`] or [`Engine::Guided`] must be
+//! observationally identical to the same module loaded for
+//! [`Engine::Unfused`] and to the tree-walking reference — same output,
+//! same simulated cycles, same
 //! counters, same collected profile, and (under tight budgets) the same
 //! trap at the same point. The generator is biased toward fusion
 //! candidates: constant operands, compare-and-branch, move chains, and
@@ -12,17 +13,17 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use isf_core::{instrument_module, Options, Strategy};
-use isf_exec::{run_naive, run_prepared, ExecLimits, FuseMode, PreparedModule, Trigger, VmConfig};
+use isf_exec::{Engine, ExecLimits, Trigger, VmConfig};
 use isf_instr::{
     BlockCountInstrumentation, CallEdgeInstrumentation, EdgeCountInstrumentation,
     FieldAccessInstrumentation, Instrumentation, ModulePlan, PathProfileInstrumentation,
 };
-use isf_integration_tests::compile;
 use isf_integration_tests::program_gen::{render_program, stmt_strategy};
+use isf_integration_tests::{compile, engines_agree};
 
-/// Asserts the fused and unfused preparations of `module` agree with each
-/// other and with the naive reference on the complete
-/// `Result<Outcome, VmError>` under `trigger` and `limits`.
+/// Asserts every engine's load of `module` agrees with the naive reference
+/// on the complete `Result<Outcome, VmError>` under `trigger` and
+/// `limits`, and fused with unfused directly.
 fn fusion_is_observably_equivalent(
     module: &isf_ir::Module,
     trigger: Trigger,
@@ -33,13 +34,13 @@ fn fusion_is_observably_equivalent(
         limits,
         ..VmConfig::default()
     };
-    let fused = PreparedModule::prepare_with(module, &cfg.cost, FuseMode::Fuse);
-    let unfused = PreparedModule::prepare_with(module, &cfg.cost, FuseMode::Off);
-    let via_fused = run_prepared(&fused, &cfg);
-    let via_unfused = run_prepared(&unfused, &cfg);
-    let reference = run_naive(module, &cfg);
-    prop_assert_eq!(&via_fused, &via_unfused, "fused diverged from unfused");
-    prop_assert_eq!(&via_fused, &reference, "fused diverged from run_naive()");
+    let results = engines_agree(module, &cfg)?;
+    let result_of = |engine| &results.iter().find(|(e, _)| *e == engine).unwrap().1;
+    prop_assert_eq!(
+        result_of(Engine::Fused),
+        result_of(Engine::Unfused),
+        "fused diverged from unfused"
+    );
     Ok(())
 }
 

@@ -8,10 +8,7 @@
 //! trapping group even when the unfused schedule would have stopped
 //! mid-group.
 
-use isf_exec::{
-    run_naive_profiled, run_prepared_profiled, ExecLimits, FuseMode, OpProfile, PreparedModule,
-    VmConfig,
-};
+use isf_exec::{Engine, ExecLimits, OpProfile, Request, VmConfig};
 use isf_integration_tests::compile;
 
 /// Sweeps a cycle budget across every trap position of `src` and asserts
@@ -27,11 +24,15 @@ fn assert_trap_totals_match(src: &str, max_range: std::ops::Range<u64>) {
             },
             ..VmConfig::default()
         };
+        let profiled = |engine: Engine, profile: &mut OpProfile| {
+            engine
+                .load(&module, &cfg.cost)
+                .execute(Request::new(&cfg).profile(profile))
+        };
         let mut naive_profile = OpProfile::new();
-        let naive = run_naive_profiled(&module, &cfg, &mut naive_profile);
-        let fused = PreparedModule::prepare_with(&module, &cfg.cost, FuseMode::Fuse);
+        let naive = profiled(Engine::Naive, &mut naive_profile);
         let mut fused_profile = OpProfile::new();
-        let fr = run_prepared_profiled(&fused, &cfg, &mut fused_profile);
+        let fr = profiled(Engine::Fused, &mut fused_profile);
         assert_eq!(
             naive.is_err(),
             fr.is_err(),

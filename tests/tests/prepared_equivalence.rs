@@ -1,51 +1,43 @@
-//! Differential property testing of the execution engines: the pre-decoded
-//! arena interpreter ([`isf_exec::run_prepared`], and [`isf_exec::run`]
-//! which prepares internally) must be observationally identical to the
-//! tree-walking reference ([`isf_exec::run_naive`]) — same output, same
-//! simulated cycles, same counters, same collected profile — on arbitrary
-//! programs, not just the benchmark suite. Instrumented and path-profiled
-//! variants are included so the decoded forms of `check`, the profiling
-//! ops and the Ball–Larus path ops are all exercised.
+//! Differential property testing of the execution engines: every
+//! pre-decoded engine of [`isf_exec::Engine::ALL`] (unfused, fused and
+//! guided) must be observationally identical to the tree-walking
+//! reference ([`isf_exec::Engine::Naive`]) — same output, same simulated
+//! cycles, same counters, same collected profile — on arbitrary programs,
+//! not just the benchmark suite. Instrumented and path-profiled variants
+//! are included so the decoded forms of `check`, the profiling ops and
+//! the Ball–Larus path ops are all exercised.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use isf_core::{instrument_module, Options, Strategy};
-use isf_exec::{run, run_naive, run_prepared, ExecLimits, PreparedModule, Trigger, VmConfig};
+use isf_exec::{ExecLimits, Trigger, VmConfig};
 use isf_instr::{
     BlockCountInstrumentation, CallEdgeInstrumentation, EdgeCountInstrumentation,
     FieldAccessInstrumentation, Instrumentation, ModulePlan, PathProfileInstrumentation,
 };
-use isf_integration_tests::compile;
 use isf_integration_tests::program_gen::{render_program, stmt_strategy};
+use isf_integration_tests::{compile, engines_agree};
 
-/// Asserts all three engines agree on the complete [`isf_exec::Outcome`]
-/// for `module` under `trigger` — output, cycles, instructions, profile
-/// and every check/sample/yield/entry/backedge/switch counter.
-fn engines_agree(module: &isf_ir::Module, trigger: Trigger) -> Result<(), TestCaseError> {
+/// Asserts every engine agrees with the naive reference on the complete
+/// [`isf_exec::Outcome`] for `module` under `trigger` — output, cycles,
+/// instructions, profile and every check/sample/yield/entry/backedge/switch
+/// counter — and that the reference completes.
+fn engines_agree_on_outcome(
+    module: &isf_ir::Module,
+    trigger: Trigger,
+) -> Result<(), TestCaseError> {
     let cfg = VmConfig {
         trigger,
         limits: ExecLimits::cycles(500_000_000),
         ..VmConfig::default()
     };
-    let reference = run_naive(module, &cfg).expect("naive engine runs");
-    let via_run = run(module, &cfg).expect("run succeeds");
-    prop_assert_eq!(&via_run, &reference, "run() diverged from run_naive()");
-    // One preparation, two runs: repeated runs of one PreparedModule must
-    // be deterministic and equal to the reference as well.
-    let prepared = PreparedModule::prepare(module, &cfg.cost);
-    let first = run_prepared(&prepared, &cfg).expect("prepared run succeeds");
-    let second = run_prepared(&prepared, &cfg).expect("prepared rerun succeeds");
-    prop_assert_eq!(
-        &first,
-        &reference,
-        "run_prepared() diverged from run_naive()"
-    );
-    prop_assert_eq!(&first, &second, "repeated prepared runs diverged");
+    let results = engines_agree(module, &cfg)?;
+    prop_assert!(results[0].1.is_ok(), "naive engine runs");
     Ok(())
 }
 
-/// Asserts all three engines agree on the complete
+/// Asserts every engine agrees with the naive reference on the complete
 /// `Result<Outcome, VmError>` under `limits` and `timeslice` — including
 /// the trap kind, the function it fired in, and the threadswitch count.
 /// Resource budgets must exhaust at the same instruction in every engine,
@@ -64,19 +56,7 @@ fn engines_agree_on_result(
         timeslice,
         ..VmConfig::default()
     };
-    let reference = run_naive(module, &cfg);
-    let via_run = run(module, &cfg);
-    prop_assert_eq!(&via_run, &reference, "run() diverged from run_naive()");
-    let prepared = PreparedModule::prepare(module, &cfg.cost);
-    let first = run_prepared(&prepared, &cfg);
-    let second = run_prepared(&prepared, &cfg);
-    prop_assert_eq!(
-        &first,
-        &reference,
-        "run_prepared() diverged from run_naive()"
-    );
-    prop_assert_eq!(&first, &second, "repeated prepared runs diverged");
-    Ok(())
+    engines_agree(module, &cfg).map(drop)
 }
 
 fn all_kinds() -> Vec<&'static dyn Instrumentation> {
@@ -96,7 +76,7 @@ proptest! {
         stmts in prop::collection::vec(stmt_strategy(), 1..8)
     ) {
         let module = compile(&render_program(&stmts));
-        engines_agree(&module, Trigger::Never)?;
+        engines_agree_on_outcome(&module, Trigger::Never)?;
     }
 
     #[test]
@@ -109,7 +89,7 @@ proptest! {
         let plan = ModulePlan::build(&module, &all_kinds());
         for strategy in [Strategy::FullDuplication, Strategy::NoDuplication] {
             let (out, _) = instrument_module(&module, &plan, &Options::new(strategy)).unwrap();
-            engines_agree(&out, Trigger::Counter { interval: 3 })?;
+            engines_agree_on_outcome(&out, Trigger::Counter { interval: 3 })?;
         }
     }
 
@@ -122,7 +102,7 @@ proptest! {
         let plan = ModulePlan::build(&module, &[&PathProfileInstrumentation]);
         let (out, _) =
             instrument_module(&module, &plan, &Options::new(Strategy::FullDuplication)).unwrap();
-        engines_agree(&out, Trigger::Counter { interval: 2 })?;
+        engines_agree_on_outcome(&out, Trigger::Counter { interval: 2 })?;
     }
 
     #[test]
@@ -182,7 +162,7 @@ proptest! {
         let (out, _) = instrument_module(
             &module, &plan, &Options::new(Strategy::FullDuplication),
         ).unwrap();
-        engines_agree(&out, Trigger::TimerBit { period: 997 })?;
+        engines_agree_on_outcome(&out, Trigger::TimerBit { period: 997 })?;
         engines_agree_on_result(
             &out,
             Trigger::TimerBit { period },

@@ -1,6 +1,6 @@
 //! Differential property testing of the self-profiling layer: running
 //! with an [`isf_exec::OpProfile`] sink must not change execution at all
-//! (identical [`isf_exec::Outcome`]s and traps, both engines), and the
+//! (identical [`isf_exec::Outcome`]s and traps, every engine), and the
 //! profile itself must be exact — per-opcode totals summing to the run's
 //! own instruction and cycle counts — and engine-independent: the
 //! tree-walking reference records every dispatch individually, while the
@@ -14,15 +14,15 @@ use proptest::test_runner::TestCaseError;
 use isf_core::{instrument_module, Options, Strategy};
 use isf_exec::profile::FIRST_FUSED;
 use isf_exec::{
-    run_naive, run_naive_profiled, run_prepared, run_prepared_profiled, ExecLimits, FuseGuidance,
-    FuseMode, OpProfile, PreparedModule, ProfileSink, Trigger, VmConfig,
+    Code, Engine, ExecLimits, FuseGuidance, FuseMode, OpProfile, PreparedModule, ProfileSink,
+    Request, Trigger, VmConfig,
 };
 use isf_instr::{
     BlockCountInstrumentation, CallEdgeInstrumentation, EdgeCountInstrumentation,
     FieldAccessInstrumentation, Instrumentation, ModulePlan,
 };
-use isf_integration_tests::compile;
 use isf_integration_tests::program_gen::{render_program, stmt_strategy};
+use isf_integration_tests::{compile, load_all};
 
 fn all_kinds() -> Vec<&'static dyn Instrumentation> {
     vec![
@@ -33,56 +33,29 @@ fn all_kinds() -> Vec<&'static dyn Instrumentation> {
     ]
 }
 
-/// Asserts the profiled entry points are observationally identical to the
-/// unprofiled ones on `module`, that both engines produce the *same*
-/// profile, and that the profile's totals reconcile exactly with the
-/// outcome's counters.
+/// Asserts profiled runs are observationally identical to unprofiled ones
+/// on every engine, that every engine's profile reconciles exactly with
+/// the outcome's counters and has the naive engine's totals, and that the
+/// naive and unfused engines produce the *same* profile.
 fn profiles_agree(module: &isf_ir::Module, cfg: &VmConfig) -> Result<(), TestCaseError> {
-    let plain_naive = run_naive(module, cfg);
-    let mut naive_profile = OpProfile::new();
-    let profiled_naive = run_naive_profiled(module, cfg, &mut naive_profile);
-    prop_assert_eq!(
-        &profiled_naive,
-        &plain_naive,
-        "profiling changed the naive engine's result"
-    );
-
-    // The unfused prepared pipeline dispatches the same plain opcode per
-    // source instruction as the tree-walker, so its reconstructed profile
-    // must equal the naive engine's per-dispatch-recorded one exactly —
-    // counts, instructions, cycles, and the sample series.
-    let unfused = PreparedModule::prepare_with(module, &cfg.cost, FuseMode::Off);
-    let plain_unfused = run_prepared(&unfused, cfg);
-    let mut unfused_profile = OpProfile::new();
-    let profiled_unfused = run_prepared_profiled(&unfused, cfg, &mut unfused_profile);
-    prop_assert_eq!(
-        &profiled_unfused,
-        &plain_unfused,
-        "profiling changed the prepared engine's result"
-    );
-    prop_assert_eq!(
-        &unfused_profile,
-        &naive_profile,
-        "unfused prepared profile diverged from the naive profile"
-    );
-
-    // Fusion changes which opcodes run, never what the run does: the
-    // fused profile totals must reconcile with the same outcome.
-    let fused = PreparedModule::prepare_with(module, &cfg.cost, FuseMode::Fuse);
-    let mut fused_profile = OpProfile::new();
-    let profiled_fused = run_prepared_profiled(&fused, cfg, &mut fused_profile);
-    prop_assert_eq!(
-        &profiled_fused,
-        &plain_naive,
-        "fused profiled run diverged from the reference"
-    );
-
-    for (profile, outcome, label) in [
-        (&naive_profile, &profiled_naive, "naive"),
-        (&unfused_profile, &profiled_unfused, "unfused"),
-        (&fused_profile, &profiled_fused, "fused"),
-    ] {
-        if let Ok(o) = outcome {
+    let mut profiles = Vec::new();
+    let mut plain_naive = None;
+    for (engine, code) in load_all(module, &cfg.cost) {
+        let label = engine.label();
+        let plain = code.execute(Request::new(cfg));
+        let mut profile = OpProfile::new();
+        let profiled = code.execute(Request::new(cfg).profile(&mut profile));
+        prop_assert_eq!(&profiled, &plain, "profiling changed the {} result", label);
+        // Fusion changes which opcodes run, never what the run does: every
+        // engine's profiled run must equal the reference.
+        let reference = plain_naive.get_or_insert_with(|| plain.clone());
+        prop_assert_eq!(
+            &profiled,
+            &*reference,
+            "{} profiled run diverged from the reference",
+            label
+        );
+        if let Ok(o) = &profiled {
             prop_assert_eq!(
                 profile.total_instructions(),
                 o.instructions,
@@ -102,32 +75,59 @@ fn profiles_agree(module: &isf_ir::Module, cfg: &VmConfig) -> Result<(), TestCas
                 label
             );
         }
+        profiles.push((engine, profile));
     }
-    // On traps there is no outcome to reconcile against, but the two
-    // identically-trapping engines already vouched for each other's
-    // totals via the profile equality above.
+    let profile_of = |engine| &profiles.iter().find(|(e, _)| *e == engine).unwrap().1;
+    let naive_profile = profile_of(Engine::Naive);
+
+    // The unfused prepared pipeline dispatches the same plain opcode per
+    // source instruction as the tree-walker, so its reconstructed profile
+    // must equal the naive engine's per-dispatch-recorded one exactly —
+    // counts, instructions, cycles, and the sample series.
     prop_assert_eq!(
-        fused_profile.total_instructions(),
-        naive_profile.total_instructions(),
-        "fusion changed the dynamic instruction count"
-    );
-    prop_assert_eq!(
-        fused_profile.total_cycles(),
-        naive_profile.total_cycles(),
-        "fusion changed the dynamic cycle count"
+        profile_of(Engine::Unfused),
+        naive_profile,
+        "unfused prepared profile diverged from the naive profile"
     );
 
-    // Guided fusion re-partitions blocks around a warmup profile. The
-    // realistic guidance is the fused run's own remainder profile (the
-    // harness's `--pgo` flow); the saturated one marks every plain opcode
-    // hot, forcing every eligible sequence into a generalized group.
+    // On traps there is no outcome to reconcile against, but the two
+    // identically-trapping engines already vouched for each other's
+    // totals via the profile equality above; every other engine must
+    // match their dynamic totals.
+    for (engine, profile) in &profiles {
+        prop_assert_eq!(
+            profile.total_instructions(),
+            naive_profile.total_instructions(),
+            "{} changed the dynamic instruction count",
+            engine.label()
+        );
+        prop_assert_eq!(
+            profile.total_cycles(),
+            naive_profile.total_cycles(),
+            "{} changed the dynamic cycle count",
+            engine.label()
+        );
+        prop_assert_eq!(
+            profile.checks_per_sample().len(),
+            naive_profile.checks_per_sample().len(),
+            "{} changed the sample series",
+            engine.label()
+        );
+    }
+
+    // Guided fusion re-partitions blocks around a warmup profile. Beyond
+    // the harness's own warmup ([`Engine::Guided`]), two more guidances:
+    // the fused run's own remainder profile, and a saturated one that
+    // marks every plain opcode hot, forcing every eligible sequence into
+    // a generalized group.
     let mut saturated = OpProfile::new();
     for op in 0..FIRST_FUSED {
         saturated.record_dispatches(op, 1, 1, 1);
     }
+    let reference = plain_naive.expect("Engine::ALL is not empty");
     for (guidance, label) in [
         (
-            FuseGuidance::from_profile(&fused_profile),
+            FuseGuidance::from_profile(profile_of(Engine::Fused)),
             "warmup guidance",
         ),
         (FuseGuidance::from_profile(&saturated), "saturated guidance"),
@@ -135,10 +135,11 @@ fn profiles_agree(module: &isf_ir::Module, cfg: &VmConfig) -> Result<(), TestCas
         let guided =
             PreparedModule::prepare_with(module, &cfg.cost, FuseMode::Guided(Box::new(guidance)));
         let mut guided_profile = OpProfile::new();
-        let profiled_guided = run_prepared_profiled(&guided, cfg, &mut guided_profile);
+        let profiled_guided =
+            Code::from(&guided).execute(Request::new(cfg).profile(&mut guided_profile));
         prop_assert_eq!(
             &profiled_guided,
-            &plain_naive,
+            &reference,
             "guided run diverged from the reference under {}",
             label
         );

@@ -1,25 +1,23 @@
 //! Schedule-exploration coverage for the scheduling seam
 //! ([`isf_exec::sched`]): recorded [`ScheduleTrace`]s replay
-//! byte-identically on all four engine configurations (naive,
-//! prepared-unfused, prepared-fused, prepared-fused-profiled), traps
-//! mid-schedule included; the single-runnable tie-break rule holds; and
-//! the schedule-independent invariants of commutative concurrent programs
-//! survive seeded-random and PCT schedules.
+//! byte-identically on every engine of [`Engine::ALL`], each with and
+//! without a dispatch profile, under the same contract `--explore`
+//! checks ([`verify_replays`]), traps mid-schedule included; the
+//! single-runnable tie-break rule holds; and the schedule-independent
+//! invariants of commutative concurrent programs survive seeded-random
+//! and PCT schedules.
 
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 
-use isf_core::{instrument_module, Options, Strategy};
 use isf_exec::{
-    cancel, run_naive_sched, run_prepared_sched, ExecLimits, FuseMode, NoMetrics, NoTrace,
-    OpProfile, Outcome, PreparedModule, SchedControl, SchedPolicy, ScheduleTrace, TraceBuffer,
-    Trigger, VmConfig, VmError,
+    cancel, Engine, ExecLimits, Outcome, Request, SchedControl, SchedPolicy, ScheduleTrace,
+    TraceBuffer, Trigger, VmConfig, VmError,
 };
-use isf_instr::{CallEdgeInstrumentation, ModulePlan};
-use isf_integration_tests::compile;
+use isf_harness::explore::{instrumented, replay_all, verify_replays};
 use isf_integration_tests::program_gen::{
     conc_program_strategy, render_conc_program, spill_program, ConcProgram, ConcShape,
 };
+use isf_integration_tests::{compile, load_all, run_with};
 
 fn config(trigger: Trigger) -> VmConfig {
     VmConfig {
@@ -29,153 +27,23 @@ fn config(trigger: Trigger) -> VmConfig {
     }
 }
 
-/// Instruments `module` with call-edge profiling under Full-Duplication,
-/// so it executes checks and the sampling triggers have something to fire
-/// on (an uninstrumented module never samples).
-fn instrumented(module: &isf_ir::Module) -> isf_ir::Module {
-    let plan = ModulePlan::build(module, &[&CallEdgeInstrumentation]);
-    let (out, _) =
-        instrument_module(module, &plan, &Options::new(Strategy::FullDuplication)).unwrap();
-    out
-}
-
-/// One replay of `trace` on every engine configuration. Returns, per
-/// configuration, the run result and the re-recorded trace (plus the
-/// per-opcode profile where the configuration records one).
-struct Replayed {
-    label: &'static str,
-    result: Result<Outcome, VmError>,
-    trace: ScheduleTrace,
-    profile: Option<OpProfile>,
-}
-
-fn replay_on_all_configs(
-    module: &isf_ir::Module,
-    cfg: &VmConfig,
-    trace: &ScheduleTrace,
-) -> Vec<Replayed> {
-    let mut out = Vec::new();
-
-    let mut profile = OpProfile::new();
-    let mut ctl = SchedControl::replay(trace.clone());
-    let result = run_naive_sched(module, cfg, &mut NoTrace, &mut profile, &mut ctl);
-    out.push(Replayed {
-        label: "naive",
-        result,
-        trace: ctl.take_trace(),
-        profile: Some(profile),
-    });
-
-    let unfused = PreparedModule::prepare_with(module, &cfg.cost, FuseMode::Off);
-    let mut profile = OpProfile::new();
-    let mut ctl = SchedControl::replay(trace.clone());
-    let result = run_prepared_sched(&unfused, cfg, &mut NoTrace, &mut profile, &mut ctl);
-    out.push(Replayed {
-        label: "prepared/unfused",
-        result,
-        trace: ctl.take_trace(),
-        profile: Some(profile),
-    });
-
-    let fused = PreparedModule::prepare_with(module, &cfg.cost, FuseMode::Fuse);
-    let mut ctl = SchedControl::replay(trace.clone());
-    let result = run_prepared_sched(&fused, cfg, &mut NoTrace, &mut NoMetrics, &mut ctl);
-    out.push(Replayed {
-        label: "prepared/fused",
-        result,
-        trace: ctl.take_trace(),
-        profile: None,
-    });
-
-    let mut profile = OpProfile::new();
-    let mut ctl = SchedControl::replay(trace.clone());
-    let result = run_prepared_sched(&fused, cfg, &mut NoTrace, &mut profile, &mut ctl);
-    out.push(Replayed {
-        label: "prepared/fused+profiled",
-        result,
-        trace: ctl.take_trace(),
-        profile: Some(profile),
-    });
-
-    out
-}
-
 /// Records a schedule on the fused prepared engine under `policy`.
 fn record_schedule(
     module: &isf_ir::Module,
     cfg: &VmConfig,
     policy: SchedPolicy,
 ) -> (Result<Outcome, VmError>, ScheduleTrace) {
-    let fused = PreparedModule::prepare_with(module, &cfg.cost, FuseMode::Fuse);
+    let fused = Engine::Fused.load(module, &cfg.cost);
     let mut ctl = SchedControl::recording(policy);
-    let result = run_prepared_sched(&fused, cfg, &mut NoTrace, &mut NoMetrics, &mut ctl);
+    let result = fused.execute(Request::new(cfg).sched(&mut ctl));
     (result, ctl.take_trace())
-}
-
-/// The full cross-configuration contract for one recorded schedule: every
-/// configuration reproduces the recorded trace byte for byte and agrees on
-/// the result; naive and unfused-prepared per-opcode profiles are equal;
-/// profiled totals reconcile with the outcome counters.
-fn assert_replays_agree(
-    module: &isf_ir::Module,
-    cfg: &VmConfig,
-    recorded: &Result<Outcome, VmError>,
-    trace: &ScheduleTrace,
-    seed_line: &str,
-) -> Result<(), TestCaseError> {
-    let replays = replay_on_all_configs(module, cfg, trace);
-    for r in &replays {
-        prop_assert_eq!(
-            &r.trace,
-            trace,
-            "{}: replayed trace diverged from recording ({})",
-            r.label,
-            seed_line
-        );
-        prop_assert_eq!(
-            &r.result,
-            recorded,
-            "{}: replayed result diverged ({})",
-            r.label,
-            seed_line
-        );
-    }
-    let naive_profile = replays[0].profile.as_ref().unwrap();
-    let unfused_profile = replays[1].profile.as_ref().unwrap();
-    prop_assert_eq!(
-        naive_profile,
-        unfused_profile,
-        "naive vs unfused per-opcode profiles diverged ({})",
-        seed_line
-    );
-    if let Ok(outcome) = recorded {
-        for r in &replays {
-            if let Some(p) = &r.profile {
-                prop_assert_eq!(
-                    p.total_cycles(),
-                    outcome.cycles,
-                    "{}: profile cycles don't reconcile ({})",
-                    r.label,
-                    seed_line
-                );
-                prop_assert_eq!(
-                    p.total_instructions(),
-                    outcome.instructions,
-                    "{}: profile instructions don't reconcile ({})",
-                    r.label,
-                    seed_line
-                );
-            }
-        }
-    }
-    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// A trace recorded under `SeededRandom` replays byte-identically on
-    /// all four engine configurations, with the profile cross-checks, for
+    /// every engine, profiled or not, with the profile cross-checks, for
     /// arbitrary concurrency shapes and both the never- and per-thread
     /// sampling triggers.
     #[test]
@@ -193,7 +61,7 @@ proptest! {
             let policy = SchedPolicy::SeededRandom { seed };
             let (recorded, trace) = record_schedule(module, &cfg, policy);
             let seed_line = format!("{p:?} seed={seed} trigger={trigger:?}");
-            assert_replays_agree(module, &cfg, &recorded, &trace, &seed_line)?;
+            verify_replays(&load_all(module, &cfg.cost), &cfg, &recorded, &trace, &seed_line);
         }
     }
 
@@ -269,7 +137,7 @@ fn recorded_round_robin_equals_plain_run() {
     };
     let module = compile(&render_conc_program(&p));
     let cfg = config(Trigger::CounterPerThread { interval: 11 });
-    let plain = isf_exec::run(&module, &cfg).expect("plain run");
+    let plain = run_with(&module, cfg.trigger);
     let (recorded, trace) = record_schedule(&module, &cfg, SchedPolicy::RoundRobin);
     assert_eq!(recorded.expect("recorded run"), plain);
     assert!(
@@ -297,7 +165,7 @@ fn replay_survives_fuel_trap_mid_schedule() {
         limits: ExecLimits::cycles(total / 2),
         ..cfg
     };
-    let replays = replay_on_all_configs(&module, &tight, &trace);
+    let replays = replay_all(&load_all(&module, &tight.cost), &tight, &trace);
     let first = &replays[0];
     assert!(
         first.result.is_err(),
@@ -308,11 +176,12 @@ fn replay_survives_fuel_trap_mid_schedule() {
         "trap should leave part of the schedule unconsumed"
     );
     for r in &replays[1..] {
-        assert_eq!(r.result, first.result, "{} trapped differently", r.label);
+        assert_eq!(r.result, first.result, "{} trapped differently", r.label());
         assert_eq!(
-            r.trace, first.trace,
+            r.trace,
+            first.trace,
             "{} consumed a different schedule prefix",
-            r.label
+            r.label()
         );
     }
 }
@@ -331,16 +200,24 @@ fn replay_survives_cancellation_mid_schedule() {
     let (full, trace) = record_schedule(&module, &cfg, SchedPolicy::SeededRandom { seed: 123 });
     let total = full.expect("clean run").cycles;
 
+    // Loaded before arming, so guided fusion's warmup runs uncancelled.
+    let engines = load_all(&module, &cfg.cost);
     let _scope = cancel::arm(None, Some(total / 2));
-    let replays = replay_on_all_configs(&module, &cfg, &trace);
+    let replays = replay_all(&engines, &cfg, &trace);
     let first = &replays[0];
     assert!(first.result.is_err(), "cancellation must trap mid-schedule");
     for r in &replays[1..] {
-        assert_eq!(r.result, first.result, "{} cancelled differently", r.label);
         assert_eq!(
-            r.trace, first.trace,
+            r.result,
+            first.result,
+            "{} cancelled differently",
+            r.label()
+        );
+        assert_eq!(
+            r.trace,
+            first.trace,
             "{} consumed a different schedule prefix",
-            r.label
+            r.label()
         );
     }
 }
@@ -358,13 +235,14 @@ fn per_thread_sample_counts_are_permutation_equivalent() {
     };
     let module = instrumented(&compile(&render_conc_program(&p)));
     let cfg = config(Trigger::CounterPerThread { interval: 5 });
-    let fused = PreparedModule::prepare_with(&module, &cfg.cost, FuseMode::Fuse);
+    let fused = Engine::Fused.load(&module, &cfg.cost);
 
     let samples_by_thread = |seed: u64| -> Vec<(u32, u64)> {
         let mut buf = TraceBuffer::new();
         let mut ctl = SchedControl::recording(SchedPolicy::SeededRandom { seed });
-        let outcome =
-            run_prepared_sched(&fused, &cfg, &mut buf, &mut NoMetrics, &mut ctl).expect("runs");
+        let outcome = fused
+            .execute(Request::new(&cfg).trace(&mut buf).sched(&mut ctl))
+            .expect("runs");
         let mut counts = std::collections::BTreeMap::new();
         for r in buf.records() {
             *counts.entry(r.thread).or_insert(0u64) += 1;

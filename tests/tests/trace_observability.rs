@@ -8,15 +8,13 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use isf_core::{instrument_module, Options, Strategy};
-use isf_exec::{
-    run_naive_traced, run_traced, BurstRecord, ExecLimits, Outcome, TraceBuffer, Trigger, VmConfig,
-};
+use isf_exec::{BurstRecord, Engine, ExecLimits, Outcome, Request, TraceBuffer, Trigger, VmConfig};
 use isf_instr::{
     BlockCountInstrumentation, CallEdgeInstrumentation, EdgeCountInstrumentation,
     FieldAccessInstrumentation, Instrumentation, ModulePlan,
 };
-use isf_integration_tests::compile;
 use isf_integration_tests::program_gen::{render_program, stmt_strategy};
+use isf_integration_tests::{compile, load_all};
 use isf_obs::{BurstReport, SkewReport};
 
 fn config(trigger: Trigger) -> VmConfig {
@@ -27,24 +25,37 @@ fn config(trigger: Trigger) -> VmConfig {
     }
 }
 
-/// Runs both engines with a trace buffer and asserts the outcomes AND the
-/// burst traces are identical, returning the trace.
+/// Runs every engine with a trace buffer and asserts the outcomes AND the
+/// burst traces equal the naive reference's, returning the trace.
 fn traces_agree(
     module: &isf_ir::Module,
     trigger: Trigger,
 ) -> Result<(Outcome, Vec<BurstRecord>), TestCaseError> {
     let cfg = config(trigger);
-    let mut fast = TraceBuffer::new();
-    let outcome = run_traced(module, &cfg, &mut fast).expect("prepared engine runs");
     let mut reference = TraceBuffer::new();
-    let ref_outcome = run_naive_traced(module, &cfg, &mut reference).expect("naive engine runs");
-    prop_assert_eq!(&outcome, &ref_outcome, "outcomes diverged");
-    prop_assert_eq!(
-        fast.records(),
-        reference.records(),
-        "burst traces diverged between engines"
-    );
-    Ok((outcome, fast.into_records()))
+    let ref_outcome = Engine::Naive
+        .load(module, &cfg.cost)
+        .execute(Request::new(&cfg).trace(&mut reference))
+        .expect("naive engine runs");
+    for (engine, code) in load_all(module, &cfg.cost) {
+        let mut buf = TraceBuffer::new();
+        let outcome = code
+            .execute(Request::new(&cfg).trace(&mut buf))
+            .expect("engine runs");
+        prop_assert_eq!(
+            &outcome,
+            &ref_outcome,
+            "{} outcome diverged",
+            engine.label()
+        );
+        prop_assert_eq!(
+            buf.records(),
+            reference.records(),
+            "{} burst trace diverged from the naive reference",
+            engine.label()
+        );
+    }
+    Ok((ref_outcome, reference.into_records()))
 }
 
 fn all_kinds() -> Vec<&'static dyn Instrumentation> {
@@ -156,22 +167,17 @@ fn timer_trigger_skews_attribution_on_periodic_workload() {
     });
     let (instrumented, _) = instrument_module(&module, &plan, &options).unwrap();
 
+    let code = Engine::default().load(&instrumented, &VmConfig::default().cost);
     let mut counter_buf = TraceBuffer::new();
-    let counter_outcome = run_traced(
-        &instrumented,
-        &config(Trigger::Counter { interval: 13 }),
-        &mut counter_buf,
-    )
-    .expect("counter run");
+    let counter_outcome = code
+        .execute(Request::new(&config(Trigger::Counter { interval: 13 })).trace(&mut counter_buf))
+        .expect("counter run");
     // A period well below one busy() spin's cycle count, so the bit is
     // (almost) always set somewhere inside the spin.
     let mut timer_buf = TraceBuffer::new();
-    let timer_outcome = run_traced(
-        &instrumented,
-        &config(Trigger::TimerBit { period: 1499 }),
-        &mut timer_buf,
-    )
-    .expect("timer run");
+    let timer_outcome = code
+        .execute(Request::new(&config(Trigger::TimerBit { period: 1499 })).trace(&mut timer_buf))
+        .expect("timer run");
 
     assert!(
         counter_outcome.samples_taken >= 10,
@@ -219,9 +225,12 @@ fn traced_and_untraced_runs_agree() {
     let (instrumented, _) =
         instrument_module(&module, &plan, &Options::new(Strategy::FullDuplication)).unwrap();
     let cfg = config(Trigger::Counter { interval: 7 });
-    let untraced = isf_exec::run(&instrumented, &cfg).expect("untraced run");
+    let code = Engine::default().load(&instrumented, &cfg.cost);
+    let untraced = code.execute(Request::new(&cfg)).expect("untraced run");
     let mut buf = TraceBuffer::new();
-    let traced = run_traced(&instrumented, &cfg, &mut buf).expect("traced run");
+    let traced = code
+        .execute(Request::new(&cfg).trace(&mut buf))
+        .expect("traced run");
     assert_eq!(untraced, traced, "tracing changed the outcome");
     trace_is_consistent(&traced, buf.records());
     // Backedge flags are meaningful: this program is loop-heavy, so under
