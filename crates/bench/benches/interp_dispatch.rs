@@ -13,9 +13,9 @@
 //! naive one, and fusion is at least 1.25× on top of it, both on
 //! `compress`. The self-profiling variant (`profiled`, the per-opcode
 //! `OpProfile` sink) must stay within 5% of the untraced fused run. The
-//! fusion and profiling ratios are measured interleaved in one process
-//! ([`interleaved_min_ratio`]), not read off two criterion rows timed
-//! minutes apart.
+//! fusion, live-tracing and profiling ratios are measured interleaved in
+//! one process ([`interleaved_min_ratio`]), not read off two criterion
+//! rows timed minutes apart.
 
 use criterion::Criterion;
 use isf_bench::{criterion, module};
@@ -74,9 +74,6 @@ fn main() {
     let mut c = criterion();
     dispatch(&mut c);
 
-    let fused = c
-        .result_ns("interp_dispatch/prepared/fused/compress")
-        .expect("prepared/fused/compress was measured");
     let fast = c
         .result_ns("interp_dispatch/prepared/unfused/compress")
         .expect("prepared/unfused/compress was measured");
@@ -103,13 +100,16 @@ fn main() {
     // The no-trace path is the zero-cost baseline: a live TraceBuffer on a
     // sample-free run should cost within noise of it (the recording sites
     // compile out entirely when the sink is NoTrace).
-    let traced = c
-        .result_ns("interp_dispatch/traced/compress")
-        .expect("traced/compress was measured");
-    println!(
-        "interp_dispatch: live tracing is {:.3}x the fused prepared run on compress",
-        traced / fused
+    // Print-only: no bound is checked on it.
+    let traced = interleaved_min_ratio(
+        || {
+            fused_code
+                .execute(Request::new(&cfg).trace(&mut TraceBuffer::new()))
+                .unwrap()
+        },
+        || fused_code.execute(Request::new(&cfg)).unwrap(),
     );
+    println!("interp_dispatch: live tracing is {traced:.3}x the fused prepared run on compress");
     // Per-opcode profiling must stay within 5% of the untraced fused run
     // on compress — the OpProfile sink is meant to be cheap enough to
     // enable on real experiment runs, not just microbenchmarks.

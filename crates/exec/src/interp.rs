@@ -22,7 +22,7 @@
 //! of the same (module, cost) cell, which is how the harness executes its
 //! interval sweeps.
 
-use isf_ir::{CallSiteId, ClassId, FieldSym, FuncId, LocalId};
+use isf_ir::{BinOp, CallSiteId, ClassId, FieldSym, FuncId, LocalId, UnOp};
 use isf_profile::ProfileData;
 
 use crate::cancel::{self, ArmedToken};
@@ -164,6 +164,32 @@ struct Frame<'p> {
     /// runs sound — a burst that enters duplicated code mid-path simply
     /// records nothing until the next path start.
     path_reg: Option<i64>,
+}
+
+impl Frame<'_> {
+    /// `locals[dst] = lhs op rhs`, evaluated straight into the local
+    /// (DESIGN.md decision 21); a trap leaves the local untouched. Every
+    /// arm that runs a binary operator comes through here.
+    #[inline]
+    fn bin(&mut self, op: BinOp, dst: LocalId, lhs: LocalId, rhs: LocalId) -> Result<(), TrapKind> {
+        let (a, b) = (self.locals[lhs.index()], self.locals[rhs.index()]);
+        Value::binary_into(op, a, b, &mut self.locals[dst.index()])
+    }
+
+    /// `locals[dst] = op src`, evaluated in place like [`Frame::bin`].
+    #[inline]
+    fn un(&mut self, op: UnOp, dst: LocalId, src: LocalId) -> Result<(), TrapKind> {
+        let v = self.locals[src.index()];
+        Value::unary_into(op, v, &mut self.locals[dst.index()])
+    }
+
+    /// Whether the local a fused compare wrote holds `true`. A successful
+    /// comparison always yields a bool, so this is the `as_bool` of the
+    /// unfused branch, trap-free.
+    #[inline]
+    fn is_true(&self, l: LocalId) -> bool {
+        self.locals[l.index()] == Value::Bool(true)
+    }
 }
 
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -900,13 +926,12 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                 }
                 OpKind::Un { op, dst, src } => {
                     let f = &mut self.top;
-                    f.locals[dst.index()] = Value::unary(*op, f.locals[src.index()])?;
+                    f.un(*op, *dst, *src)?;
                     f.ip += 1;
                 }
                 OpKind::Bin { op, dst, lhs, rhs } => {
                     let f = &mut self.top;
-                    f.locals[dst.index()] =
-                        Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
+                    f.bin(*op, *dst, *lhs, *rhs)?;
                     f.ip += 1;
                 }
                 OpKind::New {
@@ -1171,8 +1196,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                 } => {
                     let f = &mut self.top;
                     f.locals[tmp.index()] = *imm;
-                    f.locals[dst.index()] =
-                        Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
+                    f.bin(*op, *dst, *lhs, *rhs)?;
                     f.ip += w;
                 }
                 OpKind::ArrayGetImm { dst, arr, tmp, idx } => {
@@ -1220,8 +1244,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     f.locals[tmp.index()] = v;
                     self.charge_cycles(*extra)?;
                     let f = &mut self.top;
-                    f.locals[dst.index()] =
-                        Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
+                    f.bin(*op, *dst, *lhs, *rhs)?;
                     f.ip += w;
                 }
                 OpKind::BinSetField {
@@ -1234,11 +1257,10 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     extra,
                 } => {
                     let f = &mut self.top;
-                    let v = Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
-                    f.locals[dst.index()] = v;
+                    f.bin(*op, *dst, *lhs, *rhs)?;
                     self.charge_cycles(*extra)?;
                     let f = &mut self.top;
-                    let o = f.locals[obj.index()];
+                    let (o, v) = (f.locals[obj.index()], f.locals[dst.index()]);
                     self.heap.object_mut(o)?.fields[*offset as usize] = v;
                     f.ip += w;
                 }
@@ -1255,11 +1277,10 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                 } => {
                     let f = &mut self.top;
                     f.locals[tmp.index()] = *imm;
-                    let v = Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
-                    f.locals[dst.index()] = v;
+                    f.bin(*op, *dst, *lhs, *rhs)?;
                     self.charge_cycles(*extra)?;
                     let f = &mut self.top;
-                    let o = f.locals[obj.index()];
+                    let (o, v) = (f.locals[obj.index()], f.locals[dst.index()]);
                     self.heap.object_mut(o)?.fields[*offset as usize] = v;
                     f.ip += w;
                 }
@@ -1281,8 +1302,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     self.charge_cycles(*extra)?;
                     let f = &mut self.top;
                     f.locals[ctmp.index()] = *imm;
-                    f.locals[dst.index()] =
-                        Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
+                    f.bin(*op, *dst, *lhs, *rhs)?;
                     f.ip += w;
                 }
                 OpKind::GetFieldBinImmSetField {
@@ -1306,11 +1326,10 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     self.charge_cycles(*extra)?;
                     let f = &mut self.top;
                     f.locals[ctmp.index()] = *imm;
-                    let v = Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
-                    f.locals[dst.index()] = v;
+                    f.bin(*op, *dst, *lhs, *rhs)?;
                     self.charge_cycles(*extra2)?;
                     let f = &mut self.top;
-                    let o = f.locals[sobj.index()];
+                    let (o, v) = (f.locals[sobj.index()], f.locals[dst.index()]);
                     self.heap.object_mut(o)?.fields[*soffset as usize] = v;
                     f.ip += w;
                 }
@@ -1344,12 +1363,9 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     f.locals[tmp.index()] = v;
                     self.charge_cycles(*extra)?;
                     let f = &mut self.top;
-                    let v = Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
-                    f.locals[dst.index()] = v;
+                    f.bin(*op, *dst, *lhs, *rhs)?;
                     self.charge_cycles(*branch)?;
-                    // A successful comparison always yields a bool, so this is
-                    // the `as_bool` of the unfused branch, trap-free.
-                    let taken = v == Value::Bool(true);
+                    let taken = self.top.is_true(*dst);
                     self.enter(if taken { *t } else { *f_target })?;
                 }
                 OpKind::GetFieldArrayGet {
@@ -1406,12 +1422,9 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     f: f_target,
                 } => {
                     let f = &mut self.top;
-                    let v = Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
-                    f.locals[dst.index()] = v;
+                    f.bin(*op, *dst, *lhs, *rhs)?;
                     self.charge_cycles(*extra)?;
-                    // A successful comparison always yields a bool, so this is
-                    // the `as_bool` of the unfused branch, trap-free.
-                    let taken = v == Value::Bool(true);
+                    let taken = self.top.is_true(*dst);
                     self.enter(if taken { *t } else { *f_target })?;
                 }
                 OpKind::BrCmpImm {
@@ -1427,10 +1440,9 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                 } => {
                     let f = &mut self.top;
                     f.locals[tmp.index()] = *imm;
-                    let v = Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
-                    f.locals[dst.index()] = v;
+                    f.bin(*op, *dst, *lhs, *rhs)?;
                     self.charge_cycles(*extra)?;
-                    let taken = v == Value::Bool(true);
+                    let taken = self.top.is_true(*dst);
                     self.enter(if taken { *t } else { *f_target })?;
                 }
                 OpKind::JumpInstr { target, effects } => {
@@ -1471,17 +1483,9 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                                 let f = &mut self.top;
                                 f.locals[dst.index()] = f.locals[src.index()];
                             }
-                            OpKind::Un { op, dst, src } => {
-                                let f = &mut self.top;
-                                f.locals[dst.index()] = Value::unary(*op, f.locals[src.index()])?;
-                            }
+                            OpKind::Un { op, dst, src } => self.top.un(*op, *dst, *src)?,
                             OpKind::Bin { op, dst, lhs, rhs } => {
-                                let f = &mut self.top;
-                                f.locals[dst.index()] = Value::binary(
-                                    *op,
-                                    f.locals[lhs.index()],
-                                    f.locals[rhs.index()],
-                                )?;
+                                self.top.bin(*op, *dst, *lhs, *rhs)?
                             }
                             OpKind::GetFieldStatic { dst, obj, offset } => {
                                 let f = &mut self.top;

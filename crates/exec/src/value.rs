@@ -77,53 +77,83 @@ impl Value {
         }
     }
 
-    /// Applies a unary operator.
+    /// Applies a unary operator; a wrapper over [`Value::unary_into`].
     pub fn unary(op: UnOp, v: Value) -> Result<Value, TrapKind> {
-        match op {
-            UnOp::Neg => Ok(Value::I64(v.as_i64()?.wrapping_neg())),
-            UnOp::Not => Ok(Value::Bool(!v.as_bool()?)),
-        }
+        let mut out = Value::Unit;
+        Self::unary_into(op, v, &mut out)?;
+        Ok(out)
     }
 
-    /// Applies a binary operator. Arithmetic wraps; division and remainder
-    /// by zero trap; `==`/`!=` compare any two values of the same kind;
-    /// the orderings require integers.
+    /// Applies a unary operator, writing the result into `dst`, which a
+    /// trap leaves untouched.
+    #[inline]
+    pub fn unary_into(op: UnOp, v: Value, dst: &mut Value) -> Result<(), TrapKind> {
+        match op {
+            UnOp::Neg => *dst = Value::I64(v.as_i64()?.wrapping_neg()),
+            UnOp::Not => *dst = Value::Bool(!v.as_bool()?),
+        }
+        Ok(())
+    }
+
+    /// Applies a binary operator; a wrapper over [`Value::binary_into`].
+    /// Arithmetic wraps; division and remainder by zero trap; `==`/`!=`
+    /// compare any two values of the same kind; the orderings require
+    /// integers.
+    #[inline]
+    pub fn binary(op: BinOp, a: Value, b: Value) -> Result<Value, TrapKind> {
+        let mut out = Value::Unit;
+        Self::binary_into(op, a, b, &mut out)?;
+        Ok(out)
+    }
+
+    /// Applies a binary operator, writing the result into `dst`, which a
+    /// trap leaves untouched.
+    ///
+    /// The prepared engine's hot path: the result goes straight into the
+    /// destination local rather than through a returned
+    /// `Result<Value, TrapKind>`. That aggregate lives on the stack, is
+    /// written as narrow stores and read back as one wide load, which the
+    /// CPU cannot forward from them (DESIGN.md decision 21).
     ///
     /// Two integers — nearly every binary op a program runs — take one
     /// match over the operator; every other pair goes to the cold
     /// `binary_mixed`.
     #[inline]
-    pub fn binary(op: BinOp, a: Value, b: Value) -> Result<Value, TrapKind> {
+    pub fn binary_into(op: BinOp, a: Value, b: Value, dst: &mut Value) -> Result<(), TrapKind> {
         match (a, b) {
-            (Value::I64(x), Value::I64(y)) => Self::binary_i64(op, x, y),
-            _ => Self::binary_mixed(op, a, b),
+            (Value::I64(x), Value::I64(y)) => Self::binary_i64_into(op, x, y, dst),
+            _ => {
+                *dst = Self::binary_mixed(op, a, b)?;
+                Ok(())
+            }
         }
     }
 
     /// The integer semantics of every operator: the one copy of the
-    /// operator table.
+    /// operator table. `/` and `%` by zero trap before `dst` is written.
     #[inline]
-    fn binary_i64(op: BinOp, x: i64, y: i64) -> Result<Value, TrapKind> {
+    fn binary_i64_into(op: BinOp, x: i64, y: i64, dst: &mut Value) -> Result<(), TrapKind> {
         use BinOp::*;
-        Ok(match op {
-            Add => Value::I64(x.wrapping_add(y)),
-            Sub => Value::I64(x.wrapping_sub(y)),
-            Mul => Value::I64(x.wrapping_mul(y)),
+        match op {
+            Add => *dst = Value::I64(x.wrapping_add(y)),
+            Sub => *dst = Value::I64(x.wrapping_sub(y)),
+            Mul => *dst = Value::I64(x.wrapping_mul(y)),
             Div | Rem if y == 0 => return Err(TrapKind::DivisionByZero),
-            Div => Value::I64(x.wrapping_div(y)),
-            Rem => Value::I64(x.wrapping_rem(y)),
-            And => Value::I64(x & y),
-            Or => Value::I64(x | y),
-            Xor => Value::I64(x ^ y),
-            Shl => Value::I64(x.wrapping_shl(y as u32)),
-            Shr => Value::I64(x.wrapping_shr(y as u32)),
-            Eq => Value::Bool(x == y),
-            Ne => Value::Bool(x != y),
-            Lt => Value::Bool(x < y),
-            Le => Value::Bool(x <= y),
-            Gt => Value::Bool(x > y),
-            Ge => Value::Bool(x >= y),
-        })
+            Div => *dst = Value::I64(x.wrapping_div(y)),
+            Rem => *dst = Value::I64(x.wrapping_rem(y)),
+            And => *dst = Value::I64(x & y),
+            Or => *dst = Value::I64(x | y),
+            Xor => *dst = Value::I64(x ^ y),
+            Shl => *dst = Value::I64(x.wrapping_shl(y as u32)),
+            Shr => *dst = Value::I64(x.wrapping_shr(y as u32)),
+            Eq => *dst = Value::Bool(x == y),
+            Ne => *dst = Value::Bool(x != y),
+            Lt => *dst = Value::Bool(x < y),
+            Le => *dst = Value::Bool(x <= y),
+            Gt => *dst = Value::Bool(x > y),
+            Ge => *dst = Value::Bool(x >= y),
+        }
+        Ok(())
     }
 
     /// [`Value::binary`] on a pair that is not two integers. `==`/`!=`
@@ -134,21 +164,19 @@ impl Value {
     #[cold]
     #[inline(never)]
     fn binary_mixed(op: BinOp, a: Value, b: Value) -> Result<Value, TrapKind> {
-        match op {
-            BinOp::Eq => Ok(Value::Bool(a == b)),
-            BinOp::Ne => Ok(Value::Bool(a != b)),
+        let (x, y) = match op {
+            BinOp::Eq => return Ok(Value::Bool(a == b)),
+            BinOp::Ne => return Ok(Value::Bool(a != b)),
             BinOp::Div | BinOp::Rem => {
                 let y = b.as_i64()?;
                 if y == 0 {
                     return Err(TrapKind::DivisionByZero);
                 }
-                Self::binary_i64(op, a.as_i64()?, y)
+                (a.as_i64()?, y)
             }
-            _ => {
-                let x = a.as_i64()?;
-                Self::binary_i64(op, x, b.as_i64()?)
-            }
-        }
+            _ => (a.as_i64()?, b.as_i64()?),
+        };
+        Self::binary(op, Value::I64(x), Value::I64(y))
     }
 }
 
@@ -257,6 +285,18 @@ mod tests {
                 for &b in &values {
                     let want = binary_oracle(op, a, b);
                     assert_eq!(Value::binary(op, a, b), want, "{a:?} {op:?} {b:?}");
+                    // The in-place form writes the oracle's value on `Ok`
+                    // and leaves its destination untouched on `Err`.
+                    let sentinel = Value::Thread(7);
+                    let mut dst = sentinel;
+                    let got = Value::binary_into(op, a, b, &mut dst);
+                    match &want {
+                        Ok(v) => assert_eq!((got, dst), (Ok(()), *v), "{a:?} {op:?} {b:?}"),
+                        Err(e) => {
+                            assert_eq!(got.as_ref(), Err(e), "{a:?} {op:?} {b:?}");
+                            assert_eq!(dst, sentinel, "{a:?} {op:?} {b:?} wrote on a trap");
+                        }
+                    }
                 }
             }
         }
@@ -278,6 +318,14 @@ mod tests {
             Value::Bool(true)
         );
         assert!(Value::unary(UnOp::Not, Value::I64(1)).is_err());
+        let mut dst = Value::Thread(7);
+        assert!(Value::unary_into(UnOp::Neg, Value::Bool(true), &mut dst).is_err());
+        assert_eq!(dst, Value::Thread(7));
+        assert_eq!(
+            Value::unary_into(UnOp::Neg, Value::I64(5), &mut dst),
+            Ok(())
+        );
+        assert_eq!(dst, Value::I64(-5));
     }
 
     #[test]
