@@ -1,328 +1,176 @@
 //! Abstract syntax tree for Jive.
+//!
+//! Names borrow from the source text. Expressions live in one arena per
+//! program and refer to each other by [`ExprId`]; statement bodies and
+//! argument lists are [`Span`]s of consecutive entries in the program's
+//! statement and argument arenas. Parsing a program therefore allocates a
+//! handful of growing vectors, not one box per node.
+
+use isf_ir::{BinOp, UnOp};
 
 use crate::diag::Pos;
 
-/// A whole program: classes and free functions.
-#[derive(Clone, Debug, Default)]
-pub struct Program {
+/// A whole program: classes, free functions, and the arenas their bodies
+/// point into.
+#[derive(Debug, Default)]
+pub(crate) struct Program<'src> {
     /// Class declarations, in source order.
-    pub classes: Vec<ClassDecl>,
+    pub(crate) classes: Vec<ClassDecl<'src>>,
     /// Function declarations, in source order.
-    pub functions: Vec<FnDecl>,
+    pub(crate) functions: Vec<FnDecl<'src>>,
+    /// Every expression; children precede their parents.
+    pub(crate) exprs: Vec<Expr<'src>>,
+    /// Every statement, each body's statements consecutive.
+    pub(crate) stmts: Vec<Stmt<'src>>,
+    /// Every argument list, each list's arguments consecutive.
+    pub(crate) args: Vec<ExprId>,
+}
+
+impl<'src> Program<'src> {
+    /// The expression `id`.
+    pub(crate) fn expr(&self, id: ExprId) -> Expr<'src> {
+        self.exprs[id.0 as usize]
+    }
+
+    /// The statements of a body.
+    pub(crate) fn body(&self, span: Span) -> &[Stmt<'src>] {
+        &self.stmts[span.range()]
+    }
+
+    /// The arguments of a call.
+    pub(crate) fn args(&self, span: Span) -> &[ExprId] {
+        &self.args[span.range()]
+    }
+}
+
+/// An index into [`Program::exprs`].
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub(crate) struct ExprId(pub(crate) u32);
+
+/// A run of consecutive entries in [`Program::stmts`] or [`Program::args`].
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
+pub(crate) struct Span {
+    pub(crate) start: u32,
+    pub(crate) len: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 /// `class Name : Parent { field ...; method ... }`
-#[derive(Clone, Debug)]
-pub struct ClassDecl {
-    /// Class name.
-    pub name: String,
-    /// Optional superclass name.
-    pub parent: Option<String>,
+#[derive(Debug)]
+pub(crate) struct ClassDecl<'src> {
+    pub(crate) name: &'src str,
+    pub(crate) parent: Option<&'src str>,
     /// Declared field names, in source order.
-    pub fields: Vec<String>,
-    /// Declared methods.
-    pub methods: Vec<FnDecl>,
-    /// Source position of the declaration.
-    pub pos: Pos,
+    pub(crate) fields: Vec<&'src str>,
+    pub(crate) methods: Vec<FnDecl<'src>>,
+    pub(crate) pos: Pos,
 }
 
 /// A function or method declaration. For methods, `params` excludes the
 /// implicit `self`.
-#[derive(Clone, Debug)]
-pub struct FnDecl {
-    /// Function/method name.
-    pub name: String,
-    /// Parameter names.
-    pub params: Vec<String>,
-    /// Body statements.
-    pub body: Vec<Stmt>,
-    /// Source position of the declaration.
-    pub pos: Pos,
+#[derive(Debug)]
+pub(crate) struct FnDecl<'src> {
+    pub(crate) name: &'src str,
+    pub(crate) params: Vec<&'src str>,
+    pub(crate) body: Span,
+    pub(crate) pos: Pos,
 }
 
 /// A statement.
-#[derive(Clone, Debug)]
-pub enum Stmt {
+#[derive(Copy, Clone, Debug)]
+pub(crate) enum Stmt<'src> {
     /// `var name = init;` (init defaults to `0`).
     Var {
-        /// Variable name.
-        name: String,
-        /// Optional initializer.
-        init: Option<Expr>,
-        /// Source position.
+        name: &'src str,
+        init: Option<ExprId>,
         pos: Pos,
     },
-    /// `lvalue = value;`
+    /// `target = value;`, where the parser has checked that `target` is an
+    /// [`Expr::Var`], [`Expr::FieldGet`] or [`Expr::Index`].
     Assign {
-        /// Assignment target.
-        target: LValue,
-        /// Right-hand side.
-        value: Expr,
-        /// Source position.
+        target: ExprId,
+        value: ExprId,
         pos: Pos,
     },
-    /// `if (cond) { .. } else { .. }`
+    /// `if (cond) { .. } else { .. }` (an empty else body when absent).
     If {
-        /// Condition.
-        cond: Expr,
-        /// Then branch.
-        then_body: Vec<Stmt>,
-        /// Else branch (empty when absent).
-        else_body: Vec<Stmt>,
-        /// Source position.
-        pos: Pos,
+        cond: ExprId,
+        then_body: Span,
+        else_body: Span,
     },
     /// `while (cond) { .. }`
-    While {
-        /// Loop condition.
-        cond: Expr,
-        /// Loop body.
-        body: Vec<Stmt>,
-        /// Source position.
-        pos: Pos,
-    },
+    While { cond: ExprId, body: Span },
     /// `return e;` / `return;`
-    Return {
-        /// Returned value, if any.
-        value: Option<Expr>,
-        /// Source position.
-        pos: Pos,
-    },
+    Return(Option<ExprId>),
     /// `break;`
-    Break {
-        /// Source position.
-        pos: Pos,
-    },
+    Break { pos: Pos },
     /// `continue;`
-    Continue {
-        /// Source position.
-        pos: Pos,
-    },
+    Continue { pos: Pos },
     /// `print(e);`
-    Print {
-        /// Printed value.
-        value: Expr,
-        /// Source position.
-        pos: Pos,
-    },
+    Print(ExprId),
     /// An expression evaluated for its side effects.
-    Expr {
-        /// The expression.
-        expr: Expr,
-        /// Source position.
-        pos: Pos,
-    },
-}
-
-/// An assignable place.
-#[derive(Clone, Debug)]
-pub enum LValue {
-    /// A local variable or parameter.
-    Var(String),
-    /// `obj.field`
-    Field {
-        /// Receiver expression.
-        obj: Box<Expr>,
-        /// Field name.
-        field: String,
-    },
-    /// `arr[idx]`
-    Index {
-        /// Array expression.
-        arr: Box<Expr>,
-        /// Index expression.
-        idx: Box<Expr>,
-    },
-}
-
-/// Binary operators at the AST level.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum BinaryOp {
-    /// `+`
-    Add,
-    /// `-`
-    Sub,
-    /// `*`
-    Mul,
-    /// `/`
-    Div,
-    /// `%`
-    Rem,
-    /// `&`
-    BitAnd,
-    /// `|`
-    BitOr,
-    /// `^`
-    BitXor,
-    /// `<<`
-    Shl,
-    /// `>>`
-    Shr,
-    /// `==`
-    Eq,
-    /// `!=`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `&&` (short-circuit)
-    And,
-    /// `||` (short-circuit)
-    Or,
-}
-
-/// Unary operators at the AST level.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum UnaryOp {
-    /// `-`
-    Neg,
-    /// `!`
-    Not,
+    Expr(ExprId),
 }
 
 /// An expression.
-#[derive(Clone, Debug)]
-pub enum Expr {
+#[derive(Copy, Clone, Debug)]
+pub(crate) enum Expr<'src> {
     /// Integer literal.
-    Int(i64, Pos),
+    Int(i64),
     /// `true` / `false`.
-    Bool(bool, Pos),
+    Bool(bool),
     /// `null`.
-    Null(Pos),
+    Null,
     /// `self` (methods only).
     SelfRef(Pos),
     /// A variable reference.
-    Var(String, Pos),
-    /// `op e`
-    Unary {
-        /// Operator.
-        op: UnaryOp,
-        /// Operand.
-        expr: Box<Expr>,
-        /// Source position.
-        pos: Pos,
-    },
-    /// `lhs op rhs`
-    Binary {
-        /// Operator.
-        op: BinaryOp,
-        /// Left operand.
-        lhs: Box<Expr>,
-        /// Right operand.
-        rhs: Box<Expr>,
-        /// Source position.
-        pos: Pos,
-    },
+    Var(&'src str, Pos),
+    /// `-e` / `!e`
+    Unary { op: UnOp, expr: ExprId },
+    /// `lhs op rhs` for every operator but `&&` and `||`.
+    Binary { op: BinOp, lhs: ExprId, rhs: ExprId },
+    /// `lhs && rhs` (`and`) or `lhs || rhs`, short-circuiting.
+    Logic { and: bool, lhs: ExprId, rhs: ExprId },
     /// `f(args)` — a direct call of a free function.
     Call {
-        /// Callee name.
-        name: String,
-        /// Arguments.
-        args: Vec<Expr>,
-        /// Source position.
+        name: &'src str,
+        args: Span,
         pos: Pos,
     },
     /// `obj.m(args)` — dynamic dispatch on the runtime class of `obj`.
     MethodCall {
-        /// Receiver.
-        obj: Box<Expr>,
-        /// Method name.
-        method: String,
-        /// Arguments (excluding receiver).
-        args: Vec<Expr>,
-        /// Source position.
+        obj: ExprId,
+        method: &'src str,
+        args: Span,
         pos: Pos,
     },
     /// `obj.field`
     FieldGet {
-        /// Receiver.
-        obj: Box<Expr>,
-        /// Field name.
-        field: String,
-        /// Source position.
+        obj: ExprId,
+        field: &'src str,
         pos: Pos,
     },
     /// `arr[idx]`
-    Index {
-        /// Array.
-        arr: Box<Expr>,
-        /// Index.
-        idx: Box<Expr>,
-        /// Source position.
-        pos: Pos,
-    },
+    Index { arr: ExprId, idx: ExprId },
     /// `new Class`
-    New {
-        /// Class name.
-        class: String,
-        /// Source position.
-        pos: Pos,
-    },
+    New { class: &'src str, pos: Pos },
     /// `array(n)` — new zero-filled integer array.
-    NewArray {
-        /// Length expression.
-        len: Box<Expr>,
-        /// Source position.
-        pos: Pos,
-    },
+    NewArray(ExprId),
     /// `len(a)`
-    Len {
-        /// Array expression.
-        arr: Box<Expr>,
-        /// Source position.
-        pos: Pos,
-    },
+    Len(ExprId),
     /// `busy(k)` — spin the simulated clock for a constant `k` cycles.
-    Busy {
-        /// Constant cycle count.
-        cycles: i64,
-        /// Source position.
-        pos: Pos,
-    },
+    Busy { cycles: i64, pos: Pos },
     /// `spawn f(args)` — start a green thread, yielding a handle.
     Spawn {
-        /// Entry function name.
-        name: String,
-        /// Arguments.
-        args: Vec<Expr>,
-        /// Source position.
+        name: &'src str,
+        args: Span,
         pos: Pos,
     },
     /// `join(t)` — wait for a thread to finish.
-    Join {
-        /// Thread-handle expression.
-        thread: Box<Expr>,
-        /// Source position.
-        pos: Pos,
-    },
-}
-
-impl Expr {
-    /// The source position of the expression.
-    pub fn pos(&self) -> Pos {
-        match self {
-            Expr::Int(_, p)
-            | Expr::Bool(_, p)
-            | Expr::Null(p)
-            | Expr::SelfRef(p)
-            | Expr::Var(_, p) => *p,
-            Expr::Unary { pos, .. }
-            | Expr::Binary { pos, .. }
-            | Expr::Call { pos, .. }
-            | Expr::MethodCall { pos, .. }
-            | Expr::FieldGet { pos, .. }
-            | Expr::Index { pos, .. }
-            | Expr::New { pos, .. }
-            | Expr::NewArray { pos, .. }
-            | Expr::Len { pos, .. }
-            | Expr::Busy { pos, .. }
-            | Expr::Spawn { pos, .. }
-            | Expr::Join { pos, .. } => *pos,
-        }
-    }
+    Join(ExprId),
 }

@@ -3,220 +3,187 @@
 use crate::diag::{CompileError, Pos};
 use crate::token::{Token, TokenKind};
 
-/// A streaming tokenizer over Jive source text.
+/// A streaming tokenizer that walks the source's bytes.
 ///
 /// Supports `//` line comments and `/* */` block comments (non-nesting).
+/// Every token Jive has is ASCII, so other characters only ever appear in
+/// comments, as Unicode whitespace, or in an error; columns still count
+/// `char`s, which [`Lexer::wide`] reconciles with byte offsets.
+///
+/// The parser pulls one token at a time. A lexical error ends the stream:
+/// it is kept in [`Lexer::error`] and every later token is `Eof`.
 #[derive(Debug)]
-pub struct Lexer<'src> {
-    chars: std::iter::Peekable<std::str::Chars<'src>>,
+pub(crate) struct Lexer<'src> {
+    src: &'src str,
+    /// Byte offset of the next unread byte.
+    at: usize,
     line: u32,
-    col: u32,
+    /// Byte offset of the current line's first byte.
+    line_start: usize,
+    /// Bytes of the current line read so far that do not start a `char`.
+    wide: usize,
+    /// The first lexical error, if one ended the stream.
+    pub(crate) error: Option<CompileError>,
 }
 
 impl<'src> Lexer<'src> {
-    /// Creates a lexer over `source`.
-    pub fn new(source: &'src str) -> Self {
+    /// Creates a lexer over `src`.
+    pub(crate) fn new(src: &'src str) -> Self {
         Self {
-            chars: source.chars().peekable(),
+            src,
+            at: 0,
             line: 1,
-            col: 1,
+            line_start: 0,
+            wide: 0,
+            error: None,
         }
     }
 
-    /// Tokenizes the whole input, ending with an [`TokenKind::Eof`] token.
-    ///
-    /// # Errors
-    ///
-    /// Returns a lex error on unknown characters, malformed operators or
-    /// integer literals that overflow `i64`.
-    pub fn tokenize(mut self) -> Result<Vec<Token>, CompileError> {
-        let mut out = Vec::new();
-        loop {
-            let tok = self.next_token()?;
-            let is_eof = tok.kind == TokenKind::Eof;
-            out.push(tok);
-            if is_eof {
-                return Ok(out);
+    /// The next token; `Eof` at the end of input and after an error.
+    pub(crate) fn next_token(&mut self) -> Token<'src> {
+        self.scan().unwrap_or_else(|e| {
+            self.error.get_or_insert(e);
+            self.at = self.src.len();
+            Token {
+                kind: TokenKind::Eof,
+                pos: self.pos(),
             }
-        }
+        })
     }
 
     fn pos(&self) -> Pos {
         Pos {
             line: self.line,
-            col: self.col,
+            col: (self.at - self.line_start - self.wide + 1) as u32,
         }
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next()?;
-        if c == '\n' {
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.at).copied()
+    }
+
+    fn eat(&mut self, expected: u8) -> bool {
+        let hit = self.peek() == Some(expected);
+        self.at += usize::from(hit);
+        hit
+    }
+
+    /// Consumes one byte of trivia, keeping the column count in `char`s.
+    fn skip_byte(&mut self, b: u8) {
+        self.at += 1;
+        if b == b'\n' {
             self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(c)
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
-    }
-
-    fn eat(&mut self, expected: char) -> bool {
-        if self.peek() == Some(expected) {
-            self.bump();
-            true
-        } else {
-            false
+            self.line_start = self.at;
+            self.wide = 0;
+        } else if b & 0xc0 == 0x80 {
+            self.wide += 1;
         }
     }
 
     fn skip_trivia(&mut self) -> Result<(), CompileError> {
-        loop {
-            match self.peek() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
-                }
-                Some('/') => {
-                    // Peek one further: clone is cheap for Chars.
-                    let mut lookahead = self.chars.clone();
-                    lookahead.next();
-                    match lookahead.next() {
-                        Some('/') => {
-                            while let Some(c) = self.bump() {
-                                if c == '\n' {
-                                    break;
-                                }
-                            }
-                        }
-                        Some('*') => {
-                            let start = self.pos();
-                            self.bump();
-                            self.bump();
-                            let mut closed = false;
-                            while let Some(c) = self.bump() {
-                                if c == '*' && self.eat('/') {
-                                    closed = true;
-                                    break;
-                                }
-                            }
-                            if !closed {
-                                return Err(CompileError::lex(start, "unterminated block comment"));
-                            }
-                        }
-                        _ => return Ok(()),
+        while let Some(b) = self.peek() {
+            match b {
+                // The ASCII characters `char::is_whitespace` accepts.
+                b' ' | b'\t' | b'\n' | b'\r' | 0x0b | 0x0c => self.skip_byte(b),
+                b'/' if self.src.as_bytes().get(self.at + 1) == Some(&b'/') => {
+                    while let Some(c) = self.peek().filter(|&c| c != b'\n') {
+                        self.skip_byte(c);
                     }
+                }
+                b'/' if self.src.as_bytes().get(self.at + 1) == Some(&b'*') => {
+                    let start = self.pos();
+                    self.at += 2;
+                    loop {
+                        match self.peek() {
+                            None => {
+                                return Err(CompileError::lex(start, "unterminated block comment"))
+                            }
+                            Some(b'*') if self.src.as_bytes().get(self.at + 1) == Some(&b'/') => {
+                                self.at += 2;
+                                break;
+                            }
+                            Some(c) => self.skip_byte(c),
+                        }
+                    }
+                }
+                0x80.. => {
+                    let c = self.src[self.at..].chars().next().unwrap_or_default();
+                    if !c.is_whitespace() {
+                        return Ok(());
+                    }
+                    self.at += c.len_utf8();
+                    self.wide += c.len_utf8() - 1;
                 }
                 _ => return Ok(()),
             }
         }
+        Ok(())
     }
 
-    fn next_token(&mut self) -> Result<Token, CompileError> {
+    fn scan(&mut self) -> Result<Token<'src>, CompileError> {
+        use TokenKind::*;
         self.skip_trivia()?;
         let pos = self.pos();
-        let Some(c) = self.bump() else {
-            return Ok(Token {
-                kind: TokenKind::Eof,
-                pos,
-            });
+        let Some(b) = self.peek() else {
+            return Ok(Token { kind: Eof, pos });
         };
-        let kind = match c {
-            '(' => TokenKind::LParen,
-            ')' => TokenKind::RParen,
-            '{' => TokenKind::LBrace,
-            '}' => TokenKind::RBrace,
-            '[' => TokenKind::LBracket,
-            ']' => TokenKind::RBracket,
-            ';' => TokenKind::Semi,
-            ',' => TokenKind::Comma,
-            '.' => TokenKind::Dot,
-            ':' => TokenKind::Colon,
-            '+' => TokenKind::Plus,
-            '-' => TokenKind::Minus,
-            '*' => TokenKind::Star,
-            '/' => TokenKind::Slash,
-            '%' => TokenKind::Percent,
-            '^' => TokenKind::Caret,
-            '=' => {
-                if self.eat('=') {
-                    TokenKind::EqEq
-                } else {
-                    TokenKind::Assign
-                }
-            }
-            '!' => {
-                if self.eat('=') {
-                    TokenKind::NotEq
-                } else {
-                    TokenKind::Bang
-                }
-            }
-            '<' => {
-                if self.eat('=') {
-                    TokenKind::Le
-                } else if self.eat('<') {
-                    TokenKind::Shl
-                } else {
-                    TokenKind::Lt
-                }
-            }
-            '>' => {
-                if self.eat('=') {
-                    TokenKind::Ge
-                } else if self.eat('>') {
-                    TokenKind::Shr
-                } else {
-                    TokenKind::Gt
-                }
-            }
-            '&' => {
-                if self.eat('&') {
-                    TokenKind::AndAnd
-                } else {
-                    TokenKind::Amp
-                }
-            }
-            '|' => {
-                if self.eat('|') {
-                    TokenKind::OrOr
-                } else {
-                    TokenKind::Pipe
-                }
-            }
-            d if d.is_ascii_digit() => {
-                let mut value: i64 = (d as u8 - b'0') as i64;
-                while let Some(n) = self.peek() {
-                    if !n.is_ascii_digit() {
-                        break;
-                    }
-                    self.bump();
+        self.at += 1;
+        let kind = match b {
+            b'(' => LParen,
+            b')' => RParen,
+            b'{' => LBrace,
+            b'}' => RBrace,
+            b'[' => LBracket,
+            b']' => RBracket,
+            b';' => Semi,
+            b',' => Comma,
+            b'.' => Dot,
+            b':' => Colon,
+            b'+' => Plus,
+            b'-' => Minus,
+            b'*' => Star,
+            b'/' => Slash,
+            b'%' => Percent,
+            b'^' => Caret,
+            b'=' if self.eat(b'=') => EqEq,
+            b'=' => Assign,
+            b'!' if self.eat(b'=') => NotEq,
+            b'!' => Bang,
+            b'<' if self.eat(b'=') => Le,
+            b'<' if self.eat(b'<') => Shl,
+            b'<' => Lt,
+            b'>' if self.eat(b'=') => Ge,
+            b'>' if self.eat(b'>') => Shr,
+            b'>' => Gt,
+            b'&' if self.eat(b'&') => AndAnd,
+            b'&' => Amp,
+            b'|' if self.eat(b'|') => OrOr,
+            b'|' => Pipe,
+            b'0'..=b'9' => {
+                let mut value = i64::from(b - b'0');
+                while let Some(d @ b'0'..=b'9') = self.peek() {
+                    self.at += 1;
                     value = value
                         .checked_mul(10)
-                        .and_then(|v| v.checked_add((n as u8 - b'0') as i64))
+                        .and_then(|v| v.checked_add(i64::from(d - b'0')))
                         .ok_or_else(|| CompileError::lex(pos, "integer literal overflows i64"))?;
                 }
-                TokenKind::Int(value)
+                Int(value)
             }
-            a if a.is_ascii_alphabetic() || a == '_' => {
-                let mut text = String::new();
-                text.push(a);
-                while let Some(n) = self.peek() {
-                    if n.is_ascii_alphanumeric() || n == '_' {
-                        text.push(n);
-                        self.bump();
-                    } else {
-                        break;
-                    }
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                let start = self.at - 1;
+                while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == b'_') {
+                    self.at += 1;
                 }
-                TokenKind::keyword(&text).unwrap_or(TokenKind::Ident(text))
+                let text = &self.src[start..self.at];
+                TokenKind::keyword(text).unwrap_or(Ident(text))
             }
-            other => {
+            _ => {
+                let c = self.src[self.at - 1..].chars().next().unwrap_or_default();
                 return Err(CompileError::lex(
                     pos,
-                    format!("unexpected character `{other}`"),
-                ))
+                    format!("unexpected character `{c}`"),
+                ));
             }
         };
         Ok(Token { kind, pos })
@@ -227,13 +194,17 @@ impl<'src> Lexer<'src> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
-        Lexer::new(src)
-            .tokenize()
-            .unwrap()
-            .into_iter()
-            .map(|t| t.kind)
-            .collect()
+    fn tokenize(src: &str) -> Result<Vec<Token<'_>>, CompileError> {
+        let mut lexer = Lexer::new(src);
+        let mut out = vec![lexer.next_token()];
+        while out.last().map(|t| t.kind) != Some(TokenKind::Eof) {
+            out.push(lexer.next_token());
+        }
+        lexer.error.map_or(Ok(out), Err)
+    }
+
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
+        tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
@@ -242,7 +213,7 @@ mod tests {
             kinds("while x123 42"),
             vec![
                 TokenKind::While,
-                TokenKind::Ident("x123".into()),
+                TokenKind::Ident("x123"),
                 TokenKind::Int(42),
                 TokenKind::Eof
             ]
@@ -284,20 +255,20 @@ mod tests {
 
     #[test]
     fn tracks_positions() {
-        let toks = Lexer::new("a\n  b").tokenize().unwrap();
+        let toks = tokenize("a\n  b").unwrap();
         assert_eq!((toks[0].pos.line, toks[0].pos.col), (1, 1));
         assert_eq!((toks[1].pos.line, toks[1].pos.col), (2, 3));
     }
 
     #[test]
     fn rejects_unknown_char_and_overflow() {
-        assert!(Lexer::new("#").tokenize().is_err());
-        assert!(Lexer::new("99999999999999999999999").tokenize().is_err());
+        assert!(tokenize("#").is_err());
+        assert!(tokenize("99999999999999999999999").is_err());
     }
 
     #[test]
     fn rejects_unterminated_block_comment() {
-        let e = Lexer::new("/* never closed").tokenize().unwrap_err();
+        let e = tokenize("/* never closed").unwrap_err();
         assert!(e.message.contains("unterminated"));
     }
 }

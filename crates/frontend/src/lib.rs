@@ -4,9 +4,15 @@
 //! The paper's substrate is a JVM: Java source compiled to bytecode,
 //! compiled again by Jalapeño's optimizing compiler into an IR that the
 //! sampling transforms rewrite. This crate is our analogue of the front
-//! half of that pipeline: Jive source → AST → checked AST → `isf-ir`
+//! half of that pipeline: Jive source → AST → `isf-ir`
 //! [`isf_ir::Module`], with yieldpoints placed on method entries and
 //! loop backedges exactly where Jalapeño places them.
+//!
+//! A compile copies nothing it does not emit: tokens and the AST borrow
+//! names from the source, expressions live in one arena per program, and
+//! each function body is checked in the same walk that lowers it. Nesting
+//! deeper than 64 levels is a parse error, so no source can overflow the
+//! stack of a later phase.
 //!
 //! # Language summary
 //!
@@ -45,7 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ast;
+mod ast;
 mod diag;
 mod lexer;
 mod lower;
@@ -54,16 +60,14 @@ mod sema;
 mod token;
 
 pub use diag::CompileError;
-pub use lexer::Lexer;
-pub use parser::parse;
-pub use token::{Token, TokenKind};
 
 use isf_ir::Module;
 
 /// Compiles Jive source text into a verified IR module.
 ///
-/// Runs the full pipeline: lexing, parsing, semantic checking, lowering
-/// (with yieldpoint insertion), and the IR verifier.
+/// Runs the full pipeline: lexing and parsing into an AST that borrows
+/// the source, semantic checking and lowering (with yieldpoint insertion)
+/// in one walk, and the IR verifier.
 ///
 /// # Errors
 ///
@@ -71,9 +75,8 @@ use isf_ir::Module;
 /// syntactic and semantic errors, or a description of an internal verifier
 /// failure (which would be a bug in the lowering pass).
 pub fn compile(source: &str) -> Result<Module, CompileError> {
-    let program = parse(source)?;
-    sema::check(&program)?;
-    let module = lower::lower(&program);
+    let program = parser::parse(source)?;
+    let module = lower::lower(&program)?;
     isf_ir::verify::verify_module(&module)
         .map_err(|e| CompileError::internal(format!("lowering produced invalid IR: {e}")))?;
     Ok(module)

@@ -1,160 +1,241 @@
-//! Lowering from the checked AST to `isf-ir`.
+//! Lowering from the AST to `isf-ir`, checking each function body as it
+//! goes.
 //!
 //! Yieldpoint placement mirrors Jalapeño (paper §4.5): one `Yield` at every
 //! method entry, and one on every loop backedge (in a dedicated latch block
 //! that both the fall-through path and `continue` route through, so each
 //! loop has exactly one backedge and exactly one backedge yieldpoint).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use isf_ir::{
-    BinOp, CallSiteId, ClassId, Const, FieldSym, FuncId, FunctionBuilder, Inst, LocalId, MethodSym,
-    Module, ModuleBuilder, Term, UnOp,
+    BlockId, CallSiteId, ClassId, Const, FieldSym, FuncId, FunctionBuilder, Inst, LocalId,
+    MethodSym, Module, ModuleBuilder, Term,
 };
 
 use crate::ast::*;
+use crate::diag::{CompileError, Pos};
+use crate::sema::{self, Declarations};
 
-/// Lowers a semantically checked program to an IR module.
+/// Checks a parsed program and lowers it to an IR module.
 ///
-/// # Panics
+/// Declarations are checked first, then each body — methods in class
+/// order, then free functions — and `main` last, so the first error found
+/// is the one a separate checking pass would report.
 ///
-/// May panic on programs that have not passed [`crate::sema::check`]; the
-/// public pipeline in [`crate::compile`] always runs the checker first.
-pub fn lower(program: &Program) -> Module {
+/// # Errors
+///
+/// Returns the first semantic violation with its source position.
+pub(crate) fn lower(program: &Program<'_>) -> Result<Module, CompileError> {
+    let decls = sema::declarations(program)?;
     let mut mb = ModuleBuilder::new();
 
-    // Declare every free function and method so calls can be resolved
-    // before bodies are lowered.
-    let mut functions: HashMap<&str, FuncId> = HashMap::new();
+    // Declare every free function, then every method, so calls resolve
+    // before bodies are lowered: free function `i` is `FuncId` `i`.
     for f in &program.functions {
-        let id = mb.declare_function(&f.name, f.params.len());
-        functions.insert(&f.name, id);
+        mb.declare_function(f.name, f.params.len());
     }
-    let mut method_ids: Vec<Vec<FuncId>> = Vec::new();
+    let mut first_method = Vec::with_capacity(program.classes.len());
+    let mut next = program.functions.len() as u32;
     for class in &program.classes {
-        let ids = class
-            .methods
-            .iter()
-            .map(|m| {
-                // `self` is the implicit parameter 0.
-                mb.declare_function(&format!("{}::{}", class.name, m.name), m.params.len() + 1)
-            })
-            .collect();
-        method_ids.push(ids);
+        first_method.push(next);
+        next += class.methods.len() as u32;
+        for m in &class.methods {
+            // `self` is the implicit parameter 0.
+            mb.declare_function(&mangle(class.name, m.name), m.params.len() + 1);
+        }
     }
 
-    // Register classes parents-first.
-    let mut classes: HashMap<&str, ClassId> = HashMap::new();
-    let class_index: HashMap<&str, usize> = program
-        .classes
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.name.as_str(), i))
-        .collect();
-    fn register<'p>(
-        i: usize,
-        program: &'p Program,
-        class_index: &HashMap<&str, usize>,
-        method_ids: &[Vec<FuncId>],
+    let members = Members::register(program, &decls, &first_method, &mut mb);
+    let mut cx = Context {
+        program,
+        decls: &decls,
+        members: &members,
+        scopes: Scopes::default(),
+    };
+    for (class, &first) in program.classes.iter().zip(&first_method) {
+        for (m, id) in class.methods.iter().zip(first..) {
+            let f = cx.lower_fn(mangle(class.name, m.name), m, true)?;
+            mb.define_function(FuncId::new(id), f);
+        }
+    }
+    for (i, f) in program.functions.iter().enumerate() {
+        let lowered = cx.lower_fn(f.name.to_owned(), f, false)?;
+        mb.define_function(FuncId::new(i as u32), lowered);
+    }
+    let main = sema::main_function(program, &decls)?;
+    Ok(mb.finish(FuncId::new(main as u32)))
+}
+
+fn mangle(class: &str, method: &str) -> String {
+    format!("{class}::{method}")
+}
+
+/// The symbols class declarations give bodies to refer to.
+struct Members<'src> {
+    /// Class declaration index → class id.
+    classes: Vec<ClassId>,
+    /// Field names declared by any class.
+    fields: HashMap<&'src str, FieldSym>,
+    /// Method names declared by any class.
+    methods: HashMap<&'src str, MethodSym>,
+    /// Every (method, arity excluding `self`) some class declares.
+    arities: HashSet<(MethodSym, usize)>,
+}
+
+impl<'src> Members<'src> {
+    /// Registers every class with `mb`, parents first, interning field and
+    /// method names in that order.
+    fn register(
+        program: &Program<'src>,
+        decls: &Declarations<'src>,
+        first_method: &[u32],
         mb: &mut ModuleBuilder,
-        classes: &mut HashMap<&'p str, ClassId>,
-    ) -> ClassId {
-        let class = &program.classes[i];
-        if let Some(&id) = classes.get(class.name.as_str()) {
-            return id;
+    ) -> Self {
+        let n = program.classes.len();
+        let parent = |i: usize| program.classes[i].parent.map(|p| decls.classes[p]);
+        let mut ids: Vec<Option<ClassId>> = vec![None; n];
+        let mut members = Members {
+            classes: Vec::with_capacity(n),
+            fields: HashMap::new(),
+            methods: HashMap::new(),
+            arities: HashSet::new(),
+        };
+        let (mut chain, mut fields, mut methods) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..n {
+            // `i` and its unregistered ancestors, registered root first.
+            let mut cur = Some(i);
+            while let Some(c) = cur.filter(|&c| ids[c].is_none()) {
+                chain.push(c);
+                cur = parent(c);
+            }
+            while let Some(c) = chain.pop() {
+                let class = &program.classes[c];
+                fields.clear();
+                for &f in &class.fields {
+                    let sym = mb.intern_field(f);
+                    members.fields.insert(f, sym);
+                    fields.push(sym);
+                }
+                methods.clear();
+                for (m, id) in class.methods.iter().zip(first_method[c]..) {
+                    let sym = mb.intern_method(m.name);
+                    members.methods.insert(m.name, sym);
+                    members.arities.insert((sym, m.params.len()));
+                    methods.push((sym, FuncId::new(id)));
+                }
+                let parent = parent(c).map(|p| ids[p].expect("parents register first"));
+                ids[c] = Some(mb.add_class(class.name, parent, &fields, &methods));
+            }
         }
-        let parent = class.parent.as_ref().map(|p| {
-            register(
-                class_index[p.as_str()],
-                program,
-                class_index,
-                method_ids,
-                mb,
-                classes,
-            )
-        });
-        let fields: Vec<FieldSym> = class.fields.iter().map(|f| mb.intern_field(f)).collect();
-        let methods: Vec<(MethodSym, FuncId)> = class
-            .methods
-            .iter()
-            .zip(&method_ids[i])
-            .map(|(m, &id)| (mb.intern_method(&m.name), id))
+        members.classes = ids
+            .into_iter()
+            .map(|id| id.expect("all registered"))
             .collect();
-        let id = mb.add_class(&class.name, parent, &fields, &methods);
-        classes.insert(&class.name, id);
-        id
+        members
     }
-    for i in 0..program.classes.len() {
-        register(i, program, &class_index, &method_ids, &mut mb, &mut classes);
+}
+
+/// Variables in scope: each name's innermost binding with the level of the
+/// scope that made it, and an undo log that restores shadowed bindings as
+/// scopes close.
+#[derive(Default)]
+struct Scopes<'src> {
+    bound: HashMap<&'src str, (LocalId, usize)>,
+    undo: Vec<(&'src str, Option<(LocalId, usize)>)>,
+    /// Undo-log length at each open scope.
+    open: Vec<usize>,
+}
+
+impl<'src> Scopes<'src> {
+    fn push(&mut self) {
+        self.open.push(self.undo.len());
     }
 
-    // Lower bodies.
-    for f in &program.functions {
-        let id = functions[f.name.as_str()];
-        let lowered = FnLowerer::lower(f, false, &functions, &classes, &mut mb);
-        mb.define_function(id, lowered);
-    }
-    for (i, class) in program.classes.iter().enumerate() {
-        for (m, &id) in class.methods.iter().zip(&method_ids[i]) {
-            let mangled = format!("{}::{}", class.name, m.name);
-            let mut decl = m.clone();
-            decl.name = mangled;
-            let lowered = FnLowerer::lower(&decl, true, &functions, &classes, &mut mb);
-            mb.define_function(id, lowered);
+    fn pop(&mut self) {
+        let mark = self.open.pop().expect("scopes close in order");
+        while self.undo.len() > mark {
+            let (name, shadowed) = self.undo.pop().expect("above the mark");
+            match shadowed {
+                Some(binding) => self.bound.insert(name, binding),
+                None => self.bound.remove(name),
+            };
         }
     }
 
-    let main = functions["main"];
-    mb.finish(main)
+    /// Binds `name` in the innermost scope; `false` if it already has a
+    /// binding there.
+    fn declare(&mut self, name: &'src str, local: LocalId) -> bool {
+        let level = self.open.len();
+        let shadowed = self.bound.insert(name, (local, level));
+        self.undo.push((name, shadowed));
+        shadowed.is_none_or(|(_, l)| l != level)
+    }
+
+    fn lookup(&self, name: &str) -> Option<LocalId> {
+        self.bound.get(name).map(|&(local, _)| local)
+    }
 }
 
-struct FnLowerer<'p, 'mb> {
-    fb: FunctionBuilder,
-    scopes: Vec<HashMap<String, LocalId>>,
-    /// (continue target = latch, break target = exit)
-    loop_stack: Vec<(isf_ir::BlockId, isf_ir::BlockId)>,
-    is_method: bool,
-    functions: &'p HashMap<&'p str, FuncId>,
-    classes: &'p HashMap<&'p str, ClassId>,
-    mb: &'mb mut ModuleBuilder,
+/// What every body of one program is lowered against.
+struct Context<'a, 'src> {
+    program: &'a Program<'src>,
+    decls: &'a Declarations<'src>,
+    members: &'a Members<'src>,
+    /// Reused by every body; empty between bodies.
+    scopes: Scopes<'src>,
 }
 
-impl<'p, 'mb> FnLowerer<'p, 'mb> {
-    fn lower(
-        decl: &FnDecl,
+impl<'a, 'src> Context<'a, 'src> {
+    fn lower_fn(
+        &mut self,
+        name: String,
+        decl: &FnDecl<'src>,
         is_method: bool,
-        functions: &'p HashMap<&'p str, FuncId>,
-        classes: &'p HashMap<&'p str, ClassId>,
-        mb: &'mb mut ModuleBuilder,
-    ) -> isf_ir::Function {
+    ) -> Result<isf_ir::Function, CompileError> {
         let arity = decl.params.len() + usize::from(is_method);
-        let mut fb = FunctionBuilder::new(&decl.name, arity);
+        let mut fb = FunctionBuilder::new(name, arity);
         // Method-entry yieldpoint, exactly where Jalapeño inserts one.
         fb.push(Inst::Yield);
-        let mut scope = HashMap::new();
-        for (i, p) in decl.params.iter().enumerate() {
-            scope.insert(p.clone(), fb.param(i + usize::from(is_method)));
+        self.scopes.push();
+        for (i, &p) in decl.params.iter().enumerate() {
+            if !self.scopes.declare(p, fb.param(i + usize::from(is_method))) {
+                return Err(CompileError::sema(
+                    decl.pos,
+                    format!("duplicate parameter `{p}`"),
+                ));
+            }
         }
         let mut lowerer = FnLowerer {
+            cx: self,
             fb,
-            scopes: vec![scope],
             loop_stack: Vec::new(),
             is_method,
-            functions,
-            classes,
-            mb,
         };
-        lowerer.body(&decl.body);
-        if !lowerer.fb.is_terminated() {
-            lowerer.fb.terminate(Term::Ret(None));
+        lowerer.body(decl.body)?;
+        let mut fb = lowerer.fb;
+        self.scopes.pop();
+        if !fb.is_terminated() {
+            fb.terminate(Term::Ret(None));
         }
-        lowerer.fb.finish()
+        Ok(fb.finish())
     }
+}
 
-    fn body(&mut self, stmts: &[Stmt]) {
-        self.scopes.push(HashMap::new());
-        for stmt in stmts {
-            self.stmt(stmt);
+struct FnLowerer<'c, 'a, 'src> {
+    cx: &'c mut Context<'a, 'src>,
+    fb: FunctionBuilder,
+    /// (continue target = latch, break target = exit)
+    loop_stack: Vec<(BlockId, BlockId)>,
+    is_method: bool,
+}
+
+impl<'src> FnLowerer<'_, '_, 'src> {
+    fn body(&mut self, span: Span) -> Result<(), CompileError> {
+        self.cx.scopes.push();
+        let program = self.cx.program;
+        for &stmt in program.body(span) {
+            self.stmt(stmt)?;
             if self.fb.is_terminated() {
                 // Anything after a return/break/continue in this block is
                 // dead; park it in a fresh unreachable block.
@@ -162,25 +243,26 @@ impl<'p, 'mb> FnLowerer<'p, 'mb> {
                 self.fb.switch_to(dead);
             }
         }
-        self.scopes.pop();
+        self.cx.scopes.pop();
+        Ok(())
     }
 
-    fn lookup(&self, name: &str) -> LocalId {
-        self.scopes
-            .iter()
-            .rev()
-            .find_map(|s| s.get(name))
+    fn field(&self, field: &str, pos: Pos) -> Result<FieldSym, CompileError> {
+        self.cx
+            .members
+            .fields
+            .get(field)
             .copied()
-            .expect("sema guarantees variables are declared")
+            .ok_or_else(|| CompileError::sema(pos, format!("no class declares a field `{field}`")))
     }
 
-    fn stmt(&mut self, stmt: &Stmt) {
+    fn stmt(&mut self, stmt: Stmt<'src>) -> Result<(), CompileError> {
         match stmt {
-            Stmt::Var { name, init, .. } => {
+            Stmt::Var { name, init, pos } => {
                 let local = self.fb.new_local();
                 match init {
                     Some(e) => {
-                        let v = self.expr(e);
+                        let v = self.expr(e)?;
                         self.fb.push(Inst::Move { dst: local, src: v });
                     }
                     None => {
@@ -190,45 +272,52 @@ impl<'p, 'mb> FnLowerer<'p, 'mb> {
                         });
                     }
                 }
-                self.scopes
-                    .last_mut()
-                    .expect("scope stack non-empty")
-                    .insert(name.clone(), local);
+                if !self.cx.scopes.declare(name, local) {
+                    return Err(CompileError::sema(
+                        pos,
+                        format!("`{name}` already declared in this scope"),
+                    ));
+                }
             }
-            Stmt::Assign { target, value, .. } => match target {
-                LValue::Var(name) => {
-                    let dst = self.lookup(name);
-                    let v = self.expr(value);
+            Stmt::Assign { target, value, pos } => match self.cx.program.expr(target) {
+                Expr::Var(name, _) => {
+                    let dst = self.cx.scopes.lookup(name).ok_or_else(|| {
+                        CompileError::sema(
+                            pos,
+                            format!("assignment to undeclared variable `{name}`"),
+                        )
+                    })?;
+                    let v = self.expr(value)?;
                     self.fb.push(Inst::Move { dst, src: v });
                 }
-                LValue::Field { obj, field } => {
-                    let o = self.expr(obj);
-                    let v = self.expr(value);
-                    let field = self.mb.intern_field(field);
+                Expr::FieldGet { obj, field, .. } => {
+                    let o = self.expr(obj)?;
+                    let field = self.field(field, pos)?;
+                    let v = self.expr(value)?;
                     self.fb.push(Inst::SetField {
                         obj: o,
                         field,
                         src: v,
                     });
                 }
-                LValue::Index { arr, idx } => {
-                    let a = self.expr(arr);
-                    let i = self.expr(idx);
-                    let v = self.expr(value);
+                Expr::Index { arr, idx } => {
+                    let a = self.expr(arr)?;
+                    let i = self.expr(idx)?;
+                    let v = self.expr(value)?;
                     self.fb.push(Inst::ArraySet {
                         arr: a,
                         idx: i,
                         src: v,
                     });
                 }
+                _ => unreachable!("the parser admits only assignable targets"),
             },
             Stmt::If {
                 cond,
                 then_body,
                 else_body,
-                ..
             } => {
-                let c = self.expr(cond);
+                let c = self.expr(cond)?;
                 let then_b = self.fb.new_block();
                 let else_b = self.fb.new_block();
                 let merge = self.fb.new_block();
@@ -238,25 +327,25 @@ impl<'p, 'mb> FnLowerer<'p, 'mb> {
                     f: else_b,
                 });
                 self.fb.switch_to(then_b);
-                self.body(then_body);
+                self.body(then_body)?;
                 if !self.fb.is_terminated() {
                     self.fb.terminate(Term::Jump(merge));
                 }
                 self.fb.switch_to(else_b);
-                self.body(else_body);
+                self.body(else_body)?;
                 if !self.fb.is_terminated() {
                     self.fb.terminate(Term::Jump(merge));
                 }
                 self.fb.switch_to(merge);
             }
-            Stmt::While { cond, body, .. } => {
+            Stmt::While { cond, body } => {
                 let header = self.fb.new_block();
                 let body_b = self.fb.new_block();
                 let latch = self.fb.new_block();
                 let exit = self.fb.new_block();
                 self.fb.terminate(Term::Jump(header));
                 self.fb.switch_to(header);
-                let c = self.expr(cond);
+                let c = self.expr(cond)?;
                 self.fb.terminate(Term::Br {
                     cond: c,
                     t: body_b,
@@ -264,7 +353,7 @@ impl<'p, 'mb> FnLowerer<'p, 'mb> {
                 });
                 self.fb.switch_to(body_b);
                 self.loop_stack.push((latch, exit));
-                self.body(body);
+                self.body(body)?;
                 self.loop_stack.pop();
                 if !self.fb.is_terminated() {
                     self.fb.terminate(Term::Jump(latch));
@@ -276,86 +365,105 @@ impl<'p, 'mb> FnLowerer<'p, 'mb> {
                 self.fb.terminate(Term::Jump(header));
                 self.fb.switch_to(exit);
             }
-            Stmt::Return { value, .. } => {
-                let v = value.as_ref().map(|e| self.expr(e));
+            Stmt::Return(value) => {
+                let v = value.map(|e| self.expr(e)).transpose()?;
                 self.fb.terminate(Term::Ret(v));
             }
-            Stmt::Break { .. } => {
-                let (_, exit) = *self.loop_stack.last().expect("sema checks loop depth");
-                self.fb.terminate(Term::Jump(exit));
+            Stmt::Break { pos } | Stmt::Continue { pos } => {
+                let Some(&(latch, exit)) = self.loop_stack.last() else {
+                    return Err(CompileError::sema(
+                        pos,
+                        "`break`/`continue` outside of a loop",
+                    ));
+                };
+                let target = if matches!(stmt, Stmt::Break { .. }) {
+                    exit
+                } else {
+                    latch
+                };
+                self.fb.terminate(Term::Jump(target));
             }
-            Stmt::Continue { .. } => {
-                let (latch, _) = *self.loop_stack.last().expect("sema checks loop depth");
-                self.fb.terminate(Term::Jump(latch));
-            }
-            Stmt::Print { value, .. } => {
-                let v = self.expr(value);
+            Stmt::Print(value) => {
+                let v = self.expr(value)?;
                 self.fb.push(Inst::Print { src: v });
             }
-            Stmt::Expr { expr, .. } => {
-                self.expr(expr);
+            Stmt::Expr(expr) => {
+                self.expr(expr)?;
             }
         }
+        Ok(())
     }
 
-    fn expr(&mut self, expr: &Expr) -> LocalId {
-        match expr {
-            Expr::Int(v, _) => self.constant(Const::I64(*v)),
-            Expr::Bool(b, _) => self.constant(Const::Bool(*b)),
-            Expr::Null(_) => self.constant(Const::Null),
-            Expr::SelfRef(_) => {
-                debug_assert!(self.is_method);
+    /// Checks a call of free function `name` with `args` and lowers the
+    /// arguments.
+    fn call(
+        &mut self,
+        name: &str,
+        args: Span,
+        pos: Pos,
+    ) -> Result<(FuncId, Vec<LocalId>), CompileError> {
+        let Some(&i) = self.cx.decls.functions.get(name) else {
+            return Err(CompileError::sema(
+                pos,
+                format!("call to unknown function `{name}`"),
+            ));
+        };
+        let arity = self.cx.program.functions[i].params.len();
+        if args.len as usize != arity {
+            return Err(CompileError::sema(
+                pos,
+                format!("`{name}` takes {arity} argument(s), {} given", args.len),
+            ));
+        }
+        Ok((FuncId::new(i as u32), self.args(args)?))
+    }
+
+    fn args(&mut self, args: Span) -> Result<Vec<LocalId>, CompileError> {
+        let args = self.cx.program.args(args);
+        let mut locals = Vec::with_capacity(args.len());
+        for &a in args {
+            locals.push(self.expr(a)?);
+        }
+        Ok(locals)
+    }
+
+    fn expr(&mut self, id: ExprId) -> Result<LocalId, CompileError> {
+        Ok(match self.cx.program.expr(id) {
+            Expr::Int(v) => self.constant(Const::I64(v)),
+            Expr::Bool(b) => self.constant(Const::Bool(b)),
+            Expr::Null => self.constant(Const::Null),
+            Expr::SelfRef(pos) => {
+                if !self.is_method {
+                    return Err(CompileError::sema(pos, "`self` used outside a method"));
+                }
                 LocalId::new(0)
             }
-            Expr::Var(name, _) => self.lookup(name),
-            Expr::Unary { op, expr, .. } => {
-                let src = self.expr(expr);
+            Expr::Var(name, pos) => {
+                self.cx.scopes.lookup(name).ok_or_else(|| {
+                    CompileError::sema(pos, format!("undeclared variable `{name}`"))
+                })?
+            }
+            Expr::Unary { op, expr } => {
+                let src = self.expr(expr)?;
                 let dst = self.fb.new_local();
-                let op = match op {
-                    UnaryOp::Neg => UnOp::Neg,
-                    UnaryOp::Not => UnOp::Not,
-                };
                 self.fb.push(Inst::Un { op, dst, src });
                 dst
             }
-            Expr::Binary { op, lhs, rhs, .. } => match op {
-                BinaryOp::And => self.short_circuit(lhs, rhs, true),
-                BinaryOp::Or => self.short_circuit(lhs, rhs, false),
-                _ => {
-                    let l = self.expr(lhs);
-                    let r = self.expr(rhs);
-                    let dst = self.fb.new_local();
-                    let op = match op {
-                        BinaryOp::Add => BinOp::Add,
-                        BinaryOp::Sub => BinOp::Sub,
-                        BinaryOp::Mul => BinOp::Mul,
-                        BinaryOp::Div => BinOp::Div,
-                        BinaryOp::Rem => BinOp::Rem,
-                        BinaryOp::BitAnd => BinOp::And,
-                        BinaryOp::BitOr => BinOp::Or,
-                        BinaryOp::BitXor => BinOp::Xor,
-                        BinaryOp::Shl => BinOp::Shl,
-                        BinaryOp::Shr => BinOp::Shr,
-                        BinaryOp::Eq => BinOp::Eq,
-                        BinaryOp::Ne => BinOp::Ne,
-                        BinaryOp::Lt => BinOp::Lt,
-                        BinaryOp::Le => BinOp::Le,
-                        BinaryOp::Gt => BinOp::Gt,
-                        BinaryOp::Ge => BinOp::Ge,
-                        BinaryOp::And | BinaryOp::Or => unreachable!(),
-                    };
-                    self.fb.push(Inst::Bin {
-                        op,
-                        dst,
-                        lhs: l,
-                        rhs: r,
-                    });
-                    dst
-                }
-            },
-            Expr::Call { name, args, .. } => {
-                let callee = self.functions[name.as_str()];
-                let args: Vec<LocalId> = args.iter().map(|a| self.expr(a)).collect();
+            Expr::Binary { op, lhs, rhs } => {
+                let l = self.expr(lhs)?;
+                let r = self.expr(rhs)?;
+                let dst = self.fb.new_local();
+                self.fb.push(Inst::Bin {
+                    op,
+                    dst,
+                    lhs: l,
+                    rhs: r,
+                });
+                dst
+            }
+            Expr::Logic { and, lhs, rhs } => self.short_circuit(lhs, rhs, and)?,
+            Expr::Call { name, args, pos } => {
+                let (callee, args) = self.call(name, args, pos)?;
                 let dst = self.fb.new_local();
                 self.fb.push(Inst::Call {
                     dst: Some(dst),
@@ -366,31 +474,48 @@ impl<'p, 'mb> FnLowerer<'p, 'mb> {
                 dst
             }
             Expr::MethodCall {
-                obj, method, args, ..
+                obj,
+                method,
+                args,
+                pos,
             } => {
-                let o = self.expr(obj);
-                let args: Vec<LocalId> = args.iter().map(|a| self.expr(a)).collect();
-                let method = self.mb.intern_method(method);
+                let o = self.expr(obj)?;
+                let Some(&sym) = self.cx.members.methods.get(method) else {
+                    return Err(CompileError::sema(
+                        pos,
+                        format!("no class declares a method `{method}`"),
+                    ));
+                };
+                if !self.cx.members.arities.contains(&(sym, args.len as usize)) {
+                    return Err(CompileError::sema(
+                        pos,
+                        format!(
+                            "no declaration of method `{method}` takes {} argument(s)",
+                            args.len
+                        ),
+                    ));
+                }
+                let args = self.args(args)?;
                 let dst = self.fb.new_local();
                 self.fb.push(Inst::CallMethod {
                     dst: Some(dst),
                     obj: o,
-                    method,
+                    method: sym,
                     args,
                     site: CallSiteId::new(0), // assigned by the builder
                 });
                 dst
             }
-            Expr::FieldGet { obj, field, .. } => {
-                let o = self.expr(obj);
-                let field = self.mb.intern_field(field);
+            Expr::FieldGet { obj, field, pos } => {
+                let o = self.expr(obj)?;
+                let field = self.field(field, pos)?;
                 let dst = self.fb.new_local();
                 self.fb.push(Inst::GetField { dst, obj: o, field });
                 dst
             }
-            Expr::Index { arr, idx, .. } => {
-                let a = self.expr(arr);
-                let i = self.expr(idx);
+            Expr::Index { arr, idx } => {
+                let a = self.expr(arr)?;
+                let i = self.expr(idx)?;
                 let dst = self.fb.new_local();
                 self.fb.push(Inst::ArrayGet {
                     dst,
@@ -399,43 +524,48 @@ impl<'p, 'mb> FnLowerer<'p, 'mb> {
                 });
                 dst
             }
-            Expr::New { class, .. } => {
-                let class = self.classes[class.as_str()];
+            Expr::New { class, pos } => {
+                let Some(&i) = self.cx.decls.classes.get(class) else {
+                    return Err(CompileError::sema(pos, format!("unknown class `{class}`")));
+                };
                 let dst = self.fb.new_local();
-                self.fb.push(Inst::New { dst, class });
+                self.fb.push(Inst::New {
+                    dst,
+                    class: self.cx.members.classes[i],
+                });
                 dst
             }
-            Expr::NewArray { len, .. } => {
-                let l = self.expr(len);
+            Expr::NewArray(len) => {
+                let l = self.expr(len)?;
                 let dst = self.fb.new_local();
                 self.fb.push(Inst::NewArray { dst, len: l });
                 dst
             }
-            Expr::Len { arr, .. } => {
-                let a = self.expr(arr);
+            Expr::Len(arr) => {
+                let a = self.expr(arr)?;
                 let dst = self.fb.new_local();
                 self.fb.push(Inst::ArrayLen { dst, arr: a });
                 dst
             }
-            Expr::Busy { cycles, .. } => {
-                self.fb.push(Inst::Busy {
-                    cycles: *cycles as u32,
-                });
+            Expr::Busy { cycles, pos } => {
+                let Ok(cycles) = u32::try_from(cycles) else {
+                    return Err(CompileError::sema(pos, "`busy` cycle count out of range"));
+                };
+                self.fb.push(Inst::Busy { cycles });
                 self.constant(Const::I64(0))
             }
-            Expr::Spawn { name, args, .. } => {
-                let callee = self.functions[name.as_str()];
-                let args: Vec<LocalId> = args.iter().map(|a| self.expr(a)).collect();
+            Expr::Spawn { name, args, pos } => {
+                let (callee, args) = self.call(name, args, pos)?;
                 let dst = self.fb.new_local();
                 self.fb.push(Inst::Spawn { dst, callee, args });
                 dst
             }
-            Expr::Join { thread, .. } => {
-                let t = self.expr(thread);
+            Expr::Join(thread) => {
+                let t = self.expr(thread)?;
                 self.fb.push(Inst::Join { thread: t });
                 self.constant(Const::I64(0))
             }
-        }
+        })
     }
 
     fn constant(&mut self, value: Const) -> LocalId {
@@ -446,9 +576,14 @@ impl<'p, 'mb> FnLowerer<'p, 'mb> {
 
     /// Lowers `lhs && rhs` (`and = true`) or `lhs || rhs` (`and = false`)
     /// with short-circuit control flow.
-    fn short_circuit(&mut self, lhs: &Expr, rhs: &Expr, and: bool) -> LocalId {
+    fn short_circuit(
+        &mut self,
+        lhs: ExprId,
+        rhs: ExprId,
+        and: bool,
+    ) -> Result<LocalId, CompileError> {
         let result = self.fb.new_local();
-        let l = self.expr(lhs);
+        let l = self.expr(lhs)?;
         let rhs_b = self.fb.new_block();
         let short_b = self.fb.new_block();
         let merge = self.fb.new_block();
@@ -459,7 +594,7 @@ impl<'p, 'mb> FnLowerer<'p, 'mb> {
         };
         self.fb.terminate(Term::Br { cond: l, t, f });
         self.fb.switch_to(rhs_b);
-        let r = self.expr(rhs);
+        let r = self.expr(rhs)?;
         self.fb.push(Inst::Move {
             dst: result,
             src: r,
@@ -472,7 +607,7 @@ impl<'p, 'mb> FnLowerer<'p, 'mb> {
         });
         self.fb.terminate(Term::Jump(merge));
         self.fb.switch_to(merge);
-        result
+        Ok(result)
     }
 }
 

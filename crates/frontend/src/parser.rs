@@ -1,98 +1,206 @@
-//! Recursive-descent parser for Jive.
+//! Recursive-descent parser for Jive, with one precedence-climbing loop for
+//! the binary operators.
+
+use isf_ir::{BinOp, UnOp};
 
 use crate::ast::*;
 use crate::diag::{CompileError, Pos};
 use crate::lexer::Lexer;
 use crate::token::{Token, TokenKind};
 
+/// How deeply a program may nest: the longest chain of AST nodes from a
+/// function body down to a leaf, counting enclosing `if`/`while` statements,
+/// parentheses, argument lists, prefix operators, postfix accesses and
+/// left-deep operator chains. Every later phase recurses along this chain,
+/// so the bound is what keeps a hostile source from overflowing the stack.
+/// The deepest accepted program compiles in a quarter of a 2 MiB thread
+/// stack in a debug build (see the tests below); the workloads nest at most
+/// 9 levels and every program the tests generate at most 16.
+pub(crate) const MAX_DEPTH: u32 = 64;
+
 /// Parses Jive source text into an AST.
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error with its source position.
-pub fn parse(source: &str) -> Result<Program, CompileError> {
-    let tokens = Lexer::new(source).tokenize()?;
-    Parser { tokens, at: 0 }.program()
+/// Returns the first lexical error if there is one anywhere in the source,
+/// else the first syntactic error, with its source position.
+pub(crate) fn parse(source: &str) -> Result<Program<'_>, CompileError> {
+    if u32::try_from(source.len()).is_err() {
+        return Err(CompileError::lex(
+            Pos { line: 1, col: 1 },
+            "source is longer than 4 GiB",
+        ));
+    }
+    let mut lexer = Lexer::new(source);
+    let tok = lexer.next_token();
+    let mut p = Parser {
+        lexer,
+        tok,
+        program: Program::default(),
+        heights: Vec::new(),
+        depth: 0,
+        stmt_stack: Vec::new(),
+        arg_stack: Vec::new(),
+    };
+    let parsed = p.program();
+    // A lexical error anywhere wins over a syntax error, as if the whole
+    // source had been tokenized before parsing began.
+    if parsed.is_err() {
+        while p.tok.kind != TokenKind::Eof {
+            p.bump();
+        }
+    }
+    match p.lexer.error {
+        Some(e) => Err(e),
+        None => parsed.map(|()| p.program),
+    }
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    at: usize,
+struct Parser<'src> {
+    lexer: Lexer<'src>,
+    /// The current token.
+    tok: Token<'src>,
+    program: Program<'src>,
+    /// The height of each expression's subtree, parallel to `program.exprs`.
+    heights: Vec<u32>,
+    /// Nesting levels open around the current token.
+    depth: u32,
+    /// Statements of the bodies being parsed, innermost last.
+    stmt_stack: Vec<Stmt<'src>>,
+    /// Arguments of the calls being parsed, innermost last.
+    arg_stack: Vec<ExprId>,
 }
 
-impl Parser {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.at].kind
+/// Moves `stack[mark..]` to the end of `arena`, returning where it landed.
+fn seal<T>(arena: &mut Vec<T>, stack: &mut Vec<T>, mark: usize) -> Span {
+    let start = arena.len();
+    arena.extend(stack.drain(mark..));
+    Span {
+        start: start as u32,
+        len: (arena.len() - start) as u32,
+    }
+}
+
+/// The binary operator `kind` spells, with its precedence: `||` 1, `&&` 2,
+/// comparisons 3, additive 4, multiplicative 5. `None` is `||` or `&&`.
+fn infix(kind: TokenKind<'_>) -> Option<(u8, Option<BinOp>)> {
+    Some(match kind {
+        TokenKind::OrOr => (1, None),
+        TokenKind::AndAnd => (AND, None),
+        TokenKind::EqEq => (CMP, Some(BinOp::Eq)),
+        TokenKind::NotEq => (CMP, Some(BinOp::Ne)),
+        TokenKind::Lt => (CMP, Some(BinOp::Lt)),
+        TokenKind::Le => (CMP, Some(BinOp::Le)),
+        TokenKind::Gt => (CMP, Some(BinOp::Gt)),
+        TokenKind::Ge => (CMP, Some(BinOp::Ge)),
+        TokenKind::Plus => (4, Some(BinOp::Add)),
+        TokenKind::Minus => (4, Some(BinOp::Sub)),
+        TokenKind::Pipe => (4, Some(BinOp::Or)),
+        TokenKind::Caret => (4, Some(BinOp::Xor)),
+        TokenKind::Star => (5, Some(BinOp::Mul)),
+        TokenKind::Slash => (5, Some(BinOp::Div)),
+        TokenKind::Percent => (5, Some(BinOp::Rem)),
+        TokenKind::Amp => (5, Some(BinOp::And)),
+        TokenKind::Shl => (5, Some(BinOp::Shl)),
+        TokenKind::Shr => (5, Some(BinOp::Shr)),
+        _ => return None,
+    })
+}
+
+const AND: u8 = 2;
+const CMP: u8 = 3;
+
+impl<'src> Parser<'src> {
+    fn peek(&self) -> TokenKind<'src> {
+        self.tok.kind
     }
 
     fn pos(&self) -> Pos {
-        self.tokens[self.at].pos
+        self.tok.pos
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let k = self.tokens[self.at].kind.clone();
-        if self.at + 1 < self.tokens.len() {
-            self.at += 1;
-        }
-        k
+    fn bump(&mut self) -> Token<'src> {
+        std::mem::replace(&mut self.tok, self.lexer.next_token())
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
-        if self.peek() == kind {
+    fn eat(&mut self, kind: TokenKind<'_>) -> bool {
+        let hit = self.tok.kind == kind;
+        if hit {
             self.bump();
-            true
-        } else {
-            false
         }
+        hit
     }
 
-    fn expect(&mut self, kind: TokenKind) -> Result<(), CompileError> {
-        if self.peek() == &kind {
-            self.bump();
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<(), CompileError> {
+        if self.eat(kind) {
             Ok(())
         } else {
-            Err(CompileError::parse(
-                self.pos(),
-                format!("expected {kind}, found {}", self.peek()),
-            ))
+            Err(self.unexpected(&format!("expected {kind}")))
         }
     }
 
-    fn ident(&mut self) -> Result<String, CompileError> {
-        match self.peek().clone() {
+    /// A parse error at the current token: `{what}, found {token}`.
+    fn unexpected(&self, what: &str) -> CompileError {
+        CompileError::parse(self.pos(), format!("{what}, found {}", self.peek()))
+    }
+
+    fn ident(&mut self) -> Result<&'src str, CompileError> {
+        match self.peek() {
             TokenKind::Ident(name) => {
                 self.bump();
                 Ok(name)
             }
-            other => Err(CompileError::parse(
-                self.pos(),
-                format!("expected identifier, found {other}"),
-            )),
+            _ => Err(self.unexpected("expected identifier")),
         }
     }
 
-    fn program(&mut self) -> Result<Program, CompileError> {
-        let mut program = Program::default();
+    /// Opens a nesting level at `pos`; the caller closes it with
+    /// `self.depth -= 1` once the nested construct is parsed.
+    fn enter(&mut self, pos: Pos) -> Result<(), CompileError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(too_deep(pos));
+        }
+        Ok(())
+    }
+
+    fn height(&self, id: ExprId) -> u32 {
+        self.heights[id.0 as usize]
+    }
+
+    /// Adds an expression whose subtree is `height` nodes deep.
+    fn push(&mut self, expr: Expr<'src>, height: u32, pos: Pos) -> Result<ExprId, CompileError> {
+        if self.depth + height > MAX_DEPTH {
+            return Err(too_deep(pos));
+        }
+        let id = ExprId(self.program.exprs.len() as u32);
+        self.program.exprs.push(expr);
+        self.heights.push(height);
+        Ok(id)
+    }
+
+    fn program(&mut self) -> Result<(), CompileError> {
         loop {
             match self.peek() {
-                TokenKind::Eof => return Ok(program),
-                TokenKind::Class => program.classes.push(self.class_decl()?),
-                TokenKind::Fn => program.functions.push(self.fn_decl(TokenKind::Fn)?),
-                other => {
-                    return Err(CompileError::parse(
-                        self.pos(),
-                        format!("expected `class` or `fn` at top level, found {other}"),
-                    ))
+                TokenKind::Eof => return Ok(()),
+                TokenKind::Class => {
+                    let class = self.class_decl()?;
+                    self.program.classes.push(class);
                 }
+                TokenKind::Fn => {
+                    let f = self.fn_decl(TokenKind::Fn)?;
+                    self.program.functions.push(f);
+                }
+                _ => return Err(self.unexpected("expected `class` or `fn` at top level")),
             }
         }
     }
 
-    fn class_decl(&mut self) -> Result<ClassDecl, CompileError> {
+    fn class_decl(&mut self) -> Result<ClassDecl<'src>, CompileError> {
         let pos = self.pos();
         self.expect(TokenKind::Class)?;
         let name = self.ident()?;
-        let parent = if self.eat(&TokenKind::Colon) {
+        let parent = if self.eat(TokenKind::Colon) {
             Some(self.ident()?)
         } else {
             None
@@ -100,7 +208,7 @@ impl Parser {
         self.expect(TokenKind::LBrace)?;
         let mut fields = Vec::new();
         let mut methods = Vec::new();
-        while !self.eat(&TokenKind::RBrace) {
+        while !self.eat(TokenKind::RBrace) {
             match self.peek() {
                 TokenKind::Field => {
                     self.bump();
@@ -108,12 +216,7 @@ impl Parser {
                     self.expect(TokenKind::Semi)?;
                 }
                 TokenKind::Method => methods.push(self.fn_decl(TokenKind::Method)?),
-                other => {
-                    return Err(CompileError::parse(
-                        self.pos(),
-                        format!("expected `field` or `method` in class body, found {other}"),
-                    ))
-                }
+                _ => return Err(self.unexpected("expected `field` or `method` in class body")),
             }
         }
         Ok(ClassDecl {
@@ -125,16 +228,16 @@ impl Parser {
         })
     }
 
-    fn fn_decl(&mut self, keyword: TokenKind) -> Result<FnDecl, CompileError> {
+    fn fn_decl(&mut self, keyword: TokenKind<'_>) -> Result<FnDecl<'src>, CompileError> {
         let pos = self.pos();
         self.expect(keyword)?;
         let name = self.ident()?;
         self.expect(TokenKind::LParen)?;
         let mut params = Vec::new();
-        if !self.eat(&TokenKind::RParen) {
+        if !self.eat(TokenKind::RParen) {
             loop {
                 params.push(self.ident()?);
-                if self.eat(&TokenKind::RParen) {
+                if self.eat(TokenKind::RParen) {
                     break;
                 }
                 self.expect(TokenKind::Comma)?;
@@ -149,22 +252,23 @@ impl Parser {
         })
     }
 
-    fn block(&mut self) -> Result<Vec<Stmt>, CompileError> {
+    fn block(&mut self) -> Result<Span, CompileError> {
         self.expect(TokenKind::LBrace)?;
-        let mut stmts = Vec::new();
-        while !self.eat(&TokenKind::RBrace) {
-            stmts.push(self.stmt()?);
+        let mark = self.stmt_stack.len();
+        while !self.eat(TokenKind::RBrace) {
+            let stmt = self.stmt()?;
+            self.stmt_stack.push(stmt);
         }
-        Ok(stmts)
+        Ok(seal(&mut self.program.stmts, &mut self.stmt_stack, mark))
     }
 
-    fn stmt(&mut self) -> Result<Stmt, CompileError> {
+    fn stmt(&mut self) -> Result<Stmt<'src>, CompileError> {
         let pos = self.pos();
         match self.peek() {
             TokenKind::Var => {
                 self.bump();
                 let name = self.ident()?;
-                let init = if self.eat(&TokenKind::Assign) {
+                let init = if self.eat(TokenKind::Assign) {
                     Some(self.expr()?)
                 } else {
                     None
@@ -175,21 +279,21 @@ impl Parser {
             TokenKind::If => self.if_stmt(),
             TokenKind::While => {
                 self.bump();
-                self.expect(TokenKind::LParen)?;
-                let cond = self.expr()?;
-                self.expect(TokenKind::RParen)?;
+                self.enter(pos)?;
+                let cond = self.parenthesized()?;
                 let body = self.block()?;
-                Ok(Stmt::While { cond, body, pos })
+                self.depth -= 1;
+                Ok(Stmt::While { cond, body })
             }
             TokenKind::Return => {
                 self.bump();
-                let value = if self.peek() == &TokenKind::Semi {
+                let value = if self.peek() == TokenKind::Semi {
                     None
                 } else {
                     Some(self.expr()?)
                 };
                 self.expect(TokenKind::Semi)?;
-                Ok(Stmt::Return { value, pos })
+                Ok(Stmt::Return(value))
             }
             TokenKind::Break => {
                 self.bump();
@@ -203,338 +307,231 @@ impl Parser {
             }
             TokenKind::Print => {
                 self.bump();
-                self.expect(TokenKind::LParen)?;
-                let value = self.expr()?;
-                self.expect(TokenKind::RParen)?;
+                let value = self.parenthesized()?;
                 self.expect(TokenKind::Semi)?;
-                Ok(Stmt::Print { value, pos })
+                Ok(Stmt::Print(value))
             }
             _ => {
                 let expr = self.expr()?;
-                if self.eat(&TokenKind::Assign) {
-                    let target = Self::as_lvalue(expr).ok_or_else(|| {
-                        CompileError::parse(pos, "left side of `=` is not assignable")
-                    })?;
+                if self.eat(TokenKind::Assign) {
+                    if !matches!(
+                        self.program.expr(expr),
+                        Expr::Var(..) | Expr::FieldGet { .. } | Expr::Index { .. }
+                    ) {
+                        return Err(CompileError::parse(
+                            pos,
+                            "left side of `=` is not assignable",
+                        ));
+                    }
                     let value = self.expr()?;
                     self.expect(TokenKind::Semi)?;
-                    Ok(Stmt::Assign { target, value, pos })
+                    Ok(Stmt::Assign {
+                        target: expr,
+                        value,
+                        pos,
+                    })
                 } else {
                     self.expect(TokenKind::Semi)?;
-                    Ok(Stmt::Expr { expr, pos })
+                    Ok(Stmt::Expr(expr))
                 }
             }
         }
     }
 
-    fn if_stmt(&mut self) -> Result<Stmt, CompileError> {
+    fn if_stmt(&mut self) -> Result<Stmt<'src>, CompileError> {
         let pos = self.pos();
         self.expect(TokenKind::If)?;
-        self.expect(TokenKind::LParen)?;
-        let cond = self.expr()?;
-        self.expect(TokenKind::RParen)?;
+        self.enter(pos)?;
+        let cond = self.parenthesized()?;
         let then_body = self.block()?;
-        let else_body = if self.eat(&TokenKind::Else) {
-            if self.peek() == &TokenKind::If {
-                vec![self.if_stmt()?]
-            } else {
-                self.block()?
-            }
+        let else_body = if !self.eat(TokenKind::Else) {
+            Span::default()
+        } else if self.peek() == TokenKind::If {
+            let mark = self.stmt_stack.len();
+            let nested = self.if_stmt()?;
+            self.stmt_stack.push(nested);
+            seal(&mut self.program.stmts, &mut self.stmt_stack, mark)
         } else {
-            Vec::new()
+            self.block()?
         };
+        self.depth -= 1;
         Ok(Stmt::If {
             cond,
             then_body,
             else_body,
-            pos,
         })
     }
 
-    fn as_lvalue(expr: Expr) -> Option<LValue> {
-        match expr {
-            Expr::Var(name, _) => Some(LValue::Var(name)),
-            Expr::FieldGet { obj, field, .. } => Some(LValue::Field { obj, field }),
-            Expr::Index { arr, idx, .. } => Some(LValue::Index { arr, idx }),
-            _ => None,
-        }
+    fn expr(&mut self) -> Result<ExprId, CompileError> {
+        self.binary(1)
     }
 
-    fn expr(&mut self) -> Result<Expr, CompileError> {
-        self.or_expr()
-    }
-
-    fn or_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.and_expr()?;
-        while self.peek() == &TokenKind::OrOr {
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary {
-                op: BinaryOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
+    /// Parses operators of precedence `min` and tighter, left-associative
+    /// except for comparisons, which do not chain: after `a < b` neither
+    /// another comparison nor anything looser than the last operator may
+    /// take the result as its left operand.
+    fn binary(&mut self, min: u8) -> Result<ExprId, CompileError> {
+        let mut lhs = self.unary()?;
+        let mut max = u8::MAX;
+        while let Some((prec, op)) = infix(self.peek()).filter(|&(p, _)| min <= p && p <= max) {
+            let pos = self.bump().pos;
+            let rhs = self.binary(prec + 1)?;
+            let expr = match op {
+                Some(op) => Expr::Binary { op, lhs, rhs },
+                None => Expr::Logic {
+                    and: prec == AND,
+                    lhs,
+                    rhs,
+                },
             };
+            let height = self.height(lhs).max(self.height(rhs)) + 1;
+            lhs = self.push(expr, height, pos)?;
+            max = if prec == CMP { CMP - 1 } else { prec };
         }
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.peek() == &TokenKind::AndAnd {
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Binary {
-                op: BinaryOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr, CompileError> {
-        let lhs = self.add_expr()?;
+    fn unary(&mut self) -> Result<ExprId, CompileError> {
         let op = match self.peek() {
-            TokenKind::EqEq => BinaryOp::Eq,
-            TokenKind::NotEq => BinaryOp::Ne,
-            TokenKind::Lt => BinaryOp::Lt,
-            TokenKind::Le => BinaryOp::Le,
-            TokenKind::Gt => BinaryOp::Gt,
-            TokenKind::Ge => BinaryOp::Ge,
-            _ => return Ok(lhs),
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Bang => UnOp::Not,
+            _ => return self.postfix(),
         };
-        let pos = self.pos();
-        self.bump();
-        let rhs = self.add_expr()?;
-        Ok(Expr::Binary {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-            pos,
-        })
+        let pos = self.bump().pos;
+        self.enter(pos)?;
+        let expr = self.unary()?;
+        self.depth -= 1;
+        self.push(Expr::Unary { op, expr }, self.height(expr) + 1, pos)
     }
 
-    fn add_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinaryOp::Add,
-                TokenKind::Minus => BinaryOp::Sub,
-                TokenKind::Pipe => BinaryOp::BitOr,
-                TokenKind::Caret => BinaryOp::BitXor,
-                _ => return Ok(lhs),
-            };
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
-        }
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinaryOp::Mul,
-                TokenKind::Slash => BinaryOp::Div,
-                TokenKind::Percent => BinaryOp::Rem,
-                TokenKind::Amp => BinaryOp::BitAnd,
-                TokenKind::Shl => BinaryOp::Shl,
-                TokenKind::Shr => BinaryOp::Shr,
-                _ => return Ok(lhs),
-            };
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
-        }
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr, CompileError> {
-        let pos = self.pos();
-        let op = match self.peek() {
-            TokenKind::Minus => Some(UnaryOp::Neg),
-            TokenKind::Bang => Some(UnaryOp::Not),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.bump();
-            let expr = self.unary_expr()?;
-            return Ok(Expr::Unary {
-                op,
-                expr: Box::new(expr),
-                pos,
-            });
-        }
-        self.postfix_expr()
-    }
-
-    fn postfix_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut expr = self.primary_expr()?;
+    fn postfix(&mut self) -> Result<ExprId, CompileError> {
+        let mut expr = self.primary()?;
         loop {
             let pos = self.pos();
-            if self.eat(&TokenKind::Dot) {
+            let (node, below) = if self.eat(TokenKind::Dot) {
                 let name = self.ident()?;
-                if self.peek() == &TokenKind::LParen {
-                    let args = self.args()?;
-                    expr = Expr::MethodCall {
-                        obj: Box::new(expr),
+                if self.peek() == TokenKind::LParen {
+                    let (args, height) = self.args()?;
+                    let node = Expr::MethodCall {
+                        obj: expr,
                         method: name,
                         args,
                         pos,
                     };
+                    (node, height)
                 } else {
-                    expr = Expr::FieldGet {
-                        obj: Box::new(expr),
+                    let node = Expr::FieldGet {
+                        obj: expr,
                         field: name,
                         pos,
                     };
+                    (node, 0)
                 }
-            } else if self.eat(&TokenKind::LBracket) {
+            } else if self.eat(TokenKind::LBracket) {
+                self.enter(pos)?;
                 let idx = self.expr()?;
                 self.expect(TokenKind::RBracket)?;
-                expr = Expr::Index {
-                    arr: Box::new(expr),
-                    idx: Box::new(idx),
-                    pos,
-                };
+                self.depth -= 1;
+                let node = Expr::Index { arr: expr, idx };
+                (node, self.height(idx))
             } else {
                 return Ok(expr);
-            }
+            };
+            expr = self.push(node, self.height(expr).max(below) + 1, pos)?;
         }
     }
 
-    fn args(&mut self) -> Result<Vec<Expr>, CompileError> {
-        self.expect(TokenKind::LParen)?;
-        let mut args = Vec::new();
-        if self.eat(&TokenKind::RParen) {
-            return Ok(args);
-        }
-        loop {
-            args.push(self.expr()?);
-            if self.eat(&TokenKind::RParen) {
-                return Ok(args);
-            }
-            self.expect(TokenKind::Comma)?;
-        }
-    }
-
-    fn primary_expr(&mut self) -> Result<Expr, CompileError> {
+    /// `( e, .. )`: the arguments and the height of the tallest.
+    fn args(&mut self) -> Result<(Span, u32), CompileError> {
         let pos = self.pos();
-        match self.peek().clone() {
-            TokenKind::Int(v) => {
-                self.bump();
-                Ok(Expr::Int(v, pos))
+        self.expect(TokenKind::LParen)?;
+        self.enter(pos)?;
+        let mark = self.arg_stack.len();
+        let mut height = 0;
+        if !self.eat(TokenKind::RParen) {
+            loop {
+                let arg = self.expr()?;
+                height = height.max(self.height(arg));
+                self.arg_stack.push(arg);
+                if self.eat(TokenKind::RParen) {
+                    break;
+                }
+                self.expect(TokenKind::Comma)?;
             }
-            TokenKind::True => {
-                self.bump();
-                Ok(Expr::Bool(true, pos))
-            }
-            TokenKind::False => {
-                self.bump();
-                Ok(Expr::Bool(false, pos))
-            }
-            TokenKind::Null => {
-                self.bump();
-                Ok(Expr::Null(pos))
-            }
-            TokenKind::SelfKw => {
-                self.bump();
-                Ok(Expr::SelfRef(pos))
-            }
-            TokenKind::LParen => {
-                self.bump();
-                let e = self.expr()?;
-                self.expect(TokenKind::RParen)?;
-                Ok(e)
-            }
+        }
+        self.depth -= 1;
+        let args = seal(&mut self.program.args, &mut self.arg_stack, mark);
+        Ok((args, height))
+    }
+
+    /// `( e )`
+    fn parenthesized(&mut self) -> Result<ExprId, CompileError> {
+        let pos = self.pos();
+        self.expect(TokenKind::LParen)?;
+        self.enter(pos)?;
+        let e = self.expr()?;
+        self.expect(TokenKind::RParen)?;
+        self.depth -= 1;
+        Ok(e)
+    }
+
+    fn primary(&mut self) -> Result<ExprId, CompileError> {
+        let pos = self.pos();
+        let expr = match self.peek() {
+            TokenKind::LParen => return self.parenthesized(),
+            TokenKind::Int(v) => Expr::Int(v),
+            TokenKind::True => Expr::Bool(true),
+            TokenKind::False => Expr::Bool(false),
+            TokenKind::Null => Expr::Null,
+            TokenKind::SelfKw => Expr::SelfRef(pos),
             TokenKind::New => {
                 self.bump();
                 let class = self.ident()?;
-                Ok(Expr::New { class, pos })
+                return self.push(Expr::New { class, pos }, 1, pos);
             }
-            TokenKind::Array => {
-                self.bump();
-                self.expect(TokenKind::LParen)?;
-                let len = self.expr()?;
-                self.expect(TokenKind::RParen)?;
-                Ok(Expr::NewArray {
-                    len: Box::new(len),
-                    pos,
-                })
-            }
-            TokenKind::Len => {
-                self.bump();
-                self.expect(TokenKind::LParen)?;
-                let arr = self.expr()?;
-                self.expect(TokenKind::RParen)?;
-                Ok(Expr::Len {
-                    arr: Box::new(arr),
-                    pos,
-                })
+            TokenKind::Array | TokenKind::Len | TokenKind::Join => {
+                let kind = self.bump().kind;
+                let e = self.parenthesized()?;
+                let expr = match kind {
+                    TokenKind::Array => Expr::NewArray(e),
+                    TokenKind::Len => Expr::Len(e),
+                    _ => Expr::Join(e),
+                };
+                return self.push(expr, self.height(e) + 1, pos);
             }
             TokenKind::Busy => {
                 self.bump();
                 self.expect(TokenKind::LParen)?;
-                let cycles = match self.peek().clone() {
-                    TokenKind::Int(v) => {
-                        self.bump();
-                        v
-                    }
-                    other => {
-                        return Err(CompileError::parse(
-                            self.pos(),
-                            format!("`busy` takes an integer literal, found {other}"),
-                        ))
-                    }
+                let TokenKind::Int(cycles) = self.peek() else {
+                    return Err(self.unexpected("`busy` takes an integer literal"));
                 };
+                self.bump();
                 self.expect(TokenKind::RParen)?;
-                Ok(Expr::Busy { cycles, pos })
+                return self.push(Expr::Busy { cycles, pos }, 1, pos);
             }
             TokenKind::Spawn => {
                 self.bump();
                 let name = self.ident()?;
-                let args = self.args()?;
-                Ok(Expr::Spawn { name, args, pos })
-            }
-            TokenKind::Join => {
-                self.bump();
-                self.expect(TokenKind::LParen)?;
-                let thread = self.expr()?;
-                self.expect(TokenKind::RParen)?;
-                Ok(Expr::Join {
-                    thread: Box::new(thread),
-                    pos,
-                })
+                let (args, height) = self.args()?;
+                return self.push(Expr::Spawn { name, args, pos }, height + 1, pos);
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                if self.peek() == &TokenKind::LParen {
-                    let args = self.args()?;
-                    Ok(Expr::Call { name, args, pos })
-                } else {
-                    Ok(Expr::Var(name, pos))
+                if self.peek() != TokenKind::LParen {
+                    return self.push(Expr::Var(name, pos), 1, pos);
                 }
+                let (args, height) = self.args()?;
+                return self.push(Expr::Call { name, args, pos }, height + 1, pos);
             }
-            other => Err(CompileError::parse(
-                pos,
-                format!("expected expression, found {other}"),
-            )),
-        }
+            _ => return Err(self.unexpected("expected expression")),
+        };
+        self.bump();
+        self.push(expr, 1, pos)
     }
+}
+
+fn too_deep(pos: Pos) -> CompileError {
+    CompileError::parse(pos, format!("nesting deeper than {MAX_DEPTH} levels"))
 }
 
 #[cfg(test)]
@@ -549,7 +546,7 @@ mod tests {
         .unwrap();
         assert_eq!(p.functions.len(), 1);
         assert_eq!(p.functions[0].name, "main");
-        assert_eq!(p.functions[0].body.len(), 2);
+        assert_eq!(p.body(p.functions[0].body).len(), 2);
     }
 
     #[test]
@@ -558,27 +555,21 @@ mod tests {
             parse("class A { field x; method get() { return self.x; } } class B : A { field y; }")
                 .unwrap();
         assert_eq!(p.classes.len(), 2);
-        assert_eq!(p.classes[1].parent.as_deref(), Some("A"));
+        assert_eq!(p.classes[1].parent, Some("A"));
         assert_eq!(p.classes[0].methods.len(), 1);
     }
 
     #[test]
     fn precedence_mul_binds_tighter_than_add() {
         let p = parse("fn f() { var x = 1 + 2 * 3; }").unwrap();
-        let Stmt::Var { init: Some(e), .. } = &p.functions[0].body[0] else {
+        let Stmt::Var { init: Some(e), .. } = p.body(p.functions[0].body)[0] else {
             panic!("expected var");
         };
-        let Expr::Binary { op, rhs, .. } = e else {
+        let Expr::Binary { op, rhs, .. } = p.expr(e) else {
             panic!("expected binary");
         };
-        assert_eq!(*op, BinaryOp::Add);
-        assert!(matches!(
-            **rhs,
-            Expr::Binary {
-                op: BinaryOp::Mul,
-                ..
-            }
-        ));
+        assert_eq!(op, BinOp::Add);
+        assert!(matches!(p.expr(rhs), Expr::Binary { op: BinOp::Mul, .. }));
     }
 
     #[test]
@@ -593,16 +584,19 @@ mod tests {
     #[test]
     fn method_call_chain() {
         let p = parse("fn f(o) { o.next().next().x = 3; }").unwrap();
-        assert!(matches!(p.functions[0].body[0], Stmt::Assign { .. }));
+        assert!(matches!(
+            p.body(p.functions[0].body)[0],
+            Stmt::Assign { .. }
+        ));
     }
 
     #[test]
     fn else_if_chains() {
         let p = parse("fn f(x) { if (x == 0) {} else if (x == 1) {} else {} }").unwrap();
-        let Stmt::If { else_body, .. } = &p.functions[0].body[0] else {
+        let Stmt::If { else_body, .. } = p.body(p.functions[0].body)[0] else {
             panic!();
         };
-        assert!(matches!(else_body[0], Stmt::If { .. }));
+        assert!(matches!(p.body(else_body)[0], Stmt::If { .. }));
     }
 
     #[test]
@@ -621,5 +615,104 @@ mod tests {
     #[test]
     fn rejects_stray_top_level_token() {
         assert!(parse("var x = 1;").is_err());
+    }
+
+    #[test]
+    fn comparisons_do_not_chain() {
+        for src in ["a < b < c", "x && a == b == c", "a || b < c >= d"] {
+            let e = parse(&format!("fn f(a, b, c, d, x) {{ print({src}); }}")).unwrap_err();
+            assert!(e.message.starts_with("expected `)`, found `"), "{src}: {e}");
+        }
+        assert!(parse("fn f(a, b, c) { print(a < b && b < c || a + b * c == c); }").is_ok());
+    }
+
+    /// `n` levels of the construct `open`…`close` around `x`.
+    fn nested(open: &str, close: &str, n: usize) -> String {
+        format!(
+            "fn main() {{ var x = 0; {}x{}; }}",
+            open.repeat(n),
+            close.repeat(n)
+        )
+    }
+
+    /// A `1 + 1 + …` chain of `n` operators: a left-deep tree `n` high.
+    fn chain(n: usize) -> String {
+        format!("fn main() {{ var x = 0{}; }}", " + 1".repeat(n))
+    }
+
+    /// Every shape of nesting, `n` levels deep, as a statement of `main`.
+    fn shapes(n: usize) -> Vec<(&'static str, String)> {
+        vec![
+            ("parens", nested("(", ")", n)),
+            ("minus", nested("-", "", n)),
+            ("not", nested("!", "", n)),
+            ("field", nested("", ".f", n)),
+            ("call", nested("id(", ")", n)),
+            ("logic", nested("x && (", ")", n)),
+            (
+                "if",
+                format!(
+                    "fn main() {{ {} print(1); {} }}",
+                    "if (true) { ".repeat(n),
+                    "}".repeat(n)
+                ),
+            ),
+            (
+                "else-if",
+                format!(
+                    "fn main() {{ var x = 0; if (x == 0) {{}} {} }}",
+                    "else if (x == 1) {} ".repeat(n)
+                ),
+            ),
+            ("chain", chain(n)),
+        ]
+    }
+
+    /// Runs `f` on a thread with a `kib`-KiB stack.
+    fn on_stack(kib: usize, f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(kib << 10)
+            .spawn(f)
+            .expect("spawn test thread")
+            .join()
+            .expect("test thread finished");
+    }
+
+    const PRELUDE: &str = "class C { field f; } fn id(v) { return v; } ";
+
+    #[test]
+    fn deep_nesting_is_an_error_not_an_abort() {
+        on_stack(2048, || {
+            for (shape, src) in shapes(100_000) {
+                let e = crate::compile(&format!("{PRELUDE}{src}")).unwrap_err();
+                assert!(e.message.starts_with("nesting deeper than"), "{shape}: {e}");
+            }
+        });
+    }
+
+    #[test]
+    fn deepest_accepted_programs_compile_in_a_quarter_of_a_debug_stack() {
+        on_stack(512, || {
+            for (shape, _) in shapes(0) {
+                // The deepest `n` of each shape the parser accepts.
+                let accepted = |n: usize| {
+                    let src = shapes(n).into_iter().find(|s| s.0 == shape).unwrap().1;
+                    crate::compile(&format!("{PRELUDE}{src}")).is_ok()
+                };
+                let (mut lo, mut hi) = (0, MAX_DEPTH as usize + 1);
+                while lo + 1 < hi {
+                    let mid = (lo + hi) / 2;
+                    if accepted(mid) {
+                        lo = mid;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                assert!(
+                    lo + 8 >= MAX_DEPTH as usize,
+                    "{shape}: only {lo} levels accepted"
+                );
+            }
+        });
     }
 }

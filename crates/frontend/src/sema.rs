@@ -1,391 +1,124 @@
-//! Semantic checks: name resolution, arity checking, structural rules.
+//! Semantic checks on declarations: duplicate and unknown names,
+//! inheritance cycles, and `main`. The checks inside function bodies —
+//! name resolution, arity, `self` and loop placement — run as each body is
+//! lowered ([`crate::lower`]), in the order they would run here.
 
 use std::collections::{HashMap, HashSet};
 
-use crate::ast::*;
+use crate::ast::Program;
 use crate::diag::{CompileError, Pos};
 
-/// Checks a parsed program. On success the program is guaranteed to lower
-/// to verifiable IR.
+/// The program's classes and free functions by name.
+pub(crate) struct Declarations<'src> {
+    /// Class name → declaration index.
+    pub(crate) classes: HashMap<&'src str, usize>,
+    /// Free function name → declaration index.
+    pub(crate) functions: HashMap<&'src str, usize>,
+}
+
+/// Checks a parsed program's declarations and indexes them by name.
 ///
 /// # Errors
 ///
-/// Returns the first semantic violation with its source position.
-pub fn check(program: &Program) -> Result<(), CompileError> {
-    let ctx = Context::collect(program)?;
-    for class in &program.classes {
-        for method in &class.methods {
-            ctx.check_fn(method, true)?;
+/// Returns the first violation with its source position.
+pub(crate) fn declarations<'src>(
+    program: &Program<'src>,
+) -> Result<Declarations<'src>, CompileError> {
+    let mut classes = HashMap::with_capacity(program.classes.len());
+    for (i, class) in program.classes.iter().enumerate() {
+        if classes.insert(class.name, i).is_some() {
+            return Err(CompileError::sema(
+                class.pos,
+                format!("duplicate class `{}`", class.name),
+            ));
         }
     }
-    for f in &program.functions {
-        ctx.check_fn(f, false)?;
+    let parent = |i: usize| {
+        let name = program.classes[i].parent?;
+        classes.get(name).copied()
+    };
+    for (i, class) in program.classes.iter().enumerate() {
+        if let Some(parent) = class.parent {
+            if !classes.contains_key(parent) {
+                return Err(CompileError::sema(
+                    class.pos,
+                    format!("unknown superclass `{parent}`"),
+                ));
+            }
+        }
+        // A chain with more links than there are classes revisits one.
+        let (mut cur, mut links) = (i, 0);
+        while let Some(p) = parent(cur) {
+            links += 1;
+            if links > program.classes.len() {
+                return Err(CompileError::sema(
+                    class.pos,
+                    format!("inheritance cycle through `{}`", class.name),
+                ));
+            }
+            cur = p;
+        }
     }
-    let Some(&(_, main_arity)) = ctx.functions.get("main") else {
+    let mut own = HashSet::new();
+    for class in &program.classes {
+        own.clear();
+        if let Some(field) = class.fields.iter().find(|f| !own.insert(**f)) {
+            return Err(CompileError::sema(
+                class.pos,
+                format!("duplicate field `{field}` in class `{}`", class.name),
+            ));
+        }
+        own.clear();
+        if let Some(m) = class.methods.iter().find(|m| !own.insert(m.name)) {
+            return Err(CompileError::sema(
+                m.pos,
+                format!("duplicate method `{}` in class `{}`", m.name, class.name),
+            ));
+        }
+    }
+    let mut functions = HashMap::with_capacity(program.functions.len());
+    for (i, f) in program.functions.iter().enumerate() {
+        if functions.insert(f.name, i).is_some() {
+            return Err(CompileError::sema(
+                f.pos,
+                format!("duplicate function `{}`", f.name),
+            ));
+        }
+    }
+    Ok(Declarations { classes, functions })
+}
+
+/// The index of the nullary `main` function, checked once every body has
+/// passed.
+///
+/// # Errors
+///
+/// Returns an error if there is no `main` or it takes parameters.
+pub(crate) fn main_function(
+    program: &Program<'_>,
+    decls: &Declarations<'_>,
+) -> Result<usize, CompileError> {
+    let Some(&main) = decls.functions.get("main") else {
         return Err(CompileError::sema(
             Pos::default(),
             "program has no `main` function",
         ));
     };
-    if main_arity != 0 {
+    if !program.functions[main].params.is_empty() {
         return Err(CompileError::sema(
             Pos::default(),
             "`main` must take no parameters",
         ));
     }
-    Ok(())
-}
-
-struct Context {
-    /// Free function name → (declaration index, arity).
-    functions: HashMap<String, (usize, usize)>,
-    /// Class name → declaration index.
-    classes: HashMap<String, usize>,
-    /// Field names declared by any class.
-    fields: HashSet<String>,
-    /// Method name → set of arities (excluding `self`) across all classes.
-    methods: HashMap<String, HashSet<usize>>,
-}
-
-impl Context {
-    fn collect(program: &Program) -> Result<Self, CompileError> {
-        let mut ctx = Context {
-            functions: HashMap::new(),
-            classes: HashMap::new(),
-            fields: HashSet::new(),
-            methods: HashMap::new(),
-        };
-        for (i, class) in program.classes.iter().enumerate() {
-            if ctx.classes.insert(class.name.clone(), i).is_some() {
-                return Err(CompileError::sema(
-                    class.pos,
-                    format!("duplicate class `{}`", class.name),
-                ));
-            }
-        }
-        // Parent existence and cycle detection.
-        for class in &program.classes {
-            if let Some(parent) = &class.parent {
-                if !ctx.classes.contains_key(parent) {
-                    return Err(CompileError::sema(
-                        class.pos,
-                        format!("unknown superclass `{parent}`"),
-                    ));
-                }
-            }
-            let mut seen = HashSet::new();
-            let mut cur = Some(&class.name);
-            while let Some(name) = cur {
-                if !seen.insert(name.clone()) {
-                    return Err(CompileError::sema(
-                        class.pos,
-                        format!("inheritance cycle through `{}`", class.name),
-                    ));
-                }
-                cur = ctx
-                    .classes
-                    .get(name)
-                    .and_then(|&i| program.classes[i].parent.as_ref());
-            }
-        }
-        for class in &program.classes {
-            let mut own = HashSet::new();
-            for field in &class.fields {
-                if !own.insert(field.clone()) {
-                    return Err(CompileError::sema(
-                        class.pos,
-                        format!("duplicate field `{field}` in class `{}`", class.name),
-                    ));
-                }
-                ctx.fields.insert(field.clone());
-            }
-            let mut own_methods = HashSet::new();
-            for m in &class.methods {
-                if !own_methods.insert(m.name.clone()) {
-                    return Err(CompileError::sema(
-                        m.pos,
-                        format!("duplicate method `{}` in class `{}`", m.name, class.name),
-                    ));
-                }
-                ctx.methods
-                    .entry(m.name.clone())
-                    .or_default()
-                    .insert(m.params.len());
-            }
-        }
-        for (i, f) in program.functions.iter().enumerate() {
-            if ctx
-                .functions
-                .insert(f.name.clone(), (i, f.params.len()))
-                .is_some()
-            {
-                return Err(CompileError::sema(
-                    f.pos,
-                    format!("duplicate function `{}`", f.name),
-                ));
-            }
-        }
-        Ok(ctx)
-    }
-
-    fn check_fn(&self, f: &FnDecl, is_method: bool) -> Result<(), CompileError> {
-        let mut scopes = Scopes::new();
-        scopes.push();
-        for p in &f.params {
-            if !scopes.declare(p) {
-                return Err(CompileError::sema(
-                    f.pos,
-                    format!("duplicate parameter `{p}`"),
-                ));
-            }
-        }
-        self.check_body(&f.body, &mut scopes, is_method, 0)?;
-        scopes.pop();
-        Ok(())
-    }
-
-    fn check_body(
-        &self,
-        body: &[Stmt],
-        scopes: &mut Scopes,
-        is_method: bool,
-        loop_depth: usize,
-    ) -> Result<(), CompileError> {
-        scopes.push();
-        for stmt in body {
-            self.check_stmt(stmt, scopes, is_method, loop_depth)?;
-        }
-        scopes.pop();
-        Ok(())
-    }
-
-    fn check_stmt(
-        &self,
-        stmt: &Stmt,
-        scopes: &mut Scopes,
-        is_method: bool,
-        loop_depth: usize,
-    ) -> Result<(), CompileError> {
-        match stmt {
-            Stmt::Var { name, init, pos } => {
-                if let Some(e) = init {
-                    self.check_expr(e, scopes, is_method)?;
-                }
-                if !scopes.declare(name) {
-                    return Err(CompileError::sema(
-                        *pos,
-                        format!("`{name}` already declared in this scope"),
-                    ));
-                }
-                Ok(())
-            }
-            Stmt::Assign { target, value, pos } => {
-                match target {
-                    LValue::Var(name) => {
-                        if !scopes.is_declared(name) {
-                            return Err(CompileError::sema(
-                                *pos,
-                                format!("assignment to undeclared variable `{name}`"),
-                            ));
-                        }
-                    }
-                    LValue::Field { obj, field } => {
-                        self.check_expr(obj, scopes, is_method)?;
-                        self.check_field(field, *pos)?;
-                    }
-                    LValue::Index { arr, idx } => {
-                        self.check_expr(arr, scopes, is_method)?;
-                        self.check_expr(idx, scopes, is_method)?;
-                    }
-                }
-                self.check_expr(value, scopes, is_method)
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-                ..
-            } => {
-                self.check_expr(cond, scopes, is_method)?;
-                self.check_body(then_body, scopes, is_method, loop_depth)?;
-                self.check_body(else_body, scopes, is_method, loop_depth)
-            }
-            Stmt::While { cond, body, .. } => {
-                self.check_expr(cond, scopes, is_method)?;
-                self.check_body(body, scopes, is_method, loop_depth + 1)
-            }
-            Stmt::Return { value, .. } => {
-                if let Some(e) = value {
-                    self.check_expr(e, scopes, is_method)?;
-                }
-                Ok(())
-            }
-            Stmt::Break { pos } | Stmt::Continue { pos } => {
-                if loop_depth == 0 {
-                    Err(CompileError::sema(
-                        *pos,
-                        "`break`/`continue` outside of a loop",
-                    ))
-                } else {
-                    Ok(())
-                }
-            }
-            Stmt::Print { value, .. } => self.check_expr(value, scopes, is_method),
-            Stmt::Expr { expr, .. } => self.check_expr(expr, scopes, is_method),
-        }
-    }
-
-    fn check_field(&self, field: &str, pos: Pos) -> Result<(), CompileError> {
-        if self.fields.contains(field) {
-            Ok(())
-        } else {
-            Err(CompileError::sema(
-                pos,
-                format!("no class declares a field `{field}`"),
-            ))
-        }
-    }
-
-    fn check_expr(
-        &self,
-        expr: &Expr,
-        scopes: &mut Scopes,
-        is_method: bool,
-    ) -> Result<(), CompileError> {
-        match expr {
-            Expr::Int(..) | Expr::Bool(..) | Expr::Null(..) => Ok(()),
-            Expr::SelfRef(pos) => {
-                if is_method {
-                    Ok(())
-                } else {
-                    Err(CompileError::sema(*pos, "`self` used outside a method"))
-                }
-            }
-            Expr::Var(name, pos) => {
-                if scopes.is_declared(name) {
-                    Ok(())
-                } else {
-                    Err(CompileError::sema(
-                        *pos,
-                        format!("undeclared variable `{name}`"),
-                    ))
-                }
-            }
-            Expr::Unary { expr, .. } => self.check_expr(expr, scopes, is_method),
-            Expr::Binary { lhs, rhs, .. } => {
-                self.check_expr(lhs, scopes, is_method)?;
-                self.check_expr(rhs, scopes, is_method)
-            }
-            Expr::Call { name, args, pos } | Expr::Spawn { name, args, pos } => {
-                let Some(&(_, arity)) = self.functions.get(name) else {
-                    return Err(CompileError::sema(
-                        *pos,
-                        format!("call to unknown function `{name}`"),
-                    ));
-                };
-                if args.len() != arity {
-                    return Err(CompileError::sema(
-                        *pos,
-                        format!("`{name}` takes {arity} argument(s), {} given", args.len()),
-                    ));
-                }
-                for a in args {
-                    self.check_expr(a, scopes, is_method)?;
-                }
-                Ok(())
-            }
-            Expr::MethodCall {
-                obj,
-                method,
-                args,
-                pos,
-            } => {
-                self.check_expr(obj, scopes, is_method)?;
-                let Some(arities) = self.methods.get(method) else {
-                    return Err(CompileError::sema(
-                        *pos,
-                        format!("no class declares a method `{method}`"),
-                    ));
-                };
-                if !arities.contains(&args.len()) {
-                    return Err(CompileError::sema(
-                        *pos,
-                        format!(
-                            "no declaration of method `{method}` takes {} argument(s)",
-                            args.len()
-                        ),
-                    ));
-                }
-                for a in args {
-                    self.check_expr(a, scopes, is_method)?;
-                }
-                Ok(())
-            }
-            Expr::FieldGet { obj, field, pos } => {
-                self.check_expr(obj, scopes, is_method)?;
-                self.check_field(field, *pos)
-            }
-            Expr::Index { arr, idx, .. } => {
-                self.check_expr(arr, scopes, is_method)?;
-                self.check_expr(idx, scopes, is_method)
-            }
-            Expr::New { class, pos } => {
-                if self.classes.contains_key(class) {
-                    Ok(())
-                } else {
-                    Err(CompileError::sema(*pos, format!("unknown class `{class}`")))
-                }
-            }
-            Expr::NewArray { len, .. } => self.check_expr(len, scopes, is_method),
-            Expr::Len { arr, .. } => self.check_expr(arr, scopes, is_method),
-            Expr::Busy { cycles, pos } => {
-                if *cycles < 0 || *cycles > u32::MAX as i64 {
-                    Err(CompileError::sema(*pos, "`busy` cycle count out of range"))
-                } else {
-                    Ok(())
-                }
-            }
-            Expr::Join { thread, .. } => self.check_expr(thread, scopes, is_method),
-        }
-    }
-}
-
-struct Scopes {
-    stack: Vec<HashSet<String>>,
-}
-
-impl Scopes {
-    fn new() -> Self {
-        Self { stack: Vec::new() }
-    }
-
-    fn push(&mut self) {
-        self.stack.push(HashSet::new());
-    }
-
-    fn pop(&mut self) {
-        self.stack.pop();
-    }
-
-    fn declare(&mut self, name: &str) -> bool {
-        self.stack
-            .last_mut()
-            .expect("scope stack never empty while checking")
-            .insert(name.to_owned())
-    }
-
-    fn is_declared(&self, name: &str) -> bool {
-        self.stack.iter().rev().any(|s| s.contains(name))
-    }
+    Ok(main)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::parser::parse;
+    use crate::diag::CompileError;
 
     fn check_src(src: &str) -> Result<(), CompileError> {
-        check(&parse(src).unwrap())
+        crate::compile(src).map(drop)
     }
 
     #[test]
