@@ -30,7 +30,7 @@ use crate::cost::CostModel;
 use crate::error::{TrapKind, VmError};
 use crate::heap::Heap;
 use crate::outcome::Outcome;
-use crate::prepared::{InstrEffect, Op, OpKind, PreparedModule};
+use crate::prepared::{Op, OpKind, PreparedModule};
 use crate::profile::ProfileSink;
 use crate::sched::SchedControl;
 use crate::trace::{BurstRecord, TraceSink};
@@ -1154,13 +1154,11 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     f.ip += 1;
                 }
                 OpKind::PathIncr { delta } => {
-                    // `delta` may be the pre-folded sum of a fused run; the
-                    // width then advances past the whole run's slots.
                     let f = &mut self.top;
                     if let Some(r) = f.path_reg.as_mut() {
                         *r += *delta;
                     }
-                    f.ip += w;
+                    f.ip += 1;
                 }
                 OpKind::PathEnd { site } => {
                     let f = &mut self.top;
@@ -1197,36 +1195,6 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     let f = &mut self.top;
                     f.locals[tmp.index()] = *imm;
                     f.bin(*op, *dst, *lhs, *rhs)?;
-                    f.ip += w;
-                }
-                OpKind::ArrayGetImm { dst, arr, tmp, idx } => {
-                    let f = &mut self.top;
-                    f.locals[tmp.index()] = Value::I64(*idx);
-                    let v = self.heap.array_get(f.locals[arr.index()], *idx)?;
-                    f.locals[dst.index()] = Value::I64(v);
-                    f.ip += w;
-                }
-                OpKind::ArraySetImm { arr, tmp, idx, src } => {
-                    let f = &mut self.top;
-                    f.locals[tmp.index()] = Value::I64(*idx);
-                    let a = f.locals[arr.index()];
-                    let v = f.locals[src.index()].as_i64()?;
-                    self.heap.array_set(a, *idx, v)?;
-                    f.ip += w;
-                }
-                OpKind::ArraySetImm2 {
-                    arr,
-                    tmp,
-                    idx,
-                    src_tmp,
-                    src,
-                } => {
-                    let f = &mut self.top;
-                    f.locals[tmp.index()] = Value::I64(*idx);
-                    f.locals[src_tmp.index()] = *src;
-                    let a = f.locals[arr.index()];
-                    let v = src.as_i64()?;
-                    self.heap.array_set(a, *idx, v)?;
                     f.ip += w;
                 }
                 OpKind::GetFieldBin {
@@ -1405,13 +1373,6 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     self.heap.array_set(a, i, v)?;
                     f.ip += w;
                 }
-                OpKind::MoveRun { moves } => {
-                    let f = &mut self.top;
-                    for (dst, src) in moves.iter() {
-                        f.locals[dst.index()] = f.locals[src.index()];
-                    }
-                    f.ip += w;
-                }
                 OpKind::BrCmp {
                     op,
                     dst,
@@ -1444,23 +1405,6 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     self.charge_cycles(*extra)?;
                     let taken = self.top.is_true(*dst);
                     self.enter(if taken { *t } else { *f_target })?;
-                }
-                OpKind::JumpInstr { target, effects } => {
-                    let caller = self.top.caller;
-                    self.enter(*target)?;
-                    for e in effects.iter() {
-                        match e {
-                            InstrEffect::CallEdge => {
-                                if let Some((caller, site)) = caller {
-                                    self.profile.record_call_edge(caller, site, func_id);
-                                }
-                            }
-                            InstrEffect::BlockCount(b) => self.profile.record_block(func_id, *b),
-                            InstrEffect::EdgeCount(from, to) => {
-                                self.profile.record_edge(func_id, *from, *to);
-                            }
-                        }
-                    }
                 }
                 OpKind::Guided { steps, .. } => {
                     // The generalized profile-guided group: charge and execute

@@ -82,9 +82,7 @@ pub use error::{TrapKind, VmError};
 pub use heap::Heap;
 pub use interp::{ExecLimits, VmConfig};
 pub use outcome::{Outcome, ZeroCycleBaseline};
-pub use prepared::{
-    fuse_mode, mine_hot_sequences, thread_preparations, FuseMode, HotSequence, PreparedModule,
-};
+pub use prepared::{fuse_mode, thread_preparations, FuseMode, PreparedModule};
 pub use profile::{FuseGuidance, NoMetrics, OpProfile, ProfileSink, NUM_OPCODES, OPCODE_NAMES};
 pub use sched::{SchedChoice, SchedControl, SchedPolicy, ScheduleTrace};
 pub use trace::{BurstRecord, NoTrace, TraceBuffer, TraceSink};

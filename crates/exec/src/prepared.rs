@@ -37,7 +37,7 @@ use isf_ir::{
 };
 
 use crate::cost::CostModel;
-use crate::profile::{FuseGuidance, OPCODE_NAMES};
+use crate::profile::FuseGuidance;
 use crate::value::Value;
 
 thread_local! {
@@ -314,31 +314,6 @@ pub(crate) enum OpKind {
         t: u32,
         f: u32,
     },
-    /// `tmp = idx; dst = arr[idx]` with an integer-constant index.
-    ArrayGetImm {
-        dst: LocalId,
-        arr: LocalId,
-        tmp: LocalId,
-        idx: i64,
-    },
-    /// `tmp = idx; arr[idx] = src` with an integer-constant index.
-    ArraySetImm {
-        arr: LocalId,
-        tmp: LocalId,
-        idx: i64,
-        src: LocalId,
-    },
-    /// `tmp = idx; src_tmp = src; arr[idx] = src` — both the index and
-    /// the stored value are constants (the frontend lowers `a[1] = 5;`
-    /// this way, with the value's `Const` between the index's and the
-    /// store).
-    ArraySetImm2 {
-        arr: LocalId,
-        tmp: LocalId,
-        idx: i64,
-        src_tmp: LocalId,
-        src: Value,
-    },
     /// `tmp = obj.field; dst = lhs <op> rhs` where the load feeds one
     /// operand. Both halves can trap, so only the load's cost is folded
     /// into [`Op::cost`]; `extra` (the binary op's cost) is charged by the
@@ -466,18 +441,6 @@ pub(crate) enum OpKind {
         src: LocalId,
         extra: u64,
     },
-    /// A run of two or more consecutive `Move`s, executed in order under
-    /// one dispatch.
-    MoveRun {
-        moves: Box<[(LocalId, LocalId)]>,
-    },
-    /// A non-backedge `Jump` that pre-executes the target block's leading
-    /// run of side-effect-only instrumentation ops and lands past them.
-    /// The target's own slots stay live for its other predecessors.
-    JumpInstr {
-        target: u32,
-        effects: Box<[InstrEffect]>,
-    },
     /// The generalized profile-guided template ([`FuseMode::Guided`]): a
     /// mined run of two or three plain components executed under one
     /// dispatch. Unlike the fixed catalogue above, every component's cost
@@ -546,9 +509,6 @@ impl OpKind {
             OpKind::BinImm { .. } => OPC_BIN_IMM,
             OpKind::BrCmp { .. } => OPC_BR_CMP,
             OpKind::BrCmpImm { .. } => OPC_BR_CMP_IMM,
-            OpKind::ArrayGetImm { .. } => OPC_ARRAY_GET_IMM,
-            OpKind::ArraySetImm { .. } => OPC_ARRAY_SET_IMM,
-            OpKind::ArraySetImm2 { .. } => OPC_ARRAY_SET_IMM2,
             OpKind::ConstSetField { .. } => OPC_CONST_SET_FIELD,
             OpKind::GetFieldBin { .. } => OPC_GET_FIELD_BIN,
             OpKind::BinSetField { .. } => OPC_BIN_SET_FIELD,
@@ -558,8 +518,6 @@ impl OpKind {
             OpKind::GetFieldBrCmp { .. } => OPC_GET_FIELD_BR_CMP,
             OpKind::GetFieldArrayGet { .. } => OPC_GET_FIELD_ARRAY_GET,
             OpKind::GetFieldArraySet { .. } => OPC_GET_FIELD_ARRAY_SET,
-            OpKind::MoveRun { .. } => OPC_MOVE_RUN,
-            OpKind::JumpInstr { .. } => OPC_JUMP_INSTR,
             OpKind::Guided { .. } => OPC_GUIDED,
             OpKind::Gap => OPC_GAP,
         }
@@ -611,10 +569,6 @@ impl Op {
             OpKind::BinImm { op, .. } => vec![vec![cm.alu, bin(op)]],
             OpKind::BrCmp { op, extra, .. } => vec![vec![bin(op)], vec![*extra]],
             OpKind::BrCmpImm { op, extra, .. } => vec![vec![cm.alu, bin(op)], vec![*extra]],
-            OpKind::ArrayGetImm { .. } | OpKind::ArraySetImm { .. } => {
-                vec![vec![cm.alu, cm.array_access]]
-            }
-            OpKind::ArraySetImm2 { .. } => vec![vec![cm.alu, cm.alu, cm.array_access]],
             OpKind::ConstSetField { .. } => vec![vec![cm.alu, cm.field_access]],
             OpKind::GetFieldBin { extra, .. } | OpKind::BinSetField { extra, .. } => {
                 vec![vec![self.cost], vec![*extra]]
@@ -629,19 +583,6 @@ impl Op {
             }
             OpKind::GetFieldArrayGet { extra, .. } | OpKind::GetFieldArraySet { extra, .. } => {
                 vec![vec![self.cost], vec![*extra]]
-            }
-            OpKind::MoveRun { moves } => vec![vec![cm.alu; moves.len()]],
-            OpKind::PathIncr { .. } if self.width > 1 => {
-                vec![vec![cm.instr_path_arith; self.width as usize]]
-            }
-            OpKind::JumpInstr { effects, .. } => {
-                let mut q = vec![cm.jump];
-                q.extend(effects.iter().map(|ef| match ef {
-                    InstrEffect::CallEdge => cm.instr_call_edge,
-                    InstrEffect::BlockCount(_) => cm.instr_block_count,
-                    InstrEffect::EdgeCount(..) => cm.instr_edge_count,
-                }));
-                vec![q]
             }
             OpKind::Guided { steps, .. } => steps.iter().map(|(c, _)| vec![*c]).collect(),
             _ => vec![vec![self.cost]],
@@ -660,18 +601,6 @@ impl Op {
     }
 }
 
-/// A profiling side effect absorbed into a [`OpKind::JumpInstr`]. Only
-/// trap-free, operand-free ops qualify.
-#[derive(Copy, Clone, Debug)]
-pub(crate) enum InstrEffect {
-    /// Record a (caller, site, callee) call edge from the current frame.
-    CallEdge,
-    /// Record one execution of an original block.
-    BlockCount(BlockId),
-    /// Record one traversal of an original CFG edge.
-    EdgeCount(BlockId, BlockId),
-}
-
 /// One function flattened into a contiguous op arena. The entry point is
 /// always arena index 0 (block 0 is laid out first).
 #[derive(Clone, Debug)]
@@ -688,9 +617,8 @@ pub(crate) struct PreparedFunction {
     /// counts back into per-opcode totals after the run.
     pub(crate) slot_base: u32,
     /// Arena offset of each block, in layout order (`block_starts[0] == 0`).
-    /// Control only ever enters a block at its start (or, for
-    /// [`OpKind::JumpInstr`], at a recorded mid-block landing slot), and
-    /// only ever leaves through its final op — which is what lets the
+    /// Control only ever enters a block at its start, and only ever
+    /// leaves through its final op — which is what lets the
     /// profiled engine reconstruct exact per-slot execution counts from
     /// per-entry counts by a prefix sum that resets at these boundaries.
     pub(crate) block_starts: Vec<u32>,
@@ -915,8 +843,7 @@ fn prepare_function(
     }
     // Third pass: peephole fusion within each block (greedy catalogue
     // matching under `Fuse`, the weight-maximizing dynamic program under
-    // `Guided`), then the cross-block jump/instrumentation pass over the
-    // (now fused) arena.
+    // `Guided`).
     let mut fused = 0;
     if !matches!(mode, FuseMode::Off) {
         for b in 0..starts.len() {
@@ -928,7 +855,6 @@ fn prepare_function(
                 FuseMode::Guided(g) => guide_block(&mut ops, s, e, g),
             };
         }
-        fused += fuse_jump_effects(&mut ops, &starts);
     }
     PreparedFunction {
         ops,
@@ -1054,51 +980,6 @@ fn match_at(ops: &[Op], i: usize, e: usize) -> Option<(usize, u64, OpKind)> {
                     };
                     Some((2, c0 + c1, kind))
                 }
-                OpKind::ArrayGet { dst, arr, idx } if idx == tmp => match value {
-                    Value::I64(n) => {
-                        let cost = c0 + ops[i + 1].cost;
-                        Some((
-                            2,
-                            cost,
-                            OpKind::ArrayGetImm {
-                                dst,
-                                arr,
-                                tmp,
-                                idx: n,
-                            },
-                        ))
-                    }
-                    _ => None,
-                },
-                // `a[K] = V;` with two literals: the value's `Const` sits
-                // between the index's `Const` and the store, so the pair
-                // patterns below never see it.
-                OpKind::Const {
-                    dst: src_tmp,
-                    value: src,
-                } if src_tmp != tmp && i + 2 < e => {
-                    if let OpKind::ArraySet {
-                        arr,
-                        idx: set_idx,
-                        src: set_src,
-                    } = ops[i + 2].kind
-                    {
-                        if set_idx == tmp && set_src == src_tmp {
-                            if let Value::I64(n) = value {
-                                let cost = c0 + ops[i + 1].cost + ops[i + 2].cost;
-                                let kind = OpKind::ArraySetImm2 {
-                                    arr,
-                                    tmp,
-                                    idx: n,
-                                    src_tmp,
-                                    src,
-                                };
-                                return Some((3, cost, kind));
-                            }
-                        }
-                    }
-                    None
-                }
                 OpKind::SetFieldStatic { obj, offset, src } if src == tmp => {
                     let kind = OpKind::ConstSetField {
                         tmp,
@@ -1108,22 +989,6 @@ fn match_at(ops: &[Op], i: usize, e: usize) -> Option<(usize, u64, OpKind)> {
                     };
                     Some((2, c0 + ops[i + 1].cost, kind))
                 }
-                OpKind::ArraySet { arr, idx, src } if idx == tmp && src != tmp => match value {
-                    Value::I64(n) => {
-                        let cost = c0 + ops[i + 1].cost;
-                        Some((
-                            2,
-                            cost,
-                            OpKind::ArraySetImm {
-                                arr,
-                                tmp,
-                                idx: n,
-                                src,
-                            },
-                        ))
-                    }
-                    _ => None,
-                },
                 _ => None,
             }
         }
@@ -1291,46 +1156,6 @@ fn match_at(ops: &[Op], i: usize, e: usize) -> Option<(usize, u64, OpKind)> {
                 _ => None,
             }
         }
-        OpKind::Move { .. } => {
-            let mut n = 1;
-            while i + n < e && matches!(ops[i + n].kind, OpKind::Move { .. }) {
-                n += 1;
-            }
-            if n < 2 {
-                return None;
-            }
-            let moves: Box<[(LocalId, LocalId)]> = ops[i..i + n]
-                .iter()
-                .map(|o| match o.kind {
-                    OpKind::Move { dst, src } => (dst, src),
-                    _ => unreachable!("run scanned above"),
-                })
-                .collect();
-            let cost = ops[i..i + n].iter().map(|o| o.cost).sum();
-            Some((n, cost, OpKind::MoveRun { moves }))
-        }
-        OpKind::PathIncr { delta: first } => {
-            // Deltas are non-negative (widened u32), so when the summed
-            // delta fits in i64, every unfused partial sum fits too and
-            // one addition of the sum is exactly the sequential result.
-            let mut n = 1;
-            let mut sum = first;
-            while i + n < e {
-                let OpKind::PathIncr { delta } = ops[i + n].kind else {
-                    break;
-                };
-                let Some(s) = sum.checked_add(delta) else {
-                    break;
-                };
-                sum = s;
-                n += 1;
-            }
-            if n < 2 {
-                return None;
-            }
-            let cost = ops[i..i + n].iter().map(|o| o.cost).sum();
-            Some((n, cost, OpKind::PathIncr { delta: sum }))
-        }
         _ => None,
     }
 }
@@ -1460,128 +1285,6 @@ fn guide_block(ops: &mut [Op], s: usize, e: usize, g: &FuseGuidance) -> usize {
                 j += n;
             }
         }
-    }
-    fused
-}
-
-/// One ranked candidate from [`mine_hot_sequences`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HotSequence {
-    /// Name of the function the run lives in.
-    pub function: String,
-    /// Arena index of the run's first op within that function.
-    pub start: u32,
-    /// Number of consecutive source instructions in the run.
-    pub len: u32,
-    /// Summed warmup dispatch weight of the run's opcodes.
-    pub weight: u64,
-    /// Profiling opcode names of the components, in order.
-    pub opcodes: Vec<&'static str>,
-}
-
-/// Ranks the hottest *unfused* adjacent op sequences of a prepared module
-/// under `guidance`: scans every function's arena for maximal runs of
-/// guided-eligible plain ops (the remainder the static catalogue pass
-/// left width-1, with a call allowed to terminate a run) and scores each
-/// run by its opcodes' warmup dispatch weights. Returns the `top`
-/// heaviest runs, heaviest first, ties broken by position for
-/// determinism. This is the ranking [`FuseMode::Guided`] acts on via its
-/// per-block dynamic program; it is exposed for reports and tests.
-pub fn mine_hot_sequences(
-    prepared: &PreparedModule,
-    guidance: &FuseGuidance,
-    top: usize,
-) -> Vec<HotSequence> {
-    let mut out = Vec::new();
-    for ((_, src), f) in prepared.module.functions().zip(prepared.funcs.iter()) {
-        let ops = &f.ops;
-        let eligible = |k: usize| ops[k].width == 1 && guided_component_ok(&ops[k].kind, true);
-        let mut i = 0usize;
-        while i < ops.len() {
-            if !eligible(i) {
-                i += 1;
-                continue;
-            }
-            let start = i;
-            let mut weight = 0u64;
-            while i < ops.len() && eligible(i) {
-                weight = weight.saturating_add(guidance.weight(ops[i].kind.opcode()));
-                let is_call = matches!(
-                    ops[i].kind,
-                    OpKind::Call { .. } | OpKind::CallMethodStatic { .. }
-                );
-                i += 1;
-                if is_call {
-                    break;
-                }
-            }
-            if i - start >= 2 && weight > 0 {
-                out.push(HotSequence {
-                    function: src.name().to_owned(),
-                    start: start as u32,
-                    len: (i - start) as u32,
-                    weight,
-                    opcodes: ops[start..i]
-                        .iter()
-                        .map(|o| OPCODE_NAMES[o.kind.opcode()])
-                        .collect(),
-                });
-            }
-        }
-    }
-    out.sort_by(|a, b| {
-        b.weight
-            .cmp(&a.weight)
-            .then_with(|| a.function.cmp(&b.function))
-            .then_with(|| a.start.cmp(&b.start))
-    });
-    out.truncate(top);
-    out
-}
-
-/// Fuses each non-backedge `Jump` with the leading run of trap-free,
-/// operand-free instrumentation ops (`CallEdge`, `BlockCount`,
-/// `EdgeCount`) in its target block, landing past them. The target's own
-/// slots are left untouched — other predecessors still execute them.
-/// Runs after the intra-block pass, which never touches these op kinds.
-fn fuse_jump_effects(ops: &mut [Op], starts: &[u32]) -> usize {
-    let mut fused = 0;
-    for b in 0..starts.len() {
-        let term = starts.get(b + 1).map_or(ops.len(), |&n| n as usize) - 1;
-        let target = match ops[term].kind {
-            OpKind::Jump {
-                target,
-                backedge: false,
-            } => target as usize,
-            _ => continue,
-        };
-        let mut effects = Vec::new();
-        let mut extra = 0u64;
-        let mut k = target;
-        loop {
-            match &ops[k].kind {
-                OpKind::CallEdge => effects.push(InstrEffect::CallEdge),
-                OpKind::BlockCount { block } => effects.push(InstrEffect::BlockCount(*block)),
-                OpKind::EdgeCount { from, to } => {
-                    effects.push(InstrEffect::EdgeCount(*from, *to));
-                }
-                _ => break,
-            }
-            extra += ops[k].cost;
-            k += 1;
-        }
-        if effects.is_empty() {
-            continue;
-        }
-        ops[term] = Op {
-            cost: ops[term].cost + extra,
-            width: 1 + effects.len() as u32,
-            kind: OpKind::JumpInstr {
-                target: k as u32,
-                effects: effects.into(),
-            },
-        };
-        fused += 1;
     }
     fused
 }
@@ -1887,46 +1590,37 @@ mod tests {
     }
 
     #[test]
-    fn const_index_array_ops_fuse() {
-        let m =
-            compile("fn main() { var a = array(4); var x = 9; a[1] = 5; a[2] = x; print(a[1]); }");
-        let p = PreparedModule::prepare_with(&m, &CostModel::default(), FuseMode::Fuse);
-        let ops = &p.func(m.main()).ops;
-        assert!(
-            ops.iter().any(|op| matches!(
-                op.kind,
-                OpKind::ArraySetImm2 {
-                    idx: 1,
-                    src: Value::I64(5),
-                    ..
-                }
-            )),
-            "literal-value constant-index store should fuse as a triple"
-        );
-        assert!(
-            ops.iter()
-                .any(|op| matches!(op.kind, OpKind::ArraySetImm { idx: 2, .. })),
-            "variable-value constant-index store should fuse"
-        );
-        assert!(
-            ops.iter()
-                .any(|op| matches!(op.kind, OpKind::ArrayGetImm { idx: 1, .. })),
-            "constant-index load should fuse"
-        );
-    }
-
-    #[test]
     fn move_runs_fuse() {
         let m = compile(
-            "fn main() { var a = 1; var b = 2; var c = 3; a = b; c = a; b = c; print(b); }",
+            "fn rot(a, b, c) { print(a); a = b; c = a; b = c; print(b); }
+             fn main() { rot(1, 2, 3); }",
         );
-        let p = PreparedModule::prepare_with(&m, &CostModel::default(), FuseMode::Fuse);
-        let ops = &p.func(m.main()).ops;
-        assert!(
-            ops.iter()
-                .any(|op| matches!(op.kind, OpKind::MoveRun { ref moves } if moves.len() >= 2)),
-            "consecutive moves should fuse into a MoveRun"
-        );
+        let (rot, _) = m.functions().find(|(_, f)| f.name() == "rot").unwrap();
+        let cost = CostModel::default();
+        let moves = |p: &PreparedModule| -> Vec<(u32, bool)> {
+            p.func(rot)
+                .ops
+                .iter()
+                .filter_map(|op| match &op.kind {
+                    OpKind::Move { .. } => Some((op.width, false)),
+                    OpKind::Guided { steps, .. }
+                        if steps.iter().all(|(_, k)| matches!(k, OpKind::Move { .. })) =>
+                    {
+                        Some((op.width, true))
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        // The static catalogue has no move template: three plain moves.
+        let fused = PreparedModule::prepare_with(&m, &cost, FuseMode::Fuse);
+        assert_eq!(moves(&fused), vec![(1, false); 3]);
+        // A warm `move` weight makes the run one generic guided group.
+        let mut warm = crate::OpProfile::new();
+        crate::ProfileSink::record_dispatches(&mut warm, crate::profile::OPC_MOVE, 1, 1, 1);
+        let guidance = Box::new(FuseGuidance::from_profile(&warm));
+        let guided = PreparedModule::prepare_with(&m, &cost, FuseMode::Guided(guidance));
+        assert_eq!(moves(&guided), vec![(3, true)]);
     }
 
     #[test]
@@ -1966,23 +1660,42 @@ mod tests {
 
     #[test]
     fn branch_targets_never_point_at_gap_interiors() {
-        let m = compile(
-            "fn main() {
+        let mut m = compile(
+            "class C { field n; }
+             fn main() {
+                 var c = new C;
+                 c.n = 10;
                  var i = 0;
-                 while (i < 10) {
+                 var j = 3;
+                 var done = false;
+                 while (i < c.n) {
                      if (i < 5) { i = i + 2; } else { i = i + 1; }
+                     if (i < j) { j = j + 1; }
+                     if (done) { print(j); }
                  }
                  print(i);
              }",
         );
+        // Turn the entry block's jump into a check, so a `Check` is covered
+        // without depending on the instrumentation crate.
+        let f = m.function_mut(m.main());
+        let entry = f.entry();
+        if let Term::Jump(to) = *f.block(entry).term() {
+            f.set_term(
+                entry,
+                Term::Check {
+                    sample: to,
+                    cont: to,
+                },
+            );
+        }
         let p = PreparedModule::prepare_with(&m, &CostModel::default(), FuseMode::Fuse);
+        let mut kinds = HashSet::new();
         for f in &p.funcs {
             let mut targets = Vec::new();
             for op in f.ops.iter() {
                 match op.kind {
-                    OpKind::Jump { target, .. } | OpKind::JumpInstr { target, .. } => {
-                        targets.push(target)
-                    }
+                    OpKind::Jump { target, .. } => targets.push(target),
                     OpKind::Br { t, f, .. }
                     | OpKind::BrCmp { t, f, .. }
                     | OpKind::BrCmpImm { t, f, .. }
@@ -1994,16 +1707,38 @@ mod tests {
                         targets.push(sample);
                         targets.push(cont);
                     }
-                    _ => {}
+                    _ => continue,
                 }
+                kinds.insert(op.kind.opcode());
             }
+            // `fold_profile`'s per-block prefix sum relies on control
+            // entering a block only at its start.
             for t in targets {
+                assert!(
+                    f.block_starts.contains(&t),
+                    "control transfer lands mid-block"
+                );
                 assert!(
                     !matches!(f.ops[t as usize].kind, OpKind::Gap),
                     "control transfer lands on a gap slot"
                 );
             }
         }
+        use crate::profile::*;
+        let mut kinds: Vec<usize> = kinds.into_iter().collect();
+        kinds.sort_unstable();
+        assert_eq!(
+            kinds,
+            [
+                OPC_JUMP,
+                OPC_BR,
+                OPC_CHECK,
+                OPC_BR_CMP,
+                OPC_BR_CMP_IMM,
+                OPC_GET_FIELD_BR_CMP
+            ],
+            "every control-transfer form is covered"
+        );
     }
 
     #[test]

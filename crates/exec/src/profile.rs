@@ -87,24 +87,19 @@ pub(crate) const OPC_CALL_METHOD_STATIC: usize = 32;
 pub(crate) const OPC_BIN_IMM: usize = 33;
 pub(crate) const OPC_BR_CMP: usize = 34;
 pub(crate) const OPC_BR_CMP_IMM: usize = 35;
-pub(crate) const OPC_ARRAY_GET_IMM: usize = 36;
-pub(crate) const OPC_ARRAY_SET_IMM: usize = 37;
-pub(crate) const OPC_ARRAY_SET_IMM2: usize = 38;
-pub(crate) const OPC_CONST_SET_FIELD: usize = 39;
-pub(crate) const OPC_GET_FIELD_BIN: usize = 40;
-pub(crate) const OPC_BIN_SET_FIELD: usize = 41;
-pub(crate) const OPC_BIN_IMM_SET_FIELD: usize = 42;
-pub(crate) const OPC_GET_FIELD_BIN_IMM: usize = 43;
-pub(crate) const OPC_GET_FIELD_BIN_IMM_SET_FIELD: usize = 44;
-pub(crate) const OPC_GET_FIELD_BR_CMP: usize = 45;
-pub(crate) const OPC_GET_FIELD_ARRAY_GET: usize = 46;
-pub(crate) const OPC_GET_FIELD_ARRAY_SET: usize = 47;
-pub(crate) const OPC_MOVE_RUN: usize = 48;
-pub(crate) const OPC_JUMP_INSTR: usize = 49;
+pub(crate) const OPC_CONST_SET_FIELD: usize = 36;
+pub(crate) const OPC_GET_FIELD_BIN: usize = 37;
+pub(crate) const OPC_BIN_SET_FIELD: usize = 38;
+pub(crate) const OPC_BIN_IMM_SET_FIELD: usize = 39;
+pub(crate) const OPC_GET_FIELD_BIN_IMM: usize = 40;
+pub(crate) const OPC_GET_FIELD_BIN_IMM_SET_FIELD: usize = 41;
+pub(crate) const OPC_GET_FIELD_BR_CMP: usize = 42;
+pub(crate) const OPC_GET_FIELD_ARRAY_GET: usize = 43;
+pub(crate) const OPC_GET_FIELD_ARRAY_SET: usize = 44;
 /// The generalized profile-guided fusion template (`FuseMode::Guided`):
 /// one dispatch executing a mined run of two or three plain components.
-pub(crate) const OPC_GUIDED: usize = 50;
-pub(crate) const OPC_GAP: usize = 51;
+pub(crate) const OPC_GUIDED: usize = 45;
+pub(crate) const OPC_GAP: usize = 46;
 
 /// First statically-resolved opcode index: opcodes below this are the
 /// plain decoded forms shared with the tree-walking reference engine.
@@ -154,9 +149,6 @@ pub const OPCODE_NAMES: [&str; NUM_OPCODES] = [
     "bin-imm",
     "br-cmp",
     "br-cmp-imm",
-    "array-get-imm",
-    "array-set-imm",
-    "array-set-imm2",
     "const-set-field",
     "get-field-bin",
     "bin-set-field",
@@ -166,8 +158,6 @@ pub const OPCODE_NAMES: [&str; NUM_OPCODES] = [
     "get-field-br-cmp",
     "get-field-array-get",
     "get-field-array-set",
-    "move-run",
-    "jump-instr",
     "guided",
     "gap",
 ];
@@ -357,15 +347,6 @@ impl OpProfile {
         self.rows.iter().map(|r| r.cycles).sum()
     }
 
-    /// Dispatches that executed a fused superinstruction.
-    #[must_use]
-    pub fn fused_dispatches(&self) -> u64 {
-        (0..NUM_OPCODES)
-            .filter(|&op| opcode_is_fused(op))
-            .map(|op| self.rows[op].count)
-            .sum()
-    }
-
     /// Source instructions executed *as part of* a fused superinstruction.
     #[must_use]
     pub fn fused_instructions(&self) -> u64 {
@@ -445,7 +426,7 @@ impl OpProfile {
 /// template catalogue failed to cover, so the guided pass chases the ops
 /// that actually dispatched. Weights are *opcode-keyed*, not slot-keyed;
 /// the guided preparation pass combines them with the static op arenas to
-/// rank candidate sequences per function (see `mine_hot_sequences`).
+/// re-partition each block.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FuseGuidance {
     weights: [u64; FIRST_FUSED],
@@ -487,19 +468,6 @@ impl FuseGuidance {
     #[must_use]
     pub fn weight(&self, op: usize) -> u64 {
         self.weights.get(op).copied().unwrap_or(0)
-    }
-
-    /// Total warmup dispatches across all plain opcodes.
-    #[must_use]
-    pub fn total_weight(&self) -> u64 {
-        self.weights.iter().sum()
-    }
-
-    /// Whether the warmup saw no plain dispatches at all (guided fusion
-    /// then has nothing to rank and degrades to cold-sequence fusion).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.weights.iter().all(|&w| w == 0)
     }
 }
 
@@ -545,7 +513,7 @@ mod tests {
         assert!(!opcode_is_fused(OPC_GET_FIELD_STATIC));
         assert!(!opcode_is_fused(OPC_CALL_METHOD_STATIC));
         assert!(opcode_is_fused(OPC_BIN_IMM));
-        assert!(opcode_is_fused(OPC_JUMP_INSTR));
+        assert!(opcode_is_fused(OPC_GUIDED));
         assert!(!opcode_is_fused(OPC_GAP));
         // Names are unique.
         let mut names: Vec<&str> = OPCODE_NAMES.to_vec();
@@ -568,7 +536,6 @@ mod tests {
         assert_eq!(p.total_dispatches(), 3);
         assert_eq!(p.total_instructions(), 5);
         assert_eq!(p.fused_instructions(), 3);
-        assert_eq!(p.fused_dispatches(), 1);
         assert!((p.fusion_coverage_pct() - 60.0).abs() < 1e-9);
         assert_eq!(p.sample_gap_cycles(), &[100, 150]);
         assert_eq!(p.checks_per_sample(), &[4, 5]);

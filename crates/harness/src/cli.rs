@@ -63,7 +63,6 @@ pub const USAGE: &str = "usage: isf-harness [--scale smoke|default|paper] [--job
      \x20                  [--profile] [--trace-out FILE] <experiment>...\n\
      \x20      isf-harness --explore schedules=N[,seed=S] [--scale smoke|default|paper]\n\
      \x20                  [--jobs N] [--emit json|off] [--emit-path FILE] <benchmark>...|all\n\
-     \x20      isf-harness bench-snapshot [--scale smoke|default|paper] [--jobs N] [--out DIR]\n\
      \x20      isf-harness validate-jsonl <FILE>\n\
      experiments: table1 table2 table3 table4 table5 fig7 fig8 extras all\n\
      a flag beats its environment variable, which beats the default; a malformed\n\
@@ -147,17 +146,6 @@ pub struct ExploreConfig {
     pub benches: Vec<String>,
 }
 
-/// A parsed `bench-snapshot` invocation.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SnapshotConfig {
-    /// Workload scale.
-    pub scale: Scale,
-    /// The resolved harness settings (only `--jobs` is a flag here).
-    pub harness: HarnessConfig,
-    /// Output directory.
-    pub out: PathBuf,
-}
-
 /// What the command line asks for.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
@@ -165,8 +153,6 @@ pub enum Command {
     Run(RunConfig),
     /// Explore thread schedules over benchmarks (`--explore`).
     Explore(ExploreConfig),
-    /// Write a dated performance snapshot.
-    BenchSnapshot(SnapshotConfig),
     /// Validate a JSONL stream against the record contract.
     ValidateJsonl {
         /// The stream file to validate.
@@ -291,15 +277,11 @@ fn env_config(env: Env) -> Result<HarnessConfig, CliError> {
 /// (one-line diagnostic); [`CliError::Usage`] for a structurally wrong
 /// invocation.
 pub fn parse(args: &[String], env: Env) -> Result<Command, CliError> {
-    match args.first().map(String::as_str) {
-        Some("bench-snapshot") => return parse_snapshot(&args[1..], env),
-        Some("validate-jsonl") => {
-            let [path] = &args[1..] else {
-                return Err(CliError::Usage);
-            };
-            return Ok(Command::ValidateJsonl { path: path.clone() });
-        }
-        _ => {}
+    if args.first().map(String::as_str) == Some("validate-jsonl") {
+        let [path] = &args[1..] else {
+            return Err(CliError::Usage);
+        };
+        return Ok(Command::ValidateJsonl { path: path.clone() });
     }
 
     let mut scale = Scale::Default;
@@ -436,26 +418,6 @@ fn expand_names(
     } else {
         names
     })
-}
-
-fn parse_snapshot(args: &[String], env: Env) -> Result<Command, CliError> {
-    let mut scale = Scale::Smoke;
-    let mut harness = env_config(env)?;
-    let mut out = PathBuf::from(".");
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scale" => scale = parse_scale(next_value(&mut it, "--scale")?)?,
-            "--jobs" => harness.jobs = parse_jobs(next_value(&mut it, arg)?)?,
-            "--out" => out = PathBuf::from(next_value(&mut it, "--out")?),
-            _ => return Err(CliError::Usage),
-        }
-    }
-    Ok(Command::BenchSnapshot(SnapshotConfig {
-        scale,
-        harness,
-        out,
-    }))
 }
 
 #[cfg(test)]
@@ -600,10 +562,11 @@ mod tests {
             }
         );
         assert!(cfg.profile);
-        let Ok(Command::BenchSnapshot(snap)) = parse_in(&vars, &["bench-snapshot"]) else {
-            panic!("bench-snapshot reads the variables too");
+        let Ok(Command::Explore(explore)) = parse_in(&vars, &["--explore", "schedules=1", "all"])
+        else {
+            panic!("--explore reads the variables too");
         };
-        assert_eq!(snap.harness, cfg.harness);
+        assert_eq!(explore.harness, cfg.harness);
         // A flag beats its variable; an empty variable counts as unset.
         let Ok(Command::Run(cfg)) = parse_in(
             &[
@@ -836,17 +799,6 @@ mod tests {
             })
         );
         assert_eq!(parse_args(&["validate-jsonl"]), Err(CliError::Usage));
-        let Ok(Command::BenchSnapshot(cfg)) =
-            parse_args(&["bench-snapshot", "--scale", "smoke", "--out", "d"])
-        else {
-            panic!("bench-snapshot should parse");
-        };
-        assert_eq!(cfg.scale, Scale::Smoke);
-        assert_eq!(cfg.out, PathBuf::from("d"));
-        assert!(matches!(
-            parse_args(&["bench-snapshot", "--jobs", "0"]),
-            Err(CliError::Bad(_))
-        ));
         assert_eq!(parse_args(&["--help"]), Ok(Command::Help));
     }
 }

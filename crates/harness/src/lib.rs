@@ -34,7 +34,6 @@ pub mod fig8;
 pub mod journal;
 pub mod jsonl;
 pub mod runner;
-pub mod snapshot;
 pub mod spin;
 pub mod table1;
 pub mod table2;
@@ -44,6 +43,15 @@ pub mod table5;
 mod watchdog;
 
 pub use isf_workloads::Scale;
+
+/// The CLI name of a scale (`smoke` / `default` / `paper`).
+pub fn scale_name(scale: Scale) -> &'static str {
+    match scale {
+        Scale::Smoke => "smoke",
+        Scale::Default => "default",
+        Scale::Paper => "paper",
+    }
+}
 
 /// Formats a percentage in the paper's style (one decimal).
 pub(crate) fn pct(x: f64) -> String {

@@ -13,7 +13,6 @@
 //!             [--profile] [--trace-out FILE] <experiment>...
 //! isf-harness --explore schedules=N[,seed=S] [--scale ...] [--jobs N]
 //!             [--emit json|off] [--emit-path FILE] <benchmark>...|all
-//! isf-harness bench-snapshot [--scale ...] [--out DIR]
 //! isf-harness validate-jsonl <FILE>
 //! experiments: table1 table2 table3 table4 table5 fig7 fig8 extras all
 //! ```
@@ -99,11 +98,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use isf_harness::cli::{self, CliError, Command, ExploreConfig, RunConfig, SnapshotConfig};
+use isf_harness::cli::{self, CliError, Command, ExploreConfig, RunConfig};
 use isf_harness::runner::Harness;
 use isf_harness::{
-    explore, extras, fig7, fig8, journal, jsonl, snapshot, spin, table1, table2, table3, table4,
-    table5,
+    explore, extras, fig7, fig8, journal, jsonl, spin, table1, table2, table3, table4, table5,
 };
 use isf_obs::{emit, log, metrics, span, Json};
 
@@ -210,19 +208,6 @@ fn finish_observability(cfg: &RunConfig) -> Result<(), ExitCode> {
     Ok(())
 }
 
-fn bench_snapshot(cfg: &SnapshotConfig) -> ExitCode {
-    match snapshot::write(&Harness::new(cfg.harness.clone()), cfg.scale, &cfg.out) {
-        Ok(path) => {
-            log::cells(&format!("wrote {}", path.display()));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            log::error(&format!("bench-snapshot: {e}"));
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn validate_jsonl(path: &str) -> ExitCode {
     let stream = match std::fs::read_to_string(path) {
         Ok(s) => s,
@@ -296,7 +281,7 @@ fn run_explore(cfg: &ExploreConfig) -> ExitCode {
         emit::record(&Json::obj([
             ("type", "meta".into()),
             ("schema", "isf-harness-jsonl/1".into()),
-            ("scale", snapshot::scale_name(cfg.scale).into()),
+            ("scale", isf_harness::scale_name(cfg.scale).into()),
             (
                 "experiments",
                 Json::Arr(cfg.benches.iter().map(|e| e.as_str().into()).collect()),
@@ -375,7 +360,7 @@ fn run(cfg: &RunConfig) -> ExitCode {
         let mut meta: Vec<(&'static str, Json)> = vec![
             ("type", "meta".into()),
             ("schema", "isf-harness-jsonl/1".into()),
-            ("scale", snapshot::scale_name(cfg.scale).into()),
+            ("scale", isf_harness::scale_name(cfg.scale).into()),
             (
                 "experiments",
                 Json::Arr(cfg.experiments.iter().map(|e| e.as_str().into()).collect()),
@@ -458,7 +443,6 @@ fn main() -> ExitCode {
     match cli::parse(&args, &|k| std::env::var(k).ok()) {
         Ok(Command::Run(cfg)) => run(&cfg),
         Ok(Command::Explore(cfg)) => run_explore(&cfg),
-        Ok(Command::BenchSnapshot(cfg)) => bench_snapshot(&cfg),
         Ok(Command::ValidateJsonl { path }) => validate_jsonl(&path),
         Ok(Command::Help) => {
             log::error(cli::USAGE);

@@ -169,7 +169,7 @@ impl HarnessConfig {
         };
         journal::RunInputs {
             version: env!("CARGO_PKG_VERSION").to_owned(),
-            scale: crate::snapshot::scale_name(scale).to_owned(),
+            scale: crate::scale_name(scale).to_owned(),
             experiments: experiments.to_vec(),
             cell_budget: *cell_budget,
             retries: u64::try_from(*retries).unwrap_or(u64::MAX),

@@ -26,13 +26,12 @@ pub enum Stmt {
     /// A bounded `while` loop running the body N times.
     Loop(u8, Vec<Stmt>),
     /// `vA = vB; vC = vA; vB = vC;` — a chain of register-to-register
-    /// moves, the shape the fusion pass folds into one `MoveRun`.
+    /// moves, the shape guided fusion groups under a warm `move` weight.
     MoveChain(u8, u8, u8),
     /// `arr[K] = vN;` — an array store with a constant index (in bounds
-    /// by construction), the `Const`+`ArraySet` fusion candidate.
+    /// by construction).
     ArrPut(u8, u8),
-    /// `vN = arr[K];` — a constant-index array load, the
-    /// `Const`+`ArrayGet` fusion candidate.
+    /// `vN = arr[K];` — a constant-index array load.
     ArrTake(u8, u8),
     /// `if (vN < K) { ... } else { ... }` — a comparison feeding the
     /// branch directly, the `Const`+`Bin`+`Br` fusion candidate.

@@ -91,8 +91,8 @@ proptest! {
     fn fusion_preserves_outcomes_on_path_profiled_programs(
         stmts in prop::collection::vec(stmt_strategy(), 1..6)
     ) {
-        // Ball–Larus instrumentation produces the PathIncr runs the
-        // fusion pass folds into a single delta.
+        // Ball–Larus instrumentation adds path-register ops, which fused
+        // blocks must carry through unchanged.
         let module = compile(&render_program(&stmts));
         let plan = ModulePlan::build(&module, &[&PathProfileInstrumentation]);
         let (out, _) =
