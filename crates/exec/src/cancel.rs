@@ -10,22 +10,27 @@
 //! and unwinds through the ordinary trap path with an accurate partial
 //! profile.
 //!
-//! A [`CancelToken`] is an epoch counter, not a flag: a watchdog that
-//! captured the epoch when a cell *started* can only cancel that same
-//! cell ([`CancelToken::cancel_from`] is a compare-and-swap), so a stale
-//! timer firing after the cell finished — and after the worker moved on —
-//! cannot kill the cell that reused the thread.
+//! A [`CancelToken`] fires once and stays fired, so a run given a token
+//! that fired between two runs of the same unit of work still stops; the
+//! harness makes a fresh token per cell attempt. Firing goes through an
+//! epoch counter: a watchdog that captured the epoch when it armed can
+//! only fire that epoch ([`CancelToken::cancel_from`] is a
+//! compare-and-swap), so a stale timer never fires a token twice.
 //!
-//! Tokens are armed per worker thread ([`arm`]) rather than carried in
-//! `VmConfig`: the config is `Copy` and its `Debug` form feeds run
-//! fingerprints, while a token is identity, not configuration. The
-//! engines snapshot the armed state once at machine construction, so the
-//! hot loop never touches thread-local storage; with nothing armed the
-//! polls are a never-taken branch on a plain `Option` and clean runs are
-//! byte-identical to a build without the subsystem.
+//! Cancellation is an explicit run input, like the sinks: a run polls a
+//! token only if its [`Request`](crate::Request) carries one
+//! ([`Request::cancel`](crate::Request::cancel)), so no run inherits
+//! another's cancellation — [`Engine::Guided`](crate::Engine::Guided)'s
+//! warmup inside `load` included, which its own 250,000-cycle budget
+//! bounds instead. A token is identity, not configuration, so it stays
+//! out of the `Copy` [`VmConfig`](crate::VmConfig) whose `Debug` form
+//! feeds run fingerprints. With no token the polls are a never-taken
+//! branch on a plain `Option`, and clean runs are byte-identical to a
+//! build without the subsystem.
 //!
 //! Wall-clock cancellation is inherently nondeterministic, so tests use
-//! the deterministic half of [`arm`]: `cancel_after` raises
+//! the deterministic input
+//! [`Request::cancel_after`](crate::Request::cancel_after): it raises
 //! [`TrapKind::Cancelled`] at exactly the charge that takes the clock
 //! past the given cycle count — the same predicate, at the same points,
 //! as a `max_cycles` fuel trap — making cancellation-at-cycle-K runs
@@ -33,7 +38,6 @@
 //!
 //! [`TrapKind::Cancelled`]: crate::TrapKind::Cancelled
 
-use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -43,8 +47,8 @@ use std::sync::Arc;
 /// fixed dispatch count instead.
 pub const NAIVE_POLL_INTERVAL: u32 = 1024;
 
-/// A shared cancellation epoch. Clones observe the same epoch; see the
-/// module docs for the arming and polling contract.
+/// A shared cancellation epoch, fired once it leaves 0. Clones observe
+/// the same epoch; see the module docs for the polling contract.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     epoch: Arc<AtomicU64>,
@@ -56,23 +60,22 @@ impl CancelToken {
         Self::default()
     }
 
-    /// The current epoch, to be captured alongside [`arm`] and passed to
+    /// The current epoch, to be captured and passed to
     /// [`CancelToken::cancel_from`] by whoever may cancel later.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Relaxed)
     }
 
-    /// Cancels unconditionally by advancing the epoch. Every engine armed
-    /// with this token at the previous epoch traps at its next poll.
+    /// Cancels unconditionally by advancing the epoch. Every run given
+    /// this token traps at its next poll.
     pub fn cancel(&self) {
         self.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Cancels only if the epoch still equals `snapshot` — the epoch a
     /// watchdog captured when its deadline started. Returns whether the
-    /// cancellation landed; `false` means the epoch had already moved on
-    /// (the run finished and the token was re-armed), so the stale fire
-    /// hit nothing.
+    /// cancellation landed; `false` means the epoch had already moved on,
+    /// so the stale fire hit nothing.
     pub fn cancel_from(&self, snapshot: u64) -> bool {
         self.epoch
             .compare_exchange(
@@ -88,73 +91,25 @@ impl CancelToken {
     pub fn is_cancelled(&self, snapshot: u64) -> bool {
         self.epoch.load(Ordering::Relaxed) != snapshot
     }
-}
 
-/// A token plus the epoch at arming time: what the engines actually poll.
-#[derive(Clone)]
-pub(crate) struct ArmedToken {
-    epoch: Arc<AtomicU64>,
-    snapshot: u64,
-}
-
-impl ArmedToken {
-    /// Whether the token was cancelled since arming. One relaxed atomic
-    /// load; the poll sites are cheap enough that ordering stricter than
-    /// `Relaxed` would buy nothing (the trap path synchronizes through
-    /// the unwind, not the flag).
+    /// Whether the token has fired at all: what the engines poll. One
+    /// relaxed atomic load; the trap path synchronizes through the
+    /// unwind, not the flag, so a stricter ordering would buy nothing.
     #[inline]
     pub(crate) fn fired(&self) -> bool {
-        self.epoch.load(Ordering::Relaxed) != self.snapshot
+        self.is_cancelled(0)
     }
 }
 
-thread_local! {
-    static ARMED_TOKEN: RefCell<Option<ArmedToken>> = const { RefCell::new(None) };
-    static CANCEL_AFTER: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-/// Arms cancellation for machines constructed on the current thread until
-/// the returned guard drops: an optional shared `token` (polled at block
-/// entries / every-N dispatches) and an optional deterministic
-/// `cancel_after` cycle count (checked at every cycle charge, exactly
-/// where a fuel budget would trap). The guard restores the previous
-/// arming on drop — including across unwinds, so a panicking or trapping
-/// cell cannot leak its token into the next cell run on the same worker.
-#[must_use = "cancellation is only armed while the scope is alive"]
-pub fn arm(token: Option<&CancelToken>, cancel_after: Option<u64>) -> CancelScope {
-    let armed = token.map(|t| ArmedToken {
-        epoch: Arc::clone(&t.epoch),
-        snapshot: t.epoch(),
-    });
-    let prev_token = ARMED_TOKEN.with(|s| s.replace(armed));
-    let prev_after = CANCEL_AFTER.with(|s| s.replace(cancel_after));
-    CancelScope {
-        prev_token,
-        prev_after,
-    }
-}
-
-/// RAII guard returned by [`arm`]; restores the previously armed state.
-pub struct CancelScope {
-    prev_token: Option<ArmedToken>,
-    prev_after: Option<u64>,
-}
-
-impl Drop for CancelScope {
-    fn drop(&mut self) {
-        ARMED_TOKEN.with(|s| *s.borrow_mut() = self.prev_token.take());
-        CANCEL_AFTER.with(|s| s.set(self.prev_after.take()));
-    }
-}
-
-/// The armed token snapshot for a machine being constructed now.
-pub(crate) fn armed_token() -> Option<ArmedToken> {
-    ARMED_TOKEN.with(|s| s.borrow().clone())
-}
-
-/// The armed deterministic cancellation point, if any.
-pub(crate) fn armed_after() -> Option<u64> {
-    CANCEL_AFTER.with(|s| s.get())
+/// A run's cancellation inputs, as [`Request`](crate::Request) carries
+/// them to the engines.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Cancel<'t> {
+    /// Polled at block entries (prepared) or every
+    /// [`NAIVE_POLL_INTERVAL`] dispatches (naive).
+    pub(crate) token: Option<&'t CancelToken>,
+    /// Deterministic cancellation point, checked at every cycle charge.
+    pub(crate) after: Option<u64>,
 }
 
 #[cfg(test)]
@@ -173,38 +128,5 @@ mod tests {
         assert!(!t.cancel_from(snapshot), "stale fire must miss");
         let next = t.epoch();
         assert!(!t.is_cancelled(next));
-    }
-
-    #[test]
-    fn arm_is_scoped_and_nestable() {
-        assert!(armed_token().is_none());
-        assert_eq!(armed_after(), None);
-        let outer_token = CancelToken::new();
-        {
-            let _outer = arm(Some(&outer_token), Some(10));
-            assert!(armed_token().is_some());
-            assert_eq!(armed_after(), Some(10));
-            {
-                let _inner = arm(None, Some(7));
-                assert!(armed_token().is_none(), "inner scope shadows the token");
-                assert_eq!(armed_after(), Some(7));
-            }
-            assert!(armed_token().is_some(), "outer arming restored");
-            assert_eq!(armed_after(), Some(10));
-        }
-        assert!(armed_token().is_none());
-        assert_eq!(armed_after(), None);
-    }
-
-    #[test]
-    fn scope_restores_across_unwind() {
-        let t = CancelToken::new();
-        let r = std::panic::catch_unwind(|| {
-            let _scope = arm(Some(&t), Some(5));
-            panic!("cell died");
-        });
-        assert!(r.is_err());
-        assert!(armed_token().is_none(), "unwind must disarm");
-        assert_eq!(armed_after(), None);
     }
 }

@@ -13,6 +13,7 @@ use std::borrow::Cow;
 
 use isf_ir::Module;
 
+use crate::cancel::{Cancel, CancelToken};
 use crate::cost::CostModel;
 use crate::error::VmError;
 use crate::interp::{self, ExecLimits, VmConfig};
@@ -146,13 +147,16 @@ impl Code<'_> {
             trace,
             profile,
             sched,
+            cancel,
         } = request;
         // The default control is the recording-free round-robin fast path.
         let mut round_robin = SchedControl::default();
         let sched = sched.unwrap_or(&mut round_robin);
         match self {
-            Code::Naive(module) => naive::execute(module, config, trace, profile, sched),
-            Code::Prepared(prepared) => interp::execute(prepared, config, trace, profile, sched),
+            Code::Naive(module) => naive::execute(module, config, trace, profile, sched, cancel),
+            Code::Prepared(prepared) => {
+                interp::execute(prepared, config, trace, profile, sched, cancel)
+            }
         }
     }
 
@@ -167,14 +171,16 @@ impl Code<'_> {
 }
 
 /// One run's inputs besides its code: the configuration, a burst-trace
-/// sink, a dispatch-profile sink and a scheduling control. The caller
-/// keeps the sinks and the control, and so the recordings, after the run.
+/// sink, a dispatch-profile sink, a scheduling control and the
+/// cancellation inputs. The caller keeps the sinks and the control, and
+/// so the recordings, after the run.
 #[must_use]
 pub struct Request<'r, S = NoTrace, P = NoMetrics> {
     config: &'r VmConfig,
     trace: &'r mut S,
     profile: &'r mut P,
     sched: Option<&'r mut SchedControl>,
+    cancel: Cancel<'r>,
 }
 
 impl<'r> Request<'r> {
@@ -187,6 +193,7 @@ impl<'r> Request<'r> {
             trace: Box::leak(Box::new(NoTrace)),
             profile: Box::leak(Box::new(NoMetrics)),
             sched: None,
+            cancel: Cancel::default(),
         }
     }
 }
@@ -199,6 +206,7 @@ impl<'r, S, P> Request<'r, S, P> {
             trace,
             profile: self.profile,
             sched: self.sched,
+            cancel: self.cancel,
         }
     }
 
@@ -209,6 +217,7 @@ impl<'r, S, P> Request<'r, S, P> {
             trace: self.trace,
             profile,
             sched: self.sched,
+            cancel: self.cancel,
         }
     }
 
@@ -218,6 +227,22 @@ impl<'r, S, P> Request<'r, S, P> {
             sched: Some(sched),
             ..self
         }
+    }
+
+    /// Polls `token` (see [`crate::cancel`]): once it has fired, the run
+    /// traps with [`TrapKind::Cancelled`](crate::TrapKind::Cancelled) at
+    /// its next poll.
+    pub fn cancel(mut self, token: &'r CancelToken) -> Self {
+        self.cancel.token = Some(token);
+        self
+    }
+
+    /// Traps with [`TrapKind::Cancelled`](crate::TrapKind::Cancelled) at
+    /// the charge that takes the clock past `cycles`: the charge at which
+    /// a `max_cycles` budget of `cycles` traps, which wins a tie.
+    pub fn cancel_after(mut self, cycles: u64) -> Self {
+        self.cancel.after = Some(cycles);
+        self
     }
 }
 

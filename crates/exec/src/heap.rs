@@ -194,11 +194,6 @@ impl Heap {
         }
     }
 
-    /// Number of live objects (for tests and stats).
-    pub fn num_objects(&self) -> usize {
-        self.objects.len()
-    }
-
     /// Number of live arrays (for tests and stats).
     pub fn num_arrays(&self) -> usize {
         self.arrays.len()

@@ -25,7 +25,7 @@
 use isf_ir::{BinOp, CallSiteId, ClassId, FieldSym, FuncId, LocalId, UnOp};
 use isf_profile::ProfileData;
 
-use crate::cancel::{self, ArmedToken};
+use crate::cancel::{Cancel, CancelToken};
 use crate::cost::CostModel;
 use crate::error::{TrapKind, VmError};
 use crate::heap::Heap;
@@ -118,13 +118,14 @@ pub(crate) fn execute<S: TraceSink, P: ProfileSink>(
     sink: &mut S,
     profile: &mut P,
     sched: &mut SchedControl,
+    cancel: Cancel<'_>,
 ) -> Result<Outcome, VmError> {
     assert_eq!(
         &config.cost,
         prepared.cost(),
         "execute: config cost model differs from the preparation cost model"
     );
-    let mut machine = Machine::new(prepared, config, sink, profile, sched);
+    let mut machine = Machine::new(prepared, config, sink, profile, sched, cancel);
     let result = machine.run_to_completion();
     // Both readers below walk the thread table, stacks and trap frame
     // included, so the running thread's stack goes back there first.
@@ -240,10 +241,11 @@ struct Machine<'p, 's, S: TraceSink, P: ProfileSink> {
     timeslice: u64,
     max_cycles: Option<u64>,
     max_stack: usize,
-    /// Cooperative-cancellation token armed on this thread at machine
-    /// construction ([`crate::cancel::arm`]), polled at block entries.
+    /// The request's cooperative-cancellation token
+    /// ([`Request::cancel`](crate::Request::cancel)), polled at block
+    /// entries.
     /// `None` on clean runs, where the poll is a never-taken branch.
-    cancel: Option<ArmedToken>,
+    cancel: Option<&'s CancelToken>,
     /// Deterministic cancellation point: raise [`TrapKind::Cancelled`] at
     /// the charge that takes the clock past this count, exactly where a
     /// `max_cycles` fuel budget of the same value would trap.
@@ -296,6 +298,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
         sink: &'s mut S,
         psink: &'s mut P,
         sched: &'s mut SchedControl,
+        cancel: Cancel<'s>,
     ) -> Self {
         let main = prepared.module().main();
         let main_frame = Frame {
@@ -335,8 +338,8 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
             timeslice: config.timeslice.max(1),
             max_cycles: config.limits.max_cycles,
             max_stack: config.limits.max_stack,
-            cancel: cancel::armed_token(),
-            cancel_after: cancel::armed_after(),
+            cancel: cancel.token,
+            cancel_after: cancel.after,
             heap: Heap::with_limit(config.limits.max_heap_words),
             top: main_frame,
             below: Vec::new(),
@@ -1789,10 +1792,7 @@ mod tests {
                 limits: ExecLimits::cycles(k),
                 ..VmConfig::default()
             }));
-            let cancelled = {
-                let _scope = crate::cancel::arm(None, Some(k));
-                code.execute(Request::new(&VmConfig::default()))
-            };
+            let cancelled = code.execute(Request::new(&VmConfig::default()).cancel_after(k));
             let label = engine.label();
             match (cancelled, fuel) {
                 (Err(c), Err(f)) => {
@@ -1816,8 +1816,10 @@ mod tests {
             limits: ExecLimits::cycles(5_000),
             ..VmConfig::default()
         };
-        let _scope = crate::cancel::arm(None, Some(5_000));
-        let e = on(Engine::default(), &m, &cfg).unwrap_err();
+        let e = Engine::default()
+            .load(&m, &cfg.cost)
+            .execute(Request::new(&cfg).cancel_after(5_000))
+            .unwrap_err();
         assert_eq!(e.kind, TrapKind::FuelExhausted(5_000));
     }
 
@@ -1825,13 +1827,11 @@ mod tests {
     fn fired_token_cancels_an_unbudgeted_loop_in_both_engines() {
         let m = compile("fn main() { while (true) { } }");
         for engine in Engine::ALL {
-            // Loaded unarmed, so guided fusion's warmup runs to its budget.
             let code = engine.load(&m, &CostModel::default());
             let token = crate::cancel::CancelToken::new();
-            let _scope = crate::cancel::arm(Some(&token), None);
             token.cancel(); // fired before the run: traps at the first poll
             let e = code
-                .execute(Request::new(&VmConfig::default()))
+                .execute(Request::new(&VmConfig::default()).cancel(&token))
                 .unwrap_err();
             assert_eq!(e.kind, TrapKind::Cancelled, "{}", engine.label());
             assert_eq!(e.function, "main");
@@ -1844,11 +1844,11 @@ mod tests {
         let m = compile(src);
         let clean = on(Engine::default(), &m, &VmConfig::default()).unwrap();
         let token = crate::cancel::CancelToken::new();
-        let armed = {
-            let _scope = crate::cancel::arm(Some(&token), None);
-            on(Engine::default(), &m, &VmConfig::default()).unwrap()
-        };
-        assert_eq!(clean, armed, "an armed-but-silent token must be invisible");
+        let armed = Engine::default()
+            .load(&m, &CostModel::default())
+            .execute(Request::new(&VmConfig::default()).cancel(&token))
+            .unwrap();
+        assert_eq!(clean, armed, "a silent token must be invisible");
     }
 
     #[test]
@@ -1862,12 +1862,9 @@ mod tests {
         let cfg = VmConfig::default();
         let prepared = PreparedModule::prepare_with(&m, &cfg.cost, crate::fuse_mode());
         let mut profile = crate::profile::OpProfile::new();
-        let err = {
-            let _scope = crate::cancel::arm(None, Some(4_000));
-            Code::from(&prepared)
-                .execute(Request::new(&cfg).profile(&mut profile))
-                .unwrap_err()
-        };
+        let err = Code::from(&prepared)
+            .execute(Request::new(&cfg).cancel_after(4_000).profile(&mut profile))
+            .unwrap_err();
         assert_eq!(err.kind, TrapKind::Cancelled);
         // The partial profile must equal a fuel trap's at the same point.
         let fuel_cfg = VmConfig {

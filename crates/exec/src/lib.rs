@@ -75,7 +75,7 @@ mod trace;
 mod trigger;
 mod value;
 
-pub use cancel::{CancelScope, CancelToken};
+pub use cancel::CancelToken;
 pub use cost::CostModel;
 pub use engine::{run_naive, run_prepared, run_prepared_profiled, Code, Engine, Request};
 pub use error::{TrapKind, VmError};

@@ -21,7 +21,7 @@ use std::collections::HashSet;
 use isf_ir::{loops, BlockId, CallSiteId, FuncId, Inst, InstrOp, LocalId, Module, Term};
 use isf_profile::ProfileData;
 
-use crate::cancel::{self, ArmedToken, NAIVE_POLL_INTERVAL};
+use crate::cancel::{Cancel, CancelToken, NAIVE_POLL_INTERVAL};
 use crate::error::{TrapKind, VmError};
 use crate::heap::Heap;
 use crate::interp::VmConfig;
@@ -49,8 +49,9 @@ pub(crate) fn execute<S: TraceSink, P: ProfileSink>(
     sink: &mut S,
     profile: &mut P,
     sched: &mut SchedControl,
+    cancel: Cancel<'_>,
 ) -> Result<Outcome, VmError> {
-    let mut machine = Machine::new(module, config, sink, profile, sched);
+    let mut machine = Machine::new(module, config, sink, profile, sched, cancel);
     let result = machine.run_to_completion();
     match result {
         Ok(()) => Ok(machine.into_outcome()),
@@ -112,11 +113,11 @@ struct Machine<'m, 's, S: TraceSink, P: ProfileSink> {
     timeslice: u64,
     max_cycles: Option<u64>,
     max_stack: usize,
-    /// Cooperative-cancellation token armed on this thread at machine
-    /// construction ([`crate::cancel::arm`]). This engine has no cheap
-    /// control-transfer funnel, so it polls every
+    /// The request's cooperative-cancellation token
+    /// ([`Request::cancel`](crate::Request::cancel)). This engine has no
+    /// cheap control-transfer funnel, so it polls every
     /// [`NAIVE_POLL_INTERVAL`] dispatches instead of at block entries.
-    cancel: Option<ArmedToken>,
+    cancel: Option<&'s CancelToken>,
     /// Dispatches left until the next epoch poll.
     poll_in: u32,
     /// Deterministic cancellation point, checked exactly where the fuel
@@ -157,6 +158,7 @@ impl<'m, 's, S: TraceSink, P: ProfileSink> Machine<'m, 's, S, P> {
         sink: &'s mut S,
         psink: &'s mut P,
         sched: &'s mut SchedControl,
+        cancel: Cancel<'s>,
     ) -> Self {
         let backedges = module
             .functions()
@@ -199,9 +201,9 @@ impl<'m, 's, S: TraceSink, P: ProfileSink> Machine<'m, 's, S, P> {
             timeslice: config.timeslice.max(1),
             max_cycles: config.limits.max_cycles,
             max_stack: config.limits.max_stack,
-            cancel: cancel::armed_token(),
+            cancel: cancel.token,
             poll_in: NAIVE_POLL_INTERVAL,
-            cancel_after: cancel::armed_after(),
+            cancel_after: cancel.after,
             heap: Heap::with_limit(config.limits.max_heap_words),
             threads: vec![Thread {
                 frames: vec![main_frame],

@@ -226,7 +226,7 @@ mod tests {
 
     /// The per-operand formulation `binary` had before its integer-first
     /// rewrite, kept as the oracle for it: both engines call `binary`, so
-    /// the differential suites cannot catch a mistake in it.
+    /// the differential tests cannot catch a mistake in it.
     fn binary_oracle(op: BinOp, a: Value, b: Value) -> Result<Value, TrapKind> {
         use BinOp::*;
         Ok(match op {

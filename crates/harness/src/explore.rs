@@ -10,11 +10,14 @@
 //!
 //! * the recorded [`ScheduleTrace`] replays **byte-identically** on every
 //!   [`Engine`] — naive, prepared-unfused, prepared-fused and
-//!   prepared-guided, each with and without a dispatch profile — and
-//!   every replay reports the same result;
-//! * naive and unfused-prepared per-opcode profiles are equal, and every
+//!   prepared-guided, each with no sink, with a dispatch profile and with
+//!   a burst trace — and every replay reports the same result
+//!   ([`verify_replays`], which the integration tests' differential
+//!   oracle shares);
+//! * naive and unfused-prepared per-opcode profiles are equal, every
 //!   engine's profiled totals reconcile with the outcome's `cycles` /
-//!   `instructions` counters;
+//!   `instructions` / `samples_taken` counters, and every engine records
+//!   the same burst trace;
 //! * the schedule-independent observables ([`Outcome::schedule_invariant_eq`]:
 //!   stdout, the aggregated profile, check/sample/yield/entry/backedge
 //!   counters) match the round-robin baseline;
@@ -33,14 +36,14 @@ use std::fmt;
 
 use isf_core::{instrument_module, Options, Strategy};
 use isf_exec::{
-    Code, Engine, ExecLimits, OpProfile, Outcome, Request, SchedControl, SchedPolicy,
-    ScheduleTrace, TraceBuffer, Trigger, VmConfig, VmError,
+    BurstRecord, Code, Engine, ExecLimits, OpProfile, Outcome, Request, SchedControl, SchedPolicy,
+    ScheduleTrace, TraceBuffer, TrapKind, Trigger, VmConfig, VmError,
 };
 use isf_ir::Module;
 use isf_obs::Json;
 use isf_workloads::Workload;
 
-use crate::runner::{cell, plan_for, split_results, CellError, Harness, Kinds};
+use crate::runner::{cell, plan_for, split_results, AttemptCancel, CellError, Harness, Kinds};
 use crate::{write_errors, Scale};
 
 /// Programs whose round-robin run has at most this many decision points
@@ -207,20 +210,16 @@ struct Recorded {
 type Engines = Vec<(Engine, Code<'static>)>;
 
 /// Records one schedule on the fused prepared engine under `ctl`,
-/// collecting burst records for the per-thread sample multiset.
-fn record(bench: &str, fused: &Code, cfg: &VmConfig, mut ctl: SchedControl) -> Recorded {
+/// collecting burst records for the per-thread sample multiset (that they
+/// account for every sample is [`verify_replays`]'s to check).
+fn record(fused: &Code, cfg: &VmConfig, mut ctl: SchedControl) -> Recorded {
     let mut buf = TraceBuffer::new();
-    let result = fused.execute(Request::new(cfg).trace(&mut buf).sched(&mut ctl));
+    let cancel = AttemptCancel::current();
+    let request = cancel.apply(Request::new(cfg));
+    let result = fused.execute(request.trace(&mut buf).sched(&mut ctl));
     let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
     for r in buf.records() {
         *counts.entry(r.thread).or_insert(0) += 1;
-    }
-    if let Ok(outcome) = &result {
-        assert_eq!(
-            counts.values().sum::<u64>(),
-            outcome.samples_taken,
-            "{bench}: burst records must account for every sample"
-        );
     }
     let mut samples_by_thread: Vec<u64> = counts.into_values().collect();
     samples_by_thread.sort_unstable();
@@ -231,64 +230,76 @@ fn record(bench: &str, fused: &Code, cfg: &VmConfig, mut ctl: SchedControl) -> R
     }
 }
 
-/// One replay of a recorded schedule on one engine.
-pub struct Replay {
+/// One replay of a recorded schedule on one engine, with at most one sink.
+struct Replay {
     /// The engine replayed on.
-    pub engine: Engine,
+    engine: Engine,
+    /// The engine's label, suffixed with the replay's sink.
+    label: String,
     /// The replayed run's result.
-    pub result: Result<Outcome, VmError>,
+    result: Result<Outcome, VmError>,
     /// The schedule the replay consumed.
-    pub trace: ScheduleTrace,
+    trace: ScheduleTrace,
     /// The dispatch profile, for the profiled replay of each engine.
-    pub profile: Option<OpProfile>,
+    profile: Option<OpProfile>,
+    /// The burst records, for the traced replay of each engine.
+    bursts: Option<Vec<BurstRecord>>,
 }
 
-impl Replay {
-    /// The engine's label, suffixed `+profiled` for a profiled replay.
-    #[must_use]
-    pub fn label(&self) -> String {
-        match self.profile {
-            Some(_) => format!("{}+profiled", self.engine.label()),
-            None => self.engine.label().to_owned(),
-        }
-    }
-}
-
-/// Replays `trace` on every engine in `engines`, once without and once
-/// with a dispatch profile.
-#[must_use]
-pub fn replay_all(
+/// Replays `trace` on every engine in `engines` three times: with no
+/// sink, with a dispatch profile and with a burst trace.
+fn replay_all(
     engines: &[(Engine, Code)],
     cfg: &VmConfig,
+    cancel_after: Option<u64>,
     trace: &ScheduleTrace,
 ) -> Vec<Replay> {
+    let cancel = AttemptCancel::current();
     let mut replays = Vec::new();
     for (engine, code) in engines {
-        for profiled in [false, true] {
+        for sink in 0..3 {
             let mut profile = OpProfile::new();
+            let mut bursts = TraceBuffer::new();
             let mut ctl = SchedControl::replay(trace.clone());
-            let request = Request::new(cfg).sched(&mut ctl);
-            let result = if profiled {
-                code.execute(request.profile(&mut profile))
-            } else {
-                code.execute(request)
+            let mut request = cancel.apply(Request::new(cfg)).sched(&mut ctl);
+            if let Some(k) = cancel_after {
+                request = request.cancel_after(k);
+            }
+            let result = match sink {
+                0 => code.execute(request),
+                1 => code.execute(request.profile(&mut profile)),
+                _ => code.execute(request.trace(&mut bursts)),
             };
             replays.push(Replay {
                 engine: *engine,
+                label: engine.label().to_owned() + ["", "+profiled", "+traced"][sink],
                 result,
                 trace: ctl.take_trace(),
-                profile: profiled.then_some(profile),
+                profile: (sink == 1).then_some(profile),
+                bursts: (sink == 2).then(|| bursts.into_records()),
             });
         }
     }
     replays
 }
 
-/// Replays `trace`, recorded with `result`, on every engine and asserts
-/// the cross-engine contract: each replay consumes the trace byte for byte
-/// and reports `result`, naive and unfused per-opcode profiles are equal,
-/// and every profile reconciles with the outcome's counters. `what` names
-/// the program and schedule for failure messages.
+/// Replays `trace`, recorded with `result`, on every engine — the
+/// reference first — and asserts the cross-engine contract. Each engine
+/// replays with no sink, with a dispatch profile and with a burst trace,
+/// and every replay must:
+///
+/// * consume the trace byte for byte and report `result` exactly;
+/// * for a profiled replay, have the reference's dynamic instruction,
+///   cycle and sample totals (traps included) and, when the run
+///   completed, reconcile them with the outcome's counters;
+/// * for a traced replay, record the reference's burst trace, which for
+///   a completed run holds one record per sample and tiles the run.
+///
+/// Naive and unfused per-opcode profiles must be equal. With a
+/// `cancel_after` point `k`, every engine's replay under a fuel budget of
+/// `k` instead must consume the same trace and stop at the same point,
+/// the cancellation reading as `FuelExhausted(k)`. `what` names the
+/// program and schedule for failure messages.
 ///
 /// # Panics
 ///
@@ -296,14 +307,22 @@ pub fn replay_all(
 pub fn verify_replays(
     engines: &[(Engine, Code)],
     cfg: &VmConfig,
+    cancel_after: Option<u64>,
     result: &Result<Outcome, VmError>,
     trace: &ScheduleTrace,
     what: &str,
 ) {
     let compact = trace.to_compact_string();
-    let replays = replay_all(engines, cfg, trace);
+    let replays = replay_all(engines, cfg, cancel_after, trace);
+    let reference = replays[0].engine.label();
+    let totals = |p: &OpProfile| {
+        let samples = p.checks_per_sample().len() as u64;
+        (p.total_instructions(), p.total_cycles(), samples)
+    };
+    let ref_totals = replays.iter().find_map(|r| r.profile.as_ref()).map(totals);
+    let ref_bursts = replays.iter().find_map(|r| r.bursts.as_ref());
     for r in &replays {
-        let label = r.label();
+        let label = &r.label;
         assert_eq!(
             &r.trace, trace,
             "{what}: {label}: replayed trace diverged from recording (trace {compact})"
@@ -312,18 +331,38 @@ pub fn verify_replays(
             &r.result, result,
             "{what}: {label}: replayed result diverged (trace {compact})"
         );
-        if let (Ok(outcome), Some(profile)) = (result, &r.profile) {
+        if let Some(profile) = &r.profile {
             assert_eq!(
-                profile.total_cycles(),
-                outcome.cycles,
-                "{what}: {label}: profile cycles don't reconcile (trace {compact})"
+                Some(totals(profile)),
+                ref_totals,
+                "{what}: {label}: profile totals diverged from {reference} (trace {compact})"
             );
+            if let Ok(o) = result {
+                assert_eq!(
+                    totals(profile),
+                    (o.instructions, o.cycles, o.samples_taken),
+                    "{what}: {label}: profile doesn't reconcile with the outcome (trace {compact})"
+                );
+            }
+        }
+        if let Some(bursts) = &r.bursts {
             assert_eq!(
-                profile.total_instructions(),
-                outcome.instructions,
-                "{what}: {label}: profile instructions don't reconcile (trace {compact})"
+                Some(bursts),
+                ref_bursts,
+                "{what}: {label}: burst trace diverged from {reference} (trace {compact})"
             );
         }
+    }
+    if let (Ok(o), Some(bursts)) = (result, ref_bursts) {
+        let cycles: u64 = bursts.iter().map(|b| b.len_cycles).sum();
+        let instructions: u64 = bursts.iter().map(|b| b.len_instructions).sum();
+        assert!(
+            bursts.len() as u64 == o.samples_taken
+                && cycles <= o.cycles
+                && instructions <= o.instructions
+                && bursts.iter().all(|b| b.len_cycles > 0),
+            "{what}: burst trace doesn't tile the run (trace {compact})"
+        );
     }
     let profile_of = |engine| {
         replays
@@ -335,6 +374,33 @@ pub fn verify_replays(
         profile_of(Engine::Unfused),
         "{what}: naive vs unfused per-opcode profiles diverged (trace {compact})"
     );
+    if let Some(k) = cancel_after {
+        let max_cycles = cfg.limits.max_cycles.map_or(k, |m| m.min(k));
+        let fuel = VmConfig {
+            limits: ExecLimits {
+                max_cycles: Some(max_cycles),
+                ..cfg.limits
+            },
+            ..*cfg
+        };
+        let as_fuel = result.clone().map_err(|e| match e.kind {
+            TrapKind::Cancelled => VmError {
+                kind: TrapKind::FuelExhausted(k),
+                ..e
+            },
+            _ => e,
+        });
+        for (engine, code) in engines {
+            let mut ctl = SchedControl::replay(trace.clone());
+            let twin = code.execute(Request::new(&fuel).sched(&mut ctl));
+            assert!(
+                twin == as_fuel && ctl.take_trace() == *trace,
+                "{what}: {}: cancelling at cycle {k} stopped elsewhere than a fuel budget \
+                 of {k} (trace {compact})",
+                engine.label()
+            );
+        }
+    }
 }
 
 /// Asserts the cross-schedule invariants of `rec` against the round-robin
@@ -362,7 +428,7 @@ fn verify_schedule(
         rec.samples_by_thread, baseline.samples_by_thread,
         "{what}: per-thread sample counts are not permutation-equivalent (trace {compact})"
     );
-    verify_replays(engines, cfg, &rec.result, &rec.trace, what);
+    verify_replays(engines, cfg, None, &rec.result, &rec.trace, what);
 }
 
 /// Bounded exhaustive DFS over the schedule tree: enumerates schedules in
@@ -383,7 +449,7 @@ fn dfs_explore(
         if runs >= DFS_SCHEDULE_CAP {
             return (runs, false);
         }
-        let rec = record(bench, fused, cfg, SchedControl::prefix(prefix.clone()));
+        let rec = record(fused, cfg, SchedControl::prefix(prefix.clone()));
         runs += 1;
         let what = format!("{bench}: dfs schedule #{runs}");
         verify_schedule(engines, cfg, baseline, &rec, &what);
@@ -417,7 +483,6 @@ fn explore_bench(w: &Workload, spec: ExploreSpec) -> Row {
     let fused = &Engine::Fused.load(&module, &cfg.cost);
 
     let baseline = record(
-        bench,
         fused,
         &cfg,
         SchedControl::recording(SchedPolicy::RoundRobin),
@@ -426,7 +491,14 @@ fn explore_bench(w: &Workload, spec: ExploreSpec) -> Row {
         panic!("{bench}: round-robin baseline failed: {e}");
     }
     let what = format!("{bench}: round-robin baseline");
-    verify_replays(&engines, &cfg, &baseline.result, &baseline.trace, &what);
+    verify_replays(
+        &engines,
+        &cfg,
+        None,
+        &baseline.result,
+        &baseline.trace,
+        &what,
+    );
     let decisions = baseline.trace.len();
 
     // A run with no decision points is the same execution under every
@@ -437,7 +509,6 @@ fn explore_bench(w: &Workload, spec: ExploreSpec) -> Row {
         let seed = derive_seed(spec.seed, u64::from(i));
         let what = format!("{bench}: seeded-random schedule seed={seed:#x}");
         let rec = record(
-            bench,
             fused,
             &cfg,
             SchedControl::recording(SchedPolicy::SeededRandom { seed }),
@@ -461,7 +532,6 @@ fn explore_bench(w: &Workload, spec: ExploreSpec) -> Row {
         let depth = 1 + i % 3;
         let what = format!("{bench}: pct schedule seed={seed:#x} depth={depth}");
         let rec = record(
-            bench,
             fused,
             &cfg,
             SchedControl::recording(SchedPolicy::PctPriority { seed, depth }),
@@ -619,14 +689,15 @@ mod tests {
 
     /// End-to-end over the in-process API: a multithreaded benchmark with
     /// real decision points and a single-threaded one (empty traces, DFS
-    /// exhausts immediately) both verify clean at smoke scale.
+    /// exhausts immediately) both verify clean at smoke scale. `pbob`'s
+    /// schedule tree is small enough for the DFS to enumerate it whole.
     #[test]
     fn explores_one_threaded_and_one_single_threaded_benchmark() {
         let spec = ExploreSpec {
             schedules: 2,
             seed: 0xA5,
         };
-        let benches = ["volano".to_owned(), "db".to_owned()];
+        let benches = ["pbob".to_owned(), "db".to_owned()];
         let report = run(&Harness::default(), Scale::Smoke, spec, &benches);
         assert!(
             report.errors.is_empty(),
@@ -634,13 +705,13 @@ mod tests {
             report.errors
         );
         assert_eq!(report.rows.len(), 2);
-        let volano = &report.rows[0];
-        assert!(volano.decisions > 0, "volano must interleave");
-        assert_eq!(volano.random, 2);
-        if volano.decisions <= DFS_DECISION_CEILING {
-            assert!(volano.dfs >= 1, "a shallow tree must be DFS-explored");
+        let pbob = &report.rows[0];
+        assert!(pbob.decisions > 0, "pbob must interleave");
+        assert_eq!(pbob.random, 2);
+        if pbob.decisions <= DFS_DECISION_CEILING {
+            assert!(pbob.dfs >= 1, "a shallow tree must be DFS-explored");
         } else {
-            assert_eq!(volano.dfs, 0, "a deep tree skips the DFS");
+            assert_eq!(pbob.dfs, 0, "a deep tree skips the DFS");
         }
         let db = &report.rows[1];
         assert_eq!(db.decisions, 0, "db is single-threaded");
@@ -648,7 +719,7 @@ mod tests {
         assert_eq!(db.dfs, 1, "the empty tree has exactly one schedule");
         assert!(db.dfs_exhausted);
         let rendered = report.to_string();
-        assert!(rendered.contains("volano"), "{rendered}");
+        assert!(rendered.contains("pbob"), "{rendered}");
         assert!(rendered.contains("2 of 2"), "{rendered}");
     }
 }

@@ -12,8 +12,9 @@
 //! level) and the attached journal are process-wide.
 //!
 //! Experiments decompose into independent *cells*, one (benchmark ×
-//! configuration) unit of work each, executed by [`Harness::par_cells`]
-//! on a scoped worker pool of [`HarnessConfig::jobs`] threads. The VM is
+//! configuration) unit of work each, executed by
+//! [`Harness::par_cells_isolated`] on a scoped worker pool of
+//! [`HarnessConfig::jobs`] threads. The VM is
 //! deterministic and every cell is a pure function of its inputs, so a
 //! parallel run produces the same rows, bit for bit, as a serial one;
 //! results come back in submission order, so table output never depends
@@ -386,7 +387,8 @@ pub struct Cell<'scope, R> {
     work: Box<dyn Fn() -> R + Send + Sync + 'scope>,
 }
 
-/// Builds a [`Cell`] for [`Harness::par_cells`] / [`Harness::par_cells_isolated`].
+/// Builds a [`Cell`] for [`Harness::par_cells_isolated`] /
+/// [`Harness::par_cells_journaled`].
 pub fn cell<'scope, R>(
     label: impl Into<String>,
     work: impl Fn() -> R + Send + Sync + 'scope,
@@ -460,21 +462,6 @@ impl Harness {
                 decode: <R as JournalPayload>::decode,
             }),
         )
-    }
-
-    /// Runs the cells like [`Harness::par_cells_isolated`] but unwraps every result,
-    /// for call sites where a failure is a bug (unit tests, the bench
-    /// snapshot).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first failed cell — on the calling thread, after all
-    /// cells have finished, so no worker state is poisoned.
-    pub fn par_cells<R: Send>(&self, cells: Vec<Cell<'_, R>>) -> Vec<R> {
-        self.par_cells_isolated(cells)
-            .into_iter()
-            .map(|r| r.into_result().unwrap_or_else(|e| panic!("cell {e}")))
-            .collect()
     }
 
     /// The shared cell engine behind [`Harness::par_cells_isolated`] and
@@ -597,7 +584,7 @@ impl Harness {
         emit::begin_phase_capture();
         let deadline_ms = self.config.cell_deadline_ms;
         let (fault_p, fault_seed) = self.config.fault;
-        let inject_cancel = (self.config.cancel_after > 0).then_some(self.config.cancel_after);
+        let after = (self.config.cancel_after > 0).then_some(self.config.cancel_after);
         let max_attempts = u32::try_from(self.config.retries)
             .unwrap_or(u32::MAX)
             .saturating_add(1);
@@ -615,7 +602,7 @@ impl Harness {
             if token.is_some() {
                 metrics::counter_add("watchdog.armed", 1);
             }
-            let _scope = isf_exec::cancel::arm(token.as_ref(), inject_cancel);
+            ATTEMPT_CANCEL.with(|a| *a.borrow_mut() = AttemptCancel { token, after });
             let start = Instant::now();
             IN_CELL.with(|f| f.set(true));
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -631,6 +618,7 @@ impl Harness {
                 (c.work)()
             }));
             IN_CELL.with(|f| f.set(false));
+            ATTEMPT_CANCEL.with(|a| *a.borrow_mut() = AttemptCancel::default());
             let wall = start.elapsed();
             let (cycles, instructions, prepares) = CELL_STATS.with(|s| s.get());
             let secs = wall.as_secs_f64();
@@ -820,6 +808,38 @@ thread_local! {
     /// [`Harness::cached_prepare`].
     static CELL_STATS: std::cell::Cell<(u64, u64, u64)> =
         const { std::cell::Cell::new((0, 0, 0)) };
+    /// The running attempt's cancellation inputs; empty between attempts.
+    static ATTEMPT_CANCEL: std::cell::RefCell<AttemptCancel> =
+        const { std::cell::RefCell::new(AttemptCancel { token: None, after: None }) };
+}
+
+/// A cell attempt's cancellation inputs: its watchdog token and the
+/// [`HarnessConfig::cancel_after`] point. Every run the attempt makes
+/// carries them ([`Harness::run_prepared_module`], `--explore`'s
+/// recordings and replays); runs outside cells, and the guided warmup
+/// inside a load, are never cancelled.
+#[derive(Clone, Default)]
+pub(crate) struct AttemptCancel {
+    token: Option<CancelToken>,
+    after: Option<u64>,
+}
+
+impl AttemptCancel {
+    /// The running attempt's inputs.
+    pub(crate) fn current() -> AttemptCancel {
+        ATTEMPT_CANCEL.with(|a| a.borrow().clone())
+    }
+
+    /// `request` carrying these inputs.
+    pub(crate) fn apply<'r, S, P>(&'r self, mut request: Request<'r, S, P>) -> Request<'r, S, P> {
+        if let Some(token) = &self.token {
+            request = request.cancel(token);
+        }
+        if let Some(cycles) = self.after {
+            request = request.cancel_after(cycles);
+        }
+        request
+    }
 }
 
 fn note_run(outcome: &Outcome) {
@@ -1255,7 +1275,8 @@ impl Harness {
     pub fn run_prepared_module(&self, code: &Code, trigger: Trigger) -> Outcome {
         let cfg = self.config.vm_config(trigger);
         let start = Instant::now();
-        let request = Request::new(&cfg);
+        let cancel = AttemptCancel::current();
+        let request = cancel.apply(Request::new(&cfg));
         let result = if metrics::enabled() {
             let mut profile = OpProfile::new();
             let result = code.execute(request.profile(&mut profile));
@@ -1432,12 +1453,20 @@ mod tests {
         assert!(p.total_call_edge_events() > 0);
     }
 
+    /// Runs `cells` isolated and unwraps every result.
+    fn oks<R: Send>(h: &Harness, cells: Vec<Cell<'_, R>>) -> Vec<R> {
+        h.par_cells_isolated(cells)
+            .into_iter()
+            .map(|r| r.into_result().unwrap_or_else(|e| panic!("cell {e}")))
+            .collect()
+    }
+
     #[test]
     fn par_cells_preserves_submission_order() {
         let cells = (0..37)
             .map(|i| cell(format!("order/{i}"), move || i * 3))
             .collect();
-        let results = with_jobs(4).par_cells(cells);
+        let results = oks(&with_jobs(4), cells);
         assert_eq!(results, (0..37).map(|i| i * 3).collect::<Vec<_>>());
     }
 
@@ -1449,7 +1478,7 @@ mod tests {
             .map(|x| cell(format!("borrow/{x}"), move || x + 1))
             .collect();
         assert_eq!(
-            Harness::default().par_cells(cells),
+            oks(&Harness::default(), cells),
             (1..=8).collect::<Vec<u64>>()
         );
     }

@@ -50,17 +50,6 @@ pub fn field_access_overlap(perfect: &ProfileData, sampled: &ProfileData) -> f64
     distribution_overlap(perfect.field_accesses(), sampled.field_accesses())
 }
 
-/// Overlap percentage between the basic-block portions of two profiles.
-pub fn block_overlap(perfect: &ProfileData, sampled: &ProfileData) -> f64 {
-    distribution_overlap(perfect.blocks(), sampled.blocks())
-}
-
-/// Overlap percentage between the intraprocedural-edge portions of two
-/// profiles.
-pub fn edge_overlap(perfect: &ProfileData, sampled: &ProfileData) -> f64 {
-    distribution_overlap(perfect.edges(), sampled.edges())
-}
-
 /// Overlap percentage between the path portions of two profiles.
 pub fn path_overlap(perfect: &ProfileData, sampled: &ProfileData) -> f64 {
     distribution_overlap(perfect.paths(), sampled.paths())

@@ -20,19 +20,6 @@ pub struct CallEdgeRow {
     pub percent: f64,
 }
 
-/// One row of a ranked field-access report.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FieldRow {
-    /// Receiver class name.
-    pub class: String,
-    /// Field name.
-    pub field: String,
-    /// Raw event count.
-    pub count: u64,
-    /// Percentage of all field-access events.
-    pub percent: f64,
-}
-
 /// Ranks call edges by count, descending, resolving names against `module`.
 pub fn call_edge_rows(profile: &ProfileData, module: &Module) -> Vec<CallEdgeRow> {
     let total = profile.total_call_edge_events().max(1);
@@ -53,29 +40,6 @@ pub fn call_edge_rows(profile: &ProfileData, module: &Module) -> Vec<CallEdgeRow
             .then_with(|| a.caller.cmp(&b.caller))
             .then_with(|| a.site.cmp(&b.site))
             .then_with(|| a.callee.cmp(&b.callee))
-    });
-    rows
-}
-
-/// Ranks field accesses by count, descending, resolving names against
-/// `module`.
-pub fn field_rows(profile: &ProfileData, module: &Module) -> Vec<FieldRow> {
-    let total = profile.total_field_access_events().max(1);
-    let mut rows: Vec<FieldRow> = profile
-        .field_accesses()
-        .iter()
-        .map(|(&(class, field), &count)| FieldRow {
-            class: module.class(class).name().to_owned(),
-            field: module.field_name(field).to_owned(),
-            count,
-            percent: count as f64 / total as f64 * 100.0,
-        })
-        .collect();
-    rows.sort_by(|a, b| {
-        b.count
-            .cmp(&a.count)
-            .then_with(|| a.class.cmp(&b.class))
-            .then_with(|| a.field.cmp(&b.field))
     });
     rows
 }

@@ -1,5 +1,5 @@
 //! A proptest generator of arbitrary trap-free Jive programs, shared by
-//! the differential test suites (engine equivalence, trace equivalence).
+//! the differential oracle ([`crate::oracle`]) and the property tests.
 //!
 //! Statement fragments are rendered into a `main` alongside a fixed class
 //! `P`, its subclass `Q`, and a helper function. Every operation is total
@@ -51,8 +51,12 @@ pub enum Expr {
     FieldQ,
     /// Addition.
     Add(Box<Expr>, Box<Expr>),
+    /// Subtraction.
+    Sub(Box<Expr>, Box<Expr>),
     /// Multiplication.
     Mul(Box<Expr>, Box<Expr>),
+    /// Bitwise exclusive or.
+    Xor(Box<Expr>, Box<Expr>),
     /// Modulo by a non-zero constant.
     Mod(Box<Expr>, u8),
     /// A call to the free function `helper`.
@@ -75,7 +79,9 @@ pub fn expr_strategy() -> impl proptest::strategy::Strategy<Value = Expr> {
     leaf.prop_recursive(3, 20, 3, |inner| {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Add(a.into(), b.into())),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Sub(a.into(), b.into())),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Mul(a.into(), b.into())),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Xor(a.into(), b.into())),
             (inner.clone(), 1u8..17).prop_map(|(a, k)| Expr::Mod(a.into(), k)),
             inner.clone().prop_map(|a| Expr::Helper(a.into())),
             inner.clone().prop_map(|a| Expr::Bump(a.into())),
@@ -122,8 +128,13 @@ fn render_expr(e: &Expr, out: &mut String) {
         Expr::Var(v) => out.push_str(&format!("v{v}")),
         Expr::FieldF => out.push_str("p.f"),
         Expr::FieldQ => out.push_str("q.f"),
-        Expr::Add(a, b) | Expr::Mul(a, b) => {
-            let op = if matches!(e, Expr::Add(..)) { "+" } else { "*" };
+        Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Xor(a, b) => {
+            let op = match e {
+                Expr::Add(..) => "+",
+                Expr::Sub(..) => "-",
+                Expr::Mul(..) => "*",
+                _ => "^",
+            };
             out.push('(');
             render_expr(a, out);
             out.push_str(&format!(" {op} "));

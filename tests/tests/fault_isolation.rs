@@ -1,64 +1,21 @@
-//! Fault-tolerance properties spanning the execution engines and the
-//! harness runner: no `(Trigger, ExecLimits)` combination makes an engine
-//! panic — failures always surface as classified `VmError`s, identically
-//! in every engine — and a trapping cell inside the parallel harness
-//! becomes an `error` JSONL record while its siblings complete, with a
-//! stream that is byte-identical across job counts.
+//! Fault-tolerance properties of the harness runner: a trapping cell
+//! inside the parallel harness becomes an `error` JSONL record while its
+//! siblings complete, with a stream that is byte-identical across job
+//! counts, a budget-capped cell is classified as a budget failure, and a
+//! cell's cancellation point reaches its runs — `--explore`'s included —
+//! but not the loads they make; and no `(Trigger, ExecLimits)`
+//! combination makes an engine panic or two engines disagree.
 
 use proptest::prelude::*;
 
-use isf_exec::{ExecLimits, Trigger, VmConfig};
+use isf_exec::{Code, CostModel, Engine, FuseGuidance, PreparedModule, Trigger};
+use isf_harness::explore::{self, ExploreSpec};
 use isf_harness::runner::{cell, split_results, Harness, HarnessConfig};
-use isf_integration_tests::program_gen::{render_program, stmt_strategy};
-use isf_integration_tests::{compile, engines_agree};
+use isf_integration_tests::compile;
+use isf_integration_tests::oracle::{
+    check, limits_strategy, sequential_program, trigger_strategy, Case,
+};
 use isf_obs::emit;
-
-fn trigger_strategy() -> impl Strategy<Value = Trigger> {
-    prop_oneof![
-        Just(Trigger::Never),
-        Just(Trigger::Always),
-        (1u64..200).prop_map(|interval| Trigger::Counter { interval }),
-        (1u64..200).prop_map(|interval| Trigger::CounterPerThread { interval }),
-        ((1u64..100), (0u64..20), any::<u64>()).prop_map(|(interval, jitter, seed)| {
-            Trigger::CounterRandomized {
-                interval,
-                jitter,
-                seed,
-            }
-        }),
-        (1u64..2_000).prop_map(|period| Trigger::TimerBit { period }),
-    ]
-}
-
-fn limits_strategy() -> impl Strategy<Value = ExecLimits> {
-    // A fuel draw of 0 means "effectively unlimited" — a ceiling far above
-    // anything the generated programs execute — so the no-fuel-trap path
-    // is exercised without risking an unbounded test run. A heap draw of 0
-    // means a genuinely unlimited heap.
-    (0u64..20_000, 0u64..512, 2usize..64).prop_map(|(fuel, heap, max_stack)| ExecLimits {
-        max_cycles: Some(if fuel == 0 { 100_000_000 } else { fuel }),
-        max_heap_words: (heap > 0).then_some(heap),
-        max_stack,
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn no_trigger_limits_combination_panics_an_engine(
-        stmts in prop::collection::vec(stmt_strategy(), 1..6),
-        trigger in trigger_strategy(),
-        limits in limits_strategy(),
-    ) {
-        // The engines' fault contract under arbitrary budgets: every
-        // engine returns a `Result` — it never panics, whatever the
-        // trigger or limits — and all of them return the same one.
-        let module = compile(&render_program(&stmts));
-        let cfg = VmConfig { trigger, limits, ..VmConfig::default() };
-        engines_agree(&module, &cfg)?;
-    }
-}
 
 #[test]
 fn trapping_cell_yields_error_record_while_siblings_complete() {
@@ -148,4 +105,65 @@ fn budget_capped_cell_is_classified_as_budget_not_trap() {
         "{}",
         errors[0]
     );
+}
+
+#[test]
+fn guided_warmup_inside_a_cancelled_attempt_runs_to_its_budget() {
+    // The cancel point belongs to the attempt's runs, not to the guided
+    // load the cache makes inside it: the guidance the cache keeps must
+    // be the one an unarmed load computes.
+    let m = compile(
+        "fn main() { var i = 0; var s = 0;
+            while (i < 100000) { s = s + i; i = i + 1; } print(s); }",
+    );
+    let h = Harness::new(HarnessConfig {
+        fuse: true,
+        pgo: true,
+        cancel_after: 500,
+        ..HarnessConfig::default()
+    });
+    let warmup = |code: &Code| {
+        code.prepared()
+            .and_then(PreparedModule::guidance)
+            .map_or(0, FuseGuidance::warmup_instructions)
+    };
+    let armed = h.par_cells_isolated(vec![cell("warmup/armed", || warmup(&h.cached_prepare(&m)))]);
+    let unarmed = warmup(&Engine::Guided.load(&m, &CostModel::default()));
+    assert!(unarmed > 100_000, "the warmup runs its whole budget");
+    assert_eq!(armed.into_iter().next().unwrap().into_result(), Ok(unarmed));
+}
+
+#[test]
+fn cancel_after_reaches_explore_runs() {
+    let h = Harness::new(HarnessConfig {
+        cancel_after: 500,
+        ..HarnessConfig::default()
+    });
+    let spec = ExploreSpec {
+        schedules: 1,
+        seed: 1,
+    };
+    let report = explore::run(&h, isf_harness::Scale::Smoke, spec, &["db".to_owned()]);
+    assert!(report.rows.is_empty(), "the cancelled baseline must fail");
+    assert!(
+        report.errors[0].detail.contains("cancelled"),
+        "{}",
+        report.errors[0]
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn no_trigger_limits_combination_panics_an_engine(
+        program in sequential_program(),
+        trigger in trigger_strategy(),
+        limits in limits_strategy(),
+    ) {
+        // The engines' fault contract under arbitrary budgets: every
+        // engine returns a `Result` — it never panics, whatever the
+        // trigger or limits — and all of them return the same one.
+        check(&Case { trigger, limits, ..Case::new(program) });
+    }
 }

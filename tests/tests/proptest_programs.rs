@@ -5,10 +5,6 @@
 //! suite.
 
 use proptest::prelude::*;
-// `isf_core::Strategy` (the sampling strategy) shadows the prelude's
-// `proptest::strategy::Strategy`; re-import the trait anonymously so
-// combinator methods stay available.
-use proptest::strategy::Strategy as _;
 
 use isf_core::{instrument_module, Options, Strategy};
 use isf_exec::Trigger;
@@ -16,178 +12,8 @@ use isf_instr::{
     BlockCountInstrumentation, CallEdgeInstrumentation, EdgeCountInstrumentation,
     FieldAccessInstrumentation, Instrumentation, ModulePlan,
 };
+use isf_integration_tests::program_gen::{render_program, stmt_strategy};
 use isf_integration_tests::{compile, run_with};
-
-/// A tiny expression language rendered into Jive source. Every operation
-/// is total (no division, bounded loop counts), so generated programs
-/// always terminate and never trap.
-#[derive(Debug, Clone)]
-enum Expr {
-    Lit(i8),
-    Var(u8),
-    FieldF,
-    FieldG,
-    Add(Box<Expr>, Box<Expr>),
-    Sub(Box<Expr>, Box<Expr>),
-    Mul(Box<Expr>, Box<Expr>),
-    Xor(Box<Expr>, Box<Expr>),
-    Mod(Box<Expr>, u8),
-    Helper(Box<Expr>),
-    Bump(Box<Expr>),
-}
-
-#[derive(Debug, Clone)]
-enum Stmt {
-    Assign(u8, Expr),
-    SetF(Expr),
-    SetG(Expr),
-    Print(Expr),
-    If(Expr, Vec<Stmt>, Vec<Stmt>),
-    Loop(u8, Vec<Stmt>),
-}
-
-fn expr_strategy() -> impl proptest::strategy::Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        any::<i8>().prop_map(Expr::Lit),
-        (0u8..4).prop_map(Expr::Var),
-        Just(Expr::FieldF),
-        Just(Expr::FieldG),
-    ];
-    leaf.prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Add(a.into(), b.into())),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Sub(a.into(), b.into())),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Mul(a.into(), b.into())),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Xor(a.into(), b.into())),
-            (inner.clone(), 1u8..17).prop_map(|(a, k)| Expr::Mod(a.into(), k)),
-            inner.clone().prop_map(|a| Expr::Helper(a.into())),
-            inner.prop_map(|a| Expr::Bump(a.into())),
-        ]
-    })
-}
-
-fn stmt_strategy() -> impl proptest::strategy::Strategy<Value = Stmt> {
-    let simple = prop_oneof![
-        ((0u8..4), expr_strategy()).prop_map(|(v, e)| Stmt::Assign(v, e)),
-        expr_strategy().prop_map(Stmt::SetF),
-        expr_strategy().prop_map(Stmt::SetG),
-        expr_strategy().prop_map(Stmt::Print),
-    ];
-    simple.prop_recursive(2, 16, 4, |inner| {
-        prop_oneof![
-            (
-                expr_strategy(),
-                prop::collection::vec(inner.clone(), 0..4),
-                prop::collection::vec(inner.clone(), 0..4)
-            )
-                .prop_map(|(c, t, e)| Stmt::If(c, t, e)),
-            ((0u8..5), prop::collection::vec(inner, 1..4)).prop_map(|(n, b)| Stmt::Loop(n, b)),
-        ]
-    })
-}
-
-fn render_expr(e: &Expr, out: &mut String) {
-    match e {
-        Expr::Lit(v) => out.push_str(&format!("({v})")),
-        Expr::Var(v) => out.push_str(&format!("v{v}")),
-        Expr::FieldF => out.push_str("p.f"),
-        Expr::FieldG => out.push_str("p.g"),
-        Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Xor(a, b) => {
-            let op = match e {
-                Expr::Add(..) => "+",
-                Expr::Sub(..) => "-",
-                Expr::Mul(..) => "*",
-                _ => "^",
-            };
-            out.push('(');
-            render_expr(a, out);
-            out.push_str(&format!(" {op} "));
-            render_expr(b, out);
-            out.push(')');
-        }
-        Expr::Mod(a, k) => {
-            out.push('(');
-            render_expr(a, out);
-            out.push_str(&format!(" % {k}"));
-            out.push(')');
-        }
-        Expr::Helper(a) => {
-            out.push_str("helper(");
-            render_expr(a, out);
-            out.push(')');
-        }
-        Expr::Bump(a) => {
-            out.push_str("p.bump(");
-            render_expr(a, out);
-            out.push(')');
-        }
-    }
-}
-
-fn render_stmts(stmts: &[Stmt], out: &mut String, indent: usize, loop_id: &mut u32) {
-    let pad = "    ".repeat(indent);
-    for s in stmts {
-        match s {
-            Stmt::Assign(v, e) => {
-                out.push_str(&format!("{pad}v{v} = "));
-                render_expr(e, out);
-                out.push_str(";\n");
-            }
-            Stmt::SetF(e) => {
-                out.push_str(&format!("{pad}p.f = "));
-                render_expr(e, out);
-                out.push_str(";\n");
-            }
-            Stmt::SetG(e) => {
-                out.push_str(&format!("{pad}p.g = "));
-                render_expr(e, out);
-                out.push_str(";\n");
-            }
-            Stmt::Print(e) => {
-                out.push_str(&format!("{pad}print("));
-                render_expr(e, out);
-                out.push_str(");\n");
-            }
-            Stmt::If(c, t, e) => {
-                out.push_str(&format!("{pad}if (("));
-                render_expr(c, out);
-                out.push_str(") % 2 == 0) {\n");
-                render_stmts(t, out, indent + 1, loop_id);
-                out.push_str(&format!("{pad}}} else {{\n"));
-                render_stmts(e, out, indent + 1, loop_id);
-                out.push_str(&format!("{pad}}}\n"));
-            }
-            Stmt::Loop(n, body) => {
-                let id = *loop_id;
-                *loop_id += 1;
-                out.push_str(&format!("{pad}var loop{id} = 0;\n"));
-                out.push_str(&format!("{pad}while (loop{id} < {n}) {{\n"));
-                render_stmts(body, out, indent + 1, loop_id);
-                out.push_str(&format!("{pad}    loop{id} = loop{id} + 1;\n"));
-                out.push_str(&format!("{pad}}}\n"));
-            }
-        }
-    }
-}
-
-fn render_program(stmts: &[Stmt]) -> String {
-    let mut body = String::new();
-    let mut loop_id = 0;
-    render_stmts(stmts, &mut body, 1, &mut loop_id);
-    format!(
-        "class P {{
-    field f; field g;
-    method bump(x) {{ self.f = self.f + x; return self.f; }}
-}}
-fn helper(x) {{ return (x * 7 + 3) % 1000003; }}
-fn main() {{
-    var v0 = 1; var v1 = 2; var v2 = 3; var v3 = 5;
-    var p = new P;
-{body}    print(v0); print(v1); print(v2); print(v3);
-    print(p.f); print(p.g);
-}}"
-    )
-}
 
 fn all_kinds() -> Vec<&'static dyn Instrumentation> {
     vec![

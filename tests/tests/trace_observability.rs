@@ -1,20 +1,17 @@
-//! Differential and behavioral tests of the sample-burst tracing layer:
-//! both execution engines must record byte-identical burst traces, the
-//! traces must be internally consistent with the run's counters, and the
-//! burst analyses must expose the §4.6 counter-vs-timer attribution skew
-//! on a periodic workload.
+//! Behavioral tests of the sample-burst tracing layer: traces must be
+//! internally consistent with the run's counters, and the burst analyses
+//! must expose the §4.6 counter-vs-timer attribution skew on a periodic
+//! workload; and every engine records the same trace, which the
+//! differential oracle ([`isf_integration_tests::oracle::check`]) checks
+//! on each of its traced replays.
 
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 
 use isf_core::{instrument_module, Options, Strategy};
 use isf_exec::{BurstRecord, Engine, ExecLimits, Outcome, Request, TraceBuffer, Trigger, VmConfig};
-use isf_instr::{
-    BlockCountInstrumentation, CallEdgeInstrumentation, EdgeCountInstrumentation,
-    FieldAccessInstrumentation, Instrumentation, ModulePlan,
-};
-use isf_integration_tests::program_gen::{render_program, stmt_strategy};
-use isf_integration_tests::{compile, load_all};
+use isf_instr::ModulePlan;
+use isf_integration_tests::compile;
+use isf_integration_tests::oracle::{check, sequential_program, Case};
 use isf_obs::{BurstReport, SkewReport};
 
 fn config(trigger: Trigger) -> VmConfig {
@@ -23,48 +20,6 @@ fn config(trigger: Trigger) -> VmConfig {
         limits: ExecLimits::cycles(500_000_000),
         ..VmConfig::default()
     }
-}
-
-/// Runs every engine with a trace buffer and asserts the outcomes AND the
-/// burst traces equal the naive reference's, returning the trace.
-fn traces_agree(
-    module: &isf_ir::Module,
-    trigger: Trigger,
-) -> Result<(Outcome, Vec<BurstRecord>), TestCaseError> {
-    let cfg = config(trigger);
-    let mut reference = TraceBuffer::new();
-    let ref_outcome = Engine::Naive
-        .load(module, &cfg.cost)
-        .execute(Request::new(&cfg).trace(&mut reference))
-        .expect("naive engine runs");
-    for (engine, code) in load_all(module, &cfg.cost) {
-        let mut buf = TraceBuffer::new();
-        let outcome = code
-            .execute(Request::new(&cfg).trace(&mut buf))
-            .expect("engine runs");
-        prop_assert_eq!(
-            &outcome,
-            &ref_outcome,
-            "{} outcome diverged",
-            engine.label()
-        );
-        prop_assert_eq!(
-            buf.records(),
-            reference.records(),
-            "{} burst trace diverged from the naive reference",
-            engine.label()
-        );
-    }
-    Ok((ref_outcome, reference.into_records()))
-}
-
-fn all_kinds() -> Vec<&'static dyn Instrumentation> {
-    vec![
-        &CallEdgeInstrumentation,
-        &FieldAccessInstrumentation,
-        &BlockCountInstrumentation,
-        &EdgeCountInstrumentation,
-    ]
 }
 
 /// Asserts the internal consistency every trace must satisfy: one record
@@ -92,38 +47,6 @@ fn trace_is_consistent(outcome: &Outcome, records: &[BurstRecord]) {
             r.func,
             r.check_ip
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn engines_record_identical_traces_counter(
-        stmts in prop::collection::vec(stmt_strategy(), 1..6)
-    ) {
-        let module = compile(&render_program(&stmts));
-        let plan = ModulePlan::build(&module, &all_kinds());
-        for strategy in [Strategy::FullDuplication, Strategy::NoDuplication] {
-            let (out, _) = instrument_module(&module, &plan, &Options::new(strategy)).unwrap();
-            let (outcome, records) = traces_agree(&out, Trigger::Counter { interval: 3 })?;
-            trace_is_consistent(&outcome, &records);
-        }
-    }
-
-    #[test]
-    fn engines_record_identical_traces_timer(
-        stmts in prop::collection::vec(stmt_strategy(), 1..6)
-    ) {
-        // The timer trigger consults the simulated clock, the path where
-        // the engines could most plausibly diverge in attribution.
-        let module = compile(&render_program(&stmts));
-        let plan = ModulePlan::build(&module, &all_kinds());
-        let (out, _) = instrument_module(
-            &module, &plan, &Options::new(Strategy::FullDuplication),
-        ).unwrap();
-        let (outcome, records) = traces_agree(&out, Trigger::TimerBit { period: 997 })?;
-        trace_is_consistent(&outcome, &records);
     }
 }
 
@@ -239,4 +162,26 @@ fn traced_and_untraced_runs_agree() {
         buf.records().iter().any(|r| r.backedge),
         "no backedge samples on a loop-heavy program"
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn engines_record_identical_traces_counter(
+        program in sequential_program(),
+        full_duplication in any::<bool>(),
+    ) {
+        let strategy =
+            if full_duplication { Strategy::FullDuplication } else { Strategy::NoDuplication };
+        check(&Case::instrumented(program, "cfbe", strategy, Trigger::Counter { interval: 3 }));
+    }
+
+    #[test]
+    fn engines_record_identical_traces_timer(program in sequential_program()) {
+        // The timer trigger consults the simulated clock, the path where
+        // the engines could most plausibly diverge in attribution.
+        let trigger = Trigger::TimerBit { period: 997 };
+        check(&Case::instrumented(program, "cfbe", Strategy::FullDuplication, trigger));
+    }
 }
