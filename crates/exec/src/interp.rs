@@ -32,7 +32,7 @@ use crate::heap::Heap;
 use crate::outcome::Outcome;
 use crate::prepared::{Op, OpKind, PreparedModule};
 use crate::profile::ProfileSink;
-use crate::sched::SchedControl;
+use crate::sched::{SchedControl, ThreadTable};
 use crate::trace::{BurstRecord, TraceSink};
 use crate::trigger::{Trigger, TriggerState};
 use crate::value::Value;
@@ -129,7 +129,7 @@ pub(crate) fn execute<S: TraceSink, P: ProfileSink>(
     let result = machine.run_to_completion();
     // Both readers below walk the thread table, stacks and trap frame
     // included, so the running thread's stack goes back there first.
-    machine.park();
+    machine.park(machine.threads.current());
     if P::ENABLED {
         machine.fold_profile(result.as_ref().err());
     }
@@ -144,7 +144,8 @@ pub(crate) fn execute<S: TraceSink, P: ProfileSink>(
 
 /// One activation. The running thread's innermost frame is
 /// [`Machine::top`] and its callers are [`Machine::below`]; every other
-/// thread keeps its whole stack in [`Thread::frames`].
+/// thread keeps its whole stack, outermost frame first, in the thread
+/// table ([`Machine::threads`]).
 struct Frame<'p> {
     func: FuncId,
     /// The function's decoded op arena, cached at call time so the fetch
@@ -191,21 +192,6 @@ impl Frame<'_> {
     fn is_true(&self, l: LocalId) -> bool {
         self.locals[l.index()] == Value::Bool(true)
     }
-}
-
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum ThreadState {
-    Runnable,
-    Blocked(usize),
-    Done,
-}
-
-struct Thread<'p> {
-    /// The thread's stack, outermost frame first, while it is parked.
-    /// Empty while the thread runs (its frames are in [`Machine::top`]
-    /// and [`Machine::below`]) and once it has finished.
-    frames: Vec<Frame<'p>>,
-    state: ThreadState,
 }
 
 struct Machine<'p, 's, S: TraceSink, P: ProfileSink> {
@@ -257,8 +243,10 @@ struct Machine<'p, 's, S: TraceSink, P: ProfileSink> {
     top: Frame<'p>,
     /// The running thread's suspended callers, outermost first.
     below: Vec<Frame<'p>>,
-    threads: Vec<Thread<'p>>,
-    current: usize,
+    /// Every thread's state, and the stacks of the threads that are not
+    /// running: a running thread's entry is empty (its frames are in
+    /// `top` and `below`), and so is a finished one's.
+    threads: ThreadTable<Vec<Frame<'p>>>,
     // Clock and scheduler bit.
     cycles: u64,
     next_switch: u64,
@@ -275,7 +263,6 @@ struct Machine<'p, 's, S: TraceSink, P: ProfileSink> {
     yields_executed: u64,
     entries_executed: u64,
     backedges_executed: u64,
-    thread_switches: u64,
     output: Vec<i64>,
     profile: ProfileData,
     /// Field-access counters (paper §4.2: "a counter per field of all
@@ -343,11 +330,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
             heap: Heap::with_limit(config.limits.max_heap_words),
             top: main_frame,
             below: Vec::new(),
-            threads: vec![Thread {
-                frames: Vec::new(),
-                state: ThreadState::Runnable,
-            }],
-            current: 0,
+            threads: ThreadTable::new(Vec::new()),
             cycles: 0,
             next_switch: config.timeslice.max(1),
             switch_bit: false,
@@ -358,7 +341,6 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
             yields_executed: 0,
             entries_executed: 1, // main's method entry
             backedges_executed: 0,
-            thread_switches: 0,
             output: Vec::new(),
             profile: ProfileData::new(),
             field_counts: vec![[0; 2]; prepared.module().num_classes() * num_field_syms],
@@ -390,46 +372,34 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
             yields_executed: self.yields_executed,
             entries_executed: self.entries_executed,
             backedges_executed: self.backedges_executed,
-            thread_switches: self.thread_switches,
+            thread_switches: self.threads.switches(),
         }
     }
 
     fn current_function_name(&self) -> String {
         self.threads
-            .get(self.current)
-            .and_then(|t| t.frames.last())
+            .stack(self.threads.current())
+            .last()
             .map(|f| self.prepared.module().function(f.func).name().to_owned())
             .unwrap_or_else(|| "<no frame>".to_owned())
     }
 
+    /// Runs slices until every thread has finished. On a switch the old
+    /// thread's stack is parked into its table entry ([`Machine::park`])
+    /// and the new one's moved into `top`/`below`; frames move only then.
     fn run_to_completion(&mut self) -> Result<(), TrapKind> {
         loop {
-            match self.threads[self.current].state {
-                ThreadState::Runnable => {
-                    self.run_slice()?;
-                    if !self.reschedule(true) {
-                        // No other runnable thread; stay on the current
-                        // one if it can still run.
-                        match self.threads[self.current].state {
-                            ThreadState::Runnable => {}
-                            ThreadState::Done => {
-                                if self.all_done() {
-                                    return Ok(());
-                                }
-                                return Err(TrapKind::Deadlock);
-                            }
-                            ThreadState::Blocked(_) => return Err(TrapKind::Deadlock),
-                        }
-                    }
-                }
-                ThreadState::Done | ThreadState::Blocked(_) => {
-                    if self.all_done() {
-                        return Ok(());
-                    }
-                    if !self.reschedule(false) {
-                        return Err(TrapKind::Deadlock);
-                    }
-                }
+            self.run_slice()?;
+            let from = self.threads.current();
+            if !self.threads.after_slice(self.sched)? {
+                return Ok(());
+            }
+            let running = self.threads.current();
+            if running != from {
+                self.park(from);
+                let mut frames = std::mem::take(self.threads.stack_mut(running));
+                self.top = frames.pop().expect("a runnable thread has a frame");
+                self.below = frames;
             }
         }
     }
@@ -474,9 +444,10 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
         // unwinds from a partially-executed op the current frame still
         // points at (a failed frame push leaves `ip` on the call).
         let mid_op = matches!(trap, Some(k) if !matches!(k, TrapKind::Deadlock));
-        for (ti, t) in self.threads.iter().enumerate() {
-            for (fi, fr) in t.frames.iter().enumerate() {
-                let attempted = mid_op && ti == self.current && fi + 1 == t.frames.len();
+        let current = self.threads.current();
+        for (ti, frames) in self.threads.stacks().enumerate() {
+            for (fi, fr) in frames.iter().enumerate() {
+                let attempted = mid_op && ti == current && fi + 1 == frames.len();
                 let cut = if attempted {
                     // The trapping op was dispatched; flow stopped just
                     // past it. If that is the block's end (or the arena's),
@@ -514,8 +485,8 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
         }
         let trap_frame = if mid_op {
             self.threads
-                .get(self.current)
-                .and_then(|t| t.frames.last())
+                .stack(current)
+                .last()
                 .map(|f| (f.base as usize + f.ip, &f.ops[f.ip]))
         } else {
             None
@@ -627,68 +598,18 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
         }
     }
 
-    fn all_done(&self) -> bool {
-        self.threads.iter().all(|t| t.state == ThreadState::Done)
-    }
-
-    /// Rotates to the next runnable thread per the scheduling policy
-    /// (unblocking joiners whose target finished). Returns `false` if no
-    /// *other* thread could be scheduled (`require_other = true`) or no
-    /// thread at all is runnable.
-    ///
-    /// Joiners whose target has finished are woken *before* the policy
-    /// picks, so every policy sees the same candidate set. For the default
-    /// round-robin policy this is indistinguishable from the historical
-    /// wake-during-scan: the first runnable thread in scan order is
-    /// unchanged, and a thread woken beyond it stays runnable either way
-    /// until the scan next reaches it. (The current thread can never be
-    /// blocked on a finished target here: a `Join` only blocks on a
-    /// not-yet-done thread and nothing else runs before the reschedule.)
-    ///
-    /// Frames move only when the pick is another thread: the old one's
-    /// stack is parked into its table entry ([`Machine::park`]) and the
-    /// new one's is moved into `top`/`below`.
-    fn reschedule(&mut self, require_other: bool) -> bool {
-        let n = self.threads.len();
-        for i in 0..n {
-            if let ThreadState::Blocked(target) = self.threads[i].state {
-                if self.threads[target].state == ThreadState::Done {
-                    self.threads[i].state = ThreadState::Runnable;
-                }
-            }
-        }
-        let threads = &self.threads;
-        let sched = &mut *self.sched;
-        match sched.pick(self.current, require_other, n, &|idx| {
-            threads[idx].state == ThreadState::Runnable
-        }) {
-            Some(idx) => {
-                if idx != self.current {
-                    self.thread_switches += 1;
-                    self.park();
-                    self.current = idx;
-                    let mut frames = std::mem::take(&mut self.threads[idx].frames);
-                    self.top = frames.pop().expect("a runnable thread has a frame");
-                    self.below = frames;
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Moves the running thread's stack, `below` then `top`, back into
-    /// its thread-table entry, leaving a frameless copy of `top` behind.
+    /// thread `t`'s table entry, leaving a frameless copy of `top` behind.
     /// A finished thread has nothing to park: its last frame returned.
-    fn park(&mut self) {
-        if self.threads[self.current].state != ThreadState::Done {
+    fn park(&mut self, t: usize) {
+        if !self.threads.is_done(t) {
             let parked = Frame {
                 locals: Vec::new(),
                 ..self.top
             };
             let mut frames = std::mem::take(&mut self.below);
             frames.push(std::mem::replace(&mut self.top, parked));
-            self.threads[self.current].frames = frames;
+            *self.threads.stack_mut(t) = frames;
         }
     }
 
@@ -853,11 +774,11 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
         caller: Option<(FuncId, CallSiteId)>,
         thread: usize,
     ) -> Result<(), TrapKind> {
-        let running = thread == self.current;
+        let running = thread == self.threads.current();
         let depth = if running {
             self.below.len() + 1
         } else {
-            self.threads[thread].frames.len()
+            self.threads.stack(thread).len()
         };
         if depth >= self.max_stack {
             return Err(TrapKind::StackOverflow(self.max_stack));
@@ -890,7 +811,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
             let caller_frame = std::mem::replace(&mut self.top, frame);
             self.below.push(caller_frame);
         } else {
-            self.threads[thread].frames.push(frame);
+            self.threads.stack_mut(thread).push(frame);
         }
         self.entries_executed += 1;
         Ok(())
@@ -903,7 +824,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
     /// to reschedule — or until an op traps. Every other op, calls and
     /// returns included, goes straight on to the next fetch.
     fn run_slice(&mut self) -> Result<(), TrapKind> {
-        let cur = self.current;
+        let cur = self.threads.current();
         'dispatch: loop {
             let func_id = self.top.func;
             // The op borrow comes through the frame's cached `&'p [Op]`
@@ -1074,11 +995,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     f.ip += 1;
                 }
                 OpKind::Spawn { dst, callee, args } => {
-                    let tid = self.threads.len();
-                    self.threads.push(Thread {
-                        frames: Vec::new(),
-                        state: ThreadState::Runnable,
-                    });
+                    let tid = self.threads.spawn(Vec::new());
                     self.push_frame(*callee, None, args, None, None, tid)?;
                     self.top.locals[dst.index()] = Value::Thread(tid as u32);
                     self.top.ip += 1;
@@ -1093,8 +1010,8 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                             })
                         }
                     };
-                    if self.threads[t].state != ThreadState::Done {
-                        self.threads[cur].state = ThreadState::Blocked(t);
+                    if !self.threads.is_done(t) {
+                        self.threads.block_on(t);
                         if P::ENABLED {
                             // The join re-dispatches when unblocked: count the
                             // extra dispatch now, confined to this slot (`-1`
@@ -1530,7 +1447,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     let Some(caller) = self.below.pop() else {
                         // The thread's last frame: it stays in `top`, and the
                         // next reschedule parks nothing for a finished thread.
-                        self.threads[cur].state = ThreadState::Done;
+                        self.threads.finish();
                         return Ok(());
                     };
                     let frame = std::mem::replace(&mut self.top, caller);

@@ -27,7 +27,7 @@ use crate::heap::Heap;
 use crate::interp::VmConfig;
 use crate::outcome::Outcome;
 use crate::profile::{opcode_of_inst, opcode_of_term, ProfileSink};
-use crate::sched::SchedControl;
+use crate::sched::{SchedControl, ThreadTable};
 use crate::trace::{BurstRecord, TraceSink};
 use crate::trigger::TriggerState;
 use crate::value::Value;
@@ -76,18 +76,6 @@ struct Frame {
     path_reg: Option<i64>,
 }
 
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum ThreadState {
-    Runnable,
-    Blocked(usize),
-    Done,
-}
-
-struct Thread {
-    frames: Vec<Frame>,
-    state: ThreadState,
-}
-
 enum Step {
     Ran,
     SwitchRequested,
@@ -124,8 +112,8 @@ struct Machine<'m, 's, S: TraceSink, P: ProfileSink> {
     /// budget is (see the prepared engine's `charge_cycles`).
     cancel_after: Option<u64>,
     heap: Heap,
-    threads: Vec<Thread>,
-    current: usize,
+    /// Every thread's state and whole stack, the running one's included.
+    threads: ThreadTable<Vec<Frame>>,
     /// Per-function backedge sets of the *executed* module, for the
     /// Property 1 accounting.
     backedges: Vec<HashSet<(BlockId, BlockId)>>,
@@ -143,7 +131,6 @@ struct Machine<'m, 's, S: TraceSink, P: ProfileSink> {
     yields_executed: u64,
     entries_executed: u64,
     backedges_executed: u64,
-    thread_switches: u64,
     output: Vec<i64>,
     profile: ProfileData,
     /// Scheduling seam: picks the next thread at every reschedule point,
@@ -205,11 +192,7 @@ impl<'m, 's, S: TraceSink, P: ProfileSink> Machine<'m, 's, S, P> {
             poll_in: NAIVE_POLL_INTERVAL,
             cancel_after: cancel.after,
             heap: Heap::with_limit(config.limits.max_heap_words),
-            threads: vec![Thread {
-                frames: vec![main_frame],
-                state: ThreadState::Runnable,
-            }],
-            current: 0,
+            threads: ThreadTable::new(vec![main_frame]),
             backedges,
             cycles: 0,
             next_switch: config.timeslice.max(1),
@@ -221,7 +204,6 @@ impl<'m, 's, S: TraceSink, P: ProfileSink> Machine<'m, 's, S, P> {
             yields_executed: 0,
             entries_executed: 1, // main's method entry
             backedges_executed: 0,
-            thread_switches: 0,
             output: Vec::new(),
             profile: ProfileData::new(),
             sched,
@@ -239,84 +221,27 @@ impl<'m, 's, S: TraceSink, P: ProfileSink> Machine<'m, 's, S, P> {
             yields_executed: self.yields_executed,
             entries_executed: self.entries_executed,
             backedges_executed: self.backedges_executed,
-            thread_switches: self.thread_switches,
+            thread_switches: self.threads.switches(),
         }
     }
 
     fn current_function_name(&self) -> String {
         self.threads
-            .get(self.current)
-            .and_then(|t| t.frames.last())
+            .stack(self.threads.current())
+            .last()
             .map(|f| self.module.function(f.func).name().to_owned())
             .unwrap_or_else(|| "<no frame>".to_owned())
     }
 
+    /// Steps the current thread; a switch request ends its slice, and the
+    /// thread table decides what runs next, as for the prepared engine.
     fn run_to_completion(&mut self) -> Result<(), TrapKind> {
         loop {
-            match self.threads[self.current].state {
-                ThreadState::Runnable => match self.profiled_step()? {
-                    Step::Ran => {}
-                    Step::SwitchRequested => {
-                        if !self.reschedule(true) {
-                            // No other runnable thread; stay on the current
-                            // one if it can still run.
-                            match self.threads[self.current].state {
-                                ThreadState::Runnable => {}
-                                ThreadState::Done => {
-                                    if self.all_done() {
-                                        return Ok(());
-                                    }
-                                    return Err(TrapKind::Deadlock);
-                                }
-                                ThreadState::Blocked(_) => return Err(TrapKind::Deadlock),
-                            }
-                        }
-                    }
-                },
-                ThreadState::Done | ThreadState::Blocked(_) => {
-                    if self.all_done() {
-                        return Ok(());
-                    }
-                    if !self.reschedule(false) {
-                        return Err(TrapKind::Deadlock);
-                    }
+            if let Step::SwitchRequested = self.profiled_step()? {
+                if !self.threads.after_slice(self.sched)? {
+                    return Ok(());
                 }
             }
-        }
-    }
-
-    fn all_done(&self) -> bool {
-        self.threads.iter().all(|t| t.state == ThreadState::Done)
-    }
-
-    /// Rotates to the next runnable thread per the scheduling policy
-    /// (unblocking joiners whose target finished). Returns `false` if no
-    /// *other* thread could be scheduled (`require_other = true`) or no
-    /// thread at all is runnable. Structurally identical to the prepared
-    /// engine's `reschedule` — including the wake-before-pick order — so
-    /// decision points and candidate sets line up exactly across engines.
-    fn reschedule(&mut self, require_other: bool) -> bool {
-        let n = self.threads.len();
-        for i in 0..n {
-            if let ThreadState::Blocked(target) = self.threads[i].state {
-                if self.threads[target].state == ThreadState::Done {
-                    self.threads[i].state = ThreadState::Runnable;
-                }
-            }
-        }
-        let threads = &self.threads;
-        let sched = &mut *self.sched;
-        match sched.pick(self.current, require_other, n, &|idx| {
-            threads[idx].state == ThreadState::Runnable
-        }) {
-            Some(idx) => {
-                if idx != self.current {
-                    self.thread_switches += 1;
-                }
-                self.current = idx;
-                true
-            }
-            None => false,
         }
     }
 
@@ -362,16 +287,17 @@ impl<'m, 's, S: TraceSink, P: ProfileSink> Machine<'m, 's, S, P> {
 
     #[inline]
     fn frame(&self) -> &Frame {
-        self.threads[self.current]
-            .frames
+        self.threads
+            .stack(self.threads.current())
             .last()
             .expect("runnable thread has a frame")
     }
 
     #[inline]
     fn frame_mut(&mut self) -> &mut Frame {
-        self.threads[self.current]
-            .frames
+        let t = self.threads.current();
+        self.threads
+            .stack_mut(t)
             .last_mut()
             .expect("runnable thread has a frame")
     }
@@ -399,7 +325,7 @@ impl<'m, 's, S: TraceSink, P: ProfileSink> Machine<'m, 's, S, P> {
             + self.module.function(func).block(block).insts().len() as u32;
         let back = &self.backedges[func.index()];
         self.sink.record(BurstRecord {
-            thread: self.current as u32,
+            thread: self.threads.current() as u32,
             func: func.index() as u32,
             check_ip,
             backedge: back.contains(&(block, sample)) || back.contains(&(block, cont)),
@@ -429,14 +355,14 @@ impl<'m, 's, S: TraceSink, P: ProfileSink> Machine<'m, 's, S, P> {
         caller: Option<(FuncId, CallSiteId)>,
         thread: usize,
     ) -> Result<(), TrapKind> {
-        if self.threads[thread].frames.len() >= self.max_stack {
+        if self.threads.stack(thread).len() >= self.max_stack {
             return Err(TrapKind::StackOverflow(self.max_stack));
         }
         let f = self.module.function(callee);
         debug_assert_eq!(f.arity(), args.len());
         let mut locals = vec![Value::Unit; f.num_locals()];
         locals[..args.len()].copy_from_slice(args);
-        self.threads[thread].frames.push(Frame {
+        self.threads.stack_mut(thread).push(Frame {
             func: callee,
             block: BlockId::new(0),
             ip: 0,
@@ -503,12 +429,11 @@ impl<'m, 's, S: TraceSink, P: ProfileSink> Machine<'m, 's, S, P> {
             }
             Term::Ret(v) => {
                 let value = v.map(|l| self.get(l)).unwrap_or(Value::Unit);
-                let frame = self.threads[self.current]
-                    .frames
-                    .pop()
-                    .expect("ret pops the current frame");
-                if self.threads[self.current].frames.is_empty() {
-                    self.threads[self.current].state = ThreadState::Done;
+                let t = self.threads.current();
+                let frames = self.threads.stack_mut(t);
+                let frame = frames.pop().expect("ret pops the current frame");
+                if frames.is_empty() {
+                    self.threads.finish();
                     return Ok(Step::SwitchRequested);
                 }
                 if let Some(dst) = frame.ret_dst {
@@ -517,7 +442,7 @@ impl<'m, 's, S: TraceSink, P: ProfileSink> Machine<'m, 's, S, P> {
             }
             Term::Check { sample, cont } => {
                 self.checks_executed += 1;
-                let fire = self.trigger.on_check(self.current);
+                let fire = self.trigger.on_check(self.threads.current());
                 if fire {
                     self.samples_taken += 1;
                     if S::ENABLED {
@@ -622,7 +547,8 @@ impl<'m, 's, S: TraceSink, P: ProfileSink> Machine<'m, 's, S, P> {
                 let mut vals = std::mem::take(&mut self.arg_scratch);
                 vals.extend(args.iter().map(|a| self.get(*a)));
                 self.advance();
-                let r = self.push_frame(*callee, &vals, *dst, Some((func_id, *site)), self.current);
+                let t = self.threads.current();
+                let r = self.push_frame(*callee, &vals, *dst, Some((func_id, *site)), t);
                 vals.clear();
                 self.arg_scratch = vals;
                 r?;
@@ -656,7 +582,8 @@ impl<'m, 's, S: TraceSink, P: ProfileSink> Machine<'m, 's, S, P> {
                 vals.push(o);
                 vals.extend(args.iter().map(|a| self.get(*a)));
                 self.advance();
-                let r = self.push_frame(callee, &vals, *dst, Some((func_id, *site)), self.current);
+                let t = self.threads.current();
+                let r = self.push_frame(callee, &vals, *dst, Some((func_id, *site)), t);
                 vals.clear();
                 self.arg_scratch = vals;
                 r?;
@@ -679,11 +606,7 @@ impl<'m, 's, S: TraceSink, P: ProfileSink> Machine<'m, 's, S, P> {
             Inst::Spawn { dst, callee, args } => {
                 let mut vals = std::mem::take(&mut self.arg_scratch);
                 vals.extend(args.iter().map(|a| self.get(*a)));
-                let tid = self.threads.len();
-                self.threads.push(Thread {
-                    frames: Vec::new(),
-                    state: ThreadState::Runnable,
-                });
+                let tid = self.threads.spawn(Vec::new());
                 let r = self.push_frame(*callee, &vals, None, None, tid);
                 vals.clear();
                 self.arg_scratch = vals;
@@ -700,8 +623,8 @@ impl<'m, 's, S: TraceSink, P: ProfileSink> Machine<'m, 's, S, P> {
                         })
                     }
                 };
-                if self.threads[t].state != ThreadState::Done {
-                    self.threads[self.current].state = ThreadState::Blocked(t);
+                if !self.threads.is_done(t) {
+                    self.threads.block_on(t);
                     // Do not advance: the join re-executes when unblocked.
                     return Ok(Step::SwitchRequested);
                 }

@@ -1,14 +1,16 @@
-//! Pluggable thread scheduling for the green-thread VM.
+//! Green threads and pluggable thread scheduling for the VM.
 //!
-//! Both engines drive every reschedule point — timeslice `Yield`s, blocking
-//! `Join`s, thread completion — through a [`SchedControl`], so the policy
-//! that picks the next runnable thread is a seam rather than a hard-coded
-//! loop. Three policies exist:
+//! Both engines keep their threads in one `ThreadTable`, which decides at
+//! the end of every slice — a timeslice `Yield`, a blocking `Join`, thread
+//! completion — whether to switch, stay, finish, or trap
+//! [`Deadlock`](crate::TrapKind::Deadlock). A reschedule is one walk over
+//! the table's runnable bitset in scan order, and a [`SchedControl`]
+//! policy picks among the threads it yields. Three policies exist:
 //!
 //! * [`SchedPolicy::RoundRobin`] — the historical scheduler: scan from the
 //!   current thread and take the first runnable one. The default, and
-//!   byte-identical to the pre-seam engines (a dedicated fast path keeps it
-//!   allocation- and recording-free).
+//!   byte-identical to the pre-seam engines (without recording it takes
+//!   the walk's first thread, allocation-free).
 //! * [`SchedPolicy::SeededRandom`] — a splitmix64-seeded xorshift draw at
 //!   every *decision point* (a reschedule with two or more runnable
 //!   candidates). The workhorse of schedule exploration.
@@ -43,6 +45,7 @@
 //! compact form (`st1:pos/count@thread,…`) so a failing schedule
 //! reproduces from a log line.
 
+use crate::error::TrapKind;
 use crate::trigger::{seed_stream, uniform_below};
 
 /// Scheduling policy for picking the next runnable green thread.
@@ -335,43 +338,20 @@ impl SchedControl {
         self.decisions
     }
 
-    /// Picks the next thread at a reschedule point, or `None` if no
-    /// candidate is runnable. `runnable(idx)` reports thread `idx`'s
-    /// state; candidates are scanned in round-robin order from
-    /// `current + 1` and, when `require_other` is set, `current` itself is
-    /// excluded.
-    pub(crate) fn pick(
+    /// Picks among `candidates`, the runnable threads in scan order
+    /// (see [`ThreadTable::pick`]), or `None` if there are none.
+    fn choose(
         &mut self,
+        mut candidates: impl Iterator<Item = usize>,
         current: usize,
-        require_other: bool,
-        n: usize,
-        runnable: &dyn Fn(usize) -> bool,
     ) -> Option<usize> {
-        // Fast path: the default round-robin scan, allocation- and
-        // recording-free — this is the historical scheduler, byte for
-        // byte.
+        // Fast path: the default round-robin takes the first candidate,
+        // allocation- and recording-free.
         if !self.record {
-            for offset in 1..=n {
-                let idx = (current + offset) % n;
-                if require_other && idx == current {
-                    continue;
-                }
-                if runnable(idx) {
-                    return Some(idx);
-                }
-            }
-            return None;
+            return candidates.next();
         }
         self.scratch.clear();
-        for offset in 1..=n {
-            let idx = (current + offset) % n;
-            if require_other && idx == current {
-                continue;
-            }
-            if runnable(idx) {
-                self.scratch.push(idx);
-            }
-        }
+        self.scratch.extend(candidates);
         let count = self.scratch.len();
         if count == 0 {
             return None;
@@ -433,8 +413,185 @@ impl SchedControl {
     }
 }
 
+/// One green thread. It is runnable iff its bit in
+/// [`ThreadTable::runnable`] is set, and blocked if it is neither
+/// runnable nor done.
+struct Thread<S> {
+    /// The stack the engine parks here (see [`ThreadTable`]).
+    stack: S,
+    done: bool,
+    /// The threads blocked joining this one, woken when it finishes.
+    joiners: Vec<u32>,
+}
+
+/// Both engines' green threads: each thread's state and parked stack,
+/// the runnable set, and which thread runs.
+///
+/// Thread ids are spawn order, stable for
+/// [`Value::Thread`](crate::Value::Thread) handles; a finished thread
+/// keeps its slot. The reference engine parks every frame here, the
+/// prepared engine only the stacks of threads that are not running.
+///
+/// The runnable set is a bitset, so a pick walks set bits, not the whole
+/// table. A thread's joiners are woken when it finishes: no thread blocks
+/// on a finished one and every finish ends a slice, so each pick finds
+/// every joiner of a finished thread awake (DESIGN.md decision 25).
+pub(crate) struct ThreadTable<S> {
+    threads: Vec<Thread<S>>,
+    /// Bit `t` is set iff thread `t` is runnable.
+    runnable: Vec<u64>,
+    current: usize,
+    /// Reschedules that changed the running thread.
+    switches: u64,
+}
+
+impl<S> ThreadTable<S> {
+    /// A table holding the main thread, running, with stack `main`.
+    pub(crate) fn new(main: S) -> Self {
+        let mut table = ThreadTable {
+            threads: Vec::new(),
+            runnable: Vec::new(),
+            current: 0,
+            switches: 0,
+        };
+        table.spawn(main);
+        table
+    }
+
+    /// The running thread.
+    #[inline]
+    pub(crate) fn current(&self) -> usize {
+        self.current
+    }
+
+    /// Reschedules that changed the running thread.
+    pub(crate) fn switches(&self) -> u64 {
+        self.switches
+    }
+
+    /// Thread `t`'s parked stack.
+    #[inline]
+    pub(crate) fn stack(&self, t: usize) -> &S {
+        &self.threads[t].stack
+    }
+
+    /// Thread `t`'s parked stack, mutably.
+    #[inline]
+    pub(crate) fn stack_mut(&mut self, t: usize) -> &mut S {
+        &mut self.threads[t].stack
+    }
+
+    /// Every thread's parked stack, in thread-id order.
+    pub(crate) fn stacks(&self) -> impl Iterator<Item = &S> {
+        self.threads.iter().map(|t| &t.stack)
+    }
+
+    /// Whether thread `t` has finished.
+    #[inline]
+    pub(crate) fn is_done(&self, t: usize) -> bool {
+        self.threads[t].done
+    }
+
+    /// Adds a runnable thread with stack `stack` and returns its id.
+    pub(crate) fn spawn(&mut self, stack: S) -> usize {
+        let t = self.threads.len();
+        self.threads.push(Thread {
+            stack,
+            done: false,
+            joiners: Vec::new(),
+        });
+        if t / 64 == self.runnable.len() {
+            self.runnable.push(0);
+        }
+        self.set_runnable(t, true);
+        t
+    }
+
+    /// Blocks the current thread until `target`, which has not finished,
+    /// does. A thread that joins itself is never woken.
+    pub(crate) fn block_on(&mut self, target: usize) {
+        debug_assert!(!self.is_done(target), "blocking on a finished thread");
+        let t = self.current;
+        self.set_runnable(t, false);
+        self.threads[target].joiners.push(t as u32);
+    }
+
+    /// Marks the current thread finished and wakes its joiners.
+    pub(crate) fn finish(&mut self) {
+        let t = self.current;
+        self.threads[t].done = true;
+        self.set_runnable(t, false);
+        for j in std::mem::take(&mut self.threads[t].joiners) {
+            self.set_runnable(j as usize, true);
+        }
+    }
+
+    /// The reschedule that ends every slice: `sched` picks another
+    /// runnable thread to run next if there is one, or else the current
+    /// thread keeps running if it can. Returns whether the run goes on:
+    /// `false` once every thread has finished, and a
+    /// [`TrapKind::Deadlock`] if some thread never can.
+    pub(crate) fn after_slice(&mut self, sched: &mut SchedControl) -> Result<bool, TrapKind> {
+        if let Some(t) = self.pick(sched, true) {
+            self.current = t;
+            self.switches += 1;
+            Ok(true)
+        } else if self.runnable[self.current / 64] & (1 << (self.current % 64)) != 0 {
+            Ok(true)
+        } else if self.threads.iter().all(|t| t.done) {
+            Ok(false)
+        } else {
+            Err(TrapKind::Deadlock)
+        }
+    }
+
+    /// The thread `sched` picks from the runnable threads in scan order
+    /// (`current + 1`, `current + 2`, … modulo the thread count, with
+    /// `current` itself last, or left out when `require_other` is set), or
+    /// `None` if there is none.
+    fn pick(&self, sched: &mut SchedControl, require_other: bool) -> Option<usize> {
+        let c = self.current;
+        let end = if require_other { c } else { c + 1 };
+        let candidates = self.runnable_in(c + 1, self.threads.len());
+        sched.choose(candidates.chain(self.runnable_in(0, end)), c)
+    }
+
+    /// The runnable threads in `from..end`, ascending.
+    fn runnable_in(&self, from: usize, end: usize) -> impl Iterator<Item = usize> + '_ {
+        let mut w = from / 64;
+        let mut word = self
+            .runnable
+            .get(w)
+            .map_or(0, |&bits| bits & (!0 << (from % 64)));
+        std::iter::from_fn(move || loop {
+            if word != 0 {
+                let t = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                return (t < end).then_some(t);
+            }
+            w += 1;
+            if w * 64 >= end {
+                return None;
+            }
+            word = self.runnable[w];
+        })
+    }
+
+    fn set_runnable(&mut self, t: usize, on: bool) {
+        let bit = 1 << (t % 64);
+        if on {
+            self.runnable[t / 64] |= bit;
+        } else {
+            self.runnable[t / 64] &= !bit;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
     use super::*;
 
     #[test]
@@ -470,20 +627,42 @@ mod tests {
         );
     }
 
+    /// `n` threads with `current` running and the threads in `mask`
+    /// runnable (the rest blocked).
+    fn table(n: usize, mask: u64, current: usize) -> ThreadTable<()> {
+        let mut table = ThreadTable::new(());
+        for _ in 1..n {
+            table.spawn(());
+        }
+        for t in 0..n {
+            if mask & (1 << t) == 0 {
+                table.set_runnable(t, false);
+            }
+        }
+        table.current = current;
+        table
+    }
+
+    /// All `n` threads runnable, `current` running.
+    fn all(n: usize, current: usize) -> ThreadTable<()> {
+        table(n, (1 << n) - 1, current)
+    }
+
     #[test]
     fn default_fast_path_matches_recording_round_robin() {
         // The recording round-robin path must pick exactly what the
-        // historical scan picks, for every (current, runnable-set) shape.
+        // allocation-free first-candidate path picks, for every
+        // (current, runnable-set) shape.
         let n = 4;
-        for mask in 0u32..16 {
+        for mask in 0u64..16 {
             for current in 0..n {
                 for require_other in [false, true] {
-                    let runnable = |idx: usize| mask & (1 << idx) != 0;
+                    let t = table(n, mask, current);
                     let mut fast = SchedControl::default();
                     let mut rec = SchedControl::recording(SchedPolicy::RoundRobin);
                     assert_eq!(
-                        fast.pick(current, require_other, n, &runnable),
-                        rec.pick(current, require_other, n, &runnable),
+                        t.pick(&mut fast, require_other),
+                        t.pick(&mut rec, require_other),
                         "mask={mask:04b} current={current} require_other={require_other}"
                     );
                 }
@@ -501,7 +680,7 @@ mod tests {
             SchedPolicy::PctPriority { seed: 42, depth: 3 },
         ] {
             let mut ctl = SchedControl::recording(policy);
-            let got = ctl.pick(0, true, 2, &|idx| idx == 1);
+            let got = table(2, 0b10, 0).pick(&mut ctl, true);
             assert_eq!(got, Some(1), "{policy:?}");
             assert!(ctl.trace().is_empty(), "{policy:?} recorded a non-decision");
             assert_eq!(ctl.decisions(), 0);
@@ -513,7 +692,7 @@ mod tests {
         let run = |seed: u64| {
             let mut ctl = SchedControl::recording(SchedPolicy::SeededRandom { seed });
             let picks: Vec<_> = (0..32)
-                .map(|i| ctl.pick(i % 3, false, 3, &|_| true).unwrap())
+                .map(|i| all(3, i % 3).pick(&mut ctl, false).unwrap())
                 .collect();
             (picks, ctl.take_trace())
         };
@@ -529,12 +708,12 @@ mod tests {
     fn replay_follows_trace_and_validates_counts() {
         let mut rec = SchedControl::recording(SchedPolicy::SeededRandom { seed: 99 });
         let picks: Vec<_> = (0..16)
-            .map(|i| rec.pick(i % 4, false, 4, &|_| true).unwrap())
+            .map(|i| all(4, i % 4).pick(&mut rec, false).unwrap())
             .collect();
         let trace = rec.take_trace();
         let mut rep = SchedControl::replay(trace.clone());
         let replayed: Vec<_> = (0..16)
-            .map(|i| rep.pick(i % 4, false, 4, &|_| true).unwrap())
+            .map(|i| all(4, i % 4).pick(&mut rep, false).unwrap())
             .collect();
         assert_eq!(picks, replayed);
         assert_eq!(
@@ -548,13 +727,13 @@ mod tests {
     fn replay_may_stop_early_but_not_diverge() {
         let mut rec = SchedControl::recording(SchedPolicy::SeededRandom { seed: 5 });
         for _ in 0..8 {
-            rec.pick(0, false, 3, &|_| true);
+            all(3, 0).pick(&mut rec, false);
         }
         let trace = rec.take_trace();
         // Consuming a prefix (a trapped run) is fine.
         let mut rep = SchedControl::replay(trace);
         for _ in 0..3 {
-            rep.pick(0, false, 3, &|_| true);
+            all(3, 0).pick(&mut rep, false);
         }
         assert_eq!(rep.trace().len(), 3);
     }
@@ -563,17 +742,17 @@ mod tests {
     #[should_panic(expected = "schedule replay diverged")]
     fn replay_panics_on_candidate_count_mismatch() {
         let mut rec = SchedControl::recording(SchedPolicy::SeededRandom { seed: 5 });
-        rec.pick(0, false, 3, &|_| true);
+        all(3, 0).pick(&mut rec, false);
         let mut rep = SchedControl::replay(rec.take_trace());
-        rep.pick(0, false, 2, &|_| true);
+        all(2, 0).pick(&mut rep, false);
     }
 
     #[test]
     fn prefix_mode_forces_choices_then_goes_round_robin() {
         let mut ctl = SchedControl::prefix(vec![2, 1]);
-        assert_eq!(ctl.pick(0, false, 4, &|_| true), Some(3)); // candidates [1,2,3,0], pos 2
-        assert_eq!(ctl.pick(3, false, 4, &|_| true), Some(1)); // candidates [0,1,2,3], pos 1
-        assert_eq!(ctl.pick(1, false, 4, &|_| true), Some(2)); // beyond prefix: pos 0
+        assert_eq!(all(4, 0).pick(&mut ctl, false), Some(3)); // candidates [1,2,3,0], pos 2
+        assert_eq!(all(4, 3).pick(&mut ctl, false), Some(1)); // candidates [0,1,2,3], pos 1
+        assert_eq!(all(4, 1).pick(&mut ctl, false), Some(2)); // beyond prefix: pos 0
         let trace = ctl.take_trace();
         assert_eq!(
             trace.choices.iter().map(|c| c.pos).collect::<Vec<_>>(),
@@ -588,9 +767,9 @@ mod tests {
         // priority order, so repeated decisions over the same candidates
         // pick the same thread.
         let mut ctl = SchedControl::recording(SchedPolicy::PctPriority { seed: 3, depth: 0 });
-        let first = ctl.pick(0, false, 4, &|_| true).unwrap();
+        let first = all(4, 0).pick(&mut ctl, false).unwrap();
         for _ in 0..8 {
-            assert_eq!(ctl.pick(0, false, 4, &|_| true), Some(first));
+            assert_eq!(all(4, 0).pick(&mut ctl, false), Some(first));
         }
         // With a large depth, the running thread keeps getting lowered, so
         // the schedule eventually moves off the top-priority thread.
@@ -598,9 +777,185 @@ mod tests {
         let mut seen = std::collections::BTreeSet::new();
         let mut cur = 0;
         for _ in 0..64 {
-            cur = ctl.pick(cur, false, 4, &|_| true).unwrap();
+            cur = all(4, cur).pick(&mut ctl, false).unwrap();
             seen.insert(cur);
         }
         assert!(seen.len() > 1, "change points never moved the schedule");
+    }
+
+    #[derive(Copy, Clone, PartialEq, Eq, Debug)]
+    enum ModelState {
+        Runnable,
+        /// Joining the given thread.
+        Blocked(usize),
+        Done,
+    }
+
+    /// The scheduler the thread table replaced, kept as its reference:
+    /// each blocked thread records its join target, every pick first
+    /// sweeps the whole table to wake the joiners of finished threads,
+    /// then scans it linearly from `current + 1`.
+    #[derive(Default)]
+    struct Model {
+        states: Vec<ModelState>,
+        current: usize,
+        switches: u64,
+    }
+
+    impl Model {
+        fn pick(&mut self, sched: &mut SchedControl, require_other: bool) -> Option<usize> {
+            let n = self.states.len();
+            for i in 0..n {
+                if let ModelState::Blocked(target) = self.states[i] {
+                    if self.states[target] == ModelState::Done {
+                        self.states[i] = ModelState::Runnable;
+                    }
+                }
+            }
+            let candidates: Vec<usize> = (1..=n)
+                .map(|offset| (self.current + offset) % n)
+                .filter(|&i| !(require_other && i == self.current))
+                .filter(|&i| self.states[i] == ModelState::Runnable)
+                .collect();
+            sched.choose(candidates.into_iter(), self.current)
+        }
+
+        fn after_slice(&mut self, sched: &mut SchedControl) -> Result<bool, TrapKind> {
+            if let Some(t) = self.pick(sched, true) {
+                self.current = t;
+                self.switches += 1;
+                return Ok(true);
+            }
+            match self.states[self.current] {
+                ModelState::Runnable => Ok(true),
+                _ if self.states.iter().all(|s| *s == ModelState::Done) => Ok(false),
+                _ => Err(TrapKind::Deadlock),
+            }
+        }
+    }
+
+    /// One step of a generated thread-table workload.
+    #[derive(Copy, Clone, Debug)]
+    enum Op {
+        Spawn,
+        /// The running thread joins thread `arg % threads`.
+        BlockOn(usize),
+        Finish,
+        Pick {
+            require_other: bool,
+        },
+        AfterSlice,
+    }
+
+    fn op_strategy() -> impl proptest::strategy::Strategy<Value = Op> {
+        (0u8..10, any::<u16>(), any::<bool>()).prop_map(|(kind, arg, flag)| match kind {
+            0..=2 => Op::Spawn,
+            3 | 4 => Op::BlockOn(usize::from(arg)),
+            5 => Op::Finish,
+            6 | 7 => Op::Pick {
+                require_other: flag,
+            },
+            _ => Op::AfterSlice,
+        })
+    }
+
+    /// Runs `ops` on a table under `tctl` and on the model under `mctl`,
+    /// after `spawned` initial spawns, asserting that every pick and
+    /// every after-slice decision agree. A run ends as an engine's does:
+    /// once every thread has finished, or on a deadlock. While the running thread is blocked or
+    /// finished only a reschedule can happen, so every other op becomes
+    /// one.
+    fn run_both(
+        ops: &[Op],
+        spawned: usize,
+        tctl: &mut SchedControl,
+        mctl: &mut SchedControl,
+    ) -> Result<(), TestCaseError> {
+        let mut table = ThreadTable::new(());
+        let mut model = Model {
+            states: vec![ModelState::Runnable],
+            ..Model::default()
+        };
+        let spawns = std::iter::repeat_n(Op::Spawn, spawned);
+        for (step, op) in spawns.chain(ops.iter().copied()).enumerate() {
+            let running = model.states[model.current] == ModelState::Runnable;
+            match op {
+                Op::Spawn if running => {
+                    table.spawn(());
+                    model.states.push(ModelState::Runnable);
+                }
+                Op::BlockOn(arg) if running => {
+                    let target = arg % model.states.len();
+                    if model.states[target] != ModelState::Done {
+                        table.block_on(target);
+                        model.states[model.current] = ModelState::Blocked(target);
+                    }
+                }
+                Op::Finish if running => {
+                    table.finish();
+                    model.states[model.current] = ModelState::Done;
+                }
+                Op::Pick { require_other } => {
+                    let (t, m) = (
+                        table.pick(tctl, require_other),
+                        model.pick(mctl, require_other),
+                    );
+                    prop_assert_eq!(t, m, "pick at step {}", step);
+                    if let Some(t) = t {
+                        table.current = t;
+                        model.current = t;
+                    }
+                }
+                _ => {
+                    let (t, m) = (table.after_slice(tctl), model.after_slice(mctl));
+                    prop_assert_eq!(&t, &m, "after-slice decision at step {}", step);
+                    if t != Ok(true) {
+                        break;
+                    }
+                }
+            }
+            prop_assert_eq!(table.current, model.current);
+        }
+        prop_assert_eq!(table.switches(), model.switches);
+        prop_assert_eq!(tctl.trace(), mctl.trace());
+        prop_assert_eq!(tctl.decisions(), mctl.decisions());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The thread table picks exactly what the linear wake-then-scan
+        /// scheduler picked, and records the same trace, under every
+        /// control mode, across bitset word boundaries.
+        #[test]
+        fn table_matches_linear_scan_model(
+            ops in prop::collection::vec(op_strategy(), 0..200),
+            spawned in 0usize..140,
+            seed in any::<u64>(),
+            depth in 0u32..6,
+        ) {
+            let policies = [
+                SchedPolicy::RoundRobin,
+                SchedPolicy::SeededRandom { seed },
+                SchedPolicy::PctPriority { seed, depth },
+            ];
+            run_both(&ops, spawned, &mut SchedControl::default(), &mut SchedControl::default())?;
+            let mut traces = Vec::new();
+            for policy in policies {
+                let (mut t, mut m) = (SchedControl::recording(policy), SchedControl::recording(policy));
+                run_both(&ops, spawned, &mut t, &mut m)?;
+                traces.push(t.take_trace());
+            }
+            // Replay and prefix runs follow the recorded decisions; a
+            // prefix is half a trace's choice indices, then round-robin.
+            for trace in traces {
+                let prefix: Vec<u32> = trace.choices[..trace.len() / 2].iter().map(|c| c.pos).collect();
+                let (mut t, mut m) = (SchedControl::replay(trace.clone()), SchedControl::replay(trace));
+                run_both(&ops, spawned, &mut t, &mut m)?;
+                let (mut t, mut m) = (SchedControl::prefix(prefix.clone()), SchedControl::prefix(prefix));
+                run_both(&ops, spawned, &mut t, &mut m)?;
+            }
+        }
     }
 }

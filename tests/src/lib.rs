@@ -12,6 +12,13 @@ pub fn compile(src: &str) -> isf_ir::Module {
     isf_frontend::compile(src).expect("test program compiles")
 }
 
+/// 64-bit FNV-1a over `bytes`, for pinning long outputs by digest.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// Runs a module on the default engine with the given trigger and default
 /// configuration.
 pub fn run_with(module: &isf_ir::Module, trigger: Trigger) -> Outcome {

@@ -7,14 +7,8 @@
 //! diagnostic — phase, `line:col` and message — exactly, or re-pin them on
 //! purpose.
 
+use isf_integration_tests::fnv1a;
 use isf_workloads::{suite, Scale};
-
-/// 64-bit FNV-1a over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
 
 /// `(scale, workload, bytes, FNV-1a)` of each module's `Display`.
 const MODULES: &[(&str, &str, usize, u64)] = &[

@@ -11,7 +11,8 @@
 use proptest::prelude::*;
 
 use isf_core::Strategy;
-use isf_exec::{SchedPolicy, TrapKind, Trigger};
+use isf_exec::{Engine, Request, SchedControl, SchedPolicy, TrapKind, Trigger};
+use isf_integration_tests::fnv1a;
 use isf_integration_tests::oracle::{
     check, check_row, conc, concurrent_program, fuel, full_run, spill_case, traps, Case,
 };
@@ -152,4 +153,129 @@ fn thread_spill_program_is_schedule_invariant() {
     check_row("spill lanes on a seeded schedule", &case, |c| {
         c.decisions > 0 && matches!(&c.result, Ok(o) if o.output == [1100] && o.samples_taken > 0)
     });
+}
+
+/// The compact trace `case` records on `engine`, pinned as itself when
+/// short and as its length and FNV-1a digest otherwise.
+fn pinned_trace(case: &Case, engine: Engine) -> String {
+    let cfg = case.config();
+    let mut ctl = SchedControl::recording(case.sched);
+    engine
+        .load(&case.module(), &cfg.cost)
+        .execute(Request::new(&cfg).sched(&mut ctl))
+        .expect("a pinned case completes");
+    let trace = ctl.take_trace().to_compact_string();
+    if trace.len() <= 80 {
+        trace
+    } else {
+        format!(
+            "{} bytes, fnv1a {:016x}",
+            trace.len(),
+            fnv1a(trace.as_bytes())
+        )
+    }
+}
+
+/// Every engine must record exactly these schedules. The oracle only
+/// compares engines with one another, so a scheduler change that
+/// reorders candidates on every engine at once would pass it; these pins
+/// catch it. They are the traces of the scheduler that scanned the
+/// thread table linearly, before the shared thread table.
+#[test]
+fn recorded_schedules_are_pinned() {
+    let seeded = SchedPolicy::SeededRandom { seed: 9 };
+    let pct = SchedPolicy::PctPriority { seed: 9, depth: 3 };
+    let spill = spill_case();
+    let join_chain = Case {
+        timeslice: 97,
+        ..Case::new(conc(4, 5, ConcShape::JoinChain))
+    };
+    let fan_out = Case {
+        timeslice: 97,
+        ..Case::new(conc(5, 6, ConcShape::FanOut))
+    };
+    let rows = [
+        (
+            "spill",
+            &spill,
+            seeded,
+            "3016 bytes, fnv1a 6d077a8f65e501e9",
+        ),
+        ("spill", &spill, pct, "4730 bytes, fnv1a bb4cb87bacb579c6"),
+        (
+            "join chain",
+            &join_chain,
+            seeded,
+            "st1:2/4@3,0/3@4,1/3@2,1/2@1",
+        ),
+        (
+            "join chain",
+            &join_chain,
+            pct,
+            "st1:0/4@1,1/3@3,1/3@1,1/2@4,0/2@1",
+        ),
+        (
+            "fan-out",
+            &fan_out,
+            seeded,
+            "st1:2/5@3,0/4@4,1/4@1,3/5@5,0/4@0,2/4@4,1/3@2,0/2@3,1/2@2",
+        ),
+        (
+            "fan-out",
+            &fan_out,
+            pct,
+            "st1:0/5@1,1/4@3,2/4@1,1/5@3,2/4@0,1/4@3,0/3@4,1/2@2,2/3@0,0/2@4,1/2@0",
+        ),
+    ];
+    let mut wrong = Vec::new();
+    for (name, case, sched, want) in rows {
+        let case = Case {
+            sched,
+            ..case.clone()
+        };
+        for engine in [Engine::Naive, Engine::Fused] {
+            let got = pinned_trace(&case, engine);
+            if got != want {
+                wrong.push(format!("{name} on {engine:?}: {got:?}\n{case}"));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "schedules changed:\n{}", wrong.join("\n"));
+}
+
+/// A join that can never be satisfied traps `Deadlock` on every engine
+/// under every policy: a thread that joins itself (it sits in its own
+/// joiner list and must never be woken), and two threads that join each
+/// other.
+#[test]
+fn unsatisfiable_joins_deadlock_under_every_policy() {
+    let self_join = "class Box { field t; }
+fn me(b) { var i = 0; while (i < 3) { i = i + 1; } join(b.t); }
+fn main() { var b = new Box; b.t = 0; var t = spawn me(b); b.t = t; join(t); }";
+    let cycle = "class Box { field a; field b; }
+fn first(x) { var i = 0; while (i < 3) { i = i + 1; } join(x.b); }
+fn second(x) { var i = 0; while (i < 2) { i = i + 1; } join(x.a); }
+fn main() {
+    var x = new Box; x.a = 0; x.b = 0;
+    var a = spawn first(x); var b = spawn second(x);
+    x.a = a; x.b = b;
+    join(a);
+}";
+    for (name, program) in [("self-join", self_join), ("join cycle", cycle)] {
+        for sched in [
+            SchedPolicy::RoundRobin,
+            SchedPolicy::SeededRandom { seed: 31 },
+            SchedPolicy::PctPriority { seed: 31, depth: 2 },
+        ] {
+            let case = Case {
+                sched,
+                ..Case::new(program.into())
+            };
+            check_row(
+                &format!("{name} under {sched:?}"),
+                &case,
+                traps(TrapKind::Deadlock),
+            );
+        }
+    }
 }
