@@ -172,13 +172,28 @@ impl Frame<'_> {
     /// `locals[dst] = lhs op rhs`, evaluated straight into the local
     /// (DESIGN.md decision 21); a trap leaves the local untouched. Every
     /// arm that runs a binary operator comes through here.
-    #[inline]
+    ///
+    /// The operands are read in place, tag byte and payload apart: a
+    /// whole-`Value` copy is one wide load spanning the two narrow stores
+    /// the previous op made to its destination, which the CPU cannot
+    /// forward from them (DESIGN.md decision 26).
+    #[inline(always)]
     fn bin(&mut self, op: BinOp, dst: LocalId, lhs: LocalId, rhs: LocalId) -> Result<(), TrapKind> {
-        let (a, b) = (self.locals[lhs.index()], self.locals[rhs.index()]);
-        Value::binary_into(op, a, b, &mut self.locals[dst.index()])
+        match (&self.locals[lhs.index()], &self.locals[rhs.index()]) {
+            (&Value::I64(x), &Value::I64(y)) => {
+                Value::binary_i64_into(op, x, y, &mut self.locals[dst.index()])
+            }
+            (&a, &b) => {
+                self.locals[dst.index()] = Value::binary_mixed(op, a, b)?;
+                Ok(())
+            }
+        }
     }
 
     /// `locals[dst] = op src`, evaluated in place like [`Frame::bin`].
+    /// Its operand is still copied whole: unary ops are 0.2% of
+    /// dispatches, and reading it in place would repeat the operator
+    /// table of [`Value::unary_into`].
     #[inline]
     fn un(&mut self, op: UnOp, dst: LocalId, src: LocalId) -> Result<(), TrapKind> {
         let v = self.locals[src.index()];
@@ -243,6 +258,9 @@ struct Machine<'p, 's, S: TraceSink, P: ProfileSink> {
     top: Frame<'p>,
     /// The running thread's suspended callers, outermost first.
     below: Vec<Frame<'p>>,
+    /// The locals vectors of returned frames, which `push_frame` reuses
+    /// so that a call neither allocates nor frees.
+    free_locals: Vec<Vec<Value>>,
     /// Every thread's state, and the stacks of the threads that are not
     /// running: a running thread's entry is empty (its frames are in
     /// `top` and `below`), and so is a finished one's.
@@ -330,6 +348,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
             heap: Heap::with_limit(config.limits.max_heap_words),
             top: main_frame,
             below: Vec::new(),
+            free_locals: Vec::new(),
             threads: ThreadTable::new(Vec::new()),
             cycles: 0,
             next_switch: config.timeslice.max(1),
@@ -717,18 +736,19 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
     /// Returns [`TrapKind::Cancelled`] when an armed token fired; see
     /// [`Machine::enter`].
     #[inline]
-    fn goto(&mut self, target: u32, backedge: bool) -> Result<(), TrapKind> {
+    fn goto(&mut self, target: u32, backedge: bool) -> Result<usize, TrapKind> {
         if backedge {
             self.backedges_executed += 1;
         }
         self.enter(target)
     }
 
-    /// Lands the current frame at `target`, counting the flow entry when
-    /// the profile sink is enabled (when it isn't, this is just the `ip`
-    /// store). Every control-transfer arm funnels through here or
-    /// [`Machine::goto`]; straight-line advancement does not, which is
-    /// what keeps profiling off the per-dispatch path.
+    /// Enters the current frame's block at `target`: counts the flow
+    /// entry when the profile sink is enabled and returns `target` as the
+    /// frame's new `ip`, which `run_slice()` holds. Every control-transfer
+    /// arm funnels through here or [`Machine::goto`]; straight-line
+    /// advancement does not, which is what keeps profiling off the
+    /// per-dispatch path.
     ///
     /// # Errors
     ///
@@ -741,20 +761,19 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
     /// executed, fully charged transfer op, which is exactly the state
     /// [`Machine::fold_profile`]'s attempted-frame cut accounts for.
     #[inline]
-    fn enter(&mut self, target: u32) -> Result<(), TrapKind> {
+    fn enter(&mut self, target: u32) -> Result<usize, TrapKind> {
         if let Some(t) = &self.cancel {
             if t.fired() {
                 return Err(TrapKind::Cancelled);
             }
         }
-        let f = &mut self.top;
         if P::ENABLED {
-            if let Some(d) = self.entry_deltas.get_mut(f.base as usize + target as usize) {
+            let slot = self.top.base as usize + target as usize;
+            if let Some(d) = self.entry_deltas.get_mut(slot) {
                 *d += 1;
             }
         }
-        f.ip = target as usize;
-        Ok(())
+        Ok(target as usize)
     }
 
     /// Enters `callee` on `thread` with the optional `receiver` and then
@@ -792,7 +811,8 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                 *d += 1;
             }
         }
-        let mut locals = Vec::with_capacity(f.num_locals);
+        let mut locals = self.free_locals.pop().unwrap_or_default();
+        locals.clear();
         locals.extend(receiver);
         locals.extend(args.iter().map(|a| self.top.locals[a.index()]));
         locals.resize(f.num_locals, Value::Unit);
@@ -823,40 +843,48 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
     /// last frame — then returns `Ok` for [`Machine::run_to_completion`]
     /// to reschedule — or until an op traps. Every other op, calls and
     /// returns included, goes straight on to the next fetch.
+    ///
+    /// The running frame's op arena and `ip` live in locals, so a
+    /// dispatch neither reloads them nor writes back an advance. `top.ip`
+    /// is stored once per dispatch, before the charge, so everything that
+    /// can observe it mid-op — a trap, [`Machine::fold_profile`], a
+    /// sample record, the blocking `Join`'s pre-count, `push_frame` —
+    /// sees the op being dispatched. The locals are reloaded from `top`
+    /// only when `top` changes (a call on the running thread, `Ret`); a
+    /// control transfer sets `ip` to the target [`Machine::enter`]
+    /// returns, and a `Yield` that ends the slice writes `ip` back.
     fn run_slice(&mut self) -> Result<(), TrapKind> {
         let cur = self.threads.current();
+        // The op borrow comes through the frame's cached `&'p [Op]`
+        // slice, leaving `self` free for mutation during execution.
+        let mut ops = self.top.ops;
+        let mut ip = self.top.ip;
         'dispatch: loop {
-            let func_id = self.top.func;
-            // The op borrow comes through the frame's cached `&'p [Op]`
-            // slice, leaving `self` free for mutation during execution.
-            let ops = self.top.ops;
-            let op = &ops[self.top.ip];
+            let op = &ops[ip];
+            self.top.ip = ip;
             let w = op.width as usize;
             self.charge(op.cost, op.width)?;
             // Hot arms borrow the running frame, `self.top`, index locals
-            // directly and advance `ip` inline; the heap, the dispatch
+            // directly and advance the local `ip`; the heap, the dispatch
             // tables and the counters live in disjoint fields of `self`,
             // so they stay reachable while the frame borrow is live.
             match &op.kind {
                 OpKind::Const { dst, value } => {
-                    let f = &mut self.top;
-                    f.locals[dst.index()] = *value;
-                    f.ip += 1;
+                    self.top.locals[dst.index()] = *value;
+                    ip += 1;
                 }
                 OpKind::Move { dst, src } => {
                     let f = &mut self.top;
                     f.locals[dst.index()] = f.locals[src.index()];
-                    f.ip += 1;
+                    ip += 1;
                 }
                 OpKind::Un { op, dst, src } => {
-                    let f = &mut self.top;
-                    f.un(*op, *dst, *src)?;
-                    f.ip += 1;
+                    self.top.un(*op, *dst, *src)?;
+                    ip += 1;
                 }
                 OpKind::Bin { op, dst, lhs, rhs } => {
-                    let f = &mut self.top;
-                    f.bin(*op, *dst, *lhs, *rhs)?;
-                    f.ip += 1;
+                    self.top.bin(*op, *dst, *lhs, *rhs)?;
+                    ip += 1;
                 }
                 OpKind::New {
                     dst,
@@ -866,7 +894,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     let v = self.heap.alloc_object(*class, *num_fields)?;
                     let f = &mut self.top;
                     f.locals[dst.index()] = v;
-                    f.ip += 1;
+                    ip += 1;
                 }
                 OpKind::GetField { dst, obj, field } => {
                     let f = &mut self.top;
@@ -880,7 +908,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                             )
                         })?;
                     f.locals[dst.index()] = object.fields[offset as usize];
-                    f.ip += 1;
+                    ip += 1;
                 }
                 OpKind::SetField { obj, field, src } => {
                     let f = &mut self.top;
@@ -891,33 +919,33 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                         TrapKind::NoSuchField(self.prepared.module().field_name(*field).to_owned())
                     })?;
                     self.heap.object_mut(o)?.fields[offset as usize] = v;
-                    f.ip += 1;
+                    ip += 1;
                 }
                 OpKind::GetFieldStatic { dst, obj, offset } => {
                     let f = &mut self.top;
                     let object = self.heap.object(f.locals[obj.index()])?;
                     f.locals[dst.index()] = object.fields[*offset as usize];
-                    f.ip += 1;
+                    ip += 1;
                 }
                 OpKind::SetFieldStatic { obj, offset, src } => {
                     let f = &mut self.top;
                     let o = f.locals[obj.index()];
                     let v = f.locals[src.index()];
                     self.heap.object_mut(o)?.fields[*offset as usize] = v;
-                    f.ip += 1;
+                    ip += 1;
                 }
                 OpKind::NewArray { dst, len } => {
                     let f = &mut self.top;
                     let n = f.locals[len.index()].as_i64()?;
                     f.locals[dst.index()] = self.heap.alloc_array(n)?;
-                    f.ip += 1;
+                    ip += 1;
                 }
                 OpKind::ArrayGet { dst, arr, idx } => {
                     let f = &mut self.top;
                     let i = f.locals[idx.index()].as_i64()?;
                     let v = self.heap.array_get(f.locals[arr.index()], i)?;
                     f.locals[dst.index()] = Value::I64(v);
-                    f.ip += 1;
+                    ip += 1;
                 }
                 OpKind::ArraySet { arr, idx, src } => {
                     let f = &mut self.top;
@@ -925,13 +953,13 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     let i = f.locals[idx.index()].as_i64()?;
                     let v = f.locals[src.index()].as_i64()?;
                     self.heap.array_set(a, i, v)?;
-                    f.ip += 1;
+                    ip += 1;
                 }
                 OpKind::ArrayLen { dst, arr } => {
                     let f = &mut self.top;
                     let n = self.heap.array_len(f.locals[arr.index()])?;
                     f.locals[dst.index()] = Value::I64(n);
-                    f.ip += 1;
+                    ip += 1;
                 }
                 OpKind::Call {
                     dst,
@@ -939,7 +967,9 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     args,
                     site,
                 } => {
-                    self.push_frame(*callee, None, args, *dst, Some((func_id, *site)), cur)?;
+                    let caller = Some((self.top.func, *site));
+                    self.push_frame(*callee, None, args, *dst, caller, cur)?;
+                    (ops, ip) = (self.top.ops, self.top.ip);
                 }
                 OpKind::CallMethod {
                     dst,
@@ -963,7 +993,9 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                             expected,
                         });
                     }
-                    self.push_frame(callee, Some(o), args, *dst, Some((func_id, *site)), cur)?;
+                    let caller = Some((self.top.func, *site));
+                    self.push_frame(callee, Some(o), args, *dst, caller, cur)?;
+                    (ops, ip) = (self.top.ops, self.top.ip);
                 }
                 OpKind::CallMethodStatic {
                     dst,
@@ -977,7 +1009,9 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     // time; the receiver must still be a live object so null
                     // and type traps match the dynamic path.
                     self.heap.object(o)?;
-                    self.push_frame(*callee, Some(o), args, *dst, Some((func_id, *site)), cur)?;
+                    let caller = Some((self.top.func, *site));
+                    self.push_frame(*callee, Some(o), args, *dst, caller, cur)?;
+                    (ops, ip) = (self.top.ops, self.top.ip);
                 }
                 OpKind::Print { src } => {
                     let f = &mut self.top;
@@ -992,13 +1026,13 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                         }
                     };
                     self.output.push(n);
-                    f.ip += 1;
+                    ip += 1;
                 }
                 OpKind::Spawn { dst, callee, args } => {
                     let tid = self.threads.spawn(Vec::new());
                     self.push_frame(*callee, None, args, None, None, tid)?;
                     self.top.locals[dst.index()] = Value::Thread(tid as u32);
-                    self.top.ip += 1;
+                    ip += 1;
                 }
                 OpKind::Join { thread } => {
                     let t = match self.top.locals[thread.index()] {
@@ -1019,7 +1053,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                             // execution per entry). If the wake never comes,
                             // the end-of-run cut at this frame's `ip` cancels
                             // the prediction.
-                            let slot = self.top.base as usize + self.top.ip;
+                            let slot = self.top.base as usize + ip;
                             if let Some(d) = self.entry_deltas.get_mut(slot) {
                                 *d += 1;
                             }
@@ -1030,62 +1064,61 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                         // Do not advance: the join re-executes when unblocked.
                         return Ok(());
                     }
-                    self.top.ip += 1;
+                    ip += 1;
                 }
                 OpKind::Yield => {
                     self.yields_executed += 1;
-                    self.top.ip += 1;
+                    ip += 1;
                     if self.switch_bit {
                         self.switch_bit = false;
+                        self.top.ip = ip;
                         return Ok(());
                     }
                 }
                 OpKind::Busy => {
                     // The cost was already charged; nothing else happens.
-                    self.top.ip += 1;
+                    ip += 1;
                 }
                 OpKind::CallEdge => {
                     // Examine the call stack (paper §4.2): the caller and the
                     // call site were stashed in the frame at call time.
-                    let f = &mut self.top;
-                    if let Some((caller, site)) = f.caller {
-                        self.profile.record_call_edge(caller, site, func_id);
+                    if let Some((caller, site)) = self.top.caller {
+                        self.profile.record_call_edge(caller, site, self.top.func);
                     }
-                    f.ip += 1;
+                    ip += 1;
                 }
                 OpKind::FieldAccessProf { obj, field, write } => {
                     let f = &mut self.top;
                     let class = self.heap.object(f.locals[obj.index()])?.class;
                     self.field_counts[class.index() * self.num_field_syms + field.index()]
                         [usize::from(*write)] += 1;
-                    f.ip += 1;
+                    ip += 1;
                 }
                 OpKind::BlockCount { block } => {
-                    self.profile.record_block(func_id, *block);
-                    self.top.ip += 1;
+                    self.profile.record_block(self.top.func, *block);
+                    ip += 1;
                 }
                 OpKind::EdgeCount { from, to } => {
-                    self.profile.record_edge(func_id, *from, *to);
-                    self.top.ip += 1;
+                    self.profile.record_edge(self.top.func, *from, *to);
+                    ip += 1;
                 }
                 OpKind::PathStart { value } => {
                     let f = &mut self.top;
                     f.path_reg = Some(*value);
-                    f.ip += 1;
+                    ip += 1;
                 }
                 OpKind::PathIncr { delta } => {
                     let f = &mut self.top;
                     if let Some(r) = f.path_reg.as_mut() {
                         *r += *delta;
                     }
-                    f.ip += 1;
+                    ip += 1;
                 }
                 OpKind::PathEnd { site } => {
-                    let f = &mut self.top;
-                    if let Some(id) = f.path_reg.take() {
-                        self.profile.record_path(func_id, *site, id);
+                    if let Some(id) = self.top.path_reg.take() {
+                        self.profile.record_path(self.top.func, *site, id);
                     }
-                    f.ip += 1;
+                    ip += 1;
                 }
                 OpKind::ValueProfile { local, site } => {
                     let v = match self.top.locals[local.index()] {
@@ -1096,8 +1129,8 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                         Value::Null => -1,
                         Value::Unit => 0,
                     };
-                    self.profile.record_value(func_id, *site, v);
-                    self.top.ip += 1;
+                    self.profile.record_value(self.top.func, *site, v);
+                    ip += 1;
                 }
                 // Fused superinstructions: each arm replays its group's
                 // original effects in order under one dispatch. The group cost
@@ -1115,7 +1148,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     let f = &mut self.top;
                     f.locals[tmp.index()] = *imm;
                     f.bin(*op, *dst, *lhs, *rhs)?;
-                    f.ip += w;
+                    ip += w;
                 }
                 OpKind::GetFieldBin {
                     obj,
@@ -1133,7 +1166,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     self.charge_cycles(*extra)?;
                     let f = &mut self.top;
                     f.bin(*op, *dst, *lhs, *rhs)?;
-                    f.ip += w;
+                    ip += w;
                 }
                 OpKind::BinSetField {
                     op,
@@ -1150,7 +1183,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     let f = &mut self.top;
                     let (o, v) = (f.locals[obj.index()], f.locals[dst.index()]);
                     self.heap.object_mut(o)?.fields[*offset as usize] = v;
-                    f.ip += w;
+                    ip += w;
                 }
                 OpKind::BinImmSetField {
                     op,
@@ -1170,7 +1203,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     let f = &mut self.top;
                     let (o, v) = (f.locals[obj.index()], f.locals[dst.index()]);
                     self.heap.object_mut(o)?.fields[*offset as usize] = v;
-                    f.ip += w;
+                    ip += w;
                 }
                 OpKind::GetFieldBinImm {
                     obj,
@@ -1191,7 +1224,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     let f = &mut self.top;
                     f.locals[ctmp.index()] = *imm;
                     f.bin(*op, *dst, *lhs, *rhs)?;
-                    f.ip += w;
+                    ip += w;
                 }
                 OpKind::GetFieldBinImmSetField {
                     obj,
@@ -1219,7 +1252,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     let f = &mut self.top;
                     let (o, v) = (f.locals[sobj.index()], f.locals[dst.index()]);
                     self.heap.object_mut(o)?.fields[*soffset as usize] = v;
-                    f.ip += w;
+                    ip += w;
                 }
                 OpKind::ConstSetField {
                     tmp,
@@ -1231,7 +1264,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     f.locals[tmp.index()] = *imm;
                     let o = f.locals[obj.index()];
                     self.heap.object_mut(o)?.fields[*offset as usize] = *imm;
-                    f.ip += w;
+                    ip += w;
                 }
                 OpKind::GetFieldBrCmp {
                     obj,
@@ -1254,7 +1287,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     f.bin(*op, *dst, *lhs, *rhs)?;
                     self.charge_cycles(*branch)?;
                     let taken = self.top.is_true(*dst);
-                    self.enter(if taken { *t } else { *f_target })?;
+                    ip = self.enter(if taken { *t } else { *f_target })?;
                 }
                 OpKind::GetFieldArrayGet {
                     obj,
@@ -1272,7 +1305,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     let i = f.locals[tmp.index()].as_i64()?;
                     let v = self.heap.array_get(f.locals[arr.index()], i)?;
                     f.locals[dst.index()] = Value::I64(v);
-                    f.ip += w;
+                    ip += w;
                 }
                 OpKind::GetFieldArraySet {
                     obj,
@@ -1291,7 +1324,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     let i = f.locals[tmp.index()].as_i64()?;
                     let v = f.locals[src.index()].as_i64()?;
                     self.heap.array_set(a, i, v)?;
-                    f.ip += w;
+                    ip += w;
                 }
                 OpKind::BrCmp {
                     op,
@@ -1306,7 +1339,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     f.bin(*op, *dst, *lhs, *rhs)?;
                     self.charge_cycles(*extra)?;
                     let taken = self.top.is_true(*dst);
-                    self.enter(if taken { *t } else { *f_target })?;
+                    ip = self.enter(if taken { *t } else { *f_target })?;
                 }
                 OpKind::BrCmpImm {
                     op,
@@ -1324,7 +1357,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     f.bin(*op, *dst, *lhs, *rhs)?;
                     self.charge_cycles(*extra)?;
                     let taken = self.top.is_true(*dst);
-                    self.enter(if taken { *t } else { *f_target })?;
+                    ip = self.enter(if taken { *t } else { *f_target })?;
                 }
                 OpKind::Guided { steps, .. } => {
                     // The generalized profile-guided group: charge and execute
@@ -1386,8 +1419,9 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                                 args,
                                 site,
                             } => {
-                                let caller = Some((func_id, *site));
+                                let caller = Some((self.top.func, *site));
                                 self.push_frame(*callee, None, args, *dst, caller, cur)?;
+                                (ops, ip) = (self.top.ops, self.top.ip);
                                 continue 'dispatch;
                             }
                             OpKind::CallMethodStatic {
@@ -1401,8 +1435,9 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                                 // Target and arity verified at prepare time;
                                 // the receiver still null/type-checks.
                                 self.heap.object(o)?;
-                                let caller = Some((func_id, *site));
+                                let caller = Some((self.top.func, *site));
                                 self.push_frame(*callee, Some(o), args, *dst, caller, cur)?;
+                                (ops, ip) = (self.top.ops, self.top.ip);
                                 continue 'dispatch;
                             }
                             other => {
@@ -1412,8 +1447,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                             }
                         }
                     }
-                    let f = &mut self.top;
-                    f.ip += w;
+                    ip += w;
                 }
                 OpKind::Gap => unreachable!("fusion gap slots are never executed"),
                 // Terminators (inlined into the arena as the block's last op).
@@ -1421,7 +1455,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     if *backedge {
                         self.backedges_executed += 1;
                     }
-                    self.enter(*target)?;
+                    ip = self.enter(*target)?;
                 }
                 OpKind::Br {
                     cond,
@@ -1440,7 +1474,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     if backedge {
                         self.backedges_executed += 1;
                     }
-                    self.enter(target)?;
+                    ip = self.enter(target)?;
                 }
                 OpKind::Ret { val } => {
                     let value = val.map_or(Value::Unit, |l| self.top.locals[l.index()]);
@@ -1454,6 +1488,8 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     if let Some(dst) = frame.ret_dst {
                         self.top.locals[dst.index()] = value;
                     }
+                    self.free_locals.push(frame.locals);
+                    (ops, ip) = (self.top.ops, self.top.ip);
                 }
                 OpKind::Check {
                     sample,
@@ -1467,8 +1503,8 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                         if S::ENABLED {
                             self.record_sample(
                                 cur,
-                                func_id,
-                                self.top.ip as u32,
+                                self.top.func,
+                                ip as u32,
                                 *sample_backedge || *cont_backedge,
                             );
                         }
@@ -1477,7 +1513,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                             // The surcharge below is the one data-dependent
                             // cycle charge; count the firing so `fold_profile`
                             // can attribute it to this check.
-                            let slot = self.top.base as usize + self.top.ip;
+                            let slot = self.top.base as usize + ip;
                             if let Some(n) = self.fire_counts.get_mut(slot) {
                                 *n += 1;
                             }
@@ -1485,9 +1521,9 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                         // Jumping into cold duplicated code costs extra
                         // (instruction-cache effects, §4.4 footnote 6).
                         self.cycles += self.sample_switch;
-                        self.goto(*sample, *sample_backedge)?;
+                        ip = self.goto(*sample, *sample_backedge)?;
                     } else {
-                        self.goto(*cont, *cont_backedge)?;
+                        ip = self.goto(*cont, *cont_backedge)?;
                     }
                 }
             }
@@ -1513,6 +1549,112 @@ mod tests {
 
     fn run_src(src: &str) -> Outcome {
         on(Engine::default(), &compile(src), &VmConfig::default()).expect("test program runs")
+    }
+
+    /// A frame holding `locals`, enough to run [`Frame::bin`] on.
+    fn frame(locals: Vec<Value>) -> Frame<'static> {
+        Frame {
+            func: FuncId::new(0),
+            ops: &[],
+            base: 0,
+            ip: 0,
+            locals,
+            ret_dst: None,
+            caller: None,
+            path_reg: None,
+        }
+    }
+
+    /// `Frame::bin` reads its operands in place and writes `dst` last, so
+    /// it must give `Value::binary`'s result whichever operand `dst`
+    /// aliases, and change nothing when it traps.
+    #[test]
+    fn frame_bin_writes_only_dst_under_every_aliasing() {
+        use crate::value::tests::{value_grid, BIN_OPS};
+        let values = value_grid();
+        for op in BIN_OPS {
+            for &a in &values {
+                for &b in &values {
+                    let want = Value::binary(op, a, b);
+                    // (locals, dst, lhs, rhs): `dst` distinct, `dst == lhs`,
+                    // `dst == rhs`, and all three one local.
+                    let mut shapes = vec![
+                        (vec![a, b, Value::Thread(7)], 2, 0, 1),
+                        (vec![a, b], 0, 0, 1),
+                        (vec![a, b], 1, 0, 1),
+                    ];
+                    if a == b {
+                        shapes.push((vec![a], 0, 0, 0));
+                    }
+                    for (locals, dst, lhs, rhs) in shapes {
+                        let mut f = frame(locals.clone());
+                        let got =
+                            f.bin(op, LocalId::new(dst), LocalId::new(lhs), LocalId::new(rhs));
+                        let mut expect = locals;
+                        match &want {
+                            Ok(v) => {
+                                assert_eq!(got, Ok(()), "{a:?} {op:?} {b:?}");
+                                expect[dst as usize] = *v;
+                            }
+                            Err(e) => assert_eq!(got.as_ref(), Err(e), "{a:?} {op:?} {b:?}"),
+                        }
+                        assert_eq!(
+                            f.locals, expect,
+                            "{a:?} {op:?} {b:?} into local {dst} of locals {lhs}, {rhs}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A call reuses a returned frame's locals vector: the callee's
+    /// locals past its parameters must still start as `Unit`. Jive cannot
+    /// express the program (it lowers `var y;` to `const 0`), so it is
+    /// built directly: `main` calls `g`, which writes its local 1 and
+    /// returns, and then `h`, which prints its never-written local 1.
+    #[test]
+    fn a_recycled_locals_vector_starts_as_unit() {
+        use isf_ir::{Const, FunctionBuilder, Inst, ModuleBuilder, Term};
+        let mut mb = ModuleBuilder::new();
+        let call = |fb: &mut FunctionBuilder, callee| {
+            fb.push(Inst::Call {
+                dst: None,
+                callee,
+                args: Vec::new(),
+                site: CallSiteId::new(0),
+            });
+        };
+        let mut fb = FunctionBuilder::new("g", 0);
+        let (_, x) = (fb.new_local(), fb.new_local());
+        fb.push(Inst::Const {
+            dst: x,
+            value: Const::I64(42),
+        });
+        fb.terminate(Term::Ret(None));
+        let g = mb.add_function(fb.finish());
+        let mut fb = FunctionBuilder::new("h", 0);
+        let (_, y) = (fb.new_local(), fb.new_local());
+        fb.push(Inst::Print { src: y });
+        fb.terminate(Term::Ret(None));
+        let h = mb.add_function(fb.finish());
+        let mut fb = FunctionBuilder::new("main", 0);
+        call(&mut fb, g);
+        call(&mut fb, h);
+        fb.terminate(Term::Ret(None));
+        let main = mb.add_function(fb.finish());
+        let m = mb.finish(main);
+        let want = VmError {
+            function: "h".to_owned(),
+            kind: TrapKind::TypeError {
+                expected: "printable value",
+                found: "unit",
+            },
+        };
+        for engine in Engine::ALL {
+            let got = on(engine, &m, &VmConfig::default());
+            assert_eq!(got, Err(want.clone()), "{}", engine.label());
+        }
     }
 
     #[test]

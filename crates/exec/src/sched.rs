@@ -432,14 +432,17 @@ struct Thread<S> {
 /// keeps its slot. The reference engine parks every frame here, the
 /// prepared engine only the stacks of threads that are not running.
 ///
-/// The runnable set is a bitset, so a pick walks set bits, not the whole
-/// table. A thread's joiners are woken when it finishes: no thread blocks
-/// on a finished one and every finish ends a slice, so each pick finds
-/// every joiner of a finished thread awake (DESIGN.md decision 25).
+/// The runnable set is a bitset with a summary bit per non-empty word, so
+/// a pick walks set bits, not the whole table, and steps over empty words
+/// 64 at a time. A thread's joiners are woken when it finishes: no thread
+/// blocks on a finished one and every finish ends a slice, so each pick
+/// finds every joiner of a finished thread awake (DESIGN.md decision 25).
 pub(crate) struct ThreadTable<S> {
     threads: Vec<Thread<S>>,
     /// Bit `t` is set iff thread `t` is runnable.
     runnable: Vec<u64>,
+    /// Bit `w` is set iff `runnable[w]` is not zero.
+    summary: Vec<u64>,
     current: usize,
     /// Reschedules that changed the running thread.
     switches: u64,
@@ -451,6 +454,7 @@ impl<S> ThreadTable<S> {
         let mut table = ThreadTable {
             threads: Vec::new(),
             runnable: Vec::new(),
+            summary: Vec::new(),
             current: 0,
             switches: 0,
         };
@@ -502,6 +506,9 @@ impl<S> ThreadTable<S> {
         });
         if t / 64 == self.runnable.len() {
             self.runnable.push(0);
+            if self.runnable.len() > 64 * self.summary.len() {
+                self.summary.push(0);
+            }
         }
         self.set_runnable(t, true);
         t
@@ -569,7 +576,7 @@ impl<S> ThreadTable<S> {
                 word &= word - 1;
                 return (t < end).then_some(t);
             }
-            w += 1;
+            w = self.nonempty_word_from(w + 1)?;
             if w * 64 >= end {
                 return None;
             }
@@ -577,12 +584,30 @@ impl<S> ThreadTable<S> {
         })
     }
 
+    /// The first runnable word at or after word `from`, found through
+    /// the summary.
+    fn nonempty_word_from(&self, from: usize) -> Option<usize> {
+        let mut s = from / 64;
+        let mut bits = self.summary.get(s)? & (!0 << (from % 64));
+        while bits == 0 {
+            s += 1;
+            bits = *self.summary.get(s)?;
+        }
+        Some(s * 64 + bits.trailing_zeros() as usize)
+    }
+
     fn set_runnable(&mut self, t: usize, on: bool) {
-        let bit = 1 << (t % 64);
+        let (w, bit) = (t / 64, 1 << (t % 64));
         if on {
-            self.runnable[t / 64] |= bit;
+            self.runnable[w] |= bit;
         } else {
-            self.runnable[t / 64] &= !bit;
+            self.runnable[w] &= !bit;
+        }
+        let summary = &mut self.summary[w / 64];
+        if self.runnable[w] == 0 {
+            *summary &= !(1 << (w % 64));
+        } else {
+            *summary |= 1 << (w % 64);
         }
     }
 }
@@ -646,6 +671,33 @@ mod tests {
     /// All `n` threads runnable, `current` running.
     fn all(n: usize, current: usize) -> ThreadTable<()> {
         table(n, (1 << n) - 1, current)
+    }
+
+    #[test]
+    fn pick_crosses_summary_words() {
+        // 9,000 threads span three summary words; with three runnable, a
+        // pick from each running thread finds the next one in scan order.
+        let runnable = [5, 4_100, 8_999];
+        let mut t = ThreadTable::new(());
+        for _ in 1..9_000 {
+            t.spawn(());
+        }
+        for i in 0..9_000 {
+            t.set_runnable(i, runnable.contains(&i));
+        }
+        for (k, &current) in runnable.iter().enumerate() {
+            t.current = current;
+            let mut ctl = SchedControl::recording(SchedPolicy::RoundRobin);
+            let next = runnable[(k + 1) % runnable.len()];
+            assert_eq!(t.pick(&mut SchedControl::default(), true), Some(next));
+            assert_eq!(t.pick(&mut ctl, false), Some(next));
+            assert_eq!(ctl.trace().choices[0].count, 3);
+        }
+        t.current = 0;
+        t.set_runnable(4_100, false);
+        t.set_runnable(8_999, false);
+        t.set_runnable(5, false);
+        assert_eq!(t.pick(&mut SchedControl::default(), false), None);
     }
 
     #[test]

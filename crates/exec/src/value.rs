@@ -109,16 +109,16 @@ impl Value {
     /// Applies a binary operator, writing the result into `dst`, which a
     /// trap leaves untouched.
     ///
-    /// The prepared engine's hot path: the result goes straight into the
-    /// destination local rather than through a returned
-    /// `Result<Value, TrapKind>`. That aggregate lives on the stack, is
-    /// written as narrow stores and read back as one wide load, which the
-    /// CPU cannot forward from them (DESIGN.md decision 21).
+    /// The result goes straight into the destination rather than through
+    /// a returned `Result<Value, TrapKind>`. That aggregate lives on the
+    /// stack, is written as narrow stores and read back as one wide load,
+    /// which the CPU cannot forward from them (DESIGN.md decision 21).
     ///
     /// Two integers — nearly every binary op a program runs — take one
     /// match over the operator; every other pair goes to the cold
-    /// `binary_mixed`.
-    #[inline]
+    /// `binary_mixed`. The prepared engine's `Frame::bin` makes the same
+    /// split on operands it reads in place (DESIGN.md decision 26).
+    #[inline(always)]
     pub fn binary_into(op: BinOp, a: Value, b: Value, dst: &mut Value) -> Result<(), TrapKind> {
         match (a, b) {
             (Value::I64(x), Value::I64(y)) => Self::binary_i64_into(op, x, y, dst),
@@ -131,8 +131,13 @@ impl Value {
 
     /// The integer semantics of every operator: the one copy of the
     /// operator table. `/` and `%` by zero trap before `dst` is written.
-    #[inline]
-    fn binary_i64_into(op: BinOp, x: i64, y: i64, dst: &mut Value) -> Result<(), TrapKind> {
+    #[inline(always)]
+    pub(crate) fn binary_i64_into(
+        op: BinOp,
+        x: i64,
+        y: i64,
+        dst: &mut Value,
+    ) -> Result<(), TrapKind> {
         use BinOp::*;
         match op {
             Add => *dst = Value::I64(x.wrapping_add(y)),
@@ -163,7 +168,7 @@ impl Value {
     /// whatever the dividend is.
     #[cold]
     #[inline(never)]
-    fn binary_mixed(op: BinOp, a: Value, b: Value) -> Result<Value, TrapKind> {
+    pub(crate) fn binary_mixed(op: BinOp, a: Value, b: Value) -> Result<Value, TrapKind> {
         let (x, y) = match op {
             BinOp::Eq => return Ok(Value::Bool(a == b)),
             BinOp::Ne => return Ok(Value::Bool(a != b)),
@@ -181,8 +186,35 @@ impl Value {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Every binary operator.
+    pub(crate) const BIN_OPS: [BinOp; 16] = {
+        use BinOp::*;
+        [
+            Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Eq, Ne, Lt, Le, Gt, Ge,
+        ]
+    };
+
+    /// One or two values of every kind, and the integers at the edges of
+    /// wrapping, division and shift counts.
+    pub(crate) fn value_grid() -> Vec<Value> {
+        let mut values = vec![
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Null,
+            Value::Obj(0),
+            Value::Obj(1),
+            Value::Arr(0),
+            Value::Arr(1),
+            Value::Thread(0),
+            Value::Thread(1),
+            Value::Unit,
+        ];
+        values.extend([0, 1, -1, i64::MIN, i64::MAX, 63, 64, 65, -63, -64, -65].map(Value::I64));
+        values
+    }
 
     #[test]
     fn arithmetic_wraps() {
@@ -263,24 +295,8 @@ mod tests {
 
     #[test]
     fn binary_matches_the_per_operand_oracle_exhaustively() {
-        use BinOp::*;
-        let ops = [
-            Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Eq, Ne, Lt, Le, Gt, Ge,
-        ];
-        let mut values = vec![
-            Value::Bool(false),
-            Value::Bool(true),
-            Value::Null,
-            Value::Obj(0),
-            Value::Obj(1),
-            Value::Arr(0),
-            Value::Arr(1),
-            Value::Thread(0),
-            Value::Thread(1),
-            Value::Unit,
-        ];
-        values.extend([0, 1, -1, i64::MIN, i64::MAX, 63, 64, 65, -63, -64, -65].map(Value::I64));
-        for op in ops {
+        let values = value_grid();
+        for op in BIN_OPS {
             for &a in &values {
                 for &b in &values {
                     let want = binary_oracle(op, a, b);
@@ -302,7 +318,7 @@ mod tests {
         }
         // The divisor is checked before the dividend's type.
         assert_eq!(
-            Value::binary(Div, Value::Bool(true), Value::I64(0)),
+            Value::binary(BinOp::Div, Value::Bool(true), Value::I64(0)),
             Err(TrapKind::DivisionByZero)
         );
     }
