@@ -1,4 +1,4 @@
-//! Ablation: the four engines of [`Engine::ALL`] on the same
+//! Ablation: the three engines of [`Engine::ALL`] on the same
 //! uninstrumented runs.
 //!
 //! The unfused prepared engine executes a flattened, pre-resolved
@@ -14,10 +14,10 @@
 //! `compress`. The self-profiling variant (`profiled`, the per-opcode
 //! `OpProfile` sink) must stay within 5% of the untraced fused run. The
 //! fusion, live-tracing and profiling ratios are measured interleaved in
-//! one process ([`interleaved_min_ratio`]), not read off two criterion
+//! one process ([`criterion::interleaved_min_ratio`]), not read off two criterion
 //! rows timed minutes apart.
 
-use criterion::Criterion;
+use criterion::{interleaved_min_ratio, Criterion};
 use isf_bench::{criterion, module};
 use isf_exec::{Engine, OpProfile, Request, TraceBuffer, VmConfig};
 
@@ -25,11 +25,7 @@ fn dispatch(c: &mut Criterion) {
     let cfg = VmConfig::default();
     for name in ["compress", "mtrt", "db", "jess"] {
         let m = module(name);
-        // One row per engine, `interp_dispatch/<label>/<bench>`. Guided
-        // groups only ever add coverage on top of the catalogue —
-        // catalogue matches win ties in the block partitioner — so the
-        // guided row should sit at or below the fused row, most visibly
-        // on call-dense benchmarks.
+        // One row per engine, `interp_dispatch/<label>/<bench>`.
         for engine in Engine::ALL {
             let code = engine.load(&m, &cfg.cost);
             c.bench_function(format!("interp_dispatch/{}/{name}", engine.label()), |b| {
@@ -133,26 +129,4 @@ fn main() {
         "profiled dispatch must be <= 1.05x the untraced fused run on compress, got {overhead:.3}x"
     );
     c.final_summary();
-}
-
-/// The ratio of `slow`'s to `fast`'s minimum time over 60 interleaved
-/// rounds in this process, after one uncounted warm-up round. Minima over
-/// alternated rounds estimate each variant's noise floor under the same
-/// thermal and frequency conditions, so CPU frequency drift — which
-/// between separately measured criterion rows can dwarf the 5% and 25%
-/// budgets checked here — cancels out of the ratio.
-fn interleaved_min_ratio<A, B>(mut slow: impl FnMut() -> A, mut fast: impl FnMut() -> B) -> f64 {
-    let mut best = [f64::INFINITY; 2];
-    for round in 0..=60 {
-        let start = std::time::Instant::now();
-        criterion::black_box(slow());
-        let slow_s = start.elapsed().as_secs_f64();
-        let start = std::time::Instant::now();
-        criterion::black_box(fast());
-        let fast_s = start.elapsed().as_secs_f64();
-        if round > 0 {
-            best = [best[0].min(slow_s), best[1].min(fast_s)];
-        }
-    }
-    best[0] / best[1]
 }

@@ -6,7 +6,7 @@
 //! not preemption. The prepared engine polls at block entries (the same
 //! control-transfer funnel the profiler counts flow at), the naive engine
 //! every [`NAIVE_POLL_INTERVAL`] dispatches, so a cancelled run stops at
-//! the next control transfer — fused, guided, unfused and naive alike —
+//! the next control transfer — fused, unfused and naive alike —
 //! and unwinds through the ordinary trap path with an accurate partial
 //! profile.
 //!
@@ -20,9 +20,7 @@
 //! Cancellation is an explicit run input, like the sinks: a run polls a
 //! token only if its [`Request`](crate::Request) carries one
 //! ([`Request::cancel`](crate::Request::cancel)), so no run inherits
-//! another's cancellation — [`Engine::Guided`](crate::Engine::Guided)'s
-//! warmup inside `load` included, which its own 250,000-cycle budget
-//! bounds instead. A token is identity, not configuration, so it stays
+//! another's cancellation. A token is identity, not configuration, so it stays
 //! out of the `Copy` [`VmConfig`](crate::VmConfig) whose `Debug` form
 //! feeds run fingerprints. With no token the polls are a never-taken
 //! branch on a plain `Option`, and clean runs are byte-identical to a

@@ -2,7 +2,7 @@
 //! [`Engine::load`] builds the [`Code`] it executes, and
 //! [`Code::execute`] runs that code under a [`Request`].
 //!
-//! The four engines produce identical [`Outcome`]s and differ only in
+//! The three engines produce identical [`Outcome`]s and differ only in
 //! wall-clock cost, so callers that compare them loop over
 //! [`Engine::ALL`]. A request's trace and profile sinks are compile-time
 //! parameters defaulting to [`NoTrace`] and [`NoMetrics`], whose recording
@@ -16,19 +16,13 @@ use isf_ir::Module;
 use crate::cancel::{Cancel, CancelToken};
 use crate::cost::CostModel;
 use crate::error::VmError;
-use crate::interp::{self, ExecLimits, VmConfig};
+use crate::interp::{self, VmConfig};
 use crate::naive;
 use crate::outcome::Outcome;
 use crate::prepared::{fuse_mode, FuseMode, PreparedModule};
-use crate::profile::{FuseGuidance, NoMetrics, OpProfile, ProfileSink};
+use crate::profile::{NoMetrics, ProfileSink};
 use crate::sched::SchedControl;
 use crate::trace::{NoTrace, TraceSink};
-use crate::trigger::Trigger;
-
-/// Cycle budget of [`Engine::Guided`]'s warmup: long enough to reach the
-/// steady-state loops whose opcode mix the guidance wants, short enough
-/// to stay a small fraction of a harness run.
-const GUIDED_WARMUP_CYCLES: u64 = 250_000;
 
 /// One execution configuration of the runtime.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -40,20 +34,11 @@ pub enum Engine {
     Unfused,
     /// The pre-decoded engine over [`FuseMode::Fuse`] arenas.
     Fused,
-    /// The pre-decoded engine over [`FuseMode::Guided`] arenas: the fused
-    /// form warms up (`Trigger::Never`, 250,000 cycles), its profile folds
-    /// into a [`FuseGuidance`], and the module is re-prepared under it.
-    Guided,
 }
 
 impl Engine {
     /// Every engine, the reference first.
-    pub const ALL: [Engine; 4] = [
-        Engine::Naive,
-        Engine::Unfused,
-        Engine::Fused,
-        Engine::Guided,
-    ];
+    pub const ALL: [Engine; 3] = [Engine::Naive, Engine::Unfused, Engine::Fused];
 
     /// A stable name for reports and failure messages.
     #[must_use]
@@ -62,7 +47,6 @@ impl Engine {
             Engine::Naive => "naive",
             Engine::Unfused => "prepared/unfused",
             Engine::Fused => "prepared/fused",
-            Engine::Guided => "prepared/guided",
         }
     }
 
@@ -75,7 +59,6 @@ impl Engine {
             Engine::Naive => return Code::Naive(Cow::Owned(module.clone())),
             Engine::Unfused => FuseMode::Off,
             Engine::Fused => FuseMode::Fuse,
-            Engine::Guided => FuseMode::Guided(Box::new(warmup_guidance(module, cost))),
         };
         Code::Prepared(Cow::Owned(PreparedModule::prepare_with(module, cost, mode)))
     }
@@ -90,21 +73,6 @@ impl Default for Engine {
             FuseMode::Fuse | FuseMode::Guided(_) => Engine::Fused,
         }
     }
-}
-
-/// [`Engine::Guided`]'s warmup. It usually ends in a fuel trap; that is
-/// its exit, not a failure, and the profile is folded either way.
-fn warmup_guidance(module: &Module, cost: &CostModel) -> FuseGuidance {
-    let fused = PreparedModule::prepare_with(module, cost, FuseMode::Fuse);
-    let config = VmConfig {
-        cost: *cost,
-        trigger: Trigger::Never,
-        limits: ExecLimits::cycles(GUIDED_WARMUP_CYCLES),
-        ..VmConfig::default()
-    };
-    let mut profile = OpProfile::new();
-    let _ = Code::from(&fused).execute(Request::new(&config).profile(&mut profile));
-    FuseGuidance::from_profile(&profile)
 }
 
 /// What an [`Engine`] executes. `Code::from(&prepared)` borrows a
@@ -282,29 +250,12 @@ mod tests {
             Engine::Naive => 0,
             Engine::Unfused => 1,
             Engine::Fused => 2,
-            Engine::Guided => 3,
         };
         let positions: Vec<usize> = Engine::ALL.iter().map(|&e| position(e)).collect();
-        assert_eq!(positions, [0, 1, 2, 3]);
+        assert_eq!(positions, [0, 1, 2]);
         let mut labels: Vec<&str> = Engine::ALL.iter().map(|e| e.label()).collect();
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), Engine::ALL.len(), "labels must be distinct");
-    }
-
-    #[test]
-    fn guided_load_fuses_guided_groups_and_matches_naive() {
-        let module = isf_workloads::by_name("mtrt", isf_workloads::Scale::Smoke)
-            .expect("mtrt is a suite benchmark")
-            .compile();
-        let config = VmConfig::default();
-        let guided = Engine::Guided.load(&module, &config.cost);
-        let prepared = guided.prepared().expect("guided code is prepared");
-        assert!(prepared.num_guided() > 0, "mtrt got no guided groups");
-        let naive = Engine::Naive.load(&module, &config.cost);
-        assert_eq!(
-            guided.execute(Request::new(&config)),
-            naive.execute(Request::new(&config))
-        );
     }
 }

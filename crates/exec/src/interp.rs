@@ -644,7 +644,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
     }
 
     /// The cycle half of [`Machine::charge`], also called mid-arm by
-    /// fused and guided ops to charge each later component after the
+    /// fused ops to charge each later component after the
     /// earlier ones executed, reproducing the unfused charge/execute
     /// interleaving exactly.
     ///
@@ -859,7 +859,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
         // slice, leaving `self` free for mutation during execution.
         let mut ops = self.top.ops;
         let mut ip = self.top.ip;
-        'dispatch: loop {
+        loop {
             let op = &ops[ip];
             self.top.ip = ip;
             let w = op.width as usize;
@@ -1358,96 +1358,6 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     self.charge_cycles(*extra)?;
                     let taken = self.top.is_true(*dst);
                     ip = self.enter(if taken { *t } else { *f_target })?;
-                }
-                OpKind::Guided { steps, .. } => {
-                    // The generalized profile-guided group: charge and execute
-                    // per component (the main-loop charge covered `steps[0]`),
-                    // so budget traps, timer ticks and threadswitch catch-ups
-                    // land at exactly the unfused positions for any component
-                    // mix. Only the final step may be a call; the caller
-                    // resumes past the whole group, the `Guided` op's width,
-                    // exactly as after the plain call arms.
-                    for (k, (cost, step)) in steps.iter().enumerate() {
-                        if k > 0 {
-                            self.charge_cycles(*cost)?;
-                        }
-                        match step {
-                            OpKind::Const { dst, value } => {
-                                let f = &mut self.top;
-                                f.locals[dst.index()] = *value;
-                            }
-                            OpKind::Move { dst, src } => {
-                                let f = &mut self.top;
-                                f.locals[dst.index()] = f.locals[src.index()];
-                            }
-                            OpKind::Un { op, dst, src } => self.top.un(*op, *dst, *src)?,
-                            OpKind::Bin { op, dst, lhs, rhs } => {
-                                self.top.bin(*op, *dst, *lhs, *rhs)?
-                            }
-                            OpKind::GetFieldStatic { dst, obj, offset } => {
-                                let f = &mut self.top;
-                                let object = self.heap.object(f.locals[obj.index()])?;
-                                f.locals[dst.index()] = object.fields[*offset as usize];
-                            }
-                            OpKind::SetFieldStatic { obj, offset, src } => {
-                                let f = &mut self.top;
-                                let o = f.locals[obj.index()];
-                                let v = f.locals[src.index()];
-                                self.heap.object_mut(o)?.fields[*offset as usize] = v;
-                            }
-                            OpKind::ArrayGet { dst, arr, idx } => {
-                                let f = &mut self.top;
-                                let i = f.locals[idx.index()].as_i64()?;
-                                let v = self.heap.array_get(f.locals[arr.index()], i)?;
-                                f.locals[dst.index()] = Value::I64(v);
-                            }
-                            OpKind::ArraySet { arr, idx, src } => {
-                                let f = &mut self.top;
-                                let a = f.locals[arr.index()];
-                                let i = f.locals[idx.index()].as_i64()?;
-                                let v = f.locals[src.index()].as_i64()?;
-                                self.heap.array_set(a, i, v)?;
-                            }
-                            OpKind::ArrayLen { dst, arr } => {
-                                let f = &mut self.top;
-                                let n = self.heap.array_len(f.locals[arr.index()])?;
-                                f.locals[dst.index()] = Value::I64(n);
-                            }
-                            OpKind::Call {
-                                dst,
-                                callee,
-                                args,
-                                site,
-                            } => {
-                                let caller = Some((self.top.func, *site));
-                                self.push_frame(*callee, None, args, *dst, caller, cur)?;
-                                (ops, ip) = (self.top.ops, self.top.ip);
-                                continue 'dispatch;
-                            }
-                            OpKind::CallMethodStatic {
-                                dst,
-                                obj,
-                                callee,
-                                args,
-                                site,
-                            } => {
-                                let o = self.top.locals[obj.index()];
-                                // Target and arity verified at prepare time;
-                                // the receiver still null/type-checks.
-                                self.heap.object(o)?;
-                                let caller = Some((self.top.func, *site));
-                                self.push_frame(*callee, Some(o), args, *dst, caller, cur)?;
-                                (ops, ip) = (self.top.ops, self.top.ip);
-                                continue 'dispatch;
-                            }
-                            other => {
-                                unreachable!(
-                                    "non-guided-eligible component {other:?} in guided group"
-                                )
-                            }
-                        }
-                    }
-                    ip += w;
                 }
                 OpKind::Gap => unreachable!("fusion gap slots are never executed"),
                 // Terminators (inlined into the arena as the block's last op).

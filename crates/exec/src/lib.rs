@@ -82,8 +82,8 @@ pub use error::{TrapKind, VmError};
 pub use heap::Heap;
 pub use interp::{ExecLimits, VmConfig};
 pub use outcome::{Outcome, ZeroCycleBaseline};
-pub use prepared::{fuse_mode, thread_preparations, FuseMode, PreparedModule};
-pub use profile::{FuseGuidance, NoMetrics, OpProfile, ProfileSink, NUM_OPCODES, OPCODE_NAMES};
+pub use prepared::{fuse_mode, thread_preparations, FuseGuidance, FuseMode, PreparedModule};
+pub use profile::{NoMetrics, OpProfile, ProfileSink, NUM_OPCODES, OPCODE_NAMES};
 pub use sched::{SchedChoice, SchedControl, SchedPolicy, ScheduleTrace};
 pub use trace::{BurstRecord, NoTrace, TraceBuffer, TraceSink};
 pub use trigger::Trigger;

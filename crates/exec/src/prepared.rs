@@ -37,7 +37,7 @@ use isf_ir::{
 };
 
 use crate::cost::CostModel;
-use crate::profile::FuseGuidance;
+use crate::profile::OpProfile;
 use crate::value::Value;
 
 thread_local! {
@@ -67,19 +67,27 @@ pub enum FuseMode {
     /// Decode, then peephole-fuse superinstructions and statically resolve
     /// field slots and method targets (the default).
     Fuse,
-    /// [`FuseMode::Fuse`] plus a profile-guided pass: a per-block dynamic
-    /// program over the warmup weights in the carried [`FuseGuidance`]
-    /// re-partitions each block so that (a) catalogue templates apply
-    /// where the greedy left-to-right pass consumed their prefix for a
-    /// lesser match, and (b) hot sequences the fixed catalogue cannot
-    /// express (call-adjacent moves, getfield chains feeding calls,
-    /// arg-marshalling runs) fuse into the generalized
-    /// `OpKind::Guided` template. Observably identical to `Off`/`Fuse`:
-    /// guided groups charge per component, so cycles, traps and profiles
-    /// stay on the unfused schedule. Boxed: the weight table is ~264
-    /// bytes, and the common `Off`/`Fuse` values should stay
-    /// pointer-sized.
+    /// Prepares exactly as [`FuseMode::Fuse`]; the guidance is ignored.
+    /// Kept only because the benchmark package's `suite-pgo` set-up and
+    /// guided draws name it (see [`FuseGuidance`]).
     Guided(Box<FuseGuidance>),
+}
+
+/// What a warmup profile once told preparation. Profile-guided fusion is
+/// gone (DESIGN.md decision 27): the template catalogue is the one fusion
+/// mechanism, and [`FuseMode::Guided`] prepares as [`FuseMode::Fuse`].
+/// Kept, with [`FuseGuidance::from_profile`] and
+/// [`PreparedModule::num_guided`], only for the benchmark package until
+/// its `suite-pgo` workload and guided draws are retired.
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
+pub struct FuseGuidance;
+
+impl FuseGuidance {
+    /// The guidance of a warmup profile: nothing, whatever it counted.
+    #[must_use]
+    pub fn from_profile(_profile: &OpProfile) -> Self {
+        FuseGuidance
+    }
 }
 
 /// The process's default fuse mode, behind `Engine::default()`:
@@ -441,23 +449,6 @@ pub(crate) enum OpKind {
         src: LocalId,
         extra: u64,
     },
-    /// The generalized profile-guided template ([`FuseMode::Guided`]): a
-    /// mined run of two or three plain components executed under one
-    /// dispatch. Unlike the fixed catalogue above, every component's cost
-    /// is charged individually — [`Op::cost`] carries only the first
-    /// component's, `extra` pre-sums the rest for profile folding — so
-    /// charge/execute interleaving, traps, timer ticks and switch-bit
-    /// catch-ups are positionally identical to the unfused sequence for
-    /// *any* component mix, including components that trap mid-group.
-    /// Components are plain ops from the guided-eligible set
-    /// (const/move/un/bin, statically resolved field accesses, array ops),
-    /// with a direct or static-method call allowed as the final component.
-    Guided {
-        /// `(cost, component)` per source instruction, in order.
-        steps: Box<[(u64, OpKind)]>,
-        /// Pre-summed cost of `steps[1..]` (everything charged mid-arm).
-        extra: u64,
-    },
     /// An inert filler occupying the interior slot of a fused group.
     /// Unreachable: sequential flow skips it via the leader's width, and
     /// branch targets only ever point at block starts.
@@ -518,7 +509,6 @@ impl OpKind {
             OpKind::GetFieldBrCmp { .. } => OPC_GET_FIELD_BR_CMP,
             OpKind::GetFieldArrayGet { .. } => OPC_GET_FIELD_ARRAY_GET,
             OpKind::GetFieldArraySet { .. } => OPC_GET_FIELD_ARRAY_SET,
-            OpKind::Guided { .. } => OPC_GUIDED,
             OpKind::Gap => OPC_GAP,
         }
     }
@@ -543,7 +533,6 @@ impl OpKind {
             | OpKind::GetFieldArraySet { extra, .. } => *extra,
             OpKind::GetFieldBinImmSetField { extra, extra2, .. } => *extra + *extra2,
             OpKind::GetFieldBrCmp { extra, branch, .. } => *extra + *branch,
-            OpKind::Guided { extra, .. } => *extra,
             _ => 0,
         }
     }
@@ -584,7 +573,6 @@ impl Op {
             OpKind::GetFieldArrayGet { extra, .. } | OpKind::GetFieldArraySet { extra, .. } => {
                 vec![vec![self.cost], vec![*extra]]
             }
-            OpKind::Guided { steps, .. } => steps.iter().map(|(c, _)| vec![*c]).collect(),
             _ => vec![vec![self.cost]],
         };
         debug_assert_eq!(
@@ -647,8 +635,6 @@ pub struct PreparedModule {
     /// class.
     method_impls: Box<[Option<FuncId>]>,
     num_method_syms: usize,
-    /// The warmup guidance of a [`FuseMode::Guided`] preparation.
-    guidance: Option<Box<FuseGuidance>>,
 }
 
 /// Module-wide static resolution tables: per-symbol slots and targets that
@@ -738,10 +724,6 @@ impl PreparedModule {
             num_field_syms,
             method_impls: method_impls.into_boxed_slice(),
             num_method_syms,
-            guidance: match mode {
-                FuseMode::Guided(guidance) => Some(guidance),
-                FuseMode::Off | FuseMode::Fuse => None,
-            },
         }
     }
 
@@ -755,12 +737,6 @@ impl PreparedModule {
         &self.cost
     }
 
-    /// The warmup guidance this module was fused under ([`FuseMode::Guided`]
-    /// only).
-    pub fn guidance(&self) -> Option<&FuseGuidance> {
-        self.guidance.as_deref()
-    }
-
     /// Total decoded ops across all functions.
     pub fn num_ops(&self) -> usize {
         self.funcs.iter().map(|f| f.ops.len()).sum()
@@ -772,15 +748,10 @@ impl PreparedModule {
         self.funcs.iter().map(|f| f.fused).sum()
     }
 
-    /// Fused groups using the generalized `OpKind::Guided` template (a
-    /// subset of [`PreparedModule::num_fused`]; 0 unless prepared under
-    /// [`FuseMode::Guided`]).
+    /// Always 0: there are no guided groups. Kept for the benchmark
+    /// package's pipeline digest (see [`FuseGuidance`]).
     pub fn num_guided(&self) -> usize {
-        self.funcs
-            .iter()
-            .flat_map(|f| f.ops.iter())
-            .filter(|o| matches!(o.kind, OpKind::Guided { .. }))
-            .count()
+        0
     }
 
     #[inline]
@@ -841,19 +812,13 @@ fn prepare_function(
         }
         ops.push(decode_term(id, b.term(), cost, &back, &starts));
     }
-    // Third pass: peephole fusion within each block (greedy catalogue
-    // matching under `Fuse`, the weight-maximizing dynamic program under
-    // `Guided`).
+    // Third pass: peephole fusion within each block.
     let mut fused = 0;
     if !matches!(mode, FuseMode::Off) {
         for b in 0..starts.len() {
             let s = starts[b] as usize;
             let e = starts.get(b + 1).map_or(ops.len(), |&n| n as usize);
-            fused += match mode {
-                FuseMode::Off => unreachable!("gated above"),
-                FuseMode::Fuse => fuse_block(&mut ops, s, e),
-                FuseMode::Guided(g) => guide_block(&mut ops, s, e, g),
-            };
+            fused += fuse_block(&mut ops, s, e);
         }
     }
     PreparedFunction {
@@ -907,9 +872,8 @@ fn fuse_block(ops: &mut [Op], s: usize, e: usize) -> usize {
 
 /// Tries every pattern of the superinstruction catalogue at `ops[i]`,
 /// bounded by the block end `e`. Returns `Some((width, cost, kind))` for
-/// the group [`install`] would build, `None` if nothing matches. Pure:
-/// looks only at `ops[i..i + width]`, so cached results stay valid while
-/// earlier slots of the block are rewritten. Trap-order soundness:
+/// the group [`install`] would build, `None` if nothing matches.
+/// Trap-order soundness:
 /// [`Op::cost`] folds component costs only up to (and including) the
 /// first component that can trap; every later component's cost rides in
 /// the variant's `extra` field and is charged by the interpreter arm
@@ -1158,135 +1122,6 @@ fn match_at(ops: &[Op], i: usize, e: usize) -> Option<(usize, u64, OpKind)> {
         }
         _ => None,
     }
-}
-
-/// Whether `kind` may ride inside a generalized [`OpKind::Guided`] group.
-/// Because guided groups charge per component, any component mix is
-/// trap-order sound; the set is restricted to the register-file/heap ops
-/// the guided interpreter arm implements, plus — only in the final
-/// position — the statically resolved calls (a call replaces the frame's
-/// control state, so nothing may follow it under the same dispatch).
-fn guided_component_ok(kind: &OpKind, last: bool) -> bool {
-    match kind {
-        OpKind::Const { .. }
-        | OpKind::Move { .. }
-        | OpKind::Un { .. }
-        | OpKind::Bin { .. }
-        | OpKind::GetFieldStatic { .. }
-        | OpKind::SetFieldStatic { .. }
-        | OpKind::ArrayGet { .. }
-        | OpKind::ArraySet { .. }
-        | OpKind::ArrayLen { .. } => true,
-        OpKind::Call { .. } | OpKind::CallMethodStatic { .. } => last,
-        _ => false,
-    }
-}
-
-/// Per-slot value a covered op contributes to the guided dynamic program:
-/// the warmup dispatch weight of its opcode, scaled so profile weight
-/// dominates, plus one so coverage itself breaks ties among equally hot
-/// partitions (and so catalogue matches always beat leaving ops unfused).
-const GUIDED_WEIGHT_SCALE: u64 = 1024;
-
-fn guided_slot_value(op: &Op, g: &FuseGuidance) -> u64 {
-    GUIDED_WEIGHT_SCALE
-        .saturating_mul(g.weight(op.kind.opcode()))
-        .saturating_add(1)
-}
-
-fn guided_span_value(ops: &[Op], i: usize, n: usize, g: &FuseGuidance) -> u64 {
-    ops[i..i + n]
-        .iter()
-        .fold(0u64, |acc, o| acc.saturating_add(guided_slot_value(o, g)))
-}
-
-/// Whether `ops[i..i + n]` can form a guided group: all components
-/// eligible (calls only last) and at least one warm under `g` — cold code
-/// keeps its plain dispatches so a pathological profile cannot bloat the
-/// arena with groups that never run.
-fn guided_group_ok(ops: &[Op], i: usize, n: usize, e: usize, g: &FuseGuidance) -> bool {
-    if i + n > e {
-        return false;
-    }
-    let mut warm = false;
-    for (k, o) in ops[i..i + n].iter().enumerate() {
-        if !guided_component_ok(&o.kind, k + 1 == n) {
-            return false;
-        }
-        warm |= g.weight(o.kind.opcode()) > 0;
-    }
-    warm
-}
-
-/// The profile-guided replacement for [`fuse_block`]: a backward dynamic
-/// program over `ops[s..e]` that picks the non-overlapping partition into
-/// catalogue matches, generalized two/three-op guided groups, and skipped
-/// slots maximizing total covered weight. Replacement is on strictly
-/// greater value with candidates considered in the order catalogue match,
-/// then guided (longer first), so on ties the specialized catalogue
-/// template wins and the greedy pass's coverage is never given up — the
-/// DP can only re-partition where the profile says it pays. Returns the
-/// number of groups installed.
-fn guide_block(ops: &mut [Op], s: usize, e: usize, g: &FuseGuidance) -> usize {
-    let m = e - s;
-    #[derive(Copy, Clone)]
-    enum Choice {
-        Skip,
-        Catalogue,
-        Guided(usize),
-    }
-    // `match_at` is pure over pristine slots, so results cached before any
-    // install stay valid for the reconstruction below.
-    let matches: Vec<Option<(usize, u64, OpKind)>> = (s..e).map(|i| match_at(ops, i, e)).collect();
-    let mut best: Vec<(u64, Choice)> = vec![(0, Choice::Skip); m + 1];
-    for j in (0..m).rev() {
-        let i = s + j;
-        let mut v = best[j + 1].0;
-        let mut c = Choice::Skip;
-        if let Some((n, _, _)) = &matches[j] {
-            let val = guided_span_value(ops, i, *n, g).saturating_add(best[j + n].0);
-            if val > v {
-                v = val;
-                c = Choice::Catalogue;
-            }
-        }
-        for n in [3usize, 2] {
-            if j + n <= m && guided_group_ok(ops, i, n, e, g) {
-                let val = guided_span_value(ops, i, n, g).saturating_add(best[j + n].0);
-                if val > v {
-                    v = val;
-                    c = Choice::Guided(n);
-                }
-            }
-        }
-        best[j] = (v, c);
-    }
-    let mut fused = 0;
-    let mut j = 0;
-    while j < m {
-        match best[j].1 {
-            Choice::Skip => j += 1,
-            Choice::Catalogue => {
-                let (n, cost, kind) = matches[j].clone().expect("chosen catalogue match exists");
-                install(ops, s + j, n, cost, kind);
-                fused += 1;
-                j += n;
-            }
-            Choice::Guided(n) => {
-                let i = s + j;
-                let steps: Box<[(u64, OpKind)]> = ops[i..i + n]
-                    .iter()
-                    .map(|o| (o.cost, o.kind.clone()))
-                    .collect();
-                let extra = steps[1..].iter().map(|(c, _)| c).sum();
-                let cost = steps[0].0;
-                install(ops, i, n, cost, OpKind::Guided { steps, extra });
-                fused += 1;
-                j += n;
-            }
-        }
-    }
-    fused
 }
 
 fn decode_inst(module: &Module, inst: &Inst, cost: &CostModel, statics: &Statics) -> Op {
@@ -1587,40 +1422,6 @@ mod tests {
                 && op.width == 3
         });
         assert!(found, "loop header compare-and-branch should fuse");
-    }
-
-    #[test]
-    fn move_runs_fuse() {
-        let m = compile(
-            "fn rot(a, b, c) { print(a); a = b; c = a; b = c; print(b); }
-             fn main() { rot(1, 2, 3); }",
-        );
-        let (rot, _) = m.functions().find(|(_, f)| f.name() == "rot").unwrap();
-        let cost = CostModel::default();
-        let moves = |p: &PreparedModule| -> Vec<(u32, bool)> {
-            p.func(rot)
-                .ops
-                .iter()
-                .filter_map(|op| match &op.kind {
-                    OpKind::Move { .. } => Some((op.width, false)),
-                    OpKind::Guided { steps, .. }
-                        if steps.iter().all(|(_, k)| matches!(k, OpKind::Move { .. })) =>
-                    {
-                        Some((op.width, true))
-                    }
-                    _ => None,
-                })
-                .collect()
-        };
-        // The static catalogue has no move template: three plain moves.
-        let fused = PreparedModule::prepare_with(&m, &cost, FuseMode::Fuse);
-        assert_eq!(moves(&fused), vec![(1, false); 3]);
-        // A warm `move` weight makes the run one generic guided group.
-        let mut warm = crate::OpProfile::new();
-        crate::ProfileSink::record_dispatches(&mut warm, crate::profile::OPC_MOVE, 1, 1, 1);
-        let guidance = Box::new(FuseGuidance::from_profile(&warm));
-        let guided = PreparedModule::prepare_with(&m, &cost, FuseMode::Guided(guidance));
-        assert_eq!(moves(&guided), vec![(3, true)]);
     }
 
     #[test]

@@ -27,9 +27,7 @@
 //! unfused prepared profile of the same run. Indices
 //! [`FIRST_STATIC`]`..`[`FIRST_FUSED`] are the statically-resolved forms
 //! and [`FIRST_FUSED`]`..OPC_GAP` the fused superinstructions, both
-//! produced only by fusing preparation (`FuseMode::Fuse`, or
-//! `FuseMode::Guided` which additionally emits the generalized
-//! `OPC_GUIDED` template from a warmup profile's [`FuseGuidance`]).
+//! produced only by fusing preparation (`FuseMode::Fuse`).
 //!
 //! # Exactness, cheaply
 //!
@@ -96,10 +94,7 @@ pub(crate) const OPC_GET_FIELD_BIN_IMM_SET_FIELD: usize = 41;
 pub(crate) const OPC_GET_FIELD_BR_CMP: usize = 42;
 pub(crate) const OPC_GET_FIELD_ARRAY_GET: usize = 43;
 pub(crate) const OPC_GET_FIELD_ARRAY_SET: usize = 44;
-/// The generalized profile-guided fusion template (`FuseMode::Guided`):
-/// one dispatch executing a mined run of two or three plain components.
-pub(crate) const OPC_GUIDED: usize = 45;
-pub(crate) const OPC_GAP: usize = 46;
+pub(crate) const OPC_GAP: usize = 45;
 
 /// First statically-resolved opcode index: opcodes below this are the
 /// plain decoded forms shared with the tree-walking reference engine.
@@ -158,7 +153,6 @@ pub const OPCODE_NAMES: [&str; NUM_OPCODES] = [
     "get-field-br-cmp",
     "get-field-array-get",
     "get-field-array-set",
-    "guided",
     "gap",
 ];
 
@@ -356,15 +350,6 @@ impl OpProfile {
             .sum()
     }
 
-    /// Source instructions executed through the generalized profile-guided
-    /// template (`OPC_GUIDED`) — a subset of
-    /// [`OpProfile::fused_instructions`], nonzero only for modules
-    /// prepared under `FuseMode::Guided`.
-    #[must_use]
-    pub fn guided_instructions(&self) -> u64 {
-        self.rows[OPC_GUIDED].instructions
-    }
-
     /// Fusion coverage: percentage of dynamic source instructions executed
     /// under a fused superinstruction dispatch (0 when nothing ran).
     #[must_use]
@@ -418,59 +403,6 @@ impl OpProfile {
     }
 }
 
-/// Per-opcode dispatch weights distilled from a warmup [`OpProfile`] —
-/// the input to profile-guided fusion (`FuseMode::Guided`).
-///
-/// Only the unfused rows (below [`FIRST_FUSED`]) carry weight: under a
-/// statically-fused warmup those rows are exactly the remainder the fixed
-/// template catalogue failed to cover, so the guided pass chases the ops
-/// that actually dispatched. Weights are *opcode-keyed*, not slot-keyed;
-/// the guided preparation pass combines them with the static op arenas to
-/// re-partition each block.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct FuseGuidance {
-    weights: [u64; FIRST_FUSED],
-    warmup_instructions: u64,
-}
-
-impl Default for FuseGuidance {
-    fn default() -> Self {
-        FuseGuidance {
-            weights: [0; FIRST_FUSED],
-            warmup_instructions: 0,
-        }
-    }
-}
-
-impl FuseGuidance {
-    /// Distills guidance from a warmup profile: the dispatch count of
-    /// every plain (unfused) opcode.
-    #[must_use]
-    pub fn from_profile(profile: &OpProfile) -> Self {
-        let mut weights = [0u64; FIRST_FUSED];
-        for (op, w) in weights.iter_mut().enumerate() {
-            *w = profile.count(op);
-        }
-        FuseGuidance {
-            weights,
-            warmup_instructions: profile.total_instructions(),
-        }
-    }
-
-    /// Source instructions the warmup profile covered, fused or not.
-    #[must_use]
-    pub fn warmup_instructions(&self) -> u64 {
-        self.warmup_instructions
-    }
-
-    /// The warmup dispatch count of plain opcode `op` (0 for fused or
-    /// out-of-range indices).
-    #[must_use]
-    pub fn weight(&self, op: usize) -> u64 {
-        self.weights.get(op).copied().unwrap_or(0)
-    }
-}
-
 impl ProfileSink for OpProfile {
     #[inline]
     fn record_dispatches(
@@ -513,7 +445,7 @@ mod tests {
         assert!(!opcode_is_fused(OPC_GET_FIELD_STATIC));
         assert!(!opcode_is_fused(OPC_CALL_METHOD_STATIC));
         assert!(opcode_is_fused(OPC_BIN_IMM));
-        assert!(opcode_is_fused(OPC_GUIDED));
+        assert!(opcode_is_fused(OPC_GET_FIELD_ARRAY_SET));
         assert!(!opcode_is_fused(OPC_GAP));
         // Names are unique.
         let mut names: Vec<&str> = OPCODE_NAMES.to_vec();

@@ -76,14 +76,14 @@ pub const USAGE: &str = "usage: isf-harness [--scale smoke|default|paper] [--job
      stand-in for --cell-deadline in tests;\n\
      --journal defaults to $ISF_JOURNAL (off); --resume replays a journal's finished cells;\n\
      --no-fuse disables superinstruction fusion (also $ISF_FUSE=0) — results are identical;\n\
-     --pgo enables profile-guided fusion (also $ISF_PGO=1): each module runs a short\n\
-     warmup cell and is re-prepared with guided superinstructions — results are identical;\n\
+     --pgo is accepted and does nothing: profile-guided fusion was removed, and the flag\n\
+     stays only until the benchmark's `suite-pgo` workload retires;\n\
      --profile enables VM self-profiling (also $ISF_PROFILE=1): per-opcode dispatch\n\
      profiles, fusion coverage, and `metrics`/`span-summary` JSONL records;\n\
      --trace-out writes a Chrome trace-event JSON file (open in Perfetto);\n\
      --explore records N seeded-random thread schedules per benchmark (plus PCT\n\
      priority schedules and a bounded exhaustive DFS for shallow schedule trees) and\n\
-     verifies each replays byte-identically on all four engine configurations with\n\
+     verifies each replays byte-identically on all three engine configurations with\n\
      schedule-independent observables intact — a failure prints the seed that\n\
      reproduces the schedule deterministically";
 
@@ -98,7 +98,7 @@ pub struct RunConfig {
     pub scale: Scale,
     /// The resolved harness settings (`--jobs`, `--retries`,
     /// `--cell-budget`, `--cell-deadline`, `--cancel-after-cycles`,
-    /// `--fault-inject`, `--no-fuse`, `--pgo` and their variables).
+    /// `--fault-inject`, `--no-fuse` and their variables).
     pub harness: HarnessConfig,
     /// `--emit json` (`Some(true)`) / `--emit off` (`Some(false)`).
     pub emit_json: Option<bool>,
@@ -213,8 +213,7 @@ fn parse_count<T: std::str::FromStr>(flag: &str, what: &str, v: &str) -> Result<
     })
 }
 
-/// The one boolean parser of the `ISF_FUSE` / `ISF_PGO` / `ISF_PROFILE`
-/// switches.
+/// The one boolean parser of the `ISF_FUSE` / `ISF_PROFILE` switches.
 fn parse_switch(v: &str) -> Result<bool, CliError> {
     match v {
         "1" | "on" | "true" => Ok(true),
@@ -264,7 +263,6 @@ fn env_config(env: Env) -> Result<HarnessConfig, CliError> {
         parse_count("--cancel-after-cycles", "cycle count", v)
     })?;
     from_env(env, "ISF_FUSE", &mut c.fuse, parse_switch)?;
-    from_env(env, "ISF_PGO", &mut c.pgo, parse_switch)?;
     Ok(c)
 }
 
@@ -340,7 +338,8 @@ pub fn parse(args: &[String], env: Env) -> Result<Command, CliError> {
             "--journal" => journal = Some(PathBuf::from(next_value(&mut it, "--journal")?)),
             "--resume" => resume = true,
             "--no-fuse" => harness.fuse = false,
-            "--pgo" => harness.pgo = true,
+            // Kept as a no-op for the benchmark's `suite-pgo` workload.
+            "--pgo" => {}
             "--profile" => profile = true,
             "--trace-out" => {
                 trace_out = Some(PathBuf::from(next_value(&mut it, "--trace-out")?));
@@ -362,7 +361,7 @@ pub fn parse(args: &[String], env: Env) -> Result<Command, CliError> {
     if let Some(spec) = explore_spec {
         if let Some(flag) = run_only {
             return Err(bad(format!(
-                "--explore cannot be combined with {flag} (exploration runs all four engine configurations itself)"
+                "--explore cannot be combined with {flag} (exploration runs all three engine configurations itself)"
             )));
         }
         let names = isf_workloads::names();
@@ -495,7 +494,6 @@ mod tests {
                 cancel_after: 5000,
                 fault: (0.25, 7),
                 fuse: false,
-                pgo: true,
             }
         );
         assert_eq!(cfg.emit_json, Some(true));
@@ -528,7 +526,7 @@ mod tests {
             HarnessConfig::default(),
             "no flags and no variables: the built-in defaults"
         );
-        assert!(!cfg.harness.pgo, "profile-guided fusion is opt-in");
+        assert_eq!(run_cfg(&["--pgo", "all"]), cfg, "--pgo changes nothing");
         assert!(!cfg.profile, "self-profiling is off by default");
         assert_eq!(cfg.trace_out, None);
     }
@@ -542,7 +540,6 @@ mod tests {
             ("ISF_CELL_DEADLINE", "250"),
             ("ISF_CANCEL_AFTER", "5000"),
             ("ISF_FUSE", "off"),
-            ("ISF_PGO", "on"),
             ("ISF_PROFILE", "true"),
         ];
         let Ok(Command::Run(cfg)) = parse_in(&vars, &["table1"]) else {
@@ -557,7 +554,6 @@ mod tests {
                 cell_deadline_ms: 250,
                 cancel_after: 5000,
                 fuse: false,
-                pgo: true,
                 ..HarnessConfig::default()
             }
         );
@@ -569,19 +565,13 @@ mod tests {
         assert_eq!(explore.harness, cfg.harness);
         // A flag beats its variable; an empty variable counts as unset.
         let Ok(Command::Run(cfg)) = parse_in(
-            &[
-                ("ISF_JOBS", "3"),
-                ("ISF_RETRIES", ""),
-                ("ISF_FUSE", "1"),
-                ("ISF_PGO", "0"),
-            ],
+            &[("ISF_JOBS", "3"), ("ISF_RETRIES", ""), ("ISF_FUSE", "1")],
             &["--jobs", "5", "--no-fuse", "table1"],
         ) else {
             panic!("flags over variables must parse");
         };
         assert_eq!((cfg.harness.jobs, cfg.harness.retries), (5, 0));
         assert!(!cfg.harness.fuse, "--no-fuse beats ISF_FUSE=1");
-        assert!(!cfg.harness.pgo);
         let Ok(Command::Run(cfg)) = parse_in(&[("ISF_FUSE", "on")], &["table1"]) else {
             panic!("ISF_FUSE=on must parse");
         };
@@ -597,7 +587,6 @@ mod tests {
             ("ISF_CELL_DEADLINE", "soon", "--cell-deadline"),
             ("ISF_CANCEL_AFTER", "-1", "--cancel-after-cycles"),
             ("ISF_FUSE", "no", ""),
-            ("ISF_PGO", "yes", ""),
             ("ISF_PROFILE", "2", ""),
         ] {
             let Err(CliError::Bad(msg)) = parse_in(&[(var, value)], &["table1"]) else {

@@ -9,11 +9,10 @@
 //! each one:
 //!
 //! * the recorded [`ScheduleTrace`] replays **byte-identically** on every
-//!   [`Engine`] — naive, prepared-unfused, prepared-fused and
-//!   prepared-guided, each with no sink, with a dispatch profile and with
-//!   a burst trace — and every replay reports the same result
-//!   ([`verify_replays`], which the integration tests' differential
-//!   oracle shares);
+//!   [`Engine`] — naive, prepared-unfused and prepared-fused, each with
+//!   no sink, with a dispatch profile and with a burst trace — and every
+//!   replay reports the same result ([`verify_replays`], which the
+//!   integration tests' differential oracle shares);
 //! * naive and unfused-prepared per-opcode profiles are equal, every
 //!   engine's profiled totals reconcile with the outcome's `cycles` /
 //!   `instructions` / `samples_taken` counters, and every engine records

@@ -19,7 +19,7 @@
 //!
 //! The harness settings (`--jobs`, `--retries`, `--cell-budget`,
 //! `--cell-deadline`, `--cancel-after-cycles`, `--fault-inject`,
-//! `--no-fuse`, `--pgo`) are resolved once by `cli::parse` into a
+//! `--no-fuse`) are resolved once by `cli::parse` into a
 //! `HarnessConfig` — flag, else `ISF_*` variable, else default; a
 //! malformed variable exits 1 with the flag's diagnostic — and `main`
 //! passes it down inside a `Harness`, which also owns the preparation
@@ -65,13 +65,9 @@
 //! so the flag exists for ablation measurements and the CI equivalence
 //! diff, not for correctness.
 //!
-//! With `--pgo` (or `ISF_PGO=1`) the preparation cache serves each module
-//! through a warmup-then-reprepare flow: a short profiling cell runs the
-//! statically fused form, its folded profile is distilled into fusion
-//! guidance, and the module is re-prepared with guided superinstructions
-//! covering the call-dense sequences the static catalogue cannot express.
-//! Observable results are byte-identical to a statically-fused (or
-//! unfused) run; only fusion coverage moves.
+//! `--pgo` is accepted and does nothing. Profile-guided fusion was
+//! removed (DESIGN.md decision 27); the flag stays only until the
+//! benchmark's `suite-pgo` workload, which passes it, is retired.
 //!
 //! With `--profile` (or `ISF_PROFILE=1`) the VM self-profiles: engines
 //! run through the per-opcode `ProfileSink`, dispatch/cycle attribution
@@ -89,7 +85,7 @@
 //! benchmark it records a round-robin baseline, `N` seeded-random and a
 //! smaller set of PCT-priority schedules, plus a bounded exhaustive DFS
 //! when the schedule tree is shallow, replaying every schedule trace
-//! byte-identically on all four engine configurations and asserting the
+//! byte-identically on all three engine configurations and asserting the
 //! schedule-independent observables never vary. A failure prints the
 //! benchmark, seed, and compact trace that reproduce the interleaving
 //! deterministically; `--emit json` adds one `explore` record per
@@ -160,22 +156,10 @@ fn emit_phases(experiment: &str) {
 fn report_fusion_coverage(harness: &Harness, scale: isf_harness::Scale) {
     log::cells("[profile] fusion coverage (dynamic instructions executed fused):");
     for c in harness.fusion_coverage(scale) {
-        if harness.config.pgo {
-            log::cells(&format!(
-                "[profile]   {:<10} {:>5.1}%  ({} / {} instructions, {} guided = {:.1}%)",
-                c.name,
-                c.coverage_pct,
-                c.fused_instructions,
-                c.total_instructions,
-                c.guided_instructions,
-                c.guided_pct()
-            ));
-        } else {
-            log::cells(&format!(
-                "[profile]   {:<10} {:>5.1}%  ({} / {} instructions)",
-                c.name, c.coverage_pct, c.fused_instructions, c.total_instructions
-            ));
-        }
+        log::cells(&format!(
+            "[profile]   {:<10} {:>5.1}%  ({} / {} instructions)",
+            c.name, c.coverage_pct, c.fused_instructions, c.total_instructions
+        ));
     }
 }
 

@@ -38,8 +38,8 @@ use std::time::{Duration, Instant};
 
 use isf_core::{instrument_module, Options, Strategy, TransformStats};
 use isf_exec::{
-    fuse_mode, CancelToken, Code, CostModel, Engine, ExecLimits, FuseGuidance, FuseMode, OpProfile,
-    Outcome, PreparedModule, Request, Trigger, VmConfig, VmError,
+    fuse_mode, CancelToken, Code, CostModel, Engine, ExecLimits, FuseMode, OpProfile, Outcome,
+    Request, Trigger, VmConfig, VmError,
 };
 use isf_instr::{CallEdgeInstrumentation, FieldAccessInstrumentation, Instrumentation, ModulePlan};
 use isf_ir::Module;
@@ -83,9 +83,6 @@ pub struct HarnessConfig {
     /// Superinstruction fusion (`--no-fuse` turns it off, `ISF_FUSE`
     /// sets it; default: [`isf_exec::fuse_mode`], on unless `ISF_FUSE=0`).
     pub fuse: bool,
-    /// Profile-guided fusion (`--pgo`, `ISF_PGO`; default off; see
-    /// [`Harness::cached_prepare`]).
-    pub pgo: bool,
 }
 
 impl Default for HarnessConfig {
@@ -98,21 +95,18 @@ impl Default for HarnessConfig {
             cancel_after: 0,
             fault: (0.0, 0),
             fuse: matches!(fuse_mode(), FuseMode::Fuse),
-            pgo: false,
         }
     }
 }
 
 impl HarnessConfig {
     /// The engine harness runs execute on: fused, or unfused with
-    /// [`HarnessConfig::fuse`] off, or guided with [`HarnessConfig::pgo`]
-    /// on as well. Guided preparation only refines static fusion, so with
-    /// fusion off PGO changes nothing.
+    /// [`HarnessConfig::fuse`] off.
     fn engine(&self) -> Engine {
-        match (self.fuse, self.pgo) {
-            (false, _) => Engine::Unfused,
-            (true, false) => Engine::Fused,
-            (true, true) => Engine::Guided,
+        if self.fuse {
+            Engine::Fused
+        } else {
+            Engine::Unfused
         }
     }
 
@@ -158,8 +152,6 @@ impl HarnessConfig {
             fault: (fault_prob, fault_seed),
             // Fusion is observably equivalent: CI diffs fused against unfused runs.
             fuse: _,
-            // Guided fusion is observably equivalent too (the CI PGO diff).
-            pgo: _,
         } = self;
         let base_config = self.vm_config(Trigger::Never);
         // The deterministic cancellation point changes what cells compute,
@@ -276,7 +268,7 @@ impl Harness {
     }
 
     /// A harness under `config` that shares this one's preparation cache.
-    /// Cache keys carry the fusion mode and PGO, so entries of different
+    /// Cache keys carry the engine, so entries of different
     /// configurations coexist without aliasing.
     #[must_use]
     pub fn with_config(&self, config: HarnessConfig) -> Harness {
@@ -816,8 +808,7 @@ thread_local! {
 /// A cell attempt's cancellation inputs: its watchdog token and the
 /// [`HarnessConfig::cancel_after`] point. Every run the attempt makes
 /// carries them ([`Harness::run_prepared_module`], `--explore`'s
-/// recordings and replays); runs outside cells, and the guided warmup
-/// inside a load, are never cancelled.
+/// recordings and replays); runs outside cells are never cancelled.
 #[derive(Clone, Default)]
 pub(crate) struct AttemptCancel {
     token: Option<CancelToken>,
@@ -1103,29 +1094,6 @@ fn prep_fingerprint(module: &Module, cost: &CostModel, engine: Engine) -> u64 {
     journal::fnv1a(h, format!("{cost:?}/{}", engine.label()).as_bytes())
 }
 
-/// The load behind `--pgo`: [`Engine::Guided`]'s warmup and guided
-/// re-preparation, counted into the metrics registry (`pgo.warmups`,
-/// `pgo.warmup_instructions`). Outcome-affecting state is untouched: the
-/// warmup runs on a private module instance, emits no JSONL, and
-/// registers no phase section (which cell pays the warmup is
-/// scheduling-dependent, like any cache miss), so stdout and the record
-/// stream stay byte-identical to a non-PGO run of the same cells.
-fn pgo_prepare(module: &Module, cost: &CostModel) -> Code<'static> {
-    let start = Instant::now();
-    let code = Engine::Guided.load(module, cost);
-    let warmup_instructions = code
-        .prepared()
-        .and_then(PreparedModule::guidance)
-        .map_or(0, FuseGuidance::warmup_instructions);
-    metrics::counter_add("pgo.warmups", 1);
-    metrics::counter_add("pgo.warmup_instructions", warmup_instructions);
-    log::debug(&format!(
-        "[pgo] warmup + guided re-preparation in {:?}",
-        start.elapsed()
-    ));
-    code
-}
-
 /// Folds one run's finished [`OpProfile`] into the metrics registry:
 /// per-opcode dispatch/instruction/cycle counters, the dynamic
 /// fused-vs-total instruction totals behind the fusion-coverage report,
@@ -1139,7 +1107,6 @@ fn record_profile(profile: &OpProfile, trigger: Trigger) {
     }
     metrics::counter_add("profile.runs", 1);
     metrics::counter_add("profile.fused_instructions", profile.fused_instructions());
-    metrics::counter_add("profile.guided_instructions", profile.guided_instructions());
     metrics::counter_add("profile.total_instructions", profile.total_instructions());
     let kind = trigger.kind_name();
     for &gap in profile.sample_gap_cycles() {
@@ -1158,39 +1125,23 @@ pub struct FusionCoverage {
     pub name: &'static str,
     /// Dynamic instructions executed under a fused dispatch.
     pub fused_instructions: u64,
-    /// Dynamic instructions executed through the generalized
-    /// profile-guided template — a subset of `fused_instructions`, zero
-    /// unless the module was prepared under PGO.
-    pub guided_instructions: u64,
     /// Total dynamic instructions.
     pub total_instructions: u64,
     /// `fused / total`, in percent.
     pub coverage_pct: f64,
 }
 
-impl FusionCoverage {
-    /// `guided / total`, in percent — the share of the dynamic stream the
-    /// guided tier added on top of the static catalogue.
-    #[must_use]
-    pub fn guided_pct(&self) -> f64 {
-        if self.total_instructions == 0 {
-            return 0.0;
-        }
-        self.guided_instructions as f64 / self.total_instructions as f64 * 100.0
-    }
-}
-
 impl Harness {
-    /// Loads `module` for the harness engine ([`HarnessConfig::fuse`] and
-    /// [`HarnessConfig::pgo`]) under the harness cost model through the
+    /// Loads `module` for the harness engine ([`HarnessConfig::fuse`])
+    /// under the harness cost model through the
     /// preparation cache, returning the (possibly shared) code.
     /// Experiments sweep the same program across many configurations —
     /// Table 4 alone runs one instrumented module at six sampling
     /// intervals, and every strategy re-compiles and re-baselines the
     /// whole suite — so sharing one preparation across cells (and across
     /// the workers that run them) removes most preparation work from a
-    /// harness run. Each engine has cache keys of its own, so guided and
-    /// static entries coexist in a shared cache.
+    /// harness run. Each engine has cache keys of its own, so fused and
+    /// unfused entries coexist in a shared cache.
     ///
     /// Counts one preparation *request* toward the current cell's
     /// `prepares` metric whether or not the cache already held the
@@ -1216,10 +1167,7 @@ impl Harness {
         let code = slot
             .get_or_init(|| {
                 fresh = true;
-                Arc::new(match engine {
-                    Engine::Guided => pgo_prepare(module, &cost),
-                    _ => engine.load(module, &cost),
-                })
+                Arc::new(engine.load(module, &cost))
             })
             .clone();
         if fresh {
@@ -1313,17 +1261,12 @@ impl Harness {
                 let c = FusionCoverage {
                     name: w.name(),
                     fused_instructions: profile.fused_instructions(),
-                    guided_instructions: profile.guided_instructions(),
                     total_instructions: profile.total_instructions(),
                     coverage_pct: profile.fusion_coverage_pct(),
                 };
                 metrics::counter_add(
                     &format!("fusion.{}.fused_instructions", c.name),
                     c.fused_instructions,
-                );
-                metrics::counter_add(
-                    &format!("fusion.{}.guided_instructions", c.name),
-                    c.guided_instructions,
                 );
                 metrics::counter_add(
                     &format!("fusion.{}.total_instructions", c.name),
@@ -1510,7 +1453,6 @@ mod tests {
             jobs: default.jobs + 3,
             cell_deadline_ms: 500,
             fuse: !default.fuse,
-            pgo: true,
             ..shaped.clone()
         };
         assert_eq!(fingerprint(&unshaped), fingerprint(&shaped));
@@ -1604,58 +1546,6 @@ mod tests {
         let hits_after = metrics::snapshot().counter("prep.cache.hits");
         metrics::set_enabled(false);
         assert!(hits_after > hits_before, "second run hits the cache");
-    }
-
-    #[test]
-    fn pgo_prepares_guided_modules_with_identical_outcomes() {
-        // The warmup-then-reprepare flow end to end: with PGO on, the
-        // cache serves a guided decode (paying one warmup), the run's
-        // outcome is identical to the non-PGO one, and the call-dense
-        // benchmarks clear the coverage target the static catalogue
-        // could not reach. Guided preparation only refines static fusion
-        // (see `cached_prepare`), so with fusion off PGO must change
-        // nothing: no warmup, no guided group, the same outcome.
-        let _guard = metrics_test_lock();
-        let plain = Harness::default();
-        let pgo = plain.with_config(HarnessConfig {
-            pgo: true,
-            ..plain.config.clone()
-        });
-        let w = isf_workloads::by_name("jess", Scale::Smoke).unwrap();
-        let m = w.compile();
-        let baseline = plain.run_module(&m, Trigger::Never);
-        metrics::set_enabled(true);
-        let warmups_before = metrics::snapshot().counter("pgo.warmups");
-        let code = pgo.cached_prepare(&m);
-        let outcome = pgo.run_prepared_module(&code, Trigger::Never);
-        let prepared = code.prepared().expect("harness code is prepared");
-        let warmups_after = metrics::snapshot().counter("pgo.warmups");
-        // Coverage with profiling off: the returned values are what this
-        // test needs, and recording nothing keeps the cumulative
-        // `fusion.*` registry counters exactly as other tests expect.
-        metrics::set_enabled(false);
-        let coverage = pgo.fusion_coverage(Scale::Smoke);
-        assert_eq!(
-            outcome, baseline,
-            "guided preparation must not change the outcome"
-        );
-        if !pgo.config.fuse {
-            assert_eq!(prepared.num_guided(), 0, "fusion off: no guided groups");
-            assert_eq!(warmups_after, warmups_before, "fusion off: no warmup");
-            return;
-        }
-        assert!(
-            prepared.num_guided() > 0,
-            "guided preparation instantiated no generalized groups"
-        );
-        assert!(warmups_after > warmups_before, "the guided decode warms up");
-        let jess = coverage.iter().find(|c| c.name == "jess").unwrap();
-        assert!(jess.guided_instructions > 0, "no guided dispatches on jess");
-        assert!(
-            jess.coverage_pct >= 65.0,
-            "guided coverage on jess is {:.1}%, below the 65% target",
-            jess.coverage_pct
-        );
     }
 
     #[test]

@@ -1,97 +1,80 @@
-//! The fusion-coverage gate: at smoke scale, static and profile-guided
-//! fusion must cover exactly the pinned share of each benchmark's dynamic
-//! instruction stream, and guided fusion must keep covering at least 65%
-//! of the call-dense benchmarks. Coverage is deterministic, so a change
-//! to the superinstruction catalogue or the guided pass that moves any
-//! count fails here and must re-pin it on purpose.
+//! The fusion-coverage gate: at smoke scale, fusion must cover exactly
+//! the pinned share of each benchmark's dynamic instruction stream, with
+//! or without `--pgo` (accepted, and a no-op since the profile-guided
+//! tier was removed). Coverage is deterministic, so a change to the
+//! superinstruction catalogue that moves any count fails here and must
+//! re-pin it on purpose.
 
-use isf_harness::runner::{FusionCoverage, Harness, HarnessConfig};
+use std::process::Command;
+
+use isf_harness::runner::{Harness, HarnessConfig};
 use isf_harness::Scale;
 
-/// `(benchmark, fused, guided, total)` instructions at smoke scale.
-type Pin = (&'static str, u64, u64, u64);
+const BIN: &str = env!("CARGO_BIN_EXE_isf-harness");
+
+/// `(benchmark, fused, total)` instructions at smoke scale.
+type Pin = (&'static str, u64, u64);
 
 const STATIC: [Pin; 10] = [
-    ("compress", 87_217, 0, 114_414),
-    ("jess", 17_938, 0, 37_254),
-    ("db", 53_863, 0, 89_496),
-    ("javac", 63_751, 0, 131_047),
-    ("mpegaudio", 41_127, 0, 70_160),
-    ("mtrt", 73_540, 0, 147_947),
-    ("jack", 67_817, 0, 93_473),
-    ("opt_compiler", 41_432, 0, 65_379),
-    ("pbob", 16_340, 0, 27_542),
-    ("volano", 54_012, 0, 75_363),
+    ("compress", 87_217, 114_414),
+    ("jess", 17_938, 37_254),
+    ("db", 53_863, 89_496),
+    ("javac", 63_751, 131_047),
+    ("mpegaudio", 41_127, 70_160),
+    ("mtrt", 73_540, 147_947),
+    ("jack", 67_817, 93_473),
+    ("opt_compiler", 41_432, 65_379),
+    ("pbob", 16_340, 27_542),
+    ("volano", 54_012, 75_363),
 ];
-
-const GUIDED: [Pin; 10] = [
-    ("compress", 101_590, 44_447, 114_414),
-    ("jess", 24_315, 13_615, 37_254),
-    ("db", 83_618, 64_861, 89_496),
-    ("javac", 97_398, 59_014, 131_047),
-    ("mpegaudio", 64_573, 48_028, 70_160),
-    ("mtrt", 129_880, 99_164, 147_947),
-    ("jack", 80_485, 34_144, 93_473),
-    ("opt_compiler", 57_271, 42_557, 65_379),
-    ("pbob", 22_573, 14_310, 27_542),
-    ("volano", 72_398, 46_108, 75_363),
-];
-
-/// Coverage of every suite benchmark with fusion on, guided or not. The
-/// run is single-threaded and independent of `ISF_FUSE`/`ISF_PGO`.
-fn coverage(pgo: bool) -> Vec<FusionCoverage> {
-    Harness::new(HarnessConfig {
-        jobs: 1,
-        fuse: true,
-        pgo,
-        ..HarnessConfig::default()
-    })
-    .fusion_coverage(Scale::Smoke)
-}
-
-fn counts(rows: &[FusionCoverage]) -> Vec<Pin> {
-    rows.iter()
-        .map(|c| {
-            (
-                c.name,
-                c.fused_instructions,
-                c.guided_instructions,
-                c.total_instructions,
-            )
-        })
-        .collect()
-}
 
 #[test]
 fn static_fusion_coverage_is_pinned() {
-    let rows = coverage(false);
-    assert_eq!(counts(&rows), STATIC);
+    // Single-threaded and independent of `ISF_FUSE`.
+    let rows: Vec<Pin> = Harness::new(HarnessConfig {
+        jobs: 1,
+        fuse: true,
+        ..HarnessConfig::default()
+    })
+    .fusion_coverage(Scale::Smoke)
+    .iter()
+    .map(|c| (c.name, c.fused_instructions, c.total_instructions))
+    .collect();
+    assert_eq!(rows, STATIC);
 }
 
 #[test]
-fn guided_fusion_coverage_is_pinned_and_above_the_floor() {
-    let rows = coverage(true);
-    for c in &rows {
-        assert!(
-            c.guided_instructions <= c.fused_instructions
-                && c.fused_instructions <= c.total_instructions,
-            "{}: guided {} <= fused {} <= total {} does not hold",
-            c.name,
-            c.guided_instructions,
-            c.fused_instructions,
-            c.total_instructions
-        );
-    }
-    for bench in ["jess", "javac", "mtrt"] {
-        let c = rows
-            .iter()
-            .find(|c| c.name == bench)
-            .unwrap_or_else(|| panic!("{bench} missing from the suite"));
-        assert!(
-            c.coverage_pct >= 65.0,
-            "{bench}: guided coverage {:.1}% < 65%",
-            c.coverage_pct
-        );
-    }
-    assert_eq!(counts(&rows), GUIDED);
+fn pgo_fusion_coverage_equals_static() {
+    // `--profile` prints one `[profile]   <bench> <pct>%  (<fused> /
+    // <total> instructions)` line per benchmark on stderr.
+    let out = Command::new(BIN)
+        .args([
+            "--pgo",
+            "--profile",
+            "--scale",
+            "smoke",
+            "--jobs",
+            "1",
+            "table1",
+        ])
+        .env("ISF_LOG", "cells")
+        .env_remove("ISF_FUSE")
+        .output()
+        .expect("spawn isf-harness");
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+    let rows: Vec<(String, u64, u64)> = stderr
+        .lines()
+        .filter(|l| l.ends_with(" instructions)"))
+        .map(|l| {
+            let words: Vec<&str> = l.split_whitespace().collect();
+            let count = |w: &str| w.trim_start_matches('(').parse::<u64>().unwrap();
+            (words[1].to_owned(), count(words[3]), count(words[5]))
+        })
+        .collect();
+    let pins: Vec<(String, u64, u64)> = STATIC
+        .iter()
+        .map(|&(name, fused, total)| (name.to_owned(), fused, total))
+        .collect();
+    assert_eq!(rows, pins, "stderr:\n{stderr}");
 }

@@ -48,7 +48,6 @@ fn harness(args: &[&str]) -> Output {
         .env_remove("ISF_JOURNAL")
         .env_remove("ISF_PROFILE")
         .env_remove("ISF_FUSE")
-        .env_remove("ISF_PGO")
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .output()

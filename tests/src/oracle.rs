@@ -7,18 +7,14 @@
 //! The cross-engine half of the comparison is
 //! [`isf_harness::explore::verify_replays`], the function the harness's
 //! `--explore` mode runs on the benchmarks; [`check`] adds what only a
-//! generated case has: a saturated-guidance guided module beside
-//! [`Engine::ALL`], a cancellation point, and a comparison against the
+//! generated case has: a cancellation point and a comparison against the
 //! plain round-robin run.
 
-use std::borrow::Cow;
 use std::fmt;
 
 use isf_core::{instrument_module, Options, Strategy};
-use isf_exec::profile::FIRST_FUSED;
 use isf_exec::{
-    Code, CostModel, Engine, ExecLimits, FuseGuidance, FuseMode, OpProfile, Outcome,
-    PreparedModule, ProfileSink, Request, SchedControl, SchedPolicy, TraceBuffer, TrapKind,
+    Code, Engine, ExecLimits, Outcome, Request, SchedControl, SchedPolicy, TraceBuffer, TrapKind,
     Trigger, VmConfig, VmError,
 };
 use isf_harness::explore::verify_replays;
@@ -179,17 +175,6 @@ pub struct Checked {
     pub decisions: usize,
 }
 
-/// The guided module whose guidance marks every plain opcode hot, forcing
-/// every eligible sequence into a generalized group.
-fn saturated_guided(module: &isf_ir::Module, cost: &CostModel) -> Code<'static> {
-    let mut saturated = OpProfile::new();
-    for op in 0..FIRST_FUSED {
-        saturated.record_dispatches(op, 1, 1, 1);
-    }
-    let mode = FuseMode::Guided(Box::new(FuseGuidance::from_profile(&saturated)));
-    Code::Prepared(Cow::Owned(PreparedModule::prepare_with(module, cost, mode)))
-}
-
 /// Per-thread sample counts of a burst trace, as a sorted multiset.
 fn samples_by_thread(bursts: &TraceBuffer) -> Vec<usize> {
     let mut counts = std::collections::BTreeMap::new();
@@ -201,10 +186,10 @@ fn samples_by_thread(bursts: &TraceBuffer) -> Vec<usize> {
     counts
 }
 
-/// Runs `case` on [`Engine::ALL`] plus a saturated-guidance guided module
-/// and asserts that every observable agrees. The fused engine records a
-/// schedule under the case's policy; [`verify_replays`] replays it on
-/// every engine with no sink, profiled and traced, comparing the complete
+/// Runs `case` on [`Engine::ALL`] and asserts that every observable
+/// agrees. The fused engine records a schedule under the case's policy;
+/// [`verify_replays`] replays it on every engine with no sink, profiled
+/// and traced, comparing the complete
 /// `Result<Outcome, VmError>`, the consumed schedule, burst traces,
 /// profile totals and their reconciliation with the outcome, naive ==
 /// unfused per-opcode profiles, and cancel-at-k ≡ fuel-k. The recording
@@ -220,11 +205,10 @@ pub fn check(case: &Case) -> Checked {
     let what = format!("{case}\nthe case above");
     let module = case.module();
     let cfg = case.config();
-    let mut engines: Vec<(Engine, Code)> = Engine::ALL
+    let engines: Vec<(Engine, Code)> = Engine::ALL
         .iter()
         .map(|&engine| (engine, engine.load(&module, &cfg.cost)))
         .collect();
-    engines.push((Engine::Guided, saturated_guided(&module, &cfg.cost)));
     let (_, fused) = engines
         .iter()
         .find(|(e, _)| *e == Engine::Fused)

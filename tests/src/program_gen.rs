@@ -26,7 +26,7 @@ pub enum Stmt {
     /// A bounded `while` loop running the body N times.
     Loop(u8, Vec<Stmt>),
     /// `vA = vB; vC = vA; vB = vC;` — a chain of register-to-register
-    /// moves, the shape guided fusion groups under a warm `move` weight.
+    /// moves.
     MoveChain(u8, u8, u8),
     /// `arr[K] = vN;` — an array store with a constant index (in bounds
     /// by construction).

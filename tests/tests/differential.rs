@@ -1,10 +1,10 @@
 //! The engines' differential contract, checked by one oracle
 //! ([`isf_integration_tests::oracle::check`]): every engine of
-//! [`isf_exec::Engine::ALL`], plus a saturated-guidance guided module,
-//! must agree on every observable — the complete `Result<Outcome,
-//! VmError>`, the consumed schedule, burst traces, profiles and their
-//! reconciliation with the outcome — under every instrumentation,
-//! trigger, limit, timeslice, schedule policy and cancellation point.
+//! [`isf_exec::Engine::ALL`] must agree on every observable — the
+//! complete `Result<Outcome, VmError>`, the consumed schedule, burst
+//! traces, profiles and their reconciliation with the outcome — under
+//! every instrumentation, trigger, limit, timeslice, schedule policy and
+//! cancellation point.
 //! The paper's numbers are simulated cycles, so an engine that disagrees
 //! on any of them would change a table.
 //!

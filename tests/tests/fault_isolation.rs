@@ -2,13 +2,13 @@
 //! inside the parallel harness becomes an `error` JSONL record while its
 //! siblings complete, with a stream that is byte-identical across job
 //! counts, a budget-capped cell is classified as a budget failure, and a
-//! cell's cancellation point reaches its runs — `--explore`'s included —
-//! but not the loads they make; and no `(Trigger, ExecLimits)`
+//! cell's cancellation point reaches its runs, `--explore`'s included;
+//! and no `(Trigger, ExecLimits)`
 //! combination makes an engine panic or two engines disagree.
 
 use proptest::prelude::*;
 
-use isf_exec::{Code, CostModel, Engine, FuseGuidance, PreparedModule, Trigger};
+use isf_exec::Trigger;
 use isf_harness::explore::{self, ExploreSpec};
 use isf_harness::runner::{cell, split_results, Harness, HarnessConfig};
 use isf_integration_tests::compile;
@@ -105,32 +105,6 @@ fn budget_capped_cell_is_classified_as_budget_not_trap() {
         "{}",
         errors[0]
     );
-}
-
-#[test]
-fn guided_warmup_inside_a_cancelled_attempt_runs_to_its_budget() {
-    // The cancel point belongs to the attempt's runs, not to the guided
-    // load the cache makes inside it: the guidance the cache keeps must
-    // be the one an unarmed load computes.
-    let m = compile(
-        "fn main() { var i = 0; var s = 0;
-            while (i < 100000) { s = s + i; i = i + 1; } print(s); }",
-    );
-    let h = Harness::new(HarnessConfig {
-        fuse: true,
-        pgo: true,
-        cancel_after: 500,
-        ..HarnessConfig::default()
-    });
-    let warmup = |code: &Code| {
-        code.prepared()
-            .and_then(PreparedModule::guidance)
-            .map_or(0, FuseGuidance::warmup_instructions)
-    };
-    let armed = h.par_cells_isolated(vec![cell("warmup/armed", || warmup(&h.cached_prepare(&m)))]);
-    let unarmed = warmup(&Engine::Guided.load(&m, &CostModel::default()));
-    assert!(unarmed > 100_000, "the warmup runs its whole budget");
-    assert_eq!(armed.into_iter().next().unwrap().into_result(), Ok(unarmed));
 }
 
 #[test]

@@ -1,17 +1,77 @@
-//! Fusion is invisible: the fused and guided engines report what the
-//! unfused engine and the naive reference report — outcome, cycles,
-//! samples and traps at the same dispatch — under every trigger,
-//! instrumentation and budget: the differential oracle
-//! ([`isf_integration_tests::oracle::check`]), which adds a
-//! saturated-guidance guided module to the engines, with one axis drawn.
+//! Fusion is invisible: the fused engine reports what the unfused engine
+//! and the naive reference report — outcome, cycles, samples and traps at
+//! the same dispatch — under every trigger, instrumentation and budget:
+//! the differential oracle ([`isf_integration_tests::oracle::check`]),
+//! with one axis drawn.
 
 use proptest::prelude::*;
 
 use isf_core::Strategy;
-use isf_exec::Trigger;
+use isf_exec::{
+    Code, CostModel, ExecLimits, FuseGuidance, FuseMode, OpProfile, PreparedModule, Request,
+    Trigger, VmConfig,
+};
 use isf_integration_tests::oracle::{
     check, sequential_program, tight_limits, transform_strategy, trigger_strategy, Case,
 };
+use isf_workloads::Scale;
+
+/// `FuseMode::Guided` is kept only for the benchmark package, whose
+/// `suite-pgo` set-up and guided draws prepare with it: it must prepare
+/// exactly as `FuseMode::Fuse` and run to the same outcome. The guidance
+/// comes from the benchmark's own warmup (`Trigger::Never`, 250,000
+/// cycles, profiled) of each suite program, and each program runs
+/// instrumented under every trigger kind.
+#[test]
+fn guided_mode_prepares_and_runs_as_fused() {
+    let cost = CostModel::default();
+    let triggers = [
+        Trigger::Never,
+        Trigger::Always,
+        Trigger::Counter { interval: 97 },
+        Trigger::CounterPerThread { interval: 13 },
+        Trigger::CounterRandomized {
+            interval: 50,
+            jitter: 10,
+            seed: 7,
+        },
+        Trigger::TimerBit { period: 1_000 },
+    ];
+    for w in isf_workloads::suite(Scale::Smoke) {
+        let fused = PreparedModule::prepare_with(&w.compile(), &cost, FuseMode::Fuse);
+        let warmup = VmConfig {
+            trigger: Trigger::Never,
+            limits: ExecLimits::cycles(250_000),
+            ..VmConfig::default()
+        };
+        let mut profile = OpProfile::new();
+        let _ = Code::from(&fused).execute(Request::new(&warmup).profile(&mut profile));
+        let guidance = FuseGuidance::from_profile(&profile);
+
+        let module = Case::instrumented(
+            w.source().into(),
+            "cf",
+            Strategy::FullDuplication,
+            Trigger::Never,
+        )
+        .module();
+        let fused = PreparedModule::prepare_with(&module, &cost, FuseMode::Fuse);
+        let guided =
+            PreparedModule::prepare_with(&module, &cost, FuseMode::Guided(Box::new(guidance)));
+        let name = w.name();
+        assert_eq!(guided.num_ops(), fused.num_ops(), "{name}: num_ops");
+        assert_eq!(guided.num_fused(), fused.num_fused(), "{name}: num_fused");
+        assert_eq!(guided.num_guided(), 0, "{name}: num_guided");
+        for trigger in triggers {
+            let cfg = VmConfig {
+                trigger,
+                ..VmConfig::default()
+            };
+            let run = |p: &PreparedModule| Code::from(p).execute(Request::new(&cfg));
+            assert_eq!(run(&guided), run(&fused), "{name} under {trigger:?}");
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
