@@ -5,10 +5,10 @@
 //! The design mirrors the budget traps of `ExecLimits`: cancellation is
 //! not preemption. The prepared engine polls at block entries (the same
 //! control-transfer funnel the profiler counts flow at), the naive engine
-//! every [`NAIVE_POLL_INTERVAL`] dispatches, so a cancelled run stops at
-//! the next control transfer — fused, unfused and naive alike —
-//! and unwinds through the ordinary trap path with an accurate partial
-//! profile.
+//! every [`NAIVE_POLL_INTERVAL`] dispatches. So a cancelled prepared run
+//! (fused or unfused) stops at its next control transfer, a naive one
+//! within that many dispatches, and both unwind through the ordinary trap
+//! path with an accurate partial profile.
 //!
 //! A [`CancelToken`] fires once and stays fired, so a run given a token
 //! that fired between two runs of the same unit of work still stops; the
@@ -26,13 +26,9 @@
 //! branch on a plain `Option`, and clean runs are byte-identical to a
 //! build without the subsystem.
 //!
-//! Wall-clock cancellation is inherently nondeterministic, so tests use
-//! the deterministic input
-//! [`Request::cancel_after`](crate::Request::cancel_after): it raises
-//! [`TrapKind::Cancelled`] at exactly the charge that takes the clock
-//! past the given cycle count — the same predicate, at the same points,
-//! as a `max_cycles` fuel trap — making cancellation-at-cycle-K runs
-//! exactly reproducible and differentially testable against fuel traps.
+//! A token is the wall-clock stop. The simulated clock has its own, the
+//! `max_cycles` fuel budget of [`ExecLimits`](crate::ExecLimits): a run
+//! that must stop at cycle K gets a budget of K.
 //!
 //! [`TrapKind::Cancelled`]: crate::TrapKind::Cancelled
 
@@ -97,17 +93,6 @@ impl CancelToken {
     pub(crate) fn fired(&self) -> bool {
         self.is_cancelled(0)
     }
-}
-
-/// A run's cancellation inputs, as [`Request`](crate::Request) carries
-/// them to the engines.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct Cancel<'t> {
-    /// Polled at block entries (prepared) or every
-    /// [`NAIVE_POLL_INTERVAL`] dispatches (naive).
-    pub(crate) token: Option<&'t CancelToken>,
-    /// Deterministic cancellation point, checked at every cycle charge.
-    pub(crate) after: Option<u64>,
 }
 
 #[cfg(test)]

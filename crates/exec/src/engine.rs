@@ -13,7 +13,7 @@ use std::borrow::Cow;
 
 use isf_ir::Module;
 
-use crate::cancel::{Cancel, CancelToken};
+use crate::cancel::CancelToken;
 use crate::cost::CostModel;
 use crate::error::VmError;
 use crate::interp::{self, VmConfig};
@@ -139,8 +139,8 @@ impl Code<'_> {
 }
 
 /// One run's inputs besides its code: the configuration, a burst-trace
-/// sink, a dispatch-profile sink, a scheduling control and the
-/// cancellation inputs. The caller keeps the sinks and the control, and
+/// sink, a dispatch-profile sink, a scheduling control and a
+/// cancellation token. The caller keeps the sinks and the control, and
 /// so the recordings, after the run.
 #[must_use]
 pub struct Request<'r, S = NoTrace, P = NoMetrics> {
@@ -148,7 +148,7 @@ pub struct Request<'r, S = NoTrace, P = NoMetrics> {
     trace: &'r mut S,
     profile: &'r mut P,
     sched: Option<&'r mut SchedControl>,
-    cancel: Cancel<'r>,
+    cancel: Option<&'r CancelToken>,
 }
 
 impl<'r> Request<'r> {
@@ -161,7 +161,7 @@ impl<'r> Request<'r> {
             trace: Box::leak(Box::new(NoTrace)),
             profile: Box::leak(Box::new(NoMetrics)),
             sched: None,
-            cancel: Cancel::default(),
+            cancel: None,
         }
     }
 }
@@ -201,15 +201,7 @@ impl<'r, S, P> Request<'r, S, P> {
     /// traps with [`TrapKind::Cancelled`](crate::TrapKind::Cancelled) at
     /// its next poll.
     pub fn cancel(mut self, token: &'r CancelToken) -> Self {
-        self.cancel.token = Some(token);
-        self
-    }
-
-    /// Traps with [`TrapKind::Cancelled`](crate::TrapKind::Cancelled) at
-    /// the charge that takes the clock past `cycles`: the charge at which
-    /// a `max_cycles` budget of `cycles` traps, which wins a tie.
-    pub fn cancel_after(mut self, cycles: u64) -> Self {
-        self.cancel.after = Some(cycles);
+        self.cancel = Some(token);
         self
     }
 }

@@ -50,12 +50,12 @@ pub enum TrapKind {
     },
     /// The call stack exceeded the configured depth limit.
     StackOverflow(usize),
-    /// The run was cooperatively cancelled (a fired
-    /// [`CancelToken`](crate::CancelToken) or a deterministic
-    /// `cancel_after` point). Not a budget trap: budgets are part of a
-    /// cell's configuration and reproduce deterministically, while
-    /// cancellation is imposed from outside the run — harnesses classify
-    /// and retry it like an external failure, not like fuel running out.
+    /// The run was cooperatively cancelled by a fired
+    /// [`CancelToken`](crate::CancelToken). Not a budget trap: budgets are
+    /// part of a cell's configuration and reproduce deterministically,
+    /// while cancellation is imposed from outside the run — harnesses
+    /// classify and retry it like an external failure, not like fuel
+    /// running out.
     Cancelled,
 }
 

@@ -25,7 +25,7 @@
 use isf_ir::{BinOp, CallSiteId, ClassId, FieldSym, FuncId, LocalId, UnOp};
 use isf_profile::ProfileData;
 
-use crate::cancel::{Cancel, CancelToken};
+use crate::cancel::CancelToken;
 use crate::cost::CostModel;
 use crate::error::{TrapKind, VmError};
 use crate::heap::Heap;
@@ -118,7 +118,7 @@ pub(crate) fn execute<S: TraceSink, P: ProfileSink>(
     sink: &mut S,
     profile: &mut P,
     sched: &mut SchedControl,
-    cancel: Cancel<'_>,
+    cancel: Option<&CancelToken>,
 ) -> Result<Outcome, VmError> {
     assert_eq!(
         &config.cost,
@@ -247,10 +247,6 @@ struct Machine<'p, 's, S: TraceSink, P: ProfileSink> {
     /// entries.
     /// `None` on clean runs, where the poll is a never-taken branch.
     cancel: Option<&'s CancelToken>,
-    /// Deterministic cancellation point: raise [`TrapKind::Cancelled`] at
-    /// the charge that takes the clock past this count, exactly where a
-    /// `max_cycles` fuel budget of the same value would trap.
-    cancel_after: Option<u64>,
     heap: Heap,
     /// The running thread's innermost frame, held here rather than in
     /// the thread table so a dispatch reaches it with no lookup. Stale
@@ -270,9 +266,9 @@ struct Machine<'p, 's, S: TraceSink, P: ProfileSink> {
     next_switch: u64,
     switch_bit: bool,
     /// The lowest clock value at which any clock-driven event happens:
-    /// `min(next_switch, max_cycles + 1, cancel_after + 1, timer next
-    /// fire)`, saturating. Below it a charge only advances the clock;
-    /// see [`Machine::charge_cycles`].
+    /// `min(next_switch, max_cycles + 1, timer next fire)`, saturating.
+    /// Below it a charge only advances the clock; see
+    /// [`Machine::charge_cycles`].
     horizon: u64,
     // Counters.
     instructions: u64,
@@ -303,7 +299,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
         sink: &'s mut S,
         psink: &'s mut P,
         sched: &'s mut SchedControl,
-        cancel: Cancel<'s>,
+        cancel: Option<&'s CancelToken>,
     ) -> Self {
         let main = prepared.module().main();
         let main_frame = Frame {
@@ -343,8 +339,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
             timeslice: config.timeslice.max(1),
             max_cycles: config.limits.max_cycles,
             max_stack: config.limits.max_stack,
-            cancel: cancel.token,
-            cancel_after: cancel.after,
+            cancel,
             heap: Heap::with_limit(config.limits.max_heap_words),
             top: main_frame,
             below: Vec::new(),
@@ -533,6 +528,12 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
             "completed run must be exactly attributed (over by {shortfall})"
         );
         debug_assert!(attributed >= self.cycles, "attribution fell short");
+        // A token trap fires at a block entry, after the transfer op
+        // charged in full, so it leaves no charge to unwind.
+        debug_assert!(
+            trap != Some(&TrapKind::Cancelled) || shortfall == 0,
+            "a cancelled run stopped on a partly charged op (short by {shortfall})"
+        );
         // How much of the trapping dispatch never ran under the unfused
         // schedule. A fused group's charge is a sequence of quanta, each
         // folding one or more source instructions; the shortfall is
@@ -559,19 +560,8 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                 uncounted += quanta[qi].len() as u64;
             }
             let mut phantom = 0u64;
-            // The budget the trapping charge crossed: a fuel trap's own
-            // limit, or the deterministic cancellation point (which
-            // shares the fuel predicate in `charge_cycles`). An epoch
-            // cancellation carries no budget — it fires at a block entry
-            // after the transfer op charged in full, so the shortfall is
-            // zero, and when a `cancel_after` happens to be armed too the
-            // clock still sits at or below it, making the replay a no-op.
-            let budget = match trap {
-                Some(TrapKind::FuelExhausted(max)) => Some(*max),
-                Some(TrapKind::Cancelled) => self.cancel_after,
-                _ => None,
-            };
-            if let Some(max) = budget {
+            // Only fuel stops a charge part-way: the budget it crossed.
+            if let Some(&TrapKind::FuelExhausted(max)) = trap {
                 // Quantum `qi - 1` is the charge that trapped (fuel traps
                 // happen inside `charge_cycles`, and the machine stops on
                 // the spot). Replay its components against the clock at
@@ -649,13 +639,12 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
     /// interleaving exactly.
     ///
     /// Every clock-driven event — the threadswitch bit, the timer
-    /// trigger's tick, the fuel budget and the deterministic cancellation
-    /// point — fires at the first charge that takes the clock to or past
-    /// a fixed value, and none of those values moves until its event
-    /// fires. So one compare against their minimum, the `horizon`, is
-    /// exact: below it no event can fire, and at or past it
-    /// [`Machine::charge_slow`] runs every per-event test in the same
-    /// charge a per-event check would have.
+    /// trigger's tick and the fuel budget — fires at the first charge
+    /// that takes the clock to or past a fixed value, and none of those
+    /// values moves until its event fires. So one compare against their
+    /// minimum, the `horizon`, is exact: below it no event can fire, and
+    /// at or past it [`Machine::charge_slow`] runs every per-event test
+    /// in the same charge a per-event check would have.
     #[inline]
     fn charge_cycles(&mut self, c: u64) -> Result<(), TrapKind> {
         self.cycles += c;
@@ -666,8 +655,8 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
     }
 
     /// The clock-event tests of [`Machine::charge_cycles`], in their
-    /// fixed order: timer tick, threadswitch catch-up, fuel, then
-    /// cancellation. Recomputes the horizon unless the charge traps.
+    /// fixed order: timer tick, threadswitch catch-up, then fuel.
+    /// Recomputes the horizon unless the charge traps.
     #[cold]
     #[inline(never)]
     fn charge_slow(&mut self) -> Result<(), TrapKind> {
@@ -686,28 +675,16 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                 return Err(TrapKind::FuelExhausted(max));
             }
         }
-        // The deterministic cancellation hook shares the fuel predicate
-        // (checked second, so a tied budget wins) — cancellation at cycle
-        // K stops at exactly the dispatch a `max_cycles = K` trap would.
-        if let Some(k) = self.cancel_after {
-            if self.cycles > k {
-                return Err(TrapKind::Cancelled);
-            }
-        }
         self.reset_horizon();
         Ok(())
     }
 
     /// Sets `horizon` to the lowest clock value at which a clock event
-    /// fires next. The budgets trap once the clock *exceeds* them, hence
-    /// the `+ 1`s; an event that can never fire contributes `u64::MAX`.
+    /// fires next. The budget traps once the clock *exceeds* it, hence
+    /// the `+ 1`; an event that can never fire contributes `u64::MAX`.
     fn reset_horizon(&mut self) {
-        let after = |limit: Option<u64>| limit.map_or(u64::MAX, |k| k.saturating_add(1));
-        self.horizon = self
-            .next_switch
-            .min(after(self.max_cycles))
-            .min(after(self.cancel_after))
-            .min(self.trigger.next_tick());
+        let fuel = self.max_cycles.map_or(u64::MAX, |k| k.saturating_add(1));
+        self.horizon = self.next_switch.min(fuel).min(self.trigger.next_tick());
     }
 
     /// Records a burst boundary at a firing check. Only reachable from
@@ -1748,51 +1725,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_after_traps_exactly_like_an_equal_fuel_budget() {
-        let src = "fn mix(a, b) { return a * 31 + b; }
-             fn main() { var h = 7; var i = 0; while (i < 500) { h = mix(h, i); i = i + 1; } print(h); }";
-        let m = compile(src);
-        for (engine, k) in Engine::ALL
-            .into_iter()
-            .flat_map(|e| [(e, 100), (e, 1_000), (e, 10_000)])
-        {
-            let code = engine.load(&m, &CostModel::default());
-            let fuel = code.execute(Request::new(&VmConfig {
-                limits: ExecLimits::cycles(k),
-                ..VmConfig::default()
-            }));
-            let cancelled = code.execute(Request::new(&VmConfig::default()).cancel_after(k));
-            let label = engine.label();
-            match (cancelled, fuel) {
-                (Err(c), Err(f)) => {
-                    assert_eq!(c.kind, TrapKind::Cancelled);
-                    assert_eq!(f.kind, TrapKind::FuelExhausted(k));
-                    assert_eq!(
-                        c.function, f.function,
-                        "{label}: stop point diverged at k={k}"
-                    );
-                }
-                (Ok(c), Ok(f)) => assert_eq!(c, f),
-                (got, want) => panic!("{label}: divergence at k={k}: {got:?} vs {want:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn tied_fuel_budget_wins_over_cancel_after() {
-        let m = compile("fn main() { while (true) { } }");
-        let cfg = VmConfig {
-            limits: ExecLimits::cycles(5_000),
-            ..VmConfig::default()
-        };
-        let e = Engine::default()
-            .load(&m, &cfg.cost)
-            .execute(Request::new(&cfg).cancel_after(5_000))
-            .unwrap_err();
-        assert_eq!(e.kind, TrapKind::FuelExhausted(5_000));
-    }
-
-    #[test]
     fn fired_token_cancels_an_unbudgeted_loop_in_both_engines() {
         let m = compile("fn main() { while (true) { } }");
         for engine in Engine::ALL {
@@ -1820,37 +1752,90 @@ mod tests {
         assert_eq!(clean, armed, "a silent token must be invisible");
     }
 
+    /// A burst sink that fires its clone of the run's token at its `n`-th
+    /// sample: a cancellation mid-run at a point every engine reaches by
+    /// the same dispatch.
+    struct FireAt {
+        token: crate::cancel::CancelToken,
+        n: usize,
+        bursts: Vec<BurstRecord>,
+    }
+
+    impl TraceSink for FireAt {
+        fn record(&mut self, record: BurstRecord) {
+            self.bursts.push(record);
+            if self.bursts.len() == self.n {
+                self.token.cancel();
+            }
+        }
+    }
+
     #[test]
     fn cancelled_profiled_run_attributes_partial_cycles_exactly() {
-        // `fold_profile`'s debug asserts pin the attribution identity
-        // (per-opcode totals == the clock) for the cancelled run; the
-        // explicit totals check keeps release builds honest too.
-        let src = "fn mix(a, b) { return a * 31 + b; }
-             fn main() { var h = 7; var i = 0; while (i < 500) { h = mix(h, i); i = i + 1; } print(h); }";
-        let m = compile(src);
-        let cfg = VmConfig::default();
-        let prepared = PreparedModule::prepare_with(&m, &cfg.cost, crate::fuse_mode());
-        let mut profile = crate::profile::OpProfile::new();
-        let err = Code::from(&prepared)
-            .execute(Request::new(&cfg).cancel_after(4_000).profile(&mut profile))
-            .unwrap_err();
-        assert_eq!(err.kind, TrapKind::Cancelled);
-        // The partial profile must equal a fuel trap's at the same point.
-        let fuel_cfg = VmConfig {
-            limits: ExecLimits::cycles(4_000),
-            ..cfg
-        };
-        let mut fuel_profile = crate::profile::OpProfile::new();
-        let err = Code::from(&prepared)
-            .execute(Request::new(&fuel_cfg).profile(&mut fuel_profile))
-            .unwrap_err();
-        assert_eq!(err.kind, TrapKind::FuelExhausted(4_000));
-        assert_eq!(profile.total_cycles(), fuel_profile.total_cycles());
-        assert_eq!(
-            profile.total_instructions(),
-            fuel_profile.total_instructions()
+        // An endless loop whose jumps are all checks, so it samples on
+        // every iteration; the fuel budget only stops a run the token
+        // failed to stop.
+        let mut m = compile(
+            "fn mix(a, b) { return a * 31 + b; }
+             fn main() { var h = 7; var i = 0; while (true) { h = mix(h, i); i = i + 1; } }",
         );
-        assert_eq!(profile.total_dispatches(), fuel_profile.total_dispatches());
+        let f = m.function_mut(m.main());
+        for b in f.block_ids().collect::<Vec<_>>() {
+            if let isf_ir::Term::Jump(to) = *f.block(b).term() {
+                let check = isf_ir::Term::Check {
+                    sample: to,
+                    cont: to,
+                };
+                f.set_term(b, check);
+            }
+        }
+        let cfg = VmConfig {
+            trigger: Trigger::Counter { interval: 2 },
+            limits: ExecLimits::cycles(50_000_000),
+            ..VmConfig::default()
+        };
+        for n in [1, 2, 3, 17, 400] {
+            let mut stops = Vec::new();
+            for engine in Engine::ALL {
+                let token = crate::cancel::CancelToken::new();
+                let mut sink = FireAt {
+                    token: token.clone(),
+                    n,
+                    bursts: Vec::new(),
+                };
+                let mut profile = crate::profile::OpProfile::new();
+                let err = engine
+                    .load(&m, &cfg.cost)
+                    .execute(
+                        Request::new(&cfg)
+                            .cancel(&token)
+                            .trace(&mut sink)
+                            .profile(&mut profile),
+                    )
+                    .unwrap_err();
+                let label = engine.label();
+                assert_eq!(err.kind, TrapKind::Cancelled, "{label}, n={n}");
+                if engine == Engine::Naive {
+                    // Polled every `NAIVE_POLL_INTERVAL` dispatches: it
+                    // stops later, somewhere else.
+                    continue;
+                }
+                // The prepared engines stop at the check that fired the
+                // token, once it has charged its sample surcharge: the
+                // profile holds exactly the recorded bursts plus that.
+                let cycles: u64 = sink.bursts.iter().map(|b| b.len_cycles).sum();
+                let instructions: u64 = sink.bursts.iter().map(|b| b.len_instructions).sum();
+                let totals = (profile.total_cycles(), profile.total_instructions());
+                assert_eq!(
+                    totals,
+                    (cycles + cfg.cost.sample_switch, instructions),
+                    "{label}, n={n}"
+                );
+                stops.push((err.function, totals));
+            }
+            assert_eq!(stops[0], stops[1], "fused and unfused stopped apart, n={n}");
+            assert_eq!(stops[0].0, "main");
+        }
     }
 
     #[test]

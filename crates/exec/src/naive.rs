@@ -21,7 +21,7 @@ use std::collections::HashSet;
 use isf_ir::{loops, BlockId, CallSiteId, FuncId, Inst, InstrOp, LocalId, Module, Term};
 use isf_profile::ProfileData;
 
-use crate::cancel::{Cancel, CancelToken, NAIVE_POLL_INTERVAL};
+use crate::cancel::{CancelToken, NAIVE_POLL_INTERVAL};
 use crate::error::{TrapKind, VmError};
 use crate::heap::Heap;
 use crate::interp::VmConfig;
@@ -49,7 +49,7 @@ pub(crate) fn execute<S: TraceSink, P: ProfileSink>(
     sink: &mut S,
     profile: &mut P,
     sched: &mut SchedControl,
-    cancel: Cancel<'_>,
+    cancel: Option<&CancelToken>,
 ) -> Result<Outcome, VmError> {
     let mut machine = Machine::new(module, config, sink, profile, sched, cancel);
     let result = machine.run_to_completion();
@@ -108,9 +108,6 @@ struct Machine<'m, 's, S: TraceSink, P: ProfileSink> {
     cancel: Option<&'s CancelToken>,
     /// Dispatches left until the next epoch poll.
     poll_in: u32,
-    /// Deterministic cancellation point, checked exactly where the fuel
-    /// budget is (see the prepared engine's `charge_cycles`).
-    cancel_after: Option<u64>,
     heap: Heap,
     /// Every thread's state and whole stack, the running one's included.
     threads: ThreadTable<Vec<Frame>>,
@@ -145,7 +142,7 @@ impl<'m, 's, S: TraceSink, P: ProfileSink> Machine<'m, 's, S, P> {
         sink: &'s mut S,
         psink: &'s mut P,
         sched: &'s mut SchedControl,
-        cancel: Cancel<'s>,
+        cancel: Option<&'s CancelToken>,
     ) -> Self {
         let backedges = module
             .functions()
@@ -188,9 +185,8 @@ impl<'m, 's, S: TraceSink, P: ProfileSink> Machine<'m, 's, S, P> {
             timeslice: config.timeslice.max(1),
             max_cycles: config.limits.max_cycles,
             max_stack: config.limits.max_stack,
-            cancel: cancel.token,
+            cancel,
             poll_in: NAIVE_POLL_INTERVAL,
-            cancel_after: cancel.after,
             heap: Heap::with_limit(config.limits.max_heap_words),
             threads: ThreadTable::new(vec![main_frame]),
             backedges,
@@ -260,14 +256,6 @@ impl<'m, 's, S: TraceSink, P: ProfileSink> Machine<'m, 's, S, P> {
         if let Some(max) = self.max_cycles {
             if self.cycles > max {
                 return Err(TrapKind::FuelExhausted(max));
-            }
-        }
-        // The deterministic cancellation hook shares the fuel predicate
-        // (checked second, so a tied budget wins), matching the prepared
-        // engine charge for charge.
-        if let Some(k) = self.cancel_after {
-            if self.cycles > k {
-                return Err(TrapKind::Cancelled);
             }
         }
         // Epoch poll, amortized over a fixed dispatch count. The

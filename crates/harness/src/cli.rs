@@ -42,7 +42,6 @@ const RUN_ONLY_FLAGS: &[&str] = &[
     "--cell-budget",
     "--cell-deadline",
     "--run-deadline",
-    "--cancel-after-cycles",
     "--fault-inject",
     "--journal",
     "--resume",
@@ -57,7 +56,6 @@ pub const USAGE: &str = "usage: isf-harness [--scale smoke|default|paper] [--job
      \x20                  [--emit json|off] [--emit-path FILE]\n\
      \x20                  [--retries N] [--cell-budget CYCLES]\n\
      \x20                  [--cell-deadline MS] [--run-deadline MS]\n\
-     \x20                  [--cancel-after-cycles CYCLES]\n\
      \x20                  [--fault-inject p=<prob>[,seed=<s>]]\n\
      \x20                  [--journal FILE] [--resume] [--no-fuse] [--pgo]\n\
      \x20                  [--profile] [--trace-out FILE] <experiment>...\n\
@@ -71,9 +69,7 @@ pub const USAGE: &str = "usage: isf-harness [--scale smoke|default|paper] [--job
      --cell-deadline cancels any cell attempt running longer than MS wall-clock\n\
      milliseconds (also $ISF_CELL_DEADLINE; 0 = off) — the cell is annotated and the\n\
      run exits 75; --run-deadline stops claiming new cells after MS milliseconds and\n\
-     drains (journaled runs resume with --resume); --cancel-after-cycles cancels every\n\
-     cell run at a fixed simulated cycle (also $ISF_CANCEL_AFTER) — the deterministic\n\
-     stand-in for --cell-deadline in tests;\n\
+     drains (journaled runs resume with --resume);\n\
      --journal defaults to $ISF_JOURNAL (off); --resume replays a journal's finished cells;\n\
      --no-fuse disables superinstruction fusion (also $ISF_FUSE=0) — results are identical;\n\
      --pgo is accepted and does nothing: profile-guided fusion was removed, and the flag\n\
@@ -97,8 +93,8 @@ pub struct RunConfig {
     /// Workload scale.
     pub scale: Scale,
     /// The resolved harness settings (`--jobs`, `--retries`,
-    /// `--cell-budget`, `--cell-deadline`, `--cancel-after-cycles`,
-    /// `--fault-inject`, `--no-fuse` and their variables).
+    /// `--cell-budget`, `--cell-deadline`, `--fault-inject`, `--no-fuse`
+    /// and their variables).
     pub harness: HarnessConfig,
     /// `--emit json` (`Some(true)`) / `--emit off` (`Some(false)`).
     pub emit_json: Option<bool>,
@@ -259,9 +255,6 @@ fn env_config(env: Env) -> Result<HarnessConfig, CliError> {
     from_env(env, "ISF_CELL_DEADLINE", &mut c.cell_deadline_ms, |v| {
         parse_count("--cell-deadline", "millisecond count", v)
     })?;
-    from_env(env, "ISF_CANCEL_AFTER", &mut c.cancel_after, |v| {
-        parse_count("--cancel-after-cycles", "cycle count", v)
-    })?;
     from_env(env, "ISF_FUSE", &mut c.fuse, parse_switch)?;
     Ok(c)
 }
@@ -326,9 +319,6 @@ pub fn parse(args: &[String], env: Env) -> Result<Command, CliError> {
             "--run-deadline" => {
                 let v = next_value(&mut it, arg)?;
                 run_deadline = Some(parse_count(arg, "millisecond count", v)?);
-            }
-            "--cancel-after-cycles" => {
-                harness.cancel_after = parse_count(arg, "cycle count", next_value(&mut it, arg)?)?;
             }
             "--fault-inject" => {
                 let v = next_value(&mut it, "--fault-inject")?;
@@ -468,8 +458,6 @@ mod tests {
             "250",
             "--run-deadline",
             "60000",
-            "--cancel-after-cycles",
-            "5000",
             "--fault-inject",
             "p=0.25,seed=7",
             "--journal",
@@ -491,7 +479,6 @@ mod tests {
                 retries: 2,
                 cell_budget: 1000,
                 cell_deadline_ms: 250,
-                cancel_after: 5000,
                 fault: (0.25, 7),
                 fuse: false,
             }
@@ -538,7 +525,6 @@ mod tests {
             ("ISF_RETRIES", " 2 "),
             ("ISF_CELL_BUDGET", "1000"),
             ("ISF_CELL_DEADLINE", "250"),
-            ("ISF_CANCEL_AFTER", "5000"),
             ("ISF_FUSE", "off"),
             ("ISF_PROFILE", "true"),
         ];
@@ -552,7 +538,6 @@ mod tests {
                 retries: 2,
                 cell_budget: 1000,
                 cell_deadline_ms: 250,
-                cancel_after: 5000,
                 fuse: false,
                 ..HarnessConfig::default()
             }
@@ -585,7 +570,6 @@ mod tests {
             ("ISF_RETRIES", "x", "--retries"),
             ("ISF_CELL_BUDGET", "1e6", "--cell-budget"),
             ("ISF_CELL_DEADLINE", "soon", "--cell-deadline"),
-            ("ISF_CANCEL_AFTER", "-1", "--cancel-after-cycles"),
             ("ISF_FUSE", "no", ""),
             ("ISF_PROFILE", "2", ""),
         ] {
@@ -637,11 +621,6 @@ mod tests {
                 "--run-deadline",
                 "`-1`",
             ),
-            (
-                vec!["--cancel-after-cycles", "1e9", "table1"],
-                "--cancel-after-cycles",
-                "`1e9`",
-            ),
             (vec!["--jobs", "4x", "table1"], "--jobs", "`4x`"),
         ] {
             let CliError::Bad(msg) = err(&args) else {
@@ -682,6 +661,13 @@ mod tests {
         assert!(msg.contains("table9"), "{msg}");
         assert_eq!(err(&[]), CliError::Usage, "no experiments: full usage");
         assert_eq!(err(&["--wat", "table1"]), CliError::Usage, "unknown flag");
+        // A removed flag is unknown like any other: fuel (`--cell-budget`)
+        // is the one simulated-cycle stop.
+        assert_eq!(
+            err(&["--cancel-after-cycles", "5", "table1"]),
+            CliError::Usage,
+            "removed flag"
+        );
     }
 
     #[test]
@@ -759,16 +745,6 @@ mod tests {
             (
                 vec!["--explore", "schedules=4", "--retries", "2", "pbob"],
                 "--retries",
-            ),
-            (
-                vec![
-                    "--explore",
-                    "schedules=4",
-                    "--cancel-after-cycles",
-                    "9",
-                    "pbob",
-                ],
-                "--cancel-after-cycles",
             ),
         ] {
             let CliError::Bad(msg) = err(&args) else {

@@ -36,7 +36,7 @@ use std::fmt;
 use isf_core::{instrument_module, Options, Strategy};
 use isf_exec::{
     BurstRecord, Code, Engine, ExecLimits, OpProfile, Outcome, Request, SchedControl, SchedPolicy,
-    ScheduleTrace, TraceBuffer, TrapKind, Trigger, VmConfig, VmError,
+    ScheduleTrace, TraceBuffer, Trigger, VmConfig, VmError,
 };
 use isf_ir::Module;
 use isf_obs::Json;
@@ -247,12 +247,7 @@ struct Replay {
 
 /// Replays `trace` on every engine in `engines` three times: with no
 /// sink, with a dispatch profile and with a burst trace.
-fn replay_all(
-    engines: &[(Engine, Code)],
-    cfg: &VmConfig,
-    cancel_after: Option<u64>,
-    trace: &ScheduleTrace,
-) -> Vec<Replay> {
+fn replay_all(engines: &[(Engine, Code)], cfg: &VmConfig, trace: &ScheduleTrace) -> Vec<Replay> {
     let cancel = AttemptCancel::current();
     let mut replays = Vec::new();
     for (engine, code) in engines {
@@ -260,10 +255,7 @@ fn replay_all(
             let mut profile = OpProfile::new();
             let mut bursts = TraceBuffer::new();
             let mut ctl = SchedControl::replay(trace.clone());
-            let mut request = cancel.apply(Request::new(cfg)).sched(&mut ctl);
-            if let Some(k) = cancel_after {
-                request = request.cancel_after(k);
-            }
+            let request = cancel.apply(Request::new(cfg)).sched(&mut ctl);
             let result = match sink {
                 0 => code.execute(request),
                 1 => code.execute(request.profile(&mut profile)),
@@ -294,10 +286,7 @@ fn replay_all(
 /// * for a traced replay, record the reference's burst trace, which for
 ///   a completed run holds one record per sample and tiles the run.
 ///
-/// Naive and unfused per-opcode profiles must be equal. With a
-/// `cancel_after` point `k`, every engine's replay under a fuel budget of
-/// `k` instead must consume the same trace and stop at the same point,
-/// the cancellation reading as `FuelExhausted(k)`. `what` names the
+/// Naive and unfused per-opcode profiles must be equal. `what` names the
 /// program and schedule for failure messages.
 ///
 /// # Panics
@@ -306,13 +295,12 @@ fn replay_all(
 pub fn verify_replays(
     engines: &[(Engine, Code)],
     cfg: &VmConfig,
-    cancel_after: Option<u64>,
     result: &Result<Outcome, VmError>,
     trace: &ScheduleTrace,
     what: &str,
 ) {
     let compact = trace.to_compact_string();
-    let replays = replay_all(engines, cfg, cancel_after, trace);
+    let replays = replay_all(engines, cfg, trace);
     let reference = replays[0].engine.label();
     let totals = |p: &OpProfile| {
         let samples = p.checks_per_sample().len() as u64;
@@ -373,33 +361,6 @@ pub fn verify_replays(
         profile_of(Engine::Unfused),
         "{what}: naive vs unfused per-opcode profiles diverged (trace {compact})"
     );
-    if let Some(k) = cancel_after {
-        let max_cycles = cfg.limits.max_cycles.map_or(k, |m| m.min(k));
-        let fuel = VmConfig {
-            limits: ExecLimits {
-                max_cycles: Some(max_cycles),
-                ..cfg.limits
-            },
-            ..*cfg
-        };
-        let as_fuel = result.clone().map_err(|e| match e.kind {
-            TrapKind::Cancelled => VmError {
-                kind: TrapKind::FuelExhausted(k),
-                ..e
-            },
-            _ => e,
-        });
-        for (engine, code) in engines {
-            let mut ctl = SchedControl::replay(trace.clone());
-            let twin = code.execute(Request::new(&fuel).sched(&mut ctl));
-            assert!(
-                twin == as_fuel && ctl.take_trace() == *trace,
-                "{what}: {}: cancelling at cycle {k} stopped elsewhere than a fuel budget \
-                 of {k} (trace {compact})",
-                engine.label()
-            );
-        }
-    }
 }
 
 /// Asserts the cross-schedule invariants of `rec` against the round-robin
@@ -427,7 +388,7 @@ fn verify_schedule(
         rec.samples_by_thread, baseline.samples_by_thread,
         "{what}: per-thread sample counts are not permutation-equivalent (trace {compact})"
     );
-    verify_replays(engines, cfg, None, &rec.result, &rec.trace, what);
+    verify_replays(engines, cfg, &rec.result, &rec.trace, what);
 }
 
 /// Bounded exhaustive DFS over the schedule tree: enumerates schedules in
@@ -490,14 +451,7 @@ fn explore_bench(w: &Workload, spec: ExploreSpec) -> Row {
         panic!("{bench}: round-robin baseline failed: {e}");
     }
     let what = format!("{bench}: round-robin baseline");
-    verify_replays(
-        &engines,
-        &cfg,
-        None,
-        &baseline.result,
-        &baseline.trace,
-        &what,
-    );
+    verify_replays(&engines, &cfg, &baseline.result, &baseline.trace, &what);
     let decisions = baseline.trace.len();
 
     // A run with no decision points is the same execution under every
@@ -624,6 +578,41 @@ impl fmt::Display for Explore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isf_exec::{CancelToken, TrapKind};
+
+    #[test]
+    fn a_fired_attempt_token_reaches_recordings_and_replays() {
+        // The token a cell attempt's watchdog fires must stop `--explore`'s
+        // runs too, not just `Harness::run_prepared_module`'s.
+        let token = CancelToken::new();
+        token.cancel();
+        AttemptCancel::set(Some(token));
+        let module = instrumented(
+            &isf_workloads::by_name("db", Scale::Smoke)
+                .unwrap()
+                .compile(),
+        );
+        let cfg = VmConfig::default();
+        let engines: Engines = Engine::ALL
+            .iter()
+            .map(|&engine| (engine, engine.load(&module, &cfg.cost)))
+            .collect();
+        let fused = &Engine::Fused.load(&module, &cfg.cost);
+        let rec = record(
+            fused,
+            &cfg,
+            SchedControl::recording(SchedPolicy::RoundRobin),
+        );
+        let replays = replay_all(&engines, &cfg, &rec.trace);
+        AttemptCancel::set(None);
+        let cancelled =
+            |r: &Result<Outcome, VmError>| matches!(r, Err(e) if e.kind == TrapKind::Cancelled);
+        assert!(cancelled(&rec.result), "recording: {:?}", rec.result);
+        assert_eq!(replays.len(), 9);
+        for r in &replays {
+            assert!(cancelled(&r.result), "{}: {:?}", r.label, r.result);
+        }
+    }
 
     #[test]
     fn spec_parses_with_and_without_seed() {

@@ -7,7 +7,6 @@
 //!             [--emit json|off] [--emit-path FILE]
 //!             [--retries N] [--cell-budget CYCLES]
 //!             [--cell-deadline MS] [--run-deadline MS]
-//!             [--cancel-after-cycles CYCLES]
 //!             [--fault-inject p=<prob>[,seed=<s>]]
 //!             [--journal FILE] [--resume] [--no-fuse] [--pgo]
 //!             [--profile] [--trace-out FILE] <experiment>...
@@ -18,14 +17,13 @@
 //! ```
 //!
 //! The harness settings (`--jobs`, `--retries`, `--cell-budget`,
-//! `--cell-deadline`, `--cancel-after-cycles`, `--fault-inject`,
-//! `--no-fuse`) are resolved once by `cli::parse` into a
-//! `HarnessConfig` — flag, else `ISF_*` variable, else default; a
-//! malformed variable exits 1 with the flag's diagnostic — and `main`
-//! passes it down inside a `Harness`, which also owns the preparation
-//! cache and the deadline-hit flag read at exit. Only the observation
-//! sinks (emit mode, span and metrics gates, log level) and the attached
-//! journal stay process-wide.
+//! `--cell-deadline`, `--fault-inject`, `--no-fuse`) are resolved once by
+//! `cli::parse` into a `HarnessConfig` — flag, else `ISF_*` variable,
+//! else default; a malformed variable exits 1 with the flag's
+//! diagnostic — and `main` passes it down inside a `Harness`, which also
+//! owns the preparation cache and the deadline-hit flag read at exit.
+//! Only the observation sinks (emit mode, span and metrics gates, log
+//! level) and the attached journal stay process-wide.
 //!
 //! Experiment cells run on `N` worker threads (default: `ISF_JOBS` or the
 //! machine's available parallelism). The VM is deterministic, so the
@@ -54,10 +52,9 @@
 //! `--run-deadline MS` bounds the whole run: when it elapses the harness
 //! stops claiming new cells, drains in-flight ones through the same
 //! machinery as SIGINT, and exits 75 — with `--journal`, a later
-//! `--resume` picks up exactly where the deadline stopped it.
-//! `--cancel-after-cycles CYCLES` (or `ISF_CANCEL_AFTER`) cancels every
-//! cell run at a fixed *simulated* cycle instead — deterministic, so
-//! tests can exercise the deadline plumbing byte-reproducibly.
+//! `--resume` picks up exactly where the deadline stopped it. A cell
+//! stops at a fixed *simulated* cycle only under `--cell-budget`, which
+//! is fuel and fails it as a budget trap, not a deadline.
 //!
 //! With `--no-fuse` (or `ISF_FUSE=0`) the prepared engine skips the
 //! superinstruction fusion pass. Fusion is observably equivalent — every

@@ -72,10 +72,6 @@ pub struct HarnessConfig {
     /// `ISF_CELL_DEADLINE`; `0` = off); an attempt over it is cancelled
     /// by the watchdog and recorded as a [`CellResult::Deadline`].
     pub cell_deadline_ms: u64,
-    /// Deterministic cancellation point (`--cancel-after-cycles`,
-    /// `ISF_CANCEL_AFTER`; `0` = off): every cell run is cancelled at the
-    /// charge that takes the simulated clock past this cycle count.
-    pub cancel_after: u64,
     /// Fault injection `(p, seed)` (`--fault-inject`; `p = 0` = off): an
     /// attempt whose `(seed, label, attempt)` hash falls below `p` panics
     /// or traps before its work runs.
@@ -92,7 +88,6 @@ impl Default for HarnessConfig {
             retries: 0,
             cell_budget: 0,
             cell_deadline_ms: 0,
-            cancel_after: 0,
             fault: (0.0, 0),
             fuse: matches!(fuse_mode(), FuseMode::Fuse),
         }
@@ -124,19 +119,6 @@ impl HarnessConfig {
         }
     }
 
-    /// The deterministic detail string for a cancelled cell. Wall-clock
-    /// deadlines fire at a nondeterministic point, so the message reports
-    /// the configured limit — the only thing every firing has in common.
-    fn deadline_detail(&self) -> String {
-        if self.cell_deadline_ms > 0 {
-            format!("cell deadline of {} ms exceeded", self.cell_deadline_ms)
-        } else if self.cancel_after > 0 {
-            format!("cancelled after {} simulated cycles", self.cancel_after)
-        } else {
-            "cancelled".to_owned()
-        }
-    }
-
     /// Every input that determines cell results under this configuration
     /// — what the cell journal fingerprints. The destructuring is
     /// exhaustive, so a new field must be hashed or excluded here.
@@ -148,18 +130,10 @@ impl HarnessConfig {
             cell_budget,
             // The wall-clock deadline bounds waiting, not what a cell computes.
             cell_deadline_ms: _,
-            cancel_after,
             fault: (fault_prob, fault_seed),
             // Fusion is observably equivalent: CI diffs fused against unfused runs.
             fuse: _,
         } = self;
-        let base_config = self.vm_config(Trigger::Never);
-        // The deterministic cancellation point changes what cells compute,
-        // so it rides in the `vm_config` component of the fingerprint.
-        let vm_config = match cancel_after {
-            0 => format!("{base_config:?}"),
-            k => format!("{base_config:?} cancel_after={k}"),
-        };
         journal::RunInputs {
             version: env!("CARGO_PKG_VERSION").to_owned(),
             scale: crate::scale_name(scale).to_owned(),
@@ -168,7 +142,7 @@ impl HarnessConfig {
             retries: u64::try_from(*retries).unwrap_or(u64::MAX),
             fault_prob_bits: fault_prob.to_bits(),
             fault_seed: *fault_seed,
-            vm_config,
+            vm_config: format!("{:?}", self.vm_config(Trigger::Never)),
         }
     }
 }
@@ -279,7 +253,7 @@ impl Harness {
     }
 
     /// Whether any *fresh* (non-replayed) cell run hit the wall-clock
-    /// deadline (or the deterministic cancellation point). `main` checks
+    /// deadline. `main` checks
     /// this at exit: such a run finishes its remaining cells and output,
     /// then exits with [`journal::RESUMABLE_EXIT`].
     pub fn deadline_hit(&self) -> bool {
@@ -325,9 +299,9 @@ pub enum CellResult<R> {
     /// A configured resource budget ran out (fuel, heap, stack).
     Budget(CellError),
     /// The cell exceeded the wall-clock [`HarnessConfig::cell_deadline_ms`]
-    /// (or the deterministic [`HarnessConfig::cancel_after`] point) and was cooperatively
-    /// cancelled. Retried like a panic — the deadline measures host
-    /// conditions, not the deterministic VM — never like a budget trap.
+    /// and was cooperatively cancelled. Retried like a panic — the
+    /// deadline measures host conditions, not the deterministic VM —
+    /// never like a budget trap.
     Deadline(CellError),
 }
 
@@ -576,7 +550,6 @@ impl Harness {
         emit::begin_phase_capture();
         let deadline_ms = self.config.cell_deadline_ms;
         let (fault_p, fault_seed) = self.config.fault;
-        let after = (self.config.cancel_after > 0).then_some(self.config.cancel_after);
         let max_attempts = u32::try_from(self.config.retries)
             .unwrap_or(u32::MAX)
             .saturating_add(1);
@@ -594,7 +567,7 @@ impl Harness {
             if token.is_some() {
                 metrics::counter_add("watchdog.armed", 1);
             }
-            ATTEMPT_CANCEL.with(|a| *a.borrow_mut() = AttemptCancel { token, after });
+            AttemptCancel::set(token);
             let start = Instant::now();
             IN_CELL.with(|f| f.set(true));
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -610,7 +583,7 @@ impl Harness {
                 (c.work)()
             }));
             IN_CELL.with(|f| f.set(false));
-            ATTEMPT_CANCEL.with(|a| *a.borrow_mut() = AttemptCancel::default());
+            AttemptCancel::set(None);
             let wall = start.elapsed();
             let (cycles, instructions, prepares) = CELL_STATS.with(|s| s.get());
             let secs = wall.as_secs_f64();
@@ -800,36 +773,38 @@ thread_local! {
     /// [`Harness::cached_prepare`].
     static CELL_STATS: std::cell::Cell<(u64, u64, u64)> =
         const { std::cell::Cell::new((0, 0, 0)) };
-    /// The running attempt's cancellation inputs; empty between attempts.
+    /// The running attempt's cancellation input; empty between attempts.
     static ATTEMPT_CANCEL: std::cell::RefCell<AttemptCancel> =
-        const { std::cell::RefCell::new(AttemptCancel { token: None, after: None }) };
+        const { std::cell::RefCell::new(AttemptCancel { token: None }) };
 }
 
-/// A cell attempt's cancellation inputs: its watchdog token and the
-/// [`HarnessConfig::cancel_after`] point. Every run the attempt makes
-/// carries them ([`Harness::run_prepared_module`], `--explore`'s
-/// recordings and replays); runs outside cells are never cancelled.
+/// A cell attempt's cancellation input: its watchdog token. Every run the
+/// attempt makes carries it ([`Harness::run_prepared_module`],
+/// `--explore`'s recordings and replays); runs outside cells are never
+/// cancelled.
 #[derive(Clone, Default)]
 pub(crate) struct AttemptCancel {
     token: Option<CancelToken>,
-    after: Option<u64>,
 }
 
 impl AttemptCancel {
-    /// The running attempt's inputs.
+    /// The running attempt's input.
     pub(crate) fn current() -> AttemptCancel {
         ATTEMPT_CANCEL.with(|a| a.borrow().clone())
     }
 
-    /// `request` carrying these inputs.
-    pub(crate) fn apply<'r, S, P>(&'r self, mut request: Request<'r, S, P>) -> Request<'r, S, P> {
-        if let Some(token) = &self.token {
-            request = request.cancel(token);
+    /// Makes `token` the running attempt's input on this thread (`None`
+    /// between attempts).
+    pub(crate) fn set(token: Option<CancelToken>) {
+        ATTEMPT_CANCEL.with(|a| *a.borrow_mut() = AttemptCancel { token });
+    }
+
+    /// `request` carrying this input.
+    pub(crate) fn apply<'r, S, P>(&'r self, request: Request<'r, S, P>) -> Request<'r, S, P> {
+        match &self.token {
+            Some(token) => request.cancel(token),
+            None => request,
         }
-        if let Some(cycles) = self.after {
-            request = request.cancel_after(cycles);
-        }
-        request
     }
 }
 
@@ -915,11 +890,11 @@ fn classify_failure<R>(
         Ok(trap) => {
             let CellTrap(e) = *trap;
             if e.kind == isf_exec::TrapKind::Cancelled {
-                // A cancelled cell was stopped by the watchdog (or the
-                // deterministic `--cancel-after-cycles` injection hook),
-                // not by its own doing: the detail is derived from the
-                // configuration, never from wall-clock progress.
-                CellResult::Deadline(err("deadline", config.deadline_detail()))
+                // Only the watchdog cancels a cell, at a nondeterministic
+                // point, so the detail reports the configured limit — the
+                // only thing every firing has in common.
+                let detail = format!("cell deadline of {} ms exceeded", config.cell_deadline_ms);
+                CellResult::Deadline(err("deadline", detail))
             } else if e.kind.is_budget() {
                 CellResult::Budget(err("budget", e.to_string()))
             } else {
@@ -1444,11 +1419,10 @@ mod tests {
         let shaped = HarnessConfig {
             retries: 2,
             cell_budget: 50_000_000,
-            cancel_after: 2_000_000,
             fault: (0.25, 7),
             ..HarnessConfig::default()
         };
-        assert_eq!(fingerprint(&shaped), "9b40d8f5fc3838c2");
+        assert_eq!(fingerprint(&shaped), "1dafa8b3b7e7cc60");
         let unshaped = HarnessConfig {
             jobs: default.jobs + 3,
             cell_deadline_ms: 500,
@@ -1785,16 +1759,15 @@ mod tests {
     }
 
     #[test]
-    fn cancel_after_turns_cells_into_deadline_failures_that_retry_like_panics() {
+    fn deadlined_cells_become_deadline_failures_that_retry_like_panics() {
         let h = Harness::new(HarnessConfig {
             retries: 1,
-            cancel_after: 500,
+            cell_deadline_ms: 20,
             ..HarnessConfig::default()
         });
         let attempts = std::sync::atomic::AtomicU32::new(0);
-        let w = isf_workloads::by_name("db", Scale::Smoke).unwrap();
-        let m = w.compile();
-        let results = h.par_cells_isolated(vec![cell("deadline/db", || {
+        let m = isf_frontend::compile("fn main() { while (true) { } }").unwrap();
+        let results = h.par_cells_isolated(vec![cell("deadline/spin", || {
             attempts.fetch_add(1, Ordering::Relaxed);
             h.run_module(&m, Trigger::Never).cycles
         })]);
@@ -1804,7 +1777,7 @@ mod tests {
         match &results[0] {
             CellResult::Deadline(e) => {
                 assert_eq!(e.kind, "deadline");
-                assert_eq!(e.detail, "cancelled after 500 simulated cycles");
+                assert_eq!(e.detail, "cell deadline of 20 ms exceeded");
                 assert_eq!(e.attempts, 2);
             }
             other => panic!("expected deadline failure, got {other:?}"),

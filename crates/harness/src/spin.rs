@@ -1,9 +1,9 @@
 //! Diagnostic experiment: one deliberately non-terminating cell among
 //! bounded siblings. Not part of the paper — `spin` exists to exercise
 //! the hung-cell machinery end to end: run it under `--cell-deadline`
-//! (or `--cell-budget`, or `--cancel-after-cycles`) and the spinning
-//! cell is cancelled and annotated while its siblings complete
-//! normally. Run it with none of those and it hangs, on purpose.
+//! (or `--cell-budget`) and the spinning cell is stopped and annotated
+//! while its siblings complete normally. Run it with neither and it
+//! hangs, on purpose.
 //!
 //! Hidden from `--help`'s experiment list (it reproduces nothing), but
 //! accepted by name like any other experiment and journaled the same

@@ -91,7 +91,6 @@ fn harness(args: &[&str]) -> Command {
         "ISF_JOURNAL",
         "ISF_RETRIES",
         "ISF_CELL_BUDGET",
-        "ISF_CANCEL_AFTER",
         "ISF_CELL_DEADLINE",
     ] {
         cmd.env_remove(var);

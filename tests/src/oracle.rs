@@ -1,14 +1,15 @@
 //! The differential oracle: one run [`Case`] — a program, its
-//! instrumentation, trigger, limits, timeslice, schedule policy and
-//! cancellation point — and one [`check`] that runs it on every engine
+//! instrumentation, trigger, limits, timeslice and schedule policy —
+//! and one [`check`] that runs it on every engine
 //! with and without each sink and compares every observable in one place,
 //! so a new observable is checked on every axis at once.
 //!
 //! The cross-engine half of the comparison is
 //! [`isf_harness::explore::verify_replays`], the function the harness's
 //! `--explore` mode runs on the benchmarks; [`check`] adds what only a
-//! generated case has: a cancellation point and a comparison against the
-//! plain round-robin run.
+//! generated case has: a comparison against the plain round-robin run.
+//! A case stops mid-run on its fuel budget ([`fuel`], [`tight_limits`]),
+//! the one simulated-cycle stop.
 
 use std::fmt;
 
@@ -53,8 +54,6 @@ pub struct Case {
     pub timeslice: u64,
     /// The policy the fused engine records the schedule under.
     pub sched: SchedPolicy,
-    /// A deterministic cancellation point, in simulated cycles.
-    pub cancel_after: Option<u64>,
 }
 
 impl Case {
@@ -71,7 +70,6 @@ impl Case {
             limits: generous(),
             timeslice: config.timeslice,
             sched: SchedPolicy::RoundRobin,
-            cancel_after: None,
         }
     }
 
@@ -127,15 +125,6 @@ impl Case {
             ..VmConfig::default()
         }
     }
-
-    /// A request under `cfg` carrying the case's cancellation point.
-    fn request<'r>(&self, cfg: &'r VmConfig) -> Request<'r> {
-        let request = Request::new(cfg);
-        match self.cancel_after {
-            Some(k) => request.cancel_after(k),
-            None => request,
-        }
-    }
 }
 
 impl fmt::Display for Case {
@@ -148,20 +137,14 @@ impl fmt::Display for Case {
             f,
             "Case {{ program: {:?}.into(), kinds: {:?}, strategy: {strategy}, \
              trigger: Trigger::{:?}, limits: {:?}, timeslice: {}, \
-             sched: SchedPolicy::{:?}, cancel_after: {:?} }}",
-            self.program,
-            self.kinds,
-            self.trigger,
-            self.limits,
-            self.timeslice,
-            self.sched,
-            self.cancel_after
+             sched: SchedPolicy::{:?} }}",
+            self.program, self.kinds, self.trigger, self.limits, self.timeslice, self.sched
         )
     }
 }
 
-/// Budgets no generated program reaches: under them (and no cancellation
-/// point) a generated program must complete.
+/// Budgets no generated program reaches: under them a generated program
+/// must complete.
 pub fn generous() -> ExecLimits {
     ExecLimits::cycles(500_000_000)
 }
@@ -192,7 +175,7 @@ fn samples_by_thread(bursts: &TraceBuffer) -> Vec<usize> {
 /// and traced, comparing the complete
 /// `Result<Outcome, VmError>`, the consumed schedule, burst traces,
 /// profile totals and their reconciliation with the outcome, naive ==
-/// unfused per-opcode profiles, and cancel-at-k ≡ fuel-k. The recording
+/// unfused per-opcode profiles. The recording
 /// must then equal the plain round-robin run when it made no decision or
 /// ran round-robin, and otherwise, when both complete under a
 /// schedule-independent trigger, agree with it on every
@@ -216,12 +199,12 @@ pub fn check(case: &Case) -> Checked {
 
     let mut ctl = SchedControl::recording(case.sched);
     let mut bursts = TraceBuffer::new();
-    let result = fused.execute(case.request(&cfg).trace(&mut bursts).sched(&mut ctl));
+    let result = fused.execute(Request::new(&cfg).trace(&mut bursts).sched(&mut ctl));
     let trace = ctl.take_trace();
-    verify_replays(&engines, &cfg, case.cancel_after, &result, &trace, &what);
+    verify_replays(&engines, &cfg, &result, &trace, &what);
 
     let mut plain_bursts = TraceBuffer::new();
-    let plain = fused.execute(case.request(&cfg).trace(&mut plain_bursts));
+    let plain = fused.execute(Request::new(&cfg).trace(&mut plain_bursts));
     if trace.is_empty() || case.sched == SchedPolicy::RoundRobin {
         assert!(
             result == plain && bursts.records() == plain_bursts.records(),
@@ -267,7 +250,7 @@ pub fn check_row(name: &str, case: &Case, expect: impl Fn(&Checked) -> bool) {
 }
 
 /// The cycles and schedule decisions of `case` run to completion on the
-/// fused engine: no budget, no cancellation point.
+/// fused engine, with no budget.
 pub fn full_run(case: &Case) -> (u64, usize) {
     let cfg = VmConfig {
         limits: generous(),
@@ -341,7 +324,6 @@ type Axes = (
     (&'static str, Option<Strategy>),
     (Trigger, ExecLimits),
     (u64, SchedPolicy),
-    Option<u64>,
 );
 
 /// Every transform that realizes an instrumentation plan.
@@ -355,8 +337,8 @@ pub fn transform_strategy() -> impl proptest::strategy::Strategy<Value = Strateg
 }
 
 /// Budgets a generated program mostly runs into. Generated programs run
-/// a few hundred to a few thousand cycles, so these budgets (and the
-/// cancellation points below 2,000) land mid-run.
+/// a few hundred to a few thousand cycles, so these budgets land
+/// mid-run.
 pub fn tight_limits() -> impl proptest::strategy::Strategy<Value = ExecLimits> {
     (1u64..2_000, 1u64..128, 2usize..24).prop_map(|(fuel, heap, max_stack)| ExecLimits {
         max_cycles: Some(fuel),
@@ -386,12 +368,11 @@ fn axes_strategy() -> impl proptest::strategy::Strategy<Value = Axes> {
             prop_oneof![Just(generous()), limits_strategy(), tight_limits()],
         ),
         (prop_oneof![Just(100_000u64), 1u64..256], sched),
-        prop_oneof![Just(None), (1u64..2_000).prop_map(Some)],
     )
 }
 
 fn case_of(program: String, axes: Axes) -> Case {
-    let ((kinds, strategy), (trigger, limits), (timeslice, sched), cancel_after) = axes;
+    let ((kinds, strategy), (trigger, limits), (timeslice, sched)) = axes;
     Case {
         program,
         kinds,
@@ -400,7 +381,6 @@ fn case_of(program: String, axes: Axes) -> Case {
         limits,
         timeslice,
         sched,
-        cancel_after,
     }
 }
 

@@ -1,16 +1,15 @@
-//! Cancellation at simulated cycle k is a fuel budget of k: on every
-//! engine a run cancelled at k stops at the dispatch where `max_cycles =
-//! k` traps, with the same counters and schedule prefix, under every
-//! trigger and timeslice, in sequential and concurrent programs and
-//! inside spawned threads. Each test runs the differential oracle
-//! ([`isf_integration_tests::oracle::check`]), which replays every case
-//! with a cancellation point against its fuel twin.
+//! Budgets stop every engine at the same dispatch: a fuel budget of k
+//! traps on every engine where the clock passes k, with the same counters
+//! and schedule prefix, under every trigger and timeslice, in sequential
+//! and concurrent programs and inside spawned threads; a stack limit
+//! overrun in a spawned thread traps identically too. Each test runs the
+//! differential oracle ([`isf_integration_tests::oracle::check`]).
 
 use proptest::prelude::*;
 
 use isf_exec::{ExecLimits, TrapKind};
 use isf_integration_tests::oracle::{
-    check, check_row, conc, concurrent_program, full_run, sequential_program, spill_case,
+    check, check_row, conc, concurrent_program, fuel, full_run, sequential_program, spill_case,
     transform_strategy, traps, trigger_strategy, Case, Checked,
 };
 use isf_integration_tests::program_gen::ConcShape;
@@ -21,58 +20,59 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn cancellation_at_k_equals_a_fuel_budget_of_k(
+    fn a_fuel_budget_of_k_stops_every_engine_at_the_same_dispatch(
         program in sequential_program(),
         k in 1u64..5_000,
     ) {
         // Small `k` lands mid-execution in most generated programs;
-        // occasionally the program fits and both runs must then complete
+        // occasionally the program fits and every run must then complete
         // with identical outcomes.
-        check(&Case { cancel_after: Some(k), ..Case::new(program) });
+        check(&Case { limits: fuel(k), ..Case::new(program) });
     }
 
     #[test]
-    fn cancellation_is_trigger_independent(
+    fn fuel_traps_are_trigger_independent(
         program in sequential_program(),
         strategy in transform_strategy(),
         trigger in trigger_strategy(),
         k in 1u64..3_000,
     ) {
-        // Sampling adds check dispatches to the stream; the cancel point
-        // must still equal the fuel point under it.
+        // Sampling adds check dispatches to the stream; the fuel point
+        // must still agree under it.
         let case = Case::instrumented(program, "cfbe", strategy, trigger);
-        check(&Case { cancel_after: Some(k), ..case });
+        check(&Case { limits: fuel(k), ..case });
     }
 
     #[test]
-    fn concurrent_programs_cancel_identically_under_small_timeslices(
+    fn concurrent_programs_run_out_of_fuel_identically_under_small_timeslices(
         program in concurrent_program(),
         slice in 0..TIMESLICES.len(),
         per_mille in 1u64..=1_000,
     ) {
-        // The cancel point falls anywhere from the first cycle to the
-        // last, with threads parked mid-call at every reschedule point.
+        // The budget runs out anywhere from the first cycle to the last,
+        // with threads parked mid-call at every reschedule point.
         let case = Case { timeslice: TIMESLICES[slice], ..Case::new(program) };
         let (cycles, _) = full_run(&case);
-        check(&Case { cancel_after: Some((cycles * per_mille / 1_000).max(1)), ..case });
+        check(&Case { limits: fuel((cycles * per_mille / 1_000).max(1)), ..case });
     }
 }
 
 /// 1,100 threads drive `CounterPerThread` past its 1,024 dense lanes
-/// into the spill map; cancelled deep in the tail, the running thread's
-/// counters are spilled when the cancellation fires.
+/// into the spill map; out of fuel deep in the tail, the running
+/// thread's counters are spilled when the trap fires.
 #[test]
-fn per_thread_spill_counters_cancel_like_fuel() {
+fn per_thread_spill_counters_run_out_of_fuel_identically() {
     let spill = spill_case();
     let (cycles, _) = full_run(&spill);
+    let max = cycles * 95 / 100;
     let case = Case {
-        cancel_after: Some(cycles * 95 / 100),
+        limits: fuel(max),
         ..spill
     };
     check_row(
-        "spill lanes cancelled at 95%",
+        "spill lanes out of fuel at 95%",
         &case,
-        traps(TrapKind::Cancelled),
+        traps(TrapKind::FuelExhausted(max)),
     );
 }
 

