@@ -21,8 +21,15 @@
 //!   damage the *final* line, and only by truncating it — resume drops an
 //!   unterminated tail and keeps the surviving prefix;
 //! - any other damage (a terminated line that does not parse, a missing
-//!   or malformed header) is refused outright with a diagnostic, as is a
-//!   fingerprint mismatch — a stale journal is never silently reused.
+//!   header, a line that breaks the record grammar) is refused outright
+//!   with a diagnostic, as is a fingerprint mismatch — a stale journal is
+//!   never silently reused.
+//!
+//! The record grammar is not restated here: every line passes the same
+//! schema check as `validate-jsonl` ([`crate::jsonl`]), and this module
+//! adds only the journal's own meaning — the header comes first, its
+//! fingerprint matches this run's (a refusal names each changed input),
+//! each cell's key matches its label, and the values are decoded.
 //!
 //! The module also owns the interrupt *drain* flag: signal handlers call
 //! [`request_drain`], workers stop claiming new cells, in-flight cells
@@ -38,6 +45,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use isf_obs::{emit, json, log, Json};
+
+use crate::jsonl;
 
 /// Exit code of a run interrupted by SIGINT/SIGTERM after draining: the
 /// run is incomplete but every finished cell is journaled, so rerunning
@@ -82,7 +91,7 @@ pub(crate) fn cell_key(fingerprint: u64, label: &str) -> u64 {
 pub struct RunInputs {
     /// The harness crate version (results may change between releases).
     pub version: String,
-    /// Workload scale name (`smoke`, `dev`, `paper`).
+    /// Workload scale name (`smoke`, `default`, `paper`).
     pub scale: String,
     /// The expanded experiment list, in run order.
     pub experiments: Vec<String>,
@@ -147,57 +156,39 @@ impl RunInputs {
     /// Human-readable list of fields on which `self` and a journal header
     /// disagree, for the stale-journal diagnostic.
     fn diff_header(&self, header: &Json) -> Vec<String> {
-        let mut diffs = Vec::new();
-        let mut check = |name: &str, ours: String, theirs: Option<String>| {
-            let theirs = theirs.unwrap_or_else(|| "<missing>".to_owned());
-            if theirs != ours {
-                diffs.push(format!("{name}: journal has {theirs}, this run has {ours}"));
-            }
+        let text = |name: &'static str, ours: &str| {
+            (name, ours.to_owned(), str_field(header, name).to_owned())
         };
-        let s = |v: &Json| v.as_str().map(str::to_owned);
-        let n = |v: &Json| v.as_u64().map(|n| n.to_string());
-        check(
-            "version",
-            self.version.clone(),
-            header.get("version").and_then(s),
-        );
-        check("scale", self.scale.clone(), header.get("scale").and_then(s));
-        check(
-            "experiments",
-            self.experiments.join(","),
-            header.get("experiments").and_then(Json::as_arr).map(|a| {
-                a.iter()
-                    .filter_map(Json::as_str)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            }),
-        );
-        check(
-            "cell_budget",
-            self.cell_budget.to_string(),
-            header.get("cell_budget").and_then(n),
-        );
-        check(
-            "retries",
-            self.retries.to_string(),
-            header.get("retries").and_then(n),
-        );
-        check(
-            "fault_prob_bits",
-            self.fault_prob_bits.to_string(),
-            header.get("fault_prob_bits").and_then(n),
-        );
-        check(
-            "fault_seed",
-            self.fault_seed.to_string(),
-            header.get("fault_seed").and_then(n),
-        );
-        check(
-            "vm_config",
-            self.vm_config.clone(),
-            header.get("vm_config").and_then(s),
-        );
-        diffs
+        let number = |name: &'static str, ours: u64| {
+            (name, ours.to_string(), u64_field(header, name).to_string())
+        };
+        let experiments = header.get("experiments").and_then(Json::as_arr);
+        let experiments: Vec<&str> = experiments
+            .unwrap_or_default()
+            .iter()
+            .filter_map(Json::as_str)
+            .collect();
+        let fields = [
+            text("version", &self.version),
+            text("scale", &self.scale),
+            (
+                "experiments",
+                self.experiments.join(","),
+                experiments.join(","),
+            ),
+            number("cell_budget", self.cell_budget),
+            number("retries", self.retries),
+            number("fault_prob_bits", self.fault_prob_bits),
+            number("fault_seed", self.fault_seed),
+            text("vm_config", &self.vm_config),
+        ];
+        fields
+            .into_iter()
+            .filter(|(_, ours, theirs)| ours != theirs)
+            .map(|(name, ours, theirs)| {
+                format!("{name}: journal has {theirs}, this run has {ours}")
+            })
+            .collect()
     }
 }
 
@@ -406,20 +397,18 @@ fn parse_journal(bytes: &[u8], inputs: &RunInputs) -> Result<ParsedJournal, Jour
         let text =
             std::str::from_utf8(line_bytes).map_err(|_| corrupt("not valid UTF-8".to_owned()))?;
         let record = json::parse(text).map_err(|e| corrupt(format!("not valid JSON: {e}")))?;
-        let kind = record
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| corrupt("missing string field `type`".to_owned()))?;
+        let kind = str_field(&record, "type");
+        if !header_seen && kind != "journal-meta" {
+            return Err(corrupt(format!(
+                "first record is `{kind}`, expected the `journal-meta` header"
+            )));
+        }
+        jsonl::check_record(&record).map_err(corrupt)?;
         if !header_seen {
-            if kind != "journal-meta" {
-                return Err(corrupt(format!(
-                    "first record is `{kind}`, expected the `journal-meta` header"
-                )));
-            }
-            check_header(&record, inputs, fingerprint, line_no)?;
+            check_header(&record, inputs, fingerprint)?;
             header_seen = true;
         } else if kind == "journal-cell" {
-            let (label, cell) = parse_cell(&record, fingerprint, line_no)?;
+            let (label, cell) = parse_cell(&record, fingerprint).map_err(corrupt)?;
             cells.insert(label, Arc::new(cell));
         } else {
             return Err(corrupt(format!("unknown journal record type `{kind}`")));
@@ -437,32 +426,33 @@ fn parse_journal(bytes: &[u8], inputs: &RunInputs) -> Result<ParsedJournal, Jour
     })
 }
 
-fn check_header(
-    record: &Json,
-    inputs: &RunInputs,
-    fingerprint: u64,
-    line_no: usize,
-) -> Result<(), JournalError> {
-    let schema = record.get("schema").and_then(Json::as_str);
-    if schema != Some(SCHEMA) {
-        return Err(JournalError::Corrupt(format!(
-            "line {line_no}: header schema is {schema:?}, expected `{SCHEMA}`"
-        )));
-    }
-    let theirs = record
-        .get("fingerprint")
-        .and_then(Json::as_str)
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or_else(|| {
-            JournalError::Corrupt(format!("line {line_no}: header has no valid `fingerprint`"))
-        })?;
-    if theirs != fingerprint {
+// The decoders below run after `jsonl::check_record`, so every field the
+// schema requires is present with its type and pattern: they read values
+// without checking them again, and check only what the schema cannot, the
+// run's fingerprint and the cells' keys.
+
+/// A string field of a checked record.
+fn str_field<'a>(record: &'a Json, name: &str) -> &'a str {
+    record.get(name).and_then(Json::as_str).unwrap_or_default()
+}
+
+/// A non-negative integer field of a checked record.
+fn u64_field(record: &Json, name: &str) -> u64 {
+    record.get(name).and_then(Json::as_u64).unwrap_or_default()
+}
+
+/// Refuses a header whose fingerprint differs from this run's, naming
+/// every input that changed.
+fn check_header(record: &Json, inputs: &RunInputs, fingerprint: u64) -> Result<(), JournalError> {
+    let ours = format!("{fingerprint:016x}");
+    let theirs = str_field(record, "fingerprint");
+    if theirs != ours {
         let mut diffs = inputs.diff_header(record);
         if diffs.is_empty() {
             diffs.push("fingerprint differs but no named field does".to_owned());
         }
         return Err(JournalError::Stale(format!(
-            "journal fingerprint {theirs:016x} does not match this run's {fingerprint:016x} \
+            "journal fingerprint {theirs} does not match this run's {ours} \
              ({}); delete the journal or rerun without --resume",
             diffs.join("; ")
         )));
@@ -470,61 +460,33 @@ fn check_header(
     Ok(())
 }
 
-fn parse_cell(
-    record: &Json,
-    fingerprint: u64,
-    line_no: usize,
-) -> Result<(String, ReplayCell), JournalError> {
-    let corrupt = |m: String| JournalError::Corrupt(format!("line {line_no}: {m}"));
-    let label = record
-        .get("label")
-        .and_then(Json::as_str)
-        .ok_or_else(|| corrupt("journal-cell has no `label`".to_owned()))?
-        .to_owned();
-    let key = record
-        .get("key")
-        .and_then(Json::as_str)
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or_else(|| corrupt("journal-cell has no valid `key`".to_owned()))?;
-    if key != cell_key(fingerprint, &label) {
-        return Err(corrupt(format!(
-            "key {key:016x} does not match cell `{label}` under this run's fingerprint"
-        )));
+/// Decodes a `journal-cell` record whose key matches its label under
+/// this run's fingerprint.
+fn parse_cell(record: &Json, fingerprint: u64) -> Result<(String, ReplayCell), String> {
+    let label = str_field(record, "label");
+    let key = str_field(record, "key");
+    if key != format!("{:016x}", cell_key(fingerprint, label)) {
+        return Err(format!(
+            "key {key} does not match cell `{label}` under this run's fingerprint"
+        ));
     }
-    let cell = record
-        .get("cell")
-        .filter(|c| matches!(c, Json::Obj(_)))
-        .ok_or_else(|| corrupt(format!("cell `{label}` has no `cell` metrics object")))?
-        .clone();
-    let error = record.get("error").cloned();
-    let payload = record.get("payload").cloned();
-    let mut phases = Vec::new();
-    if let Some(list) = record.get("phases").and_then(Json::as_arr) {
-        for p in list {
-            let name = p.get("name").and_then(Json::as_str);
-            let count = p.get("count").and_then(Json::as_u64);
-            let wall_ns = p.get("wall_ns").and_then(Json::as_u64);
-            match (name, count, wall_ns) {
-                (Some(name), Some(count), Some(wall_ns)) => {
-                    phases.push((name.to_owned(), count, wall_ns));
-                }
-                _ => {
-                    return Err(corrupt(format!(
-                        "cell `{label}` has a malformed phase entry"
-                    )));
-                }
-            }
-        }
-    } else {
-        return Err(corrupt(format!("cell `{label}` has no `phases` array")));
-    }
+    let phases = record
+        .get("phases")
+        .and_then(Json::as_arr)
+        .unwrap_or_default();
     Ok((
-        label,
+        label.to_owned(),
         ReplayCell {
-            cell,
-            error,
-            payload,
-            phases,
+            cell: record.get("cell").cloned().unwrap_or(Json::Null),
+            error: record.get("error").cloned(),
+            payload: record.get("payload").cloned(),
+            phases: phases
+                .iter()
+                .map(|p| {
+                    let name = str_field(p, "name").to_owned();
+                    (name, u64_field(p, "count"), u64_field(p, "wall_ns"))
+                })
+                .collect(),
         },
     ))
 }
@@ -686,6 +648,10 @@ mod tests {
         let payload = Json::obj([("call_edge", Json::Num(1.5))]);
         append("table1/db", &cell, None, Some(&payload), &phases());
         deactivate();
+        // The header and the cell line satisfy the schema, as written with
+        // the default `retries` of 0.
+        let written = std::fs::read_to_string(&path).expect("read journal");
+        assert_eq!(jsonl::validate(&written), Ok(2), "{written}");
 
         let replayed = open_resume(&path, &inputs()).expect("resume");
         assert_eq!(replayed, 1);

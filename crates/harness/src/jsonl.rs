@@ -1,11 +1,22 @@
-//! Validation of the harness's JSONL output stream against the contract
-//! recorded in `schemas/harness-jsonl.schema.json`.
+//! The record grammar of the harness's JSONL streams, and its reader.
 //!
-//! The checked-in schema file is the documentation of record; this module
-//! is its executable mirror, used by the `validate-jsonl` subcommand and
-//! by CI to reject malformed streams without external tooling. Keep the
-//! two in sync: every record type and required field here must appear in
-//! the schema, and vice versa.
+//! `schemas/harness-jsonl.schema.json` is the one description of the
+//! grammar. This module embeds the file and interprets it: [`validate`]
+//! (the `validate-jsonl` subcommand) and the journal reader in
+//! [`crate::journal`] pass every record through the same per-record
+//! check, so a new or changed record type is one edit, to the schema.
+//!
+//! The interpreter covers the keywords the file uses: `oneOf` (the branch
+//! whose `properties.type.const` equals the record's `type`), `type`
+//! (`integer` is an integral JSON number), `const`, `enum`, `minimum`,
+//! `pattern` (anchored literals and `[class]` steps, each optionally
+//! repeated by `+` or `{n}`), `properties`, `required`,
+//! `additionalProperties`, `items`, `minItems` and `maxItems`. A unit
+//! test walks the file and fails on any other keyword or pattern form.
+//! The check recurses along the schema, never along the record, so its
+//! depth is the schema's, whatever the depth of the record.
+
+use std::sync::OnceLock;
 
 use isf_obs::{json, Json};
 
@@ -26,60 +37,9 @@ impl std::fmt::Display for JsonlError {
 
 impl std::error::Error for JsonlError {}
 
-fn fail(line: usize, message: impl Into<String>) -> JsonlError {
-    JsonlError {
-        line,
-        message: message.into(),
-    }
-}
-
-fn check_kind(value: &Json, kind: Kind) -> bool {
-    match kind {
-        Kind::Str => value.as_str().is_some(),
-        Kind::Num => value.is_number(),
-        Kind::Arr => matches!(value, Json::Arr(_)),
-        Kind::Obj => matches!(value, Json::Obj(_)),
-        Kind::Bool => matches!(value, Json::Bool(_)),
-    }
-}
-
-fn require(record: &Json, fields: &[(&str, Kind)], line: usize) -> Result<(), JsonlError> {
-    for &(name, kind) in fields {
-        let value = record
-            .get(name)
-            .ok_or_else(|| fail(line, format!("missing required field `{name}`")))?;
-        if !check_kind(value, kind) {
-            return Err(fail(line, format!("field `{name}` has the wrong type")));
-        }
-    }
-    Ok(())
-}
-
-/// Like [`require`], but the fields may be absent; present fields must
-/// still have the right type.
-fn optional(record: &Json, fields: &[(&str, Kind)], line: usize) -> Result<(), JsonlError> {
-    for &(name, kind) in fields {
-        if let Some(value) = record.get(name) {
-            if !check_kind(value, kind) {
-                return Err(fail(line, format!("field `{name}` has the wrong type")));
-            }
-        }
-    }
-    Ok(())
-}
-
-#[derive(Copy, Clone)]
-enum Kind {
-    Str,
-    Num,
-    Arr,
-    Obj,
-    Bool,
-}
-
 /// Validates a JSONL stream: every non-empty line must parse as a JSON
-/// object of a known record type with its required fields. Returns the
-/// number of records validated.
+/// object that satisfies the schema. Returns the number of records
+/// validated.
 ///
 /// # Errors
 ///
@@ -87,166 +47,223 @@ enum Kind {
 pub fn validate(stream: &str) -> Result<usize, JsonlError> {
     let mut records = 0;
     for (i, text) in stream.lines().enumerate() {
-        let line = i + 1;
         if text.trim().is_empty() {
             continue;
         }
-        let record = json::parse(text).map_err(|e| fail(line, format!("not valid JSON: {e}")))?;
-        if !matches!(record, Json::Obj(_)) {
-            return Err(fail(line, "record is not a JSON object"));
-        }
-        let kind = record
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| fail(line, "missing string field `type`"))?;
-        match kind {
-            "meta" => {
-                require(
-                    &record,
-                    &[
-                        ("schema", Kind::Str),
-                        ("scale", Kind::Str),
-                        ("experiments", Kind::Arr),
-                    ],
-                    line,
-                )?;
-                optional(&record, &[("resumed", Kind::Bool)], line)?;
-            }
-            "cell" => require(
-                &record,
-                &[
-                    ("label", Kind::Str),
-                    ("sim_cycles", Kind::Num),
-                    ("instructions", Kind::Num),
-                    ("prepares", Kind::Num),
-                    ("wall_ns", Kind::Num),
-                    ("mips", Kind::Num),
-                ],
-                line,
-            )?,
-            "error" => {
-                require(
-                    &record,
-                    &[
-                        ("label", Kind::Str),
-                        ("kind", Kind::Str),
-                        ("detail", Kind::Str),
-                        ("attempts", Kind::Num),
-                    ],
-                    line,
-                )?;
-                let error_kind = record.get("kind").and_then(Json::as_str).unwrap_or("");
-                if !matches!(error_kind, "trap" | "panic" | "budget" | "deadline") {
-                    return Err(fail(
-                        line,
-                        format!(
-                            "error `kind` must be `trap`, `panic`, `budget`, or `deadline`, got `{error_kind}`"
-                        ),
-                    ));
-                }
-            }
-            "row" => require(&record, &[("experiment", Kind::Str)], line)?,
-            // Schedule exploration (`--explore`): one record per verified
-            // benchmark. `seed` is the base seed in hex-string form, so
-            // full 64-bit values survive the JSON number round-trip.
-            "explore" => require(
-                &record,
-                &[
-                    ("bench", Kind::Str),
-                    ("seed", Kind::Str),
-                    ("decisions", Kind::Num),
-                    ("random_schedules", Kind::Num),
-                    ("pct_schedules", Kind::Num),
-                    ("dfs_schedules", Kind::Num),
-                    ("dfs_exhausted", Kind::Bool),
-                ],
-                line,
-            )?,
-            "summary" => {
-                require(&record, &[("experiment", Kind::Str)], line)?;
-                // Present only when self-profiling is enabled (`--profile`).
-                optional(
-                    &record,
-                    &[
-                        ("prep_cache_hits", Kind::Num),
-                        ("prep_cache_misses", Kind::Num),
-                    ],
-                    line,
-                )?;
-            }
-            // Self-profiling records (`--profile`): the aggregated metrics
-            // registry and the per-(cat, name) span summaries.
-            "metrics" => require(
-                &record,
-                &[("counters", Kind::Obj), ("histograms", Kind::Obj)],
-                line,
-            )?,
-            "span-summary" => {
-                require(&record, &[("spans", Kind::Arr)], line)?;
-                if let Some(Json::Arr(spans)) = record.get("spans") {
-                    for s in spans {
-                        require(
-                            s,
-                            &[
-                                ("cat", Kind::Str),
-                                ("name", Kind::Str),
-                                ("count", Kind::Num),
-                                ("wall_ns", Kind::Num),
-                                ("cpu_ns", Kind::Num),
-                            ],
-                            line,
-                        )?;
-                    }
-                }
-            }
-            "phase" => require(
-                &record,
-                &[
-                    ("experiment", Kind::Str),
-                    ("name", Kind::Str),
-                    ("count", Kind::Num),
-                    ("wall_ns", Kind::Num),
-                ],
-                line,
-            )?,
-            // The cell journal written by `--journal` is itself JSONL, so
-            // `validate-jsonl` accepts journal files too.
-            "journal-meta" => require(
-                &record,
-                &[
-                    ("schema", Kind::Str),
-                    ("fingerprint", Kind::Str),
-                    ("version", Kind::Str),
-                    ("scale", Kind::Str),
-                    ("experiments", Kind::Arr),
-                    ("cell_budget", Kind::Num),
-                    ("retries", Kind::Num),
-                    ("fault_prob_bits", Kind::Num),
-                    ("fault_seed", Kind::Num),
-                    ("vm_config", Kind::Str),
-                ],
-                line,
-            )?,
-            "journal-cell" => {
-                require(
-                    &record,
-                    &[
-                        ("label", Kind::Str),
-                        ("key", Kind::Str),
-                        ("cell", Kind::Obj),
-                        ("phases", Kind::Arr),
-                    ],
-                    line,
-                )?;
-                // `payload` is deliberately unconstrained: its shape is
-                // the experiment's own codec (object, array, ...).
-                optional(&record, &[("error", Kind::Obj)], line)?;
-            }
-            other => return Err(fail(line, format!("unknown record type `{other}`"))),
-        }
+        let fail = |message| JsonlError {
+            line: i + 1,
+            message,
+        };
+        let record = json::parse(text).map_err(|e| fail(format!("not valid JSON: {e}")))?;
+        check_record(&record).map_err(fail)?;
         records += 1;
     }
     Ok(records)
+}
+
+/// Checks one parsed record against the schema. The message names the
+/// first offending field, by its path from the record.
+pub(crate) fn check_record(record: &Json) -> Result<(), String> {
+    if !matches!(record, Json::Obj(_)) {
+        return Err("record is not a JSON object".to_owned());
+    }
+    check(schema(), record, "")
+}
+
+/// The embedded schema file, parsed once per process.
+fn schema() -> &'static Json {
+    static SCHEMA: OnceLock<Json> = OnceLock::new();
+    SCHEMA.get_or_init(|| {
+        json::parse(include_str!("../../../schemas/harness-jsonl.schema.json"))
+            .expect("the embedded schema is valid JSON")
+    })
+}
+
+/// Checks `value` against the schema node `node`; `at` is the value's
+/// path from the record.
+fn check(node: &Json, value: &Json, at: &str) -> Result<(), String> {
+    let fail = |what: String| Err(format!("field `{at}` {what}, got {}", show(value)));
+    if let Some(ty) = node.get("type").and_then(Json::as_str) {
+        if !has_type(value, ty) {
+            return fail(format!("has the wrong type, expected {ty}"));
+        }
+    }
+    if let Some(c) = node.get("const") {
+        if value != c {
+            return fail(format!("must be {}", show(c)));
+        }
+    }
+    if let Some(options) = node.get("enum").and_then(Json::as_arr) {
+        if !options.contains(value) {
+            let options: Vec<String> = options.iter().map(show).collect();
+            return fail(format!("must be one of {}", options.join(", ")));
+        }
+    }
+    if let (Some(min), Some(n)) = (node.get("minimum").and_then(Json::as_f64), value.as_f64()) {
+        if n < min {
+            return fail(format!("must be at least {min}"));
+        }
+    }
+    if let (Some(p), Some(s)) = (node.get("pattern").and_then(Json::as_str), value.as_str()) {
+        if !parse_pattern(p).is_some_and(|steps| matches(&steps, s)) {
+            return fail(format!("must match `{p}`"));
+        }
+    }
+    match value {
+        Json::Arr(items) => {
+            let min = node.get("minItems").and_then(Json::as_u64).unwrap_or(0);
+            let max = node
+                .get("maxItems")
+                .and_then(Json::as_u64)
+                .unwrap_or(u64::MAX);
+            if !(min..=max).contains(&(items.len() as u64)) {
+                return fail(format!("must have {min} to {max} items"));
+            }
+            if let Some(item) = node.get("items") {
+                for (i, v) in items.iter().enumerate() {
+                    check(item, v, &format!("{at}[{i}]"))?;
+                }
+            }
+            Ok(())
+        }
+        Json::Obj(pairs) => check_object(node, value, pairs, at),
+        _ => Ok(()),
+    }
+}
+
+/// The object keywords of [`check`]: `required`, `properties`,
+/// `additionalProperties` and `oneOf`, in that order.
+fn check_object(
+    node: &Json,
+    record: &Json,
+    pairs: &[(String, Json)],
+    at: &str,
+) -> Result<(), String> {
+    let path = |name: &str| format!("{at}{}{name}", if at.is_empty() { "" } else { "." });
+    let required = node
+        .get("required")
+        .and_then(Json::as_arr)
+        .unwrap_or_default();
+    for name in required.iter().filter_map(Json::as_str) {
+        if record.get(name).is_none() {
+            return Err(format!("missing required field `{}`", path(name)));
+        }
+    }
+    for (name, value) in pairs {
+        let sub = node.get("properties").and_then(|p| p.get(name));
+        if let Some(sub) = sub.or_else(|| node.get("additionalProperties")) {
+            check(sub, value, &path(name))?;
+        }
+    }
+    if let Some(branches) = node.get("oneOf").and_then(Json::as_arr) {
+        let ty = record.get("type").unwrap_or(&Json::Null);
+        let branch = branches
+            .iter()
+            .find(|b| branch_type(b) == Some(ty))
+            .ok_or_else(|| format!("unknown record type {}", show(ty)))?;
+        check(branch, record, at)?;
+    }
+    Ok(())
+}
+
+/// The `type` constant that keys a `oneOf` branch.
+fn branch_type(branch: &Json) -> Option<&Json> {
+    branch.get("properties")?.get("type")?.get("const")
+}
+
+fn has_type(value: &Json, ty: &str) -> bool {
+    match ty {
+        "object" => matches!(value, Json::Obj(_)),
+        "array" => matches!(value, Json::Arr(_)),
+        "string" => matches!(value, Json::Str(_)),
+        "integer" => matches!(value, Json::Int(_) | Json::UInt(_)),
+        "number" => value.is_number(),
+        "boolean" => matches!(value, Json::Bool(_)),
+        _ => false,
+    }
+}
+
+/// A value for a message, in backticks: a string as itself, anything
+/// else as JSON, cut after 40 characters.
+fn show(value: &Json) -> String {
+    let text = value
+        .as_str()
+        .map_or_else(|| value.to_string(), str::to_owned);
+    let cut: String = text.chars().take(40).collect();
+    let more = if cut.len() < text.len() { "..." } else { "" };
+    format!("`{cut}`{more}")
+}
+
+/// One step of a pattern: a set of character ranges, matched between
+/// `min` and `max` times.
+struct Step {
+    set: Vec<(char, char)>,
+    min: usize,
+    max: usize,
+}
+
+/// Parses the pattern forms the schema uses: `^`, then steps, then `$`.
+/// A step is a literal character or a `[...]` class of characters and
+/// `a-z` ranges, optionally followed by `+` or `{n}`. `None` for any
+/// other form.
+fn parse_pattern(pattern: &str) -> Option<Vec<Step>> {
+    let plain = |c: &char| c.is_ascii() && !"\\^$.|?*+-()[]{}".contains(*c);
+    let mut chars = pattern
+        .strip_prefix('^')?
+        .strip_suffix('$')?
+        .chars()
+        .peekable();
+    let mut steps = Vec::new();
+    while let Some(c) = chars.next() {
+        let mut set = Vec::new();
+        if c == '[' {
+            while chars.next_if_eq(&']').is_none() {
+                let lo = chars.next_if(plain)?;
+                let hi = match chars.next_if_eq(&'-') {
+                    Some(_) => chars.next_if(plain)?,
+                    None => lo,
+                };
+                set.push((lo, hi));
+            }
+        } else if plain(&c) {
+            set.push((c, c));
+        } else {
+            return None;
+        }
+        let (min, max) = if chars.next_if_eq(&'+').is_some() {
+            (1, usize::MAX)
+        } else if chars.next_if_eq(&'{').is_some() {
+            let mut n = String::new();
+            while let Some(d) = chars.next_if(char::is_ascii_digit) {
+                n.push(d);
+            }
+            chars.next_if_eq(&'}')?;
+            let n = n.parse().ok()?;
+            (n, n)
+        } else {
+            (1, 1)
+        };
+        steps.push(Step { set, min, max });
+    }
+    Some(steps)
+}
+
+/// Whether all of `s` matches `steps`, backtracking over how many
+/// characters each repeated step takes.
+fn matches(steps: &[Step], s: &str) -> bool {
+    let Some((step, rest)) = steps.split_first() else {
+        return s.is_empty();
+    };
+    // ends[k] is the byte offset after the first k characters of `s`.
+    let mut ends = vec![0];
+    for (i, c) in s.char_indices().take(step.max) {
+        if !step.set.iter().any(|&(lo, hi)| (lo..=hi).contains(&c)) {
+            break;
+        }
+        ends.push(i + c.len_utf8());
+    }
+    let taken = ends.get(step.min..).unwrap_or_default();
+    taken.iter().rev().any(|&end| matches(rest, &s[end..]))
 }
 
 #[cfg(test)]
@@ -283,7 +300,7 @@ mod tests {
     #[test]
     fn rejects_malformed_journal_records() {
         let bad_resumed =
-            "{\"type\":\"meta\",\"schema\":\"s\",\"scale\":\"smoke\",\"experiments\":[],\"resumed\":\"yes\"}";
+            "{\"type\":\"meta\",\"schema\":\"isf-harness-jsonl/1\",\"scale\":\"smoke\",\"experiments\":[],\"resumed\":\"yes\"}";
         assert!(validate(bad_resumed)
             .unwrap_err()
             .message
@@ -293,7 +310,7 @@ mod tests {
         assert!(validate(no_key).unwrap_err().message.contains("key"));
 
         let bad_cell =
-            "{\"type\":\"journal-cell\",\"label\":\"x\",\"key\":\"0\",\"cell\":7,\"phases\":[]}";
+            "{\"type\":\"journal-cell\",\"label\":\"x\",\"key\":\"0123456789abcdef\",\"cell\":7,\"phases\":[]}";
         assert!(validate(bad_cell).unwrap_err().message.contains("cell"));
 
         let no_fp =
@@ -424,5 +441,147 @@ mod tests {
         let e = validate(stream).unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.to_string().starts_with("line 2:"));
+    }
+
+    /// One valid record of each type the drift rows edit.
+    const META: &str = r#"{"type":"meta","schema":"isf-harness-jsonl/1","scale":"smoke","experiments":["table1"],"resumed":true}"#;
+    const CELL: &str = r#"{"type":"cell","label":"table1/db","sim_cycles":1,"instructions":2,"prepares":0,"wall_ns":0,"mips":0}"#;
+    const ERROR: &str =
+        r#"{"type":"error","label":"table1/db","kind":"trap","detail":"d","attempts":1}"#;
+    const EXPLORE: &str = r#"{"type":"explore","bench":"pbob","seed":"0x5eed","decisions":4,"random_schedules":32,"pct_schedules":8,"dfs_schedules":0,"dfs_exhausted":false}"#;
+    const JOURNAL_META: &str = r#"{"type":"journal-meta","schema":"isf-journal/1","fingerprint":"00ff00ff00ff00ff","version":"0.1.0","scale":"smoke","experiments":["table1"],"cell_budget":0,"retries":0,"fault_prob_bits":0,"fault_seed":0,"vm_config":"c"}"#;
+    const SPANS: &str = r#"{"type":"span-summary","spans":[{"cat":"cell","name":"table1/db","count":1,"wall_ns":0,"cpu_ns":0}]}"#;
+    const METRICS: &str = r#"{"type":"metrics","counters":{"op.const.count":10},"histograms":{"h":{"count":1,"sum":5,"min":5,"max":5,"buckets":[[4,1]]}}}"#;
+    const JOURNAL_CELL: &str = r#"{"type":"journal-cell","label":"table1/db","key":"0123456789abcdef","cell":{},"phases":[{"name":"run","count":1,"wall_ns":0}]}"#;
+
+    #[test]
+    fn schema_violations_are_rejected_with_the_field_named() {
+        // (valid record, text to replace, replacement, field the message names)
+        let rows = [
+            (META, r#""smoke""#, r#""huge""#, "`scale`"),
+            (META, r#""isf-harness-jsonl/1""#, r#""nope""#, "`schema`"),
+            (META, "true", "false", "`resumed`"),
+            (META, r#"["table1"]"#, "[1,2]", "`experiments[0]`"),
+            (
+                CELL,
+                r#""sim_cycles":1"#,
+                r#""sim_cycles":1.5"#,
+                "`sim_cycles`",
+            ),
+            (
+                CELL,
+                r#""sim_cycles":1"#,
+                r#""sim_cycles":-4"#,
+                "`sim_cycles`",
+            ),
+            (ERROR, r#""attempts":1"#, r#""attempts":0"#, "`attempts`"),
+            (EXPLORE, "0x5eed", "zz", "`seed`"),
+            (JOURNAL_META, "00ff00ff00ff00ff", "ab", "`fingerprint`"),
+            (JOURNAL_META, "isf-journal/1", "other", "`schema`"),
+            (
+                SPANS,
+                r#""cat":"cell""#,
+                r#""cat":"bogus""#,
+                "`spans[0].cat`",
+            ),
+            (METRICS, "10", r#""ten""#, "`counters.op.const.count`"),
+            (METRICS, r#""sum":5,"#, "", "`histograms.h.sum`"),
+            (METRICS, "[[4,1]]", "[[4,1,2]]", "`histograms.h.buckets[0]`"),
+            (JOURNAL_CELL, r#""run""#, "1", "`phases[0].name`"),
+            (JOURNAL_CELL, "0123456789abcdef", "0", "`key`"),
+        ];
+        for (valid, from, to, field) in rows {
+            assert_eq!(validate(valid), Ok(1), "{valid}");
+            let bad = valid.replacen(from, to, 1);
+            let e = validate(&bad).expect_err(&bad);
+            assert!(e.message.contains(field), "{bad}: {e}");
+        }
+    }
+
+    #[test]
+    fn the_schema_uses_only_interpreted_keywords_and_patterns() {
+        const KEYWORDS: [&str; 12] = [
+            "oneOf",
+            "type",
+            "const",
+            "enum",
+            "minimum",
+            "pattern",
+            "properties",
+            "required",
+            "additionalProperties",
+            "items",
+            "minItems",
+            "maxItems",
+        ];
+        const ANNOTATIONS: [&str; 4] = ["title", "description", "$schema", "$id"];
+        const TYPES: [&str; 6] = ["object", "array", "string", "integer", "number", "boolean"];
+        fn walk(node: &Json, at: &str) {
+            let Json::Obj(pairs) = node else {
+                panic!("{at}: a schema node must be an object, got {node}");
+            };
+            for (key, value) in pairs {
+                let known = KEYWORDS.contains(&key.as_str()) || ANNOTATIONS.contains(&key.as_str());
+                assert!(known, "{at}: keyword `{key}` is not interpreted");
+                match key.as_str() {
+                    "type" => {
+                        let ty = value.as_str().unwrap_or_default();
+                        assert!(TYPES.contains(&ty), "{at}: type {value}");
+                    }
+                    "pattern" => {
+                        let p = value.as_str().unwrap_or_default();
+                        assert!(parse_pattern(p).is_some(), "{at}: pattern `{p}`");
+                    }
+                    "properties" => {
+                        let Json::Obj(props) = value else {
+                            panic!("{at}: properties {value}");
+                        };
+                        for (name, sub) in props {
+                            walk(sub, &format!("{at}.{name}"));
+                        }
+                    }
+                    "additionalProperties" | "items" => walk(value, &format!("{at}/{key}")),
+                    "oneOf" => {
+                        let branches = value.as_arr().unwrap_or_default();
+                        let mut types = Vec::new();
+                        for b in branches {
+                            let ty = branch_type(b).and_then(Json::as_str);
+                            let ty = ty.expect("every branch has a string `type` const");
+                            assert!(!types.contains(&ty), "{at}: two `{ty}` branches");
+                            types.push(ty);
+                            walk(b, &format!("{at}/{ty}"));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        walk(schema(), "schema");
+    }
+
+    #[test]
+    fn patterns_match_whole_strings_and_unsupported_forms_are_refused() {
+        let hex16 = parse_pattern("^[0-9a-f]{16}$").expect("supported");
+        assert!(matches(&hex16, "0123456789abcdef"));
+        for bad in [
+            "0123456789abcde",
+            "0123456789abcdef0",
+            "0123456789ABCDEF",
+            "",
+        ] {
+            assert!(!matches(&hex16, bad), "{bad}");
+        }
+        let seed = parse_pattern("^0x[0-9a-f]+$").expect("supported");
+        assert!(matches(&seed, "0x5eed"));
+        for bad in ["0x", "zz", "0x5eedz", "x5eed", "0x5éed"] {
+            assert!(!matches(&seed, bad), "{bad}");
+        }
+        let backtrack = parse_pattern("^[a-c]+c$").expect("supported");
+        assert!(matches(&backtrack, "abcc"));
+        for unsupported in [
+            "[0-9]+", "^a*$", "^a.b$", "^(ab)$", "^[a-$", "^a{2$", "^[^a]$",
+        ] {
+            assert!(parse_pattern(unsupported).is_none(), "{unsupported}");
+        }
     }
 }
