@@ -17,7 +17,7 @@ use isf_ir::{Inst, InstrOp, Term};
 
 /// Cycle costs per instruction kind. Construct with [`CostModel::default`]
 /// and override individual fields for ablation studies.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct CostModel {
     /// Constants, moves, unary and simple binary ALU operations.
     pub alu: u64,

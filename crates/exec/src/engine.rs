@@ -8,6 +8,9 @@
 //! parameters defaulting to [`NoTrace`] and [`NoMetrics`], whose recording
 //! sites compile away: `Request::new(&config)` runs the unobserved,
 //! monomorphized hot loop.
+//!
+//! [`Code::execute_sweep`] runs one code under each trigger of a
+//! counter-interval sweep, executing the prefix those runs share once.
 
 use std::borrow::Cow;
 
@@ -23,6 +26,7 @@ use crate::prepared::{fuse_mode, FuseMode, PreparedModule};
 use crate::profile::{NoMetrics, ProfileSink};
 use crate::sched::SchedControl;
 use crate::trace::{NoTrace, TraceSink};
+use crate::trigger::Trigger;
 
 /// One execution configuration of the runtime.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -128,6 +132,69 @@ impl Code<'_> {
         }
     }
 
+    /// Runs the code once per trigger of a counter sweep — each
+    /// [`Trigger::Never`] or [`Trigger::Counter`] — under `config` with
+    /// its trigger replaced, and returns each run's result, sinks and
+    /// scheduling control in `triggers` order. Every run starts from
+    /// `sched` and fresh sinks, and equals a separate
+    /// [`execute`](Code::execute) of its trigger.
+    ///
+    /// Prepared code runs the sweep's latest-firing trigger once and
+    /// forks each earlier-firing interval off it at that interval's first
+    /// firing check, so the prefix the runs share executes once; the
+    /// reference interpreter runs each trigger separately.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other trigger kind, and as [`execute`](Code::execute)
+    /// does.
+    pub fn execute_sweep<S, P>(
+        &self,
+        config: &VmConfig,
+        triggers: &[Trigger],
+        sched: &SchedControl,
+        cancel: Option<&CancelToken>,
+    ) -> Vec<Swept<S, P>>
+    where
+        S: TraceSink + Clone + Default,
+        P: ProfileSink + Clone + Default,
+    {
+        if let Some(other) = triggers
+            .iter()
+            .find(|t| !matches!(t, Trigger::Never | Trigger::Counter { .. }))
+        {
+            panic!("execute_sweep: {other:?} is not a counter-sweep trigger");
+        }
+        match self {
+            Code::Naive(module) => triggers
+                .iter()
+                .map(|&trigger| {
+                    let config = VmConfig { trigger, ..*config };
+                    let (mut trace, mut profile, mut sched) =
+                        (S::default(), P::default(), sched.clone());
+                    let result = naive::execute(
+                        module,
+                        &config,
+                        &mut trace,
+                        &mut profile,
+                        &mut sched,
+                        cancel,
+                    );
+                    Swept {
+                        result,
+                        trace,
+                        profile,
+                        sched,
+                        shared_instructions: 0,
+                    }
+                })
+                .collect(),
+            Code::Prepared(prepared) => {
+                interp::execute_sweep(prepared, config, triggers, sched, cancel)
+            }
+        }
+    }
+
     /// The decoded form, for prepared code.
     #[must_use]
     pub fn prepared(&self) -> Option<&PreparedModule> {
@@ -136,6 +203,25 @@ impl Code<'_> {
             Code::Prepared(prepared) => Some(prepared),
         }
     }
+}
+
+/// One run of [`Code::execute_sweep`]: what [`Code::execute`] returns and
+/// what the run recorded.
+#[derive(Clone, Debug)]
+pub struct Swept<S = NoTrace, P = NoMetrics> {
+    /// The run's result.
+    pub result: Result<Outcome, VmError>,
+    /// Its burst trace sink.
+    pub trace: S,
+    /// Its dispatch-profile sink.
+    pub profile: P,
+    /// Its scheduling control, with the decisions it recorded.
+    pub sched: SchedControl,
+    /// Instructions of the run that the sweep executed once for several
+    /// runs: the prefix a forked run shares with the base pass, or the
+    /// whole run when it is a repeat of the base pass. Zero for a run
+    /// that executed everything itself.
+    pub shared_instructions: u64,
 }
 
 /// One run's inputs besides its code: the configuration, a burst-trace

@@ -19,14 +19,15 @@
 //! Callers reach this engine through [`Code::execute`](crate::Code::execute)
 //! on code that [`Engine::load`](crate::Engine::load) prepared, or on a
 //! borrowed `Code::from(&prepared)`: one preparation then serves many runs
-//! of the same (module, cost) cell, which is how the harness executes its
-//! interval sweeps.
+//! of the same (module, cost) cell. An interval sweep shares more: one
+//! base pass forks the runs of the sweep off itself ([`execute_sweep`]).
 
 use isf_ir::{BinOp, CallSiteId, ClassId, FieldSym, FuncId, LocalId, UnOp};
 use isf_profile::ProfileData;
 
 use crate::cancel::CancelToken;
 use crate::cost::CostModel;
+use crate::engine::Swept;
 use crate::error::{TrapKind, VmError};
 use crate::heap::Heap;
 use crate::outcome::Outcome;
@@ -45,7 +46,7 @@ use crate::value::Value;
 /// [`TrapKind::HeapExhausted`], [`TrapKind::StackOverflow`]) at the same
 /// point in both execution engines, and the harness recovers instead of
 /// crashing.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ExecLimits {
     /// Abort with [`TrapKind::FuelExhausted`] past this many simulated
     /// cycles (`None` = unlimited).
@@ -85,7 +86,7 @@ impl ExecLimits {
 }
 
 /// Interpreter configuration.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct VmConfig {
     /// Per-instruction cycle costs.
     pub cost: CostModel,
@@ -127,25 +128,118 @@ pub(crate) fn execute<S: TraceSink, P: ProfileSink>(
     );
     let mut machine = Machine::new(prepared, config, sink, profile, sched, cancel);
     let result = machine.run_to_completion();
-    // Both readers below walk the thread table, stacks and trap frame
-    // included, so the running thread's stack goes back there first.
-    machine.park(machine.threads.current());
-    if P::ENABLED {
-        machine.fold_profile(result.as_ref().err());
+    machine.finish(result)
+}
+
+/// The prepared engine's half of
+/// [`Code::execute_sweep`](crate::Code::execute_sweep): one base pass
+/// under the sweep's latest-firing trigger — `Never` when the sweep has
+/// it, else the largest interval — which forks a copy of itself at check
+/// `k`, the first firing check of each smaller interval `k`
+/// ([`Machine::fork`]). Every run that did not fork is the base pass:
+/// the base trigger, a repeat of it, or an interval whose check `k` the
+/// base never reached, trap included.
+pub(crate) fn execute_sweep<S, P>(
+    prepared: &PreparedModule,
+    config: &VmConfig,
+    triggers: &[Trigger],
+    sched: &SchedControl,
+    cancel: Option<&CancelToken>,
+) -> Vec<Swept<S, P>>
+where
+    S: TraceSink + Clone + Default,
+    P: ProfileSink + Clone + Default,
+{
+    assert_eq!(
+        &config.cost,
+        prepared.cost(),
+        "execute_sweep: config cost model differs from the preparation cost model"
+    );
+    let intervals: Vec<Option<u64>> = triggers
+        .iter()
+        .map(|trigger| match *trigger {
+            Trigger::Never => None,
+            Trigger::Counter { interval } => Some(interval.max(1)),
+            other => unreachable!("`Code::execute_sweep` admitted {other:?}"),
+        })
+        .collect();
+    // `None` orders below every interval.
+    let base_interval = if intervals.contains(&None) {
+        None
+    } else {
+        intervals.iter().copied().max().flatten()
+    };
+    let mut forks: Vec<Fork<S, P>> = intervals
+        .iter()
+        .enumerate()
+        .filter_map(|(index, &k)| {
+            Some(Fork {
+                at: k.filter(|_| k != base_interval)?,
+                index,
+                trace: S::default(),
+                profile: P::default(),
+            })
+        })
+        .collect();
+    forks.sort_by_key(|f| std::cmp::Reverse(f.at));
+
+    let base_config = VmConfig {
+        trigger: base_interval.map_or(Trigger::Never, |interval| Trigger::Counter { interval }),
+        ..*config
+    };
+    let (mut trace, mut profile, mut base_sched) = (S::default(), P::default(), sched.clone());
+    let mut machine = Machine::new(
+        prepared,
+        &base_config,
+        &mut trace,
+        &mut profile,
+        &mut base_sched,
+        cancel,
+    );
+    machine.next_fork = forks.last().map_or(u64::MAX, |f| f.at);
+    machine.forks = forks;
+    let result = machine.run_to_completion();
+    let forked = std::mem::take(&mut machine.forked);
+    let instructions = machine.instructions;
+    let result = machine.finish(result);
+    let base = Swept {
+        result,
+        trace,
+        profile,
+        sched: base_sched,
+        shared_instructions: 0,
+    };
+
+    let mut runs: Vec<Option<Swept<S, P>>> = vec![None; triggers.len()];
+    for (index, run) in forked {
+        runs[index] = Some(run);
     }
-    match result {
-        Ok(()) => Ok(machine.into_outcome()),
-        Err(kind) => Err(VmError {
-            function: machine.current_function_name(),
-            kind,
-        }),
-    }
+    let copy = Swept {
+        shared_instructions: instructions,
+        ..base.clone()
+    };
+    let mut base = Some(base);
+    runs.into_iter()
+        .map(|run| run.or_else(|| base.take()).unwrap_or_else(|| copy.clone()))
+        .collect()
+}
+
+/// A run of a counter sweep ([`execute_sweep`]) that has not forked yet:
+/// it forks off the base pass at check `at`, its first firing check, and
+/// records into sinks of its own.
+struct Fork<S, P> {
+    at: u64,
+    /// The run's position in the sweep's trigger list.
+    index: usize,
+    trace: S,
+    profile: P,
 }
 
 /// One activation. The running thread's innermost frame is
 /// [`Machine::top`] and its callers are [`Machine::below`]; every other
 /// thread keeps its whole stack, outermost frame first, in the thread
 /// table ([`Machine::threads`]).
+#[derive(Clone)]
 struct Frame<'p> {
     func: FuncId,
     /// The function's decoded op arena, cached at call time so the fetch
@@ -290,6 +384,13 @@ struct Machine<'p, 's, S: TraceSink, P: ProfileSink> {
     /// The default control is the historical round-robin scan with
     /// recording off, which costs nothing over the old hard-coded loop.
     sched: &'s mut SchedControl,
+    /// The check count at which the next pending sweep run forks
+    /// (`u64::MAX` outside a sweep): the `Check` arm's one sweep test.
+    next_fork: u64,
+    /// A sweep's runs still to fork, the next one last.
+    forks: Vec<Fork<S, P>>,
+    /// A sweep's forked runs, finished, with their trigger-list positions.
+    forked: Vec<(usize, Swept<S, P>)>,
 }
 
 impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
@@ -360,9 +461,84 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
             field_counts: vec![[0; 2]; prepared.module().num_classes() * num_field_syms],
             num_field_syms,
             sched,
+            next_fork: u64::MAX,
+            forks: Vec::new(),
+            forked: Vec::new(),
         };
         machine.reset_horizon();
         machine
+    }
+
+    /// A copy of this machine's run state that records into `sink`,
+    /// `psink` and `sched`: heap, thread table and frames, clock, trigger
+    /// and counters, flow-entry deltas, fire counts, field counts, profile
+    /// data and output. It has no sweep runs of its own, and starts with
+    /// no recycled locals, which only save allocations.
+    fn copy<'f>(
+        &self,
+        sink: &'f mut S,
+        psink: &'f mut P,
+        sched: &'f mut SchedControl,
+    ) -> Machine<'p, 'f, S, P>
+    where
+        's: 'f,
+    {
+        Machine {
+            prepared: self.prepared,
+            sink,
+            psink,
+            entry_deltas: self.entry_deltas.clone(),
+            fire_counts: self.fire_counts.clone(),
+            last_sample_cycles: self.last_sample_cycles,
+            last_sample_instructions: self.last_sample_instructions,
+            sample_switch: self.sample_switch,
+            trigger: self.trigger.clone(),
+            timeslice: self.timeslice,
+            max_cycles: self.max_cycles,
+            max_stack: self.max_stack,
+            cancel: self.cancel,
+            heap: self.heap.clone(),
+            top: self.top.clone(),
+            below: self.below.clone(),
+            free_locals: Vec::new(),
+            threads: self.threads.clone(),
+            cycles: self.cycles,
+            next_switch: self.next_switch,
+            switch_bit: self.switch_bit,
+            horizon: self.horizon,
+            instructions: self.instructions,
+            checks_executed: self.checks_executed,
+            samples_taken: self.samples_taken,
+            yields_executed: self.yields_executed,
+            entries_executed: self.entries_executed,
+            backedges_executed: self.backedges_executed,
+            output: self.output.clone(),
+            profile: self.profile.clone(),
+            field_counts: self.field_counts.clone(),
+            num_field_syms: self.num_field_syms,
+            sched,
+            next_fork: u64::MAX,
+            forks: Vec::new(),
+            forked: Vec::new(),
+        }
+    }
+
+    /// Ends a run: parks the running thread's stack, folds the profile
+    /// when one is recorded, and turns the machine into the run's result.
+    fn finish(mut self, result: Result<(), TrapKind>) -> Result<Outcome, VmError> {
+        // Both readers below walk the thread table, stacks and trap frame
+        // included, so the running thread's stack goes back there first.
+        self.park(self.threads.current());
+        if P::ENABLED {
+            self.fold_profile(result.as_ref().err());
+        }
+        match result {
+            Ok(()) => Ok(self.into_outcome()),
+            Err(kind) => Err(VmError {
+                function: self.current_function_name(),
+                kind,
+            }),
+        }
     }
 
     fn into_outcome(mut self) -> Outcome {
@@ -702,6 +878,96 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
         });
         self.last_sample_instructions = self.instructions;
         self.last_sample_cycles = self.cycles;
+    }
+
+    /// Takes the sample at the firing check at `ip`: counts and records
+    /// it, charges the sample-switch surcharge and enters the check's
+    /// `sample` target, returned as the new `ip`. The `Check` arm and a
+    /// sweep's [`Machine::fork`] both come through here.
+    #[inline(always)]
+    fn fire(
+        &mut self,
+        cur: usize,
+        ip: usize,
+        sample: u32,
+        sample_backedge: bool,
+        cont_backedge: bool,
+    ) -> Result<usize, TrapKind> {
+        self.samples_taken += 1;
+        if S::ENABLED {
+            self.record_sample(
+                cur,
+                self.top.func,
+                ip as u32,
+                sample_backedge || cont_backedge,
+            );
+        }
+        if P::ENABLED {
+            self.psink.record_sample(self.cycles, self.checks_executed);
+            // The surcharge below is the one data-dependent
+            // cycle charge; count the firing so `fold_profile`
+            // can attribute it to this check.
+            let slot = self.top.base as usize + ip;
+            if let Some(n) = self.fire_counts.get_mut(slot) {
+                *n += 1;
+            }
+        }
+        // Jumping into cold duplicated code costs extra
+        // (instruction-cache effects, §4.4 footnote 6).
+        self.cycles += self.sample_switch;
+        self.goto(sample, sample_backedge)
+    }
+
+    /// Forks every pending sweep run whose interval is the check count
+    /// just reached at the check at `ip`. Until this check no run reads
+    /// its trigger — a counter starts at its interval and only a firing
+    /// check is observed — so the base pass so far is exactly the forked
+    /// run so far. A copy of the machine ([`Machine::copy`]) takes the
+    /// sample through [`Machine::fire`] with its counter reset, as the
+    /// firing left it, runs to completion and is finished; then the base
+    /// pass goes on.
+    #[cold]
+    #[inline(never)]
+    fn fork(
+        &mut self,
+        cur: usize,
+        ip: usize,
+        sample: u32,
+        sample_backedge: bool,
+        cont_backedge: bool,
+    ) {
+        while self.next_fork == self.checks_executed {
+            let Fork {
+                at,
+                index,
+                mut trace,
+                mut profile,
+            } = self.forks.pop().expect("`next_fork` names a pending fork");
+            self.next_fork = self.forks.last().map_or(u64::MAX, |f| f.at);
+            let mut sched = self.sched.clone();
+            let mut fork = self.copy(&mut trace, &mut profile, &mut sched);
+            fork.trigger = TriggerState::Counter {
+                counter: at,
+                interval: at,
+            };
+            let result = fork
+                .fire(cur, ip, sample, sample_backedge, cont_backedge)
+                .and_then(|next| {
+                    fork.top.ip = next;
+                    fork.run_to_completion()
+                });
+            let result = fork.finish(result);
+            self.forked.push((
+                index,
+                Swept {
+                    result,
+                    trace,
+                    profile,
+                    sched,
+                    shared_instructions: self.instructions,
+                },
+            ));
+        }
     }
 
     /// Transfers control to a pre-resolved arena index, bumping the
@@ -1385,30 +1651,11 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     cont_backedge,
                 } => {
                     self.checks_executed += 1;
+                    if self.checks_executed == self.next_fork {
+                        self.fork(cur, ip, *sample, *sample_backedge, *cont_backedge);
+                    }
                     if self.trigger.on_check(cur) {
-                        self.samples_taken += 1;
-                        if S::ENABLED {
-                            self.record_sample(
-                                cur,
-                                self.top.func,
-                                ip as u32,
-                                *sample_backedge || *cont_backedge,
-                            );
-                        }
-                        if P::ENABLED {
-                            self.psink.record_sample(self.cycles, self.checks_executed);
-                            // The surcharge below is the one data-dependent
-                            // cycle charge; count the firing so `fold_profile`
-                            // can attribute it to this check.
-                            let slot = self.top.base as usize + ip;
-                            if let Some(n) = self.fire_counts.get_mut(slot) {
-                                *n += 1;
-                            }
-                        }
-                        // Jumping into cold duplicated code costs extra
-                        // (instruction-cache effects, §4.4 footnote 6).
-                        self.cycles += self.sample_switch;
-                        ip = self.goto(*sample, *sample_backedge)?;
+                        ip = self.fire(cur, ip, *sample, *sample_backedge, *cont_backedge)?;
                     } else {
                         ip = self.goto(*cont, *cont_backedge)?;
                     }

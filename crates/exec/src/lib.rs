@@ -77,7 +77,7 @@ mod value;
 
 pub use cancel::CancelToken;
 pub use cost::CostModel;
-pub use engine::{run_naive, run_prepared, run_prepared_profiled, Code, Engine, Request};
+pub use engine::{run_naive, run_prepared, run_prepared_profiled, Code, Engine, Request, Swept};
 pub use error::{TrapKind, VmError};
 pub use heap::Heap;
 pub use interp::{ExecLimits, VmConfig};

@@ -416,6 +416,7 @@ impl SchedControl {
 /// One green thread. It is runnable iff its bit in
 /// [`ThreadTable::runnable`] is set, and blocked if it is neither
 /// runnable nor done.
+#[derive(Clone)]
 struct Thread<S> {
     /// The stack the engine parks here (see [`ThreadTable`]).
     stack: S,
@@ -437,6 +438,7 @@ struct Thread<S> {
 /// 64 at a time. A thread's joiners are woken when it finishes: no thread
 /// blocks on a finished one and every finish ends a slice, so each pick
 /// finds every joiner of a finished thread awake (DESIGN.md decision 25).
+#[derive(Clone)]
 pub(crate) struct ThreadTable<S> {
     threads: Vec<Thread<S>>,
     /// Bit `t` is set iff thread `t` is runnable.

@@ -20,7 +20,7 @@
 //!   measure pure framework overhead and to collect perfect profiles.
 
 /// Configuration of the sampling trigger.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Trigger {
     /// The sample condition is never true (framework-overhead runs; also
     /// the "setting the sample condition permanently to false" shutdown

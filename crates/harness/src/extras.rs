@@ -149,16 +149,14 @@ pub fn run(h: &Harness, scale: Scale) -> Extras {
                     .expect("valid options");
                     let prepared = h.prepare_for_runs(&full);
                     let baseline_cycles = b.baseline.cycles as f64;
-                    let path: Vec<PathMeas> = PATH_INTERVALS
+                    let triggers = PATH_INTERVALS.map(|interval| Trigger::Counter { interval });
+                    let path: Vec<PathMeas> = h
+                        .run_sweep(&prepared, &triggers)
                         .iter()
-                        .map(|&interval| {
-                            let o = h.run_prepared_module(&prepared, Trigger::Counter { interval });
-                            PathMeas {
-                                total: (o.cycles as f64 - baseline_cycles) / baseline_cycles
-                                    * 100.0,
-                                accuracy: path_overlap(&perfect, &o.profile),
-                                events: o.profile.total_path_events() as f64,
-                            }
+                        .map(|o| PathMeas {
+                            total: (o.cycles as f64 - baseline_cycles) / baseline_cycles * 100.0,
+                            accuracy: path_overlap(&perfect, &o.profile),
+                            events: o.profile.total_path_events() as f64,
                         })
                         .collect();
 

@@ -115,12 +115,12 @@ pub fn run(h: &Harness, scale: Scale) -> Fig8 {
                     let (m, _, _) = instrument(&b.module, Kinds::Both, &yieldpoint_options());
                     let prepared = h.prepare_for_runs(&m);
                     let baseline = b.baseline.cycles as f64;
-                    let totals: Vec<f64> = crate::table4::INTERVALS
+                    let triggers =
+                        crate::table4::INTERVALS.map(|interval| Trigger::Counter { interval });
+                    let totals: Vec<f64> = h
+                        .run_sweep(&prepared, &triggers)
                         .iter()
-                        .map(|&interval| {
-                            let o = h.run_prepared_module(&prepared, Trigger::Counter { interval });
-                            (o.cycles as f64 - baseline) / baseline * 100.0
-                        })
+                        .map(|o| (o.cycles as f64 - baseline) / baseline * 100.0)
                         .collect();
                     (row_a, totals)
                 })

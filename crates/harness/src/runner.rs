@@ -28,9 +28,14 @@
 //! Cells that run one module several times (interval sweeps, trigger
 //! comparisons) pre-decode it once with [`Harness::prepare_for_runs`] and
 //! replay the decoded form with [`Harness::run_prepared_module`],
-//! amortizing preparation over the whole sweep.
+//! amortizing preparation over the whole sweep. No deterministic run
+//! executes twice: a repeated unsampled run is served from the run memo
+//! next to the preparation cache, and [`Harness::run_sweep`] executes
+//! the prefix a counter-interval sweep shares once (DESIGN.md decision
+//! 30).
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -38,8 +43,9 @@ use std::time::{Duration, Instant};
 
 use isf_core::{instrument_module, Options, Strategy, TransformStats};
 use isf_exec::{
-    fuse_mode, CancelToken, Code, CostModel, Engine, ExecLimits, FuseMode, OpProfile, Outcome,
-    Request, Trigger, VmConfig, VmError,
+    fuse_mode, CancelToken, Code, CostModel, Engine, ExecLimits, FuseMode, NoMetrics, NoTrace,
+    OpProfile, Outcome, ProfileSink, Request, SchedControl, Swept, Trigger, VmConfig, VmError,
+    NUM_OPCODES, OPCODE_NAMES,
 };
 use isf_instr::{CallEdgeInstrumentation, FieldAccessInstrumentation, Instrumentation, ModulePlan};
 use isf_ir::Module;
@@ -205,22 +211,71 @@ fn roll(p: f64, seed: u64, label: &str, attempt: u32) -> Option<bool> {
 // The harness value.
 // ---------------------------------------------------------------------
 
-/// Loaded code keyed by a fingerprint of the module text, the cost model,
-/// and the engine (see [`Harness::cached_prepare`]). One
-/// lazily-initialized slot per fingerprint: the map lock is released
-/// before decoding, so requests for *different* modules prepare in
-/// parallel while concurrent requests for the *same* module block on the
-/// slot and share a single preparation.
-type PrepSlot = Arc<OnceLock<Arc<Code<'static>>>>;
-type PrepCache = Mutex<HashMap<u64, PrepSlot>>;
+/// Values computed once per key. One lazily-initialized slot per key:
+/// the map lock is released before computing, so requests for
+/// *different* keys compute in parallel while concurrent requests for
+/// the *same* key block on the slot and share one computation. Misses
+/// are therefore the number of distinct keys and hits the requests
+/// beyond them, both independent of how requests were scheduled.
+struct OnceMap<K, V>(Mutex<HashMap<K, Arc<OnceLock<V>>>>);
+
+impl<K, V> Default for OnceMap<K, V> {
+    fn default() -> Self {
+        OnceMap(Mutex::default())
+    }
+}
+
+impl<K: Hash + Eq, V: Clone> OnceMap<K, V> {
+    /// The value for `key`, computed by `init` unless another request
+    /// got there first, and whether it was (a hit).
+    fn get_or_init(&self, key: K, init: impl FnOnce() -> V) -> (V, bool) {
+        let slot = {
+            let mut map = self.0.lock().unwrap_or_else(|p| p.into_inner());
+            Arc::clone(map.entry(key).or_default())
+        };
+        let mut hit = true;
+        let value = slot
+            .get_or_init(|| {
+                hit = false;
+                init()
+            })
+            .clone();
+        (value, hit)
+    }
+}
+
+/// Code loaded through the preparation cache, with the fingerprint that
+/// keys it there — and keys its runs in the run memo.
+pub struct Loaded {
+    key: u64,
+    /// The loaded code.
+    pub code: Code<'static>,
+}
+
+/// What one run produced: its whole result and, for a profiled run, its
+/// dispatch profile.
+#[derive(Clone)]
+struct Ran {
+    result: Result<Outcome, VmError>,
+    profile: Option<OpProfile>,
+}
+
+/// The run memo's key: the loaded code's fingerprint, the VM
+/// configuration and whether the run is profiled.
+type RunKey = (u64, VmConfig, bool);
 
 /// A configured harness: the resolved [`HarnessConfig`], the preparation
-/// cache its runs share, and whether any fresh cell hit the wall-clock
-/// deadline. Experiments take it by reference and their cells capture it.
+/// cache and run memo its runs share, and whether any fresh cell hit the
+/// wall-clock deadline. Experiments take it by reference and their cells
+/// capture it.
 pub struct Harness {
     /// The resolved configuration.
     pub config: HarnessConfig,
-    cache: Arc<PrepCache>,
+    /// Loaded code by fingerprint of the module text, the cost model and
+    /// the engine (see [`Harness::cached_prepare`]).
+    cache: Arc<OnceMap<u64, Arc<Loaded>>>,
+    /// Unsampled runs by [`RunKey`] (see [`Harness::run_prepared_module`]).
+    memo: Arc<OnceMap<RunKey, Arc<Ran>>>,
     deadline_hit: AtomicBool,
 }
 
@@ -231,25 +286,34 @@ impl Default for Harness {
 }
 
 impl Harness {
-    /// A harness with a fresh preparation cache.
+    /// A harness with a fresh preparation cache and run memo.
     #[must_use]
     pub fn new(config: HarnessConfig) -> Harness {
         Harness {
             config,
             cache: Arc::default(),
+            memo: Arc::default(),
             deadline_hit: AtomicBool::new(false),
         }
     }
 
-    /// A harness under `config` that shares this one's preparation cache.
-    /// Cache keys carry the engine, so entries of different
-    /// configurations coexist without aliasing.
+    /// A harness under `config` that shares this one's preparation cache
+    /// and run memo. Cache keys carry the engine and memo keys the VM
+    /// configuration, so entries of different configurations coexist
+    /// without aliasing.
     #[must_use]
     pub fn with_config(&self, config: HarnessConfig) -> Harness {
         Harness {
             cache: Arc::clone(&self.cache),
+            memo: Arc::clone(&self.memo),
             ..Harness::new(config)
         }
+    }
+
+    /// How many distinct runs the run memo holds.
+    #[cfg(test)]
+    pub(crate) fn memo_len(&self) -> usize {
+        self.memo.0.lock().unwrap().len()
     }
 
     /// Whether any *fresh* (non-replayed) cell run hit the wall-clock
@@ -466,21 +530,27 @@ impl Harness {
             let cursor = AtomicUsize::new(0);
             std::thread::scope(|s| {
                 for _ in 0..workers {
-                    s.spawn(|| loop {
-                        // The drain flag (SIGINT/SIGTERM) stops workers from
-                        // *claiming*; the in-flight cell below always finishes
-                        // and is journaled before the process exits.
-                        if journal::drain_requested() {
-                            break;
+                    s.spawn(|| {
+                        loop {
+                            // The drain flag (SIGINT/SIGTERM) stops workers
+                            // from *claiming*; the in-flight cell below always
+                            // finishes and is journaled before the process
+                            // exits.
+                            if journal::drain_requested() {
+                                break;
+                            }
+                            let k = cursor.fetch_add(1, Ordering::Relaxed);
+                            if k >= pending.len() {
+                                break;
+                            }
+                            let i = pending[k];
+                            let (r, m) = self.run_cell(&cells[i]);
+                            journal_append(&cells[i].label, &r, &m, codec.as_ref());
+                            *slots[k].lock().unwrap_or_else(|p| p.into_inner()) =
+                                Some((r, m, false));
                         }
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        if k >= pending.len() {
-                            break;
-                        }
-                        let i = pending[k];
-                        let (r, m) = self.run_cell(&cells[i]);
-                        journal_append(&cells[i].label, &r, &m, codec.as_ref());
-                        *slots[k].lock().unwrap_or_else(|p| p.into_inner()) = Some((r, m, false));
+                        // The scope's join does not wait for thread exit.
+                        span::flush_thread();
                     });
                 }
             });
@@ -806,6 +876,43 @@ impl AttemptCancel {
             None => request,
         }
     }
+
+    /// The attempt's token, when it has one.
+    pub(crate) fn token(&self) -> Option<&CancelToken> {
+        self.token.as_ref()
+    }
+}
+
+/// Books one run the way every run is booked, executed or not: folds its
+/// profile into the registry (`profile.runs` only when it executed,
+/// `run.memo.hits` when the memo served it, and the instructions it did
+/// not dispatch itself as `run.shared_instructions`), then raises its
+/// trap as a `CellTrap` or times it as one `run` phase and notes it in
+/// the cell's metrics.
+fn finish_run(
+    ran: Ran,
+    trigger: Trigger,
+    memo_hit: bool,
+    shared_instructions: u64,
+    wall: Duration,
+) -> Outcome {
+    if let Some(profile) = &ran.profile {
+        record_profile(profile, trigger);
+        if memo_hit {
+            metrics::counter_add("run.memo.hits", 1);
+        } else {
+            metrics::counter_add("profile.runs", 1);
+        }
+        if shared_instructions > 0 {
+            metrics::counter_add("run.shared_instructions", shared_instructions);
+        }
+    }
+    let outcome = ran
+        .result
+        .unwrap_or_else(|e| std::panic::panic_any(CellTrap(e)));
+    emit::phase("run", wall);
+    note_run(&outcome);
+    outcome
 }
 
 fn note_run(outcome: &Outcome) {
@@ -1069,26 +1176,47 @@ fn prep_fingerprint(module: &Module, cost: &CostModel, engine: Engine) -> u64 {
     journal::fnv1a(h, format!("{cost:?}/{}", engine.label()).as_bytes())
 }
 
+/// The `op.<opcode>.{count,instructions,cycles}` counter names, built
+/// once per process.
+fn op_counter_names() -> &'static [[String; 3]; NUM_OPCODES] {
+    static NAMES: OnceLock<[[String; 3]; NUM_OPCODES]> = OnceLock::new();
+    NAMES.get_or_init(|| {
+        OPCODE_NAMES.map(|name| {
+            ["count", "instructions", "cycles"].map(|field| format!("op.{name}.{field}"))
+        })
+    })
+}
+
 /// Folds one run's finished [`OpProfile`] into the metrics registry:
 /// per-opcode dispatch/instruction/cycle counters, the dynamic
 /// fused-vs-total instruction totals behind the fusion-coverage report,
 /// and the per-trigger-kind inter-sample-gap and checks-per-sample
-/// histograms of the §4.6 skew analysis.
+/// histograms of the §4.6 skew analysis. Each series is binned into a
+/// local histogram and merged into the registry once. The caller counts
+/// the run itself (`profile.runs`) only when it executed.
 fn record_profile(profile: &OpProfile, trigger: Trigger) {
-    for (_, name, count, instructions, cycles) in profile.nonzero() {
-        metrics::counter_add(&format!("op.{name}.count"), count);
-        metrics::counter_add(&format!("op.{name}.instructions"), instructions);
-        metrics::counter_add(&format!("op.{name}.cycles"), cycles);
+    let names = op_counter_names();
+    for (op, _, count, instructions, cycles) in profile.nonzero() {
+        let [count_name, instructions_name, cycles_name] = &names[op];
+        metrics::counter_add(count_name, count);
+        metrics::counter_add(instructions_name, instructions);
+        metrics::counter_add(cycles_name, cycles);
     }
-    metrics::counter_add("profile.runs", 1);
     metrics::counter_add("profile.fused_instructions", profile.fused_instructions());
     metrics::counter_add("profile.total_instructions", profile.total_instructions());
     let kind = trigger.kind_name();
-    for &gap in profile.sample_gap_cycles() {
-        metrics::histogram_record(&format!("trigger.{kind}.sample_gap_cycles"), gap);
-    }
-    for &checks in profile.checks_per_sample() {
-        metrics::histogram_record(&format!("trigger.{kind}.checks_per_sample"), checks);
+    for (series, values) in [
+        ("sample_gap_cycles", profile.sample_gap_cycles()),
+        ("checks_per_sample", profile.checks_per_sample()),
+    ] {
+        if values.is_empty() {
+            continue;
+        }
+        let mut histogram = metrics::Histogram::new();
+        for &v in values {
+            histogram.record(v);
+        }
+        metrics::histogram_merge(&format!("trigger.{kind}.{series}"), &histogram);
     }
 }
 
@@ -1129,30 +1257,25 @@ impl Harness {
     /// themselves deterministic across job counts even though which
     /// worker pays each decode is not (that only surfaces in
     /// `ISF_LOG=debug`).
-    pub fn cached_prepare(&self, module: &Module) -> Arc<Code<'static>> {
+    pub fn cached_prepare(&self, module: &Module) -> Arc<Loaded> {
         note_prepare_request();
         let cost = CostModel::default();
         let engine = self.config.engine();
         let key = prep_fingerprint(module, &cost, engine);
-        let slot = {
-            let mut map = self.cache.lock().unwrap_or_else(|p| p.into_inner());
-            map.entry(key).or_default().clone()
-        };
-        let mut fresh = false;
-        let code = slot
-            .get_or_init(|| {
-                fresh = true;
-                Arc::new(engine.load(module, &cost))
+        let (loaded, hit) = self.cache.get_or_init(key, || {
+            Arc::new(Loaded {
+                key,
+                code: engine.load(module, &cost),
             })
-            .clone();
-        if fresh {
-            metrics::counter_add("prep.cache.misses", 1);
-            log::debug(&format!("[prep-cache] miss, decoded {key:016x}"));
-        } else {
+        });
+        if hit {
             metrics::counter_add("prep.cache.hits", 1);
             log::debug(&format!("[prep-cache] hit {key:016x}"));
+        } else {
+            metrics::counter_add("prep.cache.misses", 1);
+            log::debug(&format!("[prep-cache] miss, decoded {key:016x}"));
         }
-        code
+        loaded
     }
 
     /// Runs a module under the harness VM configuration (including the
@@ -1177,7 +1300,7 @@ impl Harness {
     /// [`Harness::run_prepared_module`] runs: identical (program, cost,
     /// engine) requests across cells — Table 4's per-strategy suites, for
     /// instance — share one decode.
-    pub fn prepare_for_runs(&self, module: &Module) -> Arc<Code<'static>> {
+    pub fn prepare_for_runs(&self, module: &Module) -> Arc<Loaded> {
         let start = Instant::now();
         let code = self.cached_prepare(module);
         emit::phase("prepare", start.elapsed());
@@ -1189,50 +1312,147 @@ impl Harness {
     /// is set). With self-profiling enabled the run records a dispatch
     /// profile, which is folded into the registry.
     ///
+    /// A [`Trigger::Never`] run is a pure function of the code's
+    /// fingerprint and the VM configuration, so it executes once per
+    /// harness: a repeat is served from the run memo (`run.memo.hits`)
+    /// and replays the stored profile, counting no `profile.runs`. Every
+    /// repeat in the experiments is unsampled, and a sampled run never
+    /// repeats, so the memo holds nothing else. A run under a watchdog
+    /// token bypasses it: a wall-clock cancellation is not a function of
+    /// those inputs.
+    ///
     /// # Panics
     ///
     /// Unwinds with a typed `CellTrap` payload if the program traps,
     /// which the cell isolation layer classifies into
     /// [`CellResult::Trapped`] or [`CellResult::Budget`] without taking
     /// sibling cells down.
-    pub fn run_prepared_module(&self, code: &Code, trigger: Trigger) -> Outcome {
+    pub fn run_prepared_module(&self, loaded: &Loaded, trigger: Trigger) -> Outcome {
         let cfg = self.config.vm_config(trigger);
         let start = Instant::now();
         let cancel = AttemptCancel::current();
-        let request = cancel.apply(Request::new(&cfg));
-        let result = if metrics::enabled() {
-            let mut profile = OpProfile::new();
-            let result = code.execute(request.profile(&mut profile));
-            record_profile(&profile, trigger);
-            result
-        } else {
-            code.execute(request)
+        let profiled = metrics::enabled();
+        let run = || {
+            let request = cancel.apply(Request::new(&cfg));
+            if profiled {
+                let mut profile = OpProfile::new();
+                let result = loaded.code.execute(request.profile(&mut profile));
+                Ran {
+                    result,
+                    profile: Some(profile),
+                }
+            } else {
+                Ran {
+                    result: loaded.code.execute(request),
+                    profile: None,
+                }
+            }
         };
-        let outcome = result.unwrap_or_else(|e| std::panic::panic_any(CellTrap(e)));
-        emit::phase("run", start.elapsed());
-        note_run(&outcome);
-        outcome
+        let (ran, hit) = if trigger == Trigger::Never && cancel.token().is_none() {
+            self.memo
+                .get_or_init((loaded.key, cfg, profiled), || Arc::new(run()))
+        } else {
+            (Arc::new(run()), false)
+        };
+        let shared = if hit {
+            ran.profile
+                .as_ref()
+                .map_or(0, OpProfile::total_instructions)
+        } else {
+            0
+        };
+        // A memo entry stays in its slot; anything else is ours to take.
+        finish_run(
+            Arc::unwrap_or_clone(ran),
+            trigger,
+            hit,
+            shared,
+            start.elapsed(),
+        )
+    }
+
+    /// Runs already-loaded code once per trigger of a counter-interval
+    /// sweep — each [`Trigger::Never`] or [`Trigger::Counter`] — and
+    /// returns the outcomes in `triggers` order, each exactly what
+    /// [`Harness::run_prepared_module`] returns for its trigger. The
+    /// prefix the runs share executes once
+    /// ([`Code::execute_sweep`]); the instructions not dispatched again
+    /// are counted in `run.shared_instructions`. Each outcome is
+    /// profiled, noted and timed as its own run, the sweep's wall time
+    /// split evenly among them.
+    ///
+    /// # Panics
+    ///
+    /// Unwinds like [`Harness::run_prepared_module`] at the first run, in
+    /// `triggers` order, that trapped.
+    pub fn run_sweep(&self, loaded: &Loaded, triggers: &[Trigger]) -> Vec<Outcome> {
+        /// The sweep under profile sink `P`, whose recording `keep` turns
+        /// into what [`finish_run`] folds.
+        fn sweep<P: ProfileSink + Clone + Default>(
+            h: &Harness,
+            loaded: &Loaded,
+            triggers: &[Trigger],
+            keep: fn(P) -> Option<OpProfile>,
+        ) -> Vec<(Ran, u64)> {
+            let cancel = AttemptCancel::current();
+            let cfg = h.config.vm_config(Trigger::Never);
+            let runs: Vec<Swept<NoTrace, P>> =
+                loaded
+                    .code
+                    .execute_sweep(&cfg, triggers, &SchedControl::default(), cancel.token());
+            runs.into_iter()
+                .map(|s| {
+                    let ran = Ran {
+                        result: s.result,
+                        profile: keep(s.profile),
+                    };
+                    (ran, s.shared_instructions)
+                })
+                .collect()
+        }
+        let start = Instant::now();
+        let runs = if metrics::enabled() {
+            sweep::<OpProfile>(self, loaded, triggers, Some)
+        } else {
+            sweep::<NoMetrics>(self, loaded, triggers, |_| None)
+        };
+        let wall = start.elapsed() / triggers.len().max(1) as u32;
+        runs.into_iter()
+            .zip(triggers)
+            .map(|((ran, shared), &trigger)| finish_run(ran, trigger, false, shared, wall))
+            .collect()
     }
 
     /// Measures fusion coverage for every suite benchmark at `scale` by
     /// running each one uninstrumented under the profiled prepared engine
-    /// (decodes come from the preparation cache). Coverage totals also
-    /// land in the registry as `fusion.<bench>.fused_instructions` /
-    /// `.total_instructions` counters when profiling is enabled. Runs on
-    /// the calling thread and emits no JSONL, so the stream's cell records
-    /// are untouched.
+    /// (decodes come from the preparation cache, and a profiled baseline
+    /// an experiment already ran comes from the run memo). Coverage
+    /// totals also land in the registry as
+    /// `fusion.<bench>.fused_instructions` / `.total_instructions`
+    /// counters when profiling is enabled; nothing else is recorded. Runs
+    /// on the calling thread and emits no JSONL, so the stream's cell
+    /// records are untouched.
     pub fn fusion_coverage(&self, scale: Scale) -> Vec<FusionCoverage> {
         suite(scale)
             .iter()
             .map(|w| {
                 let module = w.compile();
-                let code = self.cached_prepare(&module);
+                let loaded = self.cached_prepare(&module);
                 let cfg = VmConfig {
                     trigger: Trigger::Never,
                     ..VmConfig::default()
                 };
-                let mut profile = OpProfile::new();
-                let _ = code.execute(Request::new(&cfg).profile(&mut profile));
+                let (ran, _) = self.memo.get_or_init((loaded.key, cfg, true), || {
+                    let mut profile = OpProfile::new();
+                    let result = loaded
+                        .code
+                        .execute(Request::new(&cfg).profile(&mut profile));
+                    Arc::new(Ran {
+                        result,
+                        profile: Some(profile),
+                    })
+                });
+                let profile = ran.profile.as_ref().expect("a profiled run's entry");
                 let c = FusionCoverage {
                     name: w.name(),
                     fused_instructions: profile.fused_instructions(),
@@ -1581,6 +1801,56 @@ mod tests {
             snap.counter("fusion.compress.total_instructions"),
             compress.total_instructions
         );
+    }
+
+    #[test]
+    fn runs_under_an_armed_token_bypass_the_run_memo() {
+        let m = isf_frontend::compile(
+            "fn main() { var i = 0; while (i < 10) { i = i + 1; } print(i); }",
+        )
+        .unwrap();
+        // Never stored: armed runs leave the memo empty.
+        let h = Harness::default();
+        let loaded = h.prepare_for_runs(&m);
+        AttemptCancel::set(Some(CancelToken::new()));
+        let armed = h.run_prepared_module(&loaded, Trigger::Never);
+        let again = h.run_prepared_module(&loaded, Trigger::Never);
+        AttemptCancel::set(None);
+        assert_eq!(armed, again);
+        assert_eq!(h.memo_len(), 0, "a run under an armed token was stored");
+        // Never served: with the clean outcome stored, a run under a fired
+        // token executes and traps at its first loop jump.
+        let clean = h.run_prepared_module(&loaded, Trigger::Never);
+        assert_eq!((clean, h.memo_len()), (armed, 1));
+        let fired = CancelToken::new();
+        fired.cancel();
+        AttemptCancel::set(Some(fired));
+        let cancelled = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            h.run_prepared_module(&loaded, Trigger::Never)
+        }));
+        AttemptCancel::set(None);
+        let payload = cancelled.expect_err("a fired token's run was served from the memo");
+        let trap = payload.downcast::<CellTrap>().expect("the run trapped");
+        assert_eq!(trap.0.kind, isf_exec::TrapKind::Cancelled);
+    }
+
+    #[test]
+    fn sweep_outcomes_match_separate_runs() {
+        let h = Harness::default();
+        let w = isf_workloads::by_name("jess", Scale::Smoke).unwrap();
+        let (m, _, _) = instrument(
+            &w.compile(),
+            Kinds::Both,
+            &Options::new(Strategy::FullDuplication),
+        );
+        let loaded = h.prepare_for_runs(&m);
+        let triggers = [1, 1_000_000, 7, 0, 100].map(|interval| Trigger::Counter { interval });
+        let triggers = [&triggers[..2], &[Trigger::Never], &triggers[2..]].concat();
+        let swept = h.run_sweep(&loaded, &triggers);
+        for (trigger, outcome) in triggers.iter().zip(&swept) {
+            let separate = h.run_prepared_module(&loaded, *trigger);
+            assert_eq!(outcome, &separate, "{trigger:?}");
+        }
     }
 
     #[test]

@@ -111,7 +111,8 @@ fn sweep(h: &Harness, scale: Scale, strategy: Strategy) -> (Vec<Row>, Vec<CellEr
     let suite = h.prepare_suite(scale);
     let benches = &suite.benches;
     // One cell per benchmark: instrument and pre-decode once, then run
-    // the whole interval sweep against the decoded form.
+    // the framework run and the whole interval sweep against the decoded
+    // form as one sweep, which executes their shared prefix once.
     let results = h.par_cells_journaled(
         benches
             .iter()
@@ -129,23 +130,21 @@ fn sweep(h: &Harness, scale: Scale, strategy: Strategy) -> (Vec<Row>, Vec<CellEr
                     // the assertion is race-free even while other cells
                     // prepare concurrently.
                     let preparations_before = thread_preparations();
-                    let framework_cycles =
-                        h.run_prepared_module(&prepared, Trigger::Never).cycles as f64;
+                    let triggers: Vec<Trigger> = std::iter::once(Trigger::Never)
+                        .chain(INTERVALS.map(|interval| Trigger::Counter { interval }))
+                        .collect();
+                    let outcomes = h.run_sweep(&prepared, &triggers);
+                    let framework_cycles = outcomes[0].cycles as f64;
                     let baseline_cycles = b.baseline.cycles as f64;
-                    let meas: Vec<Meas> = INTERVALS
+                    let meas: Vec<Meas> = outcomes[1..]
                         .iter()
-                        .map(|&interval| {
-                            let o = h.run_prepared_module(&prepared, Trigger::Counter { interval });
-                            Meas {
-                                samples: o.samples_taken as f64,
-                                sampled_instr: (o.cycles as f64 - framework_cycles)
-                                    / baseline_cycles
-                                    * 100.0,
-                                total: (o.cycles as f64 - baseline_cycles) / baseline_cycles
-                                    * 100.0,
-                                acc_call: call_edge_overlap(&perfect, &o.profile),
-                                acc_field: field_access_overlap(&perfect, &o.profile),
-                            }
+                        .map(|o| Meas {
+                            samples: o.samples_taken as f64,
+                            sampled_instr: (o.cycles as f64 - framework_cycles) / baseline_cycles
+                                * 100.0,
+                            total: (o.cycles as f64 - baseline_cycles) / baseline_cycles * 100.0,
+                            acc_call: call_edge_overlap(&perfect, &o.profile),
+                            acc_field: field_access_overlap(&perfect, &o.profile),
                         })
                         .collect();
                     assert_eq!(
@@ -309,15 +308,34 @@ mod tests {
             ..serial.config.clone()
         });
         isf_obs::metrics::set_enabled(true);
-        let hits_before = isf_obs::metrics::snapshot().counter("prep.cache.hits");
-        let (serial, parallel) = std::thread::scope(|s| {
+        let before = isf_obs::metrics::snapshot();
+        let (serial_rows, parallel_rows) = std::thread::scope(|s| {
             let serial = s.spawn(|| run(&serial, Scale::Smoke).to_string());
             let parallel = s.spawn(|| run(&parallel, Scale::Smoke).to_string());
             (serial.join().unwrap(), parallel.join().unwrap())
         });
-        let hits_after = isf_obs::metrics::snapshot().counter("prep.cache.hits");
+        let after = isf_obs::metrics::snapshot();
         isf_obs::metrics::set_enabled(false);
-        assert_eq!(serial, parallel, "table 4 output depends on the job count");
+        let hits_before = before.counter("prep.cache.hits");
+        let hits_after = after.counter("prep.cache.hits");
+        assert_eq!(
+            serial_rows, parallel_rows,
+            "table 4 output depends on the job count"
+        );
+        // Each of the four sweeps (two strategies, two harnesses) asks for
+        // the suite's baselines and its perfect profiles: 8 unsampled
+        // runs per benchmark, of 2 distinct ones. The memo executed each
+        // distinct run once and served the other 6 from its slots,
+        // whichever worker asked first; the registry counted them (other
+        // tests may add more).
+        let benches = isf_workloads::suite(Scale::Smoke).len();
+        assert_eq!(serial.memo_len(), 2 * benches, "distinct unsampled runs");
+        let memo_hits = after.counter("run.memo.hits") - before.counter("run.memo.hits");
+        assert!(
+            memo_hits as usize >= 6 * benches,
+            "{memo_hits} memo hits, want at least {}",
+            6 * benches
+        );
         // Both sweeps request the same (program, plan) decodes from the
         // shared cache, so whichever asks second is served from it — and
         // the registry, enabled around the sweeps, counted the hits.

@@ -244,6 +244,24 @@ pub fn histogram_record(name: &str, value: u64) {
     });
 }
 
+/// Merges `histogram` into histogram `name` on this thread's shard: one
+/// lookup for a whole series binned locally. Merging an empty histogram
+/// records nothing, as recording no value does. No-op while the registry
+/// is disabled.
+pub fn histogram_merge(name: &str, histogram: &Histogram) {
+    if !enabled() || histogram.count() == 0 {
+        return;
+    }
+    LOCAL.with(|l| {
+        let mut l = l.borrow_mut();
+        if let Some(h) = l.0.histograms.get_mut(name) {
+            h.merge(histogram);
+        } else {
+            l.0.histograms.insert(name.to_owned(), histogram.clone());
+        }
+    });
+}
+
 /// Flushes this thread's shard into the global accumulator now (thread
 /// exit does this implicitly for worker threads).
 pub fn flush_thread() {

@@ -163,17 +163,26 @@ pub fn record_completed(cat: &'static str, name: impl Into<String>, wall_ns: u64
     });
 }
 
-/// Flushes the calling thread's buffer and drains every recorded span,
-/// ordered by (start, track) for stable rendering. Call from the main
-/// thread after parallel sections join.
-#[must_use]
-pub fn take_events() -> Vec<SpanEvent> {
+/// Moves the calling thread's buffered spans to the global store now.
+/// A pool worker calls this before it returns: `std::thread::scope` can
+/// return before a finished thread's thread-local destructors have run,
+/// so a flush left to thread exit may land after the main thread drained
+/// the store.
+pub fn flush_thread() {
     LOCAL.with(|l| {
         let mut l = l.borrow_mut();
         if let Ok(mut global) = GLOBAL.lock() {
             global.append(&mut l.0);
         }
     });
+}
+
+/// Flushes the calling thread's buffer and drains every recorded span,
+/// ordered by (start, track) for stable rendering. Call from the main
+/// thread after parallel sections join.
+#[must_use]
+pub fn take_events() -> Vec<SpanEvent> {
+    flush_thread();
     let mut events = std::mem::take(&mut *GLOBAL.lock().expect("span store poisoned"));
     events.sort_by(|a, b| (a.start_ns, a.track, &a.name).cmp(&(b.start_ns, b.track, &b.name)));
     events

@@ -15,8 +15,8 @@ use std::fmt;
 
 use isf_core::{instrument_module, Options, Strategy};
 use isf_exec::{
-    Code, Engine, ExecLimits, Outcome, Request, SchedControl, SchedPolicy, TraceBuffer, TrapKind,
-    Trigger, VmConfig, VmError,
+    Code, Engine, ExecLimits, OpProfile, Outcome, Request, SchedControl, SchedPolicy, Swept,
+    TraceBuffer, TrapKind, Trigger, VmConfig, VmError,
 };
 use isf_harness::explore::verify_replays;
 use isf_instr::{
@@ -180,6 +180,8 @@ fn samples_by_thread(bursts: &TraceBuffer) -> Vec<usize> {
 /// ran round-robin, and otherwise, when both complete under a
 /// schedule-independent trigger, agree with it on every
 /// schedule-independent observable and on per-thread sample counts.
+/// Last, [`check_sweep`] holds every engine's counter sweep to separate
+/// runs.
 ///
 /// # Panics
 ///
@@ -223,9 +225,52 @@ pub fn check(case: &Case) -> Checked {
             );
         }
     }
+    check_sweep(case, &engines, &cfg, &what);
     Checked {
         result,
         decisions: trace.len(),
+    }
+}
+
+/// On every engine, the counter sweep {`Never`, k, k−1, k+1, 2k} around
+/// the case's interval k (3 when the case does not sample by a global
+/// counter) must equal separate runs of each trigger, traced and
+/// profiled or not: results, burst traces, profiles and the schedules
+/// recorded under the case's policy. The case's limits apply, so a trap
+/// lands before, at or after the sweep's fork points.
+fn check_sweep(case: &Case, engines: &[(Engine, Code)], cfg: &VmConfig, what: &str) {
+    let k = match case.trigger {
+        Trigger::Counter { interval } => interval,
+        _ => 3,
+    };
+    let triggers =
+        [k, k.saturating_sub(1), k + 1, 2 * k].map(|interval| Trigger::Counter { interval });
+    let triggers = [&[Trigger::Never][..], &triggers].concat();
+    let sched = SchedControl::recording(case.sched);
+    for (engine, code) in engines {
+        let label = engine.label();
+        let observed: Vec<Swept<TraceBuffer, OpProfile>> =
+            code.execute_sweep(cfg, &triggers, &sched, None);
+        let plain: Vec<Swept> = code.execute_sweep(cfg, &triggers, &sched, None);
+        for ((&trigger, mut run), plain) in triggers.iter().zip(observed).zip(plain) {
+            let config = VmConfig { trigger, ..*cfg };
+            let mut ctl = sched.clone();
+            let mut bursts = TraceBuffer::new();
+            let mut profile = OpProfile::new();
+            let separate = code.execute(
+                Request::new(&config)
+                    .trace(&mut bursts)
+                    .profile(&mut profile)
+                    .sched(&mut ctl),
+            );
+            let schedule = ctl.take_trace();
+            let at = format!("{what}: {label}: the sweep's {trigger:?} run");
+            assert_eq!(run.result, separate, "{at} differs from a separate run");
+            assert_eq!(plain.result, separate, "{at}, unobserved, differs");
+            assert_eq!(run.trace, bursts, "{at} traced other bursts");
+            assert_eq!(run.profile, profile, "{at} profiled otherwise");
+            assert_eq!(run.sched.take_trace(), schedule, "{at} scheduled otherwise");
+        }
     }
 }
 
