@@ -22,14 +22,16 @@ use crate::error::VmError;
 use crate::interp::{self, VmConfig};
 use crate::naive;
 use crate::outcome::Outcome;
-use crate::prepared::{fuse_mode, FuseMode, PreparedModule};
+use crate::prepared::{FuseMode, PreparedModule};
 use crate::profile::{NoMetrics, ProfileSink};
 use crate::sched::SchedControl;
 use crate::trace::{NoTrace, TraceSink};
 use crate::trigger::Trigger;
 
-/// One execution configuration of the runtime.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+/// One execution configuration of the runtime. The default is
+/// [`Engine::Fused`]: callers that compare engines name them or loop over
+/// [`Engine::ALL`].
+#[derive(Copy, Clone, Default, PartialEq, Eq, Hash, Debug)]
 pub enum Engine {
     /// The tree-walking reference interpreter, which the other engines
     /// are differentially tested against.
@@ -37,6 +39,7 @@ pub enum Engine {
     /// The pre-decoded engine over [`FuseMode::Off`] arenas.
     Unfused,
     /// The pre-decoded engine over [`FuseMode::Fuse`] arenas.
+    #[default]
     Fused,
 }
 
@@ -65,17 +68,6 @@ impl Engine {
             Engine::Fused => FuseMode::Fuse,
         };
         Code::Prepared(Cow::Owned(PreparedModule::prepare_with(module, cost, mode)))
-    }
-}
-
-/// [`Engine::Fused`], or [`Engine::Unfused`] when `ISF_FUSE` turns fusion
-/// off (see [`fuse_mode`]).
-impl Default for Engine {
-    fn default() -> Self {
-        match fuse_mode() {
-            FuseMode::Off => Engine::Unfused,
-            FuseMode::Fuse | FuseMode::Guided(_) => Engine::Fused,
-        }
     }
 }
 

@@ -1669,20 +1669,31 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
 mod tests {
     use super::*;
     use crate::engine::{Code, Engine, Request};
-    use crate::prepared::thread_preparations;
+    use crate::prepared::{thread_preparations, FuseMode};
     use isf_ir::Module;
 
     fn compile(src: &str) -> Module {
         isf_frontend::compile(src).expect("test program compiles")
     }
 
+    /// The engines this module implements, fusion off and on.
+    const PREPARED: [Engine; 2] = [Engine::Unfused, Engine::Fused];
+
     /// Loads `m` on `engine` and runs it once under `cfg`.
     fn on(engine: Engine, m: &Module, cfg: &VmConfig) -> Result<Outcome, VmError> {
         engine.load(m, &cfg.cost).execute(Request::new(cfg))
     }
 
+    /// Runs `m` once under `cfg` on each [`PREPARED`] engine and returns
+    /// the result, which must be the same on both: outcome or trap.
+    fn on_prepared(m: &Module, cfg: &VmConfig) -> Result<Outcome, VmError> {
+        let [unfused, fused] = PREPARED.map(|engine| on(engine, m, cfg));
+        assert_eq!(unfused, fused, "fusion changed the result");
+        fused
+    }
+
     fn run_src(src: &str) -> Outcome {
-        on(Engine::default(), &compile(src), &VmConfig::default()).expect("test program runs")
+        on_prepared(&compile(src), &VmConfig::default()).expect("test program runs")
     }
 
     /// A frame holding `locals`, enough to run [`Frame::bin`] on.
@@ -1847,16 +1858,16 @@ mod tests {
     #[test]
     fn traps_surface_as_errors() {
         let m = compile("fn main() { var x = 0; print(1 / x); }");
-        let e = on(Engine::default(), &m, &VmConfig::default()).unwrap_err();
+        let e = on_prepared(&m, &VmConfig::default()).unwrap_err();
         assert_eq!(e.kind, TrapKind::DivisionByZero);
         assert_eq!(e.function, "main");
 
         let m = compile("fn main() { var a = array(2); print(a[5]); }");
-        let e = on(Engine::default(), &m, &VmConfig::default()).unwrap_err();
+        let e = on_prepared(&m, &VmConfig::default()).unwrap_err();
         assert!(matches!(e.kind, TrapKind::IndexOutOfBounds { .. }));
 
         let m = compile("class A { field x; } fn main() { var a = null; print(a.x); }");
-        let e = on(Engine::default(), &m, &VmConfig::default()).unwrap_err();
+        let e = on_prepared(&m, &VmConfig::default()).unwrap_err();
         assert_eq!(e.kind, TrapKind::NullDereference);
     }
 
@@ -1867,7 +1878,7 @@ mod tests {
             limits: ExecLimits::cycles(10_000),
             ..VmConfig::default()
         };
-        let e = on(Engine::default(), &m, &cfg).unwrap_err();
+        let e = on_prepared(&m, &cfg).unwrap_err();
         assert_eq!(e.kind, TrapKind::FuelExhausted(10_000));
     }
 
@@ -1881,7 +1892,7 @@ mod tests {
             },
             ..VmConfig::default()
         };
-        let e = on(Engine::default(), &m, &cfg).unwrap_err();
+        let e = on_prepared(&m, &cfg).unwrap_err();
         assert_eq!(e.kind, TrapKind::HeapExhausted { limit_words: 1_000 });
         assert_eq!(e.function, "main");
     }
@@ -1896,7 +1907,7 @@ mod tests {
             },
             ..VmConfig::default()
         };
-        let e = on(Engine::default(), &m, &cfg).unwrap_err();
+        let e = on_prepared(&m, &cfg).unwrap_err();
         assert_eq!(e.kind, TrapKind::StackOverflow(64));
     }
 
@@ -1932,7 +1943,7 @@ mod tests {
             limits: ExecLimits::cycles(500_000),
             ..VmConfig::default()
         };
-        let e = on(Engine::default(), &m, &cfg).unwrap_err();
+        let e = on_prepared(&m, &cfg).unwrap_err();
         assert_eq!(e.kind, TrapKind::FuelExhausted(500_000));
     }
 
@@ -1990,13 +2001,15 @@ mod tests {
     fn unfired_token_leaves_outcomes_untouched() {
         let src = "fn main() { var i = 0; while (i < 200) { i = i + 1; } print(i); }";
         let m = compile(src);
-        let clean = on(Engine::default(), &m, &VmConfig::default()).unwrap();
+        let clean = on_prepared(&m, &VmConfig::default()).unwrap();
         let token = crate::cancel::CancelToken::new();
-        let armed = Engine::default()
-            .load(&m, &CostModel::default())
-            .execute(Request::new(&VmConfig::default()).cancel(&token))
-            .unwrap();
-        assert_eq!(clean, armed, "a silent token must be invisible");
+        for engine in PREPARED {
+            let armed = engine
+                .load(&m, &CostModel::default())
+                .execute(Request::new(&VmConfig::default()).cancel(&token))
+                .unwrap();
+            assert_eq!(clean, armed, "a silent token must be invisible");
+        }
     }
 
     /// A burst sink that fires its clone of the run's token at its `n`-th
@@ -2122,24 +2135,26 @@ mod tests {
     fn run_prepared_amortizes_one_preparation() {
         let m = compile("fn main() { var i = 0; while (i < 100) { i = i + 1; } print(i); }");
         let cfg = VmConfig::default();
-        let code = Engine::default().load(&m, &cfg.cost);
-        // Thread-local count: immune to concurrent test threads preparing.
-        let before = thread_preparations();
-        let a = code.execute(Request::new(&cfg)).unwrap();
-        let b = code.execute(Request::new(&cfg)).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(
-            thread_preparations(),
-            before,
-            "running loaded code must not re-prepare"
-        );
+        for engine in PREPARED {
+            let code = engine.load(&m, &cfg.cost);
+            // Thread-local count: immune to concurrent test threads preparing.
+            let before = thread_preparations();
+            let a = code.execute(Request::new(&cfg)).unwrap();
+            let b = code.execute(Request::new(&cfg)).unwrap();
+            assert_eq!(a, b);
+            assert_eq!(
+                thread_preparations(),
+                before,
+                "running loaded code must not re-prepare"
+            );
+        }
     }
 
     #[test]
     #[should_panic(expected = "cost model differs")]
     fn run_prepared_rejects_mismatched_cost_model() {
         let m = compile("fn main() { }");
-        let prepared = PreparedModule::prepare_with(&m, &CostModel::default(), crate::fuse_mode());
+        let prepared = PreparedModule::prepare_with(&m, &CostModel::default(), FuseMode::Off);
         let cfg = VmConfig {
             cost: CostModel {
                 alu: 99,

@@ -82,7 +82,7 @@ pub use error::{TrapKind, VmError};
 pub use heap::Heap;
 pub use interp::{ExecLimits, VmConfig};
 pub use outcome::{Outcome, ZeroCycleBaseline};
-pub use prepared::{fuse_mode, thread_preparations, FuseGuidance, FuseMode, PreparedModule};
+pub use prepared::{thread_preparations, FuseGuidance, FuseMode, PreparedModule};
 pub use profile::{NoMetrics, OpProfile, ProfileSink, NUM_OPCODES, OPCODE_NAMES};
 pub use sched::{SchedChoice, SchedControl, SchedPolicy, ScheduleTrace};
 pub use trace::{BurstRecord, NoTrace, TraceBuffer, TraceSink};

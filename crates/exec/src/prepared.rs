@@ -29,7 +29,6 @@
 //! prepares its module exactly once, however many times it re-runs it.
 
 use std::collections::HashSet;
-use std::sync::OnceLock;
 
 use isf_ir::{
     loops, BinOp, BlockId, CallSiteId, ClassId, Const, FieldSym, FuncId, Function, Inst, InstrOp,
@@ -88,18 +87,6 @@ impl FuseGuidance {
     pub fn from_profile(_profile: &OpProfile) -> Self {
         FuseGuidance
     }
-}
-
-/// The process's default fuse mode, behind `Engine::default()`:
-/// [`FuseMode::Off`] when the `ISF_FUSE` environment variable (read once
-/// per process) is `0`/`off`/`false`, else [`FuseMode::Fuse`].
-pub fn fuse_mode() -> FuseMode {
-    static ENV: OnceLock<FuseMode> = OnceLock::new();
-    ENV.get_or_init(|| match std::env::var("ISF_FUSE").ok().as_deref() {
-        Some("0") | Some("off") | Some("false") => FuseMode::Off,
-        _ => FuseMode::Fuse,
-    })
-    .clone()
 }
 
 /// One decoded operation: its pre-folded cycle cost plus the decoded form.
@@ -1320,41 +1307,51 @@ mod tests {
         isf_frontend::compile(src).expect("test program compiles")
     }
 
+    /// Both preparation pipelines: fusion keeps the arena layout.
+    const BOTH_MODES: [FuseMode; 2] = [FuseMode::Off, FuseMode::Fuse];
+
     #[test]
     fn arena_layout_matches_source() {
         let m = compile("fn main() { var i = 0; while (i < 3) { i = i + 1; } print(i); }");
-        let p = PreparedModule::prepare_with(&m, &CostModel::default(), fuse_mode());
         let f = m.function(m.main());
         // One op per instruction plus one inlined terminator per block.
         let expected: usize = f.blocks().map(|(_, b)| b.insts().len() + 1).sum();
-        assert_eq!(p.func(m.main()).ops.len(), expected);
-        assert_eq!(p.func(m.main()).num_locals, f.num_locals());
+        for mode in BOTH_MODES {
+            let p = PreparedModule::prepare_with(&m, &CostModel::default(), mode);
+            assert_eq!(p.func(m.main()).ops.len(), expected);
+            assert_eq!(p.func(m.main()).num_locals, f.num_locals());
+        }
     }
 
     #[test]
     fn loop_backedge_is_preclassified() {
         let m = compile("fn main() { var i = 0; while (i < 3) { i = i + 1; } }");
-        let p = PreparedModule::prepare_with(&m, &CostModel::default(), fuse_mode());
-        let flagged = p
-            .func(m.main())
-            .ops
-            .iter()
-            .filter(|op| {
-                matches!(
-                    op.kind,
-                    OpKind::Jump { backedge: true, .. }
-                        | OpKind::Br {
-                            t_backedge: true,
-                            ..
-                        }
-                        | OpKind::Br {
-                            f_backedge: true,
-                            ..
-                        }
-                )
-            })
-            .count();
-        assert_eq!(flagged, 1, "exactly one backedge in a single while loop");
+        for mode in BOTH_MODES {
+            let p = PreparedModule::prepare_with(&m, &CostModel::default(), mode.clone());
+            let flagged = p
+                .func(m.main())
+                .ops
+                .iter()
+                .filter(|op| {
+                    matches!(
+                        op.kind,
+                        OpKind::Jump { backedge: true, .. }
+                            | OpKind::Br {
+                                t_backedge: true,
+                                ..
+                            }
+                            | OpKind::Br {
+                                f_backedge: true,
+                                ..
+                            }
+                    )
+                })
+                .count();
+            assert_eq!(
+                flagged, 1,
+                "{mode:?}: exactly one backedge in a single while loop"
+            );
+        }
     }
 
     #[test]
@@ -1549,18 +1546,20 @@ mod tests {
              class Square : Shape { field side; method area() { return self.side * self.side; } }
              fn main() { var s = new Square; s.side = 2; print(s.area()); }",
         );
-        let p = PreparedModule::prepare_with(&m, &CostModel::default(), fuse_mode());
-        for (id, class) in m.classes() {
-            for s in 0..m.num_field_syms() {
-                let sym = FieldSym::new(s as u32);
-                assert_eq!(
-                    p.field_offset(id, sym),
-                    class.field_offset(sym).map(|o| o as u32)
-                );
-            }
-            for s in 0..m.num_method_syms() {
-                let sym = MethodSym::new(s as u32);
-                assert_eq!(p.method_impl(id, sym), class.resolve_method(sym));
+        for mode in BOTH_MODES {
+            let p = PreparedModule::prepare_with(&m, &CostModel::default(), mode);
+            for (id, class) in m.classes() {
+                for s in 0..m.num_field_syms() {
+                    let sym = FieldSym::new(s as u32);
+                    assert_eq!(
+                        p.field_offset(id, sym),
+                        class.field_offset(sym).map(|o| o as u32)
+                    );
+                }
+                for s in 0..m.num_method_syms() {
+                    let sym = MethodSym::new(s as u32);
+                    assert_eq!(p.method_impl(id, sym), class.resolve_method(sym));
+                }
             }
         }
     }
@@ -1569,7 +1568,7 @@ mod tests {
     fn preparation_counter_increments() {
         let m = compile("fn main() { }");
         let before = thread_preparations();
-        let _p = PreparedModule::prepare_with(&m, &CostModel::default(), fuse_mode());
+        let _p = PreparedModule::prepare_with(&m, &CostModel::default(), FuseMode::Fuse);
         assert_eq!(thread_preparations(), before + 1);
     }
 }

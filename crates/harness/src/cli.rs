@@ -1,22 +1,18 @@
-//! Command-line parsing for `isf-harness`, as a pure function from
-//! argument list and environment to [`Command`] so every flag's
-//! validation is unit-testable without spawning the binary.
+//! Command-line parsing for `isf-harness`, as a pure function from the
+//! argument list to [`Command`] so every flag's validation is
+//! unit-testable without spawning the binary.
 //!
 //! The harness settings resolve here, once, into a [`HarnessConfig`]:
-//! each is its flag if given, else its `ISF_*` environment variable, else
-//! the built-in default. The variables are applied to the defaults
-//! first, each parsed by its flag's own parser, so a malformed value is
-//! rejected (even when the flag is also given) with the flag's
-//! diagnostic, prefixed with the variable's name; an empty variable
-//! counts as unset. The flags are applied on top. The environment
-//! arrives as a lookup closure ([`Env`]), so tests can pass a fake one.
+//! each is its flag if given, else the built-in default. A setting has
+//! exactly one knob, its flag; no environment variable stands in for one
+//! (DESIGN.md decision 31), so the same arguments always parse the same.
 //!
 //! Error policy: a *structurally* wrong invocation (no experiments, an
 //! unknown flag, a misshapen subcommand) gets the full usage text; a flag
-//! or variable with a *bad value* (`--jobs 0`, an overflowing
-//! `--retries`, `ISF_CELL_BUDGET=1e6`, a garbage `--fault-inject` spec)
-//! gets a one-line diagnostic naming it, the offending value, and what
-//! would be accepted — never a panic, never a silent fallback.
+//! with a *bad value* (`--jobs 0`, an overflowing `--retries`, a garbage
+//! `--fault-inject` spec) gets a one-line diagnostic naming it, the
+//! offending value, and what would be accepted — never a panic, never a
+//! silent fallback.
 
 use std::path::PathBuf;
 
@@ -31,8 +27,7 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
 
 /// Every name accepted as an experiment argument, besides `all`.
 const KNOWN_EXPERIMENTS: &[&str] = &[
-    "table1", "table2", "table3", "table4", "table5", "fig7", "fig8", "fig8a", "fig8b", "extras",
-    "spin",
+    "table1", "table2", "table3", "table4", "table5", "fig7", "fig8", "extras", "spin",
 ];
 
 /// Flags that only make sense for an experiment run; `--explore` rejects
@@ -63,18 +58,16 @@ pub const USAGE: &str = "usage: isf-harness [--scale smoke|default|paper] [--job
      \x20                  [--jobs N] [--emit json|off] [--emit-path FILE] <benchmark>...|all\n\
      \x20      isf-harness validate-jsonl <FILE>\n\
      experiments: table1 table2 table3 table4 table5 fig7 fig8 extras all\n\
-     a flag beats its environment variable, which beats the default; a malformed\n\
-     variable is an error. N defaults to $ISF_JOBS, then the machine's available parallelism;\n\
-     --retries defaults to $ISF_RETRIES (0), --cell-budget to $ISF_CELL_BUDGET (uncapped);\n\
-     --cell-deadline cancels any cell attempt running longer than MS wall-clock\n\
-     milliseconds (also $ISF_CELL_DEADLINE; 0 = off) — the cell is annotated and the\n\
+     N defaults to the machine's available parallelism; --retries defaults to 0,\n\
+     --cell-budget to uncapped (0); --cell-deadline cancels any cell attempt running\n\
+     longer than MS wall-clock milliseconds (0 = off) — the cell is annotated and the\n\
      run exits 75; --run-deadline stops claiming new cells after MS milliseconds and\n\
      drains (journaled runs resume with --resume);\n\
-     --journal defaults to $ISF_JOURNAL (off); --resume replays a journal's finished cells;\n\
-     --no-fuse disables superinstruction fusion (also $ISF_FUSE=0) — results are identical;\n\
+     --journal is off by default; --resume replays a journal's finished cells;\n\
+     --no-fuse disables superinstruction fusion — results are identical;\n\
      --pgo is accepted and does nothing: profile-guided fusion was removed, and the flag\n\
      stays only until the benchmark's `suite-pgo` workload retires;\n\
-     --profile enables VM self-profiling (also $ISF_PROFILE=1): per-opcode dispatch\n\
+     --profile enables VM self-profiling: per-opcode dispatch\n\
      profiles, fusion coverage, and `metrics`/`span-summary` JSONL records;\n\
      --trace-out writes a Chrome trace-event JSON file (open in Perfetto);\n\
      --explore records N seeded-random thread schedules per benchmark (plus PCT\n\
@@ -83,21 +76,16 @@ pub const USAGE: &str = "usage: isf-harness [--scale smoke|default|paper] [--job
      schedule-independent observables intact — a failure prints the seed that\n\
      reproduces the schedule deterministically";
 
-/// The environment as the parser sees it: variable name to value.
-/// `main` passes `|k| std::env::var(k).ok()`.
-pub type Env<'a> = &'a dyn Fn(&str) -> Option<String>;
-
 /// A fully parsed experiment run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunConfig {
     /// Workload scale.
     pub scale: Scale,
     /// The resolved harness settings (`--jobs`, `--retries`,
-    /// `--cell-budget`, `--cell-deadline`, `--fault-inject`, `--no-fuse`
-    /// and their variables).
+    /// `--cell-budget`, `--cell-deadline`, `--fault-inject`, `--no-fuse`).
     pub harness: HarnessConfig,
-    /// `--emit json` (`Some(true)`) / `--emit off` (`Some(false)`).
-    pub emit_json: Option<bool>,
+    /// `--emit json` (`true`) / `--emit off` (`false`, the default).
+    pub emit_json: bool,
     /// `--emit-path`: write the JSONL stream here, tables stay on stdout.
     pub emit_path: Option<PathBuf>,
     /// `--run-deadline`: whole-run wall-clock deadline in milliseconds
@@ -109,7 +97,7 @@ pub struct RunConfig {
     pub journal: Option<PathBuf>,
     /// `--resume`: replay the journal's finished cells.
     pub resume: bool,
-    /// `--profile` or `ISF_PROFILE`: enable VM self-profiling (the
+    /// `--profile`: enable VM self-profiling (the
     /// metrics registry, per-opcode dispatch profiles, fusion coverage,
     /// and the `metrics`/`span-summary` JSONL records). Cycle counts and
     /// traps are identical either way; tables and the
@@ -131,8 +119,8 @@ pub struct ExploreConfig {
     pub scale: Scale,
     /// The resolved harness settings (only `--jobs` is a flag here).
     pub harness: HarnessConfig,
-    /// `--emit json` / `--emit off`.
-    pub emit_json: Option<bool>,
+    /// `--emit json` (`true`) / `--emit off` (`false`, the default).
+    pub emit_json: bool,
     /// `--emit-path`: write the JSONL stream here, the report stays on
     /// stdout.
     pub emit_path: Option<PathBuf>,
@@ -161,8 +149,7 @@ pub enum Command {
 /// Why parsing failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CliError {
-    /// A flag or variable got a bad value: a one-line diagnostic, nonzero
-    /// exit.
+    /// A flag got a bad value: a one-line diagnostic, nonzero exit.
     Bad(String),
     /// The invocation is structurally wrong: show the full usage text.
     Usage,
@@ -209,65 +196,19 @@ fn parse_count<T: std::str::FromStr>(flag: &str, what: &str, v: &str) -> Result<
     })
 }
 
-/// The one boolean parser of the `ISF_FUSE` / `ISF_PROFILE` switches.
-fn parse_switch(v: &str) -> Result<bool, CliError> {
-    match v {
-        "1" | "on" | "true" => Ok(true),
-        "0" | "off" | "false" => Ok(false),
-        _ => Err(bad(format!(
-            "must be `1`, `on` or `true` (or `0`, `off`, `false`), got `{v}`"
-        ))),
-    }
-}
-
 fn next_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, CliError> {
     it.next()
         .map(String::as_str)
         .ok_or_else(|| bad(format!("{flag} needs a value")))
 }
 
-/// Applies the variable `var`, parsed by its flag's parser, to `slot`;
-/// a malformed value is an error that names the variable. An unset or
-/// empty variable leaves the default.
-fn from_env<T>(
-    env: Env,
-    var: &str,
-    slot: &mut T,
-    parse: impl Fn(&str) -> Result<T, CliError>,
-) -> Result<(), CliError> {
-    if let Some(v) = env(var).filter(|v| !v.trim().is_empty()) {
-        *slot = parse(v.trim()).map_err(|e| bad(format!("{var}: {e}")))?;
-    }
-    Ok(())
-}
-
-/// The built-in defaults with the `ISF_*` variables applied. Callers
-/// apply the flags on top, so a flag beats its variable.
-fn env_config(env: Env) -> Result<HarnessConfig, CliError> {
-    let mut c = HarnessConfig::default();
-    from_env(env, "ISF_JOBS", &mut c.jobs, parse_jobs)?;
-    from_env(env, "ISF_RETRIES", &mut c.retries, |v| {
-        parse_count("--retries", "integer", v)
-    })?;
-    from_env(env, "ISF_CELL_BUDGET", &mut c.cell_budget, |v| {
-        parse_count("--cell-budget", "cycle count", v)
-    })?;
-    from_env(env, "ISF_CELL_DEADLINE", &mut c.cell_deadline_ms, |v| {
-        parse_count("--cell-deadline", "millisecond count", v)
-    })?;
-    from_env(env, "ISF_FUSE", &mut c.fuse, parse_switch)?;
-    Ok(c)
-}
-
-/// Parses the argument list (without the program name), resolving the
-/// harness settings against `env`.
+/// Parses the argument list (without the program name).
 ///
 /// # Errors
 ///
-/// [`CliError::Bad`] for a flag or variable with an invalid value
-/// (one-line diagnostic); [`CliError::Usage`] for a structurally wrong
-/// invocation.
-pub fn parse(args: &[String], env: Env) -> Result<Command, CliError> {
+/// [`CliError::Bad`] for a flag with an invalid value (one-line
+/// diagnostic); [`CliError::Usage`] for a structurally wrong invocation.
+pub fn parse(args: &[String]) -> Result<Command, CliError> {
     if args.first().map(String::as_str) == Some("validate-jsonl") {
         let [path] = &args[1..] else {
             return Err(CliError::Usage);
@@ -276,10 +217,9 @@ pub fn parse(args: &[String], env: Env) -> Result<Command, CliError> {
     }
 
     let mut scale = Scale::Default;
-    let mut harness = env_config(env)?;
+    let mut harness = HarnessConfig::default();
     let mut profile = false;
-    from_env(env, "ISF_PROFILE", &mut profile, parse_switch)?;
-    let mut emit_json = None;
+    let mut emit_json = false;
     let mut emit_path = None;
     let mut run_deadline = None;
     let mut journal = None;
@@ -297,11 +237,11 @@ pub fn parse(args: &[String], env: Env) -> Result<Command, CliError> {
             "--scale" => scale = parse_scale(next_value(&mut it, "--scale")?)?,
             "--jobs" => harness.jobs = parse_jobs(next_value(&mut it, arg)?)?,
             "--emit" => {
-                emit_json = Some(match next_value(&mut it, "--emit")? {
+                emit_json = match next_value(&mut it, "--emit")? {
                     "json" => true,
                     "off" => false,
                     v => return Err(bad(format!("--emit must be `json` or `off`, got `{v}`"))),
-                });
+                };
             }
             "--emit-path" => {
                 emit_path = Some(PathBuf::from(next_value(&mut it, "--emit-path")?));
@@ -413,19 +353,9 @@ fn expand_names(
 mod tests {
     use super::*;
 
-    /// Parses `args` against the environment `vars`.
-    fn parse_in(vars: &[(&str, &str)], args: &[&str]) -> Result<Command, CliError> {
-        let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-        let env = |k: &str| {
-            vars.iter()
-                .find(|(name, _)| *name == k)
-                .map(|(_, v)| (*v).to_owned())
-        };
-        parse(&args, &env)
-    }
-
     fn parse_args(args: &[&str]) -> Result<Command, CliError> {
-        parse_in(&[], args)
+        let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
+        parse(&args)
     }
 
     fn run_cfg(args: &[&str]) -> RunConfig {
@@ -483,7 +413,7 @@ mod tests {
                 fuse: false,
             }
         );
-        assert_eq!(cfg.emit_json, Some(true));
+        assert!(cfg.emit_json);
         assert_eq!(cfg.emit_path, Some(PathBuf::from("out.jsonl")));
         assert_eq!(cfg.run_deadline, Some(60000));
         assert_eq!(cfg.journal, Some(PathBuf::from("j.jsonl")));
@@ -511,75 +441,18 @@ mod tests {
         assert_eq!(
             cfg.harness,
             HarnessConfig::default(),
-            "no flags and no variables: the built-in defaults"
+            "no flags: the built-in defaults"
+        );
+        assert!(cfg.harness.fuse, "fusion is on by default");
+        assert!(!cfg.emit_json, "JSONL is off by default");
+        assert_eq!(
+            run_cfg(&["--emit", "off", "all"]),
+            cfg,
+            "--emit off is the default"
         );
         assert_eq!(run_cfg(&["--pgo", "all"]), cfg, "--pgo changes nothing");
         assert!(!cfg.profile, "self-profiling is off by default");
         assert_eq!(cfg.trace_out, None);
-    }
-
-    #[test]
-    fn variables_fill_in_below_their_flags() {
-        let vars = [
-            ("ISF_JOBS", "3"),
-            ("ISF_RETRIES", " 2 "),
-            ("ISF_CELL_BUDGET", "1000"),
-            ("ISF_CELL_DEADLINE", "250"),
-            ("ISF_FUSE", "off"),
-            ("ISF_PROFILE", "true"),
-        ];
-        let Ok(Command::Run(cfg)) = parse_in(&vars, &["table1"]) else {
-            panic!("valid variables must parse");
-        };
-        assert_eq!(
-            cfg.harness,
-            HarnessConfig {
-                jobs: 3,
-                retries: 2,
-                cell_budget: 1000,
-                cell_deadline_ms: 250,
-                fuse: false,
-                ..HarnessConfig::default()
-            }
-        );
-        assert!(cfg.profile);
-        let Ok(Command::Explore(explore)) = parse_in(&vars, &["--explore", "schedules=1", "all"])
-        else {
-            panic!("--explore reads the variables too");
-        };
-        assert_eq!(explore.harness, cfg.harness);
-        // A flag beats its variable; an empty variable counts as unset.
-        let Ok(Command::Run(cfg)) = parse_in(
-            &[("ISF_JOBS", "3"), ("ISF_RETRIES", ""), ("ISF_FUSE", "1")],
-            &["--jobs", "5", "--no-fuse", "table1"],
-        ) else {
-            panic!("flags over variables must parse");
-        };
-        assert_eq!((cfg.harness.jobs, cfg.harness.retries), (5, 0));
-        assert!(!cfg.harness.fuse, "--no-fuse beats ISF_FUSE=1");
-        let Ok(Command::Run(cfg)) = parse_in(&[("ISF_FUSE", "on")], &["table1"]) else {
-            panic!("ISF_FUSE=on must parse");
-        };
-        assert!(cfg.harness.fuse);
-    }
-
-    #[test]
-    fn malformed_variables_are_one_line_errors_naming_the_variable() {
-        for (var, value, flag) in [
-            ("ISF_JOBS", "0", "--jobs"),
-            ("ISF_RETRIES", "x", "--retries"),
-            ("ISF_CELL_BUDGET", "1e6", "--cell-budget"),
-            ("ISF_CELL_DEADLINE", "soon", "--cell-deadline"),
-            ("ISF_FUSE", "no", ""),
-            ("ISF_PROFILE", "2", ""),
-        ] {
-            let Err(CliError::Bad(msg)) = parse_in(&[(var, value)], &["table1"]) else {
-                panic!("{var}={value}: expected a one-line error");
-            };
-            assert!(msg.starts_with(&format!("{var}: {flag}")), "{msg}");
-            assert!(msg.contains(&format!("`{value}`")), "{msg}");
-            assert!(!msg.contains('\n'), "must be one line: {msg}");
-        }
     }
 
     #[test]
@@ -659,6 +532,10 @@ mod tests {
             panic!("unknown experiment should be a one-line error");
         };
         assert!(msg.contains("table9"), "{msg}");
+        // One name per experiment: Figure 8 runs as `fig8` only.
+        for alias in ["fig8a", "fig8b"] {
+            assert!(matches!(err(&[alias]), CliError::Bad(_)), "{alias}");
+        }
         assert_eq!(err(&[]), CliError::Usage, "no experiments: full usage");
         assert_eq!(err(&["--wat", "table1"]), CliError::Usage, "unknown flag");
         // A removed flag is unknown like any other: fuel (`--cell-budget`)
@@ -690,7 +567,7 @@ mod tests {
         };
         assert_eq!(cfg.scale, Scale::Smoke);
         assert_eq!(cfg.harness.jobs, 2);
-        assert_eq!(cfg.emit_json, Some(true));
+        assert!(cfg.emit_json);
         assert_eq!(cfg.emit_path, Some(PathBuf::from("x.jsonl")));
         assert_eq!(cfg.spec.schedules, 32);
         assert_eq!(cfg.spec.seed, 7);

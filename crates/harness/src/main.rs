@@ -18,20 +18,21 @@
 //!
 //! The harness settings (`--jobs`, `--retries`, `--cell-budget`,
 //! `--cell-deadline`, `--fault-inject`, `--no-fuse`) are resolved once by
-//! `cli::parse` into a `HarnessConfig` — flag, else `ISF_*` variable,
-//! else default; a malformed variable exits 1 with the flag's
-//! diagnostic — and `main` passes it down inside a `Harness`, which also
-//! owns the preparation cache and the deadline-hit flag read at exit.
-//! Only the observation sinks (emit mode, span and metrics gates, log
-//! level) and the attached journal stay process-wide.
+//! `cli::parse` into a `HarnessConfig` — flag, else default; each setting
+//! has its flag as its one knob — and `main` passes it down inside a
+//! `Harness`, which also owns the preparation cache and the deadline-hit
+//! flag read at exit. Only the observation sinks (emit mode, span and
+//! metrics gates, log level) and the attached journal stay process-wide.
+//! The environment is read for two observation settings only, neither of
+//! which has a flag: `ISF_LOG` and `ISF_EMIT_REDACT_WALL`.
 //!
-//! Experiment cells run on `N` worker threads (default: `ISF_JOBS` or the
-//! machine's available parallelism). The VM is deterministic, so the
+//! Experiment cells run on `N` worker threads (default: the machine's
+//! available parallelism). The VM is deterministic, so the
 //! tables on stdout are byte-identical for every job count; per-cell
 //! statistics go to stderr through the leveled logger
 //! (`ISF_LOG=off|cells|debug`).
 //!
-//! With `--emit json` (or `ISF_EMIT=json`) the run also produces a JSONL
+//! With `--emit json` the run also produces a JSONL
 //! stream — one `meta` record, then per-cell metrics, table rows,
 //! summaries, and phase timings — written to stdout (replacing the human
 //! tables) or, with `--emit-path FILE`, to the file while the tables stay
@@ -39,13 +40,13 @@
 //! wall-clock fields are redacted (`ISF_EMIT_REDACT_WALL=1`); see
 //! `schemas/harness-jsonl.schema.json` for the record contract.
 //!
-//! With `--journal FILE` (or `ISF_JOURNAL`) every finished cell is
+//! With `--journal FILE` every finished cell is
 //! appended to a crash-safe journal; SIGINT/SIGTERM drain in-flight cells
 //! and exit with code 75 (resumable), and `--resume` replays the journal
 //! so the completed run's stdout and JSONL are byte-identical to an
 //! uninterrupted run's.
 //!
-//! With `--cell-deadline MS` (or `ISF_CELL_DEADLINE`) a watchdog thread
+//! With `--cell-deadline MS` a watchdog thread
 //! cooperatively cancels any cell attempt that runs longer than `MS`
 //! wall-clock milliseconds; the cell is annotated (`!!`, a `deadline`
 //! error record) while its siblings complete, and the run exits 75.
@@ -56,7 +57,7 @@
 //! stops at a fixed *simulated* cycle only under `--cell-budget`, which
 //! is fuel and fails it as a budget trap, not a deadline.
 //!
-//! With `--no-fuse` (or `ISF_FUSE=0`) the prepared engine skips the
+//! With `--no-fuse` the prepared engine skips the
 //! superinstruction fusion pass. Fusion is observably equivalent — every
 //! table, cycle count, and JSONL record is byte-identical either way —
 //! so the flag exists for ablation measurements and the CI equivalence
@@ -66,7 +67,7 @@
 //! removed (DESIGN.md decision 27); the flag stays only until the
 //! benchmark's `suite-pgo` workload, which passes it, is retired.
 //!
-//! With `--profile` (or `ISF_PROFILE=1`) the VM self-profiles: engines
+//! With `--profile` the VM self-profiles: engines
 //! run through the per-opcode `ProfileSink`, dispatch/cycle attribution
 //! and trigger gap histograms land in the metrics registry, a
 //! fusion-coverage report prints to stderr, and the JSONL stream gains a
@@ -88,7 +89,6 @@
 //! deterministically; `--emit json` adds one `explore` record per
 //! benchmark.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use isf_harness::cli::{self, CliError, Command, ExploreConfig, RunConfig};
@@ -209,33 +209,26 @@ fn validate_jsonl(path: &str) -> ExitCode {
     }
 }
 
-/// Attaches the cell journal when one is configured (`--journal` or
-/// `ISF_JOURNAL`): fresh for a normal run, replaying for `--resume`.
-/// Returns an error message when the run must not proceed.
+/// Attaches the cell journal when `--journal` names one: fresh for a
+/// normal run, replaying for `--resume`. Returns an error message when
+/// the run must not proceed.
 fn attach_journal(cfg: &RunConfig) -> Result<(), String> {
-    let journal_path = cfg.journal.clone().or_else(|| {
-        std::env::var("ISF_JOURNAL")
-            .ok()
-            .map(|s| s.trim().to_owned())
-            .filter(|s| !s.is_empty())
-            .map(PathBuf::from)
-    });
-    let Some(path) = journal_path else {
+    let Some(path) = &cfg.journal else {
         if cfg.resume {
-            return Err("--resume needs a journal: pass --journal FILE or set ISF_JOURNAL".into());
+            return Err("--resume needs a journal: pass --journal FILE".into());
         }
         return Ok(());
     };
     let inputs = cfg.harness.run_inputs(cfg.scale, &cfg.experiments);
     if cfg.resume {
-        let replayable = journal::open_resume(&path, &inputs)
+        let replayable = journal::open_resume(path, &inputs)
             .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
         log::cells(&format!(
             "[journal] resuming from {}: {replayable} finished cell(s) will be replayed",
             path.display()
         ));
     } else {
-        journal::start_fresh(&path, &inputs)
+        journal::start_fresh(path, &inputs)
             .map_err(|e| format!("cannot start journal {}: {e}", path.display()))?;
     }
     install_drain_handlers();
@@ -248,14 +241,10 @@ fn attach_journal(cfg: &RunConfig) -> Result<(), String> {
 /// `!!` annotation and `error` record carry the seed and trace that
 /// reproduce the failing schedule.
 fn run_explore(cfg: &ExploreConfig) -> ExitCode {
-    if let Some(json) = cfg.emit_json {
-        emit::set_mode(if json {
-            emit::EmitMode::Json
-        } else {
-            emit::EmitMode::Off
-        });
+    let emitting = cfg.emit_json;
+    if emitting {
+        emit::set_mode(emit::EmitMode::Json);
     }
-    let emitting = emit::enabled();
     let report_to_stdout = !emitting || cfg.emit_path.is_some();
     if emitting {
         emit::take_phases();
@@ -307,12 +296,8 @@ fn run(cfg: &RunConfig) -> ExitCode {
     if cfg.profile || cfg.trace_out.is_some() {
         span::set_enabled(true);
     }
-    if let Some(json) = cfg.emit_json {
-        emit::set_mode(if json {
-            emit::EmitMode::Json
-        } else {
-            emit::EmitMode::Off
-        });
+    if cfg.emit_json {
+        emit::set_mode(emit::EmitMode::Json);
     }
     if let Err(msg) = attach_journal(cfg) {
         log::error(&format!("isf-harness: {msg}"));
@@ -332,7 +317,7 @@ fn run(cfg: &RunConfig) -> ExitCode {
             .expect("spawn run-deadline timer");
     }
 
-    let emitting = emit::enabled();
+    let emitting = cfg.emit_json;
     // When the JSONL stream goes to stdout, stdout must stay pure JSONL;
     // a file target keeps the human tables on stdout.
     let tables_to_stdout = !emitting || cfg.emit_path.is_some();
@@ -379,7 +364,7 @@ fn run(cfg: &RunConfig) -> ExitCode {
             "fig7" => experiment!(fig7),
             "extras" => experiment!(extras),
             "spin" => experiment!(spin),
-            "fig8" | "fig8a" | "fig8b" => experiment!(fig8),
+            "fig8" => experiment!(fig8),
             other => {
                 log::error(&format!("isf-harness: unknown experiment `{other}`"));
                 return ExitCode::FAILURE;
@@ -421,7 +406,7 @@ fn run(cfg: &RunConfig) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match cli::parse(&args, &|k| std::env::var(k).ok()) {
+    match cli::parse(&args) {
         Ok(Command::Run(cfg)) => run(&cfg),
         Ok(Command::Explore(cfg)) => run_explore(&cfg),
         Ok(Command::ValidateJsonl { path }) => validate_jsonl(&path),

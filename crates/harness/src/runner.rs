@@ -3,8 +3,8 @@
 //! baseline — the paper's methodology of §4.1.
 //!
 //! The harness's policy is a value: a [`HarnessConfig`] that
-//! [`crate::cli`] resolves once (flag, else `ISF_*` variable, else
-//! built-in default) and a [`Harness`] that carries it together with the
+//! [`crate::cli`] resolves once (flag, else built-in default) and a
+//! [`Harness`] that carries it together with the
 //! preparation cache its runs share and the deadline-hit flag `main`
 //! reads at exit. No setting lives in a mutable global, so two harnesses
 //! with different configurations can run side by side in one process;
@@ -21,7 +21,7 @@
 //! on the schedule. Per-cell statistics (simulated cycles, wall time,
 //! effective simulated MIPS) go to stderr through the leveled
 //! [`isf_obs::log`] emitter (`ISF_LOG=off|cells|debug`), keeping stdout
-//! byte-identical across job counts; with `ISF_EMIT=json` the same
+//! byte-identical across job counts; with `--emit json` the same
 //! metrics are also captured as machine-readable JSONL records, emitted
 //! in submission order.
 //!
@@ -43,9 +43,9 @@ use std::time::{Duration, Instant};
 
 use isf_core::{instrument_module, Options, Strategy, TransformStats};
 use isf_exec::{
-    fuse_mode, CancelToken, Code, CostModel, Engine, ExecLimits, FuseMode, NoMetrics, NoTrace,
-    OpProfile, Outcome, ProfileSink, Request, SchedControl, Swept, Trigger, VmConfig, VmError,
-    NUM_OPCODES, OPCODE_NAMES,
+    CancelToken, Code, CostModel, Engine, ExecLimits, NoMetrics, NoTrace, OpProfile, Outcome,
+    ProfileSink, Request, SchedControl, Swept, Trigger, VmConfig, VmError, NUM_OPCODES,
+    OPCODE_NAMES,
 };
 use isf_instr::{CallEdgeInstrumentation, FieldAccessInstrumentation, Instrumentation, ModulePlan};
 use isf_ir::Module;
@@ -59,31 +59,30 @@ use crate::journal;
 // ---------------------------------------------------------------------
 
 /// Every setting that shapes a harness run, resolved once. Each field has
-/// a flag and (except `fault`) an `ISF_*` variable; [`crate::cli`] applies
-/// the precedence flag > variable > [`HarnessConfig::default`].
+/// one knob, its flag; [`crate::cli`] applies the flags given over
+/// [`HarnessConfig::default`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct HarnessConfig {
-    /// Worker threads cells run on (`--jobs`, `ISF_JOBS`; default: the
+    /// Worker threads cells run on (`--jobs`; default: the
     /// machine's available parallelism).
     pub jobs: usize,
     /// How many times a panicked or deadlined cell is re-run before its
-    /// failure is recorded (`--retries`, `ISF_RETRIES`; default 0). Traps
+    /// failure is recorded (`--retries`; default 0). Traps
     /// and budget exhaustion are deterministic and never retried.
     pub retries: usize,
-    /// Simulated-cycle cap on every harness run (`--cell-budget`,
-    /// `ISF_CELL_BUDGET`; `0` = uncapped); a run over it is a
+    /// Simulated-cycle cap on every harness run (`--cell-budget`;
+    /// `0` = uncapped); a run over it is a
     /// [`CellResult::Budget`].
     pub cell_budget: u64,
-    /// Per-cell wall-clock deadline in milliseconds (`--cell-deadline`,
-    /// `ISF_CELL_DEADLINE`; `0` = off); an attempt over it is cancelled
+    /// Per-cell wall-clock deadline in milliseconds (`--cell-deadline`;
+    /// `0` = off); an attempt over it is cancelled
     /// by the watchdog and recorded as a [`CellResult::Deadline`].
     pub cell_deadline_ms: u64,
     /// Fault injection `(p, seed)` (`--fault-inject`; `p = 0` = off): an
     /// attempt whose `(seed, label, attempt)` hash falls below `p` panics
     /// or traps before its work runs.
     pub fault: (f64, u64),
-    /// Superinstruction fusion (`--no-fuse` turns it off, `ISF_FUSE`
-    /// sets it; default: [`isf_exec::fuse_mode`], on unless `ISF_FUSE=0`).
+    /// Superinstruction fusion (default on; `--no-fuse` turns it off).
     pub fuse: bool,
 }
 
@@ -95,7 +94,7 @@ impl Default for HarnessConfig {
             cell_budget: 0,
             cell_deadline_ms: 0,
             fault: (0.0, 0),
-            fuse: matches!(fuse_mode(), FuseMode::Fuse),
+            fuse: true,
         }
     }
 }
@@ -608,7 +607,7 @@ impl Harness {
 
     /// Runs one cell on the current thread under `catch_unwind`, logging its
     /// statistics line — simulated cycles, wall time, and effective simulated
-    /// MIPS (interpreted instructions per wall-clock microsecond) — at the
+    /// MIPS (dispatched instructions per wall-clock microsecond) — at the
     /// `cells` level (`ISF_LOG=off` silences it) and returning the
     /// measurements alongside the result. Panicked attempts are retried up to
     /// [`HarnessConfig::retries`] times with a short deterministic backoff; traps and budget
@@ -626,7 +625,7 @@ impl Harness {
         let mut attempt = 1u32;
         loop {
             let _attempt_span = span::begin("attempt", c.label.clone());
-            CELL_STATS.with(|s| s.set((0, 0, 0)));
+            CELL_STATS.with(|s| s.set(CellStats::default()));
             // Each attempt gets a fresh token: the watchdog fires against the
             // epoch snapshotted here, so a stale fire from a previous attempt
             // (or a previous cell on this worker) can never land on this one.
@@ -655,13 +654,15 @@ impl Harness {
             IN_CELL.with(|f| f.set(false));
             AttemptCancel::set(None);
             let wall = start.elapsed();
-            let (cycles, instructions, prepares) = CELL_STATS.with(|s| s.get());
+            let stats = CELL_STATS.with(std::cell::Cell::get);
             let secs = wall.as_secs_f64();
-            let mips = if secs > 0.0 {
-                instructions as f64 / 1e6 / secs
-            } else {
-                0.0
-            };
+            let mips = stats.mips(secs);
+            let CellStats {
+                cycles,
+                instructions,
+                prepares,
+                ..
+            } = stats;
             if log::enabled(log::Level::Cells) {
                 log::cells(&format!(
                     "[cell] {}: {} simulated cycles, {:.1} ms, {:.1} MIPS",
@@ -838,11 +839,16 @@ fn journal_append<R>(label: &str, r: &CellResult<R>, m: &CellMetrics, codec: Opt
 }
 
 thread_local! {
-    /// (simulated cycles, instructions, preparation requests) of the
-    /// current cell, fed by [`Harness::run_prepared_module`] and
+    /// The current cell's [`CellStats`], fed by [`finish_run`] and
     /// [`Harness::cached_prepare`].
-    static CELL_STATS: std::cell::Cell<(u64, u64, u64)> =
-        const { std::cell::Cell::new((0, 0, 0)) };
+    static CELL_STATS: std::cell::Cell<CellStats> = const {
+        std::cell::Cell::new(CellStats {
+            cycles: 0,
+            instructions: 0,
+            dispatched: 0,
+            prepares: 0,
+        })
+    };
     /// The running attempt's cancellation input; empty between attempts.
     static ATTEMPT_CANCEL: std::cell::RefCell<AttemptCancel> =
         const { std::cell::RefCell::new(AttemptCancel { token: None }) };
@@ -911,26 +917,59 @@ fn finish_run(
         .result
         .unwrap_or_else(|e| std::panic::panic_any(CellTrap(e)));
     emit::phase("run", wall);
-    note_run(&outcome);
-    outcome
-}
-
-fn note_run(outcome: &Outcome) {
+    let replayed = if memo_hit {
+        outcome.instructions
+    } else {
+        shared_instructions
+    };
     CELL_STATS.with(|c| {
-        let (cycles, instructions, prepares) = c.get();
-        c.set((
-            cycles + outcome.cycles,
-            instructions + outcome.instructions,
-            prepares,
-        ));
+        let s = c.get();
+        c.set(CellStats {
+            cycles: s.cycles + outcome.cycles,
+            instructions: s.instructions + outcome.instructions,
+            dispatched: s.dispatched + outcome.instructions.saturating_sub(replayed),
+            ..s
+        });
     });
+    outcome
 }
 
 fn note_prepare_request() {
     CELL_STATS.with(|c| {
-        let (cycles, instructions, prepares) = c.get();
-        c.set((cycles, instructions, prepares + 1));
+        let s = c.get();
+        c.set(CellStats {
+            prepares: s.prepares + 1,
+            ..s
+        });
     });
+}
+
+/// What the current cell's runs account for.
+#[derive(Clone, Copy, Default, Debug, PartialEq)]
+struct CellStats {
+    /// Simulated cycles of every outcome the cell received.
+    cycles: u64,
+    /// Instructions of every outcome the cell received, dispatched or
+    /// not: the deterministic `instructions` of its `cell` record.
+    instructions: u64,
+    /// The part of `instructions` the VM dispatched for this cell: not a
+    /// run-memo hit's, and not the prefix a sweep run shares.
+    dispatched: u64,
+    /// Preparation requests, cache hits included.
+    prepares: u64,
+}
+
+impl CellStats {
+    /// Effective simulated MIPS over `secs` of wall time: instructions
+    /// actually dispatched, so work served by the run memo or shared by
+    /// a sweep does not inflate the rate. `0` for an unmeasurable wall.
+    fn mips(&self, secs: f64) -> f64 {
+        if secs > 0.0 {
+            self.dispatched as f64 / 1e6 / secs
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Everything [`Harness::run_cell`] measures about one cell: the deterministic
@@ -1760,6 +1799,12 @@ mod tests {
         let profiled = h.run_module(&m, Trigger::Counter { interval: 50 });
         let coverage = h.fusion_coverage(Scale::Smoke);
         let snap = metrics::snapshot();
+        let unfused = h
+            .with_config(HarnessConfig {
+                fuse: false,
+                ..h.config.clone()
+            })
+            .fusion_coverage(Scale::Smoke);
         metrics::set_enabled(false);
         assert_eq!(plain, profiled, "profiling must not change the outcome");
         // The registry is process-global and other tests may record while
@@ -1788,14 +1833,14 @@ mod tests {
         assert_eq!(coverage.len(), suite(Scale::Smoke).len());
         let compress = coverage.iter().find(|c| c.name == "compress").unwrap();
         assert!(compress.total_instructions > 0);
-        if h.config.fuse {
-            assert!(
-                compress.coverage_pct > 10.0,
-                "compress fusion coverage {:.1}% unexpectedly low",
-                compress.coverage_pct
-            );
-        } else {
-            assert_eq!(compress.fused_instructions, 0, "fusion off fused ops");
+        assert!(
+            compress.coverage_pct > 10.0,
+            "compress fusion coverage {:.1}% unexpectedly low",
+            compress.coverage_pct
+        );
+        for (fused, off) in coverage.iter().zip(&unfused) {
+            assert_eq!(off.fused_instructions, 0, "fusion off fused ops");
+            assert_eq!(off.total_instructions, fused.total_instructions);
         }
         assert_eq!(
             snap.counter("fusion.compress.total_instructions"),
@@ -1851,6 +1896,55 @@ mod tests {
             let separate = h.run_prepared_module(&loaded, *trigger);
             assert_eq!(outcome, &separate, "{trigger:?}");
         }
+    }
+
+    #[test]
+    fn cell_mips_counts_only_dispatched_instructions() {
+        // A cell's `instructions` counts every outcome it receives; its
+        // MIPS divides only what the VM dispatched for it, so a run-memo
+        // hit adds nothing and a sweep run adds what follows the prefix
+        // it shares with the base pass.
+        let stats = || CELL_STATS.with(std::cell::Cell::get);
+        let reset = || CELL_STATS.with(|s| s.set(CellStats::default()));
+        let h = Harness::default();
+        let w = isf_workloads::by_name("jess", Scale::Smoke).unwrap();
+        let plain = h.prepare_for_runs(&w.compile());
+        reset();
+        let once = h.run_prepared_module(&plain, Trigger::Never).instructions;
+        h.run_prepared_module(&plain, Trigger::Never);
+        assert_eq!(stats().instructions, 2 * once);
+        assert_eq!(stats().dispatched, once, "a memo hit dispatches nothing");
+        // Uninstrumented code never samples: the counter run is the base
+        // pass's outcome, shared whole.
+        reset();
+        h.run_sweep(&plain, &[Trigger::Never, Trigger::Counter { interval: 7 }]);
+        assert_eq!(stats().instructions, 2 * once);
+        assert_eq!(stats().dispatched, once);
+        // A fork dispatches its own suffix only.
+        let (m, _, _) = instrument(
+            &w.compile(),
+            Kinds::Both,
+            &Options::new(Strategy::FullDuplication),
+        );
+        let sampled = h.prepare_for_runs(&m);
+        reset();
+        let swept = h.run_sweep(
+            &sampled,
+            &[Trigger::Never, Trigger::Counter { interval: 7 }],
+        );
+        let s = stats();
+        assert_eq!(
+            s.instructions,
+            swept[0].instructions + swept[1].instructions
+        );
+        assert!(
+            s.dispatched > swept[0].instructions,
+            "the fork ran a suffix"
+        );
+        assert!(s.dispatched < s.instructions, "the fork shared a prefix");
+        assert_eq!(s.mips(2.0), s.dispatched as f64 / 2e6);
+        assert_eq!(s.mips(0.0), 0.0);
+        reset();
     }
 
     #[test]

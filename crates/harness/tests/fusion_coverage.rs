@@ -30,7 +30,7 @@ const STATIC: [Pin; 10] = [
 
 #[test]
 fn static_fusion_coverage_is_pinned() {
-    // Single-threaded and independent of `ISF_FUSE`.
+    // Single-threaded, fusion on.
     let rows: Vec<Pin> = Harness::new(HarnessConfig {
         jobs: 1,
         fuse: true,
@@ -58,7 +58,6 @@ fn pgo_fusion_coverage_equals_static() {
             "table1",
         ])
         .env("ISF_LOG", "cells")
-        .env_remove("ISF_FUSE")
         .output()
         .expect("spawn isf-harness");
     assert!(out.status.success(), "{out:?}");

@@ -3,7 +3,9 @@
 //! truncations, duplicated lines and deleted lines — go through
 //! `journal::open_resume` and `jsonl::validate`, which must return `Ok`
 //! or an error but never panic; a few go through the binary's
-//! `validate-jsonl` and `--resume`, which must exit 0 or 1.
+//! `validate-jsonl` and `--resume`, which must exit 0 or 1. Nor may the
+//! environment reach a setting: hostile values of `ISF_*` variables named
+//! like harness settings leave a run byte-identical to a clean one.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -87,14 +89,6 @@ impl Drop for TempDir {
 fn harness(args: &[&str]) -> Command {
     let mut cmd = Command::new(BIN);
     cmd.args(args).env("ISF_LOG", "off").stderr(Stdio::null());
-    for var in [
-        "ISF_JOURNAL",
-        "ISF_RETRIES",
-        "ISF_CELL_BUDGET",
-        "ISF_CELL_DEADLINE",
-    ] {
-        cmd.env_remove(var);
-    }
     cmd
 }
 
@@ -211,4 +205,34 @@ fn the_binary_exits_0_or_1_on_mutated_inputs() {
             "--resume on a {name}: {status:?}"
         );
     }
+}
+
+#[test]
+fn ambient_setting_variables_change_nothing() {
+    // A harness setting's one knob is its flag: none of these is read.
+    let dir = TempDir::new("ambient");
+    let journal = dir.path("ambient.journal");
+    let args = ["--scale", "smoke", "--jobs", "1", "table1"];
+    let clean = harness(&args).output().expect("spawn isf-harness");
+    let hostile = harness(&args)
+        .envs([
+            ("ISF_JOBS", "0"),
+            ("ISF_RETRIES", "x"),
+            ("ISF_CELL_BUDGET", "1e6"),
+            ("ISF_CELL_DEADLINE", "soon"),
+            ("ISF_FUSE", "no"),
+            ("ISF_PROFILE", "2"),
+            ("ISF_EMIT", "json"),
+        ])
+        .env("ISF_JOURNAL", &journal)
+        .output()
+        .expect("spawn isf-harness");
+    assert!(clean.status.success(), "{clean:?}");
+    assert!(hostile.status.success(), "{hostile:?}");
+    assert!(!clean.stdout.is_empty());
+    assert!(
+        clean.stdout == hostile.stdout,
+        "the environment changed stdout"
+    );
+    assert!(!journal.exists(), "ISF_JOURNAL started a journal");
 }

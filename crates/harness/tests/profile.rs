@@ -43,8 +43,6 @@ fn harness(args: &[&str]) -> Output {
         .args(args)
         .env("ISF_EMIT_REDACT_WALL", "1")
         .env("ISF_LOG", "off")
-        .env_remove("ISF_JOURNAL")
-        .env_remove("ISF_PROFILE")
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .output()

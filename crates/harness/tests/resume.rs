@@ -40,7 +40,6 @@ fn harness(args: &[&str]) -> Command {
     cmd.args(args)
         .env("ISF_EMIT_REDACT_WALL", "1")
         .env("ISF_LOG", "off")
-        .env_remove("ISF_JOURNAL")
         .stdout(Stdio::piped())
         .stderr(Stdio::piped());
     cmd

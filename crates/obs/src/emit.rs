@@ -28,7 +28,7 @@ use crate::json::Json;
 /// What the thread-local emitter does with records.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum EmitMode {
-    /// Discard records (the default unless `ISF_EMIT=json`).
+    /// Discard records (the default).
     Off,
     /// Buffer records as JSONL lines for [`drain`].
     Json,
@@ -42,10 +42,6 @@ struct EmitState {
 
 impl EmitState {
     fn from_env() -> Self {
-        let mode = match std::env::var("ISF_EMIT").ok().as_deref().map(str::trim) {
-            Some("json") => EmitMode::Json,
-            _ => EmitMode::Off,
-        };
         let redact_wall = matches!(
             std::env::var("ISF_EMIT_REDACT_WALL")
                 .ok()
@@ -54,7 +50,7 @@ impl EmitState {
             Some("1") | Some("true")
         );
         EmitState {
-            mode,
+            mode: EmitMode::Off,
             redact_wall,
             buffer: String::new(),
         }
@@ -65,12 +61,12 @@ thread_local! {
     static STATE: RefCell<EmitState> = RefCell::new(EmitState::from_env());
 }
 
-/// Sets this thread's emit mode, overriding `ISF_EMIT`.
+/// Sets this thread's emit mode ([`EmitMode::Off`] until set).
 pub fn set_mode(mode: EmitMode) {
     STATE.with(|s| s.borrow_mut().mode = mode);
 }
 
-/// This thread's emit mode (`ISF_EMIT=json` enables [`EmitMode::Json`]).
+/// This thread's emit mode.
 pub fn mode() -> EmitMode {
     STATE.with(|s| s.borrow().mode)
 }

@@ -13,7 +13,7 @@
 //!   §4.6 attribution skew.
 //! * [`log`] is the leveled stderr emitter (`ISF_LOG=off|cells|debug`)
 //!   that replaces the harness's raw `eprintln!`s.
-//! * [`emit`] buffers JSONL records (`ISF_EMIT=json`) with wall-clock
+//! * [`emit`] buffers JSONL records (`--emit json`) with wall-clock
 //!   redaction for byte-stable output across `--jobs` counts, and
 //!   accumulates phase timings across worker threads.
 //! * [`metrics`] is a sharded runtime-gated metrics registry (counters +

@@ -69,14 +69,15 @@ fn main() {
         sampled.profile.values().len(),
     );
 
-    // A taste of each profile.
-    if let Some((site, hist)) = sampled.profile.values().iter().next() {
-        let total: u64 = hist.values().sum();
-        println!(
-            "value site {:?}: {} observations over {} distinct values",
-            site,
-            total,
-            hist.len()
-        );
+    // A taste of the value profile: its busiest site, the smallest key on
+    // a tie, so the line does not depend on hash-map order.
+    let busiest = sampled
+        .profile
+        .values()
+        .iter()
+        .map(|(site, hist)| (hist.values().sum::<u64>(), site, hist.len()))
+        .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(a.1)));
+    if let Some((total, site, distinct)) = busiest {
+        println!("value site {site:?}: {total} observations over {distinct} distinct values");
     }
 }

@@ -19,8 +19,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Runs a module on the default engine with the given trigger and default
-/// configuration.
+/// Runs a module on the default engine ([`Engine::Fused`]) with the given
+/// trigger and default configuration. The suites that use it check
+/// transforms; that every engine agrees is [`oracle::check`]'s job.
 pub fn run_with(module: &isf_ir::Module, trigger: Trigger) -> Outcome {
     let cfg = VmConfig {
         trigger,
